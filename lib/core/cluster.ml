@@ -76,7 +76,6 @@ type pending_send = {
   p_dst : int;
   p_frame : string;  (* the enveloped wire frame, cached for retransmission *)
   p_msg : Mobility.Marshal.message;  (* for loss reporting on give-up *)
-  p_desc : string;
   p_span : (int * int * float) option;  (* move-span tag, kept across retries *)
   mutable p_attempts : int;  (* transmissions so far *)
   mutable p_next_at : float;  (* retransmission deadline *)
@@ -294,6 +293,14 @@ let emit t ~node ev =
     else E.emit t.bus ev
   end
   else emit_direct t ev
+
+(* Does an emitted event reach anyone beyond the counters?  Message
+   events carry [Marshal.describe]'s text, a sprintf per message, so —
+   like [E.emit_step] — they are built only when this holds; otherwise
+   the sender bumps the counter alone ([E.count_msg]). *)
+let listening t =
+  if t.win_active then t.win_buffering
+  else E.has_subscribers t.bus || t.trace <> None
 
 (* --- span tracing helpers (DESIGN.md §12) ---
 
@@ -618,6 +625,17 @@ exception Thread_unavailable of string
 let is_crashed t i = t.nodes.(i).n_crashed
 let thread_failure t tid = Hashtbl.find_opt t.failures tid
 
+(* retire every segment of a lost thread on every live node *)
+let reap_thread t tid =
+  Array.iter
+    (fun n ->
+      if not n.n_crashed then
+        List.iter
+          (fun (seg : T.segment) ->
+            if seg.T.seg_thread = tid then K.retire_segment n.n_kernel seg)
+          (K.segments n.n_kernel))
+    t.nodes
+
 (* Abort every live segment of a thread: its continuation is gone.
    [node] is the context node the abort originates at (for shard
    attribution).  Inside a parallel window the abort is deferred to the
@@ -647,17 +665,7 @@ let abort_thread t ~node tid ~reason =
   else if not (Hashtbl.mem t.failures tid) then begin
     Hashtbl.replace t.failures tid reason;
     emit t ~node (E.Ev_thread_lost { thread = tid; reason });
-    Array.iter
-      (fun n ->
-        if not n.n_crashed then
-          List.iter
-            (fun (seg : T.segment) ->
-              if seg.T.seg_thread = tid then begin
-                seg.T.seg_status <- T.Dead;
-                K.unregister_segment n.n_kernel seg
-              end)
-            (K.segments n.n_kernel))
-      t.nodes
+    reap_thread t tid
   end
 
 (* the window-deferred half of [abort_thread]: record the failure and
@@ -665,17 +673,7 @@ let abort_thread t ~node tid ~reason =
 let apply_deferred_abort t tid ~reason =
   if not (Hashtbl.mem t.failures tid) then begin
     Hashtbl.replace t.failures tid reason;
-    Array.iter
-      (fun n ->
-        if not n.n_crashed then
-          List.iter
-            (fun (seg : T.segment) ->
-              if seg.T.seg_thread = tid then begin
-                seg.T.seg_status <- T.Dead;
-                K.unregister_segment n.n_kernel seg
-              end)
-            (K.segments n.n_kernel))
-      t.nodes
+    reap_thread t tid
   end
 
 (* the search table is per shard, keyed by the asking node's shard, so
@@ -1015,8 +1013,10 @@ and send_message t ~src (s : Mobility.Move.send) =
        outright.  Under a fault plan the frame goes out anyway — the
        node may restart — and the loss is only reported when the
        retransmission budget is spent. *)
-    emit t ~node:src
-      (E.Ev_msg_lost { src; dst; desc = Mobility.Marshal.describe msg });
+    if listening t then
+      emit t ~node:src
+        (E.Ev_msg_lost { src; dst; desc = Mobility.Marshal.describe msg })
+    else E.count_msg t.bus ~node:src E.Msg_lost;
     drop_message t ~node:src msg ~reason:(Printf.sprintf "node %d is down" dst)
   end
   else begin
@@ -1123,22 +1123,22 @@ and send_message t ~src (s : Mobility.Move.send) =
         in
         sh.sh_buf <- (sh.sh_key_time, sh.sh_key_rank, sh.sh_seq, B_send d) :: sh.sh_buf
       end
-      else begin
+      else
         (* nobody listening: only the counter is observable, and the
            sender's counters are owned by this shard *)
-        let c = E.counters t.bus src in
-        c.E.c_sent <- c.E.c_sent + 1
-      end
+        E.count_msg t.bus ~node:src E.Msg_sent
     end
     else begin
       let now = K.time_us k in
       let arrival =
         Enet.Netsim.send_view ?span:span_tag t.net ~now_us:now ~src ~dst ~payload
       in
-      emit t ~node:src
-        (E.Ev_msg_send
-           { time = now; src; dst; desc = Mobility.Marshal.describe msg;
-             bytes = Enet.Wire.view_length payload; arrives = arrival });
+      if listening t then
+        emit t ~node:src
+          (E.Ev_msg_send
+             { time = now; src; dst; desc = Mobility.Marshal.describe msg;
+               bytes = Enet.Wire.view_length payload; arrives = arrival })
+      else E.count_msg t.bus ~node:src E.Msg_sent;
       match root with
       | Some (rid, _) ->
         emit_span t ~node:src ~parent:rid ~bytes:(Enet.Wire.view_length payload)
@@ -1163,23 +1163,24 @@ and send_message t ~src (s : Mobility.Move.send) =
     let seq = t.next_seq.(src) in
     t.next_seq.(src) <- seq + 1;
     let frame = data_frame ~seq payload in
-    let desc = Mobility.Marshal.describe msg in
     let now = K.time_us k in
     let arrival =
       Enet.Netsim.send ?span:span_tag t.net ~now_us:now ~src ~dst ~payload:frame
     in
-    emit t ~node:src
-      (E.Ev_msg_send
-         { time = now; src; dst; desc; bytes = String.length frame;
-           arrives = arrival });
+    if listening t then
+      emit t ~node:src
+        (E.Ev_msg_send
+           { time = now; src; dst; desc = Mobility.Marshal.describe msg;
+             bytes = String.length frame; arrives = arrival })
+    else E.count_msg t.bus ~node:src E.Msg_sent;
     (match root with
     | Some (rid, _) ->
       emit_span t ~node:src ~parent:rid ~bytes:(String.length frame) ~pair
         ~name:"transfer" ~t0:now ~t1:arrival ()
     | None -> ());
     let p =
-      { p_seq = seq; p_dst = dst; p_frame = frame; p_msg = msg; p_desc = desc;
-        p_span = span_tag; p_attempts = 1; p_next_at = now +. tr_rto_us }
+      { p_seq = seq; p_dst = dst; p_frame = frame; p_msg = msg; p_span = span_tag;
+        p_attempts = 1; p_next_at = now +. tr_rto_us }
     in
     Hashtbl.replace t.outstanding.(src) seq p;
     (* the engine holds at most one timer entry per node; if one is
@@ -1444,9 +1445,11 @@ let deliver t ~dst (m : Enet.Netsim.message) =
     emit_span t ~node:dst ~parent ~pair ~name:"rebuild" ~t0:t_unm1
       ~t1:(K.time_us k) ()
   | None -> ());
-  emit t ~node:dst
-    (E.Ev_msg_deliver
-       { time = K.time_us k; node = dst; desc = Mobility.Marshal.describe msg });
+  if listening t then
+    emit t ~node:dst
+      (E.Ev_msg_deliver
+         { time = K.time_us k; node = dst; desc = Mobility.Marshal.describe msg })
+  else E.count_msg t.bus ~node:dst E.Msg_delivered;
   let sends =
     match msg with
     | Mobility.Marshal.M_invoke _ | Mobility.Marshal.M_invoke_via _ -> (
@@ -1581,10 +1584,7 @@ let deliver t ~dst (m : Enet.Netsim.message) =
         List.iter
           (fun (seg : T.segment) ->
             if seg.T.seg_status <> T.Dead && Hashtbl.mem t.failures seg.T.seg_thread
-            then begin
-              seg.T.seg_status <- T.Dead;
-              K.unregister_segment k seg
-            end)
+            then K.retire_segment k seg)
           (K.segments k);
       publish_locations t ~dst payload;
       []
@@ -1890,7 +1890,9 @@ let exec_deliver t i eff =
             ~blit:(blit_pair t ~src:m.Enet.Netsim.msg_src ~dst:i)
             ~impl:(wire_impl_of t) ~stats m.Enet.Netsim.msg_payload)
     in
-    emit t ~node:i (E.Ev_msg_drop { node = i; desc = Mobility.Marshal.describe msg });
+    if listening t then
+      emit t ~node:i (E.Ev_msg_drop { node = i; desc = Mobility.Marshal.describe msg })
+    else E.count_msg t.bus ~node:i E.Msg_lost;
     drop_message t ~node:i msg ~reason:(Printf.sprintf "node %d is down" i)
   | Some m -> deliver t ~dst:i m
 
@@ -1958,7 +1960,11 @@ let reseed t =
 let retransmit_due t i ~now p =
   if p.p_attempts >= tr_max_attempts then begin
     Hashtbl.remove t.outstanding.(i) p.p_seq;
-    emit t ~node:i (E.Ev_msg_lost { src = i; dst = p.p_dst; desc = p.p_desc });
+    if listening t then
+      emit t ~node:i
+        (E.Ev_msg_lost
+           { src = i; dst = p.p_dst; desc = Mobility.Marshal.describe p.p_msg })
+    else E.count_msg t.bus ~node:i E.Msg_lost;
     drop_message t ~node:i p.p_msg
       ~reason:
         (Printf.sprintf "no acknowledgement from node %d after %d attempts"
@@ -2366,7 +2372,7 @@ let run_parallel t ~max_events =
       fire_balancer t
     | Some (w0, _) ->
       let horizon = Float.min (w0 +. t.lookahead) t.balance_at in
-      t.win_buffering <- E.has_subscribers t.bus || t.trace <> None;
+      t.win_buffering <- listening t;
       Array.iteri
         (fun s sh ->
           sh.sh_seq <- 0;

@@ -305,14 +305,26 @@ let mean_horizon_us bus =
 let subscribe bus f = bus.subscribers <- bus.subscribers @ [ f ]
 let has_subscribers bus = bus.subscribers <> []
 
+type msg_count =
+  | Msg_sent
+  | Msg_delivered
+  | Msg_lost
+
+let count_msg bus ~node kind =
+  let c = bus.node_counters.(node) in
+  match kind with
+  | Msg_sent -> c.c_sent <- c.c_sent + 1
+  | Msg_delivered -> c.c_delivered <- c.c_delivered + 1
+  | Msg_lost -> c.c_lost <- c.c_lost + 1
+
 let count bus ev =
   let c i = bus.node_counters.(i) in
   match ev with
   | Ev_step { node; _ } -> (c node).c_steps <- (c node).c_steps + 1
-  | Ev_msg_send { src; _ } -> (c src).c_sent <- (c src).c_sent + 1
-  | Ev_msg_deliver { node; _ } -> (c node).c_delivered <- (c node).c_delivered + 1
-  | Ev_msg_lost { src; _ } -> (c src).c_lost <- (c src).c_lost + 1
-  | Ev_msg_drop { node; _ } -> (c node).c_lost <- (c node).c_lost + 1
+  | Ev_msg_send { src; _ } -> count_msg bus ~node:src Msg_sent
+  | Ev_msg_deliver { node; _ } -> count_msg bus ~node Msg_delivered
+  | Ev_msg_lost { src; _ } -> count_msg bus ~node:src Msg_lost
+  | Ev_msg_drop { node; _ } -> count_msg bus ~node Msg_lost
   | Ev_move_start { node; _ } -> (c node).c_moves_out <- (c node).c_moves_out + 1
   | Ev_evict { node; _ } -> (c node).c_evictions <- (c node).c_evictions + 1
   | Ev_move_finish { node; _ } -> (c node).c_moves_in <- (c node).c_moves_in + 1

@@ -175,6 +175,17 @@ val emit_step : bus -> node:int -> time:float -> unit
 (** [emit bus (Ev_step {node; time})], but allocation-free when there
     are no subscribers — it runs once per scheduling slice. *)
 
+type msg_count =
+  | Msg_sent
+  | Msg_delivered
+  | Msg_lost
+
+val count_msg : bus -> node:int -> msg_count -> unit
+(** Bump the counter an [Ev_msg_*] event at [node] would bump, without the
+    event.  Message events carry a [Mobility.Marshal.describe] string, so
+    the cluster builds them only when someone listens and counts through
+    this otherwise. *)
+
 val counters : bus -> int -> counters
 val n_nodes : bus -> int
 

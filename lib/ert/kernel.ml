@@ -71,6 +71,9 @@ type t = {
   proxies : int Oid_table.t;
   segs : (int, Thread.segment) Hashtbl.t;
   seg_forwards : (int, int) Hashtbl.t;  (* migrated segment -> node *)
+  stack_users : (int, int) Hashtbl.t;
+      (* held stack region (top address) -> registered segments on it *)
+  mutable stack_pool : int list;  (* free stack regions, last released first *)
   run_queue : Thread.segment Queue.t;
   root_results : (Thread.tid, Value.t option) Hashtbl.t;
   blocks : (int, int * block_kind) Hashtbl.t;  (* heap blocks the GC may sweep *)
@@ -139,6 +142,8 @@ let create ?clock ~node_id ~arch () =
     proxies = Oid_table.create ~dummy:0 ();
     segs = Hashtbl.create 16;
     seg_forwards = Hashtbl.create 16;
+    stack_users = Hashtbl.create 16;
+    stack_pool = [];
     run_queue = Queue.create ();
     root_results = Hashtbl.create 8;
     blocks = Hashtbl.create 64;
@@ -650,12 +655,49 @@ let fresh_seg_id t =
   t.seg_serial <- t.seg_serial + 1;
   Thread.fresh_seg_id ~node_id:t.knode_id ~serial:t.seg_serial
 
-let stack_size = 32 * 1024
-let stack_bytes = stack_size
+(* Stacks.  Every landing and every remote invocation needs a stack
+   region.  The kernel holds a region from [alloc_stack] until
+   [release_stack] finds no registered segment on it (the runs a split
+   leaves behind share their original region), then pools it; the next
+   [alloc_stack] reuses the most recently pooled region, zero-filled so
+   it is byte-identical to a fresh one.  Pooled regions stay counted in
+   the heap's live bytes — they are kernel-owned memory, not garbage —
+   so the collector's threshold input does not swing with thread
+   traffic. *)
+let stack_bytes = 32 * 1024
 
 let alloc_stack t =
-  let base = Heap.alloc t.kheap stack_size in
-  base + stack_size
+  let top =
+    match t.stack_pool with
+    | top :: rest ->
+      t.stack_pool <- rest;
+      Mem.zero_fill t.kmem (top - stack_bytes) stack_bytes;
+      top
+    | [] -> Heap.alloc t.kheap stack_bytes + stack_bytes
+  in
+  Hashtbl.replace t.stack_users top 0;
+  top
+
+let join_stack t (seg : Thread.segment) =
+  let top = seg.Thread.seg_stack_top in
+  let n = Option.value ~default:0 (Hashtbl.find_opt t.stack_users top) in
+  Hashtbl.replace t.stack_users top (n + 1)
+
+let leave_stack t (seg : Thread.segment) =
+  let top = seg.Thread.seg_stack_top in
+  match Hashtbl.find_opt t.stack_users top with
+  | Some n -> Hashtbl.replace t.stack_users top (n - 1)
+  | None -> ()
+
+let release_stack t (seg : Thread.segment) =
+  let top = seg.Thread.seg_stack_top in
+  match Hashtbl.find_opt t.stack_users top with
+  | Some 0 ->
+    Hashtbl.remove t.stack_users top;
+    t.stack_pool <- top :: t.stack_pool
+  | Some _ | None -> ()
+
+let pooled_stacks t = t.stack_pool
 
 let enqueue_ready t seg =
   Queue.add seg t.run_queue;
@@ -664,8 +706,16 @@ let enqueue_ready t seg =
 
 let register_segment t seg =
   (match Hashtbl.find_opt t.segs seg.Thread.seg_id with
-  | Some old when old != seg -> old.Thread.seg_live <- false
-  | _ -> ());
+  | Some old when old == seg -> ()
+  | prev -> (
+    join_stack t seg;
+    match prev with
+    | Some old ->
+      (* superseded: the old record can never run again *)
+      old.Thread.seg_live <- false;
+      leave_stack t old;
+      release_stack t old
+    | None -> ()));
   seg.Thread.seg_live <- true;
   Hashtbl.replace t.segs seg.Thread.seg_id seg;
   Hashtbl.remove t.seg_forwards seg.Thread.seg_id;
@@ -676,11 +726,19 @@ let register_segment t seg =
 
 let unregister_segment t seg =
   (match Hashtbl.find_opt t.segs seg.Thread.seg_id with
-  | Some cur -> cur.Thread.seg_live <- false
+  | Some cur ->
+    cur.Thread.seg_live <- false;
+    leave_stack t cur
   | None -> ());
   seg.Thread.seg_live <- false;
   Hashtbl.remove t.segs seg.Thread.seg_id;
   Hashtbl.remove t.evict_arms seg.Thread.seg_id
+
+let retire_segment t seg =
+  seg.Thread.seg_status <- Thread.Dead;
+  unregister_segment t seg;
+  release_stack t seg
+
 let set_seg_forward t ~seg_id ~node = Hashtbl.replace t.seg_forwards seg_id node
 let seg_forward t ~seg_id = Hashtbl.find_opt t.seg_forwards seg_id
 
@@ -748,7 +806,7 @@ let spawn_exact t ~(spawn : Thread.spawn_info) ~link ~thread ~seg_id ~status =
       seg_status = status;
       seg_ctx = ctx;
       seg_stack_top = stack_top;
-      seg_stack_bottom = stack_top - stack_size + 256;
+      seg_stack_bottom = stack_top - stack_bytes + 256;
       seg_link = link;
       seg_result_type = result_type;
       seg_spawn = Some spawn;
@@ -1431,8 +1489,7 @@ let finish_bottom_return t seg =
     | Some ty -> value_of_raw t ty raw
     | None -> Value.Vnil
   in
-  seg.Thread.seg_status <- Thread.Dead;
-  unregister_segment t seg;
+  retire_segment t seg;
   match seg.Thread.seg_link with
   | Some link ->
     Some (Oc_return { link; value; thread = seg.Thread.seg_thread })
@@ -1487,8 +1544,7 @@ let step t =
         enqueue_ready t seg;
         []
       | S.Halt ->
-        seg.Thread.seg_status <- Thread.Dead;
-        unregister_segment t seg;
+        retire_segment t seg;
         []
       | S.Bottom_return -> (
         match finish_bottom_return t seg with
@@ -1564,8 +1620,7 @@ let advance_to_stop t (seg : Thread.segment) =
       ctx.M.poll_requested <- false;
       []
     | S.Halt ->
-      seg.Thread.seg_status <- Thread.Dead;
-      unregister_segment t seg;
+      retire_segment t seg;
       []
     | S.Bottom_return -> (
       ctx.M.poll_requested <- false;

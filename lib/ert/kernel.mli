@@ -229,10 +229,27 @@ val fresh_tid : t -> Thread.tid
 val fresh_seg_id : t -> int
 val stack_bytes : int
 val alloc_stack : t -> int
-(** Allocate a stack region; returns its top (highest) address. *)
+(** Take a stack region — the most recently pooled one, zero-filled, or a
+    fresh one from the heap — and hold it for the segment about to be
+    registered on it; returns its top (highest) address. *)
 
 val register_segment : t -> Thread.segment -> unit
+
 val unregister_segment : t -> Thread.segment -> unit
+(** Take a segment out of the segment table.  Its stack stays held, so
+    the runs of a split can be re-registered on it; follow with
+    {!release_stack}. *)
+
+val release_stack : t -> Thread.segment -> unit
+(** Pool the segment's stack region unless a registered segment still
+    runs on it.  Idempotent: a region already pooled stays pooled once. *)
+
+val retire_segment : t -> Thread.segment -> unit
+(** A segment dies here: mark it [Dead], unregister it and release its
+    stack. *)
+
+val pooled_stacks : t -> int list
+(** Tops of the free stack regions, next to be reused first. *)
 
 val set_seg_forward : t -> seg_id:int -> node:int -> unit
 (** Leave a forwarding address for a migrated segment, so late replies can

@@ -31,8 +31,8 @@ type segment = {
   seg_thread : tid;
   mutable seg_status : status;
   seg_ctx : Isa.Machine.ctx;
-  mutable seg_stack_top : int;
-  mutable seg_stack_bottom : int;
+  seg_stack_top : int;
+  seg_stack_bottom : int;
   mutable seg_link : link option;
   mutable seg_result_type : Emc.Ast.typ option;
   mutable seg_spawn : spawn_info option;

@@ -56,8 +56,8 @@ type segment = {
   seg_thread : tid;
   mutable seg_status : status;
   seg_ctx : Isa.Machine.ctx;
-  mutable seg_stack_top : int;  (** highest address of the stack region *)
-  mutable seg_stack_bottom : int;  (** lowest usable address *)
+  seg_stack_top : int;  (** highest address of the stack region *)
+  seg_stack_bottom : int;  (** lowest usable address *)
   mutable seg_link : link option;  (** None: bottom of the whole thread *)
   mutable seg_result_type : Emc.Ast.typ option;
       (** result type of the bottom activation record's operation, for

@@ -96,6 +96,44 @@ let check_monitors ~n_nodes ~kernel ~crashed acc =
   done;
   !acc
 
+(* stack recycling: a pooled region is pooled once and runs no
+   registered segment, and segments share a region only as the runs a
+   split left behind — runs of one thread *)
+let check_stacks ~n_nodes ~kernel ~crashed acc =
+  let acc = ref acc in
+  for i = 0 to n_nodes - 1 do
+    if not (crashed i) then begin
+      let k = kernel i in
+      let pooled = Hashtbl.create 8 in
+      List.iter
+        (fun top ->
+          if Hashtbl.mem pooled top then
+            acc := v "stack-ownership" "node %d: stack %#x pooled twice" i top :: !acc;
+          Hashtbl.replace pooled top ())
+        (K.pooled_stacks k);
+      let holder = Hashtbl.create 8 in
+      List.iter
+        (fun (seg : T.segment) ->
+          let top = seg.T.seg_stack_top in
+          if Hashtbl.mem pooled top then
+            acc :=
+              v "stack-ownership" "node %d: segment %d runs on pooled stack %#x" i
+                seg.T.seg_id top
+              :: !acc;
+          match Hashtbl.find_opt holder top with
+          | Some (other : T.segment) when other.T.seg_thread <> seg.T.seg_thread ->
+            acc :=
+              v "stack-ownership"
+                "node %d: segments %d (thread %d) and %d (thread %d) share stack %#x" i
+                other.T.seg_id other.T.seg_thread seg.T.seg_id seg.T.seg_thread top
+              :: !acc
+          | Some _ -> ()
+          | None -> Hashtbl.replace holder top seg)
+        (K.segments k)
+    end
+  done;
+  !acc
+
 let check_time ~n_nodes ~kernel ~last_times acc =
   let acc = ref acc in
   for i = 0 to n_nodes - 1 do
@@ -114,5 +152,6 @@ let check ~n_nodes ~kernel ~crashed ~thread_failed ~last_times =
   |> check_unique_residency ~n_nodes ~kernel ~crashed
   |> check_no_orphans ~n_nodes ~kernel ~crashed ~thread_failed
   |> check_monitors ~n_nodes ~kernel ~crashed
+  |> check_stacks ~n_nodes ~kernel ~crashed
   |> check_time ~n_nodes ~kernel ~last_times
   |> List.rev

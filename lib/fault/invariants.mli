@@ -17,6 +17,10 @@
     - {b monitor/condition queue integrity}: a monitor's entry queue
       holds only registered segments blocked on that monitor; a lock
       with queued waiters must actually be held.
+    - {b stack ownership}: no registered segment runs on a stack region
+      in its node's free pool, no region is pooled twice, and registered
+      segments share a region only when they belong to one thread (the
+      runs a split left behind).
     - {b virtual-time monotonicity}: no node's clock ever runs backwards
       between checks ([last_times] carries the previous observation and
       is updated in place). *)

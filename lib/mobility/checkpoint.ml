@@ -73,7 +73,7 @@ let capture k ~thread =
 
 let suspend k ~thread =
   let image = capture k ~thread in
-  List.iter (K.unregister_segment k) (segments_of_thread k ~thread);
+  List.iter (K.retire_segment k) (segments_of_thread k ~thread);
   image
 
 (* an image can hold at most this many segments before we call it

@@ -80,6 +80,7 @@ let split_segment k ~dest ~moving_oid (seg : T.segment) : Mi_frame.mi_segment li
     if not (moving_oid spawn.T.si_target) then []
     else begin
       K.unregister_segment k seg;
+      K.release_stack k seg;
       K.set_seg_forward k ~seg_id:seg.T.seg_id ~node:dest;
       [
         {
@@ -151,7 +152,7 @@ let split_segment k ~dest ~moving_oid (seg : T.segment) : Mi_frame.mi_segment li
             K.set_seg_forward k ~seg_id:ids.(j) ~node:dest
           end)
         runs;
-      (* re-form the staying runs in place *)
+      (* re-form the staying runs in place, on the original stack *)
       K.unregister_segment k seg;
       Array.iteri
         (fun j (moves, fs) ->
@@ -198,6 +199,8 @@ let split_segment k ~dest ~moving_oid (seg : T.segment) : Mi_frame.mi_segment li
             end
           end)
         runs;
+      (* a fully shipped segment leaves its stack unused *)
+      K.release_stack k seg;
       List.rev !shipped
     end
 

@@ -141,6 +141,94 @@ let test_lost_message_emission () =
   check Alcotest.int "lost counter charged to the sender" !lost
     (C.node_counters cl 0).E.c_lost
 
+(* Message events are built only while someone listens.  A subscriber
+   attached part-way through a run must see, from then on, exactly the
+   events — full descriptions included — that a subscriber attached at
+   the start sees, and the counters must not depend on either. *)
+let test_mid_run_subscriber () =
+  let run ~attach_after =
+    let cl = C.create ~archs:[ A.sparc; A.vax ] () in
+    ignore (C.compile_and_load cl ~name:"t1" W.table1_src);
+    let agent = C.create_object cl ~node:0 ~class_name:"Agent" in
+    let tid =
+      C.spawn cl ~node:0 ~target:agent ~op:"trip" ~args:[ V.Vint 1l; V.Vint 3l ]
+    in
+    let steps = ref 0 and seen = ref [] in
+    let record ev =
+      match ev with
+      | E.Ev_msg_send _ | E.Ev_msg_deliver _ -> seen := (!steps, E.to_string ev) :: !seen
+      | _ -> ()
+    in
+    if attach_after = 0 then C.subscribe_events cl record;
+    while C.step_once cl do
+      incr steps;
+      if !steps = attach_after then C.subscribe_events cl record
+    done;
+    ignore (C.result cl tid);
+    ( List.rev !seen,
+      List.map
+        (fun i ->
+          let c = C.node_counters cl i in
+          (c.E.c_sent, c.E.c_delivered))
+        [ 0; 1 ] )
+  in
+  let full, full_counts = run ~attach_after:0 in
+  let attach_after = 5 in
+  let late, late_counts = run ~attach_after in
+  if late = [] then Alcotest.fail "the late subscriber saw no message events";
+  check
+    Alcotest.(list (pair int string))
+    "late subscriber sees the full stream's tail"
+    (List.filter (fun (s, _) -> s >= attach_after) full)
+    late;
+  check Alcotest.(list (pair int int)) "counters identical" full_counts late_counts
+
+(* on the reliable wire a message to a dead node is reported lost only
+   when its retransmission budget is spent; the report describes the
+   message it gave up on, in the words its send used *)
+let test_reliable_loss_description () =
+  let plan =
+    Fault.Plan.make
+      ~chaos:
+        [ { Fault.Plan.ch_node = 1; ch_crash_at_us = 1.0; ch_restart_at_us = None } ]
+      ()
+  in
+  let cl = C.create ~faults:plan ~archs:[ A.sparc; A.vax ] () in
+  ignore (C.compile_and_load cl ~name:"lost" remote_move_src);
+  let sent = ref [] and lost = ref [] and retransmits = ref 0 in
+  C.subscribe_events cl (fun ev ->
+      match ev with
+      | E.Ev_msg_send { src = 0; dst = 1; desc; _ } -> sent := desc :: !sent
+      | E.Ev_msg_lost { src = 0; dst = 1; _ } -> lost := Option.get (E.legacy_string ev) :: !lost
+      | E.Ev_retransmit _ -> incr retransmits
+      | _ -> ());
+  let main = C.create_object cl ~node:0 ~class_name:"Main" in
+  let tid = C.spawn cl ~node:0 ~target:main ~op:"start" ~args:[] in
+  (try ignore (C.run_until_result cl ~max_events:200_000 tid)
+   with C.Thread_unavailable _ -> ());
+  if !retransmits = 0 then Alcotest.fail "the reliable path never retransmitted";
+  check Alcotest.(list string) "what was sent" [ "move of 1 object(s), 1 thread segment(s)" ]
+    !sent;
+  check Alcotest.(list string) "what was lost"
+    [ "node 0 -> node 1: move of 1 object(s), 1 thread segment(s) LOST (destination down)" ]
+    !lost
+
+(* the legacy [set_trace] text of a Table 1 run, pinned byte for byte *)
+let test_legacy_trace_pinned () =
+  let cl = C.create ~archs:[ A.sparc; A.sun3 ] () in
+  ignore (C.compile_and_load cl ~name:"t1" W.table1_src);
+  let buf = Buffer.create 4096 in
+  C.set_trace cl (fun s ->
+      Buffer.add_string buf s;
+      Buffer.add_char buf '\n');
+  let agent = C.create_object cl ~node:0 ~class_name:"Agent" in
+  let tid =
+    C.spawn cl ~node:0 ~target:agent ~op:"trip" ~args:[ V.Vint 1l; V.Vint 3l ]
+  in
+  ignore (C.run_until_result cl tid);
+  check Alcotest.string "trace digest" "cabd306ae71e9b1f66e3d177ee762442"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let churn_src =
   {|
 object Cell
@@ -204,5 +292,11 @@ let suites =
         Alcotest.test_case "lost messages emit and count" `Quick
           test_lost_message_emission;
         Alcotest.test_case "collections emit and count" `Quick test_gc_emission;
+        Alcotest.test_case "a mid-run subscriber gets full descriptions" `Quick
+          test_mid_run_subscriber;
+        Alcotest.test_case "reliable-path loss text unchanged" `Quick
+          test_reliable_loss_description;
+        Alcotest.test_case "legacy trace of a Table 1 run pinned" `Quick
+          test_legacy_trace_pinned;
       ] );
   ]
