@@ -192,13 +192,13 @@ let run_conversion () =
   pf "The paper attributes most of the enhanced system's penalty to its\n";
   pf "naive conversion routines (1-2 procedure calls per byte) and guesses\n";
   pf "that efficient routines would cut the penalty by about 50%%.\n";
-  pf "Three wire tiers: naive (per-byte calls), bulk (per-datum calls),\n";
-  pf "plan (compiled conversion plans; identical virtual cost to bulk,\n";
-  pf "less host work).  'host' columns are simulator wall time.\n";
+  pf "Two wire tiers: naive (per-byte calls) and plan (per-datum calls,\n";
+  pf "with compiled conversion plans cutting the host work but not the\n";
+  pf "virtual cost).  'host' columns are simulator wall time.\n";
   hr ();
   let pairs = [ ("SPARC<->SPARC", A.sparc, A.sparc); ("VAX<->VAX", A.vax, A.vax) ] in
-  pf "%-14s %8s %9s %9s %9s %5s %8s %8s\n" "Systems" "Original" "naive" "bulk"
-    "plan" "cut" "host(n)" "host(p)";
+  pf "%-14s %8s %9s %9s %5s %8s %8s\n" "Systems" "Original" "naive" "plan" "cut"
+    "host(n)" "host(p)";
   hr ();
   let measure ?protocol ?wire_impl home dest =
     W.measure_roundtrip ?protocol ?wire_impl ~home ~dest ~iters:3 ()
@@ -207,27 +207,23 @@ let run_conversion () =
     (fun (name, home, dest) ->
       let orig = measure ~protocol:Core.Cluster.Original home dest in
       let naive = measure ~wire_impl:Enet.Wire.Naive home dest in
-      let bulk = measure ~wire_impl:Enet.Wire.Bulk home dest in
       let plan = measure ~wire_impl:Enet.Wire.Plan home dest in
       let ms r = r.W.rt_us_per_trip /. 1000.0 in
-      let cut = (ms naive -. ms bulk) /. (ms naive -. ms orig) *. 100.0 in
+      let cut = (ms naive -. ms plan) /. (ms naive -. ms orig) *. 100.0 in
       add_json_row ~experiment:"conversion"
         [
           ("pair", jstr name);
           ("original_ms", jnum (ms orig));
           ("naive_ms", jnum (ms naive));
-          ("bulk_ms", jnum (ms bulk));
           ("plan_ms", jnum (ms plan));
           ("penalty_cut_pct", jnum cut);
           ("naive_host_s", jnum naive.W.rt_host_seconds);
-          ("bulk_host_s", jnum bulk.W.rt_host_seconds);
           ("plan_host_s", jnum plan.W.rt_host_seconds);
         ];
-      pf "%-14s %5.0f ms %6.0f ms %6.0f ms %6.0f ms %4.0f%% %6.1f ms %6.1f ms%s\n"
-        name (ms orig) (ms naive) (ms bulk) (ms plan) cut
+      pf "%-14s %5.0f ms %6.0f ms %6.0f ms %4.0f%% %6.1f ms %6.1f ms\n" name (ms orig)
+        (ms naive) (ms plan) cut
         (naive.W.rt_host_seconds *. 1000.0)
-        (plan.W.rt_host_seconds *. 1000.0)
-        (if ms plan <> ms bulk then "  VIRTUAL-TIME MISMATCH" else ""))
+        (plan.W.rt_host_seconds *. 1000.0))
     pairs;
   hr ();
   pf "(the paper's guess: about 50%%; the plan tier must not move the\n";
@@ -373,8 +369,9 @@ let marshal_payload arch =
 let run_marshal () =
   pf "Marshalling fast path: host time per encode/decode of a real move\n";
   pf "payload (the Table 1 thread fragment, 13 variables), by wire tier.\n";
-  pf "All tiers emit byte-identical wire images; bulk and plan also share\n";
-  pf "identical virtual accounting — the plan tier only cuts host work.\n";
+  pf "All tiers emit byte-identical wire images through the same codec;\n";
+  pf "plan charges per datum, and blit (this pair has matching layouts)\n";
+  pf "charges one call per record.\n";
   hr ();
   let arch = A.sparc in
   let prog, payload = marshal_payload arch in
@@ -392,38 +389,39 @@ let run_marshal () =
      and the receiver releases it after decoding *)
   let tiers =
     [
-      ("naive", Enet.Wire.Naive, None, `Copy);
-      ("bulk", Enet.Wire.Bulk, None, `View);
-      ("plan", Enet.Wire.Plan, Some use, `View);
+      ("naive", Enet.Wire.Naive, None, false, `Copy);
+      ("plan", Enet.Wire.Plan, Some use, false, `View);
+      ("blit", Enet.Wire.Blit, None, true, `View);
     ]
   in
   let image = Mobility.Marshal.encode ~impl:Enet.Wire.Naive ~stats msg in
   let image_view = Enet.Wire.view_of_string image in
   (* byte identity and decode fidelity across tiers, before any timing *)
   List.iter
-    (fun (name, impl, plans, _) ->
-      let enc = Mobility.Marshal.encode ?plans ~impl ~stats msg in
+    (fun (name, impl, plans, blit, _) ->
+      let enc = Mobility.Marshal.encode ?plans ~blit ~impl ~stats msg in
       if not (String.equal enc image) then
         failwith (Printf.sprintf "marshal bench: %s tier wire image differs" name);
-      if Mobility.Marshal.decode ?plans ~impl ~stats enc <> msg then
+      if Mobility.Marshal.decode ?plans ~blit ~impl ~stats enc <> msg then
         failwith (Printf.sprintf "marshal bench: %s tier does not round trip" name))
     tiers;
   let n = 2000 in
   let tier_fns =
     List.map
-      (fun (name, impl, plans, mode) ->
+      (fun (name, impl, plans, blit, mode) ->
         match mode with
         | `Copy ->
           ( name,
-            (fun () -> ignore (Mobility.Marshal.encode ?plans ~impl ~stats msg)),
-            fun () -> ignore (Mobility.Marshal.decode ?plans ~impl ~stats image) )
+            (fun () -> ignore (Mobility.Marshal.encode ?plans ~blit ~impl ~stats msg)),
+            fun () -> ignore (Mobility.Marshal.decode ?plans ~blit ~impl ~stats image) )
         | `View ->
           ( name,
             (fun () ->
-              let v = Mobility.Marshal.encode_view ?plans ~impl ~stats msg in
+              let v = Mobility.Marshal.encode_view ?plans ~blit ~impl ~stats msg in
               Enet.Wire.release_view v),
             fun () ->
-              ignore (Mobility.Marshal.decode_view ?plans ~impl ~stats image_view) ))
+              ignore
+                (Mobility.Marshal.decode_view ?plans ~blit ~impl ~stats image_view) ))
       tiers
   in
   (* interleave the tiers round-robin so transient host load hits them
@@ -478,7 +476,7 @@ let run_marshal () =
         speedup)
     results;
   hr ();
-  let plan_speedup = naive_total /. total (List.nth results 2) in
+  let plan_speedup = naive_total /. total (List.nth results 1) in
   pf "plan vs naive: %.2fx host-time speedup on identical wire bytes%s\n"
     plan_speedup
     (if plan_speedup >= 2.0 then "" else "  (BELOW the 2x target)");

@@ -59,7 +59,7 @@ let run file nodes opt cls op args_s original codec shards location gc_mode_s
       match Enet.Wire.impl_of_string s with
       | Some impl -> Some impl
       | None ->
-        Printf.eprintf "emrun: unknown codec %s (have: naive, bulk, plan, blit)\n" s;
+        Printf.eprintf "emrun: unknown codec %s (have: naive, plan, blit)\n" s;
         exit 2)
   in
   let location =
@@ -430,11 +430,12 @@ let codec_t =
   Arg.(value & opt (some string) None
        & info [ "codec" ] ~docv:"TIER"
            ~doc:"Wire conversion tier: $(b,naive) (per-byte calls, the \
-                 prototype's routines), $(b,bulk) (per-datum calls), \
-                 $(b,plan) (compiled conversion plans; same virtual cost \
-                 as bulk), or $(b,blit) (plan, plus same-layout \
-                 architecture pairs negotiate a zero-translation blit \
-                 that skips capture translation and frame rebuild).")
+                 prototype's routines), $(b,plan) (per-datum calls, with \
+                 compiled conversion plans cutting host work), or \
+                 $(b,blit) (plan, plus same-layout architecture pairs \
+                 negotiate a zero-translation transfer charged one call \
+                 per record, skipping capture translation and frame \
+                 rebuild).")
 
 let shards_t =
   Arg.(value & opt int 1

@@ -151,7 +151,7 @@ type chaos_act =
      sequential run (every arrival lands at or past the horizon, so
      deferral is unobservable in-window).  Bus events are buffered
      per shard with their generating event's key and replayed merged
-     at the barrier; with no subscribers and no trace hook the buffer
+     at the barrier; with no subscribers the buffer
      is skipped and counters (per node, shard-owned) are updated
      directly.  The rare in-window thread abort (a failed location
      search) is deferred to the barrier too; its thread's segments
@@ -209,7 +209,6 @@ type t = {
   mutable win_buffering : bool;  (* window events buffered for replay *)
   bus : E.bus;
   mutable events : int;
-  mutable trace : (string -> unit) option;
   failures : (T.tid, string) Hashtbl.t;  (* threads lost to node crashes *)
   gc_threshold : int option;  (* collect a node when its heap exceeds this *)
   gc_threshold_i : int;  (* same, resolved to max_int when absent (hot-loop form) *)
@@ -273,26 +272,17 @@ let n_shards t = Array.length t.shards
 let shard_of t i = t.owner.(i)
 let eng t i = t.engines.(t.owner.(i))
 
-let emit_direct t ev =
-  E.emit t.bus ev;
-  match t.trace with
-  | None -> ()
-  | Some f -> ( match E.legacy_string ev with Some s -> f s | None -> ())
-
 (* Emit an event attributed to [node].  Inside a parallel window the
    event is buffered with the generating event's merge key (or, with
    nobody listening, counted directly — the node's counters are owned
    by the executing shard); otherwise it goes straight to the bus. *)
 let emit t ~node ev =
-  if t.win_active then begin
+  if t.win_active && t.win_buffering then begin
     let sh = t.shards.(t.owner.(node)) in
-    if t.win_buffering then begin
-      sh.sh_seq <- sh.sh_seq + 1;
-      sh.sh_buf <- (sh.sh_key_time, sh.sh_key_rank, sh.sh_seq, B_ev ev) :: sh.sh_buf
-    end
-    else E.emit t.bus ev
+    sh.sh_seq <- sh.sh_seq + 1;
+    sh.sh_buf <- (sh.sh_key_time, sh.sh_key_rank, sh.sh_seq, B_ev ev) :: sh.sh_buf
   end
-  else emit_direct t ev
+  else E.emit t.bus ev
 
 (* Does an emitted event reach anyone beyond the counters?  Message
    events carry [Marshal.describe]'s text, a sprintf per message, so —
@@ -300,7 +290,7 @@ let emit t ~node ev =
    the sender bumps the counter alone ([E.count_msg]). *)
 let listening t =
   if t.win_active then t.win_buffering
-  else E.has_subscribers t.bus || t.trace <> None
+  else E.has_subscribers t.bus
 
 (* --- span tracing helpers (DESIGN.md §12) ---
 
@@ -425,7 +415,7 @@ let create ?net_config ?(protocol = Enhanced) ?(wire_impl = Enet.Wire.Naive)
         (Enet.Netsim.config net).Enet.Netsim.latency_us;
       win_active = false; win_buffering = false;
       bus = E.create_bus ~n_nodes:n;
-      events = 0; trace = None;
+      events = 0;
       failures = Hashtbl.create 4;
       gc_threshold = gc_threshold;
       gc_threshold_i = (match gc_threshold with Some v -> v | None -> max_int);
@@ -533,7 +523,7 @@ let engine t = t.engines.(0)
 let engines t = t.engines
 let conversion_stats t i = t.nodes.(i).n_conv
 let fault_plan t = t.faults
-let set_trace t f = t.trace <- Some f
+let set_trace t f = E.subscribe t.bus (fun ev -> Option.iter f (E.legacy_string ev))
 let bus t = t.bus
 let subscribe_events t f = E.subscribe t.bus f
 let node_counters t i = E.counters t.bus i
@@ -939,16 +929,18 @@ and charge_translation t ~node (msg : Mobility.Marshal.message) =
     K.charge_insns k
       ((objects * CM.object_translate_insns) + (frames * CM.frame_translate_insns))
 
+(* the original protocol converts per datum: the plan tier with no plan
+   cache *)
 and wire_impl_of t =
   match t.proto with
   | Enhanced -> t.wire_impl
-  | Original -> Enet.Wire.Bulk
+  | Original -> Enet.Wire.Plan
 
 (* under the Plan tier, thread the memoized conversion-plan cache and the
    (src, dst) arch pair through encode/decode; other tiers interpret.
-   The Blit tier negotiates per pair: layout-matched pairs take the raw
-   blit path (no plans), everyone else falls back to the plan path — the
-   honest general case. *)
+   The Blit tier negotiates per pair: layout-matched pairs take the
+   batched blit accounting (no plans), everyone else falls back to the
+   plan path — the honest general case. *)
 and plans_for t ~src ~dst =
   let plan_use () =
     Mobility.Conv_plan.make_use
@@ -958,10 +950,10 @@ and plans_for t ~src ~dst =
         pr_dst = K.arch t.nodes.(dst).n_kernel;
       }
   in
-  match wire_impl_of t with
-  | Enet.Wire.Plan -> Some (plan_use ())
-  | Enet.Wire.Blit -> if blit_pair t ~src ~dst then None else Some (plan_use ())
-  | Enet.Wire.Naive | Enet.Wire.Bulk -> None
+  match t.proto, t.wire_impl with
+  | Enhanced, Enet.Wire.Plan -> Some (plan_use ())
+  | Enhanced, Enet.Wire.Blit -> if blit_pair t ~src ~dst then None else Some (plan_use ())
+  | Original, _ | Enhanced, Enet.Wire.Naive -> None
 
 (* the negotiated common-layout fast path applies to a (src, dst) pair
    when the blit tier is selected and both ends' layout fingerprints
@@ -980,7 +972,7 @@ and blit_pair t ~src ~dst =
     && Emc.Opt.equal
          (K.opt_level t.nodes.(src).n_kernel)
          (K.opt_level t.nodes.(dst).n_kernel)
-  | Enet.Wire.Naive | Enet.Wire.Bulk | Enet.Wire.Plan -> false
+  | Enet.Wire.Naive | Enet.Wire.Plan -> false
 
 (* run an en/decode step and publish plan-cache and buffer-pool activity
    observed during it (diffs of the global counters) on the bus.
@@ -2306,10 +2298,10 @@ let barrier_flush t =
     Array.iter
       (fun (_, _, _, b) ->
         match b with
-        | B_ev ev -> emit_direct t ev
+        | B_ev ev -> E.emit t.bus ev
         | B_send d ->
           let arrives = Enet.Netsim.Outbox.arrival d.ds_entry in
-          emit_direct t
+          E.emit t.bus
             (E.Ev_msg_send
                { time = d.ds_time; src = d.ds_src; dst = d.ds_dst;
                  desc = d.ds_desc; bytes = d.ds_bytes; arrives });
@@ -2317,7 +2309,7 @@ let barrier_flush t =
              on the sequential path *)
           (match d.ds_span with
           | Some (id, rid, pair) ->
-            emit_direct t
+            E.emit t.bus
               (E.Ev_span
                  { Obs.Span.name = "transfer"; node = d.ds_src;
                    arch_pair = pair; t_start_us = d.ds_time;

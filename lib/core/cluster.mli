@@ -174,9 +174,9 @@ val shard_of : t -> int -> int
 (** The shard owning a node (contiguous placement, see {!Shard.plan}). *)
 
 val set_trace : t -> (string -> unit) -> unit
-(** Legacy line-oriented trace hook: receives
+(** Subscribes a line-oriented listener to the bus: it receives
     {!Events.legacy_string} of every event that has one — byte-identical
-    to the seed's output. *)
+    to the seed's trace output.  Each call adds a subscriber. *)
 
 val subscribe_events : t -> (Events.t -> unit) -> unit
 (** Subscribe to the typed trace/metrics bus. *)

@@ -1,14 +1,12 @@
-type impl = Naive | Bulk | Plan | Blit
+type impl = Naive | Plan | Blit
 
 let impl_name = function
   | Naive -> "naive"
-  | Bulk -> "bulk"
   | Plan -> "plan"
   | Blit -> "blit"
 
 let impl_of_string = function
   | "naive" -> Some Naive
-  | "bulk" | "optimized" -> Some Bulk
   | "plan" -> Some Plan
   | "blit" -> Some Blit
   | _ -> None
@@ -16,14 +14,13 @@ let impl_of_string = function
 (* Conversion-call accounting.  The naive implementation charges one
    procedure call per byte moved plus one for the datum itself (the
    recursive-descent entry), giving the paper's 1-2 calls per byte; the
-   bulk implementation charges a single call per datum.  Plans charge
-   exactly what the bulk tier would for the same datums (precomputed),
-   so the Plan tier's virtual numbers equal Bulk's by construction. *)
+   other tiers charge a single call per datum.  Plans charge exactly
+   what the per-datum writes they replace would (precomputed). *)
 let charge impl stats ~bytes =
   Conversion_stats.add_bytes stats bytes;
   match impl with
   | Naive -> Conversion_stats.add_calls stats (bytes + 1)
-  | Bulk | Plan | Blit -> Conversion_stats.add_calls stats 1
+  | Plan | Blit -> Conversion_stats.add_calls stats 1
 
 type view = {
   vw_bytes : Bytes.t;
@@ -100,14 +97,35 @@ module Writer = struct
     mutable live : bool;
     impl : impl;
     stats : Conversion_stats.t;
+    mutable batched : bool;
+    mutable in_record : bool;  (* datum charges suspended until [close_record] *)
   }
 
   (* The naive tier mirrors the seed's host path: a fresh, small buffer
-     per message, grown by doubling — the pool belongs to the optimized
+     per message, grown by doubling — the pool belongs to the other
      tiers.  The virtual accounting is unaffected either way. *)
   let create ~impl ~stats =
-    let buf = match impl with Naive -> Bytes.create 16 | Bulk | Plan | Blit -> Pool.take () in
-    { buf; pos = 0; live = true; impl; stats }
+    let buf = match impl with Naive -> Bytes.create 16 | Plan | Blit -> Pool.take () in
+    { buf; pos = 0; live = true; impl; stats; batched = false; in_record = false }
+
+  let batch t = t.batched <- true
+  let charge t ~bytes = if not t.in_record then charge t.impl t.stats ~bytes
+
+  let open_record t =
+    if t.batched then t.in_record <- true;
+    t.pos
+
+  let add_charge t ~calls ~bytes =
+    if not t.in_record then begin
+      Conversion_stats.add_calls t.stats calls;
+      Conversion_stats.add_bytes t.stats bytes
+    end
+
+  let close_record t p =
+    if t.batched then begin
+      t.in_record <- false;
+      add_charge t ~calls:1 ~bytes:(t.pos - p)
+    end
 
   let ensure t n =
     if not t.live then invalid_arg "Wire.Writer: use after free/handoff";
@@ -134,10 +152,10 @@ module Writer = struct
     t.pos <- t.pos + 1
 
   let u8 t v =
-    charge t.impl t.stats ~bytes:1;
+    charge t ~bytes:1;
     match t.impl with
     | Naive -> naive_put t v
-    | Bulk | Plan | Blit -> raw_put t v
+    | Plan | Blit -> raw_put t v
 
   let raw_u16 t v =
     ensure t 2;
@@ -146,16 +164,20 @@ module Writer = struct
     Bytes.unsafe_set t.buf (p + 1) (Char.unsafe_chr (v land 0xFF));
     t.pos <- p + 2
 
+  (* every count and index on the wire is a u16: one that does not fit
+     must fail here, not reach the receiver masked to 16 bits *)
   let u16 t v =
-    charge t.impl t.stats ~bytes:2;
+    if v < 0 || v > 0xFFFF then
+      invalid_arg (Printf.sprintf "Wire.Writer.u16: %d out of range" v);
+    charge t ~bytes:2;
     match t.impl with
     | Naive ->
       naive_put t (v lsr 8);
       naive_put t v
-    | Bulk | Plan | Blit -> raw_u16 t v
+    | Plan | Blit -> raw_u16 t v
 
   let u32 t v =
-    charge t.impl t.stats ~bytes:4;
+    charge t ~bytes:4;
     let b n = Int32.to_int (Int32.shift_right_logical v n) land 0xFF in
     match t.impl with
     | Naive ->
@@ -163,7 +185,7 @@ module Writer = struct
       naive_put t (b 16);
       naive_put t (b 8);
       naive_put t (b 0)
-    | Bulk | Plan | Blit ->
+    | Plan | Blit ->
       ensure t 4;
       let p = t.pos in
       Bytes.unsafe_set t.buf p (Char.unsafe_chr (b 24));
@@ -175,7 +197,7 @@ module Writer = struct
   let i32 = u32
 
   let f64 t v =
-    charge t.impl t.stats ~bytes:8;
+    charge t ~bytes:8;
     let bits = Int64.bits_of_float v in
     let b n = Int64.to_int (Int64.shift_right_logical bits (8 * n)) land 0xFF in
     match t.impl with
@@ -183,7 +205,7 @@ module Writer = struct
       for n = 7 downto 0 do
         naive_put t (b n)
       done
-    | Bulk | Plan | Blit ->
+    | Plan | Blit ->
       ensure t 8;
       let p = t.pos in
       for n = 7 downto 0 do
@@ -196,19 +218,19 @@ module Writer = struct
   let str t s =
     let len = String.length s in
     if len > 0xFFFF then invalid_arg "Wire.Writer.str: string too long";
-    charge t.impl t.stats ~bytes:(2 + len);
-    (match t.impl with
+    charge t ~bytes:(2 + len);
+    match t.impl with
     | Naive ->
       naive_put t (len lsr 8);
       naive_put t len;
       for i = 0 to len - 1 do
         naive_put t (Char.code (String.unsafe_get s i))
       done
-    | Bulk | Plan | Blit ->
+    | Plan | Blit ->
       raw_u16 t len;
       ensure t len;
       Bytes.blit_string s 0 t.buf t.pos len;
-      t.pos <- t.pos + len)
+      t.pos <- t.pos + len
 
   let length t = t.pos
   let contents t = Bytes.sub_string t.buf 0 t.pos
@@ -216,31 +238,15 @@ module Writer = struct
   let free t =
     if t.live then begin
       t.live <- false;
-      match t.impl with Naive -> () | Bulk | Plan | Blit -> Pool.recycle t.buf
+      match t.impl with Naive -> () | Plan | Blit -> Pool.recycle t.buf
     end
 
   let handoff t =
     if not t.live then invalid_arg "Wire.Writer.handoff: writer already dead";
     t.live <- false;
-    let pooled = match t.impl with Naive -> false | Bulk | Plan | Blit -> true in
+    let pooled = match t.impl with Naive -> false | Plan | Blit -> true in
     if pooled then incr Pool.handoffs_c;
     { vw_bytes = t.buf; vw_off = 0; vw_len = t.pos; vw_pooled = pooled }
-
-  let add_charge t ~calls ~bytes =
-    Conversion_stats.add_calls t.stats calls;
-    Conversion_stats.add_bytes t.stats bytes
-
-  let raw_u8 t v = raw_put t v
-
-  let raw_u32 t v =
-    ensure t 4;
-    let p = t.pos in
-    let b n = Int32.to_int (Int32.shift_right_logical v n) land 0xFF in
-    Bytes.unsafe_set t.buf p (Char.unsafe_chr (b 24));
-    Bytes.unsafe_set t.buf (p + 1) (Char.unsafe_chr (b 16));
-    Bytes.unsafe_set t.buf (p + 2) (Char.unsafe_chr (b 8));
-    Bytes.unsafe_set t.buf (p + 3) (Char.unsafe_chr (b 0));
-    t.pos <- p + 4
 
   let blit t s =
     let len = String.length s in
@@ -264,44 +270,62 @@ module Writer = struct
       Bytes.unsafe_set t.buf (at + 7 - n)
         (Char.unsafe_chr (Int64.to_int (Int64.shift_right_logical v (8 * n)) land 0xFF))
     done
-
-  let raw_f64 t v =
-    let bits = Int64.bits_of_float v in
-    ensure t 8;
-    let p = t.pos in
-    for n = 7 downto 0 do
-      Bytes.unsafe_set t.buf (p + 7 - n)
-        (Char.unsafe_chr (Int64.to_int (Int64.shift_right_logical bits (8 * n)) land 0xFF))
-    done;
-    t.pos <- p + 8
-
-  let raw_str t s =
-    let len = String.length s in
-    if len > 0xFFFF then invalid_arg "Wire.Writer.raw_str: string too long";
-    raw_u16 t len;
-    ensure t len;
-    Bytes.blit_string s 0 t.buf t.pos len;
-    t.pos <- t.pos + len
 end
 
 module Reader = struct
   type t = {
     data : Bytes.t;
-    base : int;
     limit : int;  (* absolute *)
     mutable pos : int;  (* absolute *)
     impl : impl;
     stats : Conversion_stats.t;
+    mutable batched : bool;
+    mutable in_record : bool;
   }
 
   exception Underflow
 
   let create ~impl ~stats data =
     let b = Bytes.unsafe_of_string data in
-    { data = b; base = 0; limit = Bytes.length b; pos = 0; impl; stats }
+    {
+      data = b;
+      limit = Bytes.length b;
+      pos = 0;
+      impl;
+      stats;
+      batched = false;
+      in_record = false;
+    }
 
   let of_view ~impl ~stats v =
-    { data = v.vw_bytes; base = v.vw_off; limit = v.vw_off + v.vw_len; pos = v.vw_off; impl; stats }
+    {
+      data = v.vw_bytes;
+      limit = v.vw_off + v.vw_len;
+      pos = v.vw_off;
+      impl;
+      stats;
+      batched = false;
+      in_record = false;
+    }
+
+  let batch t = t.batched <- true
+  let charge t ~bytes = if not t.in_record then charge t.impl t.stats ~bytes
+
+  let open_record t =
+    if t.batched then t.in_record <- true;
+    t.pos
+
+  let add_charge t ~calls ~bytes =
+    if not t.in_record then begin
+      Conversion_stats.add_calls t.stats calls;
+      Conversion_stats.add_bytes t.stats bytes
+    end
+
+  let close_record t p =
+    if t.batched then begin
+      t.in_record <- false;
+      add_charge t ~calls:1 ~bytes:(t.pos - p)
+    end
 
   let take t n =
     if t.pos + n > t.limit then raise Underflow;
@@ -315,10 +339,10 @@ module Reader = struct
     Char.code (Bytes.unsafe_get t.data p)
 
   let u8 t =
-    charge t.impl t.stats ~bytes:1;
+    charge t ~bytes:1;
     match t.impl with
     | Naive -> naive_get t
-    | Bulk | Plan | Blit ->
+    | Plan | Blit ->
       let p = take t 1 in
       Char.code (Bytes.unsafe_get t.data p)
 
@@ -327,13 +351,13 @@ module Reader = struct
     (Char.code (Bytes.unsafe_get t.data p) lsl 8) lor Char.code (Bytes.unsafe_get t.data (p + 1))
 
   let u16 t =
-    charge t.impl t.stats ~bytes:2;
+    charge t ~bytes:2;
     match t.impl with
     | Naive ->
       let hi = naive_get t in
       let lo = naive_get t in
       (hi lsl 8) lor lo
-    | Bulk | Plan | Blit -> raw_u16 t
+    | Plan | Blit -> raw_u16 t
 
   let read32_at data p =
     let b i = Int32.of_int (Char.code (Bytes.unsafe_get data (p + i))) in
@@ -342,7 +366,7 @@ module Reader = struct
     ||| b 3
 
   let u32 t =
-    charge t.impl t.stats ~bytes:4;
+    charge t ~bytes:4;
     match t.impl with
     | Naive ->
       let acc = ref 0l in
@@ -350,7 +374,7 @@ module Reader = struct
         acc := Int32.logor (Int32.shift_left !acc 8) (Int32.of_int (naive_get t))
       done;
       !acc
-    | Bulk | Plan | Blit ->
+    | Plan | Blit ->
       let p = take t 4 in
       read32_at t.data p
 
@@ -364,7 +388,7 @@ module Reader = struct
     !bits
 
   let f64 t =
-    charge t.impl t.stats ~bytes:8;
+    charge t ~bytes:8;
     match t.impl with
     | Naive ->
       let bits = ref 0L in
@@ -372,7 +396,7 @@ module Reader = struct
         bits := Int64.logor (Int64.shift_left !bits 8) (Int64.of_int (naive_get t))
       done;
       Int64.float_of_bits !bits
-    | Bulk | Plan | Blit ->
+    | Plan | Blit ->
       let p = take t 8 in
       Int64.float_of_bits (read64_at t.data p)
 
@@ -385,24 +409,19 @@ module Reader = struct
       let hi = naive_get t in
       let lo = naive_get t in
       let len = (hi lsl 8) lor lo in
-      charge t.impl t.stats ~bytes:(2 + len);
+      charge t ~bytes:(2 + len);
       let b = Bytes.create len in
       for i = 0 to len - 1 do
         Bytes.unsafe_set b i (Char.unsafe_chr (naive_get t))
       done;
       Bytes.unsafe_to_string b
-    | Bulk | Plan | Blit ->
+    | Plan | Blit ->
       let len = raw_u16 t in
-      charge t.impl t.stats ~bytes:(2 + len);
+      charge t ~bytes:(2 + len);
       let p = take t len in
       Bytes.sub_string t.data p len
 
-  let pos t = t.pos - t.base
   let at_end t = t.pos >= t.limit
-
-  let add_charge t ~calls ~bytes =
-    Conversion_stats.add_calls t.stats calls;
-    Conversion_stats.add_bytes t.stats bytes
 
   let block t n = take t n
   let get8_at t at = Char.code (Bytes.unsafe_get t.data at)
@@ -420,23 +439,4 @@ module Reader = struct
       Some
         ((Char.code (Bytes.unsafe_get t.data t.pos) lsl 8)
         lor Char.code (Bytes.unsafe_get t.data (t.pos + 1)))
-
-  (* uncharged reads for the blit tier: the caller accounts a whole
-     blitted frame/object with one [add_charge] *)
-  let raw_u8 t =
-    let p = take t 1 in
-    Char.code (Bytes.unsafe_get t.data p)
-
-  let raw_u32 t =
-    let p = take t 4 in
-    read32_at t.data p
-
-  let raw_f64 t =
-    let p = take t 8 in
-    Int64.float_of_bits (read64_at t.data p)
-
-  let raw_str t =
-    let len = raw_u16 t in
-    let p = take t len in
-    Bytes.sub_string t.data p len
 end

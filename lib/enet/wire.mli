@@ -10,32 +10,29 @@
       (counted in the {!Conversion_stats}), averaging 1-2 calls per byte.
       The host path is honestly byte-at-a-time as well (a non-inlined
       call per byte), so measured host time backs the modeled cost.
-    - [Bulk] is the bulk conversion the paper's future-work section
+    - [Plan] is the bulk conversion the paper's future-work section
       hypothesises would cut the penalty by about half: one call per
-      datum, and one bounds check plus word-at-a-time stores per datum
-      on the host.
-    - [Plan] carries the same per-datum accounting as [Bulk] (so virtual
-      times are identical by construction) but lets compiled conversion
-      plans ({!Mobility.Conv_plan}) bypass per-datum dispatch entirely:
-      a plan blits a precomputed skeleton and pokes values into holes,
-      charging the precomputed [Bulk]-equivalent cost in one step.
+      datum, and one bounds check plus word-at-a-time stores per datum on
+      the host.  Compiled conversion plans ({!Mobility.Conv_plan}) may
+      bypass per-datum dispatch entirely: a plan blits a precomputed
+      skeleton and pokes values into holes, charging the precomputed
+      per-datum cost in one step.
     - [Blit] is the negotiated common-layout tier: when source and
-      destination {!Isa.Arch.fingerprint}s match, move payloads are
-      copied verbatim (one conversion call per blitted frame/object
-      instead of one per datum) and translate/rebuild work is skipped
-      at both ends; every pair that does not match falls back to the
-      [Plan] tier.  Non-move traffic under this tier behaves as [Bulk].
+      destination {!Isa.Arch.fingerprint}s match, the move codec runs
+      {e batched} ({!Writer.batch}): each record it marks costs one
+      conversion call over its bytes instead of one per datum, and
+      translate/rebuild work is skipped at both ends.  Every pair that
+      does not match, and all non-move traffic, behaves as [Plan].
 
-    All four tiers produce identical octets; only the accounted work
-    and the host-side work differ. *)
+    All tiers produce identical octets through the same primitives; only
+    the accounted work and the host-side work differ. *)
 
-type impl = Naive | Bulk | Plan | Blit
+type impl = Naive | Plan | Blit
 
 val impl_name : impl -> string
 
 val impl_of_string : string -> impl option
-(** Recognizes ["naive"], ["bulk"], ["plan"], ["blit"] (and the legacy
-    spelling ["optimized"] for [Bulk]). *)
+(** Recognizes ["naive"], ["plan"] and ["blit"]. *)
 
 (** {1 Buffer views}
 
@@ -96,19 +93,40 @@ module Pool : sig
   (** Clears counters {e and} the free list (for test isolation). *)
 end
 
+(** {1 Record accounting}
+
+    A codec marks the units a batched tier accounts as one: [let p =
+    open_record w in ... close_record w p].  On a writer or reader that
+    is not batched the boundary does nothing; on a batched one the datum
+    charges in between are suspended and the record costs one conversion
+    call over its bytes.  Records do not nest, and neither call
+    allocates. *)
+
 module Writer : sig
   type t
 
   val create : impl:impl -> stats:Conversion_stats.t -> t
+
+  val batch : t -> unit
+  (** Switches the writer to batched record accounting. *)
+
+  val open_record : t -> int
+  val close_record : t -> int -> unit
+
   val u8 : t -> int -> unit
+
   val u16 : t -> int -> unit
+  (** @raise Invalid_argument outside 0..65535: counts and indices are
+      never truncated on the wire. *)
+
   val u32 : t -> int32 -> unit
   val i32 : t -> int32 -> unit
   val f64 : t -> float -> unit
   val bool : t -> bool -> unit
 
   val str : t -> string -> unit
-  (** u16 length prefix followed by the bytes. *)
+  (** u16 length prefix followed by the bytes.
+      @raise Invalid_argument beyond 65535 bytes. *)
 
   val length : t -> int
 
@@ -124,31 +142,21 @@ module Writer : sig
 
   (** {2 Fused-plan primitives}
 
-      Raw, charge-free access for compiled conversion plans: a plan
-      blits its skeleton, pokes dynamic values into precomputed holes,
-      and accounts the whole run with one {!add_charge}. *)
+      Raw access for compiled conversion plans: a plan blits its
+      skeleton, pokes dynamic values into precomputed holes, and accounts
+      the whole run with one {!add_charge}. *)
 
   val add_charge : t -> calls:int -> bytes:int -> unit
-  (** Account [calls] conversion calls over [bytes] bytes, exactly as a
-      sequence of per-datum writes under this writer's tier would. *)
+  (** Account [calls] conversion calls over [bytes] bytes, exactly as the
+      sequence of per-datum writes it replaces would (and, like them,
+      nothing inside a batched record). *)
 
   val blit : t -> string -> int
   (** Appends raw bytes (uncharged) and returns the start offset. *)
 
-  val raw_u8 : t -> int -> unit
-  val raw_u16 : t -> int -> unit
-  val raw_u32 : t -> int32 -> unit
-  (** Uncharged big-endian appends for fused scaffold writes; the caller
-      accounts them with {!add_charge}. *)
-
   val poke8 : t -> at:int -> int -> unit
   val poke32 : t -> at:int -> int32 -> unit
   val poke64 : t -> at:int -> int64 -> unit
-
-  val raw_f64 : t -> float -> unit
-  val raw_str : t -> string -> unit
-  (** Uncharged appends for the blit tier; the caller accounts the
-      whole blitted run with {!add_charge}. *)
 end
 
 module Reader : sig
@@ -158,6 +166,12 @@ module Reader : sig
 
   val create : impl:impl -> stats:Conversion_stats.t -> string -> t
   val of_view : impl:impl -> stats:Conversion_stats.t -> view -> t
+
+  val batch : t -> unit
+  (** Switches the reader to batched record accounting. *)
+
+  val open_record : t -> int
+  val close_record : t -> int -> unit
   val u8 : t -> int
   val u16 : t -> int
   val u32 : t -> int32
@@ -165,9 +179,6 @@ module Reader : sig
   val f64 : t -> float
   val bool : t -> bool
   val str : t -> string
-
-  val pos : t -> int
-  (** Position relative to the start of the window. *)
 
   val at_end : t -> bool
 
@@ -187,12 +198,4 @@ module Reader : sig
   val peek_u16 : t -> int option
   (** The next big-endian u16 without consuming it (uncharged); [None]
       on underflow. *)
-
-  val raw_u8 : t -> int
-  val raw_u16 : t -> int
-  val raw_u32 : t -> int32
-  val raw_f64 : t -> float
-  val raw_str : t -> string
-  (** Uncharged consuming reads for the blit tier; the caller accounts
-      the whole blitted run with {!add_charge}. *)
 end

@@ -105,85 +105,6 @@ let rec write w v =
     Array.iter (write w) xs
   | Vnil -> Enet.Wire.Writer.u8 w tag_nil
 
-(* Blit-tier codec: byte-identical to [write]/[read] above but through
-   the uncharged raw wire primitives — the caller accounts a whole
-   blitted frame or object with a single [Wire.Writer.add_charge].
-   Keep the two codecs adjacent: any layout change must touch both. *)
-
-let write_typ_raw w (t : Emc.Ast.typ) =
-  let module W = Enet.Wire.Writer in
-  let rec go t =
-    match t with
-    | Emc.Ast.Tint -> W.raw_u8 w 1
-    | Emc.Ast.Treal -> W.raw_u8 w 2
-    | Emc.Ast.Tbool -> W.raw_u8 w 3
-    | Emc.Ast.Tstring -> W.raw_u8 w 4
-    | Emc.Ast.Tnil -> W.raw_u8 w 5
-    | Emc.Ast.Tobj name ->
-      W.raw_u8 w 6;
-      W.raw_str w name
-    | Emc.Ast.Tvec e ->
-      W.raw_u8 w 7;
-      go e
-  in
-  go t
-
-let read_typ_raw r : Emc.Ast.typ =
-  let module R = Enet.Wire.Reader in
-  let rec go () =
-    match R.raw_u8 r with
-    | 1 -> Emc.Ast.Tint
-    | 2 -> Emc.Ast.Treal
-    | 3 -> Emc.Ast.Tbool
-    | 4 -> Emc.Ast.Tstring
-    | 5 -> Emc.Ast.Tnil
-    | 6 -> Emc.Ast.Tobj (R.raw_str r)
-    | 7 -> Emc.Ast.Tvec (go ())
-    | n -> failwith (Printf.sprintf "Value.read_typ_raw: corrupt tag %d" n)
-  in
-  go ()
-
-let rec write_raw w v =
-  let module W = Enet.Wire.Writer in
-  match v with
-  | Vint x ->
-    W.raw_u8 w tag_int;
-    W.raw_u32 w x
-  | Vreal x ->
-    W.raw_u8 w tag_real;
-    W.raw_f64 w x
-  | Vbool x ->
-    W.raw_u8 w tag_bool;
-    W.raw_u8 w (if x then 1 else 0)
-  | Vstr x ->
-    W.raw_u8 w tag_str;
-    W.raw_str w x
-  | Vref oid ->
-    W.raw_u8 w tag_ref;
-    W.raw_u32 w oid
-  | Vvec (ty, xs) ->
-    W.raw_u8 w tag_vec;
-    write_typ_raw w ty;
-    W.raw_u16 w (Array.length xs);
-    Array.iter (write_raw w) xs
-  | Vnil -> W.raw_u8 w tag_nil
-
-let rec read_raw r =
-  let module R = Enet.Wire.Reader in
-  let tag = R.raw_u8 r in
-  if tag = tag_int then Vint (R.raw_u32 r)
-  else if tag = tag_real then Vreal (R.raw_f64 r)
-  else if tag = tag_bool then Vbool (R.raw_u8 r <> 0)
-  else if tag = tag_str then Vstr (R.raw_str r)
-  else if tag = tag_ref then Vref (R.raw_u32 r)
-  else if tag = tag_vec then begin
-    let ty = read_typ_raw r in
-    let n = R.raw_u16 r in
-    Vvec (ty, Array.init n (fun _ -> read_raw r))
-  end
-  else if tag = tag_nil then Vnil
-  else failwith (Printf.sprintf "Value.read_raw: corrupt tag %d" tag)
-
 let rec read r =
   let tag = Enet.Wire.Reader.u8 r in
   if tag = tag_int then Vint (Enet.Wire.Reader.i32 r)

@@ -28,15 +28,6 @@ val read : Enet.Wire.Reader.t -> t
 val write_typ : Enet.Wire.Writer.t -> Emc.Ast.typ -> unit
 val read_typ : Enet.Wire.Reader.t -> Emc.Ast.typ
 
-(** Blit-tier codec: byte-identical to {!write}/{!read} but through the
-    uncharged raw wire primitives; the caller accounts a whole blitted
-    frame or object with one [Wire.Writer.add_charge]. *)
-
-val write_raw : Enet.Wire.Writer.t -> t -> unit
-val read_raw : Enet.Wire.Reader.t -> t
-val write_typ_raw : Enet.Wire.Writer.t -> Emc.Ast.typ -> unit
-val read_typ_raw : Enet.Wire.Reader.t -> Emc.Ast.typ
-
 (** Wire tag bytes of {!write}'s encoding, exposed so compiled
     conversion plans ({!Mobility.Conv_plan}) can bake them into fused
     skeletons. *)

@@ -54,7 +54,7 @@ let capture k ~thread =
         raise (Not_checkpointable "thread spans several nodes"))
     segs;
   let stats = Enet.Conversion_stats.create () in
-  let w = W.Writer.create ~impl:W.Bulk ~stats in
+  let w = W.Writer.create ~impl:W.Plan ~stats in
   (* the writer's buffer may be pooled: a capture failure part-way
      through (an uncapturable frame, say) must still return it *)
   Fun.protect
@@ -83,7 +83,7 @@ let max_segments = 1_000_000
 
 let parse image =
   let stats = Enet.Conversion_stats.create () in
-  let r = W.Reader.create ~impl:W.Bulk ~stats image in
+  let r = W.Reader.create ~impl:W.Plan ~stats image in
   let m = W.Reader.u32 r in
   if m = magic_v1 then
     invalid_arg "Checkpoint.parse: v1 image (u16 segment count) not supported";

@@ -22,7 +22,7 @@ type piece =
   | P_fixed of {
       skel : string;
       holes : hole array;
-      p_calls : int;  (* precomputed Bulk-equivalent accounting *)
+      p_calls : int;  (* precomputed per-datum accounting *)
       p_bytes : int;
     }
   | P_value of int  (* value index, encoded per-datum (dynamic shape) *)
@@ -294,7 +294,7 @@ let write_frame fp w ~cls ~code_oid ~meth ~stop ~self ~(slots : (int * V.t) arra
   else begin
     let off = W.blit w fp.fp_head in
     W.poke32 w ~at:(off + 10) self;
-    (* class + code_oid + method + stop + self: five Bulk datums, 14 bytes *)
+    (* class + code_oid + method + stop + self: five datums, 14 bytes *)
     W.add_charge w ~calls:5 ~bytes:14;
     write_pieces_slots s w slots;
     true

@@ -17,10 +17,10 @@
     byte-swapped or VAX-float endpoint adds swap and float-convert
     steps), mirroring the per-pair conversion routines of section 3.6.
 
-    Accounting: a plan charges exactly what the interpretive [Bulk] tier
-    would charge for the same datums (precomputed at plan-compile time),
-    so virtual-time results are bit-identical between the [Bulk] and
-    [Plan] tiers; only host-side work changes. *)
+    Accounting: a plan charges exactly what the per-datum writes it
+    replaces would charge (precomputed at plan-compile time), so
+    virtual-time results are bit-identical with and without plans; only
+    host-side work changes. *)
 
 type pair = {
   pr_src : Isa.Arch.t;

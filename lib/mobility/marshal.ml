@@ -104,22 +104,19 @@ let write_fields ?plans w o =
     Array.iter (Ert.Value.write w) o.mo_fields
   end
 
+let write_int w s = W.i32 w (Int32.of_int s)
+let read_int r = Int32.to_int (R.i32 r)
+
+(* each object is one record of the batched accounting *)
 let write_object ?plans w o =
-  (match plans with
-  | Some _ ->
-    (* Fused scaffold head: same bytes and the same Bulk-equivalent
-       charge (u32 + u16) as the interpretive pair below. *)
-    W.raw_u32 w o.mo_oid;
-    W.raw_u16 w o.mo_class;
-    W.add_charge w ~calls:2 ~bytes:6
-  | None ->
-    W.u32 w o.mo_oid;
-    W.u16 w o.mo_class);
+  let p = W.open_record w in
+  W.u32 w o.mo_oid;
+  W.u16 w o.mo_class;
   write_fields ?plans w o;
   W.bool w o.mo_locked;
-  write_list w (fun w s -> W.i32 w (Int32.of_int s)) o.mo_waiters;
-  write_list w (fun w l -> write_list w (fun w s -> W.i32 w (Int32.of_int s)) l)
-    o.mo_cond_waiters
+  write_list w write_int o.mo_waiters;
+  write_list w (fun w l -> write_list w write_int l) o.mo_cond_waiters;
+  W.close_record w p
 
 let read_fields ?plans ~mo_class r =
   let fused =
@@ -140,66 +137,40 @@ let read_fields ?plans ~mo_class r =
     done;
     fields
 
-(* Blit tier: one conversion call for the whole object image — the
-   layout-matched fast path.  Bytes stay identical to the interpretive
-   encoding above. *)
-let write_list_raw w f xs =
-  W.raw_u16 w (List.length xs);
-  List.iter (f w) xs
-
-let read_list_raw r f =
-  let n = R.raw_u16 r in
-  List.init n (fun _ -> f r)
-
-let write_object_blit w o =
-  let p0 = W.length w in
-  W.raw_u32 w o.mo_oid;
-  W.raw_u16 w o.mo_class;
-  W.raw_u16 w (Array.length o.mo_fields);
-  Array.iter (Ert.Value.write_raw w) o.mo_fields;
-  W.raw_u8 w (if o.mo_locked then 1 else 0);
-  write_list_raw w (fun w s -> W.raw_u32 w (Int32.of_int s)) o.mo_waiters;
-  write_list_raw w
-    (fun w l -> write_list_raw w (fun w s -> W.raw_u32 w (Int32.of_int s)) l)
-    o.mo_cond_waiters;
-  W.add_charge w ~calls:1 ~bytes:(W.length w - p0)
-
-let read_object_blit r =
-  let p0 = R.pos r in
-  let mo_oid = R.raw_u32 r in
-  let mo_class = R.raw_u16 r in
-  let n = R.raw_u16 r in
-  let mo_fields = Array.make n Ert.Value.Vnil in
-  for i = 0 to n - 1 do
-    mo_fields.(i) <- Ert.Value.read_raw r
-  done;
-  let mo_locked = R.raw_u8 r <> 0 in
-  let mo_waiters = read_list_raw r (fun r -> Int32.to_int (R.raw_u32 r)) in
-  let mo_cond_waiters =
-    read_list_raw r (fun r -> read_list_raw r (fun r -> Int32.to_int (R.raw_u32 r)))
-  in
-  R.add_charge r ~calls:1 ~bytes:(R.pos r - p0);
-  { mo_oid; mo_class; mo_fields; mo_locked; mo_waiters; mo_cond_waiters }
-
 let read_object ?plans r =
-  let mo_oid, mo_class =
-    match plans with
-    | Some _ ->
-      let off = R.block r 6 in
-      R.add_charge r ~calls:2 ~bytes:6;
-      (R.get32_at r off, R.get16_at r (off + 4))
-    | None ->
-      let mo_oid = R.u32 r in
-      let mo_class = R.u16 r in
-      (mo_oid, mo_class)
-  in
+  let p = R.open_record r in
+  let mo_oid = R.u32 r in
+  let mo_class = R.u16 r in
   let mo_fields = read_fields ?plans ~mo_class r in
   let mo_locked = R.bool r in
-  let mo_waiters = read_list r (fun r -> Int32.to_int (R.i32 r)) in
-  let mo_cond_waiters = read_list r (fun r -> read_list r (fun r -> Int32.to_int (R.i32 r))) in
+  let mo_waiters = read_list r read_int in
+  let mo_cond_waiters = read_list r (fun r -> read_list r read_int) in
+  R.close_record r p;
   { mo_oid; mo_class; mo_fields; mo_locked; mo_waiters; mo_cond_waiters }
 
-let rec encode_to ?plans ?(blit = false) w msg =
+(* The move header (tag, source, and the level on the cross-instance
+   tags) is one record, so a batched encode charges the tag inside it;
+   the decoder has read the tag per datum before it knows the message
+   is a move. *)
+let write_move ?plans w ~tag p =
+  let h = W.open_record w in
+  W.u8 w tag;
+  W.u16 w p.mp_src;
+  if p.mp_opt_level <> 0 then W.u8 w p.mp_opt_level;
+  W.close_record w h;
+  write_list w (write_object ?plans) p.mp_objects;
+  write_list w (Mi_frame.write_segment ?plans) p.mp_segments
+
+let read_move ?plans ~leveled r =
+  let h = R.open_record r in
+  let mp_src = R.u16 r in
+  let mp_opt_level = if leveled then R.u8 r else 0 in
+  R.close_record r h;
+  let mp_objects = read_list r (read_object ?plans) in
+  let mp_segments = read_list r (Mi_frame.read_segment ?plans) in
+  { mp_src; mp_opt_level; mp_objects; mp_segments }
+
+let rec encode_to ?plans w msg =
   match msg with
   | M_invoke { target; callee_class; callee_method; args; reply; thread; forwards } ->
     W.u8 w tag_invoke;
@@ -221,31 +192,8 @@ let rec encode_to ?plans ?(blit = false) w msg =
     W.u32 w obj;
     W.u16 w dest;
     W.u8 w forwards
-  | M_move { mp_src; mp_opt_level; mp_objects; mp_segments } ->
-    let tag = if mp_opt_level = 0 then tag_move else tag_move_at in
-    let lvl_bytes = if mp_opt_level = 0 then 0 else 1 in
-    if blit then begin
-      W.raw_u8 w tag;
-      W.raw_u16 w mp_src;
-      if mp_opt_level <> 0 then W.raw_u8 w mp_opt_level;
-      W.add_charge w ~calls:1 ~bytes:(3 + lvl_bytes);
-      write_list w write_object_blit mp_objects;
-      write_list w (Mi_frame.write_segment ~blit:true) mp_segments
-    end
-    else begin
-      (match plans with
-      | Some _ ->
-        W.raw_u8 w tag;
-        W.raw_u16 w mp_src;
-        if mp_opt_level <> 0 then W.raw_u8 w mp_opt_level;
-        W.add_charge w ~calls:2 ~bytes:(3 + lvl_bytes)
-      | None ->
-        W.u8 w tag;
-        W.u16 w mp_src;
-        if mp_opt_level <> 0 then W.u8 w mp_opt_level);
-      write_list w (write_object ?plans) mp_objects;
-      write_list w (Mi_frame.write_segment ?plans) mp_segments
-    end
+  | M_move p ->
+    write_move ?plans w ~tag:(if p.mp_opt_level = 0 then tag_move else tag_move_at) p
   | M_start_process { obj; forwards } ->
     W.u8 w tag_start_process;
     W.u32 w obj;
@@ -279,57 +227,41 @@ let rec encode_to ?plans ?(blit = false) w msg =
        unchanged inner message encoding *)
     W.u8 w tag_invoke_via;
     write_list w W.u16 via;
-    encode_to ?plans ~blit w inv
-  | M_group_move { mp_src; mp_opt_level; mp_objects; mp_segments } ->
+    encode_to ?plans w inv
+  | M_group_move p ->
     (* same body layout as M_move; the distinct tag tells the receiver
        to account the transfer as one batched group *)
-    let tag = if mp_opt_level = 0 then tag_group_move else tag_group_move_at in
-    let lvl_bytes = if mp_opt_level = 0 then 0 else 1 in
-    if blit then begin
-      W.raw_u8 w tag;
-      W.raw_u16 w mp_src;
-      if mp_opt_level <> 0 then W.raw_u8 w mp_opt_level;
-      W.add_charge w ~calls:1 ~bytes:(3 + lvl_bytes);
-      write_list w write_object_blit mp_objects;
-      write_list w (Mi_frame.write_segment ~blit:true) mp_segments
-    end
-    else begin
-      (match plans with
-      | Some _ ->
-        W.raw_u8 w tag;
-        W.raw_u16 w mp_src;
-        if mp_opt_level <> 0 then W.raw_u8 w mp_opt_level;
-        W.add_charge w ~calls:2 ~bytes:(3 + lvl_bytes)
-      | None ->
-        W.u8 w tag;
-        W.u16 w mp_src;
-        if mp_opt_level <> 0 then W.u8 w mp_opt_level);
-      write_list w (write_object ?plans) mp_objects;
-      write_list w (Mi_frame.write_segment ?plans) mp_segments
-    end
+    write_move ?plans w
+      ~tag:(if p.mp_opt_level = 0 then tag_group_move else tag_group_move_at)
+      p
 
 (* A failed encode (an unmarshalable value, say) must still return the
    pooled buffer, or the pool leaks one buffer per failure.  [encode]
    can free unconditionally — [contents] copies.  [encode_view] frees
    only on the exception path: a successful handoff transfers buffer
    ownership to the view, and the receiver recycles it. *)
-let encode ?plans ?blit ~impl ~stats msg =
+let writer ~blit ~impl ~stats =
   let w = W.create ~impl ~stats in
+  if blit then W.batch w;
+  w
+
+let encode ?plans ?(blit = false) ~impl ~stats msg =
+  let w = writer ~blit ~impl ~stats in
   Fun.protect
     ~finally:(fun () -> W.free w)
     (fun () ->
-      encode_to ?plans ?blit w msg;
+      encode_to ?plans w msg;
       W.contents w)
 
-let encode_view ?plans ?blit ~impl ~stats msg =
-  let w = W.create ~impl ~stats in
-  (try encode_to ?plans ?blit w msg
+let encode_view ?plans ?(blit = false) ~impl ~stats msg =
+  let w = writer ~blit ~impl ~stats in
+  (try encode_to ?plans w msg
    with e ->
      W.free w;
      raise e);
   W.handoff w
 
-let rec decode_from ?plans ?(blit = false) r =
+let rec decode_from ?plans r =
   let tag = R.u8 r in
   if tag = tag_invoke then begin
     let target = R.u32 r in
@@ -363,23 +295,8 @@ let rec decode_from ?plans ?(blit = false) r =
     let forwards = R.u8 r in
     M_move_req { obj; dest; forwards }
   end
-  else if tag = tag_move || tag = tag_move_at then begin
-    if blit then begin
-      let mp_src = R.raw_u16 r in
-      let mp_opt_level = if tag = tag_move_at then R.raw_u8 r else 0 in
-      R.add_charge r ~calls:1 ~bytes:(if tag = tag_move_at then 3 else 2);
-      let mp_objects = read_list r read_object_blit in
-      let mp_segments = read_list r (Mi_frame.read_segment ~blit:true) in
-      M_move { mp_src; mp_opt_level; mp_objects; mp_segments }
-    end
-    else begin
-      let mp_src = R.u16 r in
-      let mp_opt_level = if tag = tag_move_at then R.u8 r else 0 in
-      let mp_objects = read_list r (read_object ?plans) in
-      let mp_segments = read_list r (Mi_frame.read_segment ?plans) in
-      M_move { mp_src; mp_opt_level; mp_objects; mp_segments }
-    end
-  end
+  else if tag = tag_move || tag = tag_move_at then
+    M_move (read_move ?plans ~leveled:(tag = tag_move_at) r)
   else if tag = tag_start_process then begin
     let obj = R.u32 r in
     let forwards = R.u8 r in
@@ -411,33 +328,22 @@ let rec decode_from ?plans ?(blit = false) r =
   end
   else if tag = tag_invoke_via then begin
     let via = read_list r R.u16 in
-    let inv = decode_from ?plans ~blit r in
+    let inv = decode_from ?plans r in
     M_invoke_via { via; inv }
   end
-  else if tag = tag_group_move || tag = tag_group_move_at then begin
-    if blit then begin
-      let mp_src = R.raw_u16 r in
-      let mp_opt_level = if tag = tag_group_move_at then R.raw_u8 r else 0 in
-      R.add_charge r ~calls:1 ~bytes:(if tag = tag_group_move_at then 3 else 2);
-      let mp_objects = read_list r read_object_blit in
-      let mp_segments = read_list r (Mi_frame.read_segment ~blit:true) in
-      M_group_move { mp_src; mp_opt_level; mp_objects; mp_segments }
-    end
-    else begin
-      let mp_src = R.u16 r in
-      let mp_opt_level = if tag = tag_group_move_at then R.u8 r else 0 in
-      let mp_objects = read_list r (read_object ?plans) in
-      let mp_segments = read_list r (Mi_frame.read_segment ?plans) in
-      M_group_move { mp_src; mp_opt_level; mp_objects; mp_segments }
-    end
-  end
+  else if tag = tag_group_move || tag = tag_group_move_at then
+    M_group_move (read_move ?plans ~leveled:(tag = tag_group_move_at) r)
   else failwith (Printf.sprintf "Marshal.decode: corrupt message tag %d" tag)
 
-let decode ?plans ?blit ~impl ~stats data =
-  decode_from ?plans ?blit (R.create ~impl ~stats data)
+let decode ?plans ?(blit = false) ~impl ~stats data =
+  let r = R.create ~impl ~stats data in
+  if blit then R.batch r;
+  decode_from ?plans r
 
-let decode_view ?plans ?blit ~impl ~stats v =
-  decode_from ?plans ?blit (R.of_view ~impl ~stats v)
+let decode_view ?plans ?(blit = false) ~impl ~stats v =
+  let r = R.of_view ~impl ~stats v in
+  if blit then R.batch r;
+  decode_from ?plans r
 
 let rec describe = function
   | M_invoke { target; callee_method; _ } ->

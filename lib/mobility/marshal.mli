@@ -95,9 +95,11 @@ val encode :
     compiled conversion plans when one applies; the bytes are identical
     either way.  The encode buffer is recycled into the pool.
     With [?blit] (valid only between layout-matched architectures, see
-    {!Isa.Arch.same_layout}), move payloads are written verbatim through
-    the raw wire path and accounted as one conversion call per
-    frame/object; bytes are still identical, [plans] is ignored. *)
+    {!Isa.Arch.same_layout}) the writer is batched
+    ({!Enet.Wire.Writer.batch}): the same bytes, accounted as one
+    conversion call per move-payload record — the move header, each
+    object, each frame, and each segment's scaffold and trailing
+    options. *)
 
 val encode_view :
   ?plans:Conv_plan.use ->

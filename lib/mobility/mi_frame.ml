@@ -33,8 +33,6 @@ type mi_segment = {
 (* types travel in the shared Value codec *)
 let write_typ = Ert.Value.write_typ
 let read_typ = Ert.Value.read_typ
-let write_typ_raw = Ert.Value.write_typ_raw
-let read_typ_raw = Ert.Value.read_typ_raw
 
 let write_opt w f = function
   | None -> W.u8 w 0
@@ -48,75 +46,41 @@ let read_opt r f =
   | 1 -> Some (f r)
   | n -> failwith (Printf.sprintf "Mi_frame.read_opt: corrupt tag %d" n)
 
-let write_frame_interp w f =
-  W.u16 w f.mf_class;
-  W.u32 w f.mf_code_oid;
-  W.u16 w f.mf_method;
-  W.u16 w f.mf_stop;
-  W.u32 w f.mf_self;
-  W.u16 w (Array.length f.mf_slots);
-  Array.iter
-    (fun (slot, v) ->
-      W.u16 w slot;
-      Ert.Value.write w v)
-    f.mf_slots
-
-(* Blit tier: the whole frame goes out through the raw primitives —
-   byte-identical to [write_frame_interp] — and is accounted as one
-   conversion call over its byte length, the §4 fast path for
-   layout-matched pairs.  No conversion plan, no per-datum dispatch. *)
-let write_frame_blit w f =
-  let p0 = W.length w in
-  W.raw_u16 w f.mf_class;
-  W.raw_u32 w f.mf_code_oid;
-  W.raw_u16 w f.mf_method;
-  W.raw_u16 w f.mf_stop;
-  W.raw_u32 w f.mf_self;
-  W.raw_u16 w (Array.length f.mf_slots);
-  Array.iter
-    (fun (slot, v) ->
-      W.raw_u16 w slot;
-      Ert.Value.write_raw w v)
-    f.mf_slots;
-  W.add_charge w ~calls:1 ~bytes:(W.length w - p0)
-
-let read_frame_blit r =
-  let p0 = R.pos r in
-  let mf_class = R.raw_u16 r in
-  let mf_code_oid = R.raw_u32 r in
-  let mf_method = R.raw_u16 r in
-  let mf_stop = R.raw_u16 r in
-  let mf_self = R.raw_u32 r in
-  let n = R.raw_u16 r in
-  let mf_slots = Array.make n (0, Ert.Value.Vnil) in
-  for i = 0 to n - 1 do
-    let slot = R.raw_u16 r in
-    let v = Ert.Value.read_raw r in
-    mf_slots.(i) <- (slot, v)
-  done;
-  R.add_charge r ~calls:1 ~bytes:(R.pos r - p0);
-  { mf_class; mf_code_oid; mf_method; mf_stop; mf_slots; mf_self }
-
-let write_frame ?plans ?(blit = false) w f =
-  if blit then write_frame_blit w f
-  else begin
-    let fused =
-      match plans with
+(* Each frame is one record of the batched accounting (the §4 fast path
+   for layout-matched pairs): one conversion call over its bytes instead
+   of one per datum. *)
+let write_frame ?plans w f =
+  let p = W.open_record w in
+  let fused =
+    match plans with
+    | None -> false
+    | Some use -> (
+      match Conv_plan.frame_plan_for use ~class_index:f.mf_class ~stop:f.mf_stop with
       | None -> false
-      | Some use -> (
-        match Conv_plan.frame_plan_for use ~class_index:f.mf_class ~stop:f.mf_stop with
-        | None -> false
-        | Some fp ->
-          Conv_plan.write_frame fp w ~cls:f.mf_class ~code_oid:f.mf_code_oid
-            ~meth:f.mf_method ~stop:f.mf_stop ~self:f.mf_self ~slots:f.mf_slots)
-    in
-    if not fused then write_frame_interp w f
-  end
+      | Some fp ->
+        Conv_plan.write_frame fp w ~cls:f.mf_class ~code_oid:f.mf_code_oid
+          ~meth:f.mf_method ~stop:f.mf_stop ~self:f.mf_self ~slots:f.mf_slots)
+  in
+  if not fused then begin
+    W.u16 w f.mf_class;
+    W.u32 w f.mf_code_oid;
+    W.u16 w f.mf_method;
+    W.u16 w f.mf_stop;
+    W.u32 w f.mf_self;
+    W.u16 w (Array.length f.mf_slots);
+    Array.iter
+      (fun (slot, v) ->
+        W.u16 w slot;
+        Ert.Value.write w v)
+      f.mf_slots
+  end;
+  W.close_record w p
 
-let read_frame_interp ?plans r =
+let read_frame ?plans r =
+  let p = R.open_record r in
   (* the plan is looked up from the class and stop the header announces;
      with plans in play the 14 header bytes are read as one block,
-     charged exactly like the five per-datum Bulk reads *)
+     charged exactly like the five per-datum reads *)
   let mf_class, mf_code_oid, mf_method, mf_stop, mf_self =
     match plans with
     | Some _ ->
@@ -156,10 +120,8 @@ let read_frame_interp ?plans r =
       done;
       slots
   in
+  R.close_record r p;
   { mf_class; mf_code_oid; mf_method; mf_stop; mf_slots; mf_self }
-
-let read_frame ?plans ?(blit = false) r =
-  if blit then read_frame_blit r else read_frame_interp ?plans r
 
 (* the four wire-encodable suspensions keep the v2 resume tags 1-4; the
    CPU-only constructors never travel (capture happens at bus stops) *)
@@ -248,179 +210,36 @@ let read_spawn r =
   let si_args = List.init n (fun _ -> Ert.Value.read r) in
   { Ert.Thread.si_target; si_class; si_method; si_args }
 
-(* raw (blit-tier) twins of the scaffold writers above: identical bytes,
-   no per-datum charges *)
-let write_opt_raw w f = function
-  | None -> W.raw_u8 w 0
-  | Some x ->
-    W.raw_u8 w 1;
-    f w x
-
-let read_opt_raw r f =
-  match R.raw_u8 r with
-  | 0 -> None
-  | 1 -> Some (f r)
-  | n -> failwith (Printf.sprintf "Mi_frame.read_opt_raw: corrupt tag %d" n)
-
-let write_suspension_raw w (s : Ert.Value.t Isa.Suspend.t) =
-  match s with
-  | Isa.Suspend.Run -> W.raw_u8 w 1
-  | Isa.Suspend.Deliver v ->
-    W.raw_u8 w 2;
-    Ert.Value.write_raw w v
-  | Isa.Suspend.Complete v ->
-    W.raw_u8 w 3;
-    write_opt_raw w Ert.Value.write_raw v
-  | Isa.Suspend.Complete_dequeue sid ->
-    W.raw_u8 w 4;
-    write_opt_raw w (fun w s -> W.raw_u32 w (Int32.of_int s)) sid
-  | Isa.Suspend.Poll | Isa.Suspend.Syscall _ | Isa.Suspend.Bottom_return
-  | Isa.Suspend.Halt | Isa.Suspend.Trap _ | Isa.Suspend.Fuel ->
-    failwith "Mi_frame.write_suspension: CPU-only suspension is not wire-encodable"
-
-let read_suspension_raw r : Ert.Value.t Isa.Suspend.t =
-  match R.raw_u8 r with
-  | 1 -> Isa.Suspend.Run
-  | 2 -> Isa.Suspend.Deliver (Ert.Value.read_raw r)
-  | 3 -> Isa.Suspend.Complete (read_opt_raw r Ert.Value.read_raw)
-  | 4 -> Isa.Suspend.Complete_dequeue (read_opt_raw r (fun r -> Int32.to_int (R.raw_u32 r)))
-  | n -> failwith (Printf.sprintf "Mi_frame.read_suspension: corrupt tag %d" n)
-
-let write_status_raw w = function
-  | Ms_parked s ->
-    W.raw_u8 w 1;
-    write_suspension_raw w s
-  | Ms_awaiting_reply stop ->
-    W.raw_u8 w 2;
-    W.raw_u16 w stop
-  | Ms_blocked_monitor { mon; in_queue; cond; deadline = None } ->
-    W.raw_u8 w 3;
-    W.raw_u32 w mon;
-    W.raw_u8 w (if in_queue then 1 else 0);
-    W.raw_u32 w (Int32.of_int cond)
-  | Ms_blocked_monitor { mon; in_queue; cond; deadline = Some d } ->
-    W.raw_u8 w 4;
-    W.raw_u32 w mon;
-    W.raw_u8 w (if in_queue then 1 else 0);
-    W.raw_u32 w (Int32.of_int cond);
-    W.raw_f64 w d
-
-let read_status_raw r =
-  match R.raw_u8 r with
-  | 1 -> Ms_parked (read_suspension_raw r)
-  | 2 -> Ms_awaiting_reply (R.raw_u16 r)
-  | 3 ->
-    let mon = R.raw_u32 r in
-    let in_queue = R.raw_u8 r <> 0 in
-    let cond = Int32.to_int (R.raw_u32 r) in
-    Ms_blocked_monitor { mon; in_queue; cond; deadline = None }
-  | 4 ->
-    let mon = R.raw_u32 r in
-    let in_queue = R.raw_u8 r <> 0 in
-    let cond = Int32.to_int (R.raw_u32 r) in
-    let deadline = R.raw_f64 r in
-    Ms_blocked_monitor { mon; in_queue; cond; deadline = Some deadline }
-  | n -> failwith (Printf.sprintf "Mi_frame.read_status: corrupt tag %d" n)
-
-let write_link_raw w (l : Ert.Thread.link) =
-  W.raw_u16 w l.Ert.Thread.ln_node;
-  W.raw_u32 w (Int32.of_int l.Ert.Thread.ln_seg)
-
-let read_link_raw r =
-  let ln_node = R.raw_u16 r in
-  let ln_seg = Int32.to_int (R.raw_u32 r) in
-  { Ert.Thread.ln_node; ln_seg }
-
-let write_spawn_raw w (s : Ert.Thread.spawn_info) =
-  W.raw_u32 w s.Ert.Thread.si_target;
-  W.raw_u16 w s.Ert.Thread.si_class;
-  W.raw_u16 w s.Ert.Thread.si_method;
-  W.raw_u16 w (List.length s.Ert.Thread.si_args);
-  List.iter (Ert.Value.write_raw w) s.Ert.Thread.si_args
-
-let read_spawn_raw r =
-  let si_target = R.raw_u32 r in
-  let si_class = R.raw_u16 r in
-  let si_method = R.raw_u16 r in
-  let n = R.raw_u16 r in
-  let si_args = List.init n (fun _ -> Ert.Value.read_raw r) in
-  { Ert.Thread.si_target; si_class; si_method; si_args }
-
-(* Blit tier: the scaffold before the frames is one conversion call,
-   each frame is one, and the trailing options are one — versus one
-   call per datum on the interpretive/plan path. *)
-let write_segment_blit w s =
-  let p0 = W.length w in
-  W.raw_u32 w (Int32.of_int s.ms_seg_id);
-  W.raw_u32 w (Int32.of_int s.ms_thread);
-  write_status_raw w s.ms_status;
-  W.raw_u16 w (List.length s.ms_frames);
-  W.add_charge w ~calls:1 ~bytes:(W.length w - p0);
-  List.iter (write_frame_blit w) s.ms_frames;
-  let p1 = W.length w in
-  write_opt_raw w write_link_raw s.ms_link;
-  write_opt_raw w write_typ_raw s.ms_result_type;
-  write_opt_raw w write_spawn_raw s.ms_spawn;
-  W.add_charge w ~calls:1 ~bytes:(W.length w - p1)
-
-let read_segment_blit r =
-  let p0 = R.pos r in
-  let ms_seg_id = Int32.to_int (R.raw_u32 r) in
-  let ms_thread = Int32.to_int (R.raw_u32 r) in
-  let ms_status = read_status_raw r in
-  let n = R.raw_u16 r in
-  R.add_charge r ~calls:1 ~bytes:(R.pos r - p0);
-  let ms_frames = List.init n (fun _ -> read_frame_blit r) in
-  let p1 = R.pos r in
-  let ms_link = read_opt_raw r read_link_raw in
-  let ms_result_type = read_opt_raw r read_typ_raw in
-  let ms_spawn = read_opt_raw r read_spawn_raw in
-  R.add_charge r ~calls:1 ~bytes:(R.pos r - p1);
-  { ms_seg_id; ms_thread; ms_status; ms_frames; ms_link; ms_result_type; ms_spawn }
-
-let write_segment_interp ?plans w s =
-  (match plans with
-  | Some _ ->
-    (* Fused segment head: same bytes and the same Bulk-equivalent
-       charge (2 x i32) as the interpretive pair below. *)
-    W.raw_u32 w (Int32.of_int s.ms_seg_id);
-    W.raw_u32 w (Int32.of_int s.ms_thread);
-    W.add_charge w ~calls:2 ~bytes:8
-  | None ->
-    W.i32 w (Int32.of_int s.ms_seg_id);
-    W.i32 w (Int32.of_int s.ms_thread));
+(* A segment is three kinds of record: the scaffold before the frames,
+   each frame, and the trailing options. *)
+let write_segment ?plans w s =
+  let p = W.open_record w in
+  W.i32 w (Int32.of_int s.ms_seg_id);
+  W.i32 w (Int32.of_int s.ms_thread);
   write_status w s.ms_status;
   W.u16 w (List.length s.ms_frames);
+  W.close_record w p;
   List.iter (write_frame ?plans w) s.ms_frames;
+  let p = W.open_record w in
   write_opt w write_link s.ms_link;
   write_opt w write_typ s.ms_result_type;
-  write_opt w write_spawn s.ms_spawn
+  write_opt w write_spawn s.ms_spawn;
+  W.close_record w p
 
-let write_segment ?plans ?(blit = false) w s =
-  if blit then write_segment_blit w s else write_segment_interp ?plans w s
-
-let read_segment_interp ?plans r =
-  let ms_seg_id, ms_thread =
-    match plans with
-    | Some _ ->
-      let off = R.block r 8 in
-      R.add_charge r ~calls:2 ~bytes:8;
-      (Int32.to_int (R.get32_at r off), Int32.to_int (R.get32_at r (off + 4)))
-    | None ->
-      let seg_id = Int32.to_int (R.i32 r) in
-      let thread = Int32.to_int (R.i32 r) in
-      (seg_id, thread)
-  in
+let read_segment ?plans r =
+  let p = R.open_record r in
+  let ms_seg_id = Int32.to_int (R.i32 r) in
+  let ms_thread = Int32.to_int (R.i32 r) in
   let ms_status = read_status r in
   let n = R.u16 r in
+  R.close_record r p;
   let ms_frames = List.init n (fun _ -> read_frame ?plans r) in
+  let p = R.open_record r in
   let ms_link = read_opt r read_link in
   let ms_result_type = read_opt r read_typ in
   let ms_spawn = read_opt r read_spawn in
+  R.close_record r p;
   { ms_seg_id; ms_thread; ms_status; ms_frames; ms_link; ms_result_type; ms_spawn }
-
-let read_segment ?plans ?(blit = false) r =
-  if blit then read_segment_blit r else read_segment_interp ?plans r
 
 let frame_count s = List.length s.ms_frames
 

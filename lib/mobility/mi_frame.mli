@@ -50,28 +50,13 @@ type mi_segment = {
       (** present (with [ms_frames = \[\]]) for never-executed segments *)
 }
 
-(* With [?plans], frame encoding routes through a compiled conversion
-   plan when one applies (identical bytes, fused host work, identical
-   Bulk-tier accounting); otherwise, and always for the segment
-   scaffolding around the frames, the interpretive path is used. *)
+(** One writer and one reader per record.  With [?plans], a frame routes
+    through a compiled conversion plan when one applies (identical bytes
+    and accounting, fused host work).  Each frame, the segment scaffold
+    before the frames and the trailing options are records of a batched
+    codec ({!Enet.Wire.Writer.batch}): one conversion call each. *)
 
-(** [blit] selects the negotiated common-layout tier: byte-identical
-    encoding through the raw wire primitives, accounted as one
-    conversion call per frame (plus one for the segment scaffold and
-    one for the trailing options) instead of one per datum.  Only valid
-    when the source and destination {!Isa.Arch.fingerprint}s match;
-    [plans] is ignored when [blit] is set. *)
-
-val write_segment :
-  ?plans:Conv_plan.use -> ?blit:bool -> Enet.Wire.Writer.t -> mi_segment -> unit
-
-val read_segment :
-  ?plans:Conv_plan.use -> ?blit:bool -> Enet.Wire.Reader.t -> mi_segment
-
-val write_frame :
-  ?plans:Conv_plan.use -> ?blit:bool -> Enet.Wire.Writer.t -> mi_frame -> unit
-
-val read_frame :
-  ?plans:Conv_plan.use -> ?blit:bool -> Enet.Wire.Reader.t -> mi_frame
+val write_segment : ?plans:Conv_plan.use -> Enet.Wire.Writer.t -> mi_segment -> unit
+val read_segment : ?plans:Conv_plan.use -> Enet.Wire.Reader.t -> mi_segment
 val frame_count : mi_segment -> int
 val pp_segment : Format.formatter -> mi_segment -> unit

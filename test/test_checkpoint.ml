@@ -205,7 +205,7 @@ let test_v2_header () =
 
 let test_v1_image_rejected () =
   let stats = Enet.Conversion_stats.create () in
-  let w = Enet.Wire.Writer.create ~impl:Enet.Wire.Bulk ~stats in
+  let w = Enet.Wire.Writer.create ~impl:Enet.Wire.Plan ~stats in
   Enet.Wire.Writer.u32 w 0x454d43l (* "EMC", the v1 magic *);
   Enet.Wire.Writer.u16 w 1;
   let v1 = Enet.Wire.Writer.contents w in

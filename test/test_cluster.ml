@@ -29,7 +29,7 @@ let test_conversion_cut_near_half () =
   in
   let naive = W.measure_roundtrip ~wire_impl:Enet.Wire.Naive ~home:A.sparc ~dest:A.sparc ~iters:2 () in
   let fast =
-    W.measure_roundtrip ~wire_impl:Enet.Wire.Bulk ~home:A.sparc ~dest:A.sparc
+    W.measure_roundtrip ~wire_impl:Enet.Wire.Plan ~home:A.sparc ~dest:A.sparc
       ~iters:2 ()
   in
   let cut =

@@ -1,0 +1,477 @@
+(* The wire codec pinned record by record.  A fixed corpus of messages is
+   encoded and decoded under the four codec configurations the cluster
+   uses, and every row of [golden] records the wire bytes plus the
+   conversion charges each configuration makes.  A change to the codec
+   that moves bytes or charges shows up as the rows it edits. *)
+
+module A = Isa.Arch
+module V = Ert.Value
+module MF = Mobility.Mi_frame
+module M = Mobility.Marshal
+module CP = Mobility.Conv_plan
+module CS = Enet.Conversion_stats
+module T = Emc.Template
+
+(* Corpus ----------------------------------------------------------------- *)
+
+let oid n s = Ert.Oid.fresh_data ~node_id:n ~serial:s
+
+(* The Table 1 program supplies frames the plan tier fuses *)
+let table1 = Emc.Compile.compile_exn ~name:"table1" ~archs:A.all Core.Workloads.table1_src
+let agent = Option.get (Emc.Compile.find_class table1 "Agent")
+
+let value_of_type i : Emc.Ast.typ -> V.t = function
+  | Emc.Ast.Tint -> V.Vint (Int32.of_int ((100 * i) + 7))
+  | Emc.Ast.Treal -> V.Vreal (float_of_int i +. 0.5)
+  | Emc.Ast.Tbool -> V.Vbool (i mod 2 = 0)
+  | Emc.Ast.Tstring -> V.Vstr (string_of_int i)
+  | Emc.Ast.Tobj _ | Emc.Ast.Tvec _ | Emc.Ast.Tnil -> V.Vnil
+
+(* a frame of Agent.trip parked at [stop], every live slot filled *)
+let table1_frame stop =
+  let ct = agent.Emc.Compile.cc_template in
+  let st = T.stop_by_id ct stop in
+  {
+    MF.mf_class = agent.Emc.Compile.cc_index;
+    mf_code_oid = agent.Emc.Compile.cc_oid;
+    mf_method = (T.op_of_stop ct stop).T.ot_index;
+    mf_stop = stop;
+    mf_slots =
+      Array.of_list
+        (List.map
+           (fun es -> (es.T.es_slot, value_of_type es.T.es_slot es.T.es_type))
+           st.T.st_live);
+    mf_self = oid 1 9;
+  }
+
+(* the first two stops of Agent.trip that carry live slots *)
+let table1_stops =
+  let ct = agent.Emc.Compile.cc_template in
+  let live =
+    List.filter
+      (fun st -> st.T.st_live <> [])
+      (Array.to_list ct.T.ct_ops.(0).T.ot_stops)
+  in
+  match live with
+  | a :: b :: _ -> (a.T.st_id, b.T.st_id)
+  | _ -> failwith "Table 1 has fewer than two stops with live slots"
+
+let str_vec = V.Vvec (Emc.Ast.Tstring, [| V.Vstr "a"; V.Vnil; V.Vstr "" |])
+
+let nested_vec =
+  V.Vvec
+    ( Emc.Ast.Tvec Emc.Ast.Tint,
+      [| V.Vvec (Emc.Ast.Tint, [| V.Vint 1l; V.Vint (-2l) |]); V.Vnil |] )
+
+let obj_vec = V.Vvec (Emc.Ast.Tobj "Agent", [| V.Vref (oid 3 1); V.Vnil |])
+
+(* a frame no plan covers: nil-able slots (strings, references, vectors)
+   holding both values and nil *)
+let generic_frame =
+  {
+    MF.mf_class = 3;
+    mf_code_oid = 77l;
+    mf_method = 1;
+    mf_stop = 4;
+    mf_slots =
+      [|
+        (0, V.Vstr "s");
+        (1, V.Vnil);
+        (2, V.Vref (oid 2 5));
+        (3, str_vec);
+        (5, V.Vreal 0.25);
+        (6, V.Vbool false);
+        (7, obj_vec);
+      |];
+    mf_self = oid 2 3;
+  }
+
+(* a Table 1 frame whose int slot holds nil: the plan must step aside *)
+let mismatched_frame =
+  let f = table1_frame (snd table1_stops) in
+  let slots = Array.copy f.MF.mf_slots in
+  slots.(0) <- (fst slots.(0), V.Vnil);
+  { f with MF.mf_slots = slots }
+
+let segment ?(frames = [ generic_frame ]) ?link ?result ?spawn status =
+  {
+    MF.ms_seg_id = 12345;
+    ms_thread = 67;
+    ms_status = status;
+    ms_frames = frames;
+    ms_link = link;
+    ms_result_type = result;
+    ms_spawn = spawn;
+  }
+
+let link = { Ert.Thread.ln_node = 2; ln_seg = 41 }
+
+let table1_segment =
+  segment ~result:Emc.Ast.Tint
+    ~frames:[ table1_frame (fst table1_stops); table1_frame (snd table1_stops) ]
+    (MF.Ms_parked Isa.Suspend.Run)
+
+let status_segments =
+  let module S = Isa.Suspend in
+  [
+    ("deliver", segment ~link (MF.Ms_parked (S.Deliver (V.Vstr "x"))));
+    ("complete value", segment (MF.Ms_parked (S.Complete (Some (V.Vint 3l)))));
+    ("complete unit", segment ~result:Emc.Ast.Tstring (MF.Ms_parked (S.Complete None)));
+    ("dequeue some", segment (MF.Ms_parked (S.Complete_dequeue (Some 17))));
+    ("dequeue none", segment (MF.Ms_parked (S.Complete_dequeue None)));
+    ("awaiting reply", segment ~link (MF.Ms_awaiting_reply 6));
+    ( "monitor entry",
+      segment
+        (MF.Ms_blocked_monitor { mon = oid 1 2; in_queue = true; cond = -1; deadline = None })
+    );
+    ( "monitor timed",
+      segment
+        (MF.Ms_blocked_monitor
+           { mon = oid 1 2; in_queue = false; cond = 2; deadline = Some 12500.5 }) );
+    ( "mixed frames",
+      segment ~frames:[ mismatched_frame; generic_frame ] (MF.Ms_parked Isa.Suspend.Run) );
+  ]
+
+let spawn_segment =
+  segment ~frames:[] ~link ~result:(Emc.Ast.Tvec Emc.Ast.Tstring)
+    ~spawn:
+      {
+        Ert.Thread.si_target = oid 1 9;
+        si_class = 0;
+        si_method = 0;
+        si_args = [ V.Vint 1l; V.Vint 4l ];
+      }
+    (MF.Ms_parked Isa.Suspend.Run)
+
+let agent_object =
+  {
+    M.mo_oid = oid 1 9;
+    mo_class = agent.Emc.Compile.cc_index;
+    mo_fields = [||];
+    mo_locked = false;
+    mo_waiters = [];
+    mo_cond_waiters = [];
+  }
+
+let rich_object =
+  {
+    M.mo_oid = oid 1 8;
+    mo_class = 2;
+    mo_fields = [| V.Vint 1l; V.Vstr "f"; V.Vnil; str_vec; V.Vreal (-1.5) |];
+    mo_locked = true;
+    mo_waiters = [ 11; 22 ];
+    mo_cond_waiters = [ [ 33 ]; [] ];
+  }
+
+let payload ?(objects = []) ?(segments = []) level =
+  { M.mp_src = 1; mp_opt_level = level; mp_objects = objects; mp_segments = segments }
+
+let invoke =
+  M.M_invoke
+    {
+      target = oid 1 4;
+      callee_class = 0;
+      callee_method = 1;
+      args =
+        [
+          V.Vint (-5l); V.Vreal 2.5; V.Vbool true; V.Vstr "emerald"; V.Vref (oid 1 4); V.Vnil;
+          str_vec;
+        ];
+      reply = { Ert.Thread.ln_node = 0; ln_seg = 77 };
+      thread = 9;
+      forwards = 2;
+    }
+
+let corpus =
+  [
+    ("invoke", invoke);
+    ("reply int", M.M_reply { to_seg = 77; value = V.Vint 42l; thread = 9 });
+    ("reply vector", M.M_reply { to_seg = 77; value = nested_vec; thread = 9 });
+    ("move request", M.M_move_req { obj = oid 2 5; dest = 3; forwards = 1 });
+    ("start process", M.M_start_process { obj = oid 2 5; forwards = 0 });
+    ("locate", M.M_locate { obj = oid 2 5 });
+    ("located", M.M_located { obj = oid 2 5; found = true });
+    ( "dir update",
+      M.M_dir_update { objs = [ oid 1 1; oid 1 2; oid 3 7 ]; node = 3; at = 1250.25 } );
+    ("dir lookup", M.M_dir_lookup { obj = oid 3 7 });
+    ("dir reply known", M.M_dir_reply { obj = oid 3 7; node = 4; known = true });
+    ("dir reply unknown", M.M_dir_reply { obj = oid 3 7; node = 0; known = false });
+    ("loc hint", M.M_loc_hint { obj = oid 3 7; node = 4 });
+    ("invoke via", M.M_invoke_via { via = [ 1; 2 ]; inv = invoke });
+    ("move empty O0", M.M_move (payload 0));
+    ("move empty O2", M.M_move (payload 2));
+    ( "move table1 O0",
+      M.M_move (payload ~objects:[ agent_object ] ~segments:[ table1_segment ] 0) );
+    ( "move table1 O2",
+      M.M_move (payload ~objects:[ agent_object ] ~segments:[ table1_segment ] 2) );
+    ("move spawn", M.M_move (payload ~objects:[ rich_object ] ~segments:[ spawn_segment ] 0));
+  ]
+  @ List.map
+      (fun (name, seg) -> ("move " ^ name, M.M_move (payload ~segments:[ seg ] 0)))
+      status_segments
+  @ [
+      ("group move empty O2", M.M_group_move (payload 2));
+      ( "group move O0",
+        M.M_group_move
+          (payload ~objects:[ rich_object; agent_object ]
+             ~segments:[ table1_segment; spawn_segment ] 0) );
+      ( "group move O2",
+        M.M_group_move
+          (payload ~objects:[ rich_object; agent_object ]
+             ~segments:[ table1_segment; spawn_segment ] 2) );
+    ]
+
+(* Configurations ---------------------------------------------------------- *)
+
+(* encode (calls, bytes), decode (calls, bytes) *)
+type charges = int * int * int * int
+
+type config = {
+  c_impl : Enet.Wire.impl;
+  c_plans : bool;  (* a compiled Table 1 plan cache on a mixed-layout pair *)
+  c_blit : bool;  (* the batched common-layout accounting *)
+}
+
+let configs =
+  [|
+    { c_impl = Enet.Wire.Naive; c_plans = false; c_blit = false };
+    { c_impl = Enet.Wire.Plan; c_plans = false; c_blit = false };
+    { c_impl = Enet.Wire.Plan; c_plans = true; c_blit = false };
+    { c_impl = Enet.Wire.Blit; c_plans = false; c_blit = true };
+  |]
+
+let plan_use () =
+  let cache = CP.create_cache () in
+  CP.set_program cache table1;
+  CP.make_use cache { CP.pr_src = A.sparc; pr_dst = A.vax }
+
+let run_config c msg =
+  let plans = if c.c_plans then Some (plan_use ()) else None in
+  let es = CS.create () in
+  let bytes = M.encode ?plans ~blit:c.c_blit ~impl:c.c_impl ~stats:es msg in
+  let ds = CS.create () in
+  let back = M.decode ?plans ~blit:c.c_blit ~impl:c.c_impl ~stats:ds bytes in
+  if back <> msg then Alcotest.failf "%s: decode differs from the message" (M.describe msg);
+  (bytes, (CS.calls es, CS.bytes es, CS.calls ds, CS.bytes ds))
+
+let hex s =
+  String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+(* Golden rows: name, wire bytes, then the charges under naive, plan
+   without plans, plan with plans, and batched blit *)
+let golden : (string * string * charges * charges * charges * charges) list =
+  [
+    ("invoke",
+     "014004000400000001000701fffffffb0240040000000000000301040007656d6572616c6405400400040607040003040001610604000000000000004d0000000902",
+     (94, 66, 94, 66), (28, 66, 28, 66), (28, 66, 28, 66), (28, 66, 28, 66));
+    ("reply int",
+     "020000004d010000002a00000009",
+     (19, 14, 19, 14), (5, 14, 5, 14), (5, 14, 5, 14), (5, 14, 5, 14));
+    ("reply vector",
+     "020000004d070701000207010002010000000101fffffffe0600000009",
+     (44, 29, 44, 29), (15, 29, 15, 29), (15, 29, 15, 29), (15, 29, 15, 29));
+    ("move request",
+     "0340080005000301",
+     (12, 8, 12, 8), (4, 8, 4, 8), (4, 8, 4, 8), (4, 8, 4, 8));
+    ("start process",
+     "074008000500",
+     (9, 6, 9, 6), (3, 6, 3, 6), (3, 6, 3, 6), (3, 6, 3, 6));
+    ("locate",
+     "0540080005",
+     (7, 5, 7, 5), (2, 5, 2, 5), (2, 5, 2, 5), (2, 5, 2, 5));
+    ("located",
+     "064008000501",
+     (9, 6, 9, 6), (3, 6, 3, 6), (3, 6, 3, 6), (3, 6, 3, 6));
+    ("dir update",
+     "080003409389000000000000034004000140040002400c0007",
+     (32, 25, 32, 25), (7, 25, 7, 25), (7, 25, 7, 25), (7, 25, 7, 25));
+    ("dir lookup",
+     "09400c0007",
+     (7, 5, 7, 5), (2, 5, 2, 5), (2, 5, 2, 5), (2, 5, 2, 5));
+    ("dir reply known",
+     "0a400c0007000401",
+     (12, 8, 12, 8), (4, 8, 4, 8), (4, 8, 4, 8), (4, 8, 4, 8));
+    ("dir reply unknown",
+     "0a400c0007000000",
+     (12, 8, 12, 8), (4, 8, 4, 8), (4, 8, 4, 8), (4, 8, 4, 8));
+    ("loc hint",
+     "0b400c00070004",
+     (10, 7, 10, 7), (3, 7, 3, 7), (3, 7, 3, 7), (3, 7, 3, 7));
+    ("invoke via",
+     "0c000200010002014004000400000001000701fffffffb0240040000000000000301040007656d6572616c6405400400040607040003040001610604000000000000004d0000000902",
+     (105, 73, 105, 73), (32, 73, 32, 73), (32, 73, 32, 73), (32, 73, 32, 73));
+    ("move empty O0",
+     "04000100000000",
+     (11, 7, 11, 7), (4, 7, 4, 7), (4, 7, 4, 7), (3, 7, 4, 7));
+    ("move empty O2",
+     "0e00010200000000",
+     (13, 8, 13, 8), (5, 8, 5, 8), (5, 8, 5, 8), (3, 8, 4, 8));
+    ("move table1 O0",
+     "040001000140040009000000000000000000000100003039000000430101000200002a123a44000000004004000900030000060001010000006b000201000000cf00002a123a440000000140040009000c0000060001010000006b000201000000cf00040100000197000501000001fb0006010000025f000701000002c3000801000003270009010000038b000a01000003ef000b0100000453000c01000004b700010100",
+     (239, 165, 239, 165), (74, 165, 74, 165), (74, 165, 74, 165), (8, 165, 9, 165));
+    ("move table1 O2",
+     "0e000102000140040009000000000000000000000100003039000000430101000200002a123a44000000004004000900030000060001010000006b000201000000cf00002a123a440000000140040009000c0000060001010000006b000201000000cf00040100000197000501000001fb0006010000025f000701000002c3000801000003270009010000038b000a01000003ef000b0100000453000c01000004b700010100",
+     (241, 166, 241, 166), (75, 166, 75, 166), (75, 166, 75, 166), (8, 166, 9, 166));
+    ("move spawn",
+     "040001000140040008000200050100000001040001660607040003040001610604000002bff80000000000000100020000000b0000001600020001000000210000000100003039000000430101000001000200000029010704014004000900000000000201000000010100000004",
+     (160, 110, 160, 110), (50, 110, 50, 110), (50, 110, 50, 110), (6, 110, 7, 110));
+    ("move deliver",
+     "040001000000010000303900000043010204000178000100030000004d000100044008000300070000040001730001060002054008000500030704000304000161060400000005023fd0000000000000000603000007070600054167656e74000205400c000106010002000000290000",
+     (165, 112, 165, 112), (53, 112, 53, 112), (53, 112, 53, 112), (6, 112, 7, 112));
+    ("move complete value",
+     "0400010000000100003039000000430103010100000003000100030000004d000100044008000300070000040001730001060002054008000500030704000304000161060400000005023fd0000000000000000603000007070600054167656e74000205400c000106000000",
+     (160, 108, 160, 108), (52, 108, 52, 108), (52, 108, 52, 108), (6, 108, 7, 108));
+    ("move complete unit",
+     "040001000000010000303900000043010300000100030000004d000100044008000300070000040001730001060002054008000500030704000304000161060400000005023fd0000000000000000603000007070600054167656e74000205400c00010600010400",
+     (155, 104, 155, 104), (51, 104, 51, 104), (51, 104, 51, 104), (6, 104, 7, 104));
+    ("move dequeue some",
+     "04000100000001000030390000004301040100000011000100030000004d000100044008000300070000040001730001060002054008000500030704000304000161060400000005023fd0000000000000000603000007070600054167656e74000205400c000106000000",
+     (158, 107, 158, 107), (51, 107, 51, 107), (51, 107, 51, 107), (6, 107, 7, 107));
+    ("move dequeue none",
+     "040001000000010000303900000043010400000100030000004d000100044008000300070000040001730001060002054008000500030704000304000161060400000005023fd0000000000000000603000007070600054167656e74000205400c000106000000",
+     (153, 103, 153, 103), (50, 103, 50, 103), (50, 103, 50, 103), (6, 103, 7, 103));
+    ("move awaiting reply",
+     "040001000000010000303900000043020006000100030000004d000100044008000300070000040001730001060002054008000500030704000304000161060400000005023fd0000000000000000603000007070600054167656e74000205400c000106010002000000290000",
+     (160, 109, 160, 109), (51, 109, 51, 109), (51, 109, 51, 109), (6, 109, 7, 109));
+    ("move monitor entry",
+     "040001000000010000303900000043034004000201ffffffff000100030000004d000100044008000300070000040001730001060002054008000500030704000304000161060400000005023fd0000000000000000603000007070600054167656e74000205400c000106000000",
+     (161, 110, 161, 110), (51, 110, 51, 110), (51, 110, 51, 110), (6, 110, 7, 110));
+    ("move monitor timed",
+     "0400010000000100003039000000430440040002000000000240c86a4000000000000100030000004d000100044008000300070000040001730001060002054008000500030704000304000161060400000005023fd0000000000000000603000007070600054167656e74000205400c000106000000",
+     (170, 118, 170, 118), (52, 118, 52, 118), (52, 118, 52, 118), (6, 118, 7, 118));
+    ("move mixed frames",
+     "0400010000000100003039000000430101000200002a123a440000000140040009000c0000060001010000006b000201000000cf00040100000197000501000001fb0006010000025f000701000002c3000801000003270009010000038b000a01000003ef000b0100000453000c01000004b700030000004d000100044008000300070000040001730001060002054008000500030704000304000161060400000005023fd0000000000000000603000007070600054167656e74000205400c000106000000",
+     (288, 198, 288, 198), (90, 198, 90, 198), (90, 198, 90, 198), (7, 198, 8, 198));
+    ("group move empty O2",
+     "0f00010200000000",
+     (13, 8, 13, 8), (5, 8, 5, 8), (5, 8, 5, 8), (3, 8, 4, 8));
+    ("group move O0",
+     "0d0001000240040008000200050100000001040001660607040003040001610604000002bff80000000000000100020000000b000000160002000100000021000040040009000000000000000000000200003039000000430101000200002a123a44000000004004000900030000060001010000006b000201000000cf00002a123a440000000140040009000c0000060001010000006b000201000000cf00040100000197000501000001fb0006010000025f000701000002c3000801000003270009010000038b000a01000003ef000b0100000453000c01000004b70001010000003039000000430101000001000200000029010704014004000900000000000201000000010100000004",
+     (388, 268, 388, 268), (120, 268, 120, 268), (120, 268, 120, 268), (11, 268, 12, 268));
+    ("group move O2",
+     "0f000102000240040008000200050100000001040001660607040003040001610604000002bff80000000000000100020000000b000000160002000100000021000040040009000000000000000000000200003039000000430101000200002a123a44000000004004000900030000060001010000006b000201000000cf00002a123a440000000140040009000c0000060001010000006b000201000000cf00040100000197000501000001fb0006010000025f000701000002c3000801000003270009010000038b000a01000003ef000b0100000453000c01000004b70001010000003039000000430101000001000200000029010704014004000900000000000201000000010100000004",
+     (390, 269, 390, 269), (121, 269, 121, 269), (121, 269, 121, 269), (11, 269, 12, 269));
+  ]
+
+let pp_charges (a, b, c, d) = Printf.sprintf "(%d, %d, %d, %d)" a b c d
+
+let pp_row (name, h, n, p, pp, b) =
+  Printf.sprintf "    (%S,\n     %S,\n     %s, %s, %s, %s);" name h (pp_charges n)
+    (pp_charges p) (pp_charges pp) (pp_charges b)
+
+let actual_row (name, msg) =
+  let results = Array.map (fun c -> run_config c msg) configs in
+  let bytes = fst results.(0) in
+  Array.iteri
+    (fun i (b, _) ->
+      if b <> bytes then Alcotest.failf "%s: configuration %d writes different bytes" name i)
+    results;
+  let ch i = snd results.(i) in
+  (name, hex bytes, ch 0, ch 1, ch 2, ch 3)
+
+let test_pinned () =
+  let actual = List.map actual_row corpus in
+  let mismatched =
+    List.filter
+      (fun ((name, _, _, _, _, _) as row) ->
+        match List.find_opt (fun (n, _, _, _, _, _) -> String.equal n name) golden with
+        | Some g -> g <> row
+        | None -> true)
+      actual
+  in
+  if mismatched <> [] || List.length golden <> List.length actual then
+    Alcotest.failf "%d of %d rows differ from the golden table; actual rows:\n%s"
+      (List.length mismatched) (List.length actual)
+      (String.concat "\n" (List.map pp_row mismatched))
+
+(* A plan charges exactly what the per-datum path does, the move header
+   included: its source and, on the cross-instance tags, its level are
+   datums of their own. *)
+let test_plans_charge_like_datums () =
+  List.iter
+    (fun (name, msg) ->
+      match msg with
+      | M.M_move _ | M.M_group_move _ ->
+        let _, datum = run_config configs.(1) msg in
+        let _, planned = run_config configs.(2) msg in
+        Alcotest.(check (pair (pair int int) (pair int int)))
+          (name ^ ": with plans == without")
+          (let a, b, c, d = datum in ((a, b), (c, d)))
+          (let a, b, c, d = planned in ((a, b), (c, d)))
+      | _ -> ())
+    corpus
+
+(* Counts on the wire are u16s.  The largest fits under every tier; one
+   more must fail at the encoder, not arrive masked to 16 bits as a
+   different well-formed message. *)
+let ints n = Array.init n (fun i -> V.Vint (Int32.of_int i))
+
+let oversized n =
+  [
+    ("vector", M.M_reply { to_seg = 1; value = V.Vvec (Emc.Ast.Tint, ints n); thread = 17 });
+    ( "arguments",
+      M.M_invoke
+        {
+          target = oid 1 4;
+          callee_class = 0;
+          callee_method = 0;
+          args = Array.to_list (ints n);
+          reply = link;
+          thread = 17;
+          forwards = 0;
+        } );
+    ( "object fields",
+      M.M_move (payload ~objects:[ { rich_object with M.mo_fields = ints n } ] 0) );
+    ( "directory oids",
+      M.M_dir_update { objs = List.init n (fun i -> oid 1 (i + 1)); node = 1; at = 0.0 } );
+  ]
+
+let check_in_flight name =
+  Alcotest.(check int) (name ^ ": pool balanced") 0 (Enet.Wire.Pool.in_flight ())
+
+let tiers = [ (Enet.Wire.Naive, false); (Enet.Wire.Plan, false); (Enet.Wire.Blit, true) ]
+
+let test_u16_counts_in_range () =
+  List.iter
+    (fun (what, msg) ->
+      List.iter
+        (fun (impl, blit) ->
+          let stats = CS.create () in
+          let back = M.decode ~blit ~impl ~stats (M.encode ~blit ~impl ~stats msg) in
+          if back <> msg then
+            Alcotest.failf "%s of 65535 under %s did not round trip" what
+              (Enet.Wire.impl_name impl))
+        tiers)
+    (oversized 0xFFFF)
+
+let test_u16_overflow_rejected () =
+  Enet.Wire.Pool.reset ();
+  List.iter
+    (fun (what, msg) ->
+      List.iter
+        (fun (impl, blit) ->
+          let stats = CS.create () in
+          let name = Printf.sprintf "%s of 65536 under %s" what (Enet.Wire.impl_name impl) in
+          (match M.encode ~blit ~impl ~stats msg with
+          | _ -> Alcotest.failf "%s: encode must refuse" name
+          | exception Invalid_argument _ -> ());
+          (match M.encode_view ~blit ~impl ~stats msg with
+          | _ -> Alcotest.failf "%s: encode_view must refuse" name
+          | exception Invalid_argument _ -> ());
+          check_in_flight name)
+        tiers)
+    (oversized 0x10000);
+  Enet.Wire.Pool.reset ()
+
+let suites =
+  [
+    ( "codec",
+      [
+        Alcotest.test_case "wire bytes and charges pinned per record" `Quick test_pinned;
+        Alcotest.test_case "plans charge moves like the per-datum path" `Quick
+          test_plans_charge_like_datums;
+        Alcotest.test_case "65535-element counts round-trip" `Quick test_u16_counts_in_range;
+        Alcotest.test_case "65536-element counts refused at encode" `Quick
+          test_u16_overflow_rejected;
+      ] );
+  ]

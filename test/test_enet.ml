@@ -11,27 +11,46 @@ let roundtrip_gen =
     QCheck.bool
     (QCheck.string_of_size (QCheck.Gen.int_range 0 200))
 
+(* The blit tier round-trips its datums as one batched record, which
+   costs one conversion call over all of its bytes at each end *)
 let roundtrip impl =
   QCheck.Test.make
     ~name:(Printf.sprintf "%s codec round trip" (Enet.Wire.impl_name impl))
     ~count:300 roundtrip_gen
     (fun (i, f, b, s) ->
+      let batched = impl = Enet.Wire.Blit in
       let stats = Enet.Conversion_stats.create () in
       let w = Enet.Wire.Writer.create ~impl ~stats in
+      if batched then Enet.Wire.Writer.batch w;
+      let p = Enet.Wire.Writer.open_record w in
       Enet.Wire.Writer.i32 w i;
       Enet.Wire.Writer.f64 w f;
       Enet.Wire.Writer.bool w b;
       Enet.Wire.Writer.str w s;
-      let r = Enet.Wire.Reader.create ~impl ~stats (Enet.Wire.Writer.contents w) in
-      Int32.equal (Enet.Wire.Reader.i32 r) i
-      && Enet.Wire.Reader.f64 r = f
-      && Enet.Wire.Reader.bool r = b
-      && String.equal (Enet.Wire.Reader.str r) s
-      && Enet.Wire.Reader.at_end r)
+      Enet.Wire.Writer.close_record w p;
+      let rstats = Enet.Conversion_stats.create () in
+      let r =
+        Enet.Wire.Reader.create ~impl ~stats:rstats (Enet.Wire.Writer.contents w)
+      in
+      if batched then Enet.Wire.Reader.batch r;
+      let p = Enet.Wire.Reader.open_record r in
+      let ok =
+        Int32.equal (Enet.Wire.Reader.i32 r) i
+        && Enet.Wire.Reader.f64 r = f
+        && Enet.Wire.Reader.bool r = b
+        && String.equal (Enet.Wire.Reader.str r) s
+      in
+      Enet.Wire.Reader.close_record r p;
+      let calls = Enet.Conversion_stats.calls in
+      ok
+      && Enet.Wire.Reader.at_end r
+      && calls stats = calls rstats
+      && ((not batched) || calls stats = 1)
+      && Enet.Conversion_stats.bytes stats = Enet.Wire.Writer.length w)
 
 let test_network_byte_order () =
   let stats = Enet.Conversion_stats.create () in
-  let w = Enet.Wire.Writer.create ~impl:Enet.Wire.Bulk ~stats in
+  let w = Enet.Wire.Writer.create ~impl:Enet.Wire.Plan ~stats in
   Enet.Wire.Writer.u32 w 0x01020304l;
   let s = Enet.Wire.Writer.contents w in
   check Alcotest.string "big endian on the wire" "\x01\x02\x03\x04" s
@@ -47,14 +66,14 @@ let test_impls_agree () =
     (Enet.Wire.Writer.contents w, Enet.Conversion_stats.calls stats)
   in
   let naive_bytes, naive_calls = emit Enet.Wire.Naive in
-  let bulk_bytes, bulk_calls = emit Enet.Wire.Bulk in
   let plan_bytes, plan_calls = emit Enet.Wire.Plan in
-  check Alcotest.string "identical octets" naive_bytes bulk_bytes;
-  check Alcotest.string "plan tier identical octets" naive_bytes plan_bytes;
-  check Alcotest.int "plan charges like bulk" bulk_calls plan_calls;
-  if naive_calls <= bulk_calls then
-    Alcotest.failf "naive (%d calls) should cost more than bulk (%d)" naive_calls
-      bulk_calls
+  let blit_bytes, blit_calls = emit Enet.Wire.Blit in
+  check Alcotest.string "identical octets" naive_bytes plan_bytes;
+  check Alcotest.string "blit tier identical octets" naive_bytes blit_bytes;
+  check Alcotest.int "unbatched blit charges like plan" plan_calls blit_calls;
+  if naive_calls <= plan_calls then
+    Alcotest.failf "naive (%d calls) should cost more than plan (%d)" naive_calls
+      plan_calls
 
 let test_calls_per_byte () =
   (* the paper: an average of 1-2 conversion calls per byte *)
@@ -85,24 +104,24 @@ let test_view_roundtrip () =
 let test_pool_reuse () =
   Enet.Wire.Pool.reset ();
   let stats = Enet.Conversion_stats.create () in
-  let w = Enet.Wire.Writer.create ~impl:Enet.Wire.Bulk ~stats in
+  let w = Enet.Wire.Writer.create ~impl:Enet.Wire.Plan ~stats in
   Enet.Wire.Writer.str w "pooled payload";
   let v = Enet.Wire.Writer.handoff w in
   check Alcotest.int "first buffer is a miss" 1 (Enet.Wire.Pool.misses ());
   check Alcotest.int "handoff counted" 1 (Enet.Wire.Pool.handoffs ());
   Enet.Wire.release_view v;
-  let w2 = Enet.Wire.Writer.create ~impl:Enet.Wire.Bulk ~stats in
+  let w2 = Enet.Wire.Writer.create ~impl:Enet.Wire.Plan ~stats in
   check Alcotest.int "released buffer is reused" 1 (Enet.Wire.Pool.hits ());
   Enet.Wire.Writer.str w2 "second";
   Enet.Wire.Writer.free w2;
   (* sub-views never recycle their parent's buffer *)
-  let w3 = Enet.Wire.Writer.create ~impl:Enet.Wire.Bulk ~stats in
+  let w3 = Enet.Wire.Writer.create ~impl:Enet.Wire.Plan ~stats in
   Enet.Wire.Writer.str w3 "third";
   let v3 = Enet.Wire.Writer.handoff w3 in
   let inner = Enet.Wire.sub_view v3 ~pos:2 ~len:3 in
   let before = Enet.Wire.Pool.hits () in
   Enet.Wire.release_view inner;
-  let w4 = Enet.Wire.Writer.create ~impl:Enet.Wire.Bulk ~stats in
+  let w4 = Enet.Wire.Writer.create ~impl:Enet.Wire.Plan ~stats in
   Enet.Wire.Writer.free w4;
   if Enet.Wire.Pool.hits () > before + 1 then
     Alcotest.fail "sub view release must not recycle the parent buffer";
@@ -115,12 +134,12 @@ let test_pool_balance () =
   Enet.Wire.Pool.reset ();
   let stats = Enet.Conversion_stats.create () in
   let msg = Mobility.Marshal.M_reply { to_seg = 4; value = Ert.Value.Vint 7l; thread = 1 } in
-  let bytes = Mobility.Marshal.encode ~impl:Enet.Wire.Bulk ~stats msg in
+  let bytes = Mobility.Marshal.encode ~impl:Enet.Wire.Plan ~stats msg in
   check Alcotest.int "encode returns its buffer" 0 (Enet.Wire.Pool.in_flight ());
-  (match Mobility.Marshal.decode ~impl:Enet.Wire.Bulk ~stats bytes with
+  (match Mobility.Marshal.decode ~impl:Enet.Wire.Plan ~stats bytes with
   | Mobility.Marshal.M_reply { to_seg = 4; _ } -> ()
   | _ -> Alcotest.fail "reply did not survive the round trip");
-  let v = Mobility.Marshal.encode_view ~impl:Enet.Wire.Bulk ~stats msg in
+  let v = Mobility.Marshal.encode_view ~impl:Enet.Wire.Plan ~stats msg in
   check Alcotest.int "handoff keeps the buffer in flight" 1
     (Enet.Wire.Pool.in_flight ());
   Enet.Wire.release_view v;
@@ -131,11 +150,11 @@ let test_pool_balance () =
     Mobility.Marshal.M_reply
       { to_seg = 4; value = Ert.Value.Vstr (String.make 70_000 'x'); thread = 1 }
   in
-  (match Mobility.Marshal.encode ~impl:Enet.Wire.Bulk ~stats huge with
+  (match Mobility.Marshal.encode ~impl:Enet.Wire.Plan ~stats huge with
   | _ -> Alcotest.fail "oversized string must be rejected"
   | exception Invalid_argument _ -> ());
   check Alcotest.int "no leak from a failed encode" 0 (Enet.Wire.Pool.in_flight ());
-  (match Mobility.Marshal.encode_view ~impl:Enet.Wire.Bulk ~stats huge with
+  (match Mobility.Marshal.encode_view ~impl:Enet.Wire.Plan ~stats huge with
   | _ -> Alcotest.fail "oversized string must be rejected"
   | exception Invalid_argument _ -> ());
   check Alcotest.int "no leak from a failed encode_view" 0
@@ -161,7 +180,7 @@ let test_pool_balance_end_to_end () =
 
 let test_writer_free_rejects_use () =
   let stats = Enet.Conversion_stats.create () in
-  let w = Enet.Wire.Writer.create ~impl:Enet.Wire.Bulk ~stats in
+  let w = Enet.Wire.Writer.create ~impl:Enet.Wire.Plan ~stats in
   Enet.Wire.Writer.u16 w 1;
   Enet.Wire.Writer.free w;
   match Enet.Wire.Writer.u16 w 2 with
@@ -220,8 +239,8 @@ let suites =
     ( "enet.wire",
       [
         qcheck (roundtrip Enet.Wire.Naive);
-        qcheck (roundtrip Enet.Wire.Bulk);
         qcheck (roundtrip Enet.Wire.Plan);
+        qcheck (roundtrip Enet.Wire.Blit);
         Alcotest.test_case "network byte order" `Quick test_network_byte_order;
         Alcotest.test_case "implementations agree on octets" `Quick test_impls_agree;
         Alcotest.test_case "naive costs 1-2 calls/byte" `Quick test_calls_per_byte;
