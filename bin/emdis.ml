@@ -13,7 +13,8 @@ let arch_by_id id =
     exit 2
 
 (* the basic-block partition the threaded-dispatch translator will use,
-   with the superinstruction fusions it would apply *)
+   with the micro-op batch heading each block and the superinstruction
+   fusions it would apply *)
 let print_blocks (code : Isa.Code.t) =
   Printf.printf "blocks %s/%s:\n" code.Isa.Code.class_name
     code.Isa.Code.arch.Isa.Arch.id;
@@ -36,12 +37,17 @@ let print_blocks (code : Isa.Code.t) =
                    Printf.sprintf "@%d (%s)" i kind)
                  l)
       in
-      Printf.printf "  [%4d..%4d]  0x%04x..0x%04x  %d insns%s\n"
+      let batch =
+        match b.Isa.Dispatch.b_batch with
+        | 0 -> ""
+        | n -> Printf.sprintf "  batch %d" n
+      in
+      Printf.printf "  [%4d..%4d]  0x%04x..0x%04x  %d insns%s%s\n"
         b.Isa.Dispatch.b_first b.Isa.Dispatch.b_last
         code.Isa.Code.offsets.(b.Isa.Dispatch.b_first)
         code.Isa.Code.offsets.(b.Isa.Dispatch.b_last)
         (b.Isa.Dispatch.b_last - b.Isa.Dispatch.b_first + 1)
-        fused)
+        batch fused)
     (Isa.Dispatch.describe_blocks code)
 
 (* --opt-diff: the same class compiled at two optimization levels, the
@@ -267,8 +273,9 @@ let blocks_t =
   Arg.(value & flag
        & info [ "blocks" ]
            ~doc:"Print the basic-block partition the threaded-dispatch \
-                 translator uses, marking blocks that get superinstruction \
-                 fusion (compare-branch, poll-branch).")
+                 translator uses, with the length of the micro-op batch \
+                 heading each block and the blocks that get \
+                 superinstruction fusion (compare-branch, poll-branch).")
 
 let opt_diff_t =
   Arg.(value & opt (some string) None

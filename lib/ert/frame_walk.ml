@@ -68,7 +68,7 @@ let walk k (seg : T.segment) =
     let top_ret =
       match family with
       | A.Vax | A.M68k -> ret_out_vax_m68k top_fp
-      | A.Sparc -> Int32.to_int (M.reg ctx 31)
+      | A.Sparc -> M.reg_int ctx 31
     in
     go top_fp ctx.M.pc top_ret []
   end

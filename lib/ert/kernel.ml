@@ -14,6 +14,14 @@ type block_kind =
 
 let error fmt = Format.kasprintf (fun m -> raise (Runtime_error m)) fmt
 
+(* the data heap starts above the nil red zone; every landing and remote
+   invocation runs on a [stack_bytes] region allocated from it.  A node's
+   memory starts just large enough for the heap base, one stack and a
+   page, and grows by doubling. *)
+let heap_start = 0x1000
+let stack_bytes = 32 * 1024
+let initial_mem_bytes = heap_start + stack_bytes + 0x1000
+
 type loaded_class = {
   lc_class : Emc.Compile.compiled_class;
   lc_code : Isa.Code.t;
@@ -123,7 +131,7 @@ type t = {
 }
 
 let create ?clock ~node_id ~arch () =
-  let mem = Mem.create ~endian:arch.A.endian ~size:(1 lsl 16) in
+  let mem = Mem.create ~endian:arch.A.endian ~size:initial_mem_bytes in
   let kclock =
     match clock with
     | Some c -> c
@@ -135,7 +143,7 @@ let create ?clock ~node_id ~arch () =
     k_us_per_cycle = A.cycle_time_ns arch /. 1000.0;
     kmem = mem;
     ktext = Isa.Text.create ();
-    kheap = Heap.create ~mem ~start:0x1000;
+    kheap = Heap.create ~mem ~start:heap_start;
     kprogram = None;
     loaded = Hashtbl.create 8;
     objects = Oid_table.create ~dummy:0 ();
@@ -664,7 +672,6 @@ let fresh_seg_id t =
    the heap's live bytes — they are kernel-owned memory, not garbage —
    so the collector's threshold input does not swing with thread
    traffic. *)
-let stack_bytes = 32 * 1024
 
 let alloc_stack t =
   let top =
@@ -764,9 +771,9 @@ let seed_call_frame t ctx ~stack_top ~target_addr ~entry_pc ~raw_args =
     M.set_sp ctx !sp;
     M.set_fp ctx 0
   | A.Sparc ->
-    M.set_reg ctx 8 (Int32.of_int target_addr);
+    M.set_reg_int ctx 8 target_addr;
     List.iteri (fun i v -> M.set_reg ctx (8 + 1 + i) v) raw_args;
-    M.set_reg ctx 15 0l;
+    M.set_reg_int ctx 15 0;
     (* %o7 sentinel *)
     M.set_sp ctx stack_top);
   ctx.M.pc <- entry_pc
@@ -1527,10 +1534,19 @@ let step t =
       | None -> 50_000_000
     in
     let cycles_before = ctx.M.cycles and insns_before = ctx.M.insns in
-    let stop =
+    let run () =
       if t.kthreaded then
         Isa.Dispatch.run t.kdispatch ctx ~mem:t.kmem ~text:t.ktext ~fuel
       else M.run ctx ~mem:t.kmem ~text:t.ktext ~fuel
+    in
+    let stop =
+      match run () with
+      | S.Fuel when Option.is_none t.quantum ->
+        (* a thread alone on its node is never asked to poll: ask now and
+           run on to the next bus stop, where it parks as at any poll *)
+        ctx.M.poll_requested <- true;
+        run ()
+      | stop -> stop
     in
     seg.Thread.seg_spawn <- None;
     t.insns <- t.insns + (ctx.M.insns - insns_before);

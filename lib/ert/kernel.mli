@@ -413,7 +413,10 @@ val advance_to_stop : t -> Thread.segment -> outcall list
 val step : t -> outcall list
 (** Run one scheduling slice: dispatch the next ready segment and execute
     it to its next control transfer.  Returns the cross-node actions it
-    produced (empty when idle or when the work stayed local). *)
+    produced (empty when idle or when the work stayed local).  Without a
+    quantum a slice has 50M instructions of fuel; a segment that spends
+    them (one running alone, never asked to poll) is asked to poll and
+    runs on to its next bus stop in the same slice. *)
 
 val has_ready : t -> bool
 val live_segment_count : t -> int

@@ -63,7 +63,7 @@ let stats c = c.stats
    closure, so a steady-state access is a single unsafe array read.
    (The interpreter re-decides both per access — including a
    polymorphic compare on the arch family, a C call.)  An out-of-range
-   register falls back to {!Machine.reg} so malformed code raises the
+   register falls back to {!Machine.reg_int} so malformed code raises the
    same exception the interpreter would. *)
 let reg_is_g0 (code : Code.t) r =
   (match code.Code.arch.Arch.family with Arch.Sparc -> true | _ -> false)
@@ -72,79 +72,97 @@ let reg_is_g0 (code : Code.t) r =
 let reg_in_range (code : Code.t) r =
   r >= 0 && r < Reg.count code.Code.arch.Arch.family
 
-(* [Int32.compare] without the C call; exact -1/0/1, as the interpreter
-   stores into [cc] *)
-let cmp32 a b =
-  let a = Int32.to_int a and b = Int32.to_int b in
-  if a < b then -1 else if a > b then 1 else 0
+(* the exact -1/0/1 sign [Int32.compare] stores into [cc], on the
+   register file's sign-extended ints *)
+let sign_cmp (a : int) b = if a < b then -1 else if a > b then 1 else 0
 
-(* the operator match of {!Machine.int_binop}, done once at translation *)
-let binop_fn (op : Insn.binop) : int32 -> int32 -> int32 =
+(* {!Machine.sx}, defined here so that it inlines *)
+let sx v = ((v land 0xFFFF_FFFF) lxor 0x8000_0000) - 0x8000_0000
+
+(* {!Machine.int_binop} on the register file's sign-extended ints for a
+   divisor that does not trap: [sx] makes wrap-around and [min_int32 / -1]
+   agree with [Int32]; the remainder and the bitwise results need none *)
+let[@inline] alu_nz (op : Insn.binop) a b =
   match op with
-  | Insn.Add -> Int32.add
-  | Insn.Sub -> Int32.sub
-  | Insn.Mul -> Int32.mul
-  | Insn.Div ->
-    fun a b ->
-      if Int32.to_int b = 0 then raise (M.Trapped Suspend.Div_zero)
-      else Int32.div a b
-  | Insn.Mod ->
-    fun a b ->
-      if Int32.to_int b = 0 then raise (M.Trapped Suspend.Div_zero)
-      else Int32.rem a b
-  | Insn.And -> Int32.logand
-  | Insn.Or -> Int32.logor
-  | Insn.Xor -> Int32.logxor
+  | Insn.Add -> sx (a + b)
+  | Insn.Sub -> sx (a - b)
+  | Insn.Mul -> sx (a * b)
+  | Insn.Div -> sx (a / b)
+  | Insn.Mod -> a mod b
+  | Insn.And -> a land b
+  | Insn.Or -> a lor b
+  | Insn.Xor -> a lxor b
+
+let traps_on_zero (op : Insn.binop) = match op with Insn.Div | Insn.Mod -> true | _ -> false
+
+let int_binop op a b =
+  if b = 0 && traps_on_zero op then raise (M.Trapped Suspend.Div_zero) else alu_nz op a b
 
 (* specialise an operand read: the match on the addressing mode happens
    here, once, instead of on every execution *)
-let get_c code mem (op : Operand.t) : M.ctx -> int32 =
+let get_c code mem (op : Operand.t) : M.ctx -> int =
   match op with
-  | Operand.Reg r when reg_is_g0 code r -> fun _ -> 0l
+  | Operand.Reg r when reg_is_g0 code r -> fun _ -> 0
   | Operand.Reg r when reg_in_range code r ->
     fun ctx -> Array.unsafe_get ctx.M.regs r
-  | Operand.Reg r -> fun ctx -> M.reg ctx r
-  | Operand.Imm i -> fun _ -> i
-  | Operand.Mem (Operand.Abs a) -> fun _ -> M.load mem (M.addr_of a)
+  | Operand.Reg r -> fun ctx -> M.reg_int ctx r
+  | Operand.Imm i ->
+    let i = Int32.to_int i in
+    fun _ -> i
+  | Operand.Mem (Operand.Abs a) ->
+    let a = Int32.to_int a in
+    fun _ -> M.load_int mem (M.addr_of a)
   | Operand.Mem (Operand.Disp (r, d)) when reg_in_range code r && not (reg_is_g0 code r) ->
-    fun ctx -> M.load mem (M.addr_of (Array.unsafe_get ctx.M.regs r) + d)
+    fun ctx -> M.load_int mem (M.addr_of (Array.unsafe_get ctx.M.regs r) + d)
   | Operand.Mem (Operand.Disp (r, d)) ->
-    fun ctx -> M.load mem (M.addr_of (M.reg ctx r) + d)
+    fun ctx -> M.load_int mem (M.addr_of (M.reg_int ctx r) + d)
   | Operand.Mem (Operand.Autoinc r) ->
     fun ctx ->
-      let a = M.addr_of (M.reg ctx r) in
-      let v = M.load mem a in
-      M.set_reg ctx r (Int32.of_int (a + 4));
+      let a = M.addr_of (M.reg_int ctx r) in
+      let v = M.load_int mem a in
+      M.set_reg_int ctx r (a + 4);
       v
   | Operand.Mem (Operand.Autodec r) ->
     fun ctx ->
-      let a = M.addr_of (M.reg ctx r) - 4 in
-      M.set_reg ctx r (Int32.of_int a);
-      M.load mem a
+      let a = M.addr_of (M.reg_int ctx r) - 4 in
+      M.set_reg_int ctx r a;
+      M.load_int mem a
 
-let set_c code mem (op : Operand.t) : M.ctx -> int32 -> unit =
+(* every value a step writes is already sign-extended, so a register
+   write is a plain store *)
+let set_c code mem (op : Operand.t) : M.ctx -> int -> unit =
   match op with
   | Operand.Reg r when reg_is_g0 code r -> fun _ _ -> ()
   | Operand.Reg r when reg_in_range code r ->
     fun ctx v -> Array.unsafe_set ctx.M.regs r v
-  | Operand.Reg r -> fun ctx v -> M.set_reg ctx r v
+  | Operand.Reg r -> fun ctx v -> M.set_reg_int ctx r v
   | Operand.Imm _ ->
     fun _ _ -> raise (M.Trapped (Suspend.Bad_insn "immediate destination"))
-  | Operand.Mem (Operand.Abs a) -> fun _ v -> M.store mem (M.addr_of a) v
+  | Operand.Mem (Operand.Abs a) ->
+    let a = Int32.to_int a in
+    fun _ v -> M.store_int mem (M.addr_of a) v
   | Operand.Mem (Operand.Disp (r, d)) when reg_in_range code r && not (reg_is_g0 code r) ->
-    fun ctx v -> M.store mem (M.addr_of (Array.unsafe_get ctx.M.regs r) + d) v
+    fun ctx v -> M.store_int mem (M.addr_of (Array.unsafe_get ctx.M.regs r) + d) v
   | Operand.Mem (Operand.Disp (r, d)) ->
-    fun ctx v -> M.store mem (M.addr_of (M.reg ctx r) + d) v
+    fun ctx v -> M.store_int mem (M.addr_of (M.reg_int ctx r) + d) v
   | Operand.Mem (Operand.Autoinc r) ->
     fun ctx v ->
-      let a = M.addr_of (M.reg ctx r) in
-      M.store mem a v;
-      M.set_reg ctx r (Int32.of_int (a + 4))
+      let a = M.addr_of (M.reg_int ctx r) in
+      M.store_int mem a v;
+      M.set_reg_int ctx r (a + 4)
   | Operand.Mem (Operand.Autodec r) ->
     fun ctx v ->
-      let a = M.addr_of (M.reg ctx r) - 4 in
-      M.set_reg ctx r (Int32.of_int a);
-      M.store mem a v
+      let a = M.addr_of (M.reg_int ctx r) - 4 in
+      M.set_reg_int ctx r a;
+      M.store_int mem a v
+
+(* the float operations are the only ones that leave the int domain *)
+let float_binop fmt op a b =
+  Int32.to_int (M.float_binop fmt op (Int32.of_int a) (Int32.of_int b))
+
+let float_decode fmt v =
+  try Float_format.decode fmt (Int32.of_int v)
+  with Float_format.Reserved_operand m -> raise (M.Trapped (Suspend.Float_reserved m))
 
 (* a step that hands control back to the driver (fall-through off the
    end of an image, or a branch target outside it): the driver redoes
@@ -171,33 +189,35 @@ let fusable a b =
 
 (* --- micro-ops: the register/immediate/frame-slot subset of the ISA
    whose only possible exit is a trap.  A straight-line prefix of these
-   runs in one tight match loop — no per-instruction closure call, and
-   the fuel, counters and PC settle once per batch instead of once per
-   instruction.  A trap mid-batch is repaired to exact per-instruction
-   accounting (cycles and insns up to and including the faulting op, PC
-   on it) before it propagates, so the batch is observationally
-   identical to the closure chain. *)
+   runs in one tight match loop straight on the register file — no
+   per-instruction closure call, and the fuel, counters and PC settle
+   once per batch instead of once per instruction.  A trap mid-batch is
+   repaired to exact per-instruction accounting (cycles and insns up to
+   and including the faulting op, PC on it) before it propagates; the
+   registers already hold exactly the writes of the ops before it.  So
+   the batch is observationally identical to the closure chain.
+
+   Register fields are proved in range and never %g0 at classification
+   (a %g0 source is folded to the immediate 0, a %g0 destination
+   discards), immediates are sign-extended ints, frame slots are
+   [(base register, displacement)]. *)
 type uop =
   | U_nop
   | U_mov_rr of int * int  (* rs, rd *)
-  | U_mov_ir of int32 * int  (* boxed-once immediate, rd *)
+  | U_mov_ir of int * int  (* imm, rd *)
   | U_mov_mr of int * int * int  (* base, disp, rd *)
   | U_mov_md of int * int  (* base, disp: load for fault fidelity, drop *)
   | U_mov_rm of int * int * int  (* rs, base, disp *)
-  | U_mov_im of int * int * int  (* imm bits, base, disp *)
+  | U_mov_im of int * int * int  (* imm, base, disp *)
   | U_mov_mm of int * int * int * int  (* src base/disp, dst base/disp *)
-  | U_neg_rr of int * int
-  | U_add of int * int * int  (* ra, rb, rd *)
-  | U_sub of int * int * int
-  | U_mul of int * int * int
-  | U_div of int * int * int
-  | U_mod of int * int * int
-  | U_and of int * int * int
-  | U_or of int * int * int
-  | U_xor of int * int * int
+  | U_neg of int * int  (* rs, rd *)
+  | U_bin3 of Insn.binop * int * int * int  (* ra, rb, rd: rd <- ra op rb *)
+  | U_bin3_i of Insn.binop * int * int * int  (* ra, imm, rd *)
+  | U_bin2 of Insn.binop * int * int  (* rs, rd: rd <- rd op rs; cc *)
+  | U_bin2_i of Insn.binop * int * int  (* imm, rd *)
   | U_cmp_rr of int * int
-  | U_cmp_ri of int * int  (* ra, imm as signed int *)
-  | U_cmp_ir of int * int  (* imm as signed int, rb *)
+  | U_cmp_ri of int * int  (* ra, imm *)
+  | U_cmp_ir of int * int  (* imm, rb *)
   | U_cc_const of int
 
 (* classify one instruction; [None] ends the micro prefix (memory modes
@@ -206,11 +226,11 @@ type uop =
    inline) *)
 let uop_of (code : Code.t) j : uop option =
   let g0 r = reg_is_g0 code r in
-  let ok r = reg_in_range code r && not (reg_is_g0 code r) in
+  let ok r = reg_in_range code r && not (g0 r) in
   let src = function
-    | Operand.Reg r when g0 r -> Some (`I 0l)
+    | Operand.Reg r when g0 r -> Some (`I 0)
     | Operand.Reg r when ok r -> Some (`R r)
-    | Operand.Imm i -> Some (`I i)
+    | Operand.Imm i -> Some (`I (Int32.to_int i))
     | Operand.Mem (Operand.Disp (r, d)) when ok r -> Some (`S (r, d))
     | _ -> None
   in
@@ -227,346 +247,152 @@ let uop_of (code : Code.t) j : uop option =
     | Some (`I v), Some (`R rd) -> Some (U_mov_ir (v, rd))
     | Some (`S (rb, d)), Some (`R rd) -> Some (U_mov_mr (rb, d, rd))
     | Some (`R rs), Some (`S (rb, d)) -> Some (U_mov_rm (rs, rb, d))
-    | Some (`I v), Some (`S (rb, d)) -> Some (U_mov_im (Int32.to_int v, rb, d))
+    | Some (`I v), Some (`S (rb, d)) -> Some (U_mov_im (v, rb, d))
     | Some (`S (sb, sd)), Some (`S (db, dd)) -> Some (U_mov_mm (sb, sd, db, dd))
     | Some (`S (rb, d)), Some `D -> Some (U_mov_md (rb, d))
     | Some (`R _ | `I _), Some `D -> Some U_nop
     | _ -> None)
   | Insn.Bin3 (op, a, b, c) ->
-    (match (a, b, c) with
-    | Operand.Reg ra, Operand.Reg rb, Operand.Reg rc when ok ra && ok rb && ok rc
-      ->
-      Some
-        (match op with
-        | Insn.Add -> U_add (ra, rb, rc)
-        | Insn.Sub -> U_sub (ra, rb, rc)
-        | Insn.Mul -> U_mul (ra, rb, rc)
-        | Insn.Div -> U_div (ra, rb, rc)
-        | Insn.Mod -> U_mod (ra, rb, rc)
-        | Insn.And -> U_and (ra, rb, rc)
-        | Insn.Or -> U_or (ra, rb, rc)
-        | Insn.Xor -> U_xor (ra, rb, rc))
+    (match (src a, src b, dst c) with
+    | Some (`R ra), Some (`R rb), Some (`R rd) -> Some (U_bin3 (op, ra, rb, rd))
+    | Some (`R ra), Some (`I ib), Some (`R rd) -> Some (U_bin3_i (op, ra, ib, rd))
+    | _ -> None)
+  | Insn.Bin2 (op, a, b) ->
+    (match (src a, dst b) with
+    | Some (`R rs), Some (`R rd) -> Some (U_bin2 (op, rs, rd))
+    | Some (`I ia), Some (`R rd) -> Some (U_bin2_i (op, ia, rd))
     | _ -> None)
   | Insn.Cmp (a, b) ->
     (match (src a, src b) with
     | Some (`R ra), Some (`R rb) -> Some (U_cmp_rr (ra, rb))
-    | Some (`R ra), Some (`I ib) -> Some (U_cmp_ri (ra, Int32.to_int ib))
-    | Some (`I ia), Some (`R rb) -> Some (U_cmp_ir (Int32.to_int ia, rb))
-    | Some (`I ia), Some (`I ib) -> Some (U_cc_const (cmp32 ia ib))
+    | Some (`R ra), Some (`I ib) -> Some (U_cmp_ri (ra, ib))
+    | Some (`I ia), Some (`R rb) -> Some (U_cmp_ir (ia, rb))
+    | Some (`I ia), Some (`I ib) -> Some (U_cc_const (sign_cmp ia ib))
     | _ -> None)
   | Insn.Neg (a, b) ->
-    (match (a, b) with
-    | Operand.Reg ra, Operand.Reg rb when ok ra && ok rb ->
-      Some (U_neg_rr (ra, rb))
+    (match (src a, dst b) with
+    | Some (`R ra), Some (`R rd) -> Some (U_neg (ra, rd))
+    | Some (`I ia), Some (`R rd) -> Some (U_mov_ir (sx (-ia), rd))
     | _ -> None)
   | Insn.Sethi (i, r) ->
-    if ok r then Some (U_mov_ir (Int32.shift_left i 10, r))
+    if ok r then Some (U_mov_ir (Int32.to_int (Int32.shift_left i 10), r))
     else if g0 r then Some U_nop
     else None
   | Insn.Nop -> Some U_nop
   | _ -> None
 
-(* shadow micro-ops: the register fields of a batch are renamed at
-   translation time to slots of a per-batch untagged [int] scratch
-   array, so intermediate values travel unboxed — no [Int32] allocation
-   and no write barrier per operation, only one flush of the written
-   registers when the batch retires (or, on a trap, of exactly the
-   writes that preceded the faulting op) *)
-type suop =
-  | SU_nop
-  | SU_mov of int * int  (* src slot, dst slot *)
-  | SU_mov_i of int * int  (* sign-extended immediate, dst slot *)
-  | SU_load of int * int * int  (* base slot, disp, dst slot *)
-  | SU_load_drop of int * int  (* load for fault fidelity, drop *)
-  | SU_store of int * int * int  (* src slot, base slot, disp *)
-  | SU_store_i of int * int * int  (* imm bits, base slot, disp *)
-  | SU_store_mm of int * int * int * int  (* src base/disp, dst base/disp *)
-  | SU_neg of int * int
-  | SU_add of int * int * int  (* a slot, b slot, dst slot *)
-  | SU_sub of int * int * int
-  | SU_mul of int * int * int
-  | SU_div of int * int * int
-  | SU_mod of int * int * int
-  | SU_and of int * int * int
-  | SU_or of int * int * int
-  | SU_xor of int * int * int
-  | SU_cmp of int * int
-  | SU_cmp_i of int * int  (* slot, signed imm *)
-  | SU_cmp_ni of int * int  (* signed imm, slot *)
-  | SU_cc of int
+(* a batching superblock pays for itself from three micro-ops on *)
+let min_batch = 3
+
+(* the micro-ops heading [first..last]: the longest prefix [uop_of]
+   classifies, each instruction classified once *)
+let micro_prefix code first last =
+  let rec scan j acc =
+    match if j <= last then uop_of code j else None with
+    | Some u -> scan (j + 1) (u :: acc)
+    | None -> Array.of_list (List.rev acc)
+  in
+  scan first []
+
+(* a batch: the micro-ops of the instructions [bt_idx..] of one table *)
+type batch = {
+  bt_code : Code.t;
+  bt_mem : Memory.t;
+  bt_base : int;
+  bt_idx : int;
+  bt_uops : uop array;
+}
+
+(* a trap at micro-op [m]: charge cycles and insns up to and including
+   it and rest the PC on it; the registers already hold exactly the
+   writes of the ops before it *)
+let batch_fault bt (ctx : M.ctx) m t =
+  let code = bt.bt_code in
+  let cyc = ref 0 in
+  for k = bt.bt_idx to bt.bt_idx + m do
+    cyc := !cyc + code.Code.insn_cycles.(k)
+  done;
+  ctx.M.cycles <- ctx.M.cycles + !cyc;
+  ctx.M.insns <- ctx.M.insns + m + 1;
+  ctx.M.pc <- bt.bt_base + code.Code.offsets.(bt.bt_idx + m);
+  raise (M.Trapped t)
+
+(* a frame-slot address: [addr_of]'s mask-and-nil check and {!Memory}'s
+   own bounds test, inlined so a fault is attributed to its micro-op *)
+let[@inline] slot bt ctx (regs : int array) i b d =
+  let a = Array.unsafe_get regs b land 0xFFFF_FFFF in
+  if a = 0 then batch_fault bt ctx i Suspend.Nil_deref;
+  let a = a + d in
+  if a < Memory.low_bound || a + 4 > Memory.size bt.bt_mem then
+    batch_fault bt ctx i (Suspend.Mem_fault a);
+  a
+
+let[@inline] alu bt ctx i op a b =
+  if b = 0 && traps_on_zero op then batch_fault bt ctx i Suspend.Div_zero
+  else alu_nz op a b
+
+(* one pass of the batch's tight loop, straight on the register file *)
+let run_batch bt ctx (regs : int array) =
+  let uops = bt.bt_uops and mem = bt.bt_mem in
+  for i = 0 to Array.length uops - 1 do
+    match Array.unsafe_get uops i with
+    | U_nop -> ()
+    | U_mov_rr (s, d) -> Array.unsafe_set regs d (Array.unsafe_get regs s)
+    | U_mov_ir (v, d) -> Array.unsafe_set regs d v
+    | U_mov_mr (b, o, d) ->
+      let a = slot bt ctx regs i b o in
+      Array.unsafe_set regs d (sx (Memory.unsafe_load32_bits mem a))
+    | U_mov_md (b, o) -> ignore (Memory.unsafe_load32_bits mem (slot bt ctx regs i b o))
+    | U_mov_rm (s, b, o) ->
+      Memory.unsafe_store32_bits mem (slot bt ctx regs i b o) (Array.unsafe_get regs s)
+    | U_mov_im (v, b, o) -> Memory.unsafe_store32_bits mem (slot bt ctx regs i b o) v
+    | U_mov_mm (sb, so, db, dox) ->
+      let v = Memory.unsafe_load32_bits mem (slot bt ctx regs i sb so) in
+      Memory.unsafe_store32_bits mem (slot bt ctx regs i db dox) v
+    | U_neg (s, d) -> Array.unsafe_set regs d (sx (-Array.unsafe_get regs s))
+    | U_bin3 (op, a, b, d) ->
+      Array.unsafe_set regs d
+        (alu bt ctx i op (Array.unsafe_get regs a) (Array.unsafe_get regs b))
+    | U_bin3_i (op, a, k, d) ->
+      Array.unsafe_set regs d (alu bt ctx i op (Array.unsafe_get regs a) k)
+    | U_bin2 (op, s, d) ->
+      let v = alu bt ctx i op (Array.unsafe_get regs d) (Array.unsafe_get regs s) in
+      Array.unsafe_set regs d v;
+      ctx.M.cc <- sign_cmp v 0
+    | U_bin2_i (op, k, d) ->
+      let v = alu bt ctx i op (Array.unsafe_get regs d) k in
+      Array.unsafe_set regs d v;
+      ctx.M.cc <- sign_cmp v 0
+    | U_cmp_rr (a, b) ->
+      ctx.M.cc <- sign_cmp (Array.unsafe_get regs a) (Array.unsafe_get regs b)
+    | U_cmp_ri (a, k) -> ctx.M.cc <- sign_cmp (Array.unsafe_get regs a) k
+    | U_cmp_ir (k, b) -> ctx.M.cc <- sign_cmp k (Array.unsafe_get regs b)
+    | U_cc_const c -> ctx.M.cc <- c
+  done
 
 (* the batching superblock for the head slot of a run whose prefix
-   [idx..idx+plen-1] is all micro-ops.  With fuel for the whole prefix
-   it runs the tight loop and settles counters, fuel and PC once; short
-   on fuel it falls back to [slow], the per-instruction chain, which
-   stops at the exact instruction the interpreter would.
-
-   Arithmetic runs in the untagged int domain on sign-extended values;
-   [sx] renormalises after every operation, which makes wrap-around,
-   [min_int32] negation/division and bitwise ops all agree bit for bit
-   with the interpreter's [Int32] path (the flush's [Int32.of_int]
-   keeps the low 32 bits).  Register access is exact — classification
-   already folded %g0 to an immediate and proved every index in range —
-   and frame-slot access inlines [addr_of]'s mask-and-nil-check and
-   {!Memory}'s own bounds test.  Every trapping site repairs exact
-   per-instruction state first — registers written by preceding ops
-   flushed, cycles and insns charged up to and including the faulting
-   op, PC resting on it — so a trap is indistinguishable from the
-   closure chain's. *)
-let micro_wrap (tbl : table) idx plen ~(slow : step) ~(after : step) : step =
+   [idx..] is the micro-ops [uops].  With fuel for the whole prefix it
+   runs the tight loop and settles counters, fuel and PC once; short on
+   fuel it falls back to [slow], the per-instruction chain, which stops
+   at the exact instruction the interpreter would. *)
+let micro_wrap (tbl : table) idx uops ~(slow : step) ~(after : step) : step =
   let code = tbl.t_code in
-  let mem = tbl.t_mem in
-  let base = tbl.t_base in
-  let uops =
-    Array.init plen (fun m ->
-        match uop_of code (idx + m) with Some u -> u | None -> assert false)
+  let bt =
+    { bt_code = code; bt_mem = tbl.t_mem; bt_base = tbl.t_base; bt_idx = idx;
+      bt_uops = uops }
   in
-  let pc_at = Array.init plen (fun m -> base + code.Code.offsets.(idx + m)) in
-  let cyc_to = Array.make plen 0 in
-  let acc = ref 0 in
-  for m = 0 to plen - 1 do
-    acc := !acc + code.Code.insn_cycles.(idx + m);
-    cyc_to.(m) <- !acc
+  let plen = Array.length uops in
+  let last = idx + plen - 1 in
+  let total_cyc = ref 0 in
+  for k = idx to last do
+    total_cyc := !total_cyc + code.Code.insn_cycles.(k)
   done;
-  let total_cyc = !acc in
-  let end_pc =
-    base + code.Code.offsets.(idx + plen - 1) + code.Code.insn_sizes.(idx + plen - 1)
-  in
-  (* register renaming: each architectural register the prefix touches
-     gets one scratch slot; registers read before being written are
-     preloaded, registers ever written are flushed at retirement *)
-  let slot_of = Hashtbl.create 8 in
-  let nslots = ref 0 in
-  let preloads = ref [] in
-  let writes = ref [] in
-  let rslot r =
-    match Hashtbl.find_opt slot_of r with
-    | Some s -> s
-    | None ->
-      let s = !nslots in
-      incr nslots;
-      Hashtbl.add slot_of r s;
-      preloads := (s, r) :: !preloads;
-      s
-  in
-  let wslot m r =
-    let s =
-      match Hashtbl.find_opt slot_of r with
-      | Some s -> s
-      | None ->
-        let s = !nslots in
-        incr nslots;
-        Hashtbl.add slot_of r s;
-        s
-    in
-    writes := (m, s, r) :: !writes;
-    s
-  in
-  let suops =
-    Array.mapi
-      (fun m u ->
-        match u with
-        | U_nop -> SU_nop
-        | U_mov_rr (rs, rd) ->
-          let a = rslot rs in
-          SU_mov (a, wslot m rd)
-        | U_mov_ir (v, rd) -> SU_mov_i (Int32.to_int v, wslot m rd)
-        | U_mov_mr (rb, d, rd) ->
-          let b = rslot rb in
-          SU_load (b, d, wslot m rd)
-        | U_mov_md (rb, d) -> SU_load_drop (rslot rb, d)
-        | U_mov_rm (rs, rb, d) ->
-          let a = rslot rs in
-          SU_store (a, rslot rb, d)
-        | U_mov_im (v, rb, d) -> SU_store_i (v, rslot rb, d)
-        | U_mov_mm (sb, sd, db, dd) ->
-          let s = rslot sb in
-          SU_store_mm (s, sd, rslot db, dd)
-        | U_neg_rr (rs, rd) ->
-          let a = rslot rs in
-          SU_neg (a, wslot m rd)
-        | U_add (ra, rb, rd) ->
-          let a = rslot ra in
-          let b = rslot rb in
-          SU_add (a, b, wslot m rd)
-        | U_sub (ra, rb, rd) ->
-          let a = rslot ra in
-          let b = rslot rb in
-          SU_sub (a, b, wslot m rd)
-        | U_mul (ra, rb, rd) ->
-          let a = rslot ra in
-          let b = rslot rb in
-          SU_mul (a, b, wslot m rd)
-        | U_div (ra, rb, rd) ->
-          let a = rslot ra in
-          let b = rslot rb in
-          SU_div (a, b, wslot m rd)
-        | U_mod (ra, rb, rd) ->
-          let a = rslot ra in
-          let b = rslot rb in
-          SU_mod (a, b, wslot m rd)
-        | U_and (ra, rb, rd) ->
-          let a = rslot ra in
-          let b = rslot rb in
-          SU_and (a, b, wslot m rd)
-        | U_or (ra, rb, rd) ->
-          let a = rslot ra in
-          let b = rslot rb in
-          SU_or (a, b, wslot m rd)
-        | U_xor (ra, rb, rd) ->
-          let a = rslot ra in
-          let b = rslot rb in
-          SU_xor (a, b, wslot m rd)
-        | U_cmp_rr (ra, rb) ->
-          let a = rslot ra in
-          SU_cmp (a, rslot rb)
-        | U_cmp_ri (ra, ib) -> SU_cmp_i (rslot ra, ib)
-        | U_cmp_ir (ia, rb) -> SU_cmp_ni (ia, rslot rb)
-        | U_cc_const c -> SU_cc c)
-      uops
-  in
-  let pre_s, pre_r =
-    let l = !preloads in
-    (Array.of_list (List.map fst l), Array.of_list (List.map snd l))
-  in
-  let writes_arr = Array.of_list (List.rev !writes) in
-  let flush_s, flush_r =
-    let seen = Hashtbl.create 8 in
-    let l =
-      List.filter
-        (fun (_, _, r) ->
-          if Hashtbl.mem seen r then false
-          else begin
-            Hashtbl.add seen r ();
-            true
-          end)
-        (Array.to_list writes_arr)
-    in
-    ( Array.of_list (List.map (fun (_, s, _) -> s) l),
-      Array.of_list (List.map (fun (_, _, r) -> r) l) )
-  in
-  let scratch = Array.make (max 1 !nslots) 0 in
-  (* renormalise to the sign-extended 32-bit domain *)
-  let sx v = ((v land 0xFFFF_FFFF) lxor 0x8000_0000) - 0x8000_0000 in
-  let fault (ctx : M.ctx) m t : 'a =
-    let n = Array.length writes_arr in
-    let k = ref 0 in
-    let continue = ref true in
-    while !continue && !k < n do
-      let wm, s, r = writes_arr.(!k) in
-      if wm < m then begin
-        ctx.M.regs.(r) <- Int32.of_int scratch.(s);
-        incr k
-      end
-      else continue := false
-    done;
-    ctx.M.cycles <- ctx.M.cycles + Array.unsafe_get cyc_to m;
-    ctx.M.insns <- ctx.M.insns + m + 1;
-    ctx.M.pc <- Array.unsafe_get pc_at m;
-    raise (M.Trapped t)
-  in
-  let low = Memory.low_bound in
-  let rec go ctx i =
-    if i < plen then begin
-      (match Array.unsafe_get suops i with
-      | SU_nop -> ()
-      | SU_mov (a, dst) ->
-        Array.unsafe_set scratch dst (Array.unsafe_get scratch a)
-      | SU_mov_i (v, dst) -> Array.unsafe_set scratch dst v
-      | SU_load (b, d, dst) ->
-        let a = Array.unsafe_get scratch b land 0xFFFF_FFFF in
-        if a = 0 then fault ctx i Suspend.Nil_deref;
-        let a = a + d in
-        if a < low || a + 4 > Memory.size mem then fault ctx i (Suspend.Mem_fault a);
-        Array.unsafe_set scratch dst (sx (Memory.unsafe_load32_bits mem a))
-      | SU_load_drop (b, d) ->
-        let a = Array.unsafe_get scratch b land 0xFFFF_FFFF in
-        if a = 0 then fault ctx i Suspend.Nil_deref;
-        let a = a + d in
-        if a < low || a + 4 > Memory.size mem then fault ctx i (Suspend.Mem_fault a);
-        ignore (Memory.unsafe_load32_bits mem a)
-      | SU_store (vs, b, d) ->
-        let a = Array.unsafe_get scratch b land 0xFFFF_FFFF in
-        if a = 0 then fault ctx i Suspend.Nil_deref;
-        let a = a + d in
-        if a < low || a + 4 > Memory.size mem then fault ctx i (Suspend.Mem_fault a);
-        Memory.unsafe_store32_bits mem a (Array.unsafe_get scratch vs)
-      | SU_store_i (v, b, d) ->
-        let a = Array.unsafe_get scratch b land 0xFFFF_FFFF in
-        if a = 0 then fault ctx i Suspend.Nil_deref;
-        let a = a + d in
-        if a < low || a + 4 > Memory.size mem then fault ctx i (Suspend.Mem_fault a);
-        Memory.unsafe_store32_bits mem a v
-      | SU_store_mm (sb, sd, db, dd) ->
-        let a = Array.unsafe_get scratch sb land 0xFFFF_FFFF in
-        if a = 0 then fault ctx i Suspend.Nil_deref;
-        let a = a + sd in
-        if a < low || a + 4 > Memory.size mem then fault ctx i (Suspend.Mem_fault a);
-        let v = Memory.unsafe_load32_bits mem a in
-        let a2 = Array.unsafe_get scratch db land 0xFFFF_FFFF in
-        if a2 = 0 then fault ctx i Suspend.Nil_deref;
-        let a2 = a2 + dd in
-        if a2 < low || a2 + 4 > Memory.size mem then fault ctx i (Suspend.Mem_fault a2);
-        Memory.unsafe_store32_bits mem a2 v
-      | SU_neg (a, dst) ->
-        Array.unsafe_set scratch dst (sx (-Array.unsafe_get scratch a))
-      | SU_add (a, b, dst) ->
-        Array.unsafe_set scratch dst
-          (sx (Array.unsafe_get scratch a + Array.unsafe_get scratch b))
-      | SU_sub (a, b, dst) ->
-        Array.unsafe_set scratch dst
-          (sx (Array.unsafe_get scratch a - Array.unsafe_get scratch b))
-      | SU_mul (a, b, dst) ->
-        Array.unsafe_set scratch dst
-          (sx (Array.unsafe_get scratch a * Array.unsafe_get scratch b))
-      | SU_div (a, b, dst) ->
-        let ib = Array.unsafe_get scratch b in
-        if ib = 0 then fault ctx i Suspend.Div_zero;
-        Array.unsafe_set scratch dst (sx (Array.unsafe_get scratch a / ib))
-      | SU_mod (a, b, dst) ->
-        let ib = Array.unsafe_get scratch b in
-        if ib = 0 then fault ctx i Suspend.Div_zero;
-        Array.unsafe_set scratch dst (sx (Array.unsafe_get scratch a mod ib))
-      | SU_and (a, b, dst) ->
-        Array.unsafe_set scratch dst
-          (Array.unsafe_get scratch a land Array.unsafe_get scratch b)
-      | SU_or (a, b, dst) ->
-        Array.unsafe_set scratch dst
-          (Array.unsafe_get scratch a lor Array.unsafe_get scratch b)
-      | SU_xor (a, b, dst) ->
-        Array.unsafe_set scratch dst
-          (Array.unsafe_get scratch a lxor Array.unsafe_get scratch b)
-      | SU_cmp (a, b) ->
-        let ia = Array.unsafe_get scratch a
-        and ib = Array.unsafe_get scratch b in
-        ctx.M.cc <- (if ia < ib then -1 else if ia > ib then 1 else 0)
-      | SU_cmp_i (a, ib) ->
-        let ia = Array.unsafe_get scratch a in
-        ctx.M.cc <- (if ia < ib then -1 else if ia > ib then 1 else 0)
-      | SU_cmp_ni (ia, b) ->
-        let ib = Array.unsafe_get scratch b in
-        ctx.M.cc <- (if ia < ib then -1 else if ia > ib then 1 else 0)
-      | SU_cc c -> ctx.M.cc <- c);
-      go ctx (i + 1)
-    end
-  in
-  let npre = Array.length pre_s in
-  let nflush = Array.length flush_s in
+  let total_cyc = !total_cyc in
+  let end_pc = tbl.t_base + code.Code.offsets.(last) + code.Code.insn_sizes.(last) in
   fun ctx fuel ->
     if fuel < plen then slow ctx fuel
     else begin
-      let regs = ctx.M.regs in
-      for k = 0 to npre - 1 do
-        Array.unsafe_set scratch
-          (Array.unsafe_get pre_s k)
-          (Int32.to_int (Array.unsafe_get regs (Array.unsafe_get pre_r k)))
-      done;
-      go ctx 0;
-      for k = 0 to nflush - 1 do
-        Array.unsafe_set regs
-          (Array.unsafe_get flush_r k)
-          (Int32.of_int (Array.unsafe_get scratch (Array.unsafe_get flush_s k)))
-      done;
+      run_batch bt ctx ctx.M.regs;
       ctx.M.cycles <- ctx.M.cycles + total_cyc;
       ctx.M.insns <- ctx.M.insns + plen;
       ctx.M.pc <- end_pc;
@@ -639,14 +465,9 @@ and compile_run tbl idx =
      in the head slot; branch targets landing mid-run still hit their
      per-instruction steps, and the per-instruction head survives as the
      low-fuel path *)
-  let plen =
-    let rec scan m =
-      if idx + m > last then m
-      else match uop_of code (idx + m) with Some _ -> scan (m + 1) | None -> m
-    in
-    scan 0
-  in
-  if plen >= 3 then begin
+  let uops = micro_prefix code idx last in
+  let plen = Array.length uops in
+  if plen >= min_batch then begin
     let slow =
       match tbl.t_steps.(idx) with Some s -> s | None -> assert false
     in
@@ -655,7 +476,7 @@ and compile_run tbl idx =
         match tbl.t_steps.(idx + plen) with Some s -> s | None -> assert false
       else after
     in
-    tbl.t_steps.(idx) <- Some (micro_wrap tbl idx plen ~slow ~after:after_b)
+    tbl.t_steps.(idx) <- Some (micro_wrap tbl idx uops ~slow ~after:after_b)
   end
 
 (* one instruction, continuation [next]; mirrors the interpreter arm for
@@ -675,6 +496,7 @@ and compile_step tbl j ~next : step =
      closures with no inner operand calls *)
   | Insn.Mov (Operand.Imm v, Operand.Reg rd)
     when reg_in_range code rd && not (reg_is_g0 code rd) ->
+    let v = Int32.to_int v in
     fun ctx fuel ->
       if fuel <= 0 then S_fuel
       else begin
@@ -710,7 +532,6 @@ and compile_step tbl j ~next : step =
       end
   | Insn.Bin3 (op, a, b, c) ->
     let ga = get_c code mem a and gb = get_c code mem b and sc = set_c code mem c in
-    let f = binop_fn op in
     fun ctx fuel ->
       if fuel <= 0 then S_fuel
       else begin
@@ -718,13 +539,12 @@ and compile_step tbl j ~next : step =
         ctx.M.insns <- ctx.M.insns + 1;
         let vb = gb ctx in
         let va = ga ctx in
-        sc ctx (f va vb);
+        sc ctx (int_binop op va vb);
         ctx.M.pc <- next_pc;
         next ctx (fuel - 1)
       end
   | Insn.Bin2 (op, a, b) ->
     let ga = get_c code mem a and gb = get_c code mem b and sb = set_c code mem b in
-    let f = binop_fn op in
     fun ctx fuel ->
       if fuel <= 0 then S_fuel
       else begin
@@ -732,9 +552,9 @@ and compile_step tbl j ~next : step =
         ctx.M.insns <- ctx.M.insns + 1;
         let va = ga ctx in
         let vb = gb ctx in
-        let v = f vb va in
+        let v = int_binop op vb va in
         sb ctx v;
-        ctx.M.cc <- cmp32 v 0l;
+        ctx.M.cc <- sign_cmp v 0;
         ctx.M.pc <- next_pc;
         next ctx (fuel - 1)
       end
@@ -747,7 +567,7 @@ and compile_step tbl j ~next : step =
         ctx.M.insns <- ctx.M.insns + 1;
         let vb = gb ctx in
         let va = ga ctx in
-        sc ctx (M.float_binop ctx.M.arch.Arch.float_format op va vb);
+        sc ctx (float_binop ctx.M.arch.Arch.float_format op va vb);
         ctx.M.pc <- next_pc;
         next ctx (fuel - 1)
       end
@@ -760,7 +580,7 @@ and compile_step tbl j ~next : step =
         ctx.M.insns <- ctx.M.insns + 1;
         let va = ga ctx in
         let vb = gb ctx in
-        sb ctx (M.float_binop ctx.M.arch.Arch.float_format op vb va);
+        sb ctx (float_binop ctx.M.arch.Arch.float_format op vb va);
         ctx.M.pc <- next_pc;
         next ctx (fuel - 1)
       end
@@ -772,7 +592,7 @@ and compile_step tbl j ~next : step =
         ctx.M.cycles <- ctx.M.cycles + cyc;
         ctx.M.insns <- ctx.M.insns + 1;
         let va = ga ctx in
-        sb ctx (Int32.neg va);
+        sb ctx (sx (-va));
         ctx.M.pc <- next_pc;
         next ctx (fuel - 1)
       end
@@ -785,8 +605,8 @@ and compile_step tbl j ~next : step =
         ctx.M.insns <- ctx.M.insns + 1;
         let fmt = ctx.M.arch.Arch.float_format in
         let va = ga ctx in
-        let zero = Float_format.encode fmt 0.0 in
-        sb ctx (M.float_binop fmt Insn.Sub zero va);
+        let zero = Int32.to_int (Float_format.encode fmt 0.0) in
+        sb ctx (float_binop fmt Insn.Sub zero va);
         ctx.M.pc <- next_pc;
         next ctx (fuel - 1)
       end
@@ -799,7 +619,8 @@ and compile_step tbl j ~next : step =
         ctx.M.insns <- ctx.M.insns + 1;
         let va = ga ctx in
         sb ctx
-          (Float_format.encode ctx.M.arch.Arch.float_format (Int32.to_float va));
+          (Int32.to_int
+             (Float_format.encode ctx.M.arch.Arch.float_format (Float.of_int va)));
         ctx.M.pc <- next_pc;
         next ctx (fuel - 1)
       end
@@ -811,12 +632,8 @@ and compile_step tbl j ~next : step =
         ctx.M.cycles <- ctx.M.cycles + cyc;
         ctx.M.insns <- ctx.M.insns + 1;
         let va = ga ctx in
-        let f =
-          try Float_format.decode ctx.M.arch.Arch.float_format va
-          with Float_format.Reserved_operand m ->
-            raise (M.Trapped (Suspend.Float_reserved m))
-        in
-        sb ctx (Int32.of_float f);
+        let f = float_decode ctx.M.arch.Arch.float_format va in
+        sb ctx (Int32.to_int (Int32.of_float f));
         ctx.M.pc <- next_pc;
         next ctx (fuel - 1)
       end
@@ -829,7 +646,7 @@ and compile_step tbl j ~next : step =
         ctx.M.insns <- ctx.M.insns + 1;
         let vb = gb ctx in
         let va = ga ctx in
-        ctx.M.cc <- cmp32 va vb;
+        ctx.M.cc <- sign_cmp va vb;
         ctx.M.pc <- next_pc;
         next ctx (fuel - 1)
       end
@@ -841,15 +658,10 @@ and compile_step tbl j ~next : step =
         ctx.M.cycles <- ctx.M.cycles + cyc;
         ctx.M.insns <- ctx.M.insns + 1;
         let fmt = ctx.M.arch.Arch.float_format in
-        let decode v =
-          try Float_format.decode fmt v
-          with Float_format.Reserved_operand m ->
-            raise (M.Trapped (Suspend.Float_reserved m))
-        in
         let vb = gb ctx in
-        let yb = decode vb in
+        let yb = float_decode fmt vb in
         let va = ga ctx in
-        let ya = decode va in
+        let ya = float_decode fmt va in
         ctx.M.cc <- Float.compare ya yb;
         ctx.M.pc <- next_pc;
         next ctx (fuel - 1)
@@ -898,11 +710,11 @@ and compile_step tbl j ~next : step =
       else begin
         ctx.M.cycles <- ctx.M.cycles + cyc;
         ctx.M.insns <- ctx.M.insns + 1;
-        let target = Int32.to_int (M.reg ctx r) in
+        let target = M.reg_int ctx r in
         if target = 0 then raise (M.Trapped (Suspend.Bad_pc 0));
         (match ctx.M.arch.Arch.family with
-        | Arch.Vax | Arch.M68k -> M.push ctx mem (Int32.of_int next_pc)
-        | Arch.Sparc -> M.set_reg ctx 15 (Int32.of_int next_pc));
+        | Arch.Vax | Arch.M68k -> M.push_int ctx mem next_pc
+        | Arch.Sparc -> M.set_reg_int ctx 15 next_pc);
         ctx.M.pc <- target;
         S_jump (fuel - 1)
       end
@@ -914,7 +726,7 @@ and compile_step tbl j ~next : step =
         ctx.M.cycles <- ctx.M.cycles + cyc;
         ctx.M.insns <- ctx.M.insns + 1;
         let va = ga ctx in
-        M.push ctx mem va;
+        M.push_int ctx mem va;
         ctx.M.pc <- next_pc;
         next ctx (fuel - 1)
       end
@@ -924,8 +736,8 @@ and compile_step tbl j ~next : step =
       else begin
         ctx.M.cycles <- ctx.M.cycles + cyc;
         ctx.M.insns <- ctx.M.insns + 1;
-        M.push ctx mem 0l;
-        M.push ctx mem (Int32.of_int (M.fp ctx));
+        M.push_int ctx mem 0;
+        M.push_int ctx mem (M.fp ctx);
         M.set_fp ctx (M.sp ctx);
         M.set_sp ctx (M.sp ctx - size);
         M.check_stack ctx;
@@ -939,9 +751,9 @@ and compile_step tbl j ~next : step =
         ctx.M.cycles <- ctx.M.cycles + cyc;
         ctx.M.insns <- ctx.M.insns + 1;
         M.set_sp ctx (M.fp ctx);
-        M.set_fp ctx (Int32.to_int (M.pop ctx mem));
-        let _mask = M.pop ctx mem in
-        let target = Int32.to_int (M.pop ctx mem) in
+        M.set_fp ctx (M.pop_int ctx mem);
+        let _mask = M.pop_int ctx mem in
+        let target = M.pop_int ctx mem in
         if target = 0 then S_bottom
         else begin
           ctx.M.pc <- target;
@@ -954,7 +766,7 @@ and compile_step tbl j ~next : step =
       else begin
         ctx.M.cycles <- ctx.M.cycles + cyc;
         ctx.M.insns <- ctx.M.insns + 1;
-        M.push ctx mem (Int32.of_int (M.fp ctx));
+        M.push_int ctx mem (M.fp ctx);
         M.set_fp ctx (M.sp ctx);
         M.set_sp ctx (M.sp ctx - size);
         M.check_stack ctx;
@@ -968,7 +780,7 @@ and compile_step tbl j ~next : step =
         ctx.M.cycles <- ctx.M.cycles + cyc;
         ctx.M.insns <- ctx.M.insns + 1;
         M.set_sp ctx (M.fp ctx);
-        M.set_fp ctx (Int32.to_int (M.pop ctx mem));
+        M.set_fp ctx (M.pop_int ctx mem);
         ctx.M.pc <- next_pc;
         next ctx (fuel - 1)
       end
@@ -978,7 +790,7 @@ and compile_step tbl j ~next : step =
       else begin
         ctx.M.cycles <- ctx.M.cycles + cyc;
         ctx.M.insns <- ctx.M.insns + 1;
-        let target = Int32.to_int (M.pop ctx mem) in
+        let target = M.pop_int ctx mem in
         if target = 0 then S_bottom
         else begin
           ctx.M.pc <- target;
@@ -1011,7 +823,7 @@ and compile_step tbl j ~next : step =
       else begin
         ctx.M.cycles <- ctx.M.cycles + cyc;
         ctx.M.insns <- ctx.M.insns + 1;
-        let target = Int32.to_int (M.reg ctx 15) in
+        let target = M.reg_int ctx 15 in
         if target = 0 then S_bottom
         else begin
           ctx.M.pc <- target;
@@ -1019,12 +831,13 @@ and compile_step tbl j ~next : step =
         end
       end
   | Insn.Sethi (i, r) ->
+    let v = Int32.to_int (Int32.shift_left i 10) in
     fun ctx fuel ->
       if fuel <= 0 then S_fuel
       else begin
         ctx.M.cycles <- ctx.M.cycles + cyc;
         ctx.M.insns <- ctx.M.insns + 1;
-        M.set_reg ctx r (Int32.shift_left i 10);
+        M.set_reg_int ctx r v;
         ctx.M.pc <- next_pc;
         next ctx (fuel - 1)
       end
@@ -1059,14 +872,14 @@ and compile_step tbl j ~next : step =
       else begin
         ctx.M.cycles <- ctx.M.cycles + cyc;
         ctx.M.insns <- ctx.M.insns + 1;
-        let sent = M.addr_of (M.reg ctx rs) in
-        let first = Int32.to_int (M.load mem sent) in
-        if first = sent then M.set_reg ctx rd 0l
+        let sent = M.addr_of (M.reg_int ctx rs) in
+        let first = M.load_int mem sent in
+        if first = sent then M.set_reg_int ctx rd 0
         else begin
-          let nxt = M.load mem first in
-          M.store mem sent nxt;
-          M.store mem (Int32.to_int nxt + 4) (Int32.of_int sent);
-          M.set_reg ctx rd (Int32.of_int first)
+          let nxt = M.load_int mem first in
+          M.store_int mem sent nxt;
+          M.store_int mem (nxt + 4) sent;
+          M.set_reg_int ctx rd first
         end;
         ctx.M.pc <- next_pc;
         next ctx (fuel - 1)
@@ -1110,8 +923,7 @@ and compile_fused tbl j : step =
     let tpc = base + target in
     (* the compare sources are almost always registers or immediates;
        resolving them here turns the hottest superinstruction into one
-       closure with no inner calls (the int compare on [Int32.to_int]
-       values is [cmp32] exactly) *)
+       closure with no inner calls *)
     let src op =
       match op with
       | Operand.Reg r when reg_is_g0 code r -> Some (`I 0)
@@ -1127,16 +939,9 @@ and compile_fused tbl j : step =
           ctx.M.cycles <- ctx.M.cycles + cyc0;
           ctx.M.insns <- ctx.M.insns + 1;
           let regs = ctx.M.regs in
-          let ia =
-            match sa with
-            | `R r -> Int32.to_int (Array.unsafe_get regs r)
-            | `I i -> i
-          and ib =
-            match sb with
-            | `R r -> Int32.to_int (Array.unsafe_get regs r)
-            | `I i -> i
-          in
-          ctx.M.cc <- (if ia < ib then -1 else if ia > ib then 1 else 0);
+          let ia = match sa with `R r -> Array.unsafe_get regs r | `I i -> i
+          and ib = match sb with `R r -> Array.unsafe_get regs r | `I i -> i in
+          ctx.M.cc <- sign_cmp ia ib;
           ctx.M.pc <- pc1;
           if fuel = 1 then S_fuel
           else begin
@@ -1161,7 +966,7 @@ and compile_fused tbl j : step =
           ctx.M.insns <- ctx.M.insns + 1;
           let vb = gb ctx in
           let va = ga ctx in
-          ctx.M.cc <- cmp32 va vb;
+          ctx.M.cc <- sign_cmp va vb;
           ctx.M.pc <- pc1;
           if fuel = 1 then S_fuel
           else begin
@@ -1285,12 +1090,14 @@ let run cache ctx ~mem ~text ~fuel =
 
 (* --- static block partition (for [emdis --blocks] and the tests): the
    leaders are method entries, branch targets, and terminator
-   successors; fusion heads are the pairs the translator would fuse *)
+   successors; fusion heads are the pairs the translator would fuse,
+   and the batch is the micro-op prefix it would run as one superblock *)
 
 type block = {
   b_first : int;  (* instruction index of the leader *)
   b_last : int;  (* inclusive *)
   b_fused : int list;  (* indices heading a fused superinstruction *)
+  b_batch : int;  (* micro-op batch heading the block; 0 when none *)
 }
 
 let describe_blocks (code : Code.t) =
@@ -1324,7 +1131,9 @@ let describe_blocks (code : Code.t) =
         for j = i - 1 downto first do
           if fusable insns.(j) insns.(j + 1) then fused := j :: !fused
         done;
-        blocks := { b_first = first; b_last = i; b_fused = !fused } :: !blocks;
+        let plen = Array.length (micro_prefix code first i) in
+        let b_batch = if plen >= min_batch then plen else 0 in
+        blocks := { b_first = first; b_last = i; b_fused = !fused; b_batch } :: !blocks;
         start := i + 1
       end
     done;

@@ -42,6 +42,10 @@ type block = {
   b_first : int;  (** instruction index of the leader *)
   b_last : int;  (** inclusive *)
   b_fused : int list;  (** indices heading a fused superinstruction *)
+  b_batch : int;
+      (** length of the micro-op batch heading the block: the register,
+          immediate and frame-slot prefix the translator runs as one
+          superblock; 0 when the prefix is too short to batch *)
 }
 
 val describe_blocks : Code.t -> block list

@@ -2,7 +2,7 @@
    machine-producible subset of the unified suspension type *)
 type ctx = {
   arch : Arch.t;
-  regs : int32 array;
+  regs : int array;
   mutable pc : int;
   mutable cc : int;
   mutable poll_requested : bool;
@@ -17,7 +17,7 @@ exception Trapped of Suspend.trap
 let create_ctx arch =
   {
     arch;
-    regs = Array.make (Reg.count arch.Arch.family) 0l;
+    regs = Array.make (Reg.count arch.Arch.family) 0;
     pc = 0;
     cc = 0;
     poll_requested = false;
@@ -29,56 +29,73 @@ let create_ctx arch =
 
 let sparc_g0 = 0
 
-let reg ctx r =
-  if ctx.arch.Arch.family = Arch.Sparc && r = sparc_g0 then 0l else ctx.regs.(r)
+(* renormalise to the sign-extended 32-bit domain the register file
+   holds: the low 32 bits survive, bit 31 is copied upwards *)
+let sx v = ((v land 0xFFFF_FFFF) lxor 0x8000_0000) - 0x8000_0000
 
-let set_reg ctx r v =
-  if ctx.arch.Arch.family = Arch.Sparc && r = sparc_g0 then () else ctx.regs.(r) <- v
+let reg_int ctx r =
+  if ctx.arch.Arch.family = Arch.Sparc && r = sparc_g0 then 0 else ctx.regs.(r)
 
-let sp ctx = Int32.to_int (reg ctx (Reg.sp ctx.arch.Arch.family))
-let set_sp ctx v = set_reg ctx (Reg.sp ctx.arch.Arch.family) (Int32.of_int v)
-let fp ctx = Int32.to_int (reg ctx (Reg.fp ctx.arch.Arch.family))
-let set_fp ctx v = set_reg ctx (Reg.fp ctx.arch.Arch.family) (Int32.of_int v)
+let set_reg_int ctx r v =
+  if ctx.arch.Arch.family = Arch.Sparc && r = sparc_g0 then () else ctx.regs.(r) <- sx v
+
+let reg ctx r = Int32.of_int (reg_int ctx r)
+let set_reg ctx r v = set_reg_int ctx r (Int32.to_int v)
+
+(* neither stack nor frame pointer is ever SPARC %g0 *)
+let sp ctx = ctx.regs.(Reg.sp ctx.arch.Arch.family)
+let set_sp ctx v = ctx.regs.(Reg.sp ctx.arch.Arch.family) <- sx v
+let fp ctx = ctx.regs.(Reg.fp ctx.arch.Arch.family)
+let set_fp ctx v = ctx.regs.(Reg.fp ctx.arch.Arch.family) <- sx v
 
 let addr_of v =
-  let a = Int32.to_int v land 0xFFFF_FFFF in
+  let a = v land 0xFFFF_FFFF in
   if a = 0 then raise (Trapped Suspend.Nil_deref) else a
 
+(* the [int32] forms serve the fetch/decode loop's operand access *)
 let load mem a =
   try Memory.load32 mem a with Memory.Fault x -> raise (Trapped (Suspend.Mem_fault x))
 
 let store mem a v =
   try Memory.store32 mem a v with Memory.Fault x -> raise (Trapped (Suspend.Mem_fault x))
 
+let load_int mem a =
+  try sx (Memory.load32_bits mem a)
+  with Memory.Fault x -> raise (Trapped (Suspend.Mem_fault x))
+
+let store_int mem a v =
+  try Memory.store32_bits mem a v
+  with Memory.Fault x -> raise (Trapped (Suspend.Mem_fault x))
+
 let get_operand ctx mem op =
   match op with
   | Operand.Reg r -> reg ctx r
   | Operand.Imm i -> i
-  | Operand.Mem (Operand.Abs a) -> load mem (addr_of a)
-  | Operand.Mem (Operand.Disp (r, d)) -> load mem (addr_of (reg ctx r) + d)
+  | Operand.Mem (Operand.Abs a) -> load mem (addr_of (Int32.to_int a))
+  | Operand.Mem (Operand.Disp (r, d)) -> load mem (addr_of (reg_int ctx r) + d)
   | Operand.Mem (Operand.Autoinc r) ->
-    let a = addr_of (reg ctx r) in
+    let a = addr_of (reg_int ctx r) in
     let v = load mem a in
-    set_reg ctx r (Int32.of_int (a + 4));
+    set_reg_int ctx r (a + 4);
     v
   | Operand.Mem (Operand.Autodec r) ->
-    let a = addr_of (reg ctx r) - 4 in
-    set_reg ctx r (Int32.of_int a);
+    let a = addr_of (reg_int ctx r) - 4 in
+    set_reg_int ctx r a;
     load mem a
 
 let set_operand ctx mem op v =
   match op with
   | Operand.Reg r -> set_reg ctx r v
   | Operand.Imm _ -> raise (Trapped (Suspend.Bad_insn "immediate destination"))
-  | Operand.Mem (Operand.Abs a) -> store mem (addr_of a) v
-  | Operand.Mem (Operand.Disp (r, d)) -> store mem (addr_of (reg ctx r) + d) v
+  | Operand.Mem (Operand.Abs a) -> store mem (addr_of (Int32.to_int a)) v
+  | Operand.Mem (Operand.Disp (r, d)) -> store mem (addr_of (reg_int ctx r) + d) v
   | Operand.Mem (Operand.Autoinc r) ->
-    let a = addr_of (reg ctx r) in
+    let a = addr_of (reg_int ctx r) in
     store mem a v;
-    set_reg ctx r (Int32.of_int (a + 4))
+    set_reg_int ctx r (a + 4)
   | Operand.Mem (Operand.Autodec r) ->
-    let a = addr_of (reg ctx r) - 4 in
-    set_reg ctx r (Int32.of_int a);
+    let a = addr_of (reg_int ctx r) - 4 in
+    set_reg_int ctx r a;
     store mem a v
 
 let int_binop op a b =
@@ -119,15 +136,15 @@ let eval_cc cmp cc =
   | Insn.Gt -> cc > 0
   | Insn.Ge -> cc >= 0
 
-let push ctx mem v =
+let push_int ctx mem v =
   let a = sp ctx - 4 in
   set_sp ctx a;
-  store mem a v;
+  store_int mem a v;
   if a < ctx.stack_limit then raise (Trapped Suspend.Stack_overflow)
 
-let pop ctx mem =
+let pop_int ctx mem =
   let a = sp ctx in
-  let v = load mem a in
+  let v = load_int mem a in
   set_sp ctx (a + 4);
   v
 
@@ -140,31 +157,30 @@ let i_base = 24
 let o_base = 8
 
 let sparc_save ctx mem size =
+  let regs = ctx.regs in
   let old_sp = sp ctx in
   let new_sp = old_sp - 64 - size in
   (* spill the caller's %l and %i window below the new stack pointer *)
   for k = 0 to 7 do
-    store mem (new_sp + (4 * k)) ctx.regs.(l_base + k);
-    store mem (new_sp + 32 + (4 * k)) ctx.regs.(i_base + k)
+    store_int mem (new_sp + (4 * k)) regs.(l_base + k);
+    store_int mem (new_sp + 32 + (4 * k)) regs.(i_base + k)
   done;
   (* window shift: %i <- %o; %i6 becomes the caller's SP, i.e. our FP *)
-  for k = 0 to 7 do
-    ctx.regs.(i_base + k) <- ctx.regs.(o_base + k)
-  done;
+  Array.blit regs o_base regs i_base 8;
   set_sp ctx new_sp;
   check_stack ctx
 
+(* window shift first, in place: %o <- %i, so %o6 = old %i6 = caller SP
+   and the stack is popped; then reload the spilled %l and %i window.  A
+   fault mid-reload (fatal to the thread) leaves the shift done. *)
 let sparc_restore ctx mem =
+  let regs = ctx.regs in
   let cur_sp = sp ctx in
-  let saved_i = Array.init 8 (fun k -> ctx.regs.(i_base + k)) in
+  Array.blit regs i_base regs o_base 8;
   for k = 0 to 7 do
-    ctx.regs.(l_base + k) <- load mem (cur_sp + (4 * k));
-    ctx.regs.(i_base + k) <- load mem (cur_sp + 32 + (4 * k))
-  done;
-  for k = 0 to 7 do
-    ctx.regs.(o_base + k) <- saved_i.(k)
+    regs.(l_base + k) <- load_int mem (cur_sp + (4 * k));
+    regs.(i_base + k) <- load_int mem (cur_sp + 32 + (4 * k))
   done
-(* %o6 = old %i6 = caller SP: the stack is popped by the window shift *)
 
 type exec_state = {
   mutable img : Text.image option;
@@ -275,21 +291,21 @@ let run ctx ~mem ~text ~fuel =
         ctx.pc <- target;
         exec (fuel - 1)
       | Insn.Jsr_ind r ->
-        let target = Int32.to_int (reg ctx r) in
+        let target = reg_int ctx r in
         if target = 0 then raise (Trapped (Suspend.Bad_pc 0));
         (match family with
-        | Arch.Vax | Arch.M68k -> push ctx mem (Int32.of_int next_pc)
-        | Arch.Sparc -> set_reg ctx 15 (Int32.of_int next_pc));
+        | Arch.Vax | Arch.M68k -> push_int ctx mem next_pc
+        | Arch.Sparc -> set_reg_int ctx 15 next_pc);
         ctx.pc <- target;
         exec (fuel - 1)
       | Insn.Push a ->
-        push ctx mem (get_operand ctx mem a);
+        push_int ctx mem (Int32.to_int (get_operand ctx mem a));
         ctx.pc <- next_pc;
         exec (fuel - 1)
       | Insn.Vax_entry size ->
-        push ctx mem 0l;
+        push_int ctx mem 0;
         (* save mask word *)
-        push ctx mem (Int32.of_int (fp ctx));
+        push_int ctx mem (fp ctx);
         set_fp ctx (sp ctx);
         set_sp ctx (sp ctx - size);
         check_stack ctx;
@@ -297,11 +313,11 @@ let run ctx ~mem ~text ~fuel =
         exec (fuel - 1)
       | Insn.Vax_ret ->
         set_sp ctx (fp ctx);
-        set_fp ctx (Int32.to_int (pop ctx mem));
-        let _mask = pop ctx mem in
-        ret_to (Int32.to_int (pop ctx mem)) fuel
+        set_fp ctx (pop_int ctx mem);
+        let _mask = pop_int ctx mem in
+        ret_to (pop_int ctx mem) fuel
       | Insn.Link size ->
-        push ctx mem (Int32.of_int (fp ctx));
+        push_int ctx mem (fp ctx);
         set_fp ctx (sp ctx);
         set_sp ctx (sp ctx - size);
         check_stack ctx;
@@ -309,10 +325,10 @@ let run ctx ~mem ~text ~fuel =
         exec (fuel - 1)
       | Insn.Unlk ->
         set_sp ctx (fp ctx);
-        set_fp ctx (Int32.to_int (pop ctx mem));
+        set_fp ctx (pop_int ctx mem);
         ctx.pc <- next_pc;
         exec (fuel - 1)
-      | Insn.Rts -> ret_to (Int32.to_int (pop ctx mem)) fuel
+      | Insn.Rts -> ret_to (pop_int ctx mem) fuel
       | Insn.Save size ->
         sparc_save ctx mem size;
         ctx.pc <- next_pc;
@@ -321,7 +337,7 @@ let run ctx ~mem ~text ~fuel =
         sparc_restore ctx mem;
         ctx.pc <- next_pc;
         exec (fuel - 1)
-      | Insn.Retl -> ret_to (Int32.to_int (reg ctx 15)) fuel
+      | Insn.Retl -> ret_to (reg_int ctx 15) fuel
       | Insn.Sethi (i, r) ->
         set_reg ctx r (Int32.shift_left i 10);
         ctx.pc <- next_pc;
@@ -339,14 +355,14 @@ let run ctx ~mem ~text ~fuel =
           exec (fuel - 1)
         end
       | Insn.Remque (rs, rd) ->
-        let sent = addr_of (reg ctx rs) in
-        let first = Int32.to_int (load mem sent) in
-        if first = sent then set_reg ctx rd 0l
+        let sent = addr_of (reg_int ctx rs) in
+        let first = load_int mem sent in
+        if first = sent then set_reg_int ctx rd 0
         else begin
-          let next = load mem first in
-          store mem sent next;
-          store mem (Int32.to_int next + 4) (Int32.of_int sent);
-          set_reg ctx rd (Int32.of_int first)
+          let next = load_int mem first in
+          store_int mem sent next;
+          store_int mem (next + 4) sent;
+          set_reg_int ctx rd first
         end;
         ctx.pc <- next_pc;
         exec (fuel - 1)

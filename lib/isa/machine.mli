@@ -10,7 +10,11 @@
 
 type ctx = {
   arch : Arch.t;
-  regs : int32 array;
+  regs : int array;
+      (** the register file, each register a sign-extended 32-bit value
+          (see {!sx}) in an untagged [int], so register traffic allocates
+          nothing; only float operations convert to [int32], at the
+          {!Float_format} edge *)
   mutable pc : int;
   mutable cc : int;  (** condition codes, abstracted to a comparison sign *)
   mutable poll_requested : bool;
@@ -31,8 +35,23 @@ exception Trapped of Suspend.trap
     the fetch/decode interpreter. *)
 
 val create_ctx : Arch.t -> ctx
+
+val sx : int -> int
+(** Renormalise to the register file's domain: keep the low 32 bits,
+    sign-extended.  Wrap-around, [min_int32] negation and division all
+    agree bit for bit with [Int32] arithmetic once renormalised. *)
+
+(** {1 Registers}
+
+    The [int32] accessors serve the kernel, capture/translate and the
+    fetch/decode loop; the [int] accessors are the same registers without
+    the boxing.  Reads of SPARC %g0 give 0 and writes to it are dropped;
+    writes renormalise with {!sx}. *)
+
 val reg : ctx -> Reg.t -> int32
 val set_reg : ctx -> Reg.t -> int32 -> unit
+val reg_int : ctx -> Reg.t -> int
+val set_reg_int : ctx -> Reg.t -> int -> unit
 val sp : ctx -> int
 val set_sp : ctx -> int -> unit
 val fp : ctx -> int
@@ -43,18 +62,20 @@ val set_fp : ctx -> int -> unit
     The building blocks of the interpreter loop, shared with the
     threaded-dispatch engine ({!Dispatch}) so both execution paths have
     identical operand, arithmetic, trap and stack semantics by
-    construction. *)
+    construction.  Memory words travel as sign-extended [int]s. *)
 
-val addr_of : int32 -> int
-val load : Memory.t -> int -> int32
-val store : Memory.t -> int -> int32 -> unit
+val addr_of : int -> int
+(** The address a register value names; traps [Nil_deref] on 0. *)
+
+val load_int : Memory.t -> int -> int
+val store_int : Memory.t -> int -> int -> unit
 val get_operand : ctx -> Memory.t -> Operand.t -> int32
 val set_operand : ctx -> Memory.t -> Operand.t -> int32 -> unit
 val int_binop : Insn.binop -> int32 -> int32 -> int32
 val float_binop : Float_format.t -> Insn.binop -> int32 -> int32 -> int32
 val eval_cc : Insn.cmp -> int -> bool
-val push : ctx -> Memory.t -> int32 -> unit
-val pop : ctx -> Memory.t -> int32
+val push_int : ctx -> Memory.t -> int -> unit
+val pop_int : ctx -> Memory.t -> int
 val check_stack : ctx -> unit
 val sparc_save : ctx -> Memory.t -> int -> unit
 val sparc_restore : ctx -> Memory.t -> unit

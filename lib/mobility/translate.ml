@@ -225,8 +225,7 @@ let rebuild_segment k (mi : Mi_frame.mi_segment) : T.segment =
     M.set_sp ctx (top.bf_fp - top.bf_depth);
     (match family with
     | A.Sparc ->
-      M.set_reg ctx 31
-        (Int32.of_int (if n >= 2 then barr.(1).bf_resume_abs else 0))
+      M.set_reg_int ctx 31 (if n >= 2 then barr.(1).bf_resume_abs else 0)
     | A.Vax | A.M68k -> ());
     ctx.M.pc <- top.bf_resume_abs;
     let seg =
@@ -276,7 +275,7 @@ let make_ctx_for_top k ~top ~below_resume =
   M.set_fp ctx top.fw_fp;
   M.set_sp ctx (top.fw_fp - top.fw_entry.Emc.Busstop.be_sp_depth);
   (match arch.A.family with
-  | A.Sparc -> M.set_reg ctx 31 (Int32.of_int below_resume)
+  | A.Sparc -> M.set_reg_int ctx 31 below_resume
   | A.Vax | A.M68k -> ());
   ctx.M.pc <- K.resume_abs k ~class_index:top.fw_class top.fw_entry;
   ctx
