@@ -8,10 +8,7 @@
 
    Experiment ids: table1, intranode, conversion, sweep, ablation, fig2,
    fig3 (includes fig4), scaling, cluster, cluster_smoke (CI-sized),
-   faults, spans, evict, interp, blit, bridge, bechamel.
-
-   --shards N sets the shard count the scaling experiment compares
-   against the single-shard baseline (default 4). *)
+   faults, spans, evict, interp, blit, bridge, bechamel. *)
 
 module A = Isa.Arch
 module W = Core.Workloads
@@ -19,9 +16,6 @@ module W = Core.Workloads
 let pf = Printf.printf
 
 let hr () = pf "%s\n" (String.make 78 '-')
-
-let host_cores = Domain.recommended_domain_count ()
-let shards_flag = ref 4
 
 (* ------------------------------------------------------------------ *)
 (* --json FILE: machine-readable results (schema "emobility-bench/1")   *)
@@ -60,8 +54,6 @@ let write_json path =
     (jobj
        [
          ("schema", jstr "emobility-bench/1");
-         ("host_cores", jint host_cores);
-         ("shards", jint !shards_flag);
          ("rows", "[" ^ String.concat "," (List.rev !json_rows) ^ "]");
        ]);
   output_string oc "\n";
@@ -590,77 +582,6 @@ let run_fig3 () =
 (* Extension: event-engine scaling                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* the sharded engine (DESIGN.md §11): one agent per node touring the
-   ring, run to quiescence — the regime whose windows execute on
-   parallel OCaml domains.  Correctness (identical result, event count
-   and virtual time at any shard count) is asserted unconditionally;
-   the >= 2x wall-clock gate at 64 nodes only holds where it can — on a
-   host with at least as many cores as shards — so it is enforced
-   conditionally and the JSON records host_cores alongside the speedup
-   for the consumer to judge. *)
-let run_scaling_shards ~best () =
-  let shards = !shards_flag in
-  pf "Sharded engine: parallel windows vs the single-shard baseline\n";
-  pf "One agent per node tours the ring (64 nodes, lockstep phase\n";
-  pf "offsets), so between moves every shard runs spin quanta\n";
-  pf "concurrently.  Simulation output must be identical at any shard\n";
-  pf "count; only the wall clock may change.\n";
-  hr ();
-  let n = 64 and hops = 8 and spins = 600 in
-  let go s =
-    best (fun () ->
-        W.measure_scaling ~shards:s ~agents:n ~n_nodes:n ~hops ~spins ())
-  in
-  let base = go 1 in
-  let shr = go shards in
-  let identical =
-    base.W.sc_result = shr.W.sc_result
-    && base.W.sc_events = shr.W.sc_events
-    && base.W.sc_virtual_us = shr.W.sc_virtual_us
-  in
-  let speedup = base.W.sc_host_seconds /. shr.W.sc_host_seconds in
-  pf "%8s %9s %12s %10s %9s %9s %6s\n" "shards" "events" "virtual us"
-    "host s" "windows" "horizon" "same";
-  hr ();
-  let row (r : W.scaling) =
-    pf "%8d %9d %12.1f %10.3f %9d %7.0fus %6s\n" r.W.sc_shards r.W.sc_events
-      r.W.sc_virtual_us r.W.sc_host_seconds r.W.sc_windows
-      r.W.sc_mean_horizon_us
-      (if identical then "yes" else "NO")
-  in
-  row base;
-  row shr;
-  hr ();
-  add_json_row ~experiment:"scaling_shards"
-    [
-      ("nodes", jint n);
-      ("agents", jint n);
-      ("shards", jint shr.W.sc_shards);
-      ("host_cores", jint host_cores);
-      ("events", jint shr.W.sc_events);
-      ("base_host_s", jnum base.W.sc_host_seconds);
-      ("sharded_host_s", jnum shr.W.sc_host_seconds);
-      ("speedup", jnum speedup);
-      ("windows", jint shr.W.sc_windows);
-      ("mean_horizon_us", jnum shr.W.sc_mean_horizon_us);
-      ("identical", if identical then "true" else "false");
-    ];
-  pf "speedup at 64 nodes with %d shards: %.2fx on a %d-core host\n" shards
-    speedup host_cores;
-  if not identical then begin
-    pf "ERROR: sharded run diverged from the single-shard baseline\n";
-    exit 1
-  end;
-  if host_cores >= shards && speedup < 2.0 then begin
-    pf "FAIL: below the 2x gate on a host with enough cores\n";
-    exit 1
-  end;
-  if host_cores < shards then
-    pf "(the 2x gate needs >= %d cores; this host has %d, so only the\n\
-       determinism half is enforced here)\n"
-      shards host_cores;
-  pf "\n"
-
 let run_scaling () =
   pf "Extension: event-selection cost vs cluster size\n";
   pf "One agent tours the ring of nodes under a 2-instruction preemptive\n";
@@ -720,8 +641,7 @@ let run_scaling () =
   hr ();
   pf "heap speedup over scan at 64 nodes: %.1fx\n" !speedup_at_64;
   pf "(the event count, final virtual time and result are identical under\n";
-  pf "both schedulers at every size: the heap replays the scan's order)\n\n";
-  run_scaling_shards ~best ()
+  pf "both schedulers at every size: the heap replays the scan's order)\n\n"
 
 (* ------------------------------------------------------------------ *)
 (* Extension: move cost under injected message loss                     *)
@@ -1009,100 +929,71 @@ let run_evict () =
    gates: every chaser digest must land (the calls all found their
    moving targets), and the mean forwarding-hop count per located
    invoke must stay <= 2 — the chain-collapse hints and the directory
-   keep routes short even while the flock keeps moving.  The identical
-   configuration is run single-sharded and sharded: every
-   simulation-visible number must match bit-for-bit. *)
-let run_cluster_config ~experiment ~n_nodes ~shards ~n_objects ~flock ~askers
-    ~calls ~rounds () =
-  let go s =
-    W.measure_cluster ~shards:s ~flock ~askers ~calls ~rounds ~n_nodes
-      ~n_objects ()
+   keep routes short even while the flock keeps moving. *)
+let run_cluster_config ~experiment ~n_nodes ~n_objects ~flock ~askers ~calls
+    ~rounds () =
+  let r =
+    W.measure_cluster ~flock ~askers ~calls ~rounds ~n_nodes ~n_objects ()
   in
-  let base = go 1 in
-  let shr = go shards in
-  let identical =
-    base.W.cr_result = shr.W.cr_result
-    && base.W.cr_events = shr.W.cr_events
-    && base.W.cr_virtual_us = shr.W.cr_virtual_us
-    && base.W.cr_messages = shr.W.cr_messages
-    && base.W.cr_bytes = shr.W.cr_bytes
-    && base.W.cr_locate_hops = shr.W.cr_locate_hops
-    && base.W.cr_dir_updates = shr.W.cr_dir_updates
-  in
-  pf "%8s %7s %9s %9s %8s %9s %7s %6s\n" "shards" "objects" "events"
-    "ev/s" "locates" "mean hops" "dir upd" "same";
+  pf "%7s %9s %9s %8s %9s %7s\n" "objects" "events" "ev/s" "locates"
+    "mean hops" "dir upd";
   hr ();
-  let row (r : W.cluster_run) =
-    pf "%8d %7d %9d %9.0f %8d %9.2f %7d %6s\n" r.W.cr_shards r.W.cr_objects
-      r.W.cr_events r.W.cr_events_per_sec r.W.cr_locates r.W.cr_mean_hops
-      r.W.cr_dir_updates
-      (if identical then "yes" else "NO")
-  in
-  row base;
-  row shr;
+  pf "%7d %9d %9.0f %8d %9.2f %7d\n" r.W.cr_objects r.W.cr_events
+    r.W.cr_events_per_sec r.W.cr_locates r.W.cr_mean_hops r.W.cr_dir_updates;
   hr ();
   pf "group transfers: %d (%d objects); collapses: %d; directory: %d\n"
-    shr.W.cr_group_moves shr.W.cr_group_objects shr.W.cr_collapses
-    shr.W.cr_dir_applied;
+    r.W.cr_group_moves r.W.cr_group_objects r.W.cr_collapses
+    r.W.cr_dir_applied;
   pf "applied, %d stale dropped, lookups %d hit / %d miss; %d msgs, %d bytes\n"
-    shr.W.cr_dir_stale shr.W.cr_dir_hits shr.W.cr_dir_misses shr.W.cr_messages
-    shr.W.cr_bytes;
+    r.W.cr_dir_stale r.W.cr_dir_hits r.W.cr_dir_misses r.W.cr_messages
+    r.W.cr_bytes;
   add_json_row ~experiment
     [
       ("nodes", jint n_nodes);
-      ("shards", jint shr.W.cr_shards);
       ("objects", jint n_objects);
-      ("events", jint shr.W.cr_events);
-      ("events_per_s", jnum shr.W.cr_events_per_sec);
-      ("run_host_s", jnum shr.W.cr_run_seconds);
-      ("locates", jint shr.W.cr_locates);
-      ("mean_lookup_hops", jnum shr.W.cr_mean_hops);
-      ("collapses", jint shr.W.cr_collapses);
-      ("dir_updates", jint shr.W.cr_dir_updates);
-      ("dir_stale", jint shr.W.cr_dir_stale);
-      ("dir_hits", jint shr.W.cr_dir_hits);
-      ("dir_misses", jint shr.W.cr_dir_misses);
-      ("group_moves", jint shr.W.cr_group_moves);
-      ("group_objects", jint shr.W.cr_group_objects);
-      ("messages", jint shr.W.cr_messages);
-      ("bytes", jint shr.W.cr_bytes);
-      ("identical", if identical then "true" else "false");
+      ("events", jint r.W.cr_events);
+      ("events_per_s", jnum r.W.cr_events_per_sec);
+      ("run_host_s", jnum r.W.cr_run_seconds);
+      ("locates", jint r.W.cr_locates);
+      ("mean_lookup_hops", jnum r.W.cr_mean_hops);
+      ("collapses", jint r.W.cr_collapses);
+      ("dir_updates", jint r.W.cr_dir_updates);
+      ("dir_stale", jint r.W.cr_dir_stale);
+      ("dir_hits", jint r.W.cr_dir_hits);
+      ("dir_misses", jint r.W.cr_dir_misses);
+      ("group_moves", jint r.W.cr_group_moves);
+      ("group_objects", jint r.W.cr_group_objects);
+      ("messages", jint r.W.cr_messages);
+      ("bytes", jint r.W.cr_bytes);
     ];
-  if shr.W.cr_result <> shr.W.cr_expected then begin
-    pf "FAIL: chaser digests sum to %d, expected %d\n" shr.W.cr_result
-      shr.W.cr_expected;
+  if r.W.cr_result <> r.W.cr_expected then begin
+    pf "FAIL: chaser digests sum to %d, expected %d\n" r.W.cr_result
+      r.W.cr_expected;
     exit 1
   end;
-  if shr.W.cr_locates = 0 || shr.W.cr_group_moves = 0 then begin
+  if r.W.cr_locates = 0 || r.W.cr_group_moves = 0 then begin
     pf "FAIL: the workload generated no locate or group-migration traffic\n";
     exit 1
   end;
-  if shr.W.cr_mean_hops > 2.0 then begin
-    pf "FAIL: mean lookup hops %.2f exceeds the 2.0 gate\n" shr.W.cr_mean_hops;
+  if r.W.cr_mean_hops > 2.0 then begin
+    pf "FAIL: mean lookup hops %.2f exceeds the 2.0 gate\n" r.W.cr_mean_hops;
     exit 1
   end;
-  if not identical then begin
-    pf "FAIL: sharded run diverged from the single-shard baseline\n";
-    exit 1
-  end;
-  pf "gates: digests complete, mean hops %.2f <= 2.0, shard-identical\n\n"
-    shr.W.cr_mean_hops
+  pf "gates: digests complete, mean hops %.2f <= 2.0\n\n" r.W.cr_mean_hops
 
 let run_cluster () =
   pf "Extension: partitioned location directory at cluster scale\n";
-  pf "100k objects on 1024 nodes (8 shards vs 1); a 32-cell flock tours\n";
+  pf "100k objects on 1024 nodes; a 32-cell flock tours\n";
   pf "the ring as group migrations while 16 chasers with stale references\n";
   pf "invoke it.  Chain collapse and the directory must keep the mean\n";
   pf "forwarding-hop count per located invoke at or below 2.\n";
   hr ();
-  run_cluster_config ~experiment:"cluster" ~n_nodes:1024 ~shards:8
-    ~n_objects:100_000 ~flock:32 ~askers:16 ~calls:24 ~rounds:30 ()
+  run_cluster_config ~experiment:"cluster" ~n_nodes:1024 ~n_objects:100_000 ~flock:32 ~askers:16 ~calls:24 ~rounds:30 ()
 
 let run_cluster_smoke () =
   pf "Location directory, CI-sized smoke (same gates, smaller cluster)\n";
   hr ();
-  run_cluster_config ~experiment:"cluster_smoke" ~n_nodes:64 ~shards:4
-    ~n_objects:5_000 ~flock:8 ~askers:8 ~calls:12 ~rounds:12 ()
+  run_cluster_config ~experiment:"cluster_smoke" ~n_nodes:64 ~n_objects:5_000 ~flock:8 ~askers:8 ~calls:12 ~rounds:12 ()
 
 (* ------------------------------------------------------------------ *)
 
@@ -1234,8 +1125,8 @@ let run_interp () =
   let speedup = measure A.sparc in
   ignore (measure A.vax);
   ignore (measure A.sun3);
-  (* trace identity: the threaded engine at 1/2/4 shards must reproduce
-     the baseline's protocol trace byte for byte *)
+  (* trace identity: the threaded engine must reproduce the baseline's
+     protocol trace byte for byte *)
   let trace_prog =
     Emc.Compile.compile_exn ~name:"interp_trace"
       ~archs:
@@ -1244,9 +1135,9 @@ let run_interp () =
            [ A.sparc; A.vax; A.sun3; A.hp9000_433 ])
       interp_trace_src
   in
-  let trace_run ~threaded ~shards =
+  let trace_run ~threaded =
     let archs = [ A.sparc; A.vax; A.sun3; A.hp9000_433 ] in
-    let cl = Core.Cluster.create ~quantum:40 ~shards ~archs () in
+    let cl = Core.Cluster.create ~quantum:40 ~archs () in
     for i = 0 to Core.Cluster.n_nodes cl - 1 do
       Ert.Kernel.set_threaded (Core.Cluster.kernel cl i) threaded
     done;
@@ -1274,18 +1165,14 @@ let run_interp () =
       (ht :: spinners);
     (Buffer.contents trace, Core.Cluster.global_time_us cl)
   in
-  let ref_trace, ref_t = trace_run ~threaded:false ~shards:1 in
-  List.iter
-    (fun shards ->
-      let tr, t = trace_run ~threaded:true ~shards in
-      if tr <> ref_trace || t <> ref_t then begin
-        pf "FAIL: threaded trace differs from fetch/decode at %d shards\n"
-          shards;
-        exit 1
-      end)
-    [ 1; 2; 4 ];
+  let ref_trace, ref_t = trace_run ~threaded:false in
+  let tr, t = trace_run ~threaded:true in
+  if tr <> ref_trace || t <> ref_t then begin
+    pf "FAIL: threaded trace differs from fetch/decode\n";
+    exit 1
+  end;
   hr ();
-  pf "traces bit-identical to fetch/decode at 1/2/4 shards\n";
+  pf "traces bit-identical to fetch/decode\n";
   if speedup < 3.0 then begin
     pf "FAIL: threaded dispatch below the 3x throughput gate (%.2fx)\n" speedup;
     exit 1
@@ -1746,17 +1633,6 @@ let () =
       parse acc rest
     | [ "--json" ] ->
       Printf.eprintf "--json requires a file argument\n";
-      exit 1
-    | "--shards" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some s when s >= 1 ->
-        shards_flag := s;
-        parse acc rest
-      | _ ->
-        Printf.eprintf "--shards requires a positive integer\n";
-        exit 1)
-    | [ "--shards" ] ->
-      Printf.eprintf "--shards requires an integer argument\n";
       exit 1
     | "--trace-out" :: path :: rest ->
       trace_out_flag := Some path;

@@ -4,7 +4,7 @@
    duplication, delay, partitions, crash/restart windows), checking the
    cluster invariants between events.  A failing seed is printed with
    its plan and trace tail, then greedily shrunk to a minimal
-   still-failing plan; the whole failure reproduces from the seed alone. *)
+   still-failing plan, and a [reproduce:] line runs exactly that plan. *)
 
 open Cmdliner
 
@@ -33,7 +33,7 @@ let pp_outcome ?(verbose = false) ppf (o : Core.Fuzz.outcome) =
   if verbose && o.Core.Fuzz.f_group_moves > 0 then
     Format.fprintf ppf " [%d group moves]" o.Core.Fuzz.f_group_moves
 
-let report_failure ~drop ~evict ~groups ~gc ~check_every ~max_events ~shards
+let report_failure ~drop ~evict ~groups ~gc ~check_every ~max_events
     ~do_shrink (o : Core.Fuzz.outcome) =
   Format.printf "@.%a@." (pp_outcome ~verbose:true) o;
   Format.printf "plan: %s@." (Fault.Plan.to_string o.Core.Fuzz.f_plan);
@@ -42,22 +42,29 @@ let report_failure ~drop ~evict ~groups ~gc ~check_every ~max_events ~shards
     List.iter print_endline o.Core.Fuzz.f_trace;
     Format.printf "--- end trace ---@."
   end;
-  if do_shrink then begin
-    Format.printf "shrinking...@.";
-    let minimal =
-      Core.Fuzz.shrink ?drop ~evict ~groups ~gc ~check_every ~max_events
-        ~shards ~seed:o.Core.Fuzz.f_seed o.Core.Fuzz.f_plan
-    in
-    Format.printf "minimal failing plan: %s@." (Fault.Plan.to_string minimal)
-  end;
-  Format.printf "reproduce: emfuzz --seed %d%s%s%s%s@." o.Core.Fuzz.f_seed
-    (match drop with Some d -> Printf.sprintf " --drop %g" d | None -> "")
+  let plan =
+    if do_shrink then begin
+      Format.printf "shrinking...@.";
+      let minimal =
+        Core.Fuzz.shrink ?drop ~evict ~groups ~gc ~check_every ~max_events
+          ~seed:o.Core.Fuzz.f_seed o.Core.Fuzz.f_plan
+      in
+      Format.printf "minimal failing plan: %s@." (Fault.Plan.to_string minimal);
+      minimal
+    end
+    else o.Core.Fuzz.f_plan
+  in
+  Format.printf
+    "reproduce: emfuzz --seed %d --faults '%s'%s%s%s --check-every %d \
+     --max-events %d@."
+    o.Core.Fuzz.f_seed (Fault.Plan.to_string plan)
     (if evict then " --evict" else "")
     (if groups then " --groups" else "")
     (if gc then " --gc" else "")
+    check_every max_events
 
 let run seeds start one_seed faults drop evict groups gc check_every
-    max_events shards no_shrink verbose =
+    max_events no_shrink verbose =
   let plan =
     match faults with
     | None -> None
@@ -73,7 +80,7 @@ let run seeds start one_seed faults drop evict groups gc check_every
   | Some seed ->
     let o =
       Core.Fuzz.run_seed ?plan ?drop ~evict ~groups ~gc ~check_every
-        ~max_events ~shards ~seed ()
+        ~max_events ~seed ()
     in
     if o.Core.Fuzz.f_ok then begin
       Format.printf "%a@." (pp_outcome ~verbose:true) o;
@@ -82,7 +89,7 @@ let run seeds start one_seed faults drop evict groups gc check_every
       0
     end
     else begin
-      report_failure ~drop ~evict ~groups ~gc ~check_every ~max_events ~shards
+      report_failure ~drop ~evict ~groups ~gc ~check_every ~max_events
         ~do_shrink o;
       1
     end
@@ -108,10 +115,10 @@ let run seeds start one_seed faults drop evict groups gc check_every
     let seed_list = List.init seeds (fun i -> start + i) in
     (match
        Core.Fuzz.sweep ?drop ~evict ~groups ~gc ~check_every ~max_events
-         ~shards ~on_outcome ~seeds:seed_list ()
+         ~on_outcome ~seeds:seed_list ()
      with
     | Some bad ->
-      report_failure ~drop ~evict ~groups ~gc ~check_every ~max_events ~shards
+      report_failure ~drop ~evict ~groups ~gc ~check_every ~max_events
         ~do_shrink bad;
       1
     | None ->
@@ -172,14 +179,6 @@ let max_events_t =
   Arg.(value & opt int 400_000
        & info [ "max-events" ] ~docv:"N" ~doc:"Per-seed event budget.")
 
-let shards_t =
-  Arg.(value & opt int 1
-       & info [ "shards" ] ~docv:"N"
-           ~doc:"Shard the simulated cluster's event engine across \
-                 $(docv) structures (the fuzz driver steps through the \
-                 deterministic sequential merge, so outcomes are \
-                 identical at any shard count).")
-
 let no_shrink_t =
   Arg.(value & flag
        & info [ "no-shrink" ] ~doc:"Skip shrinking when a seed fails.")
@@ -193,7 +192,7 @@ let cmd =
     (Cmd.info "emfuzz" ~doc)
     Term.(
       const run $ seeds_t $ start_t $ seed_t $ faults_t $ drop_t $ evict_t
-      $ groups_t $ gc_t $ check_every_t $ max_events_t $ shards_t
-      $ no_shrink_t $ verbose_t)
+      $ groups_t $ gc_t $ check_every_t $ max_events_t $ no_shrink_t
+      $ verbose_t)
 
 let () = exit (Cmd.eval' cmd)

@@ -2,7 +2,7 @@
    heterogeneous workstations.
 
      emrun FILE [--nodes IDS] [-O LEVELS] [--class NAME] [--op NAME]
-               [--args LIST] [--original] [--codec TIER] [--shards N]
+               [--args LIST] [--original] [--codec TIER]
                [--location MODE] [--gc MODE] [--gc-threshold BYTES]
                [--trace] [--stats] [--profile]
                [--trace-out FILE] [--evict-hot N] [--seed N]
@@ -10,7 +10,7 @@
 
 open Cmdliner
 
-let run file nodes opt cls op args_s original codec shards location gc_mode_s
+let run file nodes opt cls op args_s original codec location gc_mode_s
     gc_threshold trace stats profile trace_out evict_hot seed faults
     check_invariants =
   let source = In_channel.with_open_text file In_channel.input_all in
@@ -81,7 +81,7 @@ let run file nodes opt cls op args_s original codec shards location gc_mode_s
       exit 2
   in
   let cl =
-    Core.Cluster.create ~protocol ?wire_impl ~shards ?gc_threshold ~gc_mode
+    Core.Cluster.create ~protocol ?wire_impl ?gc_threshold ~gc_mode
       ~faults:plan ~location ~archs ()
   in
   (* max-pause tracking for --stats: each Ev_gc_phase carries the virtual
@@ -278,26 +278,10 @@ let run file nodes opt cls op args_s original codec shards location gc_mode_s
           "bridge: %d threads resumed through fragments; fragment cache %d \
            hits / %d misses\n"
           bridged bh bm;
-      Array.iteri
-        (fun s e ->
-          Printf.printf "engine %d: %d pushes, %d pops (%d stale), %d pending\n"
-            s (Core.Engine.pushes e) (Core.Engine.pops e)
-            (Core.Engine.stale_pops e) (Core.Engine.pending e))
-        (Core.Cluster.engines cl);
-      let bus = Core.Cluster.bus cl in
-      if Core.Events.windows bus > 0 then begin
-        Printf.printf "windows: %d run, mean horizon %.0f us\n"
-          (Core.Events.windows bus)
-          (Core.Events.mean_horizon_us bus);
-        for s = 0 to Core.Cluster.n_shards cl - 1 do
-          let sc = Core.Events.shard_counters bus s in
-          let open Core.Events in
-          Printf.printf
-            "shard %d: %d windows, %d events, busy %.1f ms, stalled %.1f ms\n"
-            s sc.s_windows sc.s_events (sc.s_busy_ns /. 1e6)
-            (sc.s_stall_ns /. 1e6)
-        done
-      end;
+      (let e = Core.Cluster.engine cl in
+       Printf.printf "engine: %d pushes, %d pops (%d stale), %d pending\n"
+         (Core.Engine.pushes e) (Core.Engine.pops e) (Core.Engine.stale_pops e)
+         (Core.Engine.pending e));
       if Core.Cluster.location cl <> Core.Cluster.Loc_off then begin
         let open Core.Events in
         let tc f = Core.Cluster.total_counter cl f in
@@ -437,13 +421,6 @@ let codec_t =
                  per record, skipping capture translation and frame \
                  rebuild).")
 
-let shards_t =
-  Arg.(value & opt int 1
-       & info [ "shards" ] ~docv:"N"
-           ~doc:"Shard the event engine across $(docv) OCaml domains \
-                 (capped at one per node).  Simulation results are \
-                 identical at any shard count.")
-
 let location_t =
   Arg.(value & opt (some string) None
        & info [ "location" ] ~docv:"MODE"
@@ -520,7 +497,7 @@ let cmd =
     (Cmd.info "emrun" ~doc)
     Term.(
       const run $ file_t $ nodes_t $ opt_t $ class_t $ op_t $ args_t $ original_t
-      $ codec_t $ shards_t $ location_t $ gc_mode_t $ gc_threshold_t $ trace_t
+      $ codec_t $ location_t $ gc_mode_t $ gc_threshold_t $ trace_t
       $ stats_t $ profile_t $ trace_out_t $ evict_hot_t $ seed_t $ faults_t
       $ check_invariants_t)
 

@@ -125,74 +125,6 @@ type chaos_act =
   | Chaos_crash
   | Chaos_restart
 
-(* ----------------------------------------------------------------------- *)
-(* sharded execution (DESIGN.md §11)
-
-   The node range is split into contiguous shards (Shard.plan), each
-   with its own engine heap.  Two execution regimes share the shard
-   structure:
-
-   - *Sequential merge* ([step_once]): repeatedly pop the globally
-     earliest event across the per-shard engines, comparing heads by
-     (time, rank).  The engine rank is node-major, so this reproduces
-     the single-heap order exactly — [--shards 1] degenerates to the
-     one-engine loop bit-for-bit, and any shard count executes the
-     identical event sequence.  All semantics (fault plans, reliable
-     transport, invariant probing) run in this regime.
-
-   - *Parallel windows* ([run] only, when [parallel_ok]): shards
-     execute concurrently inside a conservative Chandy–Misra window
-     [W, W + lookahead) where the lookahead is the network latency —
-     the minimum delay any cross-node interaction can have.  Inside a
-     window a shard touches only its own nodes' state; sends are
-     posted to a per-shard Netsim outbox and flushed at the barrier in
-     canonical (time, rank, seq) order, reproducing bit-identically
-     the medium reservation, sequence numbers and arrival times of a
-     sequential run (every arrival lands at or past the horizon, so
-     deferral is unobservable in-window).  Bus events are buffered
-     per shard with their generating event's key and replayed merged
-     at the barrier; with no subscribers the buffer
-     is skipped and counters (per node, shard-owned) are updated
-     directly.  The rare in-window thread abort (a failed location
-     search) is deferred to the barrier too; its thread's segments
-     are all parked awaiting a reply that will never come, so the
-     deferral is unobservable. *)
-
-type dsend = {
-  ds_entry : Enet.Netsim.Outbox.entry;
-  ds_time : float;  (* sender's virtual clock at the send *)
-  ds_src : int;
-  ds_dst : int;
-  ds_desc : string;
-  ds_bytes : int;
-  (* transfer-span identity (own id, root move-span id, arch pair) when
-     span tracing is on and the send carries a move; the barrier emits
-     the span once the flush has computed the arrival time *)
-  ds_span : (Obs.Span.id * Obs.Span.id * string) option;
-}
-
-type buffered =
-  | B_ev of E.t
-  | B_send of dsend  (* Ev_msg_send whose arrival the barrier fills in *)
-
-type shard = {
-  sh_id : int;
-  sh_engine : Engine.t;
-  sh_searches : (Ert.Oid.t, search) Hashtbl.t;  (* keyed by asker's shard *)
-  sh_root_done : (T.tid, Ert.Value.t option) Hashtbl.t;
-  mutable sh_events : int;  (* events executed in parallel windows *)
-  mutable sh_collections : int;
-  (* window-transient state, reset at each barrier *)
-  sh_outbox : Enet.Netsim.Outbox.t;
-  mutable sh_buf : (float * int * int * buffered) list;
-  mutable sh_aborts : (float * int * int * int * T.tid * string) list;
-      (* key, context node, thread, reason *)
-  mutable sh_seq : int;  (* per-window emission/posting counter *)
-  mutable sh_key_time : float;  (* generating event's key, set per pop *)
-  mutable sh_key_rank : int;
-  mutable sh_win_busy_ns : float;  (* host time in the current window *)
-}
-
 type t = {
   nodes : node array;
   net : Enet.Netsim.t;
@@ -200,15 +132,11 @@ type t = {
   proto : protocol;
   wire_impl : Enet.Wire.impl;
   sched : scheduler;
-  splan : Shard.plan;
-  owner : int array;  (* node -> shard, cached from [splan] *)
-  engines : Engine.t array;  (* one per shard *)
-  shards : shard array;
-  lookahead : float;  (* window width = min network latency *)
-  mutable win_active : bool;  (* inside a parallel window *)
-  mutable win_buffering : bool;  (* window events buffered for replay *)
+  engine : Engine.t;
   bus : E.bus;
   mutable events : int;
+  searches : (Ert.Oid.t, search) Hashtbl.t;  (* open searches, by object *)
+  root_done : (T.tid, Ert.Value.t option) Hashtbl.t;  (* finished root threads *)
   failures : (T.tid, string) Hashtbl.t;  (* threads lost to node crashes *)
   gc_threshold : int option;  (* collect a node when its heap exceeds this *)
   gc_threshold_i : int;  (* same, resolved to max_int when absent (hot-loop form) *)
@@ -238,9 +166,8 @@ type t = {
          smaller of the quiesce and capture costs against the source
          clock (DESIGN.md §13); off by default, preserving byte-identical
          timing with earlier versions *)
-  (* --- periodic load balancing at fixed virtual times; fires between
-     events (sequentially) or between windows (sharded), so the schedule
-     is independent of the shard count --- *)
+  (* --- periodic load balancing at fixed virtual times, fired between
+     events --- *)
   mutable balancer : (unit -> unit) option;
   mutable balance_every : float;
   mutable balance_at : float;
@@ -249,7 +176,7 @@ type t = {
   (* --- span tracing (DESIGN.md §12); all off and alloc-free until
      [enable_spans]/[attach_profile] flips [spans_on] --- *)
   mutable spans_on : bool;
-  span_seq : int array;  (* per-node span id allocator (shard-owned) *)
+  span_seq : int array;  (* per-node span id allocator *)
   move_t0 : float array;  (* per-node start time of the move being captured *)
   rpc_open : (T.tid * int, string * float) Hashtbl.t array;
       (* per caller node: (thread, caller seg) -> (arch pair, t0) of the
@@ -260,46 +187,18 @@ type t = {
   location : location;
   partition : Loc.Partition.t;  (* OID -> home-shard map (stateless) *)
   dirs : Loc.Directory.t array;
-      (* node i's directory shard: entries for OIDs whose home is i.
-         Mutated only while executing node i's events (or host-side
-         between events), so parallel windows touch disjoint shards. *)
+      (* node i's directory shard: entries for OIDs whose home is i *)
   dir_waits : (Ert.Oid.t, Mobility.Marshal.message list) Hashtbl.t array;
       (* per asker node: messages parked awaiting that node's in-flight
          M_dir_lookup, newest first *)
 }
 
-let n_shards t = Array.length t.shards
-let shard_of t i = t.owner.(i)
-let eng t i = t.engines.(t.owner.(i))
-
-(* Emit an event attributed to [node].  Inside a parallel window the
-   event is buffered with the generating event's merge key (or, with
-   nobody listening, counted directly — the node's counters are owned
-   by the executing shard); otherwise it goes straight to the bus. *)
-let emit t ~node ev =
-  if t.win_active && t.win_buffering then begin
-    let sh = t.shards.(t.owner.(node)) in
-    sh.sh_seq <- sh.sh_seq + 1;
-    sh.sh_buf <- (sh.sh_key_time, sh.sh_key_rank, sh.sh_seq, B_ev ev) :: sh.sh_buf
-  end
-  else E.emit t.bus ev
-
-(* Does an emitted event reach anyone beyond the counters?  Message
-   events carry [Marshal.describe]'s text, a sprintf per message, so —
-   like [E.emit_step] — they are built only when this holds; otherwise
-   the sender bumps the counter alone ([E.count_msg]). *)
-let listening t =
-  if t.win_active then t.win_buffering
-  else E.has_subscribers t.bus
-
 (* --- span tracing helpers (DESIGN.md §12) ---
 
    Spans measure virtual-time intervals of the migration pipeline; they
    read clocks, never charge them, so enabling tracing cannot perturb
-   simulated times.  Span ids are (node, per-node counter) pairs: the
-   counter is bumped only while executing events of the owning node,
-   which lives in exactly one shard, so allocation is race-free and the
-   id stream is independent of the shard count. *)
+   simulated times.  Span ids are (node, per-node counter) pairs, so
+   every node's id stream is deterministic. *)
 
 let alloc_span_id t node =
   let s = t.span_seq.(node) + 1 in
@@ -311,11 +210,10 @@ let arch_pair t ~src ~dst =
   ^ "->"
   ^ (K.arch t.nodes.(dst).n_kernel).Isa.Arch.id
 
-(* allocate an id and publish a closed span on the bus, attributed to
-   [node] (so window replay merges it at its canonical position) *)
+(* allocate an id on [node] and publish a closed span on the bus *)
 let emit_span t ~node ?parent ?(bytes = 0) ~pair ~name ~t0 ~t1 () =
   let id = alloc_span_id t node in
-  emit t ~node
+  E.emit t.bus
     (E.Ev_span
        { Obs.Span.name; node; arch_pair = pair; t_start_us = t0; t_end_us = t1;
          id; parent; bytes })
@@ -335,7 +233,7 @@ let ensure_step t i =
   if t.sched = Heap then begin
     let n = t.nodes.(i) in
     if (not n.n_crashed) && K.has_ready n.n_kernel then
-      Engine.schedule (eng t i) ~at:(K.time_us n.n_kernel) (Engine.Step i)
+      Engine.schedule t.engine ~at:(K.time_us n.n_kernel) (Engine.Step i)
   end
 
 (* (re)queue a wake at the node's earliest timed-wait deadline; the
@@ -347,12 +245,12 @@ let ensure_wake t i =
     let n = t.nodes.(i) in
     if not n.n_crashed then
       match K.next_timeout n.n_kernel with
-      | Some d -> Engine.schedule (eng t i) ~at:d (Engine.Wake i)
+      | Some d -> Engine.schedule t.engine ~at:d (Engine.Wake i)
       | None -> ()
   end
 
 let create ?net_config ?(protocol = Enhanced) ?(wire_impl = Enet.Wire.Naive)
-    ?(scheduler = Heap) ?(shards = 1) ?quantum ?(opt_level = Emc.Opt.O0)
+    ?(scheduler = Heap) ?quantum ?(opt_level = Emc.Opt.O0)
     ?gc_threshold ?(gc_mode = Gc_stw) ?(gc_budget = 4096)
     ?(faults = Fault.Plan.empty) ?(async_migration = false)
     ?(location = Loc_off) ~archs () =
@@ -363,9 +261,6 @@ let create ?net_config ?(protocol = Enhanced) ?(wire_impl = Enet.Wire.Naive)
   if gc_mode = Gc_incremental && scheduler <> Heap then
     invalid_arg "Cluster.create: incremental GC requires the Heap scheduler";
   if gc_budget < 1 then invalid_arg "Cluster.create: gc_budget must be positive";
-  if shards < 1 then invalid_arg "Cluster.create: need at least one shard";
-  if shards > 1 && scheduler <> Heap then
-    invalid_arg "Cluster.create: sharding requires the Heap scheduler";
   let net = Enet.Netsim.create ?config:net_config ~n_nodes:n () in
   let repo = Mobility.Code_repository.create ~n_nodes:n () in
   let nodes =
@@ -386,36 +281,13 @@ let create ?net_config ?(protocol = Enhanced) ?(wire_impl = Enet.Wire.Naive)
              n_crashed = false })
          archs)
   in
-  let splan = Shard.plan ~n_nodes:n ~shards in
-  let d = Shard.n_shards splan in
-  let mk_shard s =
-    {
-      sh_id = s;
-      sh_engine = Engine.create ~n_nodes:n ();
-      sh_searches = Hashtbl.create 4;
-      sh_root_done = Hashtbl.create 4;
-      sh_events = 0;
-      sh_collections = 0;
-      sh_outbox = Enet.Netsim.Outbox.create ();
-      sh_buf = [];
-      sh_aborts = [];
-      sh_seq = 0;
-      sh_key_time = 0.0;
-      sh_key_rank = 0;
-      sh_win_busy_ns = 0.0;
-    }
-  in
-  let shard_ctxs = Array.init d mk_shard in
   let t =
     { nodes; net; repo; proto = protocol; wire_impl; sched = scheduler;
-      splan; owner = Array.init n (Shard.owner splan);
-      engines = Array.map (fun sh -> sh.sh_engine) shard_ctxs;
-      shards = shard_ctxs;
-      lookahead =
-        (Enet.Netsim.config net).Enet.Netsim.latency_us;
-      win_active = false; win_buffering = false;
+      engine = Engine.create ~n_nodes:n ();
       bus = E.create_bus ~n_nodes:n;
       events = 0;
+      searches = Hashtbl.create 4;
+      root_done = Hashtbl.create 4;
       failures = Hashtbl.create 4;
       gc_threshold = gc_threshold;
       gc_threshold_i = (match gc_threshold with Some v -> v | None -> max_int);
@@ -443,16 +315,14 @@ let create ?net_config ?(protocol = Enhanced) ?(wire_impl = Enet.Wire.Naive)
       dirs = Array.init n (fun _ -> Loc.Directory.create ());
       dir_waits = Array.init n (fun _ -> Hashtbl.create 4) }
   in
-  E.attach_shards t.bus d;
-  Array.iteri
-    (fun i node ->
-      let done_tbl = t.shards.(t.owner.(i)).sh_root_done in
+  Array.iter
+    (fun node ->
       K.set_on_root_result node.n_kernel (fun ~thread r ->
-          Hashtbl.replace done_tbl thread r))
+          Hashtbl.replace t.root_done thread r))
     t.nodes;
   if scheduler = Heap then
     Enet.Netsim.set_on_arrival net (fun ~dst ~at ->
-        Engine.schedule (eng t dst) ~at (Engine.Deliver dst));
+        Engine.schedule t.engine ~at (Engine.Deliver dst));
   if reliable then begin
     Enet.Netsim.set_injector net (fun ~src ~dst ~now_us ->
         Fault.Plan.wire_fault faults ~rng:t.frng ~src ~dst ~now_us);
@@ -463,7 +333,7 @@ let create ?net_config ?(protocol = Enhanced) ?(wire_impl = Enet.Wire.Naive)
           | Enet.Netsim.Fault_dup extra -> Printf.sprintf "dup (+%.0fus)" extra
           | Enet.Netsim.Fault_delay extra -> Printf.sprintf "delay (+%.0fus)" extra
         in
-        emit t ~node:src
+        E.emit t.bus
           (E.Ev_fault
              { time = K.time_us t.nodes.(src).n_kernel; src; dst; kind }));
     (* compile the plan's crash/restart windows into per-node schedules
@@ -485,7 +355,7 @@ let create ?net_config ?(protocol = Enhanced) ?(wire_impl = Enet.Wire.Naive)
     Array.iteri
       (fun i acts ->
         match acts with
-        | (at, _) :: _ -> Engine.schedule (eng t i) ~at (Engine.Chaos i)
+        | (at, _) :: _ -> Engine.schedule t.engine ~at (Engine.Chaos i)
         | [] -> ())
       t.chaos
   end;
@@ -504,7 +374,8 @@ let directory_entry t oid =
   | Some e -> Some e.Loc.Directory.le_node
   | None -> None
 
-(* summed over all shards: (updates, stale drops, hits, misses) *)
+(* summed over every node's directory shard: (updates, stale drops,
+   hits, misses) *)
 let directory_stats t =
   Array.fold_left
     (fun (u, s, h, m) d ->
@@ -519,8 +390,8 @@ let kernels t = Array.map (fun n -> n.n_kernel) t.nodes
 let arch_of t i = K.arch (kernel t i)
 let repository t = t.repo
 let network t = t.net
-let engine t = t.engines.(0)
-let engines t = t.engines
+let engine t = t.engine
+let engines t = [| t.engine |]
 let conversion_stats t i = t.nodes.(i).n_conv
 let fault_plan t = t.faults
 let set_trace t f = E.subscribe t.bus (fun ev -> Option.iter f (E.legacy_string ev))
@@ -626,106 +497,54 @@ let reap_thread t tid =
           (K.segments n.n_kernel))
     t.nodes
 
-(* Abort every live segment of a thread: its continuation is gone.
-   [node] is the context node the abort originates at (for shard
-   attribution).  Inside a parallel window the abort is deferred to the
-   barrier: the only in-window abort source is a failed location
-   search, whose thread's segments are all parked awaiting a reply that
-   will never come, so postponing the kill past the window edge is
-   unobservable — but the trace line must appear at its canonical
-   position, so Ev_thread_lost is buffered now, with the generating
-   event's key. *)
-let abort_thread t ~node tid ~reason =
-  if t.win_active then begin
-    let sh = t.shards.(t.owner.(node)) in
-    (* [t.failures] is written only at barriers, so reading it from a
-       worker domain mid-window is race-free *)
-    let fresh =
-      (not (Hashtbl.mem t.failures tid))
-      && not (List.exists (fun (_, _, _, _, tid', _) -> tid' = tid) sh.sh_aborts)
-    in
-    if fresh then begin
-      sh.sh_seq <- sh.sh_seq + 1;
-      sh.sh_aborts <-
-        (sh.sh_key_time, sh.sh_key_rank, sh.sh_seq, node, tid, reason)
-        :: sh.sh_aborts;
-      emit t ~node (E.Ev_thread_lost { thread = tid; reason })
-    end
-  end
-  else if not (Hashtbl.mem t.failures tid) then begin
-    Hashtbl.replace t.failures tid reason;
-    emit t ~node (E.Ev_thread_lost { thread = tid; reason });
-    reap_thread t tid
-  end
-
-(* the window-deferred half of [abort_thread]: record the failure and
-   reap the segments, without re-emitting the (already buffered) event *)
-let apply_deferred_abort t tid ~reason =
+(* Abort every live segment of a thread: its continuation is gone. *)
+let abort_thread t tid ~reason =
   if not (Hashtbl.mem t.failures tid) then begin
     Hashtbl.replace t.failures tid reason;
+    E.emit t.bus (E.Ev_thread_lost { thread = tid; reason });
     reap_thread t tid
   end
 
-(* the search table is per shard, keyed by the asking node's shard, so
-   that parallel windows mutate disjoint tables *)
-let search_tbl t ~asker = t.shards.(t.owner.(asker)).sh_searches
-
-(* find a search whose asker is unknown (sequential contexts only) *)
-let find_search_any t obj =
-  let rec go s =
-    if s >= Array.length t.shards then None
-    else
-      match Hashtbl.find_opt t.shards.(s).sh_searches obj with
-      | Some search -> Some (t.shards.(s).sh_searches, search)
-      | None -> go (s + 1)
-  in
-  go 0
-
 (* a message could not be delivered: the sending thread's continuation is
-   lost with it.  [node] is the context node the drop happens at.  The
-   whole delivery/search/transport machinery below is one recursive
-   group: a drop can complete a search negatively, a directory fallback
-   starts a search, and a search sends probes. *)
-let rec drop_message t ~node (msg : Mobility.Marshal.message) ~reason =
+   lost with it.  The whole delivery/search/transport machinery below is
+   one recursive group: a drop can complete a search negatively, a
+   directory fallback starts a search, and a search sends probes. *)
+let rec drop_message t (msg : Mobility.Marshal.message) ~reason =
   match msg with
-  | Mobility.Marshal.M_invoke { thread; _ } -> abort_thread t ~node thread ~reason
-  | Mobility.Marshal.M_invoke_via { inv; _ } -> drop_message t ~node inv ~reason
-  | Mobility.Marshal.M_reply { thread; _ } -> abort_thread t ~node thread ~reason
+  | Mobility.Marshal.M_invoke { thread; _ } -> abort_thread t thread ~reason
+  | Mobility.Marshal.M_invoke_via { inv; _ } -> drop_message t inv ~reason
+  | Mobility.Marshal.M_reply { thread; _ } -> abort_thread t thread ~reason
   | Mobility.Marshal.M_move payload | Mobility.Marshal.M_group_move payload ->
     List.iter
       (fun (s : Mobility.Mi_frame.mi_segment) ->
-        abort_thread t ~node s.Mobility.Mi_frame.ms_thread ~reason)
+        abort_thread t s.Mobility.Mi_frame.ms_thread ~reason)
       payload.Mobility.Marshal.mp_segments
-  | Mobility.Marshal.M_locate { obj } -> (
-    (* an unanswerable probe counts as a negative answer; the probe does
-       not name its asker, so find the search across shards (this path
-       never runs inside a parallel window — it needs a dead node or a
-       spent retry budget) *)
-    match find_search_any t obj with
+  | Mobility.Marshal.M_locate { obj } | Mobility.Marshal.M_located { obj; _ } -> (
+    (* a probe or its answer died on the wire: it counts as a negative
+       answer, so the search still ends once every probe is accounted
+       for *)
+    match Hashtbl.find_opt t.searches obj with
     | None -> ()
-    | Some (tbl, s) -> search_negative t tbl obj s)
+    | Some s -> search_negative t obj s)
   | Mobility.Marshal.M_dir_lookup { obj } | Mobility.Marshal.M_dir_reply { obj; _ }
     ->
     (* a lookup (or its answer) died on the wire: release every parked
-       message waiting on it into the broadcast search.  Like the
-       M_locate case, this needs a dead node or a spent retry budget,
-       so it never runs inside a parallel window. *)
+       message waiting on it into the broadcast search *)
     dir_fallback t obj
-  | Mobility.Marshal.M_move_req _ | Mobility.Marshal.M_located _
-  | Mobility.Marshal.M_start_process _ | Mobility.Marshal.M_dir_update _
-  | Mobility.Marshal.M_loc_hint _ ->
+  | Mobility.Marshal.M_move_req _ | Mobility.Marshal.M_start_process _
+  | Mobility.Marshal.M_dir_update _ | Mobility.Marshal.M_loc_hint _ ->
     (* no thread continuation rides on these; the protocol degrades to a
        search, a stale directory entry, or a no-op *)
     ()
 
-and search_negative t tbl obj (s : search) =
+and search_negative t obj (s : search) =
   s.s_awaiting <- s.s_awaiting - 1;
   if s.s_awaiting <= 0 then begin
-    Hashtbl.remove tbl obj;
-    emit t ~node:s.s_asker (E.Ev_search_failed { obj });
+    Hashtbl.remove t.searches obj;
+    E.emit t.bus (E.Ev_search_failed { obj });
     List.iter
       (fun msg ->
-        drop_message t ~node:s.s_asker msg
+        drop_message t msg
           ~reason:
             (Printf.sprintf "object %s cannot be located" (Ert.Oid.to_string obj)))
       s.s_pending
@@ -746,7 +565,7 @@ and dir_fallback t obj =
 and crash_node t i =
   let victim = t.nodes.(i) in
   if not victim.n_crashed then begin
-    emit t ~node:i (E.Ev_crash { node = i });
+    E.emit t.bus (E.Ev_crash { node = i });
     (* an in-progress incremental mark cycle is soft state: discard it
        with the incarnation (the directory rule); a post-restart
        threshold crossing starts a fresh cycle from scratch *)
@@ -773,22 +592,21 @@ and crash_node t i =
     victim.n_crashed <- true;
     List.iter
       (fun tid ->
-        abort_thread t ~node:i tid ~reason:(Printf.sprintf "node %d crashed" i))
+        abort_thread t tid ~reason:(Printf.sprintf "node %d crashed" i))
       lost_threads;
     (* searches owned by the dead node die with it; their pending
        invocations can never be routed *)
-    let tbl = search_tbl t ~asker:i in
     let orphaned =
       Hashtbl.fold
         (fun obj s acc -> if s.s_asker = i then (obj, s) :: acc else acc)
-        tbl []
+        t.searches []
     in
     List.iter
       (fun (obj, s) ->
-        Hashtbl.remove tbl obj;
+        Hashtbl.remove t.searches obj;
         List.iter
           (fun msg ->
-            drop_message t ~node:i msg
+            drop_message t msg
               ~reason:(Printf.sprintf "node %d crashed" i))
           s.s_pending)
       orphaned;
@@ -803,7 +621,7 @@ and crash_node t i =
       Hashtbl.reset t.outstanding.(i);
       List.iter
         (fun p ->
-          drop_message t ~node:i p.p_msg
+          drop_message t p.p_msg
             ~reason:(Printf.sprintf "node %d crashed" i))
         entries
     end;
@@ -822,7 +640,7 @@ and crash_node t i =
         (fun (_, msgs) ->
           List.iter
             (fun msg ->
-              drop_message t ~node:i msg
+              drop_message t msg
                 ~reason:(Printf.sprintf "node %d crashed" i))
             (List.rev msgs))
         waits
@@ -855,8 +673,7 @@ and restart_node t i =
     Ert.Bridge.clear bridge;
     K.set_bridge_cache k bridge;
     K.set_opt_level k t.opt_levels.(i);
-    let done_tbl = t.shards.(t.owner.(i)).sh_root_done in
-    K.set_on_root_result k (fun ~thread r -> Hashtbl.replace done_tbl thread r);
+    K.set_on_root_result k (fun ~thread r -> Hashtbl.replace t.root_done thread r);
     (match t.last_prog with Some prog -> K.load_program k prog | None -> ());
     n.n_kernel <- k;
     n.n_crashed <- false;
@@ -877,7 +694,7 @@ and restart_node t i =
                   ignore (Loc.Directory.update d oid ~node:j ~at:now : bool)))
         t.nodes
     end;
-    emit t ~node:i (E.Ev_restart { node = i })
+    E.emit t.bus (E.Ev_restart { node = i })
   end
 
 (* ----------------------------------------------------------------------- *)
@@ -918,7 +735,7 @@ and charge_conversion t ~node ~calls ~bytes =
   (match t.proto with
   | Enhanced -> K.charge_insns k (calls * CM.per_conversion_call_insns)
   | Original -> K.charge_insns k (bytes * CM.original_copy_insns_per_byte));
-  if calls > 0 || bytes > 0 then emit t ~node (E.Ev_conversion { node; calls; bytes })
+  if calls > 0 || bytes > 0 then E.emit t.bus (E.Ev_conversion { node; calls; bytes })
 
 and charge_translation t ~node (msg : Mobility.Marshal.message) =
   match t.proto with
@@ -988,13 +805,13 @@ and with_conv_extras : 'a. t -> node:int -> (unit -> 'a) -> 'a =
   let r = f () in
   let dc = Mobility.Conv_plan.compiles pc - c0 in
   let dh = Mobility.Conv_plan.hits pc - h0 in
-  if dc > 0 || dh > 0 then emit t ~node (E.Ev_plan { node; compiles = dc; hits = dh });
+  if dc > 0 || dh > 0 then E.emit t.bus (E.Ev_plan { node; compiles = dc; hits = dh });
   let dph = Enet.Wire.Pool.hits () - ph0 in
   let dpm = Enet.Wire.Pool.misses () - pm0 in
   let dhf = Enet.Wire.Pool.handoffs () - hf0 in
   if dhf > 0 then CS.add_copies_saved t.nodes.(node).n_conv dhf;
   if dph > 0 || dpm > 0 || dhf > 0 then
-    emit t ~node (E.Ev_pool { node; hits = dph; misses = dpm; copies_saved = dhf });
+    E.emit t.bus (E.Ev_pool { node; hits = dph; misses = dpm; copies_saved = dhf });
   r
 
 and send_message t ~src (s : Mobility.Move.send) =
@@ -1005,11 +822,10 @@ and send_message t ~src (s : Mobility.Move.send) =
        outright.  Under a fault plan the frame goes out anyway — the
        node may restart — and the loss is only reported when the
        retransmission budget is spent. *)
-    if listening t then
-      emit t ~node:src
-        (E.Ev_msg_lost { src; dst; desc = Mobility.Marshal.describe msg })
+    if E.has_subscribers t.bus then
+      E.emit t.bus (E.Ev_msg_lost { src; dst; desc = Mobility.Marshal.describe msg })
     else E.count_msg t.bus ~node:src E.Msg_lost;
-    drop_message t ~node:src msg ~reason:(Printf.sprintf "node %d is down" dst)
+    drop_message t msg ~reason:(Printf.sprintf "node %d is down" dst)
   end
   else begin
   check_protocol t ~src ~dst msg;
@@ -1057,7 +873,7 @@ and send_message t ~src (s : Mobility.Move.send) =
   (match (msg, wire_impl_of t) with
   | ( (Mobility.Marshal.M_move _ | Mobility.Marshal.M_group_move _),
       Enet.Wire.Blit ) ->
-    emit t ~node:src (E.Ev_blit { node = src; dest = dst; skipped = blit })
+    E.emit t.bus (E.Ev_blit { node = src; dest = dst; skipped = blit })
   | _ -> ());
   let t_tr0 = if sp then K.time_us k else 0.0 in
   if not blit then charge_translation t ~node:src msg;
@@ -1090,53 +906,21 @@ and send_message t ~src (s : Mobility.Move.send) =
       emit_span t ~node:src ~parent:rid ~bytes:(Enet.Wire.view_length payload)
         ~pair ~name:"marshal" ~t0:t_tr1 ~t1:(K.time_us k) ()
     | None -> ());
-    if t.win_active then begin
-      (* inside a parallel window the shared medium is off limits: post
-         the send to the shard's outbox, keyed by the generating event,
-         and let the barrier replay the medium fold in canonical order.
-         The Ev_msg_send needs the arrival the barrier will compute, so
-         it is buffered (or counted) as a [dsend]. *)
-      let sh = t.shards.(t.owner.(src)) in
-      sh.sh_seq <- sh.sh_seq + 1;
-      let entry =
-        Enet.Netsim.Outbox.post ?span:span_tag sh.sh_outbox ~time:sh.sh_key_time
-          ~rank:sh.sh_key_rank ~seq:sh.sh_seq ~now_us:(K.time_us k) ~src ~dst
-          ~payload
-      in
-      if t.win_buffering then begin
-        let d =
-          { ds_entry = entry; ds_time = K.time_us k; ds_src = src; ds_dst = dst;
-            ds_desc = Mobility.Marshal.describe msg;
-            ds_bytes = Enet.Wire.view_length payload;
-            ds_span =
-              (match root with
-              | Some (rid, _) -> Some (alloc_span_id t src, rid, pair)
-              | None -> None) }
-        in
-        sh.sh_buf <- (sh.sh_key_time, sh.sh_key_rank, sh.sh_seq, B_send d) :: sh.sh_buf
-      end
-      else
-        (* nobody listening: only the counter is observable, and the
-           sender's counters are owned by this shard *)
-        E.count_msg t.bus ~node:src E.Msg_sent
-    end
-    else begin
-      let now = K.time_us k in
-      let arrival =
-        Enet.Netsim.send_view ?span:span_tag t.net ~now_us:now ~src ~dst ~payload
-      in
-      if listening t then
-        emit t ~node:src
-          (E.Ev_msg_send
-             { time = now; src; dst; desc = Mobility.Marshal.describe msg;
-               bytes = Enet.Wire.view_length payload; arrives = arrival })
-      else E.count_msg t.bus ~node:src E.Msg_sent;
-      match root with
-      | Some (rid, _) ->
-        emit_span t ~node:src ~parent:rid ~bytes:(Enet.Wire.view_length payload)
-          ~pair ~name:"transfer" ~t0:now ~t1:arrival ()
-      | None -> ()
-    end
+    let now = K.time_us k in
+    let arrival =
+      Enet.Netsim.send_view ?span:span_tag t.net ~now_us:now ~src ~dst ~payload
+    in
+    if E.has_subscribers t.bus then
+      E.emit t.bus
+        (E.Ev_msg_send
+           { time = now; src; dst; desc = Mobility.Marshal.describe msg;
+             bytes = Enet.Wire.view_length payload; arrives = arrival })
+    else E.count_msg t.bus ~node:src E.Msg_sent;
+    match root with
+    | Some (rid, _) ->
+      emit_span t ~node:src ~parent:rid ~bytes:(Enet.Wire.view_length payload)
+        ~pair ~name:"transfer" ~t0:now ~t1:arrival ()
+    | None -> ()
   end
   else begin
     (* the retry/ack envelope retransmits the cached frame, so the
@@ -1159,8 +943,8 @@ and send_message t ~src (s : Mobility.Move.send) =
     let arrival =
       Enet.Netsim.send ?span:span_tag t.net ~now_us:now ~src ~dst ~payload:frame
     in
-    if listening t then
-      emit t ~node:src
+    if E.has_subscribers t.bus then
+      E.emit t.bus
         (E.Ev_msg_send
            { time = now; src; dst; desc = Mobility.Marshal.describe msg;
              bytes = String.length frame; arrives = arrival })
@@ -1179,15 +963,14 @@ and send_message t ~src (s : Mobility.Move.send) =
        already queued later than this deadline, the pop will process
        this entry past due and reschedule at the then-earliest — a late
        retransmit, never a lost one *)
-    Engine.schedule (eng t src) ~at:p.p_next_at (Engine.Timer src)
+    Engine.schedule t.engine ~at:p.p_next_at (Engine.Timer src)
   end
   end
 
 (* Emerald's broadcast location search: probe every live node; park the
    unroutable message until an answer arrives *)
 and start_search t ~asker obj msg =
-  let tbl = search_tbl t ~asker in
-  match Hashtbl.find_opt tbl obj with
+  match Hashtbl.find_opt t.searches obj with
   | Some s -> s.s_pending <- msg :: s.s_pending
   | None ->
     let others = ref [] in
@@ -1196,12 +979,11 @@ and start_search t ~asker obj msg =
       t.nodes;
     (match !others with
     | [] ->
-      drop_message t ~node:asker msg
+      drop_message t msg
         ~reason:(Printf.sprintf "object %s cannot be located" (Ert.Oid.to_string obj))
     | probes ->
-      emit t ~node:asker
-        (E.Ev_search_start { node = asker; obj; probes = List.length probes });
-      Hashtbl.replace tbl obj
+      E.emit t.bus (E.Ev_search_start { node = asker; obj; probes = List.length probes });
+      Hashtbl.replace t.searches obj
         { s_asker = asker; s_pending = [ msg ]; s_awaiting = List.length probes };
       List.iter
         (fun i ->
@@ -1221,8 +1003,7 @@ let locate_fallback t ~asker obj msg =
     if home = asker then begin
       (* the asker owns the home shard: consult it locally *)
       let hit = Loc.Directory.lookup t.dirs.(asker) obj in
-      emit t ~node:asker
-        (E.Ev_dir_lookup { node = asker; obj; found = hit <> None });
+      E.emit t.bus (E.Ev_dir_lookup { node = asker; obj; found = hit <> None });
       match hit with
       | Some e
         when e.Loc.Directory.le_node <> asker
@@ -1252,7 +1033,7 @@ let locate_fallback t ~asker obj msg =
 (* After a move (or group move) lands with the directory on, tell each
    moved object's home shard where it went.  Updates are batched per
    home and the homes are walked in ascending order, so the published
-   traffic is identical at any shard count. *)
+   traffic is deterministic. *)
 let publish_locations t ~dst payload =
   if t.location = Loc_directory then begin
     let k = t.nodes.(dst).n_kernel in
@@ -1277,7 +1058,7 @@ let publish_locations t ~dst payload =
           List.iter
             (fun obj ->
               let applied = Loc.Directory.update t.dirs.(dst) obj ~node:dst ~at in
-              emit t ~node:dst
+              E.emit t.bus
                 (E.Ev_dir_update { node = dst; obj; loc = dst; applied }))
             objs
         else
@@ -1326,7 +1107,7 @@ and handle_outcall t ~src (oc : K.outcall) =
       Mobility.Rpc.initiate_invoke ~k ~target_oid ~hint_node ~callee_class
         ~callee_method ~args ~caller_seg:seg.T.seg_id ~thread:seg.T.seg_thread
     | K.Oc_move { seg; obj_addr; dest_node } ->
-      emit t ~node:src
+      E.emit t.bus
         (E.Ev_move_start
            { time = K.time_us k; node = src; obj = K.oid_at k obj_addr;
              dest = dest_node });
@@ -1351,7 +1132,7 @@ and handle_outcall t ~src (oc : K.outcall) =
         ~t_end:t_cap1;
       []
     | K.Oc_evict { seg; dest_node; armed_us } ->
-      emit t ~node:src
+      E.emit t.bus
         (E.Ev_evict
            { time = K.time_us k; node = src; seg_id = seg.T.seg_id;
              dest = dest_node });
@@ -1437,8 +1218,8 @@ let deliver t ~dst (m : Enet.Netsim.message) =
     emit_span t ~node:dst ~parent ~pair ~name:"rebuild" ~t0:t_unm1
       ~t1:(K.time_us k) ()
   | None -> ());
-  if listening t then
-    emit t ~node:dst
+  if E.has_subscribers t.bus then
+    E.emit t.bus
       (E.Ev_msg_deliver
          { time = K.time_us k; node = dst; desc = Mobility.Marshal.describe msg })
   else E.count_msg t.bus ~node:dst E.Msg_delivered;
@@ -1469,10 +1250,10 @@ let deliver t ~dst (m : Enet.Netsim.message) =
           (* the target is here: the walk is over.  Collapse the chain it
              came through — every traversed node, plus the caller, gets a
              hint pointing straight at this host (ascending node order,
-             so the fanout is deterministic at any shard count) *)
+             so the fanout is deterministic) *)
           if t.location = Loc_off then []
           else begin
-            emit t ~node:dst
+            E.emit t.bus
               (E.Ev_locate { node = dst; obj = target; hops = List.length via });
             if via = [] then []
             else
@@ -1514,7 +1295,7 @@ let deliver t ~dst (m : Enet.Netsim.message) =
         assert false)
     | Mobility.Marshal.M_reply { to_seg; value; thread } ->
       (* close the round-trip clock opened when the original M_invoke
-         left this node (same node, hence same shard: race-free) *)
+         left this node *)
       (if sp then
          match Hashtbl.find_opt t.rpc_open.(dst) (thread, to_seg) with
          | Some (pair0, t0) ->
@@ -1550,20 +1331,20 @@ let deliver t ~dst (m : Enet.Netsim.message) =
           ~t1:t_end ();
         (* the root span, closed where the move lands; its id was
            allocated at the source and rode the message tag *)
-        emit t ~node:dst
+        E.emit t.bus
           (E.Ev_span
              { Obs.Span.name = "move"; node = dst; arch_pair = pair;
                t_start_us = rt0; t_end_us = t_end; id = rid; parent = None;
                bytes = 0 })
       | None -> ());
-      emit t ~node:dst
+      E.emit t.bus
         (E.Ev_move_finish
            { time = K.time_us k; node = dst;
              objects = mstats.Mobility.Move.ap_objects;
              segments = mstats.Mobility.Move.ap_segments;
              frames = mstats.Mobility.Move.ap_frames });
       if mstats.Mobility.Move.ap_bridged > 0 then
-        emit t ~node:dst
+        E.emit t.bus
           (E.Ev_bridge
              { time = K.time_us k; node = dst;
                count = mstats.Mobility.Move.ap_bridged;
@@ -1607,14 +1388,13 @@ let deliver t ~dst (m : Enet.Netsim.message) =
         };
       ]
     | Mobility.Marshal.M_located { obj; found } -> (
-      let tbl = search_tbl t ~asker:dst in
-      match Hashtbl.find_opt tbl obj with
+      match Hashtbl.find_opt t.searches obj with
       | None -> [] (* a late or duplicate answer *)
       | Some s ->
         if found then begin
           let host = m.Enet.Netsim.msg_src in
-          Hashtbl.remove tbl obj;
-          emit t ~node:dst (E.Ev_search_found { obj; node = host });
+          Hashtbl.remove t.searches obj;
+          E.emit t.bus (E.Ev_search_found { obj; node = host });
           (* refresh the local forwarding hint *)
           let addr = K.ensure_ref k obj in
           K.set_proxy_hint k ~addr ~node:host;
@@ -1623,7 +1403,7 @@ let deliver t ~dst (m : Enet.Netsim.message) =
             s.s_pending
         end
         else begin
-          search_negative t tbl obj s;
+          search_negative t obj s;
           []
         end)
     | Mobility.Marshal.M_dir_update { objs; node; at } ->
@@ -1633,12 +1413,12 @@ let deliver t ~dst (m : Enet.Netsim.message) =
       List.iter
         (fun obj ->
           let applied = Loc.Directory.update t.dirs.(dst) obj ~node ~at in
-          emit t ~node:dst (E.Ev_dir_update { node = dst; obj; loc = node; applied }))
+          E.emit t.bus (E.Ev_dir_update { node = dst; obj; loc = node; applied }))
         objs;
       []
     | Mobility.Marshal.M_dir_lookup { obj } ->
       let hit = Loc.Directory.lookup t.dirs.(dst) obj in
-      emit t ~node:dst (E.Ev_dir_lookup { node = dst; obj; found = hit <> None });
+      E.emit t.bus (E.Ev_dir_lookup { node = dst; obj; found = hit <> None });
       let node, known =
         match hit with
         | Some e -> (e.Loc.Directory.le_node, true)
@@ -1699,7 +1479,7 @@ let deliver t ~dst (m : Enet.Netsim.message) =
       if K.find_object k obj = None && node <> dst then begin
         let addr = K.ensure_ref k obj in
         K.set_proxy_hint k ~addr ~node;
-        emit t ~node:dst (E.Ev_collapse { node = dst; obj; loc = node })
+        E.emit t.bus (E.Ev_collapse { node = dst; obj; loc = node })
       end;
       []
   in
@@ -1712,20 +1492,13 @@ let deliver t ~dst (m : Enet.Netsim.message) =
    stops, so under preemptive scheduling the node is quiesced first —
    the same discipline migration capture uses (section 2.2.1); without
    a quantum every segment is already parked between events *)
-let note_collection t i =
-  if t.win_active then begin
-    let sh = t.shards.(t.owner.(i)) in
-    sh.sh_collections <- sh.sh_collections + 1
-  end
-  else t.collections <- t.collections + 1
-
 let do_collect_stw t i =
   quiesce_node t i;
   let k = t.nodes.(i).n_kernel in
   let stats = Ert.Gc.collect ~extra_roots:t.pinned k in
-  note_collection t i;
+  t.collections <- t.collections + 1;
   K.charge_insns k (2000 + (stats.Ert.Gc.gc_live * 40));
-  emit t ~node:i
+  E.emit t.bus
     (E.Ev_gc
        { time = K.time_us k; node = i; swept = stats.Ert.Gc.gc_swept;
          live = stats.Ert.Gc.gc_live; bytes_freed = stats.Ert.Gc.gc_bytes_freed })
@@ -1756,7 +1529,7 @@ let gc_increment t i =
   let finish_increment ~phase ~scanned =
     K.charge_insns k (120 + (scanned * 40));
     let t1 = K.time_us k in
-    emit t ~node:i
+    E.emit t.bus
       (E.Ev_gc_phase
          { time = t1; node = i; phase; scanned; pause_us = t1 -. t0 });
     if t.spans_on then
@@ -1767,12 +1540,12 @@ let gc_increment t i =
   match Ert.Gc.step cy k ~budget:t.gc_budget with
   | Ert.Gc.Step_more { scanned; phase } ->
     let t1 = finish_increment ~phase:(Ert.Gc.phase_name phase) ~scanned in
-    Engine.schedule (eng t i) ~at:t1 (Engine.Gc i)
+    Engine.schedule t.engine ~at:t1 (Engine.Gc i)
   | Ert.Gc.Step_done { scanned; stats } ->
     t.gcs.(i) <- None;
     let t1 = finish_increment ~phase:"gc_sweep" ~scanned in
-    note_collection t i;
-    emit t ~node:i
+    t.collections <- t.collections + 1;
+    E.emit t.bus
       (E.Ev_gc
          { time = t1; node = i; swept = stats.Ert.Gc.gc_swept;
            live = stats.Ert.Gc.gc_live;
@@ -1842,7 +1615,7 @@ let deliver_reliable t i (m : Enet.Netsim.message) =
       K.charge_us k CM.protocol_fixed_us;
       if Hashtbl.mem t.outstanding.(i) seq then begin
         Hashtbl.remove t.outstanding.(i) seq;
-        emit t ~node:i (E.Ev_ack { node = i; seq })
+        E.emit t.bus (E.Ev_ack { node = i; seq })
       end
     | Frame_data (seq, inner) ->
       let k = t.nodes.(i).n_kernel in
@@ -1853,22 +1626,15 @@ let deliver_reliable t i (m : Enet.Netsim.message) =
           : float);
       if Hashtbl.mem t.seen.(i) (src, seq) then begin
         K.charge_us k CM.protocol_fixed_us;
-        emit t ~node:i (E.Ev_msg_dup { node = i; src; seq })
+        E.emit t.bus (E.Ev_msg_dup { node = i; src; seq })
       end
       else begin
         Hashtbl.add t.seen.(i) (src, seq) ();
         deliver t ~dst:i { m with Enet.Netsim.msg_payload = inner }
       end
 
-let count_event t i =
-  if t.win_active then begin
-    let sh = t.shards.(t.owner.(i)) in
-    sh.sh_events <- sh.sh_events + 1
-  end
-  else t.events <- t.events + 1
-
 let exec_deliver t i eff =
-  count_event t i;
+  t.events <- t.events + 1;
   match Enet.Netsim.receive t.net ~dst:i ~now_us:eff with
   | None -> ()
   | Some m when t.reliable -> deliver_reliable t i m
@@ -1882,18 +1648,16 @@ let exec_deliver t i eff =
             ~blit:(blit_pair t ~src:m.Enet.Netsim.msg_src ~dst:i)
             ~impl:(wire_impl_of t) ~stats m.Enet.Netsim.msg_payload)
     in
-    if listening t then
-      emit t ~node:i (E.Ev_msg_drop { node = i; desc = Mobility.Marshal.describe msg })
+    if E.has_subscribers t.bus then
+      E.emit t.bus (E.Ev_msg_drop { node = i; desc = Mobility.Marshal.describe msg })
     else E.count_msg t.bus ~node:i E.Msg_lost;
-    drop_message t ~node:i msg ~reason:(Printf.sprintf "node %d is down" i)
+    drop_message t msg ~reason:(Printf.sprintf "node %d is down" i)
   | Some m -> deliver t ~dst:i m
 
 let exec_step t i ~time =
-  count_event t i;
+  t.events <- t.events + 1;
   let k = t.nodes.(i).n_kernel in
-  (if t.win_active && t.win_buffering then
-     emit t ~node:i (E.Ev_step { node = i; time })
-   else E.emit_step t.bus ~node:i ~time);
+  E.emit_step t.bus ~node:i ~time;
   match K.step k with
   | [] -> ()
   | outs -> List.iter (handle_outcall t ~src:i) outs
@@ -1926,19 +1690,19 @@ let reseed t =
   Array.iteri
     (fun i n ->
       if (not n.n_crashed) && K.has_ready n.n_kernel then begin
-        Engine.schedule (eng t i) ~at:(K.time_us n.n_kernel) (Engine.Step i);
+        Engine.schedule t.engine ~at:(K.time_us n.n_kernel) (Engine.Step i);
         any := true
       end;
       (* a node whose segments all sit in timed waits has no ready work,
          so only its wake keeps the simulation from quiescing early *)
       (match K.next_timeout n.n_kernel with
       | Some d when not n.n_crashed ->
-        Engine.schedule (eng t i) ~at:d (Engine.Wake i);
+        Engine.schedule t.engine ~at:d (Engine.Wake i);
         any := true
       | _ -> ());
       match Enet.Netsim.next_arrival_at t.net ~dst:i with
       | Some a ->
-        Engine.schedule (eng t i)
+        Engine.schedule t.engine
           ~at:(Float.max a (K.time_us n.n_kernel))
           (Engine.Deliver i);
         any := true
@@ -1952,12 +1716,12 @@ let reseed t =
 let retransmit_due t i ~now p =
   if p.p_attempts >= tr_max_attempts then begin
     Hashtbl.remove t.outstanding.(i) p.p_seq;
-    if listening t then
-      emit t ~node:i
+    if E.has_subscribers t.bus then
+      E.emit t.bus
         (E.Ev_msg_lost
            { src = i; dst = p.p_dst; desc = Mobility.Marshal.describe p.p_msg })
     else E.count_msg t.bus ~node:i E.Msg_lost;
-    drop_message t ~node:i p.p_msg
+    drop_message t p.p_msg
       ~reason:
         (Printf.sprintf "no acknowledgement from node %d after %d attempts"
            p.p_dst p.p_attempts)
@@ -1968,45 +1732,20 @@ let retransmit_due t i ~now p =
       Float.min tr_rto_max_us (tr_rto_us *. (2. ** float_of_int (p.p_attempts - 1)))
     in
     p.p_next_at <- now +. backoff;
-    emit t ~node:i
+    E.emit t.bus
       (E.Ev_retransmit { node = i; dst = p.p_dst; seq = p.p_seq;
                          attempt = p.p_attempts });
     ignore (Enet.Netsim.send ?span:p.p_span t.net ~now_us:now ~src:i ~dst:p.p_dst
               ~payload:p.p_frame : float)
   end
 
-(* The sequential merge: the globally earliest event is the smallest
-   (time, rank) across the per-shard engine heads.  The rank is
-   node-major, so this is exactly the order one shared heap would pop —
-   one shard degenerates to the single-engine loop, and any shard count
-   executes the identical event sequence.  Equal (time, rank) on two
-   engines is impossible (the rank pins the node, and a node lives in
-   one shard), so the scan needs no shard tiebreak. *)
-let pick_engine t =
-  let n = Array.length t.engines in
-  if n = 1 then
-    match Engine.peek t.engines.(0) with
-    | None -> None
-    | Some (tm, _) -> Some (tm, t.engines.(0))
-  else begin
-    let best = ref None in
-    for s = 0 to n - 1 do
-      match Engine.peek t.engines.(s) with
-      | None -> ()
-      | Some (tm, rk) -> (
-        match !best with
-        | Some (bt, br, _) when bt < tm || (bt = tm && br <= rk) -> ()
-        | _ -> best := Some (tm, rk, t.engines.(s)))
-    done;
-    match !best with None -> None | Some (tm, _, e) -> Some (tm, e)
-  end
-
 let rec step_once_heap t ~horizon =
-  match pick_engine t with
+  let e = t.engine in
+  match Engine.peek e with
   | None -> if reseed t then step_once_heap t ~horizon else false
-  | Some (tm, _) when tm >= horizon ->
+  | Some tm when tm >= horizon ->
     false (* a pending load-balancing point gates further execution *)
-  | Some (_, e) ->
+  | Some _ ->
   match Engine.take e with
   | None -> if reseed t then step_once_heap t ~horizon else false
   | Some (Engine.Timer i) ->
@@ -2099,7 +1838,7 @@ let rec step_once_heap t ~horizon =
           step_once_heap t ~horizon
         end
         else begin
-          count_event t i;
+          t.events <- t.events + 1;
           K.set_time_us k tm;
           ignore (K.expire_timeouts k ~now:tm : int);
           ensure_wake t i;
@@ -2131,11 +1870,9 @@ let rec step_once_heap t ~horizon =
         true
       end)
 
-(* Fire the installed balancer and advance its schedule.  Balancing
-   points partition virtual time identically under any shard count: an
-   event executes before the balancer iff its (revalidated) time is
-   below [balance_at] — [step_once_heap]'s horizon sequentially, the
-   window horizon clamp in parallel. *)
+(* Fire the installed balancer and advance its schedule: an event
+   executes before the balancer iff its (revalidated) time is below
+   [balance_at], [step_once_heap]'s horizon. *)
 let fire_balancer t =
   (match t.balancer with Some f -> f () | None -> ());
   t.balance_at <- t.balance_at +. t.balance_every
@@ -2150,7 +1887,7 @@ let rec step_once t =
   match t.sched with
   | Heap ->
     if step_once_heap t ~horizon:t.balance_at then true
-    else if t.balancer <> None && pick_engine t <> None then begin
+    else if t.balancer <> None && Engine.peek t.engine <> None then begin
       (* not quiescent — execution is gated at a pending balancing
          point.  Fire it here so [false] means quiescent for every
          caller, including external drivers stepping the cluster
@@ -2161,253 +1898,16 @@ let rec step_once t =
     else false
   | Scan -> step_once_scan t
 
-(* ----------------------------------------------------------------------- *)
-(* parallel windows (run-to-quiescence only)
-
-   Conservative Chandy–Misra execution: the window [W, W + lookahead)
-   starts at the globally earliest pending event; inside it every shard
-   executes its own events concurrently, touching only its own nodes'
-   kernels, clocks, search tables and Netsim receive queues.  The
-   lookahead is the network latency — the soonest any send performed in
-   the window can arrive — so deferring all sends to the barrier is
-   unobservable in-window, and every cross-shard interaction lands in a
-   later window. *)
-
-let parallel_ok t =
-  Array.length t.shards > 1
-  && t.sched = Heap
-  && (not t.reliable)
-  && t.lookahead > 0.0
-  (* the Naive conversion tier is the one whose en/decode paths touch no
-     global mutable state (no plan cache, no shared buffer pool) *)
-  && wire_impl_of t = Enet.Wire.Naive
-  && not (Array.exists (fun n -> n.n_crashed) t.nodes)
-
-(* Execute one shard's events inside the window [*, horizon).  The body
-   mirrors [step_once_heap]'s Step/Deliver/Gc revalidation exactly;
-   Timer and Chaos entries cannot exist here ([parallel_ok] excludes
-   fault plans).  Each popped entry's (time, rank) becomes the merge
-   key under which the event's emissions, sends and aborts are
-   buffered. *)
-let win_run_shard t s ~horizon =
-  let sh = t.shards.(s) in
-  let e = sh.sh_engine in
-  let running = ref true in
-  while !running do
-    match Engine.peek e with
-    | None -> running := false
-    | Some (tm, _) when tm >= horizon -> running := false
-    | Some (tm, rk) -> (
-      sh.sh_key_time <- tm;
-      sh.sh_key_rank <- rk;
-      match Engine.take e with
-      | None -> running := false
-      | Some (Engine.Timer _) | Some (Engine.Chaos _) ->
-        assert false (* never scheduled without a fault plan *)
-      | Some (Engine.Gc i) ->
-        let n = t.nodes.(i) in
-        if (not n.n_crashed) && (gc_pending t i || over_gc_threshold t i)
-        then begin
-          do_collect t i;
-          ensure_step t i
-        end
-      | Some (Engine.Step i) ->
-        let n = t.nodes.(i) in
-        if (not n.n_crashed) && K.has_ready n.n_kernel then begin
-          let now = n.n_clock.Sim.Clock.now in
-          if now > tm then Engine.reschedule e ~at:now (Engine.Step i)
-          else begin
-            exec_step t i ~time:tm;
-            let at = n.n_clock.Sim.Clock.now in
-            if over_gc_threshold t i then Engine.schedule e ~at (Engine.Gc i);
-            if (not n.n_crashed) && K.has_ready n.n_kernel then
-              Engine.schedule e ~at (Engine.Step i);
-            ensure_wake t i
-          end
-        end
-      | Some (Engine.Wake i) ->
-        (* node-local, so safe inside a window; mirrors the sequential
-           loop's revalidation exactly *)
-        let n = t.nodes.(i) in
-        if not n.n_crashed then begin
-          match K.next_timeout n.n_kernel with
-          | None -> ()
-          | Some d ->
-            let eff = Float.max d n.n_clock.Sim.Clock.now in
-            if eff > tm then Engine.reschedule e ~at:eff (Engine.Wake i)
-            else begin
-              count_event t i;
-              K.set_time_us n.n_kernel tm;
-              ignore (K.expire_timeouts n.n_kernel ~now:tm : int);
-              ensure_wake t i;
-              ensure_step t i
-            end
-        end
-      | Some (Engine.Deliver i) -> (
-        let n = t.nodes.(i) in
-        match Enet.Netsim.next_arrival_at t.net ~dst:i with
-        | None -> ()
-        | Some arrival ->
-          let eff = Float.max arrival n.n_clock.Sim.Clock.now in
-          if eff > tm then Engine.reschedule e ~at:eff (Engine.Deliver i)
-          else begin
-            exec_deliver t i eff;
-            (match Enet.Netsim.next_arrival_at t.net ~dst:i with
-            | Some a ->
-              Engine.schedule e
-                ~at:(Float.max a (K.time_us n.n_kernel))
-                (Engine.Deliver i)
-            | None -> ());
-            ensure_step t i;
-            ensure_wake t i
-          end))
-  done
-
-(* The barrier: replay the windows' deferred effects in the canonical
-   (time, rank, seq) order — first the sends through the shared medium
-   (bit-identical reservation fold, sequence numbers and arrival
-   times), then the buffered bus events, then the thread aborts. *)
-(* Merge key subtlety: across shards, (time, rank) orders correctly —
-   ranks are node-major and shards hold contiguous node ranges, so at
-   equal times every lower shard's pops precede every higher shard's,
-   exactly as [pick_engine] chooses.  WITHIN a shard, though, the true
-   sequential order at one instant is the pop order (the emission
-   sequence number), not the rank order: a handler may schedule a
-   same-time event of LOWER rank — the Step handler queuing a
-   collection for a zero-cost slice, say — and the engine necessarily
-   pops it after its scheduler, while a rank sort would replay it
-   before.  Hence the key is (time, shard, seq). *)
-let barrier_flush t =
-  Enet.Netsim.flush_outboxes t.net (Array.map (fun sh -> sh.sh_outbox) t.shards);
-  if t.win_buffering then begin
-    let all =
-      Array.concat
-        (Array.to_list
-           (Array.mapi
-              (fun s sh ->
-                Array.of_list
-                  (List.map (fun (tm, _rk, sq, b) -> (tm, s, sq, b)) sh.sh_buf))
-              t.shards))
-    in
-    Array.sort
-      (fun (t1, r1, s1, _) (t2, r2, s2, _) ->
-        match Float.compare t1 t2 with
-        | 0 -> ( match compare r1 r2 with 0 -> compare s1 s2 | c -> c)
-        | c -> c)
-      all;
-    Array.iter
-      (fun (_, _, _, b) ->
-        match b with
-        | B_ev ev -> E.emit t.bus ev
-        | B_send d ->
-          let arrives = Enet.Netsim.Outbox.arrival d.ds_entry in
-          E.emit t.bus
-            (E.Ev_msg_send
-               { time = d.ds_time; src = d.ds_src; dst = d.ds_dst;
-                 desc = d.ds_desc; bytes = d.ds_bytes; arrives });
-          (* the transfer span follows its Ev_msg_send immediately, as
-             on the sequential path *)
-          (match d.ds_span with
-          | Some (id, rid, pair) ->
-            E.emit t.bus
-              (E.Ev_span
-                 { Obs.Span.name = "transfer"; node = d.ds_src;
-                   arch_pair = pair; t_start_us = d.ds_time;
-                   t_end_us = arrives; id; parent = Some rid;
-                   bytes = d.ds_bytes })
-          | None -> ()))
-      all;
-    Array.iter (fun sh -> sh.sh_buf <- []) t.shards
-  end;
-  let aborts =
-    Array.fold_left (fun acc sh -> List.rev_append sh.sh_aborts acc) [] t.shards
-  in
-  (match aborts with
-  | [] -> ()
-  | aborts ->
-    List.iter
-      (fun (_, _, _, _, tid, reason) -> apply_deferred_abort t tid ~reason)
-      (List.sort
-         (fun (t1, _, s1, n1, _, _) (t2, _, s2, n2, _, _) ->
-           match Float.compare t1 t2 with
-           | 0 -> (
-             (* same (time, shard, seq) key as the event replay above *)
-             match compare t.owner.(n1) t.owner.(n2) with
-             | 0 -> compare s1 s2
-             | c -> c)
-           | c -> c)
-         aborts);
-    Array.iter (fun sh -> sh.sh_aborts <- []) t.shards)
-
-let now_ns () = Unix.gettimeofday () *. 1e9
-
-let run_parallel t ~max_events =
-  let base = ref 0 in
-  Array.iter (fun sh -> base := !base + sh.sh_events) t.shards;
-  let executed () =
-    Array.fold_left (fun acc sh -> acc + sh.sh_events) (- !base) t.shards
-  in
-  let ev_before = Array.make (Array.length t.shards) 0 in
-  let pool = Shard.Pool.create ~shards:(Array.length t.shards) in
-  Fun.protect
-    ~finally:(fun () ->
-      t.win_active <- false;
-      Shard.Pool.shutdown pool)
-  @@ fun () ->
-  let running = ref true in
-  while !running do
-    match pick_engine t with
-    | None -> if not (reseed t) then running := false
-    | Some (w0, _) when w0 >= t.balance_at ->
-      (* everything earlier than the balancing point has executed; fire
-         between windows, where no shard is running *)
-      fire_balancer t
-    | Some (w0, _) ->
-      let horizon = Float.min (w0 +. t.lookahead) t.balance_at in
-      t.win_buffering <- listening t;
-      Array.iteri
-        (fun s sh ->
-          sh.sh_seq <- 0;
-          ev_before.(s) <- sh.sh_events)
-        t.shards;
-      t.win_active <- true;
-      let t0 = now_ns () in
-      Shard.Pool.run pool (fun s ->
-          let s0 = now_ns () in
-          win_run_shard t s ~horizon;
-          t.shards.(s).sh_win_busy_ns <- now_ns () -. s0);
-      let wall = now_ns () -. t0 in
-      t.win_active <- false;
-      barrier_flush t;
-      E.note_window t.bus ~horizon_us:t.lookahead;
-      Array.iteri
-        (fun s sh ->
-          let sc = E.shard_counters t.bus s in
-          let d_ev = sh.sh_events - ev_before.(s) in
-          if d_ev > 0 then sc.E.s_windows <- sc.E.s_windows + 1;
-          sc.E.s_events <- sc.E.s_events + d_ev;
-          sc.E.s_busy_ns <- sc.E.s_busy_ns +. sh.sh_win_busy_ns;
-          sc.E.s_stall_ns <-
-            sc.E.s_stall_ns +. Float.max 0.0 (wall -. sh.sh_win_busy_ns))
-        t.shards;
-      if executed () > max_events then
-        failwith "Cluster.run: event budget exceeded (livelock?)"
-  done
-
 let run ?(max_events = 2_000_000) t =
-  if parallel_ok t then run_parallel t ~max_events
-  else begin
-    let budget = ref max_events in
-    let running = ref true in
-    while !running do
-      if step_once t then begin
-        decr budget;
-        if !budget <= 0 then
-          failwith "Cluster.run: event budget exceeded (livelock?)"
-      end
-      else running := false
-    done
-  end
+  let budget = ref max_events in
+  let running = ref true in
+  while !running do
+    if step_once t then begin
+      decr budget;
+      if !budget <= 0 then failwith "Cluster.run: event budget exceeded (livelock?)"
+    end
+    else running := false
+  done
 
 (* checkpointing: quiesce first so every segment is parked at a stop *)
 let checkpoint_thread t ~node tid =
@@ -2451,7 +1951,7 @@ let group_move t ~node ~dest oids =
     | None -> ());
     let payload = Mobility.Move.perform_group_move k ~roots ~dest in
     if payload.Mobility.Marshal.mp_objects <> [] then begin
-      emit t ~node
+      E.emit t.bus
         (E.Ev_group_move
            { time = K.time_us k; node; dest;
              objects = List.length payload.Mobility.Marshal.mp_objects;
@@ -2485,21 +1985,8 @@ let chain_walk t ~from oid =
   in
   go from 0 []
 
-let find_root_done t tid =
-  let rec go s =
-    if s >= Array.length t.shards then None
-    else
-      match Hashtbl.find_opt t.shards.(s).sh_root_done tid with
-      | Some r -> Some r
-      | None -> go (s + 1)
-  in
-  go 0
-
-let root_done_count t =
-  Array.fold_left (fun acc sh -> acc + Hashtbl.length sh.sh_root_done) 0 t.shards
-
 let result t tid =
-  match find_root_done t tid with
+  match Hashtbl.find_opt t.root_done tid with
   | Some r -> Some r
   | None ->
     (* fallback for results recorded before the cluster's callback was
@@ -2519,7 +2006,7 @@ let run_until_result ?(max_events = 2_000_000) t tid =
      loop; both tables only ever grow, so O(1) length checks gate the
      probes and the common no-news iteration touches neither *)
   let probe () =
-    match find_root_done t tid with
+    match Hashtbl.find_opt t.root_done tid with
     | Some r -> Some r
     | None ->
       if Hashtbl.mem t.failures tid then
@@ -2527,7 +2014,7 @@ let run_until_result ?(max_events = 2_000_000) t tid =
       None
   in
   let rec go ~done_n ~fail_n =
-    let dn = root_done_count t and fn = Hashtbl.length t.failures in
+    let dn = Hashtbl.length t.root_done and fn = Hashtbl.length t.failures in
     let hit = if dn <> done_n || fn <> fail_n then probe () else None in
     match hit with
     | Some r -> r
@@ -2548,11 +2035,8 @@ let output t ~node = K.output (kernel t node)
 let outputs t =
   String.concat "" (Array.to_list (Array.map (fun n -> K.output n.n_kernel) t.nodes))
 
-let events_processed t =
-  Array.fold_left (fun acc sh -> acc + sh.sh_events) t.events t.shards
-
-let collections t =
-  Array.fold_left (fun acc sh -> acc + sh.sh_collections) t.collections t.shards
+let events_processed t = t.events
+let collections t = t.collections
 
 (* between events every segment is parked at a bus stop, so global
    properties are well defined; [inv_last_times] carries the previous

@@ -62,7 +62,6 @@ val create :
   ?protocol:protocol ->
   ?wire_impl:Enet.Wire.impl ->
   ?scheduler:scheduler ->
-  ?shards:int ->
   ?quantum:int ->
   ?opt_level:Emc.Opt.level ->
   ?gc_threshold:int ->
@@ -94,17 +93,6 @@ val create :
     compiled bridge fragments when their parked stop was elided at the
     destination (DESIGN.md §16).
 
-    [shards] partitions the nodes contiguously across that many OCaml
-    domains, one event engine per shard (default 1; capped at one shard
-    per node; requires {!Heap}).  Sharding never changes simulation
-    results: every API except {!run} drives the shards through a
-    sequential (time, rank) merge that reproduces the single-heap event
-    order exactly, and {!run} switches to conservatively synchronised
-    parallel windows (DESIGN.md §11) only when that is provably
-    unobservable — virtual times, results, counters and the event
-    stream are identical at any shard count; only wall-clock time
-    changes.
-
     [faults] installs a deterministic fault plan (default
     {!Fault.Plan.empty}).  A non-trivial plan switches every protocol
     message onto a sequence-numbered, acknowledged transport with
@@ -126,10 +114,8 @@ val create :
 
     [location] selects the location subsystem (default {!Loc_off}, which
     is bit-identical to clusters that predate it).  All directory and
-    chain-collapse traffic uses dedicated message tags, is produced in
-    deterministic (ascending node) order, and never depends on shard
-    count, so enabling a mode changes bytes identically at any
-    [shards]. *)
+    chain-collapse traffic uses dedicated message tags and is produced
+    in deterministic (ascending node) order. *)
 
 val protocol : t -> protocol
 val scheduler : t -> scheduler
@@ -163,15 +149,11 @@ val network : t -> Enet.Netsim.t
 val conversion_stats : t -> int -> Enet.Conversion_stats.t
 
 val engine : t -> Engine.t
-(** Shard 0's event engine (heap depth, push/pop/stale counters).
-    Unused — all counters zero — under the {!Scan} scheduler. *)
+(** The event engine (heap depth, push/pop/stale counters).  Unused —
+    all counters zero — under the {!Scan} scheduler. *)
 
 val engines : t -> Engine.t array
-(** All per-shard engines, in shard order (length {!n_shards}). *)
-
-val n_shards : t -> int
-val shard_of : t -> int -> int
-(** The shard owning a node (contiguous placement, see {!Shard.plan}). *)
+(** [[| engine t |]], kept for callers that sum over engines. *)
 
 val set_trace : t -> (string -> unit) -> unit
 (** Subscribes a line-oriented listener to the bus: it receives
@@ -182,9 +164,7 @@ val subscribe_events : t -> (Events.t -> unit) -> unit
 (** Subscribe to the typed trace/metrics bus. *)
 
 val bus : t -> Events.bus
-(** The bus itself — per-node counters plus, after a parallel {!run},
-    the per-shard window metrics ({!Events.shard_counters},
-    {!Events.windows}, {!Events.mean_horizon_us}). *)
+(** The bus itself, with its per-node counters. *)
 
 val node_counters : t -> int -> Events.counters
 val total_counter : t -> (Events.counters -> int) -> int
@@ -295,9 +275,8 @@ val chain_walk : t -> from:int -> Ert.Oid.t -> int option * int
 
 val set_balancer : t -> every_us:float -> (unit -> unit) -> unit
 (** Install a load-balancing hook that fires every [every_us] of virtual
-    time, between events — and, in sharded runs, between windows — so
-    its firing points partition the event sequence identically at any
-    shard count.  The hook typically inspects per-node load
+    time, between events: every event earlier than a firing point runs
+    before it, every later one after.  The hook typically inspects per-node load
     ({!Ert.Kernel.ready_depth}, {!Obs.Profile} data) and calls
     {!evict_thread}.  Heap scheduler only. *)
 

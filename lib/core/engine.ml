@@ -13,12 +13,9 @@ type event =
    collection runs inline before the node does other work, a message
    delivery beats a scheduling step, a wait-timeout expiry (Wake) makes
    its waiter ready before the instant's scheduling step runs, and
-   retransmission deadlines fire after regular work.  The node-major order is what makes the rank a
-   *placement-independent* total order: partitioning the nodes into
-   contiguous shards and merging the shards' streams by (time, rank)
-   reproduces exactly the one-heap order, because rank already sorts by
-   node first.  (The insertion sequence number inside the heap breaks
-   any remaining tie FIFO, so a single heap is deterministic too.) *)
+   retransmission deadlines fire after regular work.  The insertion
+   sequence number inside the heap breaks any remaining tie FIFO, so
+   the order is total and the heap deterministic. *)
 let n_kinds = 6
 
 let rank = function
@@ -92,8 +89,7 @@ let reschedule t ~at ev =
   schedule t ~at ev
 
 let peek t =
-  if Sim.Pqueue.is_empty t.pq then None
-  else Some (Sim.Pqueue.min_time t.pq, Sim.Pqueue.min_rank t.pq)
+  if Sim.Pqueue.is_empty t.pq then None else Some (Sim.Pqueue.min_time t.pq)
 
 (* [pop] without the [(time * event) option] wrapping: the popped time
    is readable as [now t] (the pop advanced the clock to it).  The hot

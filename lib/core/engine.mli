@@ -7,29 +7,20 @@
     order, with one deliberate strengthening: simultaneous events have a
     *total* order (time, then node-major {!rank} — per node the kinds
     order Chaos < Gc < Deliver < Wake < Step < Timer — then insertion
-    sequence),
-    so the merged order cannot depend on heap insertion order.  Because
-    the rank sorts by node before kind, the order is placement
-    independent: merging per-shard heaps of a contiguous node partition
-    by (time, rank) reproduces the single-heap order exactly.
+    sequence), so the order cannot depend on heap insertion order.
 
     Scheduled times are allowed to go stale — a node's clock advances
     after its step was queued, or a message queue's head changes.  The
     engine dedups to at most one pending entry per (kind, node); the
     executor re-validates each popped entry and {!reschedule}s it at the
     corrected time, which is always later, so no event can run early.
-
-    One engine instance is single-domain: a sharded cluster runs one
-    engine per shard and merges the streams (see Cluster).  The heap,
-    flags and counters here are deliberately not exposed. *)
+    The heap, flags and counters here are deliberately not exposed. *)
 
 type event =
   | Step of int  (** run one kernel scheduling slice on the node *)
   | Deliver of int  (** deliver the node's next arrived message *)
   | Wake of int
-      (** the node's earliest monitor wait-timeout deadline is due;
-          node-local (no message traffic), hence safe inside
-          Chandy-Misra windows *)
+      (** the node's earliest monitor wait-timeout deadline is due *)
   | Gc of int  (** automatic collection on the node *)
   | Timer of int  (** the node's earliest retransmission deadline is due *)
   | Chaos of int  (** the node's next scheduled crash/restart window opens *)
@@ -49,12 +40,9 @@ val reschedule : t -> at:float -> event -> unit
 (** Re-queue a popped-but-stale event at its corrected time; counted
     separately in {!stale_pops}. *)
 
-val peek : t -> (float * int) option
-(** Time and rank of the earliest pending event, without removing it.
-    The rank is the global node-major total order key: two engines over
-    disjoint node sets can be merged deterministically by comparing
-    (time, rank).  Shard executors also use it to stop at a window
-    horizon without disturbing the heap. *)
+val peek : t -> float option
+(** Time of the earliest pending event, without removing it: the loop
+    stops at a load-balancing point without disturbing the heap. *)
 
 val take : t -> event option
 (** Remove and return the earliest event, advancing the frontier clock;

@@ -252,55 +252,13 @@ let fresh_counters () =
     c_bridged = 0;
   }
 
-(* Per-shard window metrics for the sharded engine: how many windows the
-   shard had work in, how many events it executed, how long it computed
-   inside windows, and how long it sat at barriers waiting for slower
-   shards.  These live on the bus (next to the per-node counters) but
-   are deliberately *not* emitted as events: a sharded run must produce
-   the identical event stream to a one-shard run, and window boundaries
-   are a wall-clock artefact, not simulation behaviour. *)
-type shard_counters = {
-  mutable s_windows : int;
-  mutable s_events : int;
-  mutable s_busy_ns : float;
-  mutable s_stall_ns : float;
-}
-
-let fresh_shard_counters () =
-  { s_windows = 0; s_events = 0; s_busy_ns = 0.0; s_stall_ns = 0.0 }
-
 type bus = {
   node_counters : counters array;
   mutable subscribers : (t -> unit) list;
-  mutable shard_counters : shard_counters array;
-  mutable windows : int;  (* parallel windows run *)
-  mutable horizon_us_sum : float;  (* sum of window widths *)
 }
 
 let create_bus ~n_nodes =
-  {
-    node_counters = Array.init n_nodes (fun _ -> fresh_counters ());
-    subscribers = [];
-    shard_counters = [||];
-    windows = 0;
-    horizon_us_sum = 0.0;
-  }
-
-let attach_shards bus n =
-  if Array.length bus.shard_counters <> n then
-    bus.shard_counters <- Array.init n (fun _ -> fresh_shard_counters ())
-
-let shards_attached bus = Array.length bus.shard_counters
-let shard_counters bus s = bus.shard_counters.(s)
-
-let note_window bus ~horizon_us =
-  bus.windows <- bus.windows + 1;
-  bus.horizon_us_sum <- bus.horizon_us_sum +. horizon_us
-
-let windows bus = bus.windows
-
-let mean_horizon_us bus =
-  if bus.windows = 0 then 0.0 else bus.horizon_us_sum /. float_of_int bus.windows
+  { node_counters = Array.init n_nodes (fun _ -> fresh_counters ()); subscribers = [] }
 
 let subscribe bus f = bus.subscribers <- bus.subscribers @ [ f ]
 let has_subscribers bus = bus.subscribers <> []

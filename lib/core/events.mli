@@ -191,32 +191,3 @@ val n_nodes : bus -> int
 
 val total : bus -> (counters -> int) -> int
 (** Sum a counter field across all nodes. *)
-
-(** {1 Sharded-run observability}
-
-    Per-shard window metrics, carried on the bus next to the per-node
-    counters but never emitted as events: a sharded run must produce an
-    event stream identical to a one-shard run, and windows are a
-    wall-clock artefact.  [s_busy_ns] is host time spent executing
-    inside windows; [s_stall_ns] is host time the shard spent parked at
-    barriers while slower shards finished; events/sec follows as
-    [s_events /. (s_busy_ns /. 1e9)]. *)
-
-type shard_counters = {
-  mutable s_windows : int;  (** windows in which the shard had work *)
-  mutable s_events : int;  (** engine events the shard executed *)
-  mutable s_busy_ns : float;
-  mutable s_stall_ns : float;
-}
-
-val attach_shards : bus -> int -> unit
-(** Size the per-shard counter array (idempotent per size). *)
-
-val shards_attached : bus -> int
-val shard_counters : bus -> int -> shard_counters
-
-val note_window : bus -> horizon_us:float -> unit
-(** Record one parallel window and its width in virtual microseconds. *)
-
-val windows : bus -> int
-val mean_horizon_us : bus -> float

@@ -164,16 +164,11 @@ let value_string = function
   | Some v -> Format.asprintf "%a" Ert.Value.pp v
 
 let run_seed ?plan ?drop ?(evict = false) ?(groups = false) ?(gc = false)
-    ?(check_every = 1) ?(max_events = 400_000) ?(trace_lines = 120) ?shards
-    ~seed () =
+    ?(check_every = 1) ?(max_events = 400_000) ?(trace_lines = 120) ~seed () =
   let sc = scenario_of_seed seed in
   let plan = match plan with Some p -> P.with_seed p seed | None -> sc.sc_plan in
   let plan = match drop with Some d -> { plan with P.pl_drop = d } | None -> plan in
   let archs = List.init sc.sc_n_nodes (fun i -> List.nth arch_pool (i mod 4)) in
-  (* the driver advances the cluster by [step_once] — the sequential
-     (time, rank) merge — so any shard count replays the identical
-     event sequence; [shards] here exercises the sharded structures
-     under fault plans, not parallel execution *)
   let location = if groups then Cluster.Loc_directory else Cluster.Loc_off in
   (* gc mode: incremental collection with a threshold small enough that
      cycles are open nearly continuously, so the write barrier, migration
@@ -187,7 +182,7 @@ let run_seed ?plan ?drop ?(evict = false) ?(groups = false) ?(gc = false)
   let gc_mode = if gc then Cluster.Gc_incremental else Cluster.Gc_stw in
   let gc_threshold = if gc then Some (8 * 1024) else None in
   let cl =
-    Cluster.create ~faults:plan ?shards ~location ~gc_mode ?gc_threshold
+    Cluster.create ~faults:plan ~location ~gc_mode ?gc_threshold
       ~gc_budget:64 ~archs ()
   in
   (* forced-eviction mode: the hot-spot balancer fires against the
@@ -295,7 +290,9 @@ let run_seed ?plan ?drop ?(evict = false) ?(groups = false) ?(gc = false)
 (* ----------------------------------------------------------------------- *)
 (* greedy plan shrinking: drop one component at a time, keep the removal
    whenever the seed still fails, until no single removal preserves the
-   failure *)
+   failure.  The forced loss goes into the starting plan once; the
+   candidates then run as they are, so removing the loss is judged like
+   any other component. *)
 
 let shrink_candidates (p : P.t) =
   let drop_nth n l = List.filteri (fun i _ -> i <> n) l in
@@ -312,30 +309,23 @@ let shrink_candidates (p : P.t) =
         p.P.pl_chaos;
     ]
 
-let shrink ?drop ?evict ?groups ?gc ?check_every ?max_events ?shards ~seed plan
-    =
+let shrink ?drop ?evict ?groups ?gc ?check_every ?max_events ~seed plan =
   let still_fails p =
-    not
-      (run_seed ~plan:p ?drop ?evict ?groups ?gc ?check_every ?max_events
-         ?shards ~seed ())
-        .f_ok
+    not (run_seed ~plan:p ?evict ?groups ?gc ?check_every ?max_events ~seed ()).f_ok
   in
   let rec go p =
     match List.find_opt still_fails (shrink_candidates p) with
     | Some smaller -> go smaller
     | None -> p
   in
-  go plan
+  go (match drop with Some d -> { plan with P.pl_drop = d } | None -> plan)
 
-let sweep ?drop ?evict ?groups ?gc ?check_every ?max_events ?shards
+let sweep ?drop ?evict ?groups ?gc ?check_every ?max_events
     ?(on_outcome = ignore) ~seeds () =
   let rec go = function
     | [] -> None
     | seed :: rest ->
-      let o =
-        run_seed ?drop ?evict ?groups ?gc ?check_every ?max_events ?shards
-          ~seed ()
-      in
+      let o = run_seed ?drop ?evict ?groups ?gc ?check_every ?max_events ~seed () in
       on_outcome o;
       if o.f_ok then go rest else Some o
   in

@@ -51,7 +51,6 @@ val run_seed :
   ?check_every:int ->
   ?max_events:int ->
   ?trace_lines:int ->
-  ?shards:int ->
   seed:int ->
   unit ->
   outcome
@@ -69,19 +68,17 @@ val run_seed :
     greying and crash-mid-cycle discard all race the fault plan
     (default false); [check_every] runs the
     invariant checkers every that-many events (default 1);
-    [trace_lines] bounds the kept trace tail (default 120).
-
-    [shards] builds the cluster sharded (default 1).  The driver steps
-    the cluster through the sequential (time, rank) merge, so every
-    shard count replays the identical event sequence and outcome —
-    asserted by the regression tests. *)
+    [trace_lines] bounds the kept trace tail (default 120). *)
 
 val shrink :
   ?drop:float -> ?evict:bool -> ?groups:bool -> ?gc:bool ->
-  ?check_every:int -> ?max_events:int -> ?shards:int -> seed:int ->
+  ?check_every:int -> ?max_events:int -> seed:int ->
   Fault.Plan.t -> Fault.Plan.t
 (** Greedily remove plan components while the seed still fails;
-    returns the smallest still-failing plan found. *)
+    returns the smallest still-failing plan found.  [drop] sets the
+    starting plan's loss probability, as {!run_seed}'s does; each
+    candidate then runs as it is, so the returned plan fails when run
+    alone ([run_seed ~plan]). *)
 
 val sweep :
   ?drop:float ->
@@ -90,7 +87,6 @@ val sweep :
   ?gc:bool ->
   ?check_every:int ->
   ?max_events:int ->
-  ?shards:int ->
   ?on_outcome:(outcome -> unit) ->
   seeds:int list ->
   unit ->

@@ -139,40 +139,6 @@ object Agent
 end Agent
 |}
 
-(* The sharded-engine workload: one agent per node, all touring the
-   ring with their home as phase offset, so at every hop the agents
-   occupy pairwise distinct nodes — agent a sits at (a + hop) mod n.
-   With contiguous shard placement the spin events between moves are
-   pure intra-shard work happening concurrently on every shard, and the
-   moves (network latency apart) fall on window barriers: the shape a
-   conservative parallel engine can actually speed up. *)
-let parallel_src =
-  {|
-object Agent
-  operation tour[n : int, hops : int, spins : int] -> [r : int]
-    var home : int <- thisnode
-    var i : int <- 0
-    var j : int <- 0
-    var dest : int <- 0
-    var acc : int <- 0
-    loop
-      exit when i >= hops
-      i <- i + 1
-      dest <- home + i - ((home + i) / n) * n
-      move self to dest
-      j <- 0
-      loop
-        exit when j >= spins
-        j <- j + 1
-        acc <- acc + j - (j / 2) * 2
-      end loop
-    end loop
-    move self to home
-    r <- acc + home - home
-  end tour
-end Agent
-|}
-
 type roundtrip = {
   rt_us_per_trip : float;
   rt_bytes_sent : int;
@@ -182,12 +148,10 @@ type roundtrip = {
   rt_host_seconds : float;
 }
 
-let measure_roundtrip ?protocol ?wire_impl ?faults ?shards ?n_vars ~home ~dest
-    ~iters () =
+let measure_roundtrip ?protocol ?wire_impl ?faults ?n_vars ~home ~dest ~iters
+    () =
   let t_start = Unix.gettimeofday () in
-  let cl =
-    Cluster.create ?protocol ?wire_impl ?faults ?shards ~archs:[ home; dest ] ()
-  in
+  let cl = Cluster.create ?protocol ?wire_impl ?faults ~archs:[ home; dest ] () in
   let source =
     match n_vars with
     | None -> table1_src
@@ -253,8 +217,6 @@ let measure_intranode ?optimize ~arch ~migrated ~n () =
 
 type scaling = {
   sc_nodes : int;
-  sc_shards : int;
-  sc_agents : int;
   sc_result : int;
   sc_events : int;
   sc_virtual_us : float;
@@ -262,8 +224,6 @@ type scaling = {
   sc_events_per_sec : float;
   sc_engine_pops : int;
   sc_engine_stale : int;
-  sc_windows : int;
-  sc_mean_horizon_us : float;
 }
 
 let scaling_archs n_nodes =
@@ -271,25 +231,14 @@ let scaling_archs n_nodes =
   List.init n_nodes (fun i -> pool.(i mod Array.length pool))
 
 let measure_scaling ?(scheduler = Cluster.Heap) ?(quantum = 20) ?faults
-    ?(shards = 1) ?(agents = 1) ~n_nodes ~hops ~spins () =
-  let multi = agents > 1 in
-  (* the multi-agent tour's premise — agents at pairwise distinct nodes
-     on every hop — holds only when every node executes at the same
-     speed, so the lockstep phase offsets never drift; heterogeneous
-     node speeds eventually co-locate two mid-quantum agents, a
-     different workload entirely *)
-  let archs =
-    if multi then List.init n_nodes (fun _ -> Isa.Arch.sparc)
-    else scaling_archs n_nodes
+    ~n_nodes ~hops ~spins () =
+  let cl =
+    Cluster.create ~scheduler ~quantum ?faults ~archs:(scaling_archs n_nodes) ()
   in
-  let cl = Cluster.create ~scheduler ~quantum ?faults ~shards ~archs () in
-  ignore
-    (Cluster.compile_and_load cl ~name:"scaling"
-       (if multi then parallel_src else scaling_src));
-  let spawn_agent a =
-    let node = a mod n_nodes in
-    let agent = Cluster.create_object cl ~node ~class_name:"Agent" in
-    Cluster.spawn cl ~node ~target:agent ~op:"tour"
+  ignore (Cluster.compile_and_load cl ~name:"scaling" scaling_src);
+  let agent = Cluster.create_object cl ~node:0 ~class_name:"Agent" in
+  let tid =
+    Cluster.spawn cl ~node:0 ~target:agent ~op:"tour"
       ~args:
         [
           Ert.Value.Vint (Int32.of_int n_nodes);
@@ -297,50 +246,27 @@ let measure_scaling ?(scheduler = Cluster.Heap) ?(quantum = 20) ?faults
           Ert.Value.Vint (Int32.of_int spins);
         ]
   in
-  let tids = List.init agents spawn_agent in
   (* time the event loop only, not compilation; settle the collector so
      one run's garbage is not charged to the next *)
   Gc.full_major ();
   let t_start = Unix.gettimeofday () in
-  (* a single agent keeps the seed's exact run-until-result drive; the
-     multi-agent tour runs to quiescence — the only entry point allowed
-     to execute shards in parallel — and the per-thread results are
-     collected afterwards *)
   let r =
-    if multi then begin
-      Cluster.run cl;
-      List.fold_left
-        (fun acc tid ->
-          match Cluster.result cl tid with
-          | Some (Some (Ert.Value.Vint v)) -> acc + Int32.to_int v
-          | _ -> failwith "scaling agent did not return a value")
-        0 tids
-    end
-    else
-      match Cluster.run_until_result cl (List.hd tids) with
-      | Some (Ert.Value.Vint v) -> Int32.to_int v
-      | _ -> failwith "scaling workload did not return a value"
+    match Cluster.run_until_result cl tid with
+    | Some (Ert.Value.Vint v) -> Int32.to_int v
+    | _ -> failwith "scaling workload did not return a value"
   in
   let dt = Unix.gettimeofday () -. t_start in
   let events = Cluster.events_processed cl in
-  let pops, stale =
-    Array.fold_left
-      (fun (p, s) e -> (p + Engine.pops e, s + Engine.stale_pops e))
-      (0, 0) (Cluster.engines cl)
-  in
+  let e = Cluster.engine cl in
   {
     sc_nodes = n_nodes;
-    sc_shards = Cluster.n_shards cl;
-    sc_agents = agents;
     sc_result = r;
     sc_events = events;
     sc_virtual_us = Cluster.global_time_us cl;
     sc_host_seconds = dt;
     sc_events_per_sec = float_of_int events /. Float.max dt 1e-9;
-    sc_engine_pops = pops;
-    sc_engine_stale = stale;
-    sc_windows = Events.windows (Cluster.bus cl);
-    sc_mean_horizon_us = Events.mean_horizon_us (Cluster.bus cl);
+    sc_engine_pops = Engine.pops e;
+    sc_engine_stale = Engine.stale_pops e;
   }
 
 (* The eviction workload: [workers] compute-bound threads all spawned on
@@ -378,8 +304,8 @@ let hot_spot_balancer ?(threshold = 2) cl =
      victim has left the hot node's queue but not yet landed on the cold
      one), so back-to-back decisions overshoot and the cluster thrashes.
      One eviction per cooldown window gives each payload time to land
-     before the next reading.  Virtual-time based, so it is deterministic
-     at any shard count. *)
+     before the next reading.  Virtual-time based, so it is
+     deterministic. *)
   let cooldown_us = 25_000.0 in
   let last_fire = ref neg_infinity in
   fun () ->
@@ -393,7 +319,7 @@ let hot_spot_balancer ?(threshold = 2) cl =
       done;
       if !hot <> !cold && depth !hot - depth !cold >= threshold then begin
         let k = Cluster.kernel cl !hot in
-        (* lowest-id runnable segment: deterministic under any shard count *)
+        (* lowest-id runnable segment: a deterministic choice *)
         let candidates =
           Ert.Kernel.segments k
           |> List.filter (fun s ->
@@ -444,7 +370,6 @@ end Chaser
 
 type cluster_run = {
   cr_nodes : int;
-  cr_shards : int;
   cr_objects : int;
   cr_result : int;
   cr_expected : int;
@@ -468,12 +393,12 @@ type cluster_run = {
   cr_group_objects : int;
 }
 
-let measure_cluster ?(shards = 1) ?(flock = 16) ?(askers = 8) ?(calls = 12)
+let measure_cluster ?(flock = 16) ?(askers = 8) ?(calls = 12)
     ?(rounds = 16) ~n_nodes ~n_objects () =
   let t_start = Unix.gettimeofday () in
   (* homogeneous ring: the point is location traffic, not conversion *)
   let archs = List.init n_nodes (fun _ -> Isa.Arch.sparc) in
-  let cl = Cluster.create ~shards ~location:Cluster.Loc_directory ~archs () in
+  let cl = Cluster.create ~location:Cluster.Loc_directory ~archs () in
   ignore (Cluster.compile_and_load cl ~name:"cluster" cluster_src);
   (* the flock is born co-located on node 0; the cold population is
      spread round-robin (each birth registers silently with its home
@@ -532,7 +457,6 @@ let measure_cluster ?(shards = 1) ?(flock = 16) ?(askers = 8) ?(calls = 12)
   let events = Cluster.events_processed cl in
   {
     cr_nodes = n_nodes;
-    cr_shards = Cluster.n_shards cl;
     cr_objects = n_objects;
     cr_result = result;
     cr_expected = askers * (calls * (calls + 1) / 2);
@@ -569,12 +493,12 @@ type evict_run = {
   er_host_seconds : float;
 }
 
-let measure_evict ?(async_migration = false) ?(shards = 1) ?(workers = 6)
+let measure_evict ?(async_migration = false) ?(workers = 6)
     ?(every_us = 400.0) ?(threshold = 2) ~n_nodes ~rounds ~spins () =
   let t_start = Unix.gettimeofday () in
   (* homogeneous cluster: the point is queue depth, not conversion *)
   let archs = List.init n_nodes (fun _ -> Isa.Arch.sparc) in
-  let cl = Cluster.create ~quantum:40 ~shards ~async_migration ~archs () in
+  let cl = Cluster.create ~quantum:40 ~async_migration ~archs () in
   let trace = Buffer.create 4096 in
   Cluster.set_trace cl (fun line ->
       Buffer.add_string trace line;

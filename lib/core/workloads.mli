@@ -33,7 +33,6 @@ val measure_roundtrip :
   ?protocol:Cluster.protocol ->
   ?wire_impl:Enet.Wire.impl ->
   ?faults:Fault.Plan.t ->
-  ?shards:int ->
   ?n_vars:int ->
   home:Isa.Arch.t ->
   dest:Isa.Arch.t ->
@@ -41,9 +40,7 @@ val measure_roundtrip :
   unit ->
   roundtrip
 (** Build a two-node cluster, run the Table 1 workload, and report the
-    per-round-trip cost from the program's own virtual-clock measurement.
-    [shards] shards the cluster; the reported Table 1 numbers are
-    identical at every shard count (asserted by the regression tests). *)
+    per-round-trip cost from the program's own virtual-clock measurement. *)
 
 type intranode = {
   in_result : int;
@@ -65,35 +62,21 @@ val scaling_src : string
     run decomposes into many cheap events, so event-selection cost
     dominates. *)
 
-val parallel_src : string
-(** The sharded-engine workload: one agent per node touring the ring
-    with its home node as phase offset, so agents occupy pairwise
-    distinct nodes at every hop — concurrent intra-shard spin work on
-    every shard, with the cross-shard moves a network latency apart.
-    The distinct-nodes premise requires a homogeneous cluster: equal
-    node speeds keep the agents in lockstep. *)
-
 type scaling = {
   sc_nodes : int;
-  sc_shards : int;  (** shards actually used (capped at one per node) *)
-  sc_agents : int;
   sc_result : int;  (** the workload's own result (a determinism digest) *)
   sc_events : int;
   sc_virtual_us : float;
   sc_host_seconds : float;  (** wall time of the event loop *)
   sc_events_per_sec : float;
-  sc_engine_pops : int;  (** summed over shards; 0 under [Scan] *)
+  sc_engine_pops : int;  (** 0 under [Scan] *)
   sc_engine_stale : int;
-  sc_windows : int;  (** parallel windows run (0 in sequential regimes) *)
-  sc_mean_horizon_us : float;
 }
 
 val measure_scaling :
   ?scheduler:Cluster.scheduler ->
   ?quantum:int ->
   ?faults:Fault.Plan.t ->
-  ?shards:int ->
-  ?agents:int ->
   n_nodes:int ->
   hops:int ->
   spins:int ->
@@ -101,15 +84,7 @@ val measure_scaling :
   scaling
 (** Run the scaling workload on an [n_nodes] cluster and report events
     per wall-clock second.  Run with both schedulers to compare: the
-    simulation results must be identical, only the wall clock differs.
-
-    [agents = 1] (default) keeps the seed's single-agent tour, driven
-    by [run_until_result].  [agents > 1] spawns one {!parallel_src}
-    agent per listed agent (agent [a] starts on node [a mod n_nodes])
-    and runs the cluster to quiescence — the regime in which
-    [shards > 1] executes windows in parallel.  Results, events and
-    virtual time are identical at every shard count; only
-    [sc_host_seconds] may differ. *)
+    simulation results must be identical, only the wall clock differs. *)
 
 val hotspot_src : string
 (** The eviction workload: compute-bound workers that never move or
@@ -126,7 +101,7 @@ val hot_spot_balancer : ?threshold:int -> Cluster.t -> unit -> unit
     the cool one.  At most one eviction fires per 25 ms cooldown window,
     giving in-flight payloads time to land before the next depth
     reading.  A function of kernel state and virtual time only, so its
-    decisions are identical at every shard count.
+    decisions are deterministic.
 
     Thresholds below 2 can live-lock: moving a segment from a depth-1
     node to an empty one merely swaps the imbalance, so a lone thread
@@ -140,7 +115,6 @@ val cluster_src : string
 
 type cluster_run = {
   cr_nodes : int;
-  cr_shards : int;
   cr_objects : int;  (** resident population created *)
   cr_result : int;  (** sum of chaser digests *)
   cr_expected : int;  (** what the digests must sum to *)
@@ -165,7 +139,6 @@ type cluster_run = {
 }
 
 val measure_cluster :
-  ?shards:int ->
   ?flock:int ->
   ?askers:int ->
   ?calls:int ->
@@ -179,9 +152,7 @@ val measure_cluster :
     on node 0, the rest round-robin), spawn [askers] chasers each
     invoking a flock member [calls] times, and rotate the flock
     [rounds] hops around the ring with {!Cluster.group_move} while they
-    chase.  Every simulation-visible field is identical at any [shards]
-    (asserted by the bench and the regression tests); only the wall
-    clock may change. *)
+    chase. *)
 
 type evict_run = {
   er_result : int;  (** sum of worker digests (encodes final placement) *)
@@ -197,7 +168,6 @@ type evict_run = {
 
 val measure_evict :
   ?async_migration:bool ->
-  ?shards:int ->
   ?workers:int ->
   ?every_us:float ->
   ?threshold:int ->

@@ -208,89 +208,6 @@ let iter_pending t f =
   Array.iter (fun q -> Queue.iter f q) t.queues;
   Array.iter (fun l -> List.iter f l) t.delayed
 
-(* Deferred sends for sharded execution.  During a conservative window a
-   shard may not touch the shared medium ([medium_free_at], [seq], the
-   destination queues are partially foreign) — so it posts sends into a
-   private outbox instead.  At the window barrier the coordinator
-   flushes all outboxes in one canonical order (the generating event's
-   (time, rank) in the engine's global total order, then a per-shard
-   posting counter), replaying exactly the medium reservation fold and
-   injector consultation a single-heap run would have performed.  The
-   arrival times, sequence numbers and fault verdicts are therefore
-   bit-identical to inline sends, merely computed later — which is sound
-   because the window horizon never exceeds the network latency, so no
-   posted send can arrive inside the window that posted it. *)
-module Outbox = struct
-  type entry = {
-    e_time : float;  (* generating event's virtual time *)
-    e_rank : int;  (* generating event's engine rank (node-major) *)
-    e_seq : int;  (* posting order within the shard *)
-    e_now_us : float;
-    e_src : int;
-    e_dst : int;
-    e_payload : Wire.view;
-    e_span : (int * int * float) option;  (* observability tag, see [message] *)
-    mutable e_arrives : float;  (* filled by flush *)
-  }
-
-  type t = { mutable entries : entry list; mutable count : int }
-
-  let create () = { entries = []; count = 0 }
-  let length b = b.count
-
-  let post ?span b ~time ~rank ~seq ~now_us ~src ~dst ~payload =
-    let e =
-      {
-        e_time = time;
-        e_rank = rank;
-        e_seq = seq;
-        e_now_us = now_us;
-        e_src = src;
-        e_dst = dst;
-        e_payload = payload;
-        e_span = span;
-        e_arrives = Float.nan;
-      }
-    in
-    b.entries <- e :: b.entries;
-    b.count <- b.count + 1;
-    e
-
-  let arrival e = e.e_arrives
-
-  (* (time, rank) identifies the generating event globally — the rank is
-     node-major, and a node lives in exactly one shard — so the per-shard
-     posting counter only ever breaks ties between posts of one shard. *)
-  let order a b =
-    match Float.compare a.e_time b.e_time with
-    | 0 -> (
-      match compare a.e_rank b.e_rank with
-      | 0 -> compare a.e_seq b.e_seq
-      | c -> c)
-    | c -> c
-end
-
-let flush_outboxes t boxes =
-  let n = Array.fold_left (fun acc b -> acc + Outbox.length b) 0 boxes in
-  if n > 0 then begin
-    let all =
-      Array.concat
-        (Array.to_list (Array.map (fun b -> Array.of_list b.Outbox.entries) boxes))
-    in
-    Array.sort Outbox.order all;
-    Array.iter
-      (fun e ->
-        e.Outbox.e_arrives <-
-          send_view ?span:e.Outbox.e_span t ~now_us:e.Outbox.e_now_us
-            ~src:e.Outbox.e_src ~dst:e.Outbox.e_dst ~payload:e.Outbox.e_payload)
-      all;
-    Array.iter
-      (fun b ->
-        b.Outbox.entries <- [];
-        b.Outbox.count <- 0)
-      boxes
-  end
-
 let messages_sent t = t.messages_sent
 let bytes_sent t = t.bytes_sent
 let messages_dropped t = t.dropped

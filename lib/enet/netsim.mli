@@ -107,47 +107,6 @@ val iter_pending : t -> (message -> unit) -> unit
 (** Visit every in-flight message (delivery order not guaranteed) — for
     invariant checkers that need to know what is on the wire. *)
 
-(** {1 Sharded execution}
-
-    During a conservative simulation window a shard must not touch the
-    shared medium state; it {!Outbox.post}s its sends into a private
-    outbox instead.  {!flush_outboxes} replays all posted sends at the
-    window barrier in the canonical event order, reproducing exactly the
-    medium reservation, sequence numbering and injector consultation of
-    an inline run.  Sound because the window horizon is bounded by the
-    network latency: no posted send can arrive inside its own window. *)
-
-module Outbox : sig
-  type entry
-  type t
-
-  val create : unit -> t
-  val length : t -> int
-
-  val post :
-    ?span:int * int * float ->
-    t ->
-    time:float ->
-    rank:int ->
-    seq:int ->
-    now_us:float ->
-    src:int ->
-    dst:int ->
-    payload:Wire.view ->
-    entry
-  (** Record a deferred send.  [(time, rank)] key the generating engine
-      event in the global node-major total order; [seq] is the shard's
-      posting counter, breaking ties among posts of one event. *)
-
-  val arrival : entry -> float
-  (** Arrival time assigned by {!flush_outboxes}; NaN before the flush. *)
-end
-
-val flush_outboxes : t -> Outbox.t array -> unit
-(** Sort all posted sends by [(time, rank, seq)] and run each through
-    the normal send path ({!send_view} — medium fold, injector,
-    [on_arrival] listener), then empty the outboxes. *)
-
 val messages_sent : t -> int
 val bytes_sent : t -> int
 (** Payload plus framing bytes across all messages. *)

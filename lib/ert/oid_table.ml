@@ -8,7 +8,7 @@
    Removal swaps the last slot down, so the arrays stay dense and every
    operation is O(1); iteration order is a deterministic function of the
    operation sequence (never of hashing), which keeps traces identical
-   across runs and shard counts. *)
+   across runs. *)
 
 module ITbl = Hashtbl.Make (struct
   type t = int

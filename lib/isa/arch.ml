@@ -119,9 +119,7 @@ let compute_fingerprint a =
 (* interned once per descriptor, like conversion-plan pairs: the memo
    is indexed by the (small, closed) set of architecture ids, and the
    counters let emrun --stats assert migrations hit the memo instead
-   of recomputing per move.  Writes are idempotent (the fingerprint is
-   a pure function of the descriptor) so the slots need no lock; the
-   counters are atomic because shard domains negotiate concurrently. *)
+   of recomputing per move *)
 let fp_ord a =
   match a.id with
   | "vax" -> 0
@@ -131,30 +129,30 @@ let fp_ord a =
   | "sparc" -> 4
   | _ -> -1
 
-let fp_slots = Array.init 5 (fun _ -> Atomic.make 0)
-let fp_computes = Atomic.make 0
-let fp_hits = Atomic.make 0
+let fp_slots = Array.make 5 0
+let fp_computes = ref 0
+let fp_hits = ref 0
 
 let fingerprint a =
   let i = fp_ord a in
   if i < 0 then begin
     (* descriptors outside the builtin set (tests) are not interned *)
-    Atomic.incr fp_computes;
+    incr fp_computes;
     compute_fingerprint a
   end
   else
-    let v = Atomic.get fp_slots.(i) in
+    let v = fp_slots.(i) in
     if v <> 0 then begin
-      Atomic.incr fp_hits;
+      incr fp_hits;
       v
     end
     else begin
       let v = compute_fingerprint a in
-      Atomic.set fp_slots.(i) v;
-      Atomic.incr fp_computes;
+      fp_slots.(i) <- v;
+      incr fp_computes;
       v
     end
 
 let same_layout a b = fingerprint a = fingerprint b
-let fingerprint_computes () = Atomic.get fp_computes
-let fingerprint_hits () = Atomic.get fp_hits
+let fingerprint_computes () = !fp_computes
+let fingerprint_hits () = !fp_hits

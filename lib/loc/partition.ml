@@ -2,7 +2,7 @@
    whose directory shard records the object's current location.  The map
    is a pure function of (oid, cluster size) — no state, no rebalancing
    — so any node computes any object's home without coordination, and
-   the assignment is identical at every shard count and across runs. *)
+   the assignment is identical across runs. *)
 
 type t = { pm_nodes : int }
 

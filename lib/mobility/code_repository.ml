@@ -1,17 +1,13 @@
-(* Fetch accounting is kept per node (not one shared list) so that the
-   sharded cluster's domains can record fetches for their own nodes
-   without synchronisation — which is also why the array is sized once
-   at creation (the cluster knows its node count) and never grown:
-   resizing mid-run would race the recording domains. *)
+(* Fetch accounting is kept per node (not one shared list), in an array
+   sized once at creation: the cluster knows its node count. *)
 type t = {
   fetches : int list array;  (* per node, fetched class indexes, newest first *)
   plans : Conv_plan.cache;
   dispatch : Isa.Dispatch.cache array;
       (* per node, like the fetch lists: each node's kernel translates
-         into its own cache, so sharded domains never share tables.
-         Living here (not in the kernel) keeps translations across a
-         node restart — the engine's memory-identity check voids the
-         stale ones. *)
+         into its own cache.  Living here (not in the kernel) keeps
+         translations across a node restart — the engine's
+         memory-identity check voids the stale ones. *)
   bridges : Ert.Bridge.t array;
       (* per node, the compiled bridge fragments for cross-instance
          landings, kept beside the conversion plans as the paper keeps

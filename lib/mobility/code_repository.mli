@@ -10,9 +10,8 @@
 type t
 
 val create : ?n_nodes:int -> unit -> t
-(** [n_nodes] (default 64) sizes the per-node fetch accounting; it is
-    fixed at creation so sharded domains can record without
-    synchronisation.  Capped by {!Ert.Oid.max_nodes}. *)
+(** [n_nodes] (default 64) sizes the per-node fetch accounting, fixed
+    at creation.  Capped by {!Ert.Oid.max_nodes}. *)
 
 val record_fetch : t -> node:int -> class_index:int -> unit
 val total_fetches : t -> int
@@ -25,9 +24,9 @@ val plan_cache : t -> Conv_plan.cache
 
 val dispatch_cache : t -> node:int -> Isa.Dispatch.cache
 (** The node's translated-code cache for the threaded-dispatch engine,
-    kept next to the conversion plans: per node (sharded domains never
-    share tables) and surviving node restarts (the engine's memory
-    identity check voids tables of a dead kernel). *)
+    kept next to the conversion plans: per node, and surviving node
+    restarts (the engine's memory identity check voids tables of a dead
+    kernel). *)
 
 val bridge_cache : t -> node:int -> Ert.Bridge.t
 (** The node's compiled bridge-fragment cache for cross-instance

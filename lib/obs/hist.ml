@@ -4,8 +4,8 @@
    sub-buckets per power of two, bounding the relative quantization
    error of any reported quantile at 1/16 (~6%).  Everything is integer
    arithmetic on the sample's bit pattern, so identical sample streams
-   produce identical histograms — the determinism the sharded span
-   tests rely on. *)
+   produce identical histograms — the determinism the pinned span tests
+   rely on. *)
 
 let sub_bits = 4
 let sub = 1 lsl sub_bits (* 16 sub-buckets per octave *)

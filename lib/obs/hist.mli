@@ -5,7 +5,7 @@
     sub-buckets per power of two, so any reported quantile is the lower
     bound of a bucket at most ~6% below the true sample.  All state is
     integer, making histograms of identical sample streams identical —
-    the determinism contract the sharded span tests check. *)
+    the determinism contract the pinned span tests check. *)
 
 type t
 

@@ -1,10 +1,8 @@
 (* Virtual-time spans over the migration pipeline (DESIGN.md §12).
 
    A span id is a (node, seq) pair: every node numbers the spans it
-   opens from its own counter.  A node is owned by exactly one engine
-   shard, so id allocation is deterministic at any shard count — ids
-   never depend on cross-shard interleaving, which is what makes span
-   streams byte-identical at --shards 1/2/4. *)
+   opens from its own counter, so ids are deterministic and span
+   streams replay byte for byte. *)
 
 type id = {
   id_node : int;

@@ -11,8 +11,7 @@ type id = {
   id_seq : int;  (** that node's span counter (1-based) *)
 }
 (** Span identity.  Per-node sequence numbers make allocation
-    deterministic under sharded execution: a node belongs to exactly one
-    shard, so its counter never races and never depends on placement. *)
+    deterministic. *)
 
 type t = {
   name : string;

@@ -100,10 +100,6 @@ let min_time t =
   if t.size = 0 then invalid_arg "Pqueue.min_time: empty queue"
   else t.times.(0)
 
-let min_rank t =
-  if t.size = 0 then invalid_arg "Pqueue.min_rank: empty queue"
-  else t.ranks.(0)
-
 let take_min t =
   if t.size = 0 then invalid_arg "Pqueue.take_min: empty queue"
   else begin

@@ -27,10 +27,6 @@ val min_time : 'a t -> float
     {!peek} — for hot loops that have already checked {!is_empty}.
     @raise Invalid_argument on an empty queue. *)
 
-val min_rank : 'a t -> int
-(** Rank of the minimum entry.
-    @raise Invalid_argument on an empty queue. *)
-
 val take_min : 'a t -> 'a
 (** Remove the minimum entry and return its item (read {!min_time}
     first if the time is needed).

@@ -1,6 +1,8 @@
 (* The discrete-event engine: run-to-run determinism, heap/scan
-   equivalence (the heap must replay the seed's scan order exactly), and
-   the engine's instrumentation counters. *)
+   equivalence (the heap must replay the seed's scan order exactly), the
+   (time, rank) total order on colliding timestamps, the engine's
+   instrumentation counters, and runs pinned to the values the sharded
+   engine's last release recorded for them. *)
 
 module A = Isa.Arch
 module V = Ert.Value
@@ -112,10 +114,108 @@ let test_large_cluster_smoke () =
   if cap.cap_events > 200_000 then
     Alcotest.failf "event budget blown: %d events" cap.cap_events
 
+let drain e =
+  let rec go acc =
+    match Core.Engine.take e with
+    | None -> List.rev acc
+    | Some ev -> go (ev :: acc)
+  in
+  go []
+
+let ev_label = function
+  | Core.Engine.Chaos i -> Printf.sprintf "chaos%d" i
+  | Core.Engine.Gc i -> Printf.sprintf "gc%d" i
+  | Core.Engine.Deliver i -> Printf.sprintf "deliver%d" i
+  | Core.Engine.Step i -> Printf.sprintf "step%d" i
+  | Core.Engine.Timer i -> Printf.sprintf "timer%d" i
+  | Core.Engine.Wake i -> Printf.sprintf "wake%d" i
+
+let test_colliding_timestamps () =
+  (* every entry at the same virtual time: the pop order must be the
+     node-major rank — all of node 0's kinds before any of node 1's —
+     regardless of insertion order *)
+  let module Eng = Core.Engine in
+  let entries =
+    [ Eng.Step 2; Eng.Timer 0; Eng.Gc 3; Eng.Deliver 1; Eng.Chaos 2;
+      Eng.Deliver 0; Eng.Step 0; Eng.Gc 1; Eng.Timer 3; Eng.Chaos 1 ]
+  in
+  let expected =
+    "deliver0 step0 timer0 chaos1 gc1 deliver1 chaos2 step2 gc3 timer3"
+  in
+  let run order =
+    let e = Eng.create ~n_nodes:4 () in
+    List.iter (fun ev -> Eng.schedule e ~at:100.0 ev) order;
+    String.concat " " (List.map ev_label (drain e))
+  in
+  check Alcotest.string "node-major rank order" expected (run entries);
+  check Alcotest.string "insertion-order independent" expected
+    (run (List.rev entries));
+  (* ties against earlier times never jump the queue *)
+  let e = Eng.create ~n_nodes:4 () in
+  Eng.schedule e ~at:100.0 (Eng.Step 0);
+  Eng.schedule e ~at:99.0 (Eng.Timer 3);
+  check Alcotest.string "time before rank" "timer3 step0"
+    (String.concat " " (List.map ev_label (drain e)))
+
+(* The one-heap loop against values pinned from the sharded engine's
+   last release, where 1, 2 and 4 shards agreed on them: the
+   multi-agent ring tour traced and untraced, the single-agent tour
+   under a 2-instruction quantum, and the Table 1 round trip. *)
+let test_pinned_ring_tour_trace () =
+  let _, traced = Pinned.ring_tour ~subscribe:true ~n_nodes:4 ~hops:6 ~spins:30 () in
+  check Alcotest.string "ring tour, traced"
+    "result 360, events 1032, collections 0, time 215658.2666666671, \
+     trace e33afcbc3e9c2948b34c5ec1c0a6a27e"
+    traced
+
+let test_pinned_ring_tour_counters () =
+  let cl, untraced =
+    Pinned.ring_tour ~subscribe:false ~gc_threshold:60_000 ~n_nodes:4 ~hops:6
+      ~spins:30 ()
+  in
+  let counters =
+    String.concat " "
+      (List.map
+         (fun f -> string_of_int (C.total_counter cl f))
+         Core.Events.
+           [ (fun c -> c.c_steps); (fun c -> c.c_sent); (fun c -> c.c_delivered);
+             (fun c -> c.c_moves_in); (fun c -> c.c_collections);
+             (fun c -> c.c_conv_calls) ])
+  in
+  check Alcotest.string "ring tour, untraced, collecting"
+    "result 360, events 1032, collections 0, time 215658.2666666671, \
+     counters 1004 28 28 28 0 7944"
+    (untraced ^ ", counters " ^ counters)
+
+let test_pinned_quantum_tour () =
+  let _, tour = run_tour ~quantum:2 ~scheduler:C.Heap ~n_nodes:4 ~hops:8 ~spins:40 () in
+  check Alcotest.string "single-agent tour, quantum 2"
+    "result 160, events 4594, time 376490.90080938576, \
+     trace a969c71b55068440d0b121094741f59e"
+    (Printf.sprintf "result %d, events %d, time %.17g, trace %s" tour.cap_result
+       tour.cap_events tour.cap_time (Pinned.digest tour.cap_log))
+
+let test_pinned_table1 () =
+  let rt = W.measure_roundtrip ~home:A.sparc ~dest:A.sun3 ~iters:4 () in
+  check Alcotest.string "Table 1, SPARC to Sun-3"
+    "97403 us/trip, 1672 bytes, 8 messages"
+    (Printf.sprintf "%.17g us/trip, %d bytes, %d messages" rt.W.rt_us_per_trip
+       rt.W.rt_bytes_sent rt.W.rt_messages)
+
 let suites =
   [
     ( "engine",
       [
+        Alcotest.test_case "engine total order on colliding timestamps" `Quick
+          test_colliding_timestamps;
+        Alcotest.test_case "ring tour trace pinned" `Quick
+          test_pinned_ring_tour_trace;
+        Alcotest.test_case "ring tour counters pinned" `Quick
+          test_pinned_ring_tour_counters;
+        Alcotest.test_case "quantum-2 tour trace pinned" `Quick
+          test_pinned_quantum_tour;
+        Alcotest.test_case "SPARC to Sun-3 round trip pinned" `Quick
+          test_pinned_table1;
         Alcotest.test_case "same workload twice is bit-identical" `Quick
           test_repeat_identical;
         Alcotest.test_case "identical under quantum preemption" `Quick

@@ -3,13 +3,14 @@
 
    The dispatch engine must be observationally identical to the
    fetch/decode interpreter — same results, same per-node instruction
-   counters, same virtual time, same protocol trace — at shard counts
-   1/2/4.  The blit tier must write byte-for-byte the plan tier's wire
-   bytes and decode to states that behave identically (a qcheck property
-   over every architecture pair, with mid-loop and mid-monitor-wait
-   captures in flight), skipping translation only for same-layout pairs
-   and falling back to plans honestly everywhere else.  A forced
-   eviction mid-bridge under the blit codec closes the loop. *)
+   counters, same virtual time, same protocol trace — on a run pinned
+   to the values the sharded engine's last release recorded.  The blit
+   tier must write byte-for-byte the plan tier's wire bytes and decode
+   to states that behave identically (a qcheck property over every
+   architecture pair, with mid-loop and mid-monitor-wait captures in
+   flight), skipping translation only for same-layout pairs and falling
+   back to plans honestly everywhere else.  A forced eviction mid-bridge
+   under the blit codec closes the loop. *)
 
 module A = Isa.Arch
 module V = Ert.Value
@@ -20,7 +21,7 @@ let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
 
 (* ---------------------------------------------------------------- *)
-(* threaded dispatch == fetch/decode, bit for bit, shards 1/2/4       *)
+(* threaded dispatch == fetch/decode, bit for bit                     *)
 (* ---------------------------------------------------------------- *)
 
 let dispatch_src =
@@ -104,9 +105,9 @@ object Main
 end Main
 |}
 
-let run_dispatch_mix ~threaded ~shards =
+let run_dispatch_mix ~threaded =
   let archs = [ A.sparc; A.vax; A.sun3; A.by_id "hp433" ] in
-  let cl = Core.Cluster.create ~quantum:40 ~shards ~archs () in
+  let cl = Core.Cluster.create ~quantum:40 ~archs () in
   for i = 0 to Core.Cluster.n_nodes cl - 1 do
     K.set_threaded (Core.Cluster.kernel cl i) threaded
   done;
@@ -151,29 +152,28 @@ let run_dispatch_mix ~threaded ~shards =
     dstats )
 
 let test_dispatch_identical_to_interpreter () =
-  let base, insns0, t0, trace0, base_stats = run_dispatch_mix ~threaded:false ~shards:1 in
+  let base, insns0, t0, trace0, base_stats = run_dispatch_mix ~threaded:false in
   (* the baseline path must not touch the translation cache *)
   List.iter
     (fun (s : Isa.Dispatch.stats) ->
       check Alcotest.int "baseline translated nothing" 0 s.Isa.Dispatch.st_blocks)
     base_stats;
-  List.iter
-    (fun shards ->
-      let d, insns, t, trace, dstats = run_dispatch_mix ~threaded:true ~shards in
-      let label s = Printf.sprintf "%s (threaded, %d shards)" s shards in
-      check (Alcotest.list Alcotest.int) (label "results") base d;
-      check (Alcotest.list Alcotest.int) (label "insns per node") insns0 insns;
-      check (Alcotest.float 0.0) (label "virtual time") t0 t;
-      check Alcotest.string (label "trace") trace0 trace;
-      let blocks =
-        List.fold_left (fun a s -> a + s.Isa.Dispatch.st_blocks) 0 dstats
-      in
-      let fused =
-        List.fold_left (fun a s -> a + s.Isa.Dispatch.st_fused) 0 dstats
-      in
-      if blocks = 0 then Alcotest.fail (label "no blocks were translated");
-      if fused = 0 then Alcotest.fail (label "no superinstructions were fused"))
-    [ 1; 2; 4 ]
+  check Alcotest.string "pinned baseline"
+    "results 0 26 6001 6002 6003, insns 2029 3130 3748 3709, \
+     time 480885.94166666665, trace ffd7a0c08f53dd5a9adf2174bcb19f20"
+    (Printf.sprintf "results %s, insns %s, time %.17g, trace %s"
+       (String.concat " " (List.map string_of_int base))
+       (String.concat " " (List.map string_of_int insns0))
+       t0 (Pinned.digest trace0));
+  let d, insns, t, trace, dstats = run_dispatch_mix ~threaded:true in
+  check (Alcotest.list Alcotest.int) "threaded results" base d;
+  check (Alcotest.list Alcotest.int) "threaded insns per node" insns0 insns;
+  check (Alcotest.float 0.0) "threaded virtual time" t0 t;
+  check Alcotest.string "threaded trace" trace0 trace;
+  let blocks = List.fold_left (fun a s -> a + s.Isa.Dispatch.st_blocks) 0 dstats in
+  let fused = List.fold_left (fun a s -> a + s.Isa.Dispatch.st_fused) 0 dstats in
+  if blocks = 0 then Alcotest.fail "no blocks were translated";
+  if fused = 0 then Alcotest.fail "no superinstructions were fused"
 
 (* ---------------------------------------------------------------- *)
 (* blit tier == plan tier for every arch pair (qcheck property)       *)
@@ -434,7 +434,7 @@ let suites =
   [
     ( "fastpath",
       [
-        Alcotest.test_case "threaded dispatch == interpreter at 1/2/4 shards"
+        Alcotest.test_case "threaded dispatch == interpreter, pinned"
           `Quick test_dispatch_identical_to_interpreter;
         qcheck blit_matches_plan;
         Alcotest.test_case "every same-layout pair skips translation" `Quick

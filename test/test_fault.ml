@@ -1,6 +1,8 @@
 (* The fault-injection subsystem: seeded determinism, the retry/ack
    transport's exactly-once guarantee under loss, partition heal and
-   recovery, and the emfuzz harness's blanket safety property. *)
+   recovery, the emfuzz harness's blanket safety property, fuzz outcomes
+   pinned across the sharded engine's deletion, the seeds found stuck
+   past CI's sweep depth, and a shrunk plan that reproduces. *)
 
 module A = Isa.Arch
 module V = Ert.Value
@@ -209,6 +211,84 @@ let test_netsim_injection_hooks () =
     [ "duplicated"; "clean"; "duplicated"; "delayed" ]
     order
 
+(* fuzz outcomes pinned to the values the sharded engine's last release
+   recorded, where 1, 2 and 4 shards agreed on them *)
+let fuzz_outcomes ~gc seeds =
+  List.map
+    (fun seed ->
+      Pinned.fuzz_outcome (Core.Fuzz.run_seed ~check_every:64 ~gc ~seed ()))
+    seeds
+
+let test_fuzz_outcomes_pinned () =
+  check (Alcotest.list Alcotest.string) "default mode"
+    [
+      "seed 1: completed: 21, events 61, time 497369.11805555574, \
+       trace ca001954dfb718284ecf8ac26deb092f";
+      "seed 17: completed: 99911, events 40, time 404678.48703703709, \
+       trace b01c6b0807ef8f66d4fdf20ab7d26edd";
+      "seed 42: completed: 10, events 71, time 456081.42414853664, \
+       trace af6a4557b58a98fbf57b18bc2f0a0738";
+      "seed 99: completed: 98469, events 24, time 201970.52129629627, \
+       trace 5c6ba9127d88ef33a977cd6659419882";
+      "seed 262: completed: 45, events 81, time 742026.66990740807, \
+       trace 47bbee0c1ea8db44f7fbef88757ce7f1";
+      "seed 1000: completed: 28, events 61, time 582733.8342592594, \
+       trace cfba45c322d221e940dc1b0f8caa7e6b";
+      "seed 2024: completed: 10, events 52, time 358732.48240740743, \
+       trace 23bccc97b963aec107e420bb7b06d38c";
+      "seed 4096: completed: 15, events 53, time 502651.67174883978, \
+       trace 8bcedc2cb76c8a9b6d2c6a6dccb62d38";
+    ]
+    (fuzz_outcomes ~gc:false [ 1; 17; 42; 99; 262; 1000; 2024; 4096 ])
+
+let test_gc_fuzz_outcomes_pinned () =
+  check (Alcotest.list Alcotest.string) "gc mode"
+    [
+      "seed 1: unavailable: object obj:0.2 cannot be located, events 14, \
+       time 155230.27731481483, trace f4949bae797d51e2b17e3583998e88db";
+      "seed 7: completed: 93396, events 22, time 192047.55092592584, \
+       trace 711816b503f5ec7528c8d5cc17ddf10d";
+      "seed 58: completed: 129550, events 13, time 134810.41666666666, \
+       trace 05247cb65dab4639f6aeba33be994ea6";
+      "seed 300: unavailable: object obj:0.2 cannot be located, events 27, \
+       time 163381.94398148151, trace 12c18347d405058b0c94efc5bc5a50aa";
+      "seed 913: unavailable: object obj:0.2 cannot be located, events 22, \
+       time 170796.69959391907, trace ef0fb174beb9300821f9dcb72fed31a7";
+      "seed 3001: unavailable: object obj:0.2 cannot be located, events 44, \
+       time 194694.04589799882, trace fa582017956209a224aa42d4f15aff41";
+    ]
+    (fuzz_outcomes ~gc:true [ 1; 7; 58; 300; 913; 3001 ])
+
+(* Two --gc seeds whose location search lost its last answer: a
+   "located ... not here" reply gave up after its retry budget, and the
+   search waited for it forever.  The search must still end, found or
+   failed, so the root thread completes or is reported lost. *)
+let test_gc_search_seed seed () =
+  let o = Core.Fuzz.run_seed ~gc:true ~drop:0.3 ~seed () in
+  if not o.Core.Fuzz.f_ok then
+    Alcotest.failf "seed %d: %s" seed (Pinned.verdict_string o.Core.Fuzz.f_verdict)
+
+(* The shrinker minimises the plan as it ran.  This seed's own plan
+   passes within the budget; only the forced 30% loss fails it, because
+   retransmissions push the run past the budget.  Forcing the loss back
+   onto every candidate would make removing it look harmless, leaving a
+   "minimal" plan that passes on its own. *)
+let test_shrunk_plan_reproduces () =
+  let seed = 76 and max_events = 25 in
+  let ok ?drop ?plan () =
+    (Core.Fuzz.run_seed ?drop ?plan ~max_events ~seed ()).Core.Fuzz.f_ok
+  in
+  check Alcotest.bool "the seed's own plan passes" true (ok ());
+  let failing = Core.Fuzz.run_seed ~drop:0.3 ~max_events ~seed () in
+  check Alcotest.bool "the forced loss fails it" false failing.Core.Fuzz.f_ok;
+  let minimal =
+    Core.Fuzz.shrink ~drop:0.3 ~max_events ~seed failing.Core.Fuzz.f_plan
+  in
+  check Alcotest.bool
+    (Printf.sprintf "minimal plan %s fails on its own" (P.to_string minimal))
+    false
+    (ok ~plan:minimal ())
+
 let suites =
   [
     ( "fault",
@@ -224,5 +304,15 @@ let suites =
         Alcotest.test_case "netsim injection hooks" `Quick
           test_netsim_injection_hooks;
         QCheck_alcotest.to_alcotest qcheck_any_seed_is_safe;
+        Alcotest.test_case "fuzz outcomes pinned" `Quick
+          test_fuzz_outcomes_pinned;
+        Alcotest.test_case "gc-mode fuzz outcomes pinned" `Quick
+          test_gc_fuzz_outcomes_pinned;
+        Alcotest.test_case "gc search ends: seed 11360" `Quick
+          (test_gc_search_seed 11360);
+        Alcotest.test_case "gc search ends: seed 27931" `Quick
+          (test_gc_search_seed 27931);
+        Alcotest.test_case "shrunk plan reproduces on its own" `Quick
+          test_shrunk_plan_reproduces;
       ] );
   ]

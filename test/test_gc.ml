@@ -450,6 +450,46 @@ let test_crash_discards_cycle () =
     | Some (V.Vint v) -> Int32.to_int v
     | _ -> -1)
 
+(* The incremental collector's increments are ordinary engine events.
+   On the multi-agent ring tour the trace, the increment count and the
+   per-increment pause list are pinned to the values the sharded
+   engine's last release recorded (identical there at 1, 2 and 4
+   shards), and every pause obeys the budget bound: an increment is
+   charged 120 + scanned*40 instructions. *)
+let test_incremental_pauses_pinned () =
+  let budget = 64 in
+  let pauses = ref [] in
+  let cl, summary =
+    Pinned.ring_tour ~gc_threshold:12_000 ~gc_mode:Core.Cluster.Gc_incremental
+      ~gc_budget:budget
+      ~on_event:(function
+        | Core.Events.Ev_gc_phase { pause_us; _ } -> pauses := pause_us :: !pauses
+        | _ -> ())
+      ~subscribe:true ~n_nodes:4 ~hops:6 ~spins:30 ()
+  in
+  let pauses = List.rev !pauses in
+  let increments =
+    Core.Cluster.total_counter cl (fun c -> c.Core.Events.c_gc_increments)
+  in
+  if increments = 0 then Alcotest.fail "no increments ran";
+  check Alcotest.int "every increment emitted a phase event" increments
+    (List.length pauses);
+  check Alcotest.string "trace and pauses"
+    "result 360, events 840, collections 812, time 246555.76666666463, \
+     trace aba8dd0bc0156c33e530616e55ed85ad, increments 812, \
+     pauses e8b21397f81f30e7987445a2982d5c92"
+    (Printf.sprintf "%s, increments %d, pauses %s" summary increments
+       (Pinned.digest
+          (String.concat " " (List.map (Printf.sprintf "%.17g") pauses))));
+  (* the atomic root scan may overrun the slot budget, so give it
+     headroom; mark and sweep increments sit well inside it *)
+  let bound = float_of_int (120 + ((budget + 2048) * 40)) /. A.sparc.A.mips in
+  List.iter
+    (fun p ->
+      if p > bound then
+        Alcotest.failf "increment pause %.1fus exceeds bound %.1fus" p bound)
+    pauses
+
 let suites =
   [
     ( "gc",
@@ -473,5 +513,7 @@ let suites =
           test_incremental_across_migration;
         Alcotest.test_case "crash mid-cycle discards mark state" `Quick
           test_crash_discards_cycle;
+        Alcotest.test_case "incremental pauses pinned, within the budget bound"
+          `Quick test_incremental_pauses_pinned;
       ] );
   ]
