@@ -66,10 +66,9 @@ let run file nodes opt cls op args_s original codec location gc_mode_s
     match location with
     | None -> Core.Cluster.Loc_off
     | Some "off" -> Core.Cluster.Loc_off
-    | Some "collapse" -> Core.Cluster.Loc_collapse
     | Some "directory" -> Core.Cluster.Loc_directory
     | Some s ->
-      Printf.eprintf "emrun: unknown location mode %s (have: off, collapse, directory)\n" s;
+      Printf.eprintf "emrun: unknown location mode %s (have: off, directory)\n" s;
       exit 2
   in
   let gc_mode =
@@ -425,12 +424,12 @@ let location_t =
   Arg.(value & opt (some string) None
        & info [ "location" ] ~docv:"MODE"
            ~doc:"Location subsystem mode: $(b,off) (default; bit-identical \
-                 to builds that predate it), $(b,collapse) (forwarded \
+                 to builds that predate it) or $(b,directory) (forwarded \
                  invokes carry hop trails and the hosting node collapses \
-                 the chain behind them), or $(b,directory) (collapse plus \
-                 the hash-partitioned location directory: migrations \
-                 publish to each object's home shard, exhausted proxy \
-                 chains ask the home before broadcasting).")
+                 the chain behind them; migrations publish to each \
+                 object's home shard in the hash-partitioned location \
+                 directory, and exhausted proxy chains ask the home \
+                 before broadcasting).")
 
 let gc_mode_t =
   Arg.(value & opt (some string) None

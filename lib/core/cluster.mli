@@ -6,7 +6,7 @@
     delivery) with the smallest virtual timestamp runs next, so results
     and timings are reproducible. *)
 
-type protocol =
+type protocol = Transport.protocol =
   | Enhanced  (** the paper's heterogeneous system: machine-independent
                   conversion on every transfer *)
   | Original
@@ -14,31 +14,31 @@ type protocol =
           conversion — and migration between unlike architectures is
           refused, as it must be *)
 
-type scheduler =
+type scheduler = Loop.scheduler =
   | Heap  (** event selection through the {!Engine} min-heap: O(log
               pending) per event *)
   | Scan
       (** the seed's O(nodes)-per-event rescan, kept for cross-checking
           and for the scaling benchmark; both produce identical event
-          sequences and results *)
+          sequences and results.  It raises [Invalid_argument] on the
+          four features that need engine events of its own: fault plans,
+          [Gc_incremental], a balancer and timed waits. *)
 
-type location =
+type location = Locate.mode =
   | Loc_off
       (** no location subsystem: the event and byte streams are
           bit-identical to clusters built before it existed *)
-  | Loc_collapse
+  | Loc_directory
       (** forwarded invokes carry their hop trail ({!Marshal.M_invoke_via})
           and the node that finally hosts the target collapses the chain
-          it walked with {!Marshal.M_loc_hint}s — chains shorten to at
-          most one hop after a single traversal *)
-  | Loc_directory
-      (** {!Loc_collapse} plus the hash-partitioned location directory:
-          every object has a deterministic home shard
-          ({!Loc.Partition.home}); migrations publish batched updates to
-          the homes, and an exhausted proxy chain asks the home shard
-          (one unicast) before falling back to the broadcast search *)
+          it walked with {!Marshal.M_loc_hint}s, so chains shorten to at
+          most one hop after a single traversal; and the hash-partitioned
+          location directory: every object has a deterministic home shard
+          ({!Loc.Partition.home}), migrations publish batched updates to
+          the homes, and an exhausted proxy chain asks the home shard (one
+          unicast) before falling back to the broadcast search *)
 
-type gc_mode =
+type gc_mode = Collect.mode =
   | Gc_stw
       (** one-shot stop-the-world mark-sweep when the heap crosses the
           threshold — the default; traces are byte-identical to clusters
@@ -63,7 +63,6 @@ val create :
   ?wire_impl:Enet.Wire.impl ->
   ?scheduler:scheduler ->
   ?quantum:int ->
-  ?opt_level:Emc.Opt.level ->
   ?gc_threshold:int ->
   ?gc_mode:gc_mode ->
   ?gc_budget:int ->
@@ -86,12 +85,9 @@ val create :
     increment may scan (default 4096; must be positive).
     [Gc_incremental] requires the {!Heap} scheduler.
 
-    [opt_level] selects the code instance every node executes (default
-    {!Emc.Opt.O0}, the seed's straight template code); use
-    {!set_opt_level} before loading code to run a heterogeneous mix.
-    Threads migrating between differently-optimized nodes land through
-    compiled bridge fragments when their parked stop was elided at the
-    destination (DESIGN.md §16).
+    Every node runs {!Emc.Opt.O0} until {!set_opt_level} picks another
+    code instance; threads moving between differently-optimized nodes
+    land through bridge fragments (DESIGN.md §16).
 
     [faults] installs a deterministic fault plan (default
     {!Fault.Plan.empty}).  A non-trivial plan switches every protocol
@@ -115,7 +111,9 @@ val create :
     [location] selects the location subsystem (default {!Loc_off}, which
     is bit-identical to clusters that predate it).  All directory and
     chain-collapse traffic uses dedicated message tags and is produced
-    in deterministic (ascending node) order. *)
+    in deterministic (ascending node) order.
+    @raise Invalid_argument on a {!Scan} limit, a non-positive
+    [gc_budget], or a crash window on a node out of range. *)
 
 val protocol : t -> protocol
 val scheduler : t -> scheduler
@@ -278,7 +276,7 @@ val set_balancer : t -> every_us:float -> (unit -> unit) -> unit
     time, between events: every event earlier than a firing point runs
     before it, every later one after.  The hook typically inspects per-node load
     ({!Ert.Kernel.ready_depth}, {!Obs.Profile} data) and calls
-    {!evict_thread}.  Heap scheduler only. *)
+    {!evict_thread}.  Refused under {!Scan}. *)
 
 val crash_node : t -> int -> unit
 (** Fail-stop the node: its objects, code and thread segments are lost;

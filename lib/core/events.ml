@@ -255,10 +255,13 @@ let fresh_counters () =
 type bus = {
   node_counters : counters array;
   mutable subscribers : (t -> unit) list;
+  mutable spans_on : bool;
+  span_seq : int array;  (* per-node span id allocator *)
 }
 
 let create_bus ~n_nodes =
-  { node_counters = Array.init n_nodes (fun _ -> fresh_counters ()); subscribers = [] }
+  { node_counters = Array.init n_nodes (fun _ -> fresh_counters ()); subscribers = [];
+    spans_on = false; span_seq = Array.make n_nodes 0 }
 
 let subscribe bus f = bus.subscribers <- bus.subscribers @ [ f ]
 let has_subscribers bus = bus.subscribers <> []
@@ -338,6 +341,35 @@ let emit_step bus ~node ~time =
   | subs ->
     let ev = Ev_step { node; time } in
     List.iter (fun f -> f ev) subs
+
+(* spans read clocks, never charge them, so tracing cannot perturb
+   simulated times; per-node id counters keep every id stream
+   deterministic *)
+
+let enable_spans bus = bus.spans_on <- true
+let spans_on bus = bus.spans_on
+
+let span_id bus node =
+  let s = bus.span_seq.(node) + 1 in
+  bus.span_seq.(node) <- s;
+  { Obs.Span.id_node = node; id_seq = s }
+
+let emit_span bus ~node ?parent ?(bytes = 0) ~pair ~name ~t0 ~t1 () =
+  let id = span_id bus node in
+  emit bus
+    (Ev_span
+       { Obs.Span.name; node; arch_pair = pair; t_start_us = t0; t_end_us = t1;
+         id; parent; bytes })
+
+let arch_pair a b = a.Isa.Arch.id ^ "->" ^ b.Isa.Arch.id
+
+type root = { root_id : Obs.Span.id; root_t0 : float; root_pair : string }
+
+let span_leg bus root ~node ~bytes ~name ~t0 ~t1 =
+  match root with
+  | Some r ->
+    emit_span bus ~node ~parent:r.root_id ~bytes ~pair:r.root_pair ~name ~t0 ~t1 ()
+  | None -> ()
 
 let counters bus node = bus.node_counters.(node)
 let n_nodes bus = Array.length bus.node_counters

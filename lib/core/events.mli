@@ -186,6 +186,27 @@ val count_msg : bus -> node:int -> msg_count -> unit
     the cluster builds them only when someone listens and counts through
     this otherwise. *)
 
+(** {1 Spans} (DESIGN.md §12): ids are (node, per-node counter) pairs. *)
+
+val enable_spans : bus -> unit
+val spans_on : bus -> bool
+val span_id : bus -> int -> Obs.Span.id
+
+val emit_span :
+  bus -> node:int -> ?parent:Obs.Span.id -> ?bytes:int -> pair:string ->
+  name:string -> t0:float -> t1:float -> unit -> unit
+(** Allocate an id on [node] and publish the closed span. *)
+
+val arch_pair : Isa.Arch.t -> Isa.Arch.t -> string
+
+(** A move's root span while it is open at the source. *)
+type root = { root_id : Obs.Span.id; root_t0 : float; root_pair : string }
+
+val span_leg :
+  bus -> root option -> node:int -> bytes:int -> name:string -> t0:float -> t1:float -> unit
+(** Publish a phase of the move under [root]; without one, a no-op that
+    allocates nothing. *)
+
 val counters : bus -> int -> counters
 val n_nodes : bus -> int
 

@@ -71,7 +71,7 @@ let test_ping_pong_collapse () =
   (* 50 is not a multiple of the 6-node tour cycle, so the target ends
      away from its creator and the walk has a real chain to collapse *)
   let n_nodes = 7 in
-  let cl = C.create ~location:C.Loc_collapse ~archs:(sparcs n_nodes) () in
+  let cl = C.create ~location:C.Loc_directory ~archs:(sparcs n_nodes) () in
   ignore (C.compile_and_load cl ~name:"dir" src);
   let target = C.create_object cl ~node:1 ~class_name:"Cell" in
   let at = ref 1 in
@@ -285,8 +285,8 @@ let test_off_identity () =
   check Alcotest.int "messages" m0 m1;
   check Alcotest.int "bytes" b0 b1;
   check Alcotest.int "events" e0 e1;
-  (* and the collapse mode only ADDS events — the result is unchanged *)
-  let r2, _, _, _, _ = run (Some C.Loc_collapse) in
+  (* and the directory mode only ADDS events — the result is unchanged *)
+  let r2, _, _, _, _ = run (Some C.Loc_directory) in
   if r0 <> r2 then Alcotest.fail "location mode changed the program result"
 
 let suites =

@@ -1,8 +1,9 @@
 (* The discrete-event engine: run-to-run determinism, heap/scan
    equivalence (the heap must replay the seed's scan order exactly), the
    (time, rank) total order on colliding timestamps, the engine's
-   instrumentation counters, and runs pinned to the values the sharded
-   engine's last release recorded for them. *)
+   instrumentation counters, runs pinned to the values the sharded
+   engine's last release recorded for them, and the scan refusing what
+   it cannot run. *)
 
 module A = Isa.Arch
 module V = Ert.Value
@@ -202,6 +203,42 @@ let test_pinned_table1 () =
     (Printf.sprintf "%.17g us/trip, %d bytes, %d messages" rt.W.rt_us_per_trip
        rt.W.rt_bytes_sent rt.W.rt_messages)
 
+(* The scan sees message deliveries and scheduling slices only.  Under
+   it a balancer would never fire and a timed wait would never expire,
+   so it refuses both instead of returning a quiet wrong answer. *)
+let test_scan_refuses_balancer () =
+  let cl = C.create ~scheduler:C.Scan ~archs:(archs 2) () in
+  match C.set_balancer cl ~every_us:400.0 (fun () -> ()) with
+  | () -> Alcotest.fail "Scan accepted a balancer it never fires"
+  | exception Invalid_argument _ -> ()
+
+let napper_src =
+  {|
+object Napper
+  condition never
+  monitor operation nap[us : int] -> [r : int]
+    var t0 : int <- timenow
+    wait never timeout us
+    r <- timenow - t0
+  end nap
+end Napper
+|}
+
+let test_scan_refuses_timed_wait () =
+  let cl = C.create ~scheduler:C.Scan ~archs:[ A.sparc ] () in
+  ignore (C.compile_and_load cl ~name:"nap" napper_src);
+  let napper = C.create_object cl ~node:0 ~class_name:"Napper" in
+  ignore (C.spawn cl ~node:0 ~target:napper ~op:"nap" ~args:[ V.Vint 500l ]);
+  match C.run cl with
+  | () -> Alcotest.fail "Scan went quiescent with a timed wait pending"
+  | exception Invalid_argument msg ->
+    let says = "timed wait" in
+    let rec mentions i =
+      i + String.length says <= String.length msg
+      && (String.sub msg i (String.length says) = says || mentions (i + 1))
+    in
+    if not (mentions 0) then Alcotest.failf "the error does not name the cause: %s" msg
+
 let suites =
   [
     ( "engine",
@@ -226,5 +263,8 @@ let suites =
           test_engine_counters;
         Alcotest.test_case "64-node migration-heavy smoke" `Quick
           test_large_cluster_smoke;
+        Alcotest.test_case "Scan refuses a balancer" `Quick test_scan_refuses_balancer;
+        Alcotest.test_case "Scan refuses a timed wait" `Quick
+          test_scan_refuses_timed_wait;
       ] );
   ]

@@ -1,7 +1,8 @@
 (* The fault-injection subsystem: seeded determinism, the retry/ack
    transport's exactly-once guarantee under loss, partition heal and
    recovery, the emfuzz harness's blanket safety property, fuzz outcomes
-   pinned across the sharded engine's deletion, the seeds found stuck
+   pinned across the sharded engine's deletion and per fuzz mode, the
+   seeds found stuck
    past CI's sweep depth, and a shrunk plan that reproduces. *)
 
 module A = Isa.Arch
@@ -259,6 +260,60 @@ let test_gc_fuzz_outcomes_pinned () =
     ]
     (fuzz_outcomes ~gc:true [ 1; 7; 58; 300; 913; 3001 ])
 
+(* the mode pins also record the mode's own activity, so a pin that
+   still matched with the balancer or the flock silently idle would fail *)
+let mode_outcome (o : Core.Fuzz.outcome) =
+  Printf.sprintf "%s; evictions %d, group moves %d, retransmits %d"
+    (Pinned.fuzz_outcome o) o.Core.Fuzz.f_evictions o.Core.Fuzz.f_group_moves
+    o.Core.Fuzz.f_retransmits
+
+(* the hot-spot balancer's forced evictions under each seed's own plan:
+   the balancer horizon gating the event loop, eviction capture at a bus
+   stop and the greying-free send-off path *)
+let test_evict_fuzz_outcomes_pinned () =
+  check (Alcotest.list Alcotest.string) "evict mode"
+    [
+      "seed 1: completed: 21, events 693, time 2014264.2814814805, \
+       trace 9ea7e58a7d643acb06794fcd23df8bfb; evictions 5, group moves 0, \
+       retransmits 167";
+      "seed 17: completed: 353818, events 546, time 1644699.5981481483, \
+       trace cbebabbdee0feb64d18675340830da80; evictions 2, group moves 0, \
+       retransmits 117";
+      "seed 42: completed: 10, events 427, time 1241421.7875809371, \
+       trace d6093f9f71361a4428538101b4b0692f; evictions 7, group moves 0, \
+       retransmits 148";
+      "seed 262: unavailable: node 1 crashed, events 5, \
+       time 49217.607407407406, trace 4b22fe45f32005a7cdef2298d9f0ed9c; \
+       evictions 1, group moves 0, retransmits 1";
+    ]
+    (List.map
+       (fun seed ->
+         mode_outcome (Core.Fuzz.run_seed ~check_every:64 ~evict:true ~seed ()))
+       [ 1; 17; 42; 262 ])
+
+(* every mode at once under 30% loss: evictions, group moves with
+   directory traffic, incremental mark cycles and the retry transport *)
+let test_combined_fuzz_outcomes_pinned () =
+  check (Alcotest.list Alcotest.string) "combined mode"
+    [
+      "seed 1: unavailable: no acknowledgement from node 1 after 8 \
+       attempts, events 141, time 364518.12592592597, \
+       trace 14094c6366ea243368b637fa352e36a2; evictions 4, group moves 1, \
+       retransmits 64";
+      "seed 7: completed: 157356, events 167, time 598308.11018518533, \
+       trace 078079f3aeb0e37bcb8991b5932130c9; evictions 2, group moves 1, \
+       retransmits 55";
+      "seed 58: completed: 419798, events 168, time 561795.71111111122, \
+       trace 4b33ff40cc770f8d6f0565f18c4a483c; evictions 1, group moves 1, \
+       retransmits 57";
+    ]
+    (List.map
+       (fun seed ->
+         mode_outcome
+           (Core.Fuzz.run_seed ~check_every:64 ~evict:true ~groups:true ~gc:true
+              ~drop:0.3 ~seed ()))
+       [ 1; 7; 58 ])
+
 (* Two --gc seeds whose location search lost its last answer: a
    "located ... not here" reply gave up after its retry budget, and the
    search waited for it forever.  The search must still end, found or
@@ -308,6 +363,10 @@ let suites =
           test_fuzz_outcomes_pinned;
         Alcotest.test_case "gc-mode fuzz outcomes pinned" `Quick
           test_gc_fuzz_outcomes_pinned;
+        Alcotest.test_case "evict-mode fuzz outcomes pinned" `Quick
+          test_evict_fuzz_outcomes_pinned;
+        Alcotest.test_case "combined-mode fuzz outcomes pinned" `Quick
+          test_combined_fuzz_outcomes_pinned;
         Alcotest.test_case "gc search ends: seed 11360" `Quick
           (test_gc_search_seed 11360);
         Alcotest.test_case "gc search ends: seed 27931" `Quick
