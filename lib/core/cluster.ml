@@ -127,10 +127,7 @@ let charge_translation t ~node (msg : M.message) =
 let send_message t ~src (s : Mobility.Move.send) =
   let dst = s.Mobility.Move.snd_dest and msg = s.Mobility.Move.snd_msg in
   if not (Transport.reachable t.tr dst) then
-    (* a send to a known-dead interface on the bare wire is refused
-       outright.  Under a fault plan the frame goes out anyway — the node
-       may restart — and the loss is only reported when the
-       retransmission budget is spent. *)
+    (* a known-dead interface on the bare wire: refused outright *)
     Transport.refuse t.tr ~src ~dst msg
   else begin
     check_protocol t ~src ~dst msg;
@@ -194,12 +191,14 @@ let rec send_all t ~src = function
    hence its arrival, is identical to the synchronous path — and then
    refunded against the source clock, rolling it back to the instant the
    capture began.  The "overlap" span records the refunded interval. *)
-let credit_overlap t ~src ~dest ~d_pipeline ~t_end =
-  if t.async_migration && d_pipeline > 0.0 then begin
-    K.credit_us t.kernels.(src) d_pipeline;
+let credit_overlap t ~src ~dest ~since =
+  let t_end = K.time_us t.kernels.(src) in
+  let credit = t_end -. since in
+  if t.async_migration && credit > 0.0 then begin
+    K.credit_us t.kernels.(src) credit;
     if E.spans_on t.bus then
       E.emit_span t.bus ~node:src ~pair:(arch_pair t ~src ~dst:dest) ~name:"overlap"
-        ~t0:(t_end -. d_pipeline) ~t1:t_end ()
+        ~t0:(t_end -. credit) ~t1:t_end ()
   end
 
 (* under preemptive scheduling, segments may sit between bus stops; run
@@ -233,8 +232,7 @@ and handle_outcall t ~src (oc : K.outcall) =
        charged by [send_message]: dispatch here so the overlap credit
        sees the whole capture-to-wire interval *)
     send_all t ~src (Mobility.Move.initiate ~k ~mover:seg ~obj_addr ~dest:dest_node);
-    let t_cap1 = K.time_us k in
-    credit_overlap t ~src ~dest:dest_node ~d_pipeline:(t_cap1 -. tq1) ~t_end:t_cap1
+    credit_overlap t ~src ~dest:dest_node ~since:tq1
   | K.Oc_evict { seg; dest_node; armed_us } ->
     E.emit t.bus
       (E.Ev_evict { time = K.time_us k; node = src; seg_id = seg.T.seg_id; dest = dest_node });
@@ -251,7 +249,7 @@ and handle_outcall t ~src (oc : K.outcall) =
     if E.spans_on t.bus then
       E.emit_span t.bus ~node:src ~pair:(arch_pair t ~src ~dst:dest_node) ~name:"evict"
         ~t0:(Float.min armed_us t_cap1) ~t1:t_cap1 ();
-    credit_overlap t ~src ~dest:dest_node ~d_pipeline:(t_cap1 -. tq1) ~t_end:t_cap1
+    credit_overlap t ~src ~dest:dest_node ~since:tq1
   | K.Oc_return { link; value; thread } ->
     if link.T.ln_node = src then begin
       (* same-node segment chain: deliver directly *)
@@ -489,11 +487,8 @@ let create ?net_config ?(protocol = Enhanced) ?(wire_impl = Enet.Wire.Naive)
   if not (Fault.Plan.is_trivial faults) then Loop.require_heap scheduler "a fault plan";
   if gc_mode = Gc_incremental then Loop.require_heap scheduler "incremental GC";
   if gc_budget < 1 then invalid_arg "Cluster.create: gc_budget must be positive";
-  List.iter
-    (fun (c : Fault.Plan.chaos) ->
-      if c.Fault.Plan.ch_node < 0 || c.Fault.Plan.ch_node >= n then
-        invalid_arg "Cluster.create: fault plan crashes a node out of range")
-    faults.Fault.Plan.pl_chaos;
+  if List.exists (fun (c : Fault.Plan.chaos) -> c.ch_node < 0 || c.ch_node >= n) faults.pl_chaos
+  then invalid_arg "Cluster.create: fault plan crashes a node out of range";
   let net = Enet.Netsim.create ?config:net_config ~n_nodes:n () in
   let repo = Mobility.Code_repository.create ~n_nodes:n () in
   let results = Hashtbl.create 4 and failures = Hashtbl.create 4 in

@@ -47,8 +47,7 @@ type gc_mode = Collect.mode =
       (** the tri-color incremental tier (DESIGN.md §17): the same
           collection split into bounded increments interleaved with the
           event loop, each charged per slot scanned; live/swept
-          accounting matches {!Gc_stw} exactly.  Requires the {!Heap}
-          scheduler. *)
+          accounting matches {!Gc_stw} exactly *)
 
 exception Heterogeneous_move_in_original_protocol
 
@@ -83,7 +82,6 @@ val create :
     bytes exceed it; [gc_mode] selects the collector tier (default
     {!Gc_stw}) and [gc_budget] bounds the pointer slots one incremental
     increment may scan (default 4096; must be positive).
-    [Gc_incremental] requires the {!Heap} scheduler.
 
     Every node runs {!Emc.Opt.O0} until {!set_opt_level} picks another
     code instance; threads moving between differently-optimized nodes
@@ -97,7 +95,6 @@ val create :
     retry budget is spent — and schedules the plan's partitions and
     crash/restart windows.  A trivial plan changes nothing: the event
     sequence is bit-identical to a cluster built without one.
-    Non-trivial plans require the {!Heap} scheduler.
 
     [async_migration] hands the capture/translate/marshal pipeline of a
     migration to a background mover engine (DESIGN.md §13): the pipeline

@@ -52,6 +52,19 @@ let collect_stw t i =
        { time = K.time_us k; node = i; swept = stats.Ert.Gc.gc_swept;
          live = stats.Ert.Gc.gc_live; bytes_freed = stats.Ert.Gc.gc_bytes_freed })
 
+(* charge one increment that began at [t0] and publish its phase;
+   returns the post-charge clock *)
+let charge_increment t i ~t0 ~phase ~scanned =
+  let k = t.kernels.(i) in
+  K.charge_insns k (120 + (scanned * 40));
+  let t1 = K.time_us k in
+  E.emit t.bus (E.Ev_gc_phase { time = t1; node = i; phase; scanned; pause_us = t1 -. t0 });
+  if E.spans_on t.bus then begin
+    let a = K.arch k in
+    E.emit_span t.bus ~node:i ~pair:(E.arch_pair a a) ~name:phase ~t0 ~t1 ()
+  end;
+  t1
+
 (* one bounded increment of the incremental tier (DESIGN.md §17).
    Opening a cycle quiesces the node exactly as the stop-the-world tier
    does — the atomic root scan happens inside the first [step] and the
@@ -75,24 +88,13 @@ let increment t i =
       cy
   in
   let t0 = K.time_us k in
-  let finish_increment ~phase ~scanned =
-    K.charge_insns k (120 + (scanned * 40));
-    let t1 = K.time_us k in
-    E.emit t.bus
-      (E.Ev_gc_phase { time = t1; node = i; phase; scanned; pause_us = t1 -. t0 });
-    if E.spans_on t.bus then begin
-      let a = K.arch k in
-      E.emit_span t.bus ~node:i ~pair:(E.arch_pair a a) ~name:phase ~t0 ~t1 ()
-    end;
-    t1
-  in
   match Ert.Gc.step cy k ~budget:t.budget with
   | Ert.Gc.Step_more { scanned; phase } ->
-    let t1 = finish_increment ~phase:(Ert.Gc.phase_name phase) ~scanned in
+    let t1 = charge_increment t i ~t0 ~phase:(Ert.Gc.phase_name phase) ~scanned in
     Engine.schedule t.engine ~at:t1 (Engine.Gc i)
   | Ert.Gc.Step_done { scanned; stats } ->
     t.cycles.(i) <- None;
-    let t1 = finish_increment ~phase:"gc_sweep" ~scanned in
+    let t1 = charge_increment t i ~t0 ~phase:"gc_sweep" ~scanned in
     t.collections <- t.collections + 1;
     E.emit t.bus
       (E.Ev_gc

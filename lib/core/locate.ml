@@ -67,6 +67,12 @@ let hint t ~at obj ~node =
 
 let post t ~src node msg = t.send ~src { Mobility.Move.snd_dest = node; snd_msg = msg }
 
+let rec post_all t ~src node = function
+  | [] -> ()
+  | msg :: rest ->
+    post t ~src node msg;
+    post_all t ~src node rest
+
 (* ----------------------------------------------------------------------- *)
 (* the broadcast search, and the losses that end it *)
 
@@ -242,7 +248,7 @@ let deliver t ~dst ~src (msg : M.message) =
       E.emit t.bus (E.Ev_search_found { obj; node = src });
       (* refresh the local forwarding hint *)
       hint t ~at:dst obj ~node:src;
-      List.iter (post t ~src:dst src) s.s_pending
+      post_all t ~src:dst src s.s_pending
     | Some s -> search_negative t obj s)
   | M.M_dir_update { objs; node; at } ->
     (* a publish reaching this home shard; last-writer-wins by virtual
@@ -271,13 +277,13 @@ let deliver t ~dst ~src (msg : M.message) =
         (* the answer doubles as a forwarding hint: future invokes go
            direct instead of through the directory again *)
         hint t ~at:dst obj ~node;
-        List.iter (post t ~src:dst node) pending
+        post_all t ~src:dst node pending
       end
       else if K.find_object k obj <> None then
         (* the entry pointed here and it was right: the object came
            home while we were asking.  Re-deliver to ourselves so the
            pending invokes take the normal found path *)
-        List.iter (post t ~src:dst dst) pending
+        post_all t ~src:dst dst pending
       else
         match Option.map (fun addr -> K.proxy_hint k addr) (K.proxy_of k obj) with
         | Some hop when hop <> dst && Transport.reachable t.tr hop ->
@@ -287,7 +293,7 @@ let deliver t ~dst ~src (msg : M.message) =
              the chain walk from it instead of broadcasting (a search
              racing the in-flight transfer would see every probe come
              back negative and wrongly report the object lost) *)
-          List.iter (post t ~src:dst hop) pending
+          post_all t ~src:dst hop pending
         | _ ->
           (* no entry and no trail: broadcast search, last resort *)
           List.iter (fun msg -> start_search t ~asker:dst obj msg) pending)

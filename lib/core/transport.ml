@@ -128,10 +128,9 @@ type note =
    only for a listener; otherwise only the counter moves.  A send is
    stamped with the sender's clock, a delivery with the receiver's. *)
 let note tr kind ~src ~dst ~bytes ~arrives msg =
-  let bus = tr.bus in
-  if E.has_subscribers bus then begin
+  if E.has_subscribers tr.bus then begin
     let desc = M.describe msg in
-    E.emit bus
+    E.emit tr.bus
       (match kind with
       | Sent ->
         E.Ev_msg_send { time = K.time_us tr.kernels.(src); src; dst; desc; bytes; arrives }
@@ -141,10 +140,10 @@ let note tr kind ~src ~dst ~bytes ~arrives msg =
   end
   else
     match kind with
-    | Sent -> E.count_msg bus ~node:src E.Msg_sent
-    | Delivered -> E.count_msg bus ~node:dst E.Msg_delivered
-    | Lost -> E.count_msg bus ~node:src E.Msg_lost
-    | Drained -> E.count_msg bus ~node:dst E.Msg_lost
+    | Sent -> E.count_msg tr.bus ~node:src E.Msg_sent
+    | Delivered -> E.count_msg tr.bus ~node:dst E.Msg_delivered
+    | Lost -> E.count_msg tr.bus ~node:src E.Msg_lost
+    | Drained -> E.count_msg tr.bus ~node:dst E.Msg_lost
 
 let delivered tr ~dst msg = note tr Delivered ~src:dst ~dst ~bytes:0 ~arrives:0.0 msg
 
@@ -180,15 +179,16 @@ let blit_pair tr ~src ~dst =
    batched blit accounting (no plans), everyone else falls back to the
    plan path — the honest general case.  The original protocol converts
    per datum: the plan tier with no plan cache. *)
+let plan_use tr ~src ~dst =
+  Some
+    (Mobility.Conv_plan.make_use
+       (Mobility.Code_repository.plan_cache tr.repo)
+       { Mobility.Conv_plan.pr_src = K.arch tr.kernels.(src); pr_dst = K.arch tr.kernels.(dst) })
+
 let plans_for tr ~src ~dst =
-  let plan_use () =
-    Mobility.Conv_plan.make_use
-      (Mobility.Code_repository.plan_cache tr.repo)
-      { Mobility.Conv_plan.pr_src = K.arch tr.kernels.(src); pr_dst = K.arch tr.kernels.(dst) }
-  in
   match tr.proto, tr.wire_impl with
-  | Enhanced, W.Plan -> Some (plan_use ())
-  | Enhanced, W.Blit -> if blit_pair tr ~src ~dst then None else Some (plan_use ())
+  | Enhanced, W.Plan -> plan_use tr ~src ~dst
+  | Enhanced, W.Blit -> if blit_pair tr ~src ~dst then None else plan_use tr ~src ~dst
   | Original, _ | Enhanced, W.Naive -> None
 
 (* An en/decode at [node] runs between [mark] and [settle].  [settle]
@@ -303,9 +303,9 @@ let send tr ~src ~dst ~blit ~root msg =
 let receive_enveloped tr ~dst (m : Enet.Netsim.message) =
   let src = m.Enet.Netsim.msg_src and v = m.Enet.Netsim.msg_payload in
   let k = tr.kernels.(dst) in
+  let seq = seq_of v in
   match W.view_get v 0 with
   | '\002' ->
-    let seq = seq_of v in
     K.set_time_us k m.Enet.Netsim.msg_arrives_at;
     K.charge_us k CM.protocol_fixed_us;
     if Hashtbl.mem tr.outstanding.(dst) seq then begin
@@ -313,7 +313,6 @@ let receive_enveloped tr ~dst (m : Enet.Netsim.message) =
       E.emit tr.bus (E.Ev_ack { node = dst; seq })
     end
   | '\001' ->
-    let seq = seq_of v in
     K.set_time_us k m.Enet.Netsim.msg_arrives_at;
     ignore
       (Enet.Netsim.send tr.net ~now_us:(K.time_us k) ~src:dst ~dst:src
