@@ -62,22 +62,19 @@ let attach_profile t p =
 let is_crashed t i = t.down.(i)
 let thread_failure t tid = Hashtbl.find_opt t.failures tid
 
-(* retire every segment of a lost thread on every live node *)
-let reap_thread t tid =
-  Array.iteri
-    (fun i k ->
-      if not t.down.(i) then
-        List.iter
-          (fun (seg : T.segment) -> if seg.T.seg_thread = tid then K.retire_segment k seg)
-          (K.segments k))
-    t.kernels
-
-(* Abort every live segment of a thread: its continuation is gone. *)
+(* Abort every live segment of a thread, on every live node: its
+   continuation is gone. *)
 let abort_thread t tid ~reason =
   if not (Hashtbl.mem t.failures tid) then begin
     Hashtbl.replace t.failures tid reason;
     E.emit t.bus (E.Ev_thread_lost { thread = tid; reason });
-    reap_thread t tid
+    Array.iteri
+      (fun i k ->
+        if not t.down.(i) then
+          List.iter
+            (fun (seg : T.segment) -> if seg.T.seg_thread = tid then K.retire_segment k seg)
+            (K.segments k))
+      t.kernels
   end
 
 (* a message could not be delivered: the sending thread's continuation is
@@ -208,7 +205,8 @@ let rec quiesce_node t i =
   if K.quantum k <> None then
     List.iter
       (fun seg ->
-        if not (K.at_stop k seg) then List.iter (handle_outcall t ~src:i) (K.advance_to_stop k seg))
+        if not (K.at_stop k seg) then
+          List.iter (handle_outcall t ~src:i) (K.advance_to_stop k seg))
       (K.segments k)
 
 and handle_outcall t ~src (oc : K.outcall) =
@@ -255,7 +253,8 @@ and handle_outcall t ~src (oc : K.outcall) =
       (* same-node segment chain: deliver directly *)
       match K.find_segment k link.T.ln_seg with
       | Some seg -> K.deliver_result k seg value
-      | None -> send_all t ~src (Mobility.Rpc.handle_reply ~k ~to_seg:link.T.ln_seg ~value ~thread)
+      | None ->
+        send_all t ~src (Mobility.Rpc.handle_reply ~k ~to_seg:link.T.ln_seg ~value ~thread)
     end
     else send_message t ~src (Mobility.Rpc.initiate_return ~link ~value ~thread)
   | K.Oc_start_process { target_oid; hint_node } ->
@@ -660,7 +659,8 @@ let restore_thread t ~node image =
    the kernel captures it at the segment's next bus stop during a later
    scheduling slice. *)
 let evict_thread t ~node ~seg_id ~dest =
-  List.iter (handle_outcall t ~src:node) (K.evict_thread t.kernels.(node) ~seg_id ~dest_node:dest);
+  K.evict_thread t.kernels.(node) ~seg_id ~dest_node:dest
+  |> List.iter (handle_outcall t ~src:node);
   Loop.ensure_step t.loop node
 
 (* Batched migration: capture the union closure of several co-located

@@ -44,9 +44,7 @@ let home t oid = Loc.Partition.home t.partition oid
 
 (* host-side directory inspection (no hit/miss accounting) *)
 let entry t oid =
-  match Loc.Directory.peek t.dirs.(home t oid) oid with
-  | Some e -> Some e.Loc.Directory.le_node
-  | None -> None
+  Option.map (fun e -> e.Loc.Directory.le_node) (Loc.Directory.peek t.dirs.(home t oid) oid)
 
 let stats t =
   Array.fold_left
@@ -239,7 +237,8 @@ let publish t ~dst (payload : M.move_payload) =
 let deliver t ~dst ~src (msg : M.message) =
   let k = t.kernels.(dst) in
   match msg with
-  | M.M_locate { obj } -> post t ~src:dst src (M.M_located { obj; found = K.find_object k obj <> None })
+  | M.M_locate { obj } ->
+    post t ~src:dst src (M.M_located { obj; found = K.find_object k obj <> None })
   | M.M_located { obj; found } -> (
     match Hashtbl.find_opt t.searches obj with
     | None -> () (* a late or duplicate answer *)

@@ -63,13 +63,11 @@ let create ~sched ~engine ~net ~bus ~kernels ~down ~transport ~collect ~faults ~
      seed the engine with each node's first window *)
   List.iter
     (fun (c : Fault.Plan.chaos) ->
-      let i = c.Fault.Plan.ch_node in
       let acts =
-        (c.Fault.Plan.ch_crash_at_us, Chaos_crash)
-        :: (match c.Fault.Plan.ch_restart_at_us with
-           | Some r -> [ (r, Chaos_restart) ]
-           | None -> [])
+        (c.ch_crash_at_us, Chaos_crash)
+        :: List.map (fun r -> (r, Chaos_restart)) (Option.to_list c.ch_restart_at_us)
       in
+      let i = c.ch_node in
       t.chaos.(i) <- List.sort (fun (a, _) (b, _) -> Float.compare a b) (t.chaos.(i) @ acts))
     faults.Fault.Plan.pl_chaos;
   Array.iteri
@@ -209,7 +207,8 @@ let rec step_once_heap t ~horizon =
   let e = t.engine in
   match Engine.peek e with
   | None -> if reseed t then step_once_heap t ~horizon else false
-  | Some tm when tm >= horizon -> false (* a pending load-balancing point gates further execution *)
+  | Some tm when tm >= horizon ->
+    false (* a pending load-balancing point gates further execution *)
   | Some _ -> (
     match Engine.take e with
     | None -> if reseed t then step_once_heap t ~horizon else false

@@ -56,8 +56,7 @@ let no_payload = W.view_of_string ""
 
 type t = {
   proto : protocol;
-  wire_impl : W.impl;  (* the configured tier *)
-  codec : W.impl;  (* the tier the codec runs: Plan under the original protocol *)
+  codec : W.impl;  (* the configured tier; Plan under the original protocol *)
   net : Enet.Netsim.t;
   engine : Engine.t;
   bus : E.bus;
@@ -99,7 +98,7 @@ let create ~protocol ~wire_impl ~faults ~net ~engine ~bus ~repo ~kernels ~down ~
         in
         E.emit bus (E.Ev_fault { time = K.time_us kernels.(src); src; dst; kind }))
   end;
-  { proto = protocol; wire_impl;
+  { proto = protocol;
     codec = (match protocol with Enhanced -> wire_impl | Original -> W.Plan);
     net; engine; bus; repo; kernels; down; enveloped; lost; deliver;
     conv = Array.init n (fun _ -> CS.create ());
@@ -186,7 +185,7 @@ let plan_use tr ~src ~dst =
        { Mobility.Conv_plan.pr_src = K.arch tr.kernels.(src); pr_dst = K.arch tr.kernels.(dst) })
 
 let plans_for tr ~src ~dst =
-  match tr.proto, tr.wire_impl with
+  match tr.proto, tr.codec with
   | Enhanced, W.Plan -> plan_use tr ~src ~dst
   | Enhanced, W.Blit -> if blit_pair tr ~src ~dst then None else plan_use tr ~src ~dst
   | Original, _ | Enhanced, W.Naive -> None
@@ -404,7 +403,9 @@ let on_timer tr i =
    uncertainty — so their continuations are reported lost *)
 let crash tr i =
   if tr.enveloped && Hashtbl.length tr.outstanding.(i) > 0 then begin
-    let entries = List.sort by_seq (Hashtbl.fold (fun _ p acc -> p :: acc) tr.outstanding.(i) []) in
+    let entries =
+      List.sort by_seq (Hashtbl.fold (fun _ p acc -> p :: acc) tr.outstanding.(i) [])
+    in
     Hashtbl.reset tr.outstanding.(i);
     List.iter (fun p -> tr.lost p.p_msg ~reason:(Printf.sprintf "node %d crashed" i)) entries
   end
