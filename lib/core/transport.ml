@@ -225,22 +225,22 @@ let settle tr ~node =
 
 (* Decoding is a payload's last read: its pooled buffer goes back to the
    free list (sub-views and string-backed views are no-ops), also on a
-   decode failure, or it would leak from the pool.  A frame drained at a
-   dead interface is decoded without [charge]: nobody pays for it. *)
-let decode_payload tr ~src ~dst ~blit ~charge payload =
-  let plans = if charge then plans_for tr ~src ~dst else None in
-  let stats = if charge then tr.conv.(dst) else CS.create () in
-  if charge then mark tr ~node:dst;
+   decode failure, or it would leak from the pool. *)
+let decode_view tr ?plans ~blit ~stats payload =
   match M.decode_view ?plans ~blit ~impl:tr.codec ~stats payload with
   | msg ->
-    if charge then settle tr ~node:dst;
     W.release_view payload;
     msg
   | exception e ->
     W.release_view payload;
     raise e
 
-let decode tr ~src ~dst ~blit payload = decode_payload tr ~src ~dst ~blit ~charge:true payload
+let decode tr ~src ~dst ~blit payload =
+  let plans = plans_for tr ~src ~dst in
+  mark tr ~node:dst;
+  let msg = decode_view tr ?plans ~blit ~stats:tr.conv.(dst) payload in
+  settle tr ~node:dst;
+  msg
 
 (* ----------------------------------------------------------------------- *)
 (* sending *)
@@ -332,12 +332,11 @@ let receive tr ~dst ~now =
   | None -> ()
   | Some m when tr.enveloped -> if not tr.down.(dst) then receive_enveloped tr ~dst m
   | Some m when tr.down.(dst) ->
-    (* a bare frame at a dead interface is drained, and whatever rode on
-       it is lost *)
+    (* a bare frame at a dead interface is drained, uncharged, and
+       whatever rode on it is lost *)
     let src = m.Enet.Netsim.msg_src in
     let msg =
-      decode_payload tr ~src ~dst ~blit:(blit_pair tr ~src ~dst) ~charge:false
-        m.Enet.Netsim.msg_payload
+      decode_view tr ~blit:(blit_pair tr ~src ~dst) ~stats:(CS.create ()) m.Enet.Netsim.msg_payload
     in
     note tr Drained ~src ~dst ~bytes:0 ~arrives:0.0 msg;
     tr.lost msg ~reason:(Printf.sprintf "node %d is down" dst)
