@@ -183,7 +183,7 @@ type msg_count =
 val count_msg : bus -> node:int -> msg_count -> unit
 (** Bump the counter an [Ev_msg_*] event at [node] would bump, without the
     event.  Message events carry a [Mobility.Marshal.describe] string, so
-    the cluster builds them only when someone listens and counts through
+    the transport builds them only when someone listens and counts through
     this otherwise. *)
 
 (** {1 Spans} (DESIGN.md §12): ids are (node, per-node counter) pairs. *)
