@@ -21,8 +21,8 @@ type scheduler = Loop.scheduler =
       (** the seed's O(nodes)-per-event rescan, kept for cross-checking
           and for the scaling benchmark; both produce identical event
           sequences and results.  It raises [Invalid_argument] on the
-          four features that need engine events of its own: fault plans,
-          [Gc_incremental], a balancer and timed waits. *)
+          four features that need engine events of their own: fault
+          plans, [Gc_incremental], a balancer and timed waits. *)
 
 type location = Locate.mode =
   | Loc_off
