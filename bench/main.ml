@@ -184,9 +184,8 @@ let run_conversion () =
   pf "The paper attributes most of the enhanced system's penalty to its\n";
   pf "naive conversion routines (1-2 procedure calls per byte) and guesses\n";
   pf "that efficient routines would cut the penalty by about 50%%.\n";
-  pf "Two wire tiers: naive (per-byte calls) and plan (per-datum calls,\n";
-  pf "with compiled conversion plans cutting the host work but not the\n";
-  pf "virtual cost).  'host' columns are simulator wall time.\n";
+  pf "Two wire tiers over one codec: naive (per-byte calls) and plan\n";
+  pf "(one call per datum).  'host' columns are simulator wall time.\n";
   hr ();
   let pairs = [ ("SPARC<->SPARC", A.sparc, A.sparc); ("VAX<->VAX", A.vax, A.vax) ] in
   pf "%-14s %8s %9s %9s %5s %8s %8s\n" "Systems" "Original" "naive" "plan" "cut"
@@ -218,8 +217,7 @@ let run_conversion () =
         (plan.W.rt_host_seconds *. 1000.0))
     pairs;
   hr ();
-  pf "(the paper's guess: about 50%%; the plan tier must not move the\n";
-  pf "virtual numbers at all — it only cuts host time)\n\n"
+  pf "(the paper's guess: about 50%%)\n\n"
 
 (* ------------------------------------------------------------------ *)
 (* Extension: move cost vs thread-fragment size                          *)
@@ -356,7 +354,7 @@ let marshal_payload arch =
       Mobility.Move.perform_move k ~obj_addr ~dest:dest_node
     | _ -> to_move (n + 1)
   in
-  (prog, to_move 0)
+  to_move 0
 
 let run_marshal () =
   pf "Marshalling fast path: host time per encode/decode of a real move\n";
@@ -365,15 +363,7 @@ let run_marshal () =
   pf "plan charges per datum, and blit (this pair has matching layouts)\n";
   pf "charges one call per record.\n";
   hr ();
-  let arch = A.sparc in
-  let prog, payload = marshal_payload arch in
-  let msg = Mobility.Marshal.M_move payload in
-  let cache = Mobility.Conv_plan.create_cache () in
-  Mobility.Conv_plan.set_program cache prog;
-  let use =
-    Mobility.Conv_plan.make_use cache
-      { Mobility.Conv_plan.pr_src = arch; pr_dst = arch }
-  in
+  let msg = Mobility.Marshal.M_move (marshal_payload A.sparc) in
   let stats = Enet.Conversion_stats.create () in
   (* each tier is timed on its real send path: the naive tier copies the
      buffer into a fresh string per message (the seed's behavior), the
@@ -381,39 +371,37 @@ let run_marshal () =
      and the receiver releases it after decoding *)
   let tiers =
     [
-      ("naive", Enet.Wire.Naive, None, false, `Copy);
-      ("plan", Enet.Wire.Plan, Some use, false, `View);
-      ("blit", Enet.Wire.Blit, None, true, `View);
+      ("naive", Enet.Wire.Naive, false, `Copy);
+      ("plan", Enet.Wire.Plan, false, `View);
+      ("blit", Enet.Wire.Blit, true, `View);
     ]
   in
   let image = Mobility.Marshal.encode ~impl:Enet.Wire.Naive ~stats msg in
   let image_view = Enet.Wire.view_of_string image in
   (* byte identity and decode fidelity across tiers, before any timing *)
   List.iter
-    (fun (name, impl, plans, blit, _) ->
-      let enc = Mobility.Marshal.encode ?plans ~blit ~impl ~stats msg in
+    (fun (name, impl, blit, _) ->
+      let enc = Mobility.Marshal.encode ~blit ~impl ~stats msg in
       if not (String.equal enc image) then
         failwith (Printf.sprintf "marshal bench: %s tier wire image differs" name);
-      if Mobility.Marshal.decode ?plans ~blit ~impl ~stats enc <> msg then
+      if Mobility.Marshal.decode ~blit ~impl ~stats enc <> msg then
         failwith (Printf.sprintf "marshal bench: %s tier does not round trip" name))
     tiers;
   let n = 2000 in
   let tier_fns =
     List.map
-      (fun (name, impl, plans, blit, mode) ->
+      (fun (name, impl, blit, mode) ->
         match mode with
         | `Copy ->
           ( name,
-            (fun () -> ignore (Mobility.Marshal.encode ?plans ~blit ~impl ~stats msg)),
-            fun () -> ignore (Mobility.Marshal.decode ?plans ~blit ~impl ~stats image) )
+            (fun () -> ignore (Mobility.Marshal.encode ~blit ~impl ~stats msg)),
+            fun () -> ignore (Mobility.Marshal.decode ~blit ~impl ~stats image) )
         | `View ->
           ( name,
             (fun () ->
-              let v = Mobility.Marshal.encode_view ?plans ~blit ~impl ~stats msg in
+              let v = Mobility.Marshal.encode_view ~blit ~impl ~stats msg in
               Enet.Wire.release_view v),
-            fun () ->
-              ignore
-                (Mobility.Marshal.decode_view ?plans ~blit ~impl ~stats image_view) ))
+            fun () -> ignore (Mobility.Marshal.decode_view ~blit ~impl ~stats image_view) ))
       tiers
   in
   (* interleave the tiers round-robin so transient host load hits them
@@ -468,13 +456,7 @@ let run_marshal () =
         speedup)
     results;
   hr ();
-  let plan_speedup = naive_total /. total (List.nth results 1) in
-  pf "plan vs naive: %.2fx host-time speedup on identical wire bytes%s\n"
-    plan_speedup
-    (if plan_speedup >= 2.0 then "" else "  (BELOW the 2x target)");
-  pf "plan cache: %d compiles, %d hits\n\n"
-    (Mobility.Conv_plan.compiles cache)
-    (Mobility.Conv_plan.hits cache)
+  pf "\n"
 
 let run_fig2 () =
   pf "Figure 2: the thread-state specialization hierarchy\n";
@@ -1188,8 +1170,8 @@ let run_blit () =
   pf "Blit tier: negotiated zero-translation migration for same-layout\n";
   pf "pairs.  Wire bytes stay byte-identical to the plan tier; same-\n";
   pf "layout moves skip the translate/rebuild phases entirely and must\n";
-  pf "show it on the virtual clock; every other pair falls back to\n";
-  pf "compiled plans, bit for bit.  Gate: skip ratio > 0 and lower\n";
+  pf "show it on the virtual clock; every other pair falls back to the\n";
+  pf "per-datum path, bit for bit.  Gate: skip ratio > 0 and lower\n";
   pf "migration latency on every same-layout pair.\n";
   hr ();
   let skip_counts ~home ~dest =
@@ -1281,7 +1263,7 @@ let run_blit () =
   hr ();
   if !failed then exit 1;
   pf "same-layout pairs skip translate/rebuild (byte-identical wire);\n";
-  pf "mixed pairs fall back to compiled plans exactly\n\n"
+  pf "mixed pairs fall back to the per-datum path exactly\n\n"
 
 (* ------------------------------------------------------------------ *)
 (* Bridge fragments: migration between differently-optimized instances *)

@@ -1,7 +1,7 @@
 (* emdis: disassemble the native code generated for one architecture,
    side by side with its bus-stop table.
 
-     emdis FILE ARCH [CLASS] [--plans DST] [--opt-diff L,L] *)
+     emdis FILE ARCH [CLASS] [--blocks] [--opt-diff L,L] *)
 
 open Cmdliner
 
@@ -178,14 +178,9 @@ let print_opt_diff ~arch (cc : Emc.Compile.compiled_class) la lb =
   in
   zip ca cb
 
-let dis file arch_id cls plans_dst blocks opt_diff =
+let dis file arch_id cls blocks opt_diff =
   let source = In_channel.with_open_text file In_channel.input_all in
   let arch = arch_by_id arch_id in
-  let archs =
-    match plans_dst with
-    | Some id when id <> arch.Isa.Arch.id -> [ arch; arch_by_id id ]
-    | _ -> [ arch ]
-  in
   let diff_levels =
     match opt_diff with
     | None -> None
@@ -208,7 +203,7 @@ let dis file arch_id cls plans_dst blocks opt_diff =
   let prog =
     match
       Emc.Compile.compile ?levels
-        ~name:(Filename.remove_extension (Filename.basename file)) ~archs source
+        ~name:(Filename.remove_extension (Filename.basename file)) ~archs:[ arch ] source
     with
     | Ok p -> p
     | Error errs ->
@@ -218,38 +213,19 @@ let dis file arch_id cls plans_dst blocks opt_diff =
         errs;
       exit 1
   in
-  let plan_use =
-    match plans_dst with
-    | None -> None
-    | Some id ->
-      let cache = Mobility.Conv_plan.create_cache () in
-      Mobility.Conv_plan.set_program cache prog;
-      Some
-        (Mobility.Conv_plan.make_use cache
-           { Mobility.Conv_plan.pr_src = arch; pr_dst = arch_by_id id })
-  in
   let wanted (cc : Emc.Compile.compiled_class) =
     match cls with None -> true | Some c -> String.equal cc.Emc.Compile.cc_name c
   in
-  Array.iteri
-    (fun class_index (cc : Emc.Compile.compiled_class) ->
-      if wanted cc then begin
-        (match diff_levels with
+  Array.iter
+    (fun (cc : Emc.Compile.compiled_class) ->
+      if wanted cc then
+        match diff_levels with
         | Some (la, lb) -> print_opt_diff ~arch cc la lb
         | None ->
           let art = Emc.Compile.artifact cc ~arch_id:arch.Isa.Arch.id in
           print_string (Isa.Disasm.listing art.Emc.Compile.aa_code);
           Format.printf "%a@." Emc.Busstop.pp art.Emc.Compile.aa_stops;
-          if blocks then print_blocks art.Emc.Compile.aa_code);
-        match plan_use with
-        | None -> ()
-        | Some use ->
-          for stop = 0 to cc.Emc.Compile.cc_ir.Emc.Ir.cl_nstops - 1 do
-            match Mobility.Conv_plan.describe use ~class_index ~stop with
-            | Some d -> Printf.printf "plan %s stop %d: %s\n" cc.Emc.Compile.cc_name stop d
-            | None -> ()
-          done
-      end)
+          if blocks then print_blocks art.Emc.Compile.aa_code)
     prog.Emc.Compile.p_classes
 
 let file_t =
@@ -262,12 +238,6 @@ let arch_t =
 let class_t =
   Arg.(value & pos 2 (some string) None
        & info [] ~docv:"CLASS" ~doc:"Restrict the listing to this class.")
-
-let plans_t =
-  Arg.(value & opt (some string) None
-       & info [ "plans" ] ~docv:"DST"
-           ~doc:"Also print the compiled conversion plans for migrations from \
-                 ARCH to this destination architecture.")
 
 let blocks_t =
   Arg.(value & flag
@@ -288,6 +258,6 @@ let opt_diff_t =
 let cmd =
   let doc = "disassemble native code next to its bus-stop table" in
   Cmd.v (Cmd.info "emdis" ~doc)
-    Term.(const dis $ file_t $ arch_t $ class_t $ plans_t $ blocks_t $ opt_diff_t)
+    Term.(const dis $ file_t $ arch_t $ class_t $ blocks_t $ opt_diff_t)
 
 let () = exit (Cmd.eval cmd)

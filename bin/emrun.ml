@@ -197,20 +197,10 @@ let run file nodes opt cls op args_s original codec location gc_mode_s
       for i = 0 to Core.Cluster.n_nodes cl - 1 do
         let c = Core.Cluster.node_counters cl i in
         let open Core.Events in
-        if
-          c.c_plan_compiles > 0 || c.c_plan_hits > 0 || c.c_pool_hits > 0
-          || c.c_pool_misses > 0 || c.c_copies_saved > 0
-        then
-          Printf.printf
-            "node %d fastpath: %d plan compiles, %d plan hits, pool %d/%d \
-             (hits/misses), %d copies saved\n"
-            i c.c_plan_compiles c.c_plan_hits c.c_pool_hits c.c_pool_misses
-            c.c_copies_saved
+        if c.c_pool_hits > 0 || c.c_pool_misses > 0 || c.c_copies_saved > 0 then
+          Printf.printf "node %d fastpath: pool %d/%d (hits/misses), %d copies saved\n" i
+            c.c_pool_hits c.c_pool_misses c.c_copies_saved
       done;
-      let pc = Mobility.Code_repository.plan_cache (Core.Cluster.repository cl) in
-      if Mobility.Conv_plan.compiles pc > 0 || Mobility.Conv_plan.hits pc > 0 then
-        Printf.printf "plan cache: %d compiles, %d hits\n"
-          (Mobility.Conv_plan.compiles pc) (Mobility.Conv_plan.hits pc);
       let open Core.Events in
       let blit_skips = Core.Cluster.total_counter cl (fun c -> c.c_blit_skips) in
       let blit_falls =
@@ -225,8 +215,8 @@ let run file nodes opt cls op args_s original codec location gc_mode_s
         assert (fp_computes <= List.length Isa.Arch.all);
         Printf.printf
           "fastpath: %d blit moves skipped translation, %d fell back to \
-           plans (skip ratio %.2f); layout fingerprints %d computed, %d \
-           memo hits\n"
+           per-datum conversion (skip ratio %.2f); layout fingerprints %d \
+           computed, %d memo hits\n"
           blit_skips blit_falls
           (float_of_int blit_skips /. float_of_int (blit_skips + blit_falls))
           fp_computes fp_hits
@@ -413,9 +403,8 @@ let codec_t =
   Arg.(value & opt (some string) None
        & info [ "codec" ] ~docv:"TIER"
            ~doc:"Wire conversion tier: $(b,naive) (per-byte calls, the \
-                 prototype's routines), $(b,plan) (per-datum calls, with \
-                 compiled conversion plans cutting host work), or \
-                 $(b,blit) (plan, plus same-layout architecture pairs \
+                 prototype's routines), $(b,plan) (one conversion call per \
+                 datum), or $(b,blit) (plan, plus same-layout architecture pairs \
                  negotiate a zero-translation transfer charged one call \
                  per record, skipping capture translation and frame \
                  rebuild).")

@@ -354,7 +354,7 @@ let deliver t ~dst (m : Enet.Netsim.message) payload =
      the sender used, so the blit codec needs no capability bit on the
      wire *)
   let blit = Transport.blit_pair t.tr ~src ~dst in
-  let msg = Transport.decode t.tr ~src ~dst ~blit payload in
+  let msg = Transport.decode t.tr ~dst ~blit payload in
   let t_unm1 = if tag <> None then K.time_us k else 0.0 in
   if not blit then charge_translation t ~node:dst msg;
   (match tag with
@@ -465,7 +465,7 @@ let restart_node t i =
     K.inherit_serials k (K.serials dead);
     (* bridge fragments address the dead kernel's text, so they are
        cleared with the incarnation; the cache object (and its hit/miss
-       history) lives in the repository and survives, like the plans *)
+       history) lives in the repository and survives *)
     Ert.Bridge.clear (Mobility.Code_repository.bridge_cache t.repo ~node:i);
     Option.iter (K.load_program k) t.last_prog;
     t.kernels.(i) <- k;
@@ -505,8 +505,8 @@ let create ?net_config ?(protocol = Enhanced) ?(wire_impl = Enet.Wire.Naive)
   let rec self =
     lazy
       (let tr =
-         Transport.create ~protocol ~wire_impl ~faults ~net ~engine ~bus ~repo ~kernels ~down
-           ~lost ~deliver:deliver_to
+         Transport.create ~protocol ~wire_impl ~faults ~net ~engine ~bus ~kernels ~down ~lost
+           ~deliver:deliver_to
        in
        let gc =
          Collect.create ~mode:gc_mode ~threshold:gc_threshold ~budget:gc_budget ~kernels
@@ -561,7 +561,6 @@ let total_counter t f = E.total t.bus f
 
 let load_program t prog =
   t.last_prog <- Some prog;  (* replayed into replacement kernels on restart *)
-  Mobility.Code_repository.set_program t.repo prog;
   Array.iter (fun k -> K.load_program k prog) t.kernels
 
 let compile_and_load ?optimize ?levels t ~name source =

@@ -253,13 +253,13 @@ val group_move : t -> node:int -> dest:int -> Ert.Oid.t list -> unit
 (** Batched migration: capture the union closure of the given co-located
     roots — the objects, their attached closures, and every thread
     segment executing inside any of them — and ship it as a single
-    {!Marshal.M_group_move} transfer over the pooled wire path, reusing
-    the compiled conversion plans.  One root ["move"] span covers the
-    batch; its capture leg is the ["group_pack"] phase and the landing
-    leg ["group_unpack"].  Roots not resident on [node] are skipped, and
-    a batch that captures nothing sends nothing.  With the directory on,
-    the landing publishes every moved object's new location in one
-    batched update per home shard. *)
+    {!Marshal.M_group_move} transfer over the pooled wire path.  One
+    root ["move"] span covers the batch; its capture leg is the
+    ["group_pack"] phase and the landing leg ["group_unpack"].  Roots
+    not resident on [node] are skipped, and a batch that captures
+    nothing sends nothing.  With the directory on, the landing publishes
+    every moved object's new location in one batched update per home
+    shard. *)
 
 val chain_walk : t -> from:int -> Ert.Oid.t -> int option * int
 (** Follow forwarding-proxy hints from [from] toward the object:

@@ -39,7 +39,6 @@ type t =
   | Ev_msg_dup of { node : int; src : int; seq : int }
   | Ev_retransmit of { node : int; dst : int; seq : int; attempt : int }
   | Ev_ack of { node : int; seq : int }
-  | Ev_plan of { node : int; compiles : int; hits : int }
   | Ev_pool of { node : int; hits : int; misses : int; copies_saved : int }
   | Ev_span of Obs.Span.t
   (* location-subsystem events: none of these fire in the directory-off
@@ -59,8 +58,8 @@ type t =
       (** a move payload under the negotiated [blit] codec tier:
           [skipped = true] when the layout fingerprints matched and the
           translate/rebuild passes were skipped, [false] when the pair
-          fell back to the plan path.  Fires only under [--codec blit],
-          so the legacy trace is unaffected. *)
+          fell back to the per-datum path.  Fires only under [--codec
+          blit], so the legacy trace is unaffected. *)
   | Ev_bridge of {
       time : float;
       node : int;
@@ -81,8 +80,8 @@ type t =
    without a fault plan, so giving them lines keeps the no-fault trace
    byte-identical while making [--trace] useful under injection. *)
 let legacy_string = function
-  | Ev_step _ | Ev_move_finish _ | Ev_conversion _ | Ev_plan _ | Ev_pool _
-  | Ev_span _ | Ev_blit _ | Ev_bridge _ | Ev_gc_phase _ -> None
+  | Ev_step _ | Ev_move_finish _ | Ev_conversion _ | Ev_pool _ | Ev_span _ | Ev_blit _
+  | Ev_bridge _ | Ev_gc_phase _ -> None
   | Ev_msg_send { time; src; dst; desc; bytes; arrives } ->
     Some
       (Printf.sprintf "t=%.0fus node %d -> node %d: %s (%d bytes, arrives %.0fus)"
@@ -162,8 +161,6 @@ let to_string ev =
       objects segments frames
   | Ev_conversion { node; calls; bytes } ->
     Printf.sprintf "conversion node=%d calls=%d bytes=%d" node calls bytes
-  | Ev_plan { node; compiles; hits } ->
-    Printf.sprintf "plan node=%d compiles=%d hits=%d" node compiles hits
   | Ev_pool { node; hits; misses; copies_saved } ->
     Printf.sprintf "pool node=%d hits=%d misses=%d copies-saved=%d" node hits misses
       copies_saved
@@ -197,8 +194,8 @@ type counters = {
   mutable c_dups_suppressed : int;
   mutable c_retransmits : int;
   mutable c_acks : int;
-  mutable c_plan_compiles : int;
-  mutable c_plan_hits : int;
+  mutable c_plan_compiles : int;  (* no longer incremented *)
+  mutable c_plan_hits : int;  (* no longer incremented *)
   mutable c_pool_hits : int;
   mutable c_pool_misses : int;
   mutable c_copies_saved : int;
@@ -211,7 +208,7 @@ type counters = {
   mutable c_group_objects : int;  (* objects shipped inside group transfers *)
   mutable c_blit_skips : int;
       (* moves whose layout fingerprints matched: translate/rebuild skipped *)
-  mutable c_blit_fallbacks : int;  (* blit-tier moves that took the plan path *)
+  mutable c_blit_fallbacks : int;  (* blit-tier moves that took the per-datum path *)
   mutable c_bridged : int;
       (* arriving threads that landed through a compiled bridge fragment *)
 }
@@ -303,9 +300,6 @@ let count bus ev =
     (c node).c_dups_suppressed <- (c node).c_dups_suppressed + 1
   | Ev_retransmit { node; _ } -> (c node).c_retransmits <- (c node).c_retransmits + 1
   | Ev_ack { node; _ } -> (c node).c_acks <- (c node).c_acks + 1
-  | Ev_plan { node; compiles; hits } ->
-    (c node).c_plan_compiles <- (c node).c_plan_compiles + compiles;
-    (c node).c_plan_hits <- (c node).c_plan_hits + hits
   | Ev_pool { node; hits; misses; copies_saved } ->
     (c node).c_pool_hits <- (c node).c_pool_hits + hits;
     (c node).c_pool_misses <- (c node).c_pool_misses + misses;

@@ -64,8 +64,6 @@ type t =
       (** an unacknowledged message was retransmitted *)
   | Ev_ack of { node : int; seq : int }
       (** an acknowledgement was processed at the original sender *)
-  | Ev_plan of { node : int; compiles : int; hits : int }
-      (** compiled conversion-plan cache activity during one en/decode *)
   | Ev_pool of { node : int; hits : int; misses : int; copies_saved : int }
       (** encode-buffer pool activity during one en/decode; [copies_saved]
           counts pooled handoffs that avoided a payload copy *)
@@ -96,8 +94,9 @@ type t =
       (** a move payload left [node] under the negotiated [blit] codec
           tier: [skipped = true] when the layout fingerprints matched and
           the translate/rebuild passes were skipped at both ends,
-          [false] when the pair fell back to the plan path.  Fires only
-          under the blit wire tier, so legacy traces are unaffected. *)
+          [false] when the pair fell back to the per-datum path.  Fires
+          only under the blit wire tier, so legacy traces are
+          unaffected. *)
   | Ev_bridge of {
       time : float;
       node : int;  (** the destination *)
@@ -138,8 +137,10 @@ type counters = {
   mutable c_dups_suppressed : int;  (** duplicates suppressed at this receiver *)
   mutable c_retransmits : int;  (** retransmissions sent from this node *)
   mutable c_acks : int;  (** acknowledgements processed at this node *)
-  mutable c_plan_compiles : int;  (** conversion plans compiled for this node *)
-  mutable c_plan_hits : int;  (** plan-cache hits *)
+  mutable c_plan_compiles : int;
+      (** no longer incremented: the compiled conversion plans it counted
+          are deleted (DESIGN.md §8); kept because [bench/perf] reads it *)
+  mutable c_plan_hits : int;  (** no longer incremented, as [c_plan_compiles] *)
   mutable c_pool_hits : int;  (** encode buffers reused from the pool *)
   mutable c_pool_misses : int;  (** encode buffers freshly allocated *)
   mutable c_copies_saved : int;  (** payload copies avoided by pooled handoff *)
@@ -153,7 +154,7 @@ type counters = {
   mutable c_blit_skips : int;
       (** outgoing moves that took the common-layout blit fast path *)
   mutable c_blit_fallbacks : int;
-      (** blit-tier moves whose pair mismatched: plan path used *)
+      (** blit-tier moves whose pair mismatched: per-datum path used *)
   mutable c_bridged : int;
       (** arriving threads this node resumed through a bridge fragment *)
 }

@@ -60,7 +60,6 @@ type t = {
   net : Enet.Netsim.t;
   engine : Engine.t;
   bus : E.bus;
-  repo : Mobility.Code_repository.t;
   kernels : K.t array;  (* the cluster's, read only here *)
   down : bool array;  (* likewise *)
   conv : CS.t array;  (* per-node conversion work *)
@@ -70,19 +69,16 @@ type t = {
   seen : (int * int, unit) Hashtbl.t array;  (* (src, seq) delivered, per receiver *)
   lost : M.message -> reason:string -> unit;
   deliver : dst:int -> Enet.Netsim.message -> W.view -> unit;
-  (* the node's conversion counters and the global plan-cache and pool
-     counters as they stood before the en/decode in progress *)
+  (* the node's conversion counters and the global pool counters as
+     they stood before the en/decode in progress *)
   mutable m_calls : int;
   mutable m_bytes : int;
-  mutable m_compiles : int;
-  mutable m_hits : int;
   mutable m_pool_hits : int;
   mutable m_pool_misses : int;
   mutable m_handoffs : int;
 }
 
-let create ~protocol ~wire_impl ~faults ~net ~engine ~bus ~repo ~kernels ~down ~lost
-    ~deliver =
+let create ~protocol ~wire_impl ~faults ~net ~engine ~bus ~kernels ~down ~lost ~deliver =
   let n = Array.length kernels in
   let enveloped = not (Fault.Plan.is_trivial faults) in
   if enveloped then begin
@@ -100,13 +96,12 @@ let create ~protocol ~wire_impl ~faults ~net ~engine ~bus ~repo ~kernels ~down ~
   end;
   { proto = protocol;
     codec = (match protocol with Enhanced -> wire_impl | Original -> W.Plan);
-    net; engine; bus; repo; kernels; down; enveloped; lost; deliver;
+    net; engine; bus; kernels; down; enveloped; lost; deliver;
     conv = Array.init n (fun _ -> CS.create ());
     next_seq = Array.make n 0;
     outstanding = Array.init n (fun _ -> Hashtbl.create 8);
     seen = Array.init n (fun _ -> Hashtbl.create 64);
-    m_calls = 0; m_bytes = 0; m_compiles = 0; m_hits = 0; m_pool_hits = 0;
-    m_pool_misses = 0; m_handoffs = 0 }
+    m_calls = 0; m_bytes = 0; m_pool_hits = 0; m_pool_misses = 0; m_handoffs = 0 }
 
 let protocol tr = tr.proto
 let codec tr = tr.codec
@@ -172,44 +167,19 @@ let blit_pair tr ~src ~dst =
     && Emc.Opt.equal (K.opt_level a) (K.opt_level b)
   | W.Naive | W.Plan -> false
 
-(* under the Plan tier, thread the memoized conversion-plan cache and the
-   (src, dst) arch pair through encode/decode; other tiers interpret.
-   The Blit tier negotiates per pair: layout-matched pairs take the
-   batched blit accounting (no plans), everyone else falls back to the
-   plan path — the honest general case.  The original protocol converts
-   per datum: the plan tier with no plan cache. *)
-let plan_use tr ~src ~dst =
-  Some
-    (Mobility.Conv_plan.make_use
-       (Mobility.Code_repository.plan_cache tr.repo)
-       { Mobility.Conv_plan.pr_src = K.arch tr.kernels.(src); pr_dst = K.arch tr.kernels.(dst) })
-
-let plans_for tr ~src ~dst =
-  match tr.proto, tr.codec with
-  | Enhanced, W.Plan -> plan_use tr ~src ~dst
-  | Enhanced, W.Blit -> if blit_pair tr ~src ~dst then None else plan_use tr ~src ~dst
-  | Original, _ | Enhanced, W.Naive -> None
-
 (* An en/decode at [node] runs between [mark] and [settle].  [settle]
-   publishes the plan-cache and buffer-pool activity in between (diffs
-   of the global counters), then charges the node the conversion (or
-   raw copy) work its counters recorded. *)
+   publishes the buffer-pool activity in between (diffs of the global
+   counters), then charges the node the conversion (or raw copy) work
+   its counters recorded. *)
 let mark tr ~node =
-  let pc = Mobility.Code_repository.plan_cache tr.repo in
   tr.m_calls <- CS.calls tr.conv.(node);
   tr.m_bytes <- CS.bytes tr.conv.(node);
-  tr.m_compiles <- Mobility.Conv_plan.compiles pc;
-  tr.m_hits <- Mobility.Conv_plan.hits pc;
   tr.m_pool_hits <- W.Pool.hits ();
   tr.m_pool_misses <- W.Pool.misses ();
   tr.m_handoffs <- W.Pool.handoffs ()
 
 let settle tr ~node =
-  let pc = Mobility.Code_repository.plan_cache tr.repo in
   let stats = tr.conv.(node) in
-  let dc = Mobility.Conv_plan.compiles pc - tr.m_compiles in
-  let dh = Mobility.Conv_plan.hits pc - tr.m_hits in
-  if dc > 0 || dh > 0 then E.emit tr.bus (E.Ev_plan { node; compiles = dc; hits = dh });
   let dph = W.Pool.hits () - tr.m_pool_hits in
   let dpm = W.Pool.misses () - tr.m_pool_misses in
   let dhf = W.Pool.handoffs () - tr.m_handoffs in
@@ -226,8 +196,8 @@ let settle tr ~node =
 (* Decoding is a payload's last read: its pooled buffer goes back to the
    free list (sub-views and string-backed views are no-ops), also on a
    decode failure, or it would leak from the pool. *)
-let decode_view tr ?plans ~blit ~stats payload =
-  match M.decode_view ?plans ~blit ~impl:tr.codec ~stats payload with
+let decode_view tr ~blit ~stats payload =
+  match M.decode_view ~blit ~impl:tr.codec ~stats payload with
   | msg ->
     W.release_view payload;
     msg
@@ -235,10 +205,9 @@ let decode_view tr ?plans ~blit ~stats payload =
     W.release_view payload;
     raise e
 
-let decode tr ~src ~dst ~blit payload =
-  let plans = plans_for tr ~src ~dst in
+let decode tr ~dst ~blit payload =
   mark tr ~node:dst;
-  let msg = decode_view tr ?plans ~blit ~stats:tr.conv.(dst) payload in
+  let msg = decode_view tr ~blit ~stats:tr.conv.(dst) payload in
   settle tr ~node:dst;
   msg
 
@@ -248,15 +217,15 @@ let decode tr ~src ~dst ~blit payload =
 let send tr ~src ~dst ~blit ~root msg =
   let k = tr.kernels.(src) in
   let t0 = match root with Some _ -> K.time_us k | None -> 0.0 in
-  let plans = plans_for tr ~src ~dst and stats = tr.conv.(src) in
+  let stats = tr.conv.(src) in
   mark tr ~node:src;
   (* the envelope retransmits a cached frame, so its payload must outlive
      this send: it keeps the copying encode.  The bare wire hands the
      pooled encode buffer to the network without a copy; the receiver
      recycles it after decoding. *)
   let payload =
-    if tr.enveloped then W.view_of_string (M.encode ?plans ~blit ~impl:tr.codec ~stats msg)
-    else M.encode_view ?plans ~blit ~impl:tr.codec ~stats msg
+    if tr.enveloped then W.view_of_string (M.encode ~blit ~impl:tr.codec ~stats msg)
+    else M.encode_view ~blit ~impl:tr.codec ~stats msg
   in
   settle tr ~node:src;
   let now = K.time_us k in

@@ -25,7 +25,6 @@ val create :
   net:Enet.Netsim.t ->
   engine:Engine.t ->
   bus:Events.bus ->
-  repo:Mobility.Code_repository.t ->
   kernels:Ert.Kernel.t array ->
   down:bool array ->
   lost:(Mobility.Marshal.message -> reason:string -> unit) ->
@@ -40,8 +39,8 @@ val create :
 val protocol : t -> protocol
 
 val codec : t -> Enet.Wire.impl
-(** The tier the codec runs: the configured one, or [Plan] (per-datum
-    conversion, no plan cache) under the original protocol. *)
+(** The tier the codec runs: the configured one, or [Plan] (one
+    conversion call per datum) under the original protocol. *)
 
 val enveloped : t -> bool
 (** Whether messages travel in the retry envelope.  Only then can a copy
@@ -67,8 +66,7 @@ val send :
 val refuse : t -> src:int -> dst:int -> Mobility.Marshal.message -> unit
 (** Report a message to an unreachable node lost without sending it. *)
 
-val decode :
-  t -> src:int -> dst:int -> blit:bool -> Enet.Wire.view -> Mobility.Marshal.message
+val decode : t -> dst:int -> blit:bool -> Enet.Wire.view -> Mobility.Marshal.message
 (** Decode a delivered payload at [dst], charge the conversion and
     recycle the payload's buffer. *)
 

@@ -14,8 +14,7 @@ let impl_of_string = function
 (* Conversion-call accounting.  The naive implementation charges one
    procedure call per byte moved plus one for the datum itself (the
    recursive-descent entry), giving the paper's 1-2 calls per byte; the
-   other tiers charge a single call per datum.  Plans charge exactly
-   what the per-datum writes they replace would (precomputed). *)
+   other tiers charge a single call per datum. *)
 let charge impl stats ~bytes =
   Conversion_stats.add_bytes stats bytes;
   match impl with
@@ -115,16 +114,12 @@ module Writer = struct
     if t.batched then t.in_record <- true;
     t.pos
 
-  let add_charge t ~calls ~bytes =
-    if not t.in_record then begin
-      Conversion_stats.add_calls t.stats calls;
-      Conversion_stats.add_bytes t.stats bytes
-    end
-
+  (* a batched record costs one conversion call over its bytes *)
   let close_record t p =
     if t.batched then begin
       t.in_record <- false;
-      add_charge t ~calls:1 ~bytes:(t.pos - p)
+      Conversion_stats.add_calls t.stats 1;
+      Conversion_stats.add_bytes t.stats (t.pos - p)
     end
 
   let ensure t n =
@@ -247,29 +242,6 @@ module Writer = struct
     let pooled = match t.impl with Naive -> false | Plan | Blit -> true in
     if pooled then incr Pool.handoffs_c;
     { vw_bytes = t.buf; vw_off = 0; vw_len = t.pos; vw_pooled = pooled }
-
-  let blit t s =
-    let len = String.length s in
-    ensure t len;
-    let p = t.pos in
-    Bytes.blit_string s 0 t.buf p len;
-    t.pos <- p + len;
-    p
-
-  let poke8 t ~at v = Bytes.unsafe_set t.buf at (Char.unsafe_chr (v land 0xFF))
-
-  let poke32 t ~at v =
-    let b n = Char.unsafe_chr (Int32.to_int (Int32.shift_right_logical v n) land 0xFF) in
-    Bytes.unsafe_set t.buf at (b 24);
-    Bytes.unsafe_set t.buf (at + 1) (b 16);
-    Bytes.unsafe_set t.buf (at + 2) (b 8);
-    Bytes.unsafe_set t.buf (at + 3) (b 0)
-
-  let poke64 t ~at v =
-    for n = 7 downto 0 do
-      Bytes.unsafe_set t.buf (at + 7 - n)
-        (Char.unsafe_chr (Int64.to_int (Int64.shift_right_logical v (8 * n)) land 0xFF))
-    done
 end
 
 module Reader = struct
@@ -315,16 +287,12 @@ module Reader = struct
     if t.batched then t.in_record <- true;
     t.pos
 
-  let add_charge t ~calls ~bytes =
-    if not t.in_record then begin
-      Conversion_stats.add_calls t.stats calls;
-      Conversion_stats.add_bytes t.stats bytes
-    end
-
+  (* a batched record costs one conversion call over its bytes *)
   let close_record t p =
     if t.batched then begin
       t.in_record <- false;
-      add_charge t ~calls:1 ~bytes:(t.pos - p)
+      Conversion_stats.add_calls t.stats 1;
+      Conversion_stats.add_bytes t.stats (t.pos - p)
     end
 
   let take t n =
@@ -422,21 +390,4 @@ module Reader = struct
       Bytes.sub_string t.data p len
 
   let at_end t = t.pos >= t.limit
-
-  let block t n = take t n
-  let get8_at t at = Char.code (Bytes.unsafe_get t.data at)
-
-  let get16_at t at =
-    (Char.code (Bytes.unsafe_get t.data at) lsl 8)
-    lor Char.code (Bytes.unsafe_get t.data (at + 1))
-
-  let get32_at t at = read32_at t.data at
-  let get64_at t at = read64_at t.data at
-
-  let peek_u16 t =
-    if t.pos + 2 > t.limit then None
-    else
-      Some
-        ((Char.code (Bytes.unsafe_get t.data t.pos) lsl 8)
-        lor Char.code (Bytes.unsafe_get t.data (t.pos + 1)))
 end

@@ -13,10 +13,7 @@
     - [Plan] is the bulk conversion the paper's future-work section
       hypothesises would cut the penalty by about half: one call per
       datum, and one bounds check plus word-at-a-time stores per datum on
-      the host.  Compiled conversion plans ({!Mobility.Conv_plan}) may
-      bypass per-datum dispatch entirely: a plan blits a precomputed
-      skeleton and pokes values into holes, charging the precomputed
-      per-datum cost in one step.
+      the host.
     - [Blit] is the negotiated common-layout tier: when source and
       destination {!Isa.Arch.fingerprint}s match, the move codec runs
       {e batched} ({!Writer.batch}): each record it marks costs one
@@ -139,24 +136,6 @@ module Writer : sig
   val handoff : t -> view
   (** Transfers the buffer to a pooled view without copying.  The writer
       is dead afterwards. *)
-
-  (** {2 Fused-plan primitives}
-
-      Raw access for compiled conversion plans: a plan blits its
-      skeleton, pokes dynamic values into precomputed holes, and accounts
-      the whole run with one {!add_charge}. *)
-
-  val add_charge : t -> calls:int -> bytes:int -> unit
-  (** Account [calls] conversion calls over [bytes] bytes, exactly as the
-      sequence of per-datum writes it replaces would (and, like them,
-      nothing inside a batched record). *)
-
-  val blit : t -> string -> int
-  (** Appends raw bytes (uncharged) and returns the start offset. *)
-
-  val poke8 : t -> at:int -> int -> unit
-  val poke32 : t -> at:int -> int32 -> unit
-  val poke64 : t -> at:int -> int64 -> unit
 end
 
 module Reader : sig
@@ -181,21 +160,4 @@ module Reader : sig
   val str : t -> string
 
   val at_end : t -> bool
-
-  (** {2 Fused-plan primitives} *)
-
-  val add_charge : t -> calls:int -> bytes:int -> unit
-
-  val block : t -> int -> int
-  (** Consumes [n] bytes (uncharged) and returns the absolute offset of
-      the consumed run, for use with [get*_at]. *)
-
-  val get8_at : t -> int -> int
-  val get16_at : t -> int -> int
-  val get32_at : t -> int -> int32
-  val get64_at : t -> int -> int64
-
-  val peek_u16 : t -> int option
-  (** The next big-endian u16 without consuming it (uncharged); [None]
-      on underflow. *)
 end

@@ -27,15 +27,3 @@ val read : Enet.Wire.Reader.t -> t
 
 val write_typ : Enet.Wire.Writer.t -> Emc.Ast.typ -> unit
 val read_typ : Enet.Wire.Reader.t -> Emc.Ast.typ
-
-(** Wire tag bytes of {!write}'s encoding, exposed so compiled
-    conversion plans ({!Mobility.Conv_plan}) can bake them into fused
-    skeletons. *)
-
-val tag_int : int
-val tag_real : int
-val tag_bool : int
-val tag_str : int
-val tag_ref : int
-val tag_nil : int
-val tag_vec : int

@@ -2,7 +2,6 @@
    sized once at creation: the cluster knows its node count. *)
 type t = {
   fetches : int list array;  (* per node, fetched class indexes, newest first *)
-  plans : Conv_plan.cache;
   dispatch : Isa.Dispatch.cache array;
       (* per node, like the fetch lists: each node's kernel translates
          into its own cache.  Living here (not in the kernel) keeps
@@ -10,10 +9,10 @@ type t = {
          memory-identity check voids the stale ones. *)
   bridges : Ert.Bridge.t array;
       (* per node, the compiled bridge fragments for cross-instance
-         landings, kept beside the conversion plans as the paper keeps
-         bridging routines with the code repository.  Fragments address
-         kernel text, so the restart path clears them explicitly
-         ({!Ert.Bridge.clear}); the hit/miss counters survive. *)
+         landings, kept here as the paper keeps bridging routines with
+         the code repository.  Fragments address kernel text, so the
+         restart path clears them explicitly ({!Ert.Bridge.clear}); the
+         hit/miss counters survive. *)
 }
 
 let create ?(n_nodes = 64) () =
@@ -21,7 +20,6 @@ let create ?(n_nodes = 64) () =
     invalid_arg "Code_repository.create: node count out of range";
   {
     fetches = Array.make n_nodes [];
-    plans = Conv_plan.create_cache ();
     dispatch = Array.init n_nodes (fun _ -> Isa.Dispatch.create_cache ());
     bridges = Array.init n_nodes (fun _ -> Ert.Bridge.create ());
   }
@@ -37,8 +35,6 @@ let total_fetches t =
 let fetches_by_node t node = List.length t.fetches.(node)
 let fetched_classes t ~node = List.rev t.fetches.(node)
 
-let plan_cache t = t.plans
-
 let dispatch_cache t ~node =
   if node < 0 || node >= Array.length t.dispatch then
     invalid_arg "Code_repository.dispatch_cache: node id out of range";
@@ -53,4 +49,3 @@ let bridge_stats t =
   Array.fold_left
     (fun (h, m) b -> (h + Ert.Bridge.hits b, m + Ert.Bridge.misses b))
     (0, 0) t.bridges
-let set_program t prog = Conv_plan.set_program t.plans prog

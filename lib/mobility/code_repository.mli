@@ -18,26 +18,18 @@ val total_fetches : t -> int
 val fetches_by_node : t -> int -> int
 val fetched_classes : t -> node:int -> int list
 
-val plan_cache : t -> Conv_plan.cache
-(** Compiled conversion plans, memoized alongside the code they convert
-    (keyed by code OID, bus stop and arch pair — see {!Conv_plan}). *)
-
 val dispatch_cache : t -> node:int -> Isa.Dispatch.cache
 (** The node's translated-code cache for the threaded-dispatch engine,
-    kept next to the conversion plans: per node, and surviving node
+    kept with the code it translates: per node, and surviving node
     restarts (the engine's memory identity check voids tables of a dead
     kernel). *)
 
 val bridge_cache : t -> node:int -> Ert.Bridge.t
 (** The node's compiled bridge-fragment cache for cross-instance
-    landings, kept beside the conversion plans (the paper's repository
-    likewise holds the bridging routines with the code).  Counters
+    landings (the paper's repository likewise holds the bridging
+    routines with the code).  Counters
     survive node restarts; the fragments are cleared by the restart path
     because they address kernel text. *)
 
 val bridge_stats : t -> int * int
 (** Summed (hits, misses) of every node's bridge-fragment cache. *)
-
-val set_program : t -> Emc.Compile.program -> unit
-(** Register the loaded program so plans can be compiled on demand;
-    invalidates previously cached plans. *)

@@ -89,59 +89,37 @@ let read_list r f =
   let n = R.u16 r in
   List.init n (fun _ -> f r)
 
-let write_fields ?plans w o =
-  let fused =
-    match plans with
-    | None -> false
-    | Some use -> (
-      match Conv_plan.fields_plan_for use ~class_index:o.mo_class with
-      | Some s when Conv_plan.section_count s = Array.length o.mo_fields ->
-        Conv_plan.write_section s w (fun i -> o.mo_fields.(i))
-      | Some _ | None -> false)
-  in
-  if not fused then begin
-    W.u16 w (Array.length o.mo_fields);
-    Array.iter (Ert.Value.write w) o.mo_fields
-  end
+let write_fields w o =
+  W.u16 w (Array.length o.mo_fields);
+  Array.iter (Ert.Value.write w) o.mo_fields
 
 let write_int w s = W.i32 w (Int32.of_int s)
 let read_int r = Int32.to_int (R.i32 r)
 
 (* each object is one record of the batched accounting *)
-let write_object ?plans w o =
+let write_object w o =
   let p = W.open_record w in
   W.u32 w o.mo_oid;
   W.u16 w o.mo_class;
-  write_fields ?plans w o;
+  write_fields w o;
   W.bool w o.mo_locked;
   write_list w write_int o.mo_waiters;
   write_list w (fun w l -> write_list w write_int l) o.mo_cond_waiters;
   W.close_record w p
 
-let read_fields ?plans ~mo_class r =
-  let fused =
-    match plans with
-    | None -> None
-    | Some use -> (
-      match Conv_plan.fields_plan_for use ~class_index:mo_class with
-      | Some s -> Conv_plan.read_section s r
-      | None -> None)
-  in
-  match fused with
-  | Some fields -> fields
-  | None ->
-    let n = R.u16 r in
-    let fields = Array.make n Ert.Value.Vnil in
-    for i = 0 to n - 1 do
-      fields.(i) <- Ert.Value.read r
-    done;
-    fields
+let read_fields r =
+  let n = R.u16 r in
+  let fields = Array.make n Ert.Value.Vnil in
+  for i = 0 to n - 1 do
+    fields.(i) <- Ert.Value.read r
+  done;
+  fields
 
-let read_object ?plans r =
+let read_object r =
   let p = R.open_record r in
   let mo_oid = R.u32 r in
   let mo_class = R.u16 r in
-  let mo_fields = read_fields ?plans ~mo_class r in
+  let mo_fields = read_fields r in
   let mo_locked = R.bool r in
   let mo_waiters = read_list r read_int in
   let mo_cond_waiters = read_list r (fun r -> read_list r read_int) in
@@ -152,25 +130,25 @@ let read_object ?plans r =
    tags) is one record, so a batched encode charges the tag inside it;
    the decoder has read the tag per datum before it knows the message
    is a move. *)
-let write_move ?plans w ~tag p =
+let write_move w ~tag p =
   let h = W.open_record w in
   W.u8 w tag;
   W.u16 w p.mp_src;
   if p.mp_opt_level <> 0 then W.u8 w p.mp_opt_level;
   W.close_record w h;
-  write_list w (write_object ?plans) p.mp_objects;
-  write_list w (Mi_frame.write_segment ?plans) p.mp_segments
+  write_list w write_object p.mp_objects;
+  write_list w Mi_frame.write_segment p.mp_segments
 
-let read_move ?plans ~leveled r =
+let read_move ~leveled r =
   let h = R.open_record r in
   let mp_src = R.u16 r in
   let mp_opt_level = if leveled then R.u8 r else 0 in
   R.close_record r h;
-  let mp_objects = read_list r (read_object ?plans) in
-  let mp_segments = read_list r (Mi_frame.read_segment ?plans) in
+  let mp_objects = read_list r read_object in
+  let mp_segments = read_list r Mi_frame.read_segment in
   { mp_src; mp_opt_level; mp_objects; mp_segments }
 
-let rec encode_to ?plans w msg =
+let rec encode_to w msg =
   match msg with
   | M_invoke { target; callee_class; callee_method; args; reply; thread; forwards } ->
     W.u8 w tag_invoke;
@@ -193,7 +171,7 @@ let rec encode_to ?plans w msg =
     W.u16 w dest;
     W.u8 w forwards
   | M_move p ->
-    write_move ?plans w ~tag:(if p.mp_opt_level = 0 then tag_move else tag_move_at) p
+    write_move w ~tag:(if p.mp_opt_level = 0 then tag_move else tag_move_at) p
   | M_start_process { obj; forwards } ->
     W.u8 w tag_start_process;
     W.u32 w obj;
@@ -227,11 +205,11 @@ let rec encode_to ?plans w msg =
        unchanged inner message encoding *)
     W.u8 w tag_invoke_via;
     write_list w W.u16 via;
-    encode_to ?plans w inv
+    encode_to w inv
   | M_group_move p ->
     (* same body layout as M_move; the distinct tag tells the receiver
        to account the transfer as one batched group *)
-    write_move ?plans w
+    write_move w
       ~tag:(if p.mp_opt_level = 0 then tag_group_move else tag_group_move_at)
       p
 
@@ -245,23 +223,23 @@ let writer ~blit ~impl ~stats =
   if blit then W.batch w;
   w
 
-let encode ?plans ?(blit = false) ~impl ~stats msg =
+let encode ?(blit = false) ~impl ~stats msg =
   let w = writer ~blit ~impl ~stats in
   Fun.protect
     ~finally:(fun () -> W.free w)
     (fun () ->
-      encode_to ?plans w msg;
+      encode_to w msg;
       W.contents w)
 
-let encode_view ?plans ?(blit = false) ~impl ~stats msg =
+let encode_view ?(blit = false) ~impl ~stats msg =
   let w = writer ~blit ~impl ~stats in
-  (try encode_to ?plans w msg
+  (try encode_to w msg
    with e ->
      W.free w;
      raise e);
   W.handoff w
 
-let rec decode_from ?plans r =
+let rec decode_from r =
   let tag = R.u8 r in
   if tag = tag_invoke then begin
     let target = R.u32 r in
@@ -296,7 +274,7 @@ let rec decode_from ?plans r =
     M_move_req { obj; dest; forwards }
   end
   else if tag = tag_move || tag = tag_move_at then
-    M_move (read_move ?plans ~leveled:(tag = tag_move_at) r)
+    M_move (read_move ~leveled:(tag = tag_move_at) r)
   else if tag = tag_start_process then begin
     let obj = R.u32 r in
     let forwards = R.u8 r in
@@ -328,22 +306,22 @@ let rec decode_from ?plans r =
   end
   else if tag = tag_invoke_via then begin
     let via = read_list r R.u16 in
-    let inv = decode_from ?plans r in
+    let inv = decode_from r in
     M_invoke_via { via; inv }
   end
   else if tag = tag_group_move || tag = tag_group_move_at then
-    M_group_move (read_move ?plans ~leveled:(tag = tag_group_move_at) r)
+    M_group_move (read_move ~leveled:(tag = tag_group_move_at) r)
   else failwith (Printf.sprintf "Marshal.decode: corrupt message tag %d" tag)
 
-let decode ?plans ?(blit = false) ~impl ~stats data =
+let decode ?(blit = false) ~impl ~stats data =
   let r = R.create ~impl ~stats data in
   if blit then R.batch r;
-  decode_from ?plans r
+  decode_from r
 
-let decode_view ?plans ?(blit = false) ~impl ~stats v =
+let decode_view ?(blit = false) ~impl ~stats v =
   let r = R.of_view ~impl ~stats v in
   if blit then R.batch r;
-  decode_from ?plans r
+  decode_from r
 
 let rec describe = function
   | M_invoke { target; callee_method; _ } ->

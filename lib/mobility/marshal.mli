@@ -85,24 +85,22 @@ type message =
           the tag marks it for group accounting at the receiver *)
 
 val encode :
-  ?plans:Conv_plan.use ->
   ?blit:bool ->
   impl:Enet.Wire.impl ->
   stats:Enet.Conversion_stats.t ->
   message ->
   string
-(** With [?plans], [M_move] frame and field sections route through
-    compiled conversion plans when one applies; the bytes are identical
-    either way.  The encode buffer is recycled into the pool.
-    With [?blit] (valid only between layout-matched architectures, see
-    {!Isa.Arch.same_layout}) the writer is batched
+(** Every tier writes the same bytes through the same record writers;
+    [impl] only changes how their datums are charged.  The encode buffer
+    is recycled into the pool.  With [?blit] (valid only between
+    layout-matched architectures, see {!Isa.Arch.same_layout}) the
+    writer is batched
     ({!Enet.Wire.Writer.batch}): the same bytes, accounted as one
     conversion call per move-payload record — the move header, each
     object, each frame, and each segment's scaffold and trailing
     options. *)
 
 val encode_view :
-  ?plans:Conv_plan.use ->
   ?blit:bool ->
   impl:Enet.Wire.impl ->
   stats:Enet.Conversion_stats.t ->
@@ -113,7 +111,6 @@ val encode_view :
     {!Enet.Wire.release_view} after decoding. *)
 
 val decode :
-  ?plans:Conv_plan.use ->
   ?blit:bool ->
   impl:Enet.Wire.impl ->
   stats:Enet.Conversion_stats.t ->
@@ -121,7 +118,6 @@ val decode :
   message
 
 val decode_view :
-  ?plans:Conv_plan.use ->
   ?blit:bool ->
   impl:Enet.Wire.impl ->
   stats:Enet.Conversion_stats.t ->

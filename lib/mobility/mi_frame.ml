@@ -49,77 +49,35 @@ let read_opt r f =
 (* Each frame is one record of the batched accounting (the §4 fast path
    for layout-matched pairs): one conversion call over its bytes instead
    of one per datum. *)
-let write_frame ?plans w f =
+let write_frame w f =
   let p = W.open_record w in
-  let fused =
-    match plans with
-    | None -> false
-    | Some use -> (
-      match Conv_plan.frame_plan_for use ~class_index:f.mf_class ~stop:f.mf_stop with
-      | None -> false
-      | Some fp ->
-        Conv_plan.write_frame fp w ~cls:f.mf_class ~code_oid:f.mf_code_oid
-          ~meth:f.mf_method ~stop:f.mf_stop ~self:f.mf_self ~slots:f.mf_slots)
-  in
-  if not fused then begin
-    W.u16 w f.mf_class;
-    W.u32 w f.mf_code_oid;
-    W.u16 w f.mf_method;
-    W.u16 w f.mf_stop;
-    W.u32 w f.mf_self;
-    W.u16 w (Array.length f.mf_slots);
-    Array.iter
-      (fun (slot, v) ->
-        W.u16 w slot;
-        Ert.Value.write w v)
-      f.mf_slots
-  end;
+  W.u16 w f.mf_class;
+  W.u32 w f.mf_code_oid;
+  W.u16 w f.mf_method;
+  W.u16 w f.mf_stop;
+  W.u32 w f.mf_self;
+  W.u16 w (Array.length f.mf_slots);
+  Array.iter
+    (fun (slot, v) ->
+      W.u16 w slot;
+      Ert.Value.write w v)
+    f.mf_slots;
   W.close_record w p
 
-let read_frame ?plans r =
+let read_frame r =
   let p = R.open_record r in
-  (* the plan is looked up from the class and stop the header announces;
-     with plans in play the 14 header bytes are read as one block,
-     charged exactly like the five per-datum reads *)
-  let mf_class, mf_code_oid, mf_method, mf_stop, mf_self =
-    match plans with
-    | Some _ ->
-      let off = R.block r 14 in
-      R.add_charge r ~calls:5 ~bytes:14;
-      ( R.get16_at r off,
-        R.get32_at r (off + 2),
-        R.get16_at r (off + 6),
-        R.get16_at r (off + 8),
-        R.get32_at r (off + 10) )
-    | None ->
-      let c = R.u16 r in
-      let oid = R.u32 r in
-      let m = R.u16 r in
-      let st = R.u16 r in
-      let self = R.u32 r in
-      (c, oid, m, st, self)
-  in
-  let fused =
-    match plans with
-    | None -> None
-    | Some use -> (
-      match Conv_plan.frame_plan_for use ~class_index:mf_class ~stop:mf_stop with
-      | None -> None
-      | Some fp -> Conv_plan.read_frame_slots fp r)
-  in
-  let mf_slots =
-    match fused with
-    | Some slots -> slots
-    | None ->
-      let n = R.u16 r in
-      let slots = Array.make n (0, Ert.Value.Vnil) in
-      for i = 0 to n - 1 do
-        let slot = R.u16 r in
-        let v = Ert.Value.read r in
-        slots.(i) <- (slot, v)
-      done;
-      slots
-  in
+  let mf_class = R.u16 r in
+  let mf_code_oid = R.u32 r in
+  let mf_method = R.u16 r in
+  let mf_stop = R.u16 r in
+  let mf_self = R.u32 r in
+  let n = R.u16 r in
+  let mf_slots = Array.make n (0, Ert.Value.Vnil) in
+  for i = 0 to n - 1 do
+    let slot = R.u16 r in
+    let v = Ert.Value.read r in
+    mf_slots.(i) <- (slot, v)
+  done;
   R.close_record r p;
   { mf_class; mf_code_oid; mf_method; mf_stop; mf_slots; mf_self }
 
@@ -212,28 +170,28 @@ let read_spawn r =
 
 (* A segment is three kinds of record: the scaffold before the frames,
    each frame, and the trailing options. *)
-let write_segment ?plans w s =
+let write_segment w s =
   let p = W.open_record w in
   W.i32 w (Int32.of_int s.ms_seg_id);
   W.i32 w (Int32.of_int s.ms_thread);
   write_status w s.ms_status;
   W.u16 w (List.length s.ms_frames);
   W.close_record w p;
-  List.iter (write_frame ?plans w) s.ms_frames;
+  List.iter (write_frame w) s.ms_frames;
   let p = W.open_record w in
   write_opt w write_link s.ms_link;
   write_opt w write_typ s.ms_result_type;
   write_opt w write_spawn s.ms_spawn;
   W.close_record w p
 
-let read_segment ?plans r =
+let read_segment r =
   let p = R.open_record r in
   let ms_seg_id = Int32.to_int (R.i32 r) in
   let ms_thread = Int32.to_int (R.i32 r) in
   let ms_status = read_status r in
   let n = R.u16 r in
   R.close_record r p;
-  let ms_frames = List.init n (fun _ -> read_frame ?plans r) in
+  let ms_frames = List.init n (fun _ -> read_frame r) in
   let p = R.open_record r in
   let ms_link = read_opt r read_link in
   let ms_result_type = read_opt r read_typ in

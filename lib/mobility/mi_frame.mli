@@ -50,13 +50,11 @@ type mi_segment = {
       (** present (with [ms_frames = \[\]]) for never-executed segments *)
 }
 
-(** One writer and one reader per record.  With [?plans], a frame routes
-    through a compiled conversion plan when one applies (identical bytes
-    and accounting, fused host work).  Each frame, the segment scaffold
-    before the frames and the trailing options are records of a batched
-    codec ({!Enet.Wire.Writer.batch}): one conversion call each. *)
+(** One writer and one reader per record.  Each frame, the segment
+    scaffold before the frames and the trailing options are records of a
+    batched codec ({!Enet.Wire.Writer.batch}): one conversion call each. *)
 
-val write_segment : ?plans:Conv_plan.use -> Enet.Wire.Writer.t -> mi_segment -> unit
-val read_segment : ?plans:Conv_plan.use -> Enet.Wire.Reader.t -> mi_segment
+val write_segment : Enet.Wire.Writer.t -> mi_segment -> unit
+val read_segment : Enet.Wire.Reader.t -> mi_segment
 val frame_count : mi_segment -> int
 val pp_segment : Format.formatter -> mi_segment -> unit

@@ -1,14 +1,14 @@
 (* The wire codec pinned record by record.  A fixed corpus of messages is
-   encoded and decoded under the four codec configurations the cluster
+   encoded and decoded under the three codec configurations the cluster
    uses, and every row of [golden] records the wire bytes plus the
    conversion charges each configuration makes.  A change to the codec
-   that moves bytes or charges shows up as the rows it edits. *)
+   that moves bytes or charges shows up as the rows it edits.  The
+   Table 1 virtual times the tiers produce are pinned here too. *)
 
 module A = Isa.Arch
 module V = Ert.Value
 module MF = Mobility.Mi_frame
 module M = Mobility.Marshal
-module CP = Mobility.Conv_plan
 module CS = Enet.Conversion_stats
 module T = Emc.Template
 
@@ -16,7 +16,7 @@ module T = Emc.Template
 
 let oid n s = Ert.Oid.fresh_data ~node_id:n ~serial:s
 
-(* The Table 1 program supplies frames the plan tier fuses *)
+(* The Table 1 program supplies real frames *)
 let table1 = Emc.Compile.compile_exn ~name:"table1" ~archs:A.all Core.Workloads.table1_src
 let agent = Option.get (Emc.Compile.find_class table1 "Agent")
 
@@ -65,8 +65,8 @@ let nested_vec =
 
 let obj_vec = V.Vvec (Emc.Ast.Tobj "Agent", [| V.Vref (oid 3 1); V.Vnil |])
 
-(* a frame no plan covers: nil-able slots (strings, references, vectors)
-   holding both values and nil *)
+(* nil-able slots (strings, references, vectors) holding both values and
+   nil *)
 let generic_frame =
   {
     MF.mf_class = 3;
@@ -86,7 +86,7 @@ let generic_frame =
     mf_self = oid 2 3;
   }
 
-(* a Table 1 frame whose int slot holds nil: the plan must step aside *)
+(* a Table 1 frame whose int slot holds nil *)
 let mismatched_frame =
   let f = table1_frame (snd table1_stops) in
   let slots = Array.copy f.MF.mf_slots in
@@ -226,31 +226,14 @@ let corpus =
 (* encode (calls, bytes), decode (calls, bytes) *)
 type charges = int * int * int * int
 
-type config = {
-  c_impl : Enet.Wire.impl;
-  c_plans : bool;  (* a compiled Table 1 plan cache on a mixed-layout pair *)
-  c_blit : bool;  (* the batched common-layout accounting *)
-}
+(* the tier, and whether the batched common-layout accounting is on *)
+let tiers = [ (Enet.Wire.Naive, false); (Enet.Wire.Plan, false); (Enet.Wire.Blit, true) ]
 
-let configs =
-  [|
-    { c_impl = Enet.Wire.Naive; c_plans = false; c_blit = false };
-    { c_impl = Enet.Wire.Plan; c_plans = false; c_blit = false };
-    { c_impl = Enet.Wire.Plan; c_plans = true; c_blit = false };
-    { c_impl = Enet.Wire.Blit; c_plans = false; c_blit = true };
-  |]
-
-let plan_use () =
-  let cache = CP.create_cache () in
-  CP.set_program cache table1;
-  CP.make_use cache { CP.pr_src = A.sparc; pr_dst = A.vax }
-
-let run_config c msg =
-  let plans = if c.c_plans then Some (plan_use ()) else None in
+let run_config (impl, blit) msg =
   let es = CS.create () in
-  let bytes = M.encode ?plans ~blit:c.c_blit ~impl:c.c_impl ~stats:es msg in
+  let bytes = M.encode ~blit ~impl ~stats:es msg in
   let ds = CS.create () in
-  let back = M.decode ?plans ~blit:c.c_blit ~impl:c.c_impl ~stats:ds bytes in
+  let back = M.decode ~blit ~impl ~stats:ds bytes in
   if back <> msg then Alcotest.failf "%s: decode differs from the message" (M.describe msg);
   (bytes, (CS.calls es, CS.bytes es, CS.calls ds, CS.bytes ds))
 
@@ -258,123 +241,122 @@ let hex s =
   String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
 
 (* Golden rows: name, wire bytes, then the charges under naive, plan
-   without plans, plan with plans, and batched blit *)
-let golden : (string * string * charges * charges * charges * charges) list =
+   (one call per datum) and batched blit *)
+let golden : (string * string * charges * charges * charges) list =
   [
     ("invoke",
      "014004000400000001000701fffffffb0240040000000000000301040007656d6572616c6405400400040607040003040001610604000000000000004d0000000902",
-     (94, 66, 94, 66), (28, 66, 28, 66), (28, 66, 28, 66), (28, 66, 28, 66));
+     (94, 66, 94, 66), (28, 66, 28, 66), (28, 66, 28, 66));
     ("reply int",
      "020000004d010000002a00000009",
-     (19, 14, 19, 14), (5, 14, 5, 14), (5, 14, 5, 14), (5, 14, 5, 14));
+     (19, 14, 19, 14), (5, 14, 5, 14), (5, 14, 5, 14));
     ("reply vector",
      "020000004d070701000207010002010000000101fffffffe0600000009",
-     (44, 29, 44, 29), (15, 29, 15, 29), (15, 29, 15, 29), (15, 29, 15, 29));
+     (44, 29, 44, 29), (15, 29, 15, 29), (15, 29, 15, 29));
     ("move request",
      "0340080005000301",
-     (12, 8, 12, 8), (4, 8, 4, 8), (4, 8, 4, 8), (4, 8, 4, 8));
+     (12, 8, 12, 8), (4, 8, 4, 8), (4, 8, 4, 8));
     ("start process",
      "074008000500",
-     (9, 6, 9, 6), (3, 6, 3, 6), (3, 6, 3, 6), (3, 6, 3, 6));
+     (9, 6, 9, 6), (3, 6, 3, 6), (3, 6, 3, 6));
     ("locate",
      "0540080005",
-     (7, 5, 7, 5), (2, 5, 2, 5), (2, 5, 2, 5), (2, 5, 2, 5));
+     (7, 5, 7, 5), (2, 5, 2, 5), (2, 5, 2, 5));
     ("located",
      "064008000501",
-     (9, 6, 9, 6), (3, 6, 3, 6), (3, 6, 3, 6), (3, 6, 3, 6));
+     (9, 6, 9, 6), (3, 6, 3, 6), (3, 6, 3, 6));
     ("dir update",
      "080003409389000000000000034004000140040002400c0007",
-     (32, 25, 32, 25), (7, 25, 7, 25), (7, 25, 7, 25), (7, 25, 7, 25));
+     (32, 25, 32, 25), (7, 25, 7, 25), (7, 25, 7, 25));
     ("dir lookup",
      "09400c0007",
-     (7, 5, 7, 5), (2, 5, 2, 5), (2, 5, 2, 5), (2, 5, 2, 5));
+     (7, 5, 7, 5), (2, 5, 2, 5), (2, 5, 2, 5));
     ("dir reply known",
      "0a400c0007000401",
-     (12, 8, 12, 8), (4, 8, 4, 8), (4, 8, 4, 8), (4, 8, 4, 8));
+     (12, 8, 12, 8), (4, 8, 4, 8), (4, 8, 4, 8));
     ("dir reply unknown",
      "0a400c0007000000",
-     (12, 8, 12, 8), (4, 8, 4, 8), (4, 8, 4, 8), (4, 8, 4, 8));
+     (12, 8, 12, 8), (4, 8, 4, 8), (4, 8, 4, 8));
     ("loc hint",
      "0b400c00070004",
-     (10, 7, 10, 7), (3, 7, 3, 7), (3, 7, 3, 7), (3, 7, 3, 7));
+     (10, 7, 10, 7), (3, 7, 3, 7), (3, 7, 3, 7));
     ("invoke via",
      "0c000200010002014004000400000001000701fffffffb0240040000000000000301040007656d6572616c6405400400040607040003040001610604000000000000004d0000000902",
-     (105, 73, 105, 73), (32, 73, 32, 73), (32, 73, 32, 73), (32, 73, 32, 73));
+     (105, 73, 105, 73), (32, 73, 32, 73), (32, 73, 32, 73));
     ("move empty O0",
      "04000100000000",
-     (11, 7, 11, 7), (4, 7, 4, 7), (4, 7, 4, 7), (3, 7, 4, 7));
+     (11, 7, 11, 7), (4, 7, 4, 7), (3, 7, 4, 7));
     ("move empty O2",
      "0e00010200000000",
-     (13, 8, 13, 8), (5, 8, 5, 8), (5, 8, 5, 8), (3, 8, 4, 8));
+     (13, 8, 13, 8), (5, 8, 5, 8), (3, 8, 4, 8));
     ("move table1 O0",
      "040001000140040009000000000000000000000100003039000000430101000200002a123a44000000004004000900030000060001010000006b000201000000cf00002a123a440000000140040009000c0000060001010000006b000201000000cf00040100000197000501000001fb0006010000025f000701000002c3000801000003270009010000038b000a01000003ef000b0100000453000c01000004b700010100",
-     (239, 165, 239, 165), (74, 165, 74, 165), (74, 165, 74, 165), (8, 165, 9, 165));
+     (239, 165, 239, 165), (74, 165, 74, 165), (8, 165, 9, 165));
     ("move table1 O2",
      "0e000102000140040009000000000000000000000100003039000000430101000200002a123a44000000004004000900030000060001010000006b000201000000cf00002a123a440000000140040009000c0000060001010000006b000201000000cf00040100000197000501000001fb0006010000025f000701000002c3000801000003270009010000038b000a01000003ef000b0100000453000c01000004b700010100",
-     (241, 166, 241, 166), (75, 166, 75, 166), (75, 166, 75, 166), (8, 166, 9, 166));
+     (241, 166, 241, 166), (75, 166, 75, 166), (8, 166, 9, 166));
     ("move spawn",
      "040001000140040008000200050100000001040001660607040003040001610604000002bff80000000000000100020000000b0000001600020001000000210000000100003039000000430101000001000200000029010704014004000900000000000201000000010100000004",
-     (160, 110, 160, 110), (50, 110, 50, 110), (50, 110, 50, 110), (6, 110, 7, 110));
+     (160, 110, 160, 110), (50, 110, 50, 110), (6, 110, 7, 110));
     ("move deliver",
      "040001000000010000303900000043010204000178000100030000004d000100044008000300070000040001730001060002054008000500030704000304000161060400000005023fd0000000000000000603000007070600054167656e74000205400c000106010002000000290000",
-     (165, 112, 165, 112), (53, 112, 53, 112), (53, 112, 53, 112), (6, 112, 7, 112));
+     (165, 112, 165, 112), (53, 112, 53, 112), (6, 112, 7, 112));
     ("move complete value",
      "0400010000000100003039000000430103010100000003000100030000004d000100044008000300070000040001730001060002054008000500030704000304000161060400000005023fd0000000000000000603000007070600054167656e74000205400c000106000000",
-     (160, 108, 160, 108), (52, 108, 52, 108), (52, 108, 52, 108), (6, 108, 7, 108));
+     (160, 108, 160, 108), (52, 108, 52, 108), (6, 108, 7, 108));
     ("move complete unit",
      "040001000000010000303900000043010300000100030000004d000100044008000300070000040001730001060002054008000500030704000304000161060400000005023fd0000000000000000603000007070600054167656e74000205400c00010600010400",
-     (155, 104, 155, 104), (51, 104, 51, 104), (51, 104, 51, 104), (6, 104, 7, 104));
+     (155, 104, 155, 104), (51, 104, 51, 104), (6, 104, 7, 104));
     ("move dequeue some",
      "04000100000001000030390000004301040100000011000100030000004d000100044008000300070000040001730001060002054008000500030704000304000161060400000005023fd0000000000000000603000007070600054167656e74000205400c000106000000",
-     (158, 107, 158, 107), (51, 107, 51, 107), (51, 107, 51, 107), (6, 107, 7, 107));
+     (158, 107, 158, 107), (51, 107, 51, 107), (6, 107, 7, 107));
     ("move dequeue none",
      "040001000000010000303900000043010400000100030000004d000100044008000300070000040001730001060002054008000500030704000304000161060400000005023fd0000000000000000603000007070600054167656e74000205400c000106000000",
-     (153, 103, 153, 103), (50, 103, 50, 103), (50, 103, 50, 103), (6, 103, 7, 103));
+     (153, 103, 153, 103), (50, 103, 50, 103), (6, 103, 7, 103));
     ("move awaiting reply",
      "040001000000010000303900000043020006000100030000004d000100044008000300070000040001730001060002054008000500030704000304000161060400000005023fd0000000000000000603000007070600054167656e74000205400c000106010002000000290000",
-     (160, 109, 160, 109), (51, 109, 51, 109), (51, 109, 51, 109), (6, 109, 7, 109));
+     (160, 109, 160, 109), (51, 109, 51, 109), (6, 109, 7, 109));
     ("move monitor entry",
      "040001000000010000303900000043034004000201ffffffff000100030000004d000100044008000300070000040001730001060002054008000500030704000304000161060400000005023fd0000000000000000603000007070600054167656e74000205400c000106000000",
-     (161, 110, 161, 110), (51, 110, 51, 110), (51, 110, 51, 110), (6, 110, 7, 110));
+     (161, 110, 161, 110), (51, 110, 51, 110), (6, 110, 7, 110));
     ("move monitor timed",
      "0400010000000100003039000000430440040002000000000240c86a4000000000000100030000004d000100044008000300070000040001730001060002054008000500030704000304000161060400000005023fd0000000000000000603000007070600054167656e74000205400c000106000000",
-     (170, 118, 170, 118), (52, 118, 52, 118), (52, 118, 52, 118), (6, 118, 7, 118));
+     (170, 118, 170, 118), (52, 118, 52, 118), (6, 118, 7, 118));
     ("move mixed frames",
      "0400010000000100003039000000430101000200002a123a440000000140040009000c0000060001010000006b000201000000cf00040100000197000501000001fb0006010000025f000701000002c3000801000003270009010000038b000a01000003ef000b0100000453000c01000004b700030000004d000100044008000300070000040001730001060002054008000500030704000304000161060400000005023fd0000000000000000603000007070600054167656e74000205400c000106000000",
-     (288, 198, 288, 198), (90, 198, 90, 198), (90, 198, 90, 198), (7, 198, 8, 198));
+     (288, 198, 288, 198), (90, 198, 90, 198), (7, 198, 8, 198));
     ("group move empty O2",
      "0f00010200000000",
-     (13, 8, 13, 8), (5, 8, 5, 8), (5, 8, 5, 8), (3, 8, 4, 8));
+     (13, 8, 13, 8), (5, 8, 5, 8), (3, 8, 4, 8));
     ("group move O0",
      "0d0001000240040008000200050100000001040001660607040003040001610604000002bff80000000000000100020000000b000000160002000100000021000040040009000000000000000000000200003039000000430101000200002a123a44000000004004000900030000060001010000006b000201000000cf00002a123a440000000140040009000c0000060001010000006b000201000000cf00040100000197000501000001fb0006010000025f000701000002c3000801000003270009010000038b000a01000003ef000b0100000453000c01000004b70001010000003039000000430101000001000200000029010704014004000900000000000201000000010100000004",
-     (388, 268, 388, 268), (120, 268, 120, 268), (120, 268, 120, 268), (11, 268, 12, 268));
+     (388, 268, 388, 268), (120, 268, 120, 268), (11, 268, 12, 268));
     ("group move O2",
      "0f000102000240040008000200050100000001040001660607040003040001610604000002bff80000000000000100020000000b000000160002000100000021000040040009000000000000000000000200003039000000430101000200002a123a44000000004004000900030000060001010000006b000201000000cf00002a123a440000000140040009000c0000060001010000006b000201000000cf00040100000197000501000001fb0006010000025f000701000002c3000801000003270009010000038b000a01000003ef000b0100000453000c01000004b70001010000003039000000430101000001000200000029010704014004000900000000000201000000010100000004",
-     (390, 269, 390, 269), (121, 269, 121, 269), (121, 269, 121, 269), (11, 269, 12, 269));
+     (390, 269, 390, 269), (121, 269, 121, 269), (11, 269, 12, 269));
   ]
 
 let pp_charges (a, b, c, d) = Printf.sprintf "(%d, %d, %d, %d)" a b c d
 
-let pp_row (name, h, n, p, pp, b) =
-  Printf.sprintf "    (%S,\n     %S,\n     %s, %s, %s, %s);" name h (pp_charges n)
-    (pp_charges p) (pp_charges pp) (pp_charges b)
+let pp_row (name, h, n, p, b) =
+  Printf.sprintf "    (%S,\n     %S,\n     %s, %s, %s);" name h (pp_charges n)
+    (pp_charges p) (pp_charges b)
 
 let actual_row (name, msg) =
-  let results = Array.map (fun c -> run_config c msg) configs in
+  let results = Array.of_list (List.map (fun t -> run_config t msg) tiers) in
   let bytes = fst results.(0) in
   Array.iteri
-    (fun i (b, _) ->
-      if b <> bytes then Alcotest.failf "%s: configuration %d writes different bytes" name i)
+    (fun i (b, _) -> if b <> bytes then Alcotest.failf "%s: tier %d writes different bytes" name i)
     results;
   let ch i = snd results.(i) in
-  (name, hex bytes, ch 0, ch 1, ch 2, ch 3)
+  (name, hex bytes, ch 0, ch 1, ch 2)
 
 let test_pinned () =
   let actual = List.map actual_row corpus in
   let mismatched =
     List.filter
-      (fun ((name, _, _, _, _, _) as row) ->
-        match List.find_opt (fun (n, _, _, _, _, _) -> String.equal n name) golden with
+      (fun ((name, _, _, _, _) as row) ->
+        match List.find_opt (fun (n, _, _, _, _) -> String.equal n name) golden with
         | Some g -> g <> row
         | None -> true)
       actual
@@ -383,23 +365,6 @@ let test_pinned () =
     Alcotest.failf "%d of %d rows differ from the golden table; actual rows:\n%s"
       (List.length mismatched) (List.length actual)
       (String.concat "\n" (List.map pp_row mismatched))
-
-(* A plan charges exactly what the per-datum path does, the move header
-   included: its source and, on the cross-instance tags, its level are
-   datums of their own. *)
-let test_plans_charge_like_datums () =
-  List.iter
-    (fun (name, msg) ->
-      match msg with
-      | M.M_move _ | M.M_group_move _ ->
-        let _, datum = run_config configs.(1) msg in
-        let _, planned = run_config configs.(2) msg in
-        Alcotest.(check (pair (pair int int) (pair int int)))
-          (name ^ ": with plans == without")
-          (let a, b, c, d = datum in ((a, b), (c, d)))
-          (let a, b, c, d = planned in ((a, b), (c, d)))
-      | _ -> ())
-    corpus
 
 (* Counts on the wire are u16s.  The largest fits under every tier; one
    more must fail at the encoder, not arrive masked to 16 bits as a
@@ -428,8 +393,6 @@ let oversized n =
 
 let check_in_flight name =
   Alcotest.(check int) (name ^ ": pool balanced") 0 (Enet.Wire.Pool.in_flight ())
-
-let tiers = [ (Enet.Wire.Naive, false); (Enet.Wire.Plan, false); (Enet.Wire.Blit, true) ]
 
 let test_u16_counts_in_range () =
   List.iter
@@ -463,15 +426,70 @@ let test_u16_overflow_rejected () =
     (oversized 0x10000);
   Enet.Wire.Pool.reset ()
 
+let check = Alcotest.check
+
+(* Golden Table 1 numbers -------------------------------------------------- *)
+
+(* The virtual-clock results of the reproduced Table 1 workload, three
+   iterations.  The plan tier charges one call per datum (816 over the
+   run), and nothing may move [Naive], whose numbers are the published
+   baseline of this repo. *)
+let test_table1_virtual_times_unchanged () =
+  let sparc = A.by_id "sparc" and sun3 = A.by_id "sun3" in
+  let run ?protocol ?wire_impl ?faults ~home ~dest () =
+    Core.Workloads.measure_roundtrip ?protocol ?wire_impl ?faults ~home ~dest
+      ~iters:3 ()
+  in
+  let us r = r.Core.Workloads.rt_us_per_trip in
+  let orig = run ~protocol:Core.Cluster.Original ~home:sparc ~dest:sparc () in
+  check (Alcotest.float 0.0) "original sparc<->sparc" 43432.0 (us orig);
+  let naive = run ~wire_impl:Enet.Wire.Naive ~home:sparc ~dest:sparc () in
+  check (Alcotest.float 0.0) "naive sparc<->sparc" 68343.0 (us naive);
+  check Alcotest.int "naive bytes" 1254 naive.Core.Workloads.rt_bytes_sent;
+  check Alcotest.int "naive messages" 6 naive.Core.Workloads.rt_messages;
+  check Alcotest.int "naive conversion calls" 2628
+    naive.Core.Workloads.rt_conversion_calls;
+  let plan = run ~wire_impl:Enet.Wire.Plan ~home:sparc ~dest:sparc () in
+  check (Alcotest.float 0.0) "plan sparc<->sparc" 55256.0 (us plan);
+  check Alcotest.int "plan bytes == naive bytes" naive.Core.Workloads.rt_bytes_sent
+    plan.Core.Workloads.rt_bytes_sent;
+  check Alcotest.int "plan conversion calls, one per datum" 816
+    plan.Core.Workloads.rt_conversion_calls;
+  let het = run ~wire_impl:Enet.Wire.Naive ~home:sparc ~dest:sun3 () in
+  check (Alcotest.float 0.0) "naive sparc<->sun3" 98330.0 (us het)
+
+(* An empty fault plan stays invisible under the plan tier too *)
+let test_plan_tier_ignores_empty_faults () =
+  let sparc = A.by_id "sparc" in
+  let plain =
+    Core.Workloads.measure_roundtrip ~wire_impl:Enet.Wire.Plan ~home:sparc
+      ~dest:sparc ~iters:3 ()
+  in
+  let faulted =
+    Core.Workloads.measure_roundtrip ~wire_impl:Enet.Wire.Plan
+      ~faults:(Fault.Plan.with_seed Fault.Plan.empty 42) ~home:sparc ~dest:sparc
+      ~iters:3 ()
+  in
+  check (Alcotest.float 0.0) "virtual time"
+    plain.Core.Workloads.rt_us_per_trip faulted.Core.Workloads.rt_us_per_trip;
+  check Alcotest.int "bytes" plain.Core.Workloads.rt_bytes_sent
+    faulted.Core.Workloads.rt_bytes_sent;
+  check Alcotest.int "messages" plain.Core.Workloads.rt_messages
+    faulted.Core.Workloads.rt_messages;
+  check Alcotest.int "conversion calls" plain.Core.Workloads.rt_conversion_calls
+    faulted.Core.Workloads.rt_conversion_calls
+
 let suites =
   [
     ( "codec",
       [
         Alcotest.test_case "wire bytes and charges pinned per record" `Quick test_pinned;
-        Alcotest.test_case "plans charge moves like the per-datum path" `Quick
-          test_plans_charge_like_datums;
         Alcotest.test_case "65535-element counts round-trip" `Quick test_u16_counts_in_range;
         Alcotest.test_case "65536-element counts refused at encode" `Quick
           test_u16_overflow_rejected;
+        Alcotest.test_case "Table 1 virtual times unchanged" `Quick
+          test_table1_virtual_times_unchanged;
+        Alcotest.test_case "empty fault plan invisible under plan tier" `Quick
+          test_plan_tier_ignores_empty_faults;
       ] );
   ]

@@ -11,27 +11,32 @@ let roundtrip_gen =
     QCheck.bool
     (QCheck.string_of_size (QCheck.Gen.int_range 0 200))
 
-(* The blit tier round-trips its datums as one batched record, which
-   costs one conversion call over all of its bytes at each end *)
+(* The blit tier writes its datums as one batched record, which costs
+   one conversion call over all of its bytes at each end *)
+let write_case impl (i, f, b, s) =
+  let stats = Enet.Conversion_stats.create () in
+  let w = Enet.Wire.Writer.create ~impl ~stats in
+  if impl = Enet.Wire.Blit then Enet.Wire.Writer.batch w;
+  let p = Enet.Wire.Writer.open_record w in
+  Enet.Wire.Writer.i32 w i;
+  Enet.Wire.Writer.f64 w f;
+  Enet.Wire.Writer.bool w b;
+  Enet.Wire.Writer.str w s;
+  Enet.Wire.Writer.close_record w p;
+  (w, stats)
+
+(* Each case round-trips under [impl], and the other two tiers write
+   the same datums as the same octets *)
 let roundtrip impl =
   QCheck.Test.make
     ~name:(Printf.sprintf "%s codec round trip" (Enet.Wire.impl_name impl))
     ~count:300 roundtrip_gen
-    (fun (i, f, b, s) ->
+    (fun ((i, f, b, s) as case) ->
       let batched = impl = Enet.Wire.Blit in
-      let stats = Enet.Conversion_stats.create () in
-      let w = Enet.Wire.Writer.create ~impl ~stats in
-      if batched then Enet.Wire.Writer.batch w;
-      let p = Enet.Wire.Writer.open_record w in
-      Enet.Wire.Writer.i32 w i;
-      Enet.Wire.Writer.f64 w f;
-      Enet.Wire.Writer.bool w b;
-      Enet.Wire.Writer.str w s;
-      Enet.Wire.Writer.close_record w p;
+      let w, stats = write_case impl case in
+      let bytes = Enet.Wire.Writer.contents w in
       let rstats = Enet.Conversion_stats.create () in
-      let r =
-        Enet.Wire.Reader.create ~impl ~stats:rstats (Enet.Wire.Writer.contents w)
-      in
+      let r = Enet.Wire.Reader.create ~impl ~stats:rstats bytes in
       if batched then Enet.Wire.Reader.batch r;
       let p = Enet.Wire.Reader.open_record r in
       let ok =
@@ -41,12 +46,20 @@ let roundtrip impl =
         && String.equal (Enet.Wire.Reader.str r) s
       in
       Enet.Wire.Reader.close_record r p;
+      let same_octets other =
+        let w', _ = write_case other case in
+        let bytes' = Enet.Wire.Writer.contents w' in
+        Enet.Wire.Writer.free w';
+        String.equal bytes' bytes
+      in
       let calls = Enet.Conversion_stats.calls in
       ok
       && Enet.Wire.Reader.at_end r
       && calls stats = calls rstats
       && ((not batched) || calls stats = 1)
-      && Enet.Conversion_stats.bytes stats = Enet.Wire.Writer.length w)
+      && Enet.Conversion_stats.bytes stats = Enet.Wire.Writer.length w
+      && List.for_all same_octets
+           (List.filter (fun t -> t <> impl) [ Enet.Wire.Naive; Enet.Wire.Plan; Enet.Wire.Blit ]))
 
 let test_network_byte_order () =
   let stats = Enet.Conversion_stats.create () in

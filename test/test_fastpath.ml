@@ -9,7 +9,7 @@
    to states that behave identically (a qcheck property over every
    architecture pair, with mid-loop and mid-monitor-wait captures in
    flight), skipping translation only for same-layout pairs and falling
-   back to plans honestly everywhere else.  A forced eviction mid-bridge
+   back to the per-datum path everywhere else.  A forced eviction mid-bridge
    under the blit codec closes the loop. *)
 
 module A = Isa.Arch
@@ -301,7 +301,7 @@ let blit_matches_plan =
           QCheck.Test.fail_reportf "same-layout pair %s->%s never skipped"
             src.A.id dst.A.id;
         if blit.bo_fallbacks <> 0 then
-          QCheck.Test.fail_report "same-layout pair fell back to plans";
+          QCheck.Test.fail_report "same-layout pair fell back to the per-datum path";
         (* skipping translation must show up on the virtual clock *)
         if not (blit.bo_virtual_us < plan.bo_virtual_us) then
           QCheck.Test.fail_reportf

@@ -32,9 +32,8 @@ let make_rig ~inject =
   let lost = ref [] and deliveries = ref 0 in
   let tr =
     Tr.create ~protocol:Tr.Enhanced ~wire_impl:Enet.Wire.Naive
-      ~faults:(Fault.Plan.make ~drop:1.0 ()) ~net ~engine ~bus
-      ~repo:(Mobility.Code_repository.create ~n_nodes:2 ())
-      ~kernels ~down:(Array.make 2 false)
+      ~faults:(Fault.Plan.make ~drop:1.0 ()) ~net ~engine ~bus ~kernels
+      ~down:(Array.make 2 false)
       ~lost:(fun _ ~reason -> lost := (Eng.now engine, reason) :: !lost)
       ~deliver:(fun ~dst:_ _ _ -> incr deliveries)
   in
