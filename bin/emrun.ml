@@ -404,9 +404,9 @@ let codec_t =
        & info [ "codec" ] ~docv:"TIER"
            ~doc:"Wire conversion tier: $(b,naive) (per-byte calls, the \
                  prototype's routines), $(b,plan) (one conversion call per \
-                 datum), or $(b,blit) (plan, plus same-layout architecture pairs \
-                 negotiate a zero-translation transfer charged one call \
-                 per record, skipping capture translation and frame \
+                 datum), or $(b,blit) (plan, plus same-layout architecture \
+                 pairs negotiate a zero-translation transfer charged one \
+                 call per record, skipping capture translation and frame \
                  rebuild).")
 
 let location_t =
