@@ -568,15 +568,13 @@ let run_scaling () =
   pf "Extension: event-selection cost vs cluster size\n";
   pf "One agent tours the ring of nodes under a 2-instruction preemptive\n";
   pf "quantum, so the run decomposes into ~500k tiny scheduling events and\n";
-  pf "EVENT SELECTION dominates the host cost.  'scan' is the seed's\n";
-  pf "O(nodes)-per-event rescan; 'heap' is the engine's O(log pending)\n";
-  pf "pop.  Both must produce the same events, times and result.\n";
+  pf "EVENT SELECTION dominates the host cost: one O(log pending) heap pop\n";
+  pf "per event.  The engine suite pins every row's events, time and result.\n";
   hr ();
-  pf "%6s %9s %10s %10s %12s %12s %6s\n" "nodes" "events" "scan s" "heap s"
-    "scan ev/s" "heap ev/s" "same";
+  pf "%6s %9s %10s %12s\n" "nodes" "events" "host s" "events/s";
   hr ();
   let hops = 48 and spins = 800 and quantum = 2 in
-  (* host times are noisy; take the best of three runs of each *)
+  (* host times are noisy; take the best of three runs *)
   let best f =
     let r = ref (f ()) in
     for _ = 2 to 3 do
@@ -585,45 +583,21 @@ let run_scaling () =
     done;
     !r
   in
-  let speedup_at_64 = ref nan in
   List.iter
     (fun n ->
-      let scan =
-        best (fun () ->
-            W.measure_scaling ~scheduler:Core.Cluster.Scan ~quantum ~n_nodes:n
-              ~hops ~spins ())
-      in
-      let heap =
-        best (fun () ->
-            W.measure_scaling ~scheduler:Core.Cluster.Heap ~quantum ~n_nodes:n
-              ~hops ~spins ())
-      in
-      let same =
-        scan.W.sc_result = heap.W.sc_result
-        && scan.W.sc_events = heap.W.sc_events
-        && scan.W.sc_virtual_us = heap.W.sc_virtual_us
-      in
-      if n = 64 then
-        speedup_at_64 := scan.W.sc_host_seconds /. heap.W.sc_host_seconds;
+      let r = best (fun () -> W.measure_scaling ~quantum ~n_nodes:n ~hops ~spins ()) in
       add_json_row ~experiment:"scaling"
         [
           ("nodes", jint n);
-          ("events", jint heap.W.sc_events);
-          ("scan_host_s", jnum scan.W.sc_host_seconds);
-          ("heap_host_s", jnum heap.W.sc_host_seconds);
-          ("scan_events_per_s", jnum scan.W.sc_events_per_sec);
-          ("heap_events_per_s", jnum heap.W.sc_events_per_sec);
-          ("identical", if same then "true" else "false");
+          ("events", jint r.W.sc_events);
+          ("heap_host_s", jnum r.W.sc_host_seconds);
+          ("heap_events_per_s", jnum r.W.sc_events_per_sec);
         ];
-      pf "%6d %9d %10.3f %10.3f %12.0f %12.0f %6s\n" n scan.W.sc_events
-        scan.W.sc_host_seconds heap.W.sc_host_seconds scan.W.sc_events_per_sec
-        heap.W.sc_events_per_sec
-        (if same then "yes" else "NO"))
+      pf "%6d %9d %10.3f %12.0f\n" n r.W.sc_events r.W.sc_host_seconds
+        r.W.sc_events_per_sec)
     [ 4; 8; 16; 32; 64 ];
   hr ();
-  pf "heap speedup over scan at 64 nodes: %.1fx\n" !speedup_at_64;
-  pf "(the event count, final virtual time and result are identical under\n";
-  pf "both schedulers at every size: the heap replays the scan's order)\n\n"
+  pf "\n"
 
 (* ------------------------------------------------------------------ *)
 (* Extension: move cost under injected message loss                     *)

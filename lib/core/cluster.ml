@@ -5,7 +5,6 @@ module M = Mobility.Marshal
 module E = Events
 
 type protocol = Transport.protocol = Enhanced | Original
-type scheduler = Loop.scheduler = Heap | Scan
 type location = Locate.mode = Loc_off | Loc_directory
 type gc_mode = Collect.mode = Gc_stw | Gc_incremental
 
@@ -30,7 +29,6 @@ type t = {
   loop : Loop.t;
   root_done : (T.tid, Ert.Value.t option) Hashtbl.t;  (* finished root threads *)
   failures : (T.tid, string) Hashtbl.t;  (* threads lost to node crashes *)
-  faults : Fault.Plan.t;
   quantum : int option;  (* kept to configure replacement kernels on restart *)
   opt_levels : Emc.Opt.level array;
       (* per-node code-instance selection, kept (like [quantum]) to
@@ -410,8 +408,8 @@ let deliver t ~dst (m : Enet.Netsim.message) payload =
    and [restart_node] each replacement, on the dead kernel's clock. *)
 let boot ~repo ~quantum ~level ~results ?clock node arch =
   let k = K.create ?clock ~node_id:node ~arch () in
-  K.set_on_code_load k (fun ~class_index ->
-      Mobility.Code_repository.record_fetch repo ~node ~class_index;
+  K.set_on_code_load k (fun () ->
+      Mobility.Code_repository.record_fetch repo ~node;
       K.charge_insns k CM.code_fetch_insns);
   K.set_quantum k quantum;
   K.set_dispatch_cache k (Mobility.Code_repository.dispatch_cache repo ~node);
@@ -478,17 +476,14 @@ let restart_node t i =
 (* ----------------------------------------------------------------------- *)
 (* construction *)
 
-let create ?net_config ?(protocol = Enhanced) ?(wire_impl = Enet.Wire.Naive)
-    ?(scheduler = Heap) ?quantum ?gc_threshold ?(gc_mode = Gc_stw) ?(gc_budget = 4096)
-    ?(faults = Fault.Plan.empty) ?(async_migration = false) ?(location = Loc_off) ~archs
-    () =
+let create ?(protocol = Enhanced) ?(wire_impl = Enet.Wire.Naive) ?quantum ?gc_threshold
+    ?(gc_mode = Gc_stw) ?(gc_budget = 4096) ?(faults = Fault.Plan.empty)
+    ?(async_migration = false) ?(location = Loc_off) ~archs () =
   let n = List.length archs in
-  if not (Fault.Plan.is_trivial faults) then Loop.require_heap scheduler "a fault plan";
-  if gc_mode = Gc_incremental then Loop.require_heap scheduler "incremental GC";
   if gc_budget < 1 then invalid_arg "Cluster.create: gc_budget must be positive";
   if List.exists (fun (c : Fault.Plan.chaos) -> c.ch_node < 0 || c.ch_node >= n) faults.pl_chaos
   then invalid_arg "Cluster.create: fault plan crashes a node out of range";
-  let net = Enet.Netsim.create ?config:net_config ~n_nodes:n () in
+  let net = Enet.Netsim.create ~n_nodes:n () in
   let repo = Mobility.Code_repository.create ~n_nodes:n () in
   let results = Hashtbl.create 4 and failures = Hashtbl.create 4 in
   let kernels =
@@ -515,9 +510,9 @@ let create ?net_config ?(protocol = Enhanced) ?(wire_impl = Enet.Wire.Naive)
        { kernels; down; net; repo; bus; tr; gc;
          loc = Locate.create ~mode:location ~kernels ~down ~bus ~transport:tr ~send ~drop:lost;
          loop =
-           Loop.create ~sched:scheduler ~engine ~net ~bus ~kernels ~down ~transport:tr
+           Loop.create ~engine ~net ~bus ~kernels ~down ~transport:tr
              ~collect:gc ~faults ~results ~failures ~outcall ~crash ~restart;
-         root_done = results; failures; faults; quantum;
+         root_done = results; failures; quantum;
          opt_levels = Array.make n Emc.Opt.O0;
          async_migration; last_prog = None;
          inv_last_times = Array.make n 0.0;
@@ -536,7 +531,6 @@ let create ?net_config ?(protocol = Enhanced) ?(wire_impl = Enet.Wire.Naive)
 (* the public API *)
 
 let protocol t = Transport.protocol t.tr
-let scheduler t = Loop.scheduler t.loop
 let gc_mode t = Collect.mode t.gc
 let gc_in_progress t i = Collect.in_progress t.gc i
 let location t = Locate.mode t.loc
@@ -546,13 +540,11 @@ let directory_stats t = Locate.stats t.loc
 let n_nodes t = Array.length t.kernels
 let kernel t i = t.kernels.(i)
 let kernels t = Array.copy t.kernels
-let arch_of t i = K.arch t.kernels.(i)
 let repository t = t.repo
 let network t = t.net
 let engine t = Loop.engine t.loop
 let engines t = [| engine t |]
 let conversion_stats t i = Transport.conversion_stats t.tr i
-let fault_plan t = t.faults
 let set_trace t f = E.subscribe t.bus (fun ev -> Option.iter f (E.legacy_string ev))
 let bus t = t.bus
 let subscribe_events t f = E.subscribe t.bus f
@@ -592,7 +584,6 @@ let set_opt_level t ~node level =
   K.set_opt_level t.kernels.(node) level;  (* refuses if code is loaded *)
   t.opt_levels.(node) <- level
 
-let opt_level_of t node = K.opt_level t.kernels.(node)
 let bridge_stats t = Mobility.Code_repository.bridge_stats t.repo
 
 let create_object t ~node ~class_name =

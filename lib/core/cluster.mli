@@ -14,16 +14,6 @@ type protocol = Transport.protocol =
           conversion — and migration between unlike architectures is
           refused, as it must be *)
 
-type scheduler = Loop.scheduler =
-  | Heap  (** event selection through the {!Engine} min-heap: O(log
-              pending) per event *)
-  | Scan
-      (** the seed's O(nodes)-per-event rescan, kept for cross-checking
-          and for the scaling benchmark; both produce identical event
-          sequences and results.  It raises [Invalid_argument] on the
-          four features that need engine events of their own: fault
-          plans, [Gc_incremental], a balancer and timed waits. *)
-
 type location = Locate.mode =
   | Loc_off
       (** no location subsystem: the event and byte streams are
@@ -57,10 +47,8 @@ exception Thread_unavailable of string
 type t
 
 val create :
-  ?net_config:Enet.Netsim.config ->
   ?protocol:protocol ->
   ?wire_impl:Enet.Wire.impl ->
-  ?scheduler:scheduler ->
   ?quantum:int ->
   ?gc_threshold:int ->
   ?gc_mode:gc_mode ->
@@ -75,8 +63,7 @@ val create :
     scheduling with the given instruction quantum; threads are then run
     forward to their next bus stop before any migration capture
     (section 2.2.1).  Default: the Emerald discipline — control transfers
-    only at bus stops.  [scheduler] selects the event-selection
-    mechanism (default {!Heap}).
+    only at bus stops.
 
     [gc_threshold] arms automatic collection when a node's live heap
     bytes exceed it; [gc_mode] selects the collector tier (default
@@ -109,11 +96,10 @@ val create :
     is bit-identical to clusters that predate it).  All directory and
     chain-collapse traffic uses dedicated message tags and is produced
     in deterministic (ascending node) order.
-    @raise Invalid_argument on a {!Scan} limit, a non-positive
-    [gc_budget], or a crash window on a node out of range. *)
+    @raise Invalid_argument on a non-positive [gc_budget] or a crash
+    window on a node out of range. *)
 
 val protocol : t -> protocol
-val scheduler : t -> scheduler
 
 val gc_mode : t -> gc_mode
 
@@ -138,14 +124,12 @@ val directory_stats : t -> int * int * int * int
 val n_nodes : t -> int
 val kernel : t -> int -> Ert.Kernel.t
 val kernels : t -> Ert.Kernel.t array
-val arch_of : t -> int -> Isa.Arch.t
 val repository : t -> Mobility.Code_repository.t
 val network : t -> Enet.Netsim.t
 val conversion_stats : t -> int -> Enet.Conversion_stats.t
 
 val engine : t -> Engine.t
-(** The event engine (heap depth, push/pop/stale counters).  Unused —
-    all counters zero — under the {!Scan} scheduler. *)
+(** The event engine (heap depth, push/pop/stale counters). *)
 
 val engines : t -> Engine.t array
 (** [[| engine t |]], kept for callers that sum over engines. *)
@@ -199,8 +183,6 @@ val set_opt_level : t -> node:int -> Emc.Opt.level -> unit
 (** Pick the code instance the node executes.  Must be called before
     any code is loaded on the node (the kernel refuses afterwards:
     resident threads' saved PCs address the old instance). *)
-
-val opt_level_of : t -> int -> Emc.Opt.level
 
 val bridge_stats : t -> int * int
 (** Summed bridge-fragment cache [(hits, misses)] over every node —
@@ -273,7 +255,8 @@ val set_balancer : t -> every_us:float -> (unit -> unit) -> unit
     time, between events: every event earlier than a firing point runs
     before it, every later one after.  The hook typically inspects per-node load
     ({!Ert.Kernel.ready_depth}, {!Obs.Profile} data) and calls
-    {!evict_thread}.  Refused under {!Scan}. *)
+    {!evict_thread}.  The first firing point is [every_us] past the
+    engine's frontier ({!Engine.now}) at the call. *)
 
 val crash_node : t -> int -> unit
 (** Fail-stop the node: its objects, code and thread segments are lost;
@@ -288,8 +271,6 @@ val restart_node : t -> int -> unit
 
 val is_crashed : t -> int -> bool
 val thread_failure : t -> Ert.Thread.tid -> string option
-
-val fault_plan : t -> Fault.Plan.t
 
 val check_invariants : t -> Fault.Invariants.violation list
 (** Run the {!Fault.Invariants} checkers over the cluster.  Call between

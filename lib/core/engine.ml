@@ -29,12 +29,7 @@ let rank = function
 type t = {
   pq : event Sim.Pqueue.t;
   clock : Sim.Clock.t;  (* frontier: time of the last event popped *)
-  step_queued : bool array;
-  deliver_queued : bool array;
-  wake_queued : bool array;
-  gc_queued : bool array;
-  timer_queued : bool array;
-  chaos_queued : bool array;
+  queued : bool array;  (* by [rank]: whether that (kind, node) is in [pq] *)
   mutable pushes : int;
   mutable pops : int;
   mutable stale : int;
@@ -44,12 +39,7 @@ let create ~n_nodes () =
   {
     pq = Sim.Pqueue.create ();
     clock = Sim.Clock.create ();
-    step_queued = Array.make n_nodes false;
-    deliver_queued = Array.make n_nodes false;
-    wake_queued = Array.make n_nodes false;
-    gc_queued = Array.make n_nodes false;
-    timer_queued = Array.make n_nodes false;
-    chaos_queued = Array.make n_nodes false;
+    queued = Array.make (n_nodes * n_kinds) false;
     pushes = 0;
     pops = 0;
     stale = 0;
@@ -57,31 +47,16 @@ let create ~n_nodes () =
 
 let now t = Sim.Clock.now t.clock
 
-let flag t = function
-  | Step i -> t.step_queued.(i)
-  | Deliver i -> t.deliver_queued.(i)
-  | Wake i -> t.wake_queued.(i)
-  | Gc i -> t.gc_queued.(i)
-  | Timer i -> t.timer_queued.(i)
-  | Chaos i -> t.chaos_queued.(i)
-
-let set_flag t v = function
-  | Step i -> t.step_queued.(i) <- v
-  | Deliver i -> t.deliver_queued.(i) <- v
-  | Wake i -> t.wake_queued.(i) <- v
-  | Gc i -> t.gc_queued.(i) <- v
-  | Timer i -> t.timer_queued.(i) <- v
-  | Chaos i -> t.chaos_queued.(i) <- v
-
 (* At most one queued entry per (event kind, node): a second schedule is
    a no-op.  The existing entry is never later than the wanted time —
    validity is re-checked at pop, and a stale entry is rescheduled at
    its corrected time — so dropping the duplicate is safe. *)
 let schedule t ~at ev =
-  if not (flag t ev) then begin
-    set_flag t true ev;
+  let r = rank ev in
+  if not t.queued.(r) then begin
+    t.queued.(r) <- true;
     t.pushes <- t.pushes + 1;
-    Sim.Pqueue.push t.pq ~time:at ~rank:(rank ev) ev
+    Sim.Pqueue.push t.pq ~time:at ~rank:r ev
   end
 
 let reschedule t ~at ev =
@@ -91,15 +66,15 @@ let reschedule t ~at ev =
 let peek t =
   if Sim.Pqueue.is_empty t.pq then None else Some (Sim.Pqueue.min_time t.pq)
 
-(* [pop] without the [(time * event) option] wrapping: the popped time
-   is readable as [now t] (the pop advanced the clock to it).  The hot
-   loop runs this once per event. *)
+(* The popped time is readable as [now t] (the pop advanced the clock
+   to it), so no [(time * event)] pair is built.  The hot loop runs this
+   once per event. *)
 let take t =
   if Sim.Pqueue.is_empty t.pq then None
   else begin
     let time = Sim.Pqueue.min_time t.pq in
     let ev = Sim.Pqueue.take_min t.pq in
-    set_flag t false ev;
+    t.queued.(rank ev) <- false;
     t.pops <- t.pops + 1;
     Sim.Clock.advance_to t.clock time;
     Some ev

@@ -1,20 +1,18 @@
 (** The discrete-event engine: a binary min-heap of pending simulation
-    events keyed on virtual time.
+    events keyed on virtual time, O(log pending) per event.
 
-    The seed selected the next event by rescanning every node's kernel
-    and message queue — O(nodes) per event.  The engine replaces the
-    scan with an O(log pending) heap while reproducing the scan's event
-    order, with one deliberate strengthening: simultaneous events have a
-    *total* order (time, then node-major {!rank} — per node the kinds
-    order Chaos < Gc < Deliver < Wake < Step < Timer — then insertion
-    sequence), so the order cannot depend on heap insertion order.
+    Simultaneous events have a *total* order: time, then node-major
+    {!rank} (per node the kinds order Chaos < Gc < Deliver < Wake <
+    Step < Timer), then insertion sequence, so the order cannot depend
+    on heap insertion order.
 
     Scheduled times are allowed to go stale — a node's clock advances
     after its step was queued, or a message queue's head changes.  The
-    engine dedups to at most one pending entry per (kind, node); the
-    executor re-validates each popped entry and {!reschedule}s it at the
-    corrected time, which is always later, so no event can run early.
-    The heap, flags and counters here are deliberately not exposed. *)
+    engine keeps at most one pending entry per (kind, node), which is
+    one rank; the executor re-validates each popped entry and
+    {!reschedule}s it at the corrected time, which is always later, so
+    no event can run early.  The heap, flags and counters here are
+    deliberately not exposed. *)
 
 type event =
   | Step of int  (** run one kernel scheduling slice on the node *)

@@ -2,28 +2,13 @@ module K = Ert.Kernel
 module T = Ert.Thread
 module E = Events
 
-type scheduler =
-  | Heap
-  | Scan
-
 exception Thread_unavailable of string
-
-(* The seed's selector, kept as the [Scan] scheduler, sees only message
-   deliveries and scheduling slices.  Everything that needs an engine
-   event of its own — fault plans (timers and crash windows),
-   incremental GC, a balancer's horizon, timed waits — is refused here
-   rather than silently mis-run. *)
-let require_heap sched what =
-  match sched with
-  | Heap -> ()
-  | Scan -> invalid_arg (Printf.sprintf "Cluster: %s requires the Heap scheduler" what)
 
 type chaos_act =
   | Chaos_crash
   | Chaos_restart
 
 type t = {
-  sched : scheduler;
   engine : Engine.t;
   net : Enet.Netsim.t;
   bus : E.bus;
@@ -45,10 +30,10 @@ type t = {
   mutable balance_at : float;
 }
 
-let create ~sched ~engine ~net ~bus ~kernels ~down ~transport ~collect ~faults ~results
+let create ~engine ~net ~bus ~kernels ~down ~transport ~collect ~faults ~results
     ~failures ~outcall ~crash ~restart =
   let t =
-    { sched; engine; net; bus; kernels; down;
+    { engine; net; bus; kernels; down;
       clocks = Array.map K.clock kernels;
       tr = transport; gc = collect;
       chaos = Array.make (Array.length kernels) [];
@@ -56,9 +41,8 @@ let create ~sched ~engine ~net ~bus ~kernels ~down ~transport ~collect ~faults ~
       events = 0;
       balancer = None; balance_every = infinity; balance_at = infinity }
   in
-  if sched = Heap then
-    Enet.Netsim.set_on_arrival net (fun ~dst ~at ->
-        Engine.schedule engine ~at (Engine.Deliver dst));
+  Enet.Netsim.set_on_arrival net (fun ~dst ~at ->
+      Engine.schedule engine ~at (Engine.Deliver dst));
   (* compile the plan's crash/restart windows into per-node schedules and
      seed the engine with each node's first window *)
   List.iter
@@ -78,7 +62,6 @@ let create ~sched ~engine ~net ~bus ~kernels ~down ~transport ~collect ~faults ~
     t.chaos;
   t
 
-let scheduler t = t.sched
 let engine t = t.engine
 let events t = t.events
 
@@ -86,17 +69,15 @@ let events t = t.events
    time; the engine dedups, so this is cheap to call after anything
    that might have woken a segment *)
 let ensure_step t i =
-  if t.sched = Heap then begin
-    let k = t.kernels.(i) in
-    if (not t.down.(i)) && K.has_ready k then
-      Engine.schedule t.engine ~at:(K.time_us k) (Engine.Step i)
-  end
+  let k = t.kernels.(i) in
+  if (not t.down.(i)) && K.has_ready k then
+    Engine.schedule t.engine ~at:(K.time_us k) (Engine.Step i)
 
 (* (re)queue a wake at the node's earliest timed-wait deadline; the
    engine dedups, and the pop handler revalidates against the kernel, so
    a stale or superseded entry costs one no-op pop *)
 let ensure_wake t i =
-  if t.sched = Heap && not t.down.(i) then
+  if not t.down.(i) then
     match K.next_timeout t.kernels.(i) with
     | Some d -> Engine.schedule t.engine ~at:d (Engine.Wake i)
     | None -> ()
@@ -107,78 +88,18 @@ let rec run_outcalls t ~src = function
     t.outcall ~src oc;
     run_outcalls t ~src rest
 
-let exec_step t i ~time =
-  t.events <- t.events + 1;
-  E.emit_step t.bus ~node:i ~time;
-  run_outcalls t ~src:i (K.step t.kernels.(i))
-
-let exec_deliver t i eff =
-  t.events <- t.events + 1;
-  Transport.receive t.tr ~dst:i ~now:eff
-
-(* --- the seed's O(nodes) selection scan, kept as the [Scan] scheduler
-   (the heap engine is cross-checked against it, and the scaling
-   benchmark measures the difference) --- *)
-
-type scan_event =
-  | E_deliver of int * float
-  | E_step of int * float
-
-let next_event_scan t =
-  let best = ref None in
-  let better time =
-    match !best with
-    | None -> true
-    | Some (E_deliver (_, bt) | E_step (_, bt)) -> time < bt
-  in
-  (* message deliveries first on ties (lower effective time wins) *)
-  Array.iteri
-    (fun i k ->
-      match Enet.Netsim.next_arrival_at t.net ~dst:i with
-      | Some arrival ->
-        (* packets addressed to a dead interface still need draining *)
-        let eff = Float.max arrival (K.time_us k) in
-        if better eff then best := Some (E_deliver (i, eff))
-      | None -> ())
-    t.kernels;
-  Array.iteri
-    (fun i k ->
-      if (not t.down.(i)) && K.has_ready k then begin
-        let time = K.time_us k in
-        if better time then best := Some (E_step (i, time))
-      end)
-    t.kernels;
-  !best
-
-let step_once_scan t =
-  match next_event_scan t with
-  | None ->
-    Array.iteri
-      (fun i k ->
-        if (not t.down.(i)) && K.next_timeout k <> None then
-          require_heap t.sched (Printf.sprintf "a timed wait (node %d)" i))
-      t.kernels;
-    false
-  | Some (E_deliver (i, eff)) ->
-    exec_deliver t i eff;
-    true
-  | Some (E_step (i, time)) ->
-    exec_step t i ~time;
-    if Collect.over_threshold t.gc i then Collect.collect t.gc i;
-    true
-
-(* --- the heap engine loop.  Entries are revalidated when popped: a
-   node's clock may have advanced past its queued step, or a message
-   queue's head may now arrive effectively later; stale entries are
-   rescheduled at the corrected (always later) time and the pop costs
-   nothing.  Executed events therefore come out in exactly the order the
-   scan would have chosen. *)
+(* --- the event loop.  The engine pops entries in (time, rank) order,
+   and each is revalidated when popped: a node's clock may have advanced
+   past its queued step, or a message queue's head may now arrive
+   effectively later.  A stale entry is rescheduled at its corrected
+   (always later) time and the pop executes nothing, so no event runs
+   before the time it is valid at. *)
 
 (* Harness code may mutate a kernel behind the cluster's back (tests
    drive [Mobility.Checkpoint.restore] on a kernel directly, for
    instance), so an empty heap does not yet prove quiescence: rescan
-   once and reseed anything runnable.  This is the only O(nodes) scan
-   left, and it runs once per drain, not per event. *)
+   once and reseed anything runnable.  This is the loop's only O(nodes)
+   scan, and it runs once per drain, not per event. *)
 let reseed t =
   let any = ref false in
   Array.iteri
@@ -203,24 +124,24 @@ let reseed t =
     t.kernels;
   !any
 
-let rec step_once_heap t ~horizon =
+let rec step_below t ~horizon =
   let e = t.engine in
   match Engine.peek e with
-  | None -> if reseed t then step_once_heap t ~horizon else false
+  | None -> if reseed t then step_below t ~horizon else false
   | Some tm when tm >= horizon ->
     false (* a pending load-balancing point gates further execution *)
   | Some _ -> (
     match Engine.take e with
-    | None -> if reseed t then step_once_heap t ~horizon else false
+    | None -> if reseed t then step_below t ~horizon else false
     | Some (Engine.Timer i) ->
       if Transport.on_timer t.tr i then begin
         t.events <- t.events + 1;
         true
       end
-      else step_once_heap t ~horizon
+      else step_below t ~horizon
     | Some (Engine.Chaos i) -> (
       match t.chaos.(i) with
-      | [] -> step_once_heap t ~horizon
+      | [] -> step_below t ~horizon
       | (_, act) :: rest ->
         t.chaos.(i) <- rest;
         t.events <- t.events + 1;
@@ -235,24 +156,26 @@ let rec step_once_heap t ~horizon =
     | Some (Engine.Gc i) ->
       (* an in-progress incremental cycle must run to completion even if
          sweeping has already pushed the heap back under the threshold *)
-      if t.down.(i) || not (Collect.due t.gc i) then step_once_heap t ~horizon
+      if t.down.(i) || not (Collect.due t.gc i) then step_below t ~horizon
       else begin
         Collect.collect t.gc i;
         ensure_step t i;
         true
       end
     | Some (Engine.Step i) ->
-      if t.down.(i) || not (K.has_ready t.kernels.(i)) then step_once_heap t ~horizon
+      if t.down.(i) || not (K.has_ready t.kernels.(i)) then step_below t ~horizon
       else begin
         let tm = Engine.now e in
         let clock = t.clocks.(i) in
         let now = clock.Sim.Clock.now in
         if now > tm then begin
           Engine.reschedule e ~at:now (Engine.Step i);
-          step_once_heap t ~horizon
+          step_below t ~horizon
         end
         else begin
-          exec_step t i ~time:tm;
+          t.events <- t.events + 1;
+          E.emit_step t.bus ~node:i ~time:tm;
+          run_outcalls t ~src:i (K.step t.kernels.(i));
           (* the slice advanced the node clock; read it once for both the
              collection check and the follow-on step *)
           let at = clock.Sim.Clock.now in
@@ -268,17 +191,17 @@ let rec step_once_heap t ~horizon =
          clock: the deadline may have been consumed (signalled, migrated
          away) or superseded by an earlier one since this entry was
          queued *)
-      if t.down.(i) then step_once_heap t ~horizon
+      if t.down.(i) then step_below t ~horizon
       else
         let k = t.kernels.(i) in
         match K.next_timeout k with
-        | None -> step_once_heap t ~horizon
+        | None -> step_below t ~horizon
         | Some d ->
           let tm = Engine.now e in
           let eff = Float.max d t.clocks.(i).Sim.Clock.now in
           if eff > tm then begin
             Engine.reschedule e ~at:eff (Engine.Wake i);
-            step_once_heap t ~horizon
+            step_below t ~horizon
           end
           else begin
             t.events <- t.events + 1;
@@ -290,16 +213,17 @@ let rec step_once_heap t ~horizon =
           end)
     | Some (Engine.Deliver i) -> (
       match Enet.Netsim.next_arrival_at t.net ~dst:i with
-      | None -> step_once_heap t ~horizon
+      | None -> step_below t ~horizon
       | Some arrival ->
         let tm = Engine.now e in
         let eff = Float.max arrival t.clocks.(i).Sim.Clock.now in
         if eff > tm then begin
           Engine.reschedule e ~at:eff (Engine.Deliver i);
-          step_once_heap t ~horizon
+          step_below t ~horizon
         end
         else begin
-          exec_deliver t i eff;
+          t.events <- t.events + 1;
+          Transport.receive t.tr ~dst:i ~now:eff;
           (match Enet.Netsim.next_arrival_at t.net ~dst:i with
           | Some a ->
             Engine.schedule e ~at:(Float.max a (K.time_us t.kernels.(i))) (Engine.Deliver i)
@@ -311,32 +235,30 @@ let rec step_once_heap t ~horizon =
 
 (* Fire the installed balancer and advance its schedule: an event
    executes before the balancer iff its (revalidated) time is below
-   [balance_at], [step_once_heap]'s horizon. *)
+   [balance_at], [step_below]'s horizon. *)
 let fire_balancer t =
   (match t.balancer with Some f -> f () | None -> ());
   t.balance_at <- t.balance_at +. t.balance_every
 
+(* the first firing is one period after the install, wherever the
+   frontier stands then *)
 let set_balancer t ~every_us f =
-  require_heap t.sched "a balancer";
   if every_us <= 0.0 then invalid_arg "Cluster.set_balancer: need a positive period";
   t.balancer <- Some f;
   t.balance_every <- every_us;
-  t.balance_at <- every_us
+  t.balance_at <- Engine.now t.engine +. every_us
 
 let rec step_once t =
-  match t.sched with
-  | Heap ->
-    if step_once_heap t ~horizon:t.balance_at then true
-    else if t.balancer <> None && Engine.peek t.engine <> None then begin
-      (* not quiescent — execution is gated at a pending balancing
-         point.  Fire it here so [false] means quiescent for every
-         caller, including external drivers stepping the cluster
-         themselves (the fuzz harness, interactive tools). *)
-      fire_balancer t;
-      step_once t
-    end
-    else false
-  | Scan -> step_once_scan t
+  if step_below t ~horizon:t.balance_at then true
+  else if t.balancer <> None && Engine.peek t.engine <> None then begin
+    (* not quiescent — execution is gated at a pending balancing
+       point.  Fire it here so [false] means quiescent for every
+       caller, including external drivers stepping the cluster
+       themselves (the fuzz harness, interactive tools). *)
+    fire_balancer t;
+    step_once t
+  end
+  else false
 
 let run ?(max_events = 2_000_000) t =
   let budget = ref max_events in

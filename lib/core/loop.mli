@@ -1,30 +1,19 @@
 (** Which event runs next: the discrete-event loop over virtual time.
 
-    Under {!Heap} the {!Engine} min-heap orders every pending event —
-    message deliveries, scheduling slices, timed-wait wakes, collection
+    The {!Engine} min-heap holds every pending event — message
+    deliveries, scheduling slices, timed-wait wakes, collection
     increments, retransmission timers and the fault plan's crash
-    windows — and each popped entry is revalidated (a stale one is
-    rescheduled at its corrected, later time), so events run in exactly
-    the order the seed's O(nodes) rescan would pick.  {!Scan} is that
-    rescan, kept as the heap's reference. *)
-
-type scheduler =
-  | Heap
-  | Scan
-      (** sees only deliveries and scheduling slices: it refuses fault
-          plans, incremental GC, balancers and timed waits *)
+    windows — and pops them by virtual time, then by {!Engine}'s
+    node-major rank.  Each popped entry is revalidated against the node
+    it names; a stale one is rescheduled at its corrected, later time
+    and executes nothing, so no event runs early. *)
 
 exception Thread_unavailable of string
 (** A thread's continuation was lost to a node crash. *)
 
-val require_heap : scheduler -> string -> unit
-(** The one check of {!Scan}'s limits.
-    @raise Invalid_argument naming the feature under {!Scan}. *)
-
 type t
 
 val create :
-  sched:scheduler ->
   engine:Engine.t ->
   net:Enet.Netsim.t ->
   bus:Events.bus ->
@@ -44,7 +33,6 @@ val create :
     scheduling slice makes goes to [outcall].  [results] and [failures]
     are the cluster's finished and lost root threads. *)
 
-val scheduler : t -> scheduler
 val engine : t -> Engine.t
 val events : t -> int
 (** Events executed (stale pops excluded). *)
@@ -56,14 +44,13 @@ val ensure_wake : t -> int -> unit
 (** Queue a wake at the node's earliest timed-wait deadline. *)
 
 val set_balancer : t -> every_us:float -> (unit -> unit) -> unit
-(** Fire [f] every [every_us] of virtual time, between events.
-    @raise Invalid_argument under {!Scan}. *)
+(** Fire [f] every [every_us] of virtual time, between events; the
+    first firing point is [every_us] past the engine's frontier
+    ({!Engine.now}) at the call. *)
 
 val step_once : t -> bool
 (** Run the next event, firing any balancing point due first; [false]
-    when quiescent.
-    @raise Invalid_argument under {!Scan} when nothing is runnable but
-    a live node holds a timed wait. *)
+    when quiescent. *)
 
 val run : ?max_events:int -> t -> unit
 val run_until_result : ?max_events:int -> t -> Ert.Thread.tid -> Ert.Value.t option

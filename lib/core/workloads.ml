@@ -222,19 +222,14 @@ type scaling = {
   sc_virtual_us : float;
   sc_host_seconds : float;
   sc_events_per_sec : float;
-  sc_engine_pops : int;
-  sc_engine_stale : int;
 }
 
 let scaling_archs n_nodes =
   let pool = [| Isa.Arch.sparc; Isa.Arch.sun3; Isa.Arch.hp9000_433; Isa.Arch.vax |] in
   List.init n_nodes (fun i -> pool.(i mod Array.length pool))
 
-let measure_scaling ?(scheduler = Cluster.Heap) ?(quantum = 20) ?faults
-    ~n_nodes ~hops ~spins () =
-  let cl =
-    Cluster.create ~scheduler ~quantum ?faults ~archs:(scaling_archs n_nodes) ()
-  in
+let measure_scaling ?(quantum = 20) ?faults ~n_nodes ~hops ~spins () =
+  let cl = Cluster.create ~quantum ?faults ~archs:(scaling_archs n_nodes) () in
   ignore (Cluster.compile_and_load cl ~name:"scaling" scaling_src);
   let agent = Cluster.create_object cl ~node:0 ~class_name:"Agent" in
   let tid =
@@ -257,7 +252,6 @@ let measure_scaling ?(scheduler = Cluster.Heap) ?(quantum = 20) ?faults
   in
   let dt = Unix.gettimeofday () -. t_start in
   let events = Cluster.events_processed cl in
-  let e = Cluster.engine cl in
   {
     sc_nodes = n_nodes;
     sc_result = r;
@@ -265,8 +259,6 @@ let measure_scaling ?(scheduler = Cluster.Heap) ?(quantum = 20) ?faults
     sc_virtual_us = Cluster.global_time_us cl;
     sc_host_seconds = dt;
     sc_events_per_sec = float_of_int events /. Float.max dt 1e-9;
-    sc_engine_pops = Engine.pops e;
-    sc_engine_stale = Engine.stale_pops e;
   }
 
 (* The eviction workload: [workers] compute-bound threads all spawned on

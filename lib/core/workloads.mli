@@ -69,12 +69,9 @@ type scaling = {
   sc_virtual_us : float;
   sc_host_seconds : float;  (** wall time of the event loop *)
   sc_events_per_sec : float;
-  sc_engine_pops : int;  (** 0 under [Scan] *)
-  sc_engine_stale : int;
 }
 
 val measure_scaling :
-  ?scheduler:Cluster.scheduler ->
   ?quantum:int ->
   ?faults:Fault.Plan.t ->
   n_nodes:int ->
@@ -83,8 +80,7 @@ val measure_scaling :
   unit ->
   scaling
 (** Run the scaling workload on an [n_nodes] cluster and report events
-    per wall-clock second.  Run with both schedulers to compare: the
-    simulation results must be identical, only the wall clock differs. *)
+    per wall-clock second of the event loop. *)
 
 val hotspot_src : string
 (** The eviction workload: compute-bound workers that never move or

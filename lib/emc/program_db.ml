@@ -32,5 +32,4 @@ let assign t ~program ~class_name =
     oid
 
 let lookup t oid = Hashtbl.find_opt t.by_oid oid
-let class_of_oid t oid = Option.map snd (lookup t oid)
 let count t = Hashtbl.length t.by_name

@@ -19,5 +19,4 @@ val assign : t -> program:string -> class_name:string -> int32
 val lookup : t -> int32 -> (string * string) option
 (** [(program, class_name)] registered under an OID. *)
 
-val class_of_oid : t -> int32 -> string option
 val count : t -> int

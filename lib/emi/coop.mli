@@ -19,7 +19,7 @@ val now : t -> float
 (** Virtual time in microseconds; 0 until a timed wait expires. *)
 
 val spawn : t -> (unit -> unit) -> unit
-(** Run a thread inline under the scheduler's handler.  Returns when
+(** Run a thread inline under this module's effect handler.  Returns when
     the thread completes or first waits; a thread that never waits
     therefore runs to completion here, preserving the legacy
     process-at-creation semantics. *)

@@ -180,16 +180,6 @@ let next_arrival_at t ~dst =
   | None -> None
   | Some m -> Some m.msg_arrives_at
 
-let next_arrival_any t =
-  let best = ref None in
-  for dst = 0 to t.n_nodes - 1 do
-    match next_arrival_at t ~dst, !best with
-    | None, _ -> ()
-    | Some a, None -> best := Some a
-    | Some a, Some b -> if a < b then best := Some a
-  done;
-  !best
-
 let receive t ~dst ~now_us =
   match head t ~dst with
   | Some m when m.msg_arrives_at <= now_us ->
@@ -203,10 +193,6 @@ let receive t ~dst ~now_us =
 let pending t =
   Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.queues
   + Array.fold_left (fun acc l -> acc + List.length l) 0 t.delayed
-
-let iter_pending t f =
-  Array.iter (fun q -> Queue.iter f q) t.queues;
-  Array.iter (fun l -> List.iter f l) t.delayed
 
 let messages_sent t = t.messages_sent
 let bytes_sent t = t.bytes_sent

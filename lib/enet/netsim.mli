@@ -94,18 +94,11 @@ val send_view :
 val next_arrival_at : t -> dst:int -> float option
 (** Earliest pending arrival time for a node, if any. *)
 
-val next_arrival_any : t -> float option
-(** Earliest pending arrival time across all nodes. *)
-
 val receive : t -> dst:int -> now_us:float -> message option
 (** Pop the pending message for [dst] with the smallest
     [(arrival, seq)] whose arrival time is at most [now_us]. *)
 
 val pending : t -> int
-
-val iter_pending : t -> (message -> unit) -> unit
-(** Visit every in-flight message (delivery order not guaranteed) — for
-    invariant checkers that need to know what is on the wire. *)
 
 val messages_sent : t -> int
 val bytes_sent : t -> int

@@ -383,5 +383,3 @@ let step cy k ~budget =
         end
   done;
   Option.get !result
-
-let cycle_phase cy = cy.cphase

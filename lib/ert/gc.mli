@@ -88,8 +88,6 @@ val grey_addr : cycle -> Kernel.t -> int -> unit
 (** Grey one block address (no-op for addresses outside the snapshot or
     already marked). *)
 
-val cycle_phase : cycle -> phase
-
 val segment_roots : Kernel.t -> Thread.segment -> int list
 (** The block addresses a suspended segment keeps live (frame slots via
     the bus-stop templates, suspension values, monitor-waiter state, or

@@ -4,18 +4,16 @@ type t = {
   mutable brk : int;
   free_lists : (int, int list ref) Hashtbl.t;  (* size -> addresses *)
   mutable live_bytes : int;
-  mutable allocations : int;
 }
 
 let create ~mem ~start =
   { mem; heap_start = start; brk = start; free_lists = Hashtbl.create 16;
-    live_bytes = 0; allocations = 0 }
+    live_bytes = 0 }
 
 let align n = (n + 3) land lnot 3
 
 let alloc t n =
   let n = align (max n 4) in
-  t.allocations <- t.allocations + 1;
   t.live_bytes <- t.live_bytes + n;
   match Hashtbl.find_opt t.free_lists n with
   | Some ({ contents = addr :: rest } as l) ->
@@ -39,4 +37,3 @@ let free t ~addr ~size =
 let brk t = t.brk
 let start t = t.heap_start
 let live_bytes t = t.live_bytes
-let allocations t = t.allocations

@@ -21,4 +21,3 @@ val brk : t -> int
 
 val start : t -> int
 val live_bytes : t -> int
-val allocations : t -> int

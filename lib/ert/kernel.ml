@@ -86,15 +86,13 @@ type t = {
   root_results : (Thread.tid, Value.t option) Hashtbl.t;
   blocks : (int, int * block_kind) Hashtbl.t;  (* heap blocks the GC may sweep *)
   out : Buffer.t;
-  mutable echo : bool;
   kclock : Sim.Clock.t;  (* node-local virtual time *)
   mutable oid_serial : int;
   mutable tid_serial : int;
   mutable seg_serial : int;
   mutable insns : int;
-  mutable cycles : int;
   mutable syscalls : int;
-  mutable on_code_load : (class_index:int -> unit) option;
+  mutable on_code_load : (unit -> unit) option;
   mutable on_root_result : (thread:Thread.tid -> Value.t option -> unit) option;
   mutable on_ref_graft : (int -> unit) option;
       (* incremental-GC graft hook: called with every block address that
@@ -156,13 +154,11 @@ let create ?clock ~node_id ~arch () =
     root_results = Hashtbl.create 8;
     blocks = Hashtbl.create 64;
     out = Buffer.create 256;
-    echo = false;
     kclock;
     oid_serial = 0;
     tid_serial = 0;
     seg_serial = 0;
     insns = 0;
-    cycles = 0;
     syscalls = 0;
     on_code_load = None;
     on_root_result = None;
@@ -197,20 +193,14 @@ let credit_us t us =
   clk.Sim.Clock.now <- Float.max 0.0 (clk.Sim.Clock.now -. us)
 
 let charge_cycles t c =
-  t.cycles <- t.cycles + c;
   let clk = t.kclock in
   clk.Sim.Clock.now <- clk.Sim.Clock.now +. (float_of_int c *. t.k_us_per_cycle)
 
 let insns_executed t = t.insns
-let cycles_executed t = t.cycles
 let syscalls_handled t = t.syscalls
 let output t = Buffer.contents t.out
-let clear_output t = Buffer.clear t.out
-let set_echo t v = t.echo <- v
 
-let print_string_out t s =
-  Buffer.add_string t.out s;
-  if t.echo then print_string s
+let print_string_out t s = Buffer.add_string t.out s
 
 (* Program and code management ------------------------------------------- *)
 
@@ -333,11 +323,10 @@ let loaded_class t class_index =
     in
     Hashtbl.replace t.loaded class_index lc;
     (match t.on_code_load with
-    | Some f -> f ~class_index
+    | Some f -> f ()
     | None -> ());
     lc
 
-let class_loaded t class_index = Hashtbl.mem t.loaded class_index
 let set_on_code_load t f = t.on_code_load <- Some f
 let set_on_root_result t f = t.on_root_result <- Some f
 let set_quantum t q = t.quantum <- q
@@ -480,10 +469,7 @@ let evict_object t ~addr ~forward_to =
   Oid_table.replace t.proxies oid addr
 
 let objects t = Oid_table.fold (fun oid addr acc -> (oid, addr) :: acc) t.objects []
-let resident_count t = Oid_table.length t.objects
-let proxy_count t = Oid_table.length t.proxies
 let iter_objects t f = Oid_table.iter f t.objects
-let iter_proxies t f = Oid_table.iter f t.proxies
 
 let iter_blocks t f = Hashtbl.iter (fun addr (size, kind) -> f ~addr ~size ~kind) t.blocks
 

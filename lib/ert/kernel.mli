@@ -111,14 +111,10 @@ val credit_us : t -> float -> unit
     continued execution. *)
 
 val insns_executed : t -> int
-val cycles_executed : t -> int
 val syscalls_handled : t -> int
 
 (* console *)
 val output : t -> string
-val clear_output : t -> unit
-val set_echo : t -> bool -> unit
-(** Also print to the real stdout (for the example programs). *)
 
 (* program and code management *)
 val load_program : t -> Emc.Compile.program -> unit
@@ -126,8 +122,6 @@ val program : t -> Emc.Compile.program
 val loaded_class : t -> int -> loaded_class
 (** Loads (code object fetch, descriptor table and string-literal
     construction) on first use. *)
-
-val class_loaded : t -> int -> bool
 
 (* objects *)
 val create_object : t -> class_index:int -> int
@@ -153,19 +147,9 @@ val evict_object : t -> addr:int -> forward_to:int -> unit
 
 val objects : t -> (Oid.t * int) list
 
-val resident_count : t -> int
-(** Number of resident objects (dense object-table length). *)
-
-val proxy_count : t -> int
-(** Number of forwarding proxies on this node. *)
-
 val iter_objects : t -> (Oid.t -> int -> unit) -> unit
 (** Iterate the resident objects without building the assoc list; dense
     slot order (deterministic in the operation sequence). *)
-
-val iter_proxies : t -> (Oid.t -> int -> unit) -> unit
-(** Iterate the forwarding proxies (OID, descriptor address) — the
-    location directory's crash-rebuild walks these. *)
 
 val iter_blocks : t -> (addr:int -> size:int -> kind:block_kind -> unit) -> unit
 
@@ -322,7 +306,7 @@ val expire_timeouts : t -> now:float -> int
     once, otherwise it lines up on the entry queue like a signalled
     waiter.  Returns the number of waits expired. *)
 
-val set_on_code_load : t -> (class_index:int -> unit) -> unit
+val set_on_code_load : t -> (unit -> unit) -> unit
 (** Called on each first-time code-object load (for repository fetch
     accounting). *)
 
@@ -398,7 +382,7 @@ val evictions_armed : t -> int
 (** Eviction traps currently armed and waiting for a bus stop. *)
 
 val ready_depth : t -> int
-(** Current scheduler run-queue depth. *)
+(** Current run-queue depth. *)
 
 val peak_ready_depth : t -> int
 (** High-water mark of the run-queue depth. *)

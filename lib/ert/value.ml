@@ -33,15 +33,6 @@ let rec pp ppf = function
       (Array.to_seq xs)
   | Vnil -> Format.pp_print_string ppf "nil"
 
-let type_name = function
-  | Vint _ -> "int"
-  | Vreal _ -> "real"
-  | Vbool _ -> "bool"
-  | Vstr _ -> "string"
-  | Vref _ -> "ref"
-  | Vvec _ -> "vector"
-  | Vnil -> "nil"
-
 let tag_int = 1
 let tag_real = 2
 let tag_bool = 3

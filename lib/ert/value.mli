@@ -17,7 +17,6 @@ type t =
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val type_name : t -> string
 
 val write : Enet.Wire.Writer.t -> t -> unit
 (** Tagged network-format encoding. *)

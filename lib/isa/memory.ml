@@ -37,10 +37,6 @@ let load8 t addr =
   check t addr 1;
   Char.code (Bytes.unsafe_get t.data addr)
 
-let store8 t addr v =
-  check t addr 1;
-  Bytes.unsafe_set t.data addr (Char.unsafe_chr (v land 0xFF))
-
 let load32 t addr =
   check t addr 4;
   let b i = Char.code (Bytes.unsafe_get t.data (addr + i)) in
@@ -90,17 +86,6 @@ let load32_bits t addr =
 let store32_bits t addr v =
   check t addr 4;
   unsafe_store32_bits t addr v
-
-let load16 t addr =
-  check t addr 2;
-  let b i = Char.code (Bytes.unsafe_get t.data (addr + i)) in
-  Endian.int16_of_bytes t.endian (b 0) (b 1)
-
-let store16 t addr v =
-  check t addr 2;
-  let b0, b1 = Endian.bytes_of_int16 t.endian v in
-  Bytes.unsafe_set t.data addr (Char.unsafe_chr b0);
-  Bytes.unsafe_set t.data (addr + 1) (Char.unsafe_chr b1)
 
 let blit_string t addr s =
   check t addr (String.length s);

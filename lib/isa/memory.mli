@@ -45,10 +45,7 @@ val store32_bits : t -> int -> int -> unit
 val unsafe_load32_bits : t -> int -> int
 
 val unsafe_store32_bits : t -> int -> int -> unit
-val load16 : t -> int -> int
-val store16 : t -> int -> int -> unit
 val load8 : t -> int -> int
-val store8 : t -> int -> int -> unit
 val blit_string : t -> int -> string -> unit
 val read_string : t -> int -> int -> string
 val blit_within : t -> src:int -> dst:int -> len:int -> unit

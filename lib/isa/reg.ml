@@ -15,31 +15,15 @@ let fp = function
   | Arch.M68k -> 14 (* A6 *)
   | Arch.Sparc -> 30 (* %i6 *)
 
-let arg_pointer = function
-  | Arch.Vax -> Some 12
-  | Arch.M68k | Arch.Sparc -> None
-
 let retval = function
   | Arch.Vax -> 0
   | Arch.M68k -> 0 (* D0 *)
   | Arch.Sparc -> 24 (* %i0 *)
 
-let return_address = function
-  | Arch.Vax | Arch.M68k -> None
-  | Arch.Sparc -> Some 15 (* %o7 *)
-
 let scratch = function
   | Arch.Vax -> [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11 ]
   | Arch.M68k -> [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12; 13 ]
   | Arch.Sparc -> [ 16; 17; 18; 19; 20; 21; 22; 23; 1; 2; 3; 4; 5 ]
-
-let out_args = function
-  | Arch.Vax | Arch.M68k -> []
-  | Arch.Sparc -> [ 8; 9; 10; 11; 12; 13 ]
-
-let in_args = function
-  | Arch.Vax | Arch.M68k -> []
-  | Arch.Sparc -> [ 24; 25; 26; 27; 28; 29 ]
 
 let name family r =
   match family with

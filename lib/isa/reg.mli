@@ -25,27 +25,13 @@ val sp : Arch.family -> t
 val fp : Arch.family -> t
 (** Frame pointer (VAX FP, M68k A6, SPARC %i6). *)
 
-val arg_pointer : Arch.family -> t option
-(** VAX argument pointer AP; [None] elsewhere. *)
-
 val retval : Arch.family -> t
 (** Register carrying an operation result back to the caller (VAX R0,
     M68k D0, SPARC %i0 seen as %o0 after RESTORE). *)
 
-val return_address : Arch.family -> t option
-(** SPARC %o7; VAX and M68k push the return address on the stack. *)
-
 val scratch : Arch.family -> t list
 (** Registers the code generator may use for expression temporaries
     between bus stops, in allocation order. *)
-
-val out_args : Arch.family -> t list
-(** Registers used to pass the first arguments (SPARC %o0..%o5);
-    empty for the stack-based families. *)
-
-val in_args : Arch.family -> t list
-(** Where the callee sees the register arguments after the prologue
-    (SPARC %i0..%i5); empty elsewhere. *)
 
 val name : Arch.family -> t -> string
 val pp : Arch.family -> Format.formatter -> t -> unit

@@ -1,5 +1,5 @@
-(* The one suspension type shared by the virtual CPU, the kernel
-   scheduler and the machine-independent wire format.  See suspend.mli
+(* The one suspension type shared by the virtual CPU, the kernel's
+   run queue and the machine-independent wire format.  See suspend.mli
    for the invariant table. *)
 
 type trap =

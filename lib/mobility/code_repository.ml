@@ -1,9 +1,9 @@
-(* Fetch accounting is kept per node (not one shared list), in an array
-   sized once at creation: the cluster knows its node count. *)
+(* Fetch accounting is kept per node, in an array sized once at
+   creation: the cluster knows its node count. *)
 type t = {
-  fetches : int list array;  (* per node, fetched class indexes, newest first *)
+  fetches : int array;  (* per node, code objects fetched *)
   dispatch : Isa.Dispatch.cache array;
-      (* per node, like the fetch lists: each node's kernel translates
+      (* per node, like the fetch counts: each node's kernel translates
          into its own cache.  Living here (not in the kernel) keeps
          translations across a node restart — the engine's
          memory-identity check voids the stale ones. *)
@@ -19,21 +19,17 @@ let create ?(n_nodes = 64) () =
   if n_nodes < 1 || n_nodes > Ert.Oid.max_nodes then
     invalid_arg "Code_repository.create: node count out of range";
   {
-    fetches = Array.make n_nodes [];
+    fetches = Array.make n_nodes 0;
     dispatch = Array.init n_nodes (fun _ -> Isa.Dispatch.create_cache ());
     bridges = Array.init n_nodes (fun _ -> Ert.Bridge.create ());
   }
 
-let record_fetch t ~node ~class_index =
+let record_fetch t ~node =
   if node < 0 || node >= Array.length t.fetches then
     invalid_arg "Code_repository.record_fetch: node id out of range";
-  t.fetches.(node) <- class_index :: t.fetches.(node)
+  t.fetches.(node) <- t.fetches.(node) + 1
 
-let total_fetches t =
-  Array.fold_left (fun acc l -> acc + List.length l) 0 t.fetches
-
-let fetches_by_node t node = List.length t.fetches.(node)
-let fetched_classes t ~node = List.rev t.fetches.(node)
+let fetches_by_node t node = t.fetches.(node)
 
 let dispatch_cache t ~node =
   if node < 0 || node >= Array.length t.dispatch then

@@ -13,10 +13,8 @@ val create : ?n_nodes:int -> unit -> t
 (** [n_nodes] (default 64) sizes the per-node fetch accounting, fixed
     at creation.  Capped by {!Ert.Oid.max_nodes}. *)
 
-val record_fetch : t -> node:int -> class_index:int -> unit
-val total_fetches : t -> int
+val record_fetch : t -> node:int -> unit
 val fetches_by_node : t -> int -> int
-val fetched_classes : t -> node:int -> int list
 
 val dispatch_cache : t -> node:int -> Isa.Dispatch.cache
 (** The node's translated-code cache for the threaded-dispatch engine,

@@ -200,16 +200,3 @@ let read_segment r =
   { ms_seg_id; ms_thread; ms_status; ms_frames; ms_link; ms_result_type; ms_spawn }
 
 let frame_count s = List.length s.ms_frames
-
-let pp_segment ppf s =
-  Format.fprintf ppf "segment %d (thread %d), %d frame(s)%s@." s.ms_seg_id s.ms_thread
-    (List.length s.ms_frames)
-    (match s.ms_spawn with
-    | Some _ -> " [unstarted spawn]"
-    | None -> "");
-  List.iter
-    (fun f ->
-      Format.fprintf ppf "  frame: class %d method %d at stop %d, self %s, %d slot(s)@."
-        f.mf_class f.mf_method f.mf_stop (Ert.Oid.to_string f.mf_self)
-        (Array.length f.mf_slots))
-    s.ms_frames

@@ -57,4 +57,3 @@ type mi_segment = {
 val write_segment : Enet.Wire.Writer.t -> mi_segment -> unit
 val read_segment : Enet.Wire.Reader.t -> mi_segment
 val frame_count : mi_segment -> int
-val pp_segment : Format.formatter -> mi_segment -> unit

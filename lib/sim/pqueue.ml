@@ -19,13 +19,6 @@ let create () =
 let length t = t.size
 let is_empty t = t.size = 0
 
-let clear t =
-  t.times <- [||];
-  t.ranks <- [||];
-  t.seqs <- [||];
-  t.items <- [||];
-  t.size <- 0
-
 (* entry i orders before entry j: time, then rank, then insertion order *)
 let lt t i j =
   t.times.(i) < t.times.(j)
@@ -79,8 +72,6 @@ let push t ~time ~rank item =
     i := (!i - 1) / 2
   done
 
-let peek t = if t.size = 0 then None else Some (t.times.(0), t.items.(0))
-
 let sift_down t =
   let i = ref 0 in
   let sifting = ref true in
@@ -113,11 +104,4 @@ let take_min t =
       sift_down t
     end;
     top
-  end
-
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let time = t.times.(0) in
-    Some (time, take_min t)
   end

@@ -7,7 +7,7 @@
     simulation driven off this queue is deterministic regardless of
     insertion timing.
 
-    [push] and [pop] are O(log n); [peek] is O(1). *)
+    [push] and [take_min] are O(log n); [min_time] is O(1). *)
 
 type 'a t
 
@@ -17,14 +17,8 @@ val push : 'a t -> time:float -> rank:int -> 'a -> unit
 (** Insert an item at the given virtual time.  Lower [rank] wins among
     entries with equal time; insertion order breaks remaining ties. *)
 
-val pop : 'a t -> (float * 'a) option
-(** Remove and return the minimum entry. *)
-
-val peek : 'a t -> (float * 'a) option
-
 val min_time : 'a t -> float
-(** Time of the minimum entry, without the option/tuple wrapping of
-    {!peek} — for hot loops that have already checked {!is_empty}.
+(** Time of the minimum entry; check {!is_empty} first.
     @raise Invalid_argument on an empty queue. *)
 
 val take_min : 'a t -> 'a
@@ -34,5 +28,3 @@ val take_min : 'a t -> 'a
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool
-
-val clear : 'a t -> unit

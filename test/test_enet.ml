@@ -203,16 +203,24 @@ let test_writer_free_rejects_use () =
 (* Netsim ------------------------------------------------------------------ *)
 
 let test_netsim_latency () =
-  let net = Enet.Netsim.create ~n_nodes:3 () in
-  let cfg = Enet.Netsim.config net in
-  let arrival = Enet.Netsim.send net ~now_us:1000.0 ~src:0 ~dst:1 ~payload:"hello" in
-  let wire_bytes = 5 + cfg.Enet.Netsim.frame_overhead_bytes in
-  let expect =
-    1000.0
-    +. (float_of_int (wire_bytes * 8) /. cfg.Enet.Netsim.bandwidth_mbit_s)
-    +. cfg.Enet.Netsim.latency_us
+  (* the default Ethernet, and a much slower 1 Mbit/s link with 5 ms of
+     latency: both arrive exactly when the formula says *)
+  let slow =
+    { Enet.Netsim.latency_us = 5000.0; bandwidth_mbit_s = 1.0; frame_overhead_bytes = 58 }
   in
-  check (Alcotest.float 0.001) "arrival time" expect arrival
+  List.iter
+    (fun (name, config) ->
+      let net = Enet.Netsim.create ?config ~n_nodes:3 () in
+      let cfg = Enet.Netsim.config net in
+      let arrival = Enet.Netsim.send net ~now_us:1000.0 ~src:0 ~dst:1 ~payload:"hello" in
+      let wire_bytes = 5 + cfg.Enet.Netsim.frame_overhead_bytes in
+      let expect =
+        1000.0
+        +. (float_of_int (wire_bytes * 8) /. cfg.Enet.Netsim.bandwidth_mbit_s)
+        +. cfg.Enet.Netsim.latency_us
+      in
+      check (Alcotest.float 0.001) (name ^ ": arrival time") expect arrival)
+    [ ("default", None); ("1 Mbit/s, 5 ms", Some slow) ]
 
 let test_netsim_fifo () =
   let net = Enet.Netsim.create ~n_nodes:2 () in

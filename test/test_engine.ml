@@ -1,9 +1,7 @@
-(* The discrete-event engine: run-to-run determinism, heap/scan
-   equivalence (the heap must replay the seed's scan order exactly), the
-   (time, rank) total order on colliding timestamps, the engine's
-   instrumentation counters, runs pinned to the values the sharded
-   engine's last release recorded for them, and the scan refusing what
-   it cannot run. *)
+(* The discrete-event engine: run-to-run determinism, the (time, rank)
+   total order on colliding timestamps, the engine's instrumentation
+   counters, runs pinned to values recorded before the sharded engine
+   and the seed's rescan were deleted, and balancing points. *)
 
 module A = Isa.Arch
 module V = Ert.Value
@@ -23,15 +21,11 @@ type capture = {
   cap_log : string;  (** every bus event rendered, in order *)
 }
 
-(* run the ring-touring workload, recording the full event sequence *)
-let run_tour ?quantum ~scheduler ~n_nodes ~hops ~spins () =
-  let cl = C.create ~scheduler ?quantum ~archs:(archs n_nodes) () in
+(* spawn the ring-touring workload without running it *)
+let start_tour ?quantum ~n_nodes ~hops ~spins () =
+  let cl = C.create ?quantum ~archs:(archs n_nodes) () in
   ignore (C.compile_and_load cl ~name:"tour" W.scaling_src);
   let agent = C.create_object cl ~node:0 ~class_name:"Agent" in
-  let log = Buffer.create 4096 in
-  C.subscribe_events cl (fun ev ->
-      Buffer.add_string log (Core.Events.to_string ev);
-      Buffer.add_char log '\n');
   let tid =
     C.spawn cl ~node:0 ~target:agent ~op:"tour"
       ~args:
@@ -41,6 +35,15 @@ let run_tour ?quantum ~scheduler ~n_nodes ~hops ~spins () =
           V.Vint (Int32.of_int spins);
         ]
   in
+  (cl, tid)
+
+(* run the ring-touring workload, recording the full event sequence *)
+let run_tour ?quantum ~n_nodes ~hops ~spins () =
+  let cl, tid = start_tour ?quantum ~n_nodes ~hops ~spins () in
+  let log = Buffer.create 4096 in
+  C.subscribe_events cl (fun ev ->
+      Buffer.add_string log (Core.Events.to_string ev);
+      Buffer.add_char log '\n');
   let result =
     match C.run_until_result cl tid with
     | Some (V.Vint v) -> Int32.to_int v
@@ -65,7 +68,7 @@ let same_capture name a b =
 
 let test_repeat_identical () =
   (* same workload twice, Emerald bus-stop discipline: bit-identical *)
-  let go () = snd (run_tour ~scheduler:C.Heap ~n_nodes:4 ~hops:8 ~spins:40 ()) in
+  let go () = snd (run_tour ~n_nodes:4 ~hops:8 ~spins:40 ()) in
   let a = go () and b = go () in
   same_capture "bus-stop" a b;
   check Alcotest.int "result value" (expected_acc ~hops:8 ~spins:40) a.cap_result
@@ -73,43 +76,23 @@ let test_repeat_identical () =
 let test_repeat_identical_preemptive () =
   (* same, under a tiny preemptive quantum: far more events, still
      bit-identical *)
-  let go () =
-    snd (run_tour ~quantum:2 ~scheduler:C.Heap ~n_nodes:4 ~hops:8 ~spins:40 ())
-  in
+  let go () = snd (run_tour ~quantum:2 ~n_nodes:4 ~hops:8 ~spins:40 ()) in
   let a = go () and b = go () in
   same_capture "quantum=2" a b
 
-let test_heap_replays_scan () =
-  (* the acceptance bar: at 4 nodes the heap scheduler must reproduce the
-     seed scan's event sequence, times and result exactly *)
-  let go scheduler =
-    snd (run_tour ~quantum:2 ~scheduler ~n_nodes:4 ~hops:8 ~spins:40 ())
-  in
-  let scan = go C.Scan and heap = go C.Heap in
-  same_capture "scan vs heap" scan heap
-
 let test_engine_counters () =
-  let heap_cl, heap =
-    run_tour ~quantum:2 ~scheduler:C.Heap ~n_nodes:4 ~hops:8 ~spins:40 ()
-  in
-  let scan_cl, _ =
-    run_tour ~quantum:2 ~scheduler:C.Scan ~n_nodes:4 ~hops:8 ~spins:40 ()
-  in
-  let e = C.engine heap_cl in
-  if Core.Engine.pops e = 0 then
-    Alcotest.fail "heap mode must pop events from the engine, not scan";
-  if Core.Engine.pops e - Core.Engine.stale_pops e < heap.cap_events then
-    Alcotest.failf "executed events (%d) exceed non-stale pops (%d)"
-      heap.cap_events
+  let cl, tour = run_tour ~quantum:2 ~n_nodes:4 ~hops:8 ~spins:40 () in
+  let e = C.engine cl in
+  if Core.Engine.pops e = 0 then Alcotest.fail "the loop must pop events from the engine";
+  if Core.Engine.pops e - Core.Engine.stale_pops e < tour.cap_events then
+    Alcotest.failf "executed events (%d) exceed non-stale pops (%d)" tour.cap_events
       (Core.Engine.pops e - Core.Engine.stale_pops e);
-  check Alcotest.int "scan mode never touches the engine" 0
-    (Core.Engine.pops (C.engine scan_cl) + Core.Engine.pushes (C.engine scan_cl));
-  check Alcotest.int "heap drains its queue" 0 (Core.Engine.pending e)
+  check Alcotest.int "the heap drains its queue" 0 (Core.Engine.pending e)
 
 let test_large_cluster_smoke () =
   (* migration-heavy run across 64 heterogeneous nodes: must terminate
      within a bounded event budget with the right answer *)
-  let _, cap = run_tour ~quantum:2 ~scheduler:C.Heap ~n_nodes:64 ~hops:64 ~spins:5 () in
+  let _, cap = run_tour ~quantum:2 ~n_nodes:64 ~hops:64 ~spins:5 () in
   check Alcotest.int "64-node tour result" (expected_acc ~hops:64 ~spins:5)
     cap.cap_result;
   if cap.cap_events > 200_000 then
@@ -189,12 +172,31 @@ let test_pinned_ring_tour_counters () =
     (untraced ^ ", counters " ^ counters)
 
 let test_pinned_quantum_tour () =
-  let _, tour = run_tour ~quantum:2 ~scheduler:C.Heap ~n_nodes:4 ~hops:8 ~spins:40 () in
+  let _, tour = run_tour ~quantum:2 ~n_nodes:4 ~hops:8 ~spins:40 () in
   check Alcotest.string "single-agent tour, quantum 2"
     "result 160, events 4594, time 376490.90080938576, \
      trace a969c71b55068440d0b121094741f59e"
     (Printf.sprintf "result %d, events %d, time %.17g, trace %s" tour.cap_result
        tour.cap_events tour.cap_time (Pinned.digest tour.cap_log))
+
+(* The scaling benchmark's tour at every size it runs, pinned to the
+   values the heap and the seed's O(nodes) rescan both produced before
+   the rescan was deleted. *)
+let test_pinned_scaling () =
+  let row n =
+    let s = W.measure_scaling ~quantum:2 ~n_nodes:n ~hops:48 ~spins:800 () in
+    Printf.sprintf "%d: result %d, events %d, time %.17g" n s.W.sc_result s.W.sc_events
+      s.W.sc_virtual_us
+  in
+  check
+    Alcotest.(list string)
+    "scaling tour at 4-64 nodes"
+    [ "4: result 19200, events 529074, time 2624904.8458002903";
+      "8: result 19200, events 529074, time 2657169.8030641861";
+      "16: result 19200, events 529074, time 2721699.7175942678";
+      "32: result 19200, events 529076, time 2878377.2799880845";
+      "64: result 19200, events 529076, time 3012437.109047913" ]
+    (List.map row [ 4; 8; 16; 32; 64 ])
 
 let test_pinned_table1 () =
   let rt = W.measure_roundtrip ~home:A.sparc ~dest:A.sun3 ~iters:4 () in
@@ -203,41 +205,39 @@ let test_pinned_table1 () =
     (Printf.sprintf "%.17g us/trip, %d bytes, %d messages" rt.W.rt_us_per_trip
        rt.W.rt_bytes_sent rt.W.rt_messages)
 
-(* The scan sees message deliveries and scheduling slices only.  Under
-   it a balancer would never fire and a timed wait would never expire,
-   so it refuses both instead of returning a quiet wrong answer. *)
-let test_scan_refuses_balancer () =
-  let cl = C.create ~scheduler:C.Scan ~archs:(archs 2) () in
-  match C.set_balancer cl ~every_us:400.0 (fun () -> ()) with
-  | () -> Alcotest.fail "Scan accepted a balancer it never fires"
-  | exception Invalid_argument _ -> ()
-
-let napper_src =
-  {|
-object Napper
-  condition never
-  monitor operation nap[us : int] -> [r : int]
-    var t0 : int <- timenow
-    wait never timeout us
-    r <- timenow - t0
-  end nap
-end Napper
-|}
-
-let test_scan_refuses_timed_wait () =
-  let cl = C.create ~scheduler:C.Scan ~archs:[ A.sparc ] () in
-  ignore (C.compile_and_load cl ~name:"nap" napper_src);
-  let napper = C.create_object cl ~node:0 ~class_name:"Napper" in
-  ignore (C.spawn cl ~node:0 ~target:napper ~op:"nap" ~args:[ V.Vint 500l ]);
-  match C.run cl with
-  | () -> Alcotest.fail "Scan went quiescent with a timed wait pending"
-  | exception Invalid_argument msg ->
-    let says = "timed wait" in
-    let rec mentions i =
-      i + String.length says <= String.length msg
-      && (String.sub msg i (String.length says) = says || mentions (i + 1))
-    in
-    if not (mentions 0) then Alcotest.failf "the error does not name the cause: %s" msg
+(* A balancer installed mid-run: its first firing point is one period
+   past the frontier at the install, and each later one a period past
+   the last.  The hook sees the frontier (the last event that ran before
+   the firing point) and the earliest pending event (the first that runs
+   after it), and firing k must fall between the two. *)
+let test_balancer_installed_mid_run () =
+  let every = 400.0 in
+  let cl, tid = start_tour ~quantum:2 ~n_nodes:2 ~hops:8 ~spins:40 () in
+  let e = C.engine cl in
+  for _ = 1 to 2000 do
+    if not (C.step_once cl) then Alcotest.fail "the tour ended before the install"
+  done;
+  let t0 = Core.Engine.now e in
+  if t0 < 10.0 *. every then Alcotest.failf "install at %.1f us is not mid-run" t0;
+  let firings = ref [] in
+  C.set_balancer cl ~every_us:every (fun () ->
+      let next = Option.value (Core.Engine.peek e) ~default:infinity in
+      firings := (Core.Engine.now e, next) :: !firings);
+  ignore (C.step_once cl);
+  check Alcotest.int "no firing on the step after the install" 0 (List.length !firings);
+  (match C.run_until_result cl tid with
+  | Some (V.Vint v) ->
+    check Alcotest.int "tour result" (expected_acc ~hops:8 ~spins:40) (Int32.to_int v)
+  | _ -> Alcotest.fail "tour did not return an int");
+  let firings = List.rev !firings in
+  if List.length firings < 2 then Alcotest.fail "the balancer did not fire after the install";
+  List.iteri
+    (fun i (frontier, next) ->
+      let point = t0 +. (float_of_int (i + 1) *. every) in
+      if not (frontier < point && point <= next) then
+        Alcotest.failf "firing %d: point %.3f us outside (%.3f, %.3f]" (i + 1) point
+          frontier next)
+    firings
 
 let suites =
   [
@@ -253,18 +253,17 @@ let suites =
           test_pinned_quantum_tour;
         Alcotest.test_case "SPARC to Sun-3 round trip pinned" `Quick
           test_pinned_table1;
+        Alcotest.test_case "scaling tour pinned, 4-64 nodes" `Quick
+          test_pinned_scaling;
         Alcotest.test_case "same workload twice is bit-identical" `Quick
           test_repeat_identical;
         Alcotest.test_case "identical under quantum preemption" `Quick
           test_repeat_identical_preemptive;
-        Alcotest.test_case "heap replays the scan exactly (4 nodes)" `Quick
-          test_heap_replays_scan;
         Alcotest.test_case "engine counters account for every event" `Quick
           test_engine_counters;
         Alcotest.test_case "64-node migration-heavy smoke" `Quick
           test_large_cluster_smoke;
-        Alcotest.test_case "Scan refuses a balancer" `Quick test_scan_refuses_balancer;
-        Alcotest.test_case "Scan refuses a timed wait" `Quick
-          test_scan_refuses_timed_wait;
+        Alcotest.test_case "a balancer installed mid-run fires a period later" `Quick
+          test_balancer_installed_mid_run;
       ] );
   ]

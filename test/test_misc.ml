@@ -99,32 +99,6 @@ let test_heap_reuse () =
   if c = b then Alcotest.fail "live block must not be reused";
   check Alcotest.bool "zeroed on reuse" true (Isa.Memory.load32 mem b = 0l)
 
-(* Network configuration -------------------------------------------------------- *)
-
-let test_custom_network_config () =
-  (* a much slower network makes the same workload proportionally slower *)
-  let slow =
-    {
-      Enet.Netsim.latency_us = 5000.0;
-      bandwidth_mbit_s = 1.0;
-      frame_overhead_bytes = 58;
-    }
-  in
-  let run config =
-    let cl = Core.Cluster.create ?net_config:config ~archs:[ A.sparc; A.sparc ] () in
-    ignore (Core.Cluster.compile_and_load cl ~name:"net" Core.Workloads.table1_src);
-    let a = Core.Cluster.create_object cl ~node:0 ~class_name:"Agent" in
-    let t =
-      Core.Cluster.spawn cl ~node:0 ~target:a ~op:"trip" ~args:[ V.Vint 1l; V.Vint 2l ]
-    in
-    match Core.Cluster.run_until_result cl t with
-    | Some (V.Vint v) -> Int32.to_float v
-    | _ -> Alcotest.fail "no timing"
-  in
-  let fast_t = run None in
-  let slow_t = run (Some slow) in
-  if slow_t <= fast_t then Alcotest.fail "a slower network must cost more"
-
 (* Disassembler smoke over everything ------------------------------------------- *)
 
 let test_disasm_all () =
@@ -179,7 +153,6 @@ let suites =
         Alcotest.test_case "monitor FIFO fairness" `Quick test_monitor_fifo;
         Alcotest.test_case "string edge cases" `Quick test_string_edges;
         Alcotest.test_case "heap block reuse" `Quick test_heap_reuse;
-        Alcotest.test_case "custom network config" `Quick test_custom_network_config;
         Alcotest.test_case "disassembler covers all code" `Quick test_disasm_all;
         Alcotest.test_case "oid spaces" `Quick test_oid_spaces;
         Alcotest.test_case "conversion stats" `Quick test_conversion_stats;

@@ -117,7 +117,7 @@ let pair_name archs = String.concat "<->" (List.map (fun a -> a.A.id) archs)
 
 let test_migration_under_preemption () =
   (* a second thread keeps the node busy so the agent is routinely parked
-     mid-computation when the scheduler rotates; migration must still see
+     mid-computation when its quantum expires; migration must still see
      well-defined states *)
   let expected =
     let acc = ref 0 in
