@@ -54,7 +54,7 @@ let write_json path =
     (jobj
        [
          ("schema", jstr "emobility-bench/1");
-         ("rows", "[" ^ String.concat "," (List.rev !json_rows) ^ "]");
+         ("rows", "[\n" ^ String.concat ",\n" (List.rev !json_rows) ^ "\n]");
        ]);
   output_string oc "\n";
   close_out oc
@@ -185,11 +185,10 @@ let run_conversion () =
   pf "naive conversion routines (1-2 procedure calls per byte) and guesses\n";
   pf "that efficient routines would cut the penalty by about 50%%.\n";
   pf "Two wire tiers over one codec: naive (per-byte calls) and plan\n";
-  pf "(one call per datum).  'host' columns are simulator wall time.\n";
+  pf "(one call per datum).\n";
   hr ();
   let pairs = [ ("SPARC<->SPARC", A.sparc, A.sparc); ("VAX<->VAX", A.vax, A.vax) ] in
-  pf "%-14s %8s %9s %9s %5s %8s %8s\n" "Systems" "Original" "naive" "plan" "cut"
-    "host(n)" "host(p)";
+  pf "%-14s %8s %9s %9s %5s\n" "Systems" "Original" "naive" "plan" "cut";
   hr ();
   let measure ?protocol ?wire_impl home dest =
     W.measure_roundtrip ?protocol ?wire_impl ~home ~dest ~iters:3 ()
@@ -208,13 +207,9 @@ let run_conversion () =
           ("naive_ms", jnum (ms naive));
           ("plan_ms", jnum (ms plan));
           ("penalty_cut_pct", jnum cut);
-          ("naive_host_s", jnum naive.W.rt_host_seconds);
-          ("plan_host_s", jnum plan.W.rt_host_seconds);
         ];
-      pf "%-14s %5.0f ms %6.0f ms %6.0f ms %4.0f%% %6.1f ms %6.1f ms\n" name (ms orig)
-        (ms naive) (ms plan) cut
-        (naive.W.rt_host_seconds *. 1000.0)
-        (plan.W.rt_host_seconds *. 1000.0))
+      pf "%-14s %5.0f ms %6.0f ms %6.0f ms %4.0f%%\n" name (ms orig) (ms naive) (ms plan)
+        cut)
     pairs;
   hr ();
   pf "(the paper's guess: about 50%%)\n\n"
@@ -263,9 +258,9 @@ let run_ablation () =
   hr ();
   pf "%-16s %12s %12s %14s %14s\n" "Architecture" "bytes -O0" "bytes -O1" "time -O0" "time -O1";
   hr ();
-  let code_bytes arch optimize =
+  let code_bytes arch level =
     let prog =
-      Emc.Compile.compile_exn ~optimize ~name:"abl" ~archs:[ arch ] W.intranode_src
+      Emc.Compile.compile_exn ~levels:[ level ] ~name:"abl" ~archs:[ arch ] W.intranode_src
     in
     Array.fold_left
       (fun acc (cc : Emc.Compile.compiled_class) ->
@@ -276,9 +271,9 @@ let run_ablation () =
   in
   List.iter
     (fun arch ->
-      let b0 = code_bytes arch false and b1 = code_bytes arch true in
-      let t0 = W.measure_intranode ~optimize:false ~arch ~migrated:false ~n:2000 () in
-      let t1 = W.measure_intranode ~optimize:true ~arch ~migrated:false ~n:2000 () in
+      let b0 = code_bytes arch Emc.Opt.O0 and b1 = code_bytes arch Emc.Opt.O1 in
+      let t0 = W.measure_intranode ~arch ~migrated:false ~n:2000 () in
+      let t1 = W.measure_intranode ~levels:[ Emc.Opt.O1 ] ~arch ~migrated:false ~n:2000 () in
       pf "%-16s %12d %12d %11.2f ms %11.2f ms\n" arch.A.name b0 b1
         (t0.W.in_virtual_us /. 1000.0)
         (t1.W.in_virtual_us /. 1000.0))
@@ -360,27 +355,27 @@ let run_marshal () =
   pf "Marshalling fast path: host time per encode/decode of a real move\n";
   pf "payload (the Table 1 thread fragment, 13 variables), by wire tier.\n";
   pf "All tiers emit byte-identical wire images through the same codec;\n";
-  pf "plan charges per datum, and blit (this pair has matching layouts)\n";
-  pf "charges one call per record.\n";
+  pf "naive charges per byte, plan per datum, and blit (this pair has\n";
+  pf "matching layouts) one call per record.\n";
   hr ();
   let msg = Mobility.Marshal.M_move (marshal_payload A.sparc) in
   let stats = Enet.Conversion_stats.create () in
-  (* each tier is timed on its real send path: the naive tier copies the
-     buffer into a fresh string per message (the seed's behavior), the
-     optimized tiers hand a pooled length-delimited view to the network
-     and the receiver releases it after decoding *)
+  (* every tier is timed on the transport's bare-wire path: encode hands
+     a length-delimited view to the network (pooled under plan and blit,
+     a fresh buffer under naive), and the receiver releases it after
+     decoding *)
   let tiers =
     [
-      ("naive", Enet.Wire.Naive, false, `Copy);
-      ("plan", Enet.Wire.Plan, false, `View);
-      ("blit", Enet.Wire.Blit, true, `View);
+      ("naive", Enet.Wire.Naive, false);
+      ("plan", Enet.Wire.Plan, false);
+      ("blit", Enet.Wire.Blit, true);
     ]
   in
   let image = Mobility.Marshal.encode ~impl:Enet.Wire.Naive ~stats msg in
   let image_view = Enet.Wire.view_of_string image in
   (* byte identity and decode fidelity across tiers, before any timing *)
   List.iter
-    (fun (name, impl, blit, _) ->
+    (fun (name, impl, blit) ->
       let enc = Mobility.Marshal.encode ~blit ~impl ~stats msg in
       if not (String.equal enc image) then
         failwith (Printf.sprintf "marshal bench: %s tier wire image differs" name);
@@ -390,18 +385,12 @@ let run_marshal () =
   let n = 2000 in
   let tier_fns =
     List.map
-      (fun (name, impl, blit, mode) ->
-        match mode with
-        | `Copy ->
-          ( name,
-            (fun () -> ignore (Mobility.Marshal.encode ~blit ~impl ~stats msg)),
-            fun () -> ignore (Mobility.Marshal.decode ~blit ~impl ~stats image) )
-        | `View ->
-          ( name,
-            (fun () ->
-              let v = Mobility.Marshal.encode_view ~blit ~impl ~stats msg in
-              Enet.Wire.release_view v),
-            fun () -> ignore (Mobility.Marshal.decode_view ~blit ~impl ~stats image_view) ))
+      (fun (name, impl, blit) ->
+        ( name,
+          (fun () ->
+            let v = Mobility.Marshal.encode_view ~blit ~impl ~stats msg in
+            Enet.Wire.release_view v),
+          fun () -> ignore (Mobility.Marshal.decode_view ~blit ~impl ~stats image_view) ))
       tiers
   in
   (* interleave the tiers round-robin so transient host load hits them

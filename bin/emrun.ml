@@ -151,12 +151,17 @@ let run file nodes opt cls op args_s original codec location gc_mode_s
         (Enet.Netsim.bytes_sent (Core.Cluster.network cl));
       for i = 0 to Core.Cluster.n_nodes cl - 1 do
         let k = Core.Cluster.kernel cl i in
+        let c = Core.Cluster.node_counters cl i in
+        let calls = c.Core.Events.c_conv_calls and bytes = c.Core.Events.c_conv_bytes in
         Printf.printf
-          "node %d (%-6s): %8d insns, %5d syscalls, %s, code fetches %d\n" i
+          "node %d (%-6s): %8d insns, %5d syscalls, %d conversion calls over %d \
+           bytes (%.2f calls/byte), code fetches %d\n"
+          i
           (Isa.Arch.by_id (Ert.Kernel.arch k).Isa.Arch.id).Isa.Arch.id
           (Ert.Kernel.insns_executed k)
           (Ert.Kernel.syscalls_handled k)
-          (Format.asprintf "%a" Enet.Conversion_stats.pp (Core.Cluster.conversion_stats cl i))
+          calls bytes
+          (if bytes = 0 then 0.0 else float_of_int calls /. float_of_int bytes)
           (Mobility.Code_repository.fetches_by_node (Core.Cluster.repository cl) i)
       done;
       for i = 0 to Core.Cluster.n_nodes cl - 1 do
@@ -206,21 +211,12 @@ let run file nodes opt cls op args_s original codec location gc_mode_s
       let blit_falls =
         Core.Cluster.total_counter cl (fun c -> c.c_blit_fallbacks)
       in
-      if blit_skips > 0 || blit_falls > 0 then begin
-        let fp_computes = Isa.Arch.fingerprint_computes () in
-        let fp_hits = Isa.Arch.fingerprint_hits () in
-        (* the interning memo must absorb every comparison past the first
-           per arch: computing more fingerprints than there are
-           architectures would mean the memo is broken *)
-        assert (fp_computes <= List.length Isa.Arch.all);
+      if blit_skips > 0 || blit_falls > 0 then
         Printf.printf
           "fastpath: %d blit moves skipped translation, %d fell back to \
-           per-datum conversion (skip ratio %.2f); layout fingerprints %d \
-           computed, %d memo hits\n"
+           per-datum conversion (skip ratio %.2f)\n"
           blit_skips blit_falls
-          (float_of_int blit_skips /. float_of_int (blit_skips + blit_falls))
-          fp_computes fp_hits
-      end;
+          (float_of_int blit_skips /. float_of_int (blit_skips + blit_falls));
       let d_blocks = ref 0 and d_insns = ref 0 and d_fused = ref 0 in
       let d_slices = ref 0 in
       for i = 0 to Core.Cluster.n_nodes cl - 1 do
@@ -402,12 +398,12 @@ let original_t =
 let codec_t =
   Arg.(value & opt (some string) None
        & info [ "codec" ] ~docv:"TIER"
-           ~doc:"Wire conversion tier: $(b,naive) (per-byte calls, the \
-                 prototype's routines), $(b,plan) (one conversion call per \
-                 datum), or $(b,blit) (plan, plus same-layout architecture \
-                 pairs negotiate a zero-translation transfer charged one \
-                 call per record, skipping capture translation and frame \
-                 rebuild).")
+           ~doc:"Wire conversion tier: $(b,naive) (charged per byte, like \
+                 the prototype's routines), $(b,plan) (one conversion call \
+                 per datum), or $(b,blit) (plan, plus same-layout \
+                 architecture pairs get a zero-translation transfer charged \
+                 one call per record, skipping capture translation and \
+                 frame rebuild).")
 
 let location_t =
   Arg.(value & opt (some string) None

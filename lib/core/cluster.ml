@@ -107,18 +107,6 @@ let check_protocol t ~src ~dst (msg : M.message) =
     raise Heterogeneous_move_in_original_protocol
   | (Original | Enhanced), _ -> ()
 
-(* the per-object and per-frame translation pass of a move, at either end *)
-let charge_translation t ~node (msg : M.message) =
-  match Transport.protocol t.tr, msg with
-  | Enhanced, (M.M_move p | M.M_group_move p) ->
-    let frames =
-      List.fold_left (fun acc s -> acc + Mobility.Mi_frame.frame_count s) 0 p.M.mp_segments
-    in
-    K.charge_insns t.kernels.(node)
-      ((List.length p.M.mp_objects * CM.object_translate_insns)
-      + (frames * CM.frame_translate_insns))
-  | _ -> ()
-
 let send_message t ~src (s : Mobility.Move.send) =
   let dst = s.Mobility.Move.snd_dest and msg = s.Mobility.Move.snd_msg in
   if not (Transport.reachable t.tr dst) then
@@ -157,20 +145,7 @@ let send_message t ~src (s : Mobility.Move.send) =
     in
     K.charge_us k CM.protocol_fixed_us;
     K.charge_insns k CM.protocol_send_insns;
-    (* negotiated common-layout fast path: a matched pair ships the
-       payload verbatim and skips the per-datum translate pass here
-       (relocation at the destination still runs — addresses differ even
-       when layouts match).  Counted once per outgoing move payload. *)
-    let blit = Transport.blit_pair t.tr ~src ~dst in
-    (match msg with
-    | (M.M_move _ | M.M_group_move _) when Transport.codec t.tr = Enet.Wire.Blit ->
-      E.emit t.bus (E.Ev_blit { node = src; dest = dst; skipped = blit })
-    | _ -> ());
-    let t_tr0 = if sp then K.time_us k else 0.0 in
-    if not blit then charge_translation t ~node:src msg;
-    let t_tr1 = if sp then K.time_us k else 0.0 in
-    E.span_leg t.bus root ~node:src ~bytes:0 ~name:"translate" ~t0:t_tr0 ~t1:t_tr1;
-    Transport.send t.tr ~src ~dst ~blit ~root msg
+    Transport.send t.tr ~src ~dst ~root msg
   end
 
 let rec send_all t ~src = function
@@ -348,13 +323,9 @@ let deliver t ~dst (m : Enet.Netsim.message) payload =
   let t_arr = if sp then K.time_us k else 0.0 in
   K.charge_us k CM.protocol_fixed_us;
   K.charge_insns k CM.protocol_recv_insns;
-  (* the receiver re-evaluates the same deterministic layout predicate
-     the sender used, so the blit codec needs no capability bit on the
-     wire *)
-  let blit = Transport.blit_pair t.tr ~src ~dst in
-  let msg = Transport.decode t.tr ~dst ~blit payload in
+  let msg = Transport.decode t.tr ~src ~dst payload in
   let t_unm1 = if tag <> None then K.time_us k else 0.0 in
-  if not blit then charge_translation t ~node:dst msg;
+  Transport.translate t.tr ~src ~dst msg;
   (match tag with
   | Some (rn, rs, _) ->
     let parent = { Obs.Span.id_node = rn; id_seq = rs } in
@@ -544,7 +515,6 @@ let repository t = t.repo
 let network t = t.net
 let engine t = Loop.engine t.loop
 let engines t = [| engine t |]
-let conversion_stats t i = Transport.conversion_stats t.tr i
 let set_trace t f = E.subscribe t.bus (fun ev -> Option.iter f (E.legacy_string ev))
 let bus t = t.bus
 let subscribe_events t f = E.subscribe t.bus f
@@ -555,26 +525,25 @@ let load_program t prog =
   t.last_prog <- Some prog;  (* replayed into replacement kernels on restart *)
   Array.iter (fun k -> K.load_program k prog) t.kernels
 
-let compile_and_load ?optimize ?levels t ~name source =
+let compile_and_load ?levels t ~name source =
   let archs =
     List.sort_uniq
       (fun a b -> String.compare a.Isa.Arch.id b.Isa.Arch.id)
       (Array.to_list (Array.map K.arch t.kernels))
   in
   (* with no explicit instance list, compile whatever the nodes are
-     configured to run: the [?optimize] level first (the primary, so
-     byte-for-byte compatible with the old single-instance path), then
-     any other per-node levels.  When every node wants the primary this
-     collapses to exactly the old call. *)
+     configured to run: -O0 first (the primary, so byte-for-byte
+     compatible with the single-instance path), then any other per-node
+     levels.  When every node runs -O0 this is the single-instance
+     call. *)
   let levels =
     match levels with
     | Some _ -> levels
     | None ->
-      let primary = Emc.Opt.of_optimize (optimize = Some true) in
-      if Array.for_all (Emc.Opt.equal primary) t.opt_levels then None
-      else Some (primary :: Array.to_list t.opt_levels)
+      if Array.for_all (Emc.Opt.equal Emc.Opt.O0) t.opt_levels then None
+      else Some (Emc.Opt.O0 :: Array.to_list t.opt_levels)
   in
-  let prog = Emc.Compile.compile_exn ?optimize ?levels ~name ~archs source in
+  let prog = Emc.Compile.compile_exn ?levels ~name ~archs source in
   load_program t prog;
   prog
 

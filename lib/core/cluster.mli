@@ -126,7 +126,6 @@ val kernel : t -> int -> Ert.Kernel.t
 val kernels : t -> Ert.Kernel.t array
 val repository : t -> Mobility.Code_repository.t
 val network : t -> Enet.Netsim.t
-val conversion_stats : t -> int -> Enet.Conversion_stats.t
 
 val engine : t -> Engine.t
 (** The event engine (heap depth, push/pop/stale counters). *)
@@ -167,17 +166,17 @@ val load_program : t -> Emc.Compile.program -> unit
 (** Register the compiled program with every node (and the repository). *)
 
 val compile_and_load :
-  ?optimize:bool ->
   ?levels:Emc.Opt.level list ->
   t ->
   name:string ->
   string ->
   Emc.Compile.program
 (** Compile the source once for every architecture present and load it.
-    Without [levels], the instance set is derived from the nodes'
-    configured optimization levels (primary first: the [?optimize]
-    level, preserving the old single-instance behaviour byte-for-byte
-    when every node runs it). *)
+    [levels] lists the code instances to build, primary first; a node
+    whose configured level is not among them runs the primary, so
+    [~levels:[Emc.Opt.O1]] runs -O1 code everywhere.  Without [levels],
+    the instance set is derived from the nodes' configured levels
+    (primary -O0, the single-instance build when every node runs it). *)
 
 val set_opt_level : t -> node:int -> Emc.Opt.level -> unit
 (** Pick the code instance the node executes.  Must be called before

@@ -55,8 +55,8 @@ type t =
       segments : int;
     }
   | Ev_blit of { node : int; dest : int; skipped : bool }
-      (** a move payload under the negotiated [blit] codec tier:
-          [skipped = true] when the layout fingerprints matched and the
+      (** a move payload under the [blit] codec tier: [skipped = true]
+          when the pair had the same layout and code instance and the
           translate/rebuild passes were skipped, [false] when the pair
           fell back to the per-datum path.  Fires only under [--codec
           blit], so the legacy trace is unaffected. *)
@@ -207,7 +207,7 @@ type counters = {
   mutable c_group_moves : int;
   mutable c_group_objects : int;  (* objects shipped inside group transfers *)
   mutable c_blit_skips : int;
-      (* moves whose layout fingerprints matched: translate/rebuild skipped *)
+      (* same-layout moves: translate/rebuild skipped *)
   mutable c_blit_fallbacks : int;  (* blit-tier moves that took the per-datum path *)
   mutable c_bridged : int;
       (* arriving threads that landed through a compiled bridge fragment *)

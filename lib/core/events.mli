@@ -91,12 +91,12 @@ type t =
       (** a batched group migration left [node]: [objects] co-located
           objects and their [segments] attached threads in one transfer *)
   | Ev_blit of { node : int; dest : int; skipped : bool }
-      (** a move payload left [node] under the negotiated [blit] codec
-          tier: [skipped = true] when the layout fingerprints matched and
-          the translate/rebuild passes were skipped at both ends,
-          [false] when the pair fell back to the per-datum path.  Fires
-          only under the blit wire tier, so legacy traces are
-          unaffected. *)
+      (** a move payload left [node] under the [blit] codec tier:
+          [skipped = true] when the pair had the same layout and code
+          instance and the translate/rebuild passes were skipped at
+          both ends, [false] when the pair fell back to the per-datum
+          path.  Fires only under the blit wire tier, so legacy traces
+          are unaffected. *)
   | Ev_bridge of {
       time : float;
       node : int;  (** the destination *)

@@ -62,17 +62,15 @@ type t = {
   bus : E.bus;
   kernels : K.t array;  (* the cluster's, read only here *)
   down : bool array;  (* likewise *)
-  conv : CS.t array;  (* per-node conversion work *)
+  conv : CS.t;  (* the conversion work of the en/decode in progress *)
   enveloped : bool;
   next_seq : int array;  (* per-sender sequence numbers *)
   outstanding : (int, pending) Hashtbl.t array;  (* unacked, per sender *)
   seen : (int * int, unit) Hashtbl.t array;  (* (src, seq) delivered, per receiver *)
   lost : M.message -> reason:string -> unit;
   deliver : dst:int -> Enet.Netsim.message -> W.view -> unit;
-  (* the node's conversion counters and the global pool counters as
-     they stood before the en/decode in progress *)
-  mutable m_calls : int;
-  mutable m_bytes : int;
+  (* the global pool counters as they stood before the en/decode in
+     progress *)
   mutable m_pool_hits : int;
   mutable m_pool_misses : int;
   mutable m_handoffs : int;
@@ -97,17 +95,15 @@ let create ~protocol ~wire_impl ~faults ~net ~engine ~bus ~kernels ~down ~lost ~
   { proto = protocol;
     codec = (match protocol with Enhanced -> wire_impl | Original -> W.Plan);
     net; engine; bus; kernels; down; enveloped; lost; deliver;
-    conv = Array.init n (fun _ -> CS.create ());
+    conv = CS.create ();
     next_seq = Array.make n 0;
     outstanding = Array.init n (fun _ -> Hashtbl.create 8);
     seen = Array.init n (fun _ -> Hashtbl.create 64);
-    m_calls = 0; m_bytes = 0; m_pool_hits = 0; m_pool_misses = 0; m_handoffs = 0 }
+    m_pool_hits = 0; m_pool_misses = 0; m_handoffs = 0 }
 
 let protocol tr = tr.proto
-let codec tr = tr.codec
 let enveloped tr = tr.enveloped
 let reachable tr i = tr.enveloped || not tr.down.(i)
-let conversion_stats tr i = tr.conv.(i)
 
 (* ----------------------------------------------------------------------- *)
 (* message events *)
@@ -151,9 +147,8 @@ let refuse tr ~src ~dst msg =
 (* ----------------------------------------------------------------------- *)
 (* the codec and its conversion charging *)
 
-(* the negotiated common-layout fast path applies to a (src, dst) pair
-   when the blit tier is selected and both ends' layout fingerprints
-   (endianness, float format, word size, packing) match.  Source and
+(* The blit tier's common-layout fast path applies to a (src, dst) pair
+   when both ends lay out thread state identically.  Source and
    destination evaluate the same deterministic predicate, so no
    per-message capability bit is needed on the wire. *)
 let blit_pair tr ~src ~dst =
@@ -167,26 +162,40 @@ let blit_pair tr ~src ~dst =
     && Emc.Opt.equal (K.opt_level a) (K.opt_level b)
   | W.Naive | W.Plan -> false
 
+(* the per-object and per-frame translation pass of a move, at either
+   end; a blit pair skips it (relocation at the destination still runs:
+   addresses differ even when layouts match) *)
+let charge_translation tr ~node ~blit (msg : M.message) =
+  match tr.proto, msg with
+  | Enhanced, (M.M_move p | M.M_group_move p) when not blit ->
+    let frames =
+      List.fold_left (fun acc s -> acc + Mobility.Mi_frame.frame_count s) 0 p.M.mp_segments
+    in
+    K.charge_insns tr.kernels.(node)
+      ((List.length p.M.mp_objects * CM.object_translate_insns)
+      + (frames * CM.frame_translate_insns))
+  | _ -> ()
+
+let translate tr ~src ~dst msg =
+  charge_translation tr ~node:dst ~blit:(blit_pair tr ~src ~dst) msg
+
 (* An en/decode at [node] runs between [mark] and [settle].  [settle]
    publishes the buffer-pool activity in between (diffs of the global
    counters), then charges the node the conversion (or raw copy) work
-   its counters recorded. *)
-let mark tr ~node =
-  tr.m_calls <- CS.calls tr.conv.(node);
-  tr.m_bytes <- CS.bytes tr.conv.(node);
+   the scratch counters recorded. *)
+let mark tr =
+  CS.reset tr.conv;
   tr.m_pool_hits <- W.Pool.hits ();
   tr.m_pool_misses <- W.Pool.misses ();
   tr.m_handoffs <- W.Pool.handoffs ()
 
 let settle tr ~node =
-  let stats = tr.conv.(node) in
   let dph = W.Pool.hits () - tr.m_pool_hits in
   let dpm = W.Pool.misses () - tr.m_pool_misses in
   let dhf = W.Pool.handoffs () - tr.m_handoffs in
-  if dhf > 0 then CS.add_copies_saved stats dhf;
   if dph > 0 || dpm > 0 || dhf > 0 then
     E.emit tr.bus (E.Ev_pool { node; hits = dph; misses = dpm; copies_saved = dhf });
-  let calls = CS.calls stats - tr.m_calls and bytes = CS.bytes stats - tr.m_bytes in
+  let calls = CS.calls tr.conv and bytes = CS.bytes tr.conv in
   let k = tr.kernels.(node) in
   (match tr.proto with
   | Enhanced -> K.charge_insns k (calls * CM.per_conversion_call_insns)
@@ -196,8 +205,8 @@ let settle tr ~node =
 (* Decoding is a payload's last read: its pooled buffer goes back to the
    free list (sub-views and string-backed views are no-ops), also on a
    decode failure, or it would leak from the pool. *)
-let decode_view tr ~blit ~stats payload =
-  match M.decode_view ~blit ~impl:tr.codec ~stats payload with
+let decode_view tr ~src ~dst payload =
+  match M.decode_view ~blit:(blit_pair tr ~src ~dst) ~impl:tr.codec ~stats:tr.conv payload with
   | msg ->
     W.release_view payload;
     msg
@@ -205,27 +214,35 @@ let decode_view tr ~blit ~stats payload =
     W.release_view payload;
     raise e
 
-let decode tr ~dst ~blit payload =
-  mark tr ~node:dst;
-  let msg = decode_view tr ~blit ~stats:tr.conv.(dst) payload in
+let decode tr ~src ~dst payload =
+  mark tr;
+  let msg = decode_view tr ~src ~dst payload in
   settle tr ~node:dst;
   msg
 
 (* ----------------------------------------------------------------------- *)
 (* sending *)
 
-let send tr ~src ~dst ~blit ~root msg =
+let send tr ~src ~dst ~root msg =
   let k = tr.kernels.(src) in
+  let blit = blit_pair tr ~src ~dst in
+  (* counted once per outgoing move payload under the blit tier *)
+  (match tr.codec, msg with
+  | W.Blit, (M.M_move _ | M.M_group_move _) ->
+    E.emit tr.bus (E.Ev_blit { node = src; dest = dst; skipped = blit })
+  | _ -> ());
+  let t_tr0 = match root with Some _ -> K.time_us k | None -> 0.0 in
+  charge_translation tr ~node:src ~blit msg;
   let t0 = match root with Some _ -> K.time_us k | None -> 0.0 in
-  let stats = tr.conv.(src) in
-  mark tr ~node:src;
+  E.span_leg tr.bus root ~node:src ~bytes:0 ~name:"translate" ~t0:t_tr0 ~t1:t0;
+  mark tr;
   (* the envelope retransmits a cached frame, so its payload must outlive
      this send: it keeps the copying encode.  The bare wire hands the
      pooled encode buffer to the network without a copy; the receiver
      recycles it after decoding. *)
   let payload =
-    if tr.enveloped then W.view_of_string (M.encode ~blit ~impl:tr.codec ~stats msg)
-    else M.encode_view ~blit ~impl:tr.codec ~stats msg
+    if tr.enveloped then W.view_of_string (M.encode ~blit ~impl:tr.codec ~stats:tr.conv msg)
+    else M.encode_view ~blit ~impl:tr.codec ~stats:tr.conv msg
   in
   settle tr ~node:src;
   let now = K.time_us k in
@@ -301,12 +318,11 @@ let receive tr ~dst ~now =
   | None -> ()
   | Some m when tr.enveloped -> if not tr.down.(dst) then receive_enveloped tr ~dst m
   | Some m when tr.down.(dst) ->
-    (* a bare frame at a dead interface is drained, uncharged, and
+    (* a bare frame at a dead interface is drained, uncharged (its
+       decode's tallies sit in the scratch until the next [mark]), and
        whatever rode on it is lost *)
     let src = m.Enet.Netsim.msg_src in
-    let msg =
-      decode_view tr ~blit:(blit_pair tr ~src ~dst) ~stats:(CS.create ()) m.Enet.Netsim.msg_payload
-    in
+    let msg = decode_view tr ~src ~dst m.Enet.Netsim.msg_payload in
     note tr Drained ~src ~dst ~bytes:0 ~arrives:0.0 msg;
     tr.lost msg ~reason:(Printf.sprintf "node %d is down" dst)
   | Some m -> tr.deliver ~dst m m.Enet.Netsim.msg_payload

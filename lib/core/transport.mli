@@ -1,11 +1,13 @@
 (** How a protocol message becomes frames on the wire (DESIGN.md §7).
 
     The transport owns the codec call and its conversion charging, the
-    two framings — bare, or the sequence-numbered envelope a non-trivial
-    fault plan installs, with acks, duplicate suppression, bounded
-    exponential-backoff retransmission and a single loss report — the
-    drain at a dead interface, and the [Ev_msg_*], [Ev_ack],
-    [Ev_retransmit], [Ev_msg_dup] and [Ev_fault] events.
+    wire tier's decisions (which pairs blit, and the translation pass a
+    blit pair skips), the two framings — bare, or the sequence-numbered
+    envelope a non-trivial fault plan installs, with acks, duplicate
+    suppression, bounded exponential-backoff retransmission and a single
+    loss report — the drain at a dead interface, and the [Ev_msg_*],
+    [Ev_blit], [Ev_ack], [Ev_retransmit], [Ev_msg_dup] and [Ev_fault]
+    events.
 
     Retransmission schedule: the first transmission at [t], then
     [t + 2], [+ 6], [+ 14], [+ 30], [+ 62], [+ 94] and [+ 126] ms (a
@@ -38,10 +40,6 @@ val create :
 
 val protocol : t -> protocol
 
-val codec : t -> Enet.Wire.impl
-(** The tier the codec runs: the configured one, or [Plan] (one
-    conversion call per datum) under the original protocol. *)
-
 val enveloped : t -> bool
 (** Whether messages travel in the retry envelope.  Only then can a copy
     of a message outlive the abort of the thread it carries. *)
@@ -51,24 +49,29 @@ val reachable : t -> int -> bool
     envelope (the node may restart within the retry budget), and only
     to a live interface on the bare wire. *)
 
-val conversion_stats : t -> int -> Enet.Conversion_stats.t
-
-val blit_pair : t -> src:int -> dst:int -> bool
-(** The blit tier's negotiated common-layout fast path applies to the
-    pair: same layout fingerprint and the same code instance. *)
-
 val send :
-  t -> src:int -> dst:int -> blit:bool -> root:Events.root option ->
-  Mobility.Marshal.message -> unit
-(** Encode, charge the conversion, frame and transmit.  Under [root] the
+  t -> src:int -> dst:int -> root:Events.root option -> Mobility.Marshal.message -> unit
+(** Charge the sender's translation pass, encode, charge the conversion,
+    frame and transmit.  The codec runs the configured tier, or [Plan]
+    under the original protocol.  Under the blit tier a move between a
+    pair with the same layout ({!Isa.Arch.same_layout}) and the same
+    code instance is encoded batched and skips translation, and every
+    move publishes an [Ev_blit].  Under [root] the ["translate"],
     ["marshal"] and ["transfer"] phase spans are published. *)
 
 val refuse : t -> src:int -> dst:int -> Mobility.Marshal.message -> unit
 (** Report a message to an unreachable node lost without sending it. *)
 
-val decode : t -> dst:int -> blit:bool -> Enet.Wire.view -> Mobility.Marshal.message
-(** Decode a delivered payload at [dst], charge the conversion and
-    recycle the payload's buffer. *)
+val decode : t -> src:int -> dst:int -> Enet.Wire.view -> Mobility.Marshal.message
+(** Decode a payload from [src] delivered at [dst], charge the
+    conversion and recycle the payload's buffer.  The receiver evaluates
+    the sender's blit predicate itself, so no capability bit rides on
+    the wire. *)
+
+val translate : t -> src:int -> dst:int -> Mobility.Marshal.message -> unit
+(** Charge [dst] the per-object and per-frame translation pass of a
+    decoded move from [src]; nothing for other messages, under the
+    original protocol, or for a blit pair. *)
 
 val delivered : t -> dst:int -> Mobility.Marshal.message -> unit
 (** Publish the delivery of a decoded message. *)

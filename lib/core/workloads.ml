@@ -169,15 +169,11 @@ let measure_roundtrip ?protocol ?wire_impl ?faults ?n_vars ~home ~dest ~iters
     | Some (Ert.Value.Vint v) -> Int32.to_float v
     | _ -> failwith "table1 workload did not return a time"
   in
-  let conv =
-    Enet.Conversion_stats.calls (Cluster.conversion_stats cl 0)
-    + Enet.Conversion_stats.calls (Cluster.conversion_stats cl 1)
-  in
   {
     rt_us_per_trip = us;
     rt_bytes_sent = Enet.Netsim.bytes_sent (Cluster.network cl);
     rt_messages = Enet.Netsim.messages_sent (Cluster.network cl);
-    rt_conversion_calls = conv;
+    rt_conversion_calls = Cluster.total_counter cl (fun c -> c.Events.c_conv_calls);
     rt_retransmits = Cluster.total_counter cl (fun c -> c.Events.c_retransmits);
     rt_host_seconds = Unix.gettimeofday () -. t_start;
   }
@@ -189,11 +185,11 @@ type intranode = {
   in_host_seconds : float;
 }
 
-let measure_intranode ?optimize ~arch ~migrated ~n () =
+let measure_intranode ?levels ~arch ~migrated ~n () =
   let t_start = Unix.gettimeofday () in
   (* node 1 is the measured machine; node 0 only launches when migrating *)
   let cl = Cluster.create ~archs:[ Isa.Arch.sparc; arch ] () in
-  ignore (Cluster.compile_and_load ?optimize cl ~name:"intranode" intranode_src);
+  ignore (Cluster.compile_and_load ?levels cl ~name:"intranode" intranode_src);
   let start_node = if migrated then 0 else 1 in
   let agent = Cluster.create_object cl ~node:start_node ~class_name:"Agent" in
   let k1 = Cluster.kernel cl 1 in

@@ -50,11 +50,16 @@ type intranode = {
 }
 
 val measure_intranode :
-  ?optimize:bool -> arch:Isa.Arch.t -> migrated:bool -> n:int -> unit -> intranode
+  ?levels:Emc.Opt.level list ->
+  arch:Isa.Arch.t ->
+  migrated:bool ->
+  n:int ->
+  unit ->
+  intranode
 (** Run the intra-node loop on a node of the given architecture; with
     [migrated] the thread first migrates in from another node, so the
     measurement shows whether arriving threads run any slower (they must
-    not). *)
+    not).  [levels] is passed to {!Cluster.compile_and_load}. *)
 
 val scaling_src : string
 (** The engine-scaling workload: an agent tours the ring of nodes,

@@ -809,10 +809,4 @@ module Make (F : FAMILY) = struct
     let frames = Array.map snd results in
     let table = Busstop.make ~arch_id:arch.A.id ~entries ~frames in
     (code, table, List.rev !edits)
-
-  let compile_class ?(optimize = false) ~arch ~code_oid cl ctmpl =
-    let code, table, _ =
-      compile_class_at ~level:(Opt.of_optimize optimize) ~arch ~code_oid cl ctmpl
-    in
-    (code, table)
 end

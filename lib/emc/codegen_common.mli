@@ -124,14 +124,4 @@ module Make (F : FAMILY) : sig
       ({!Isa.Code.t.code_inst}); the edit list records, in application
       order, every optimizer transformation with the pass name and the
       index into that pass's input buffer ([emdis --opt-diff] provenance). *)
-
-  val compile_class :
-    ?optimize:bool ->
-    arch:Isa.Arch.t ->
-    code_oid:int32 ->
-    Ir.class_ir ->
-    Template.class_t ->
-    Isa.Code.t * Busstop.table
-  (** Back-compatible wrapper: [optimize:false] is [compile_class_at
-      ~level:O0], [optimize:true] is [~level:O1]. *)
 end

@@ -7,14 +7,6 @@
 
 module Family : Codegen_common.FAMILY
 
-val compile_class :
-  ?optimize:bool ->
-  arch:Isa.Arch.t ->
-  code_oid:int32 ->
-  Ir.class_ir ->
-  Template.class_t ->
-  Isa.Code.t * Busstop.table
-
 val compile_class_at :
   ?level:Opt.level ->
   arch:Isa.Arch.t ->

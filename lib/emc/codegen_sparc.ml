@@ -182,6 +182,4 @@ end
 
 module Driver = Codegen_common.Make (Family)
 
-let compile_class = Driver.compile_class
-
 let compile_class_at = Driver.compile_class_at

@@ -33,10 +33,10 @@ let backend_for (arch : Isa.Arch.t) =
 let norm_levels levels =
   List.fold_left (fun acc l -> if List.mem l acc then acc else acc @ [ l ]) [] levels
 
-let compile_exn ?db ?(optimize = false) ?levels ~name ~archs source =
+let compile_exn ?db ?levels ~name ~archs source =
   let levels =
     match levels with
-    | Some [] | None -> [ Opt.of_optimize optimize ]
+    | Some [] | None -> [ Opt.O0 ]
     | Some ls -> norm_levels ls
   in
   let db =
@@ -89,8 +89,8 @@ let compile_exn ?db ?(optimize = false) ?levels ~name ~archs source =
   in
   { p_name = name; p_ir = ir; p_classes = classes }
 
-let compile ?db ?optimize ?levels ~name ~archs source =
-  match compile_exn ?db ?optimize ?levels ~name ~archs source with
+let compile ?db ?levels ~name ~archs source =
+  match compile_exn ?db ?levels ~name ~archs source with
   | prog -> Ok prog
   | exception Diag.Compile_error errs -> Error errs
 

@@ -39,7 +39,6 @@ type program = {
 
 val compile :
   ?db:Program_db.t ->
-  ?optimize:bool ->
   ?levels:Opt.level list ->
   name:string ->
   archs:Isa.Arch.t list ->
@@ -48,16 +47,14 @@ val compile :
 
 val compile_exn :
   ?db:Program_db.t ->
-  ?optimize:bool ->
   ?levels:Opt.level list ->
   name:string ->
   archs:Isa.Arch.t list ->
   string ->
   program
 (** [levels] selects the code instances to build per architecture (first
-    element is the primary level used by {!artifact}); when absent,
-    [optimize] picks a single level ([false] is [-O0], [true] is [-O1]),
-    preserving the historical interface.  Levels apply uniformly across a
+    element is the primary level used by {!artifact}); when absent or
+    empty, a single [-O0] instance.  Levels apply uniformly across a
     program's architectures, which this interface guarantees (the paper's
     prototype likewise ran identically optimized code everywhere,
     section 3).

@@ -29,7 +29,6 @@ let to_string l = Printf.sprintf "O%d" (to_int l)
 let compare a b = Int.compare (to_int a) (to_int b)
 let equal a b = to_int a = to_int b
 let ( >= ) a b = to_int a >= to_int b
-let of_optimize b = if b then O1 else O0
 let all = [ O0; O1; O2 ]
 
 (* One optimizer edit, recorded while a pass runs.  [ed_index] is the

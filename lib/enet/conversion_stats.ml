@@ -1,26 +1,18 @@
 type t = {
   mutable calls : int;
   mutable bytes : int;
-  mutable copies_saved : int;
 }
 
-let create () = { calls = 0; bytes = 0; copies_saved = 0 }
+let create () = { calls = 0; bytes = 0 }
 
 let reset t =
   t.calls <- 0;
-  t.bytes <- 0;
-  t.copies_saved <- 0
+  t.bytes <- 0
 
 let add_calls t n = t.calls <- t.calls + n
 let add_bytes t n = t.bytes <- t.bytes + n
-let add_copies_saved t n = t.copies_saved <- t.copies_saved + n
 let calls t = t.calls
 let bytes t = t.bytes
-let copies_saved t = t.copies_saved
 
 let calls_per_byte t =
   if t.bytes = 0 then 0.0 else float_of_int t.calls /. float_of_int t.bytes
-
-let pp ppf t =
-  Format.fprintf ppf "%d conversion calls over %d bytes (%.2f calls/byte)" t.calls t.bytes
-    (calls_per_byte t)

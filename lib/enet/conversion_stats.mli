@@ -13,16 +13,8 @@ val create : unit -> t
 val reset : t -> unit
 val add_calls : t -> int -> unit
 val add_bytes : t -> int -> unit
-
-val add_copies_saved : t -> int -> unit
-(** Payload copies avoided by pooled buffer handoff ({!Wire.Writer.handoff})
-    instead of a [Writer.contents] copy per send. *)
-
 val calls : t -> int
 val bytes : t -> int
-val copies_saved : t -> int
 
 val calls_per_byte : t -> float
 (** [calls t / bytes t]; 0 when no bytes were converted. *)
-
-val pp : Format.formatter -> t -> unit

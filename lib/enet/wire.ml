@@ -100,9 +100,11 @@ module Writer = struct
     mutable in_record : bool;  (* datum charges suspended until [close_record] *)
   }
 
-  (* The naive tier mirrors the seed's host path: a fresh, small buffer
-     per message, grown by doubling — the pool belongs to the other
-     tiers.  The virtual accounting is unaffected either way. *)
+  (* The naive tier takes a fresh buffer per message, grown by doubling;
+     the pool belongs to the other tiers.  Pooling it would put [Ev_pool]
+     events into the default tier's event stream, and their hit/miss
+     split depends on what ran earlier in the process.  The bytes and
+     the accounting are the same either way. *)
   let create ~impl ~stats =
     let buf = match impl with Naive -> Bytes.create 16 | Plan | Blit -> Pool.take () in
     { buf; pos = 0; live = true; impl; stats; batched = false; in_record = false }
@@ -133,31 +135,16 @@ module Writer = struct
       t.buf <- buf'
     end
 
-  (* The naive tier's host path is deliberately a non-inlined call per
-     byte, mirroring the prototype's per-byte conversion procedures, so
-     the host-time ablation measures what the cost model charges for. *)
-  let[@inline never] naive_put t b =
-    ensure t 1;
-    Bytes.unsafe_set t.buf t.pos (Char.unsafe_chr (b land 0xFF));
-    t.pos <- t.pos + 1
-
-  let raw_put t b =
-    ensure t 1;
-    Bytes.unsafe_set t.buf t.pos (Char.unsafe_chr (b land 0xFF));
-    t.pos <- t.pos + 1
-
   let u8 t v =
     charge t ~bytes:1;
-    match t.impl with
-    | Naive -> naive_put t v
-    | Plan | Blit -> raw_put t v
+    ensure t 1;
+    Bytes.unsafe_set t.buf t.pos (Char.unsafe_chr (v land 0xFF));
+    t.pos <- t.pos + 1
 
   let raw_u16 t v =
     ensure t 2;
-    let p = t.pos in
-    Bytes.unsafe_set t.buf p (Char.unsafe_chr ((v lsr 8) land 0xFF));
-    Bytes.unsafe_set t.buf (p + 1) (Char.unsafe_chr (v land 0xFF));
-    t.pos <- p + 2
+    Bytes.set_uint16_be t.buf t.pos v;
+    t.pos <- t.pos + 2
 
   (* every count and index on the wire is a u16: one that does not fit
      must fail here, not reach the receiver masked to 16 bits *)
@@ -165,48 +152,21 @@ module Writer = struct
     if v < 0 || v > 0xFFFF then
       invalid_arg (Printf.sprintf "Wire.Writer.u16: %d out of range" v);
     charge t ~bytes:2;
-    match t.impl with
-    | Naive ->
-      naive_put t (v lsr 8);
-      naive_put t v
-    | Plan | Blit -> raw_u16 t v
+    raw_u16 t v
 
   let u32 t v =
     charge t ~bytes:4;
-    let b n = Int32.to_int (Int32.shift_right_logical v n) land 0xFF in
-    match t.impl with
-    | Naive ->
-      naive_put t (b 24);
-      naive_put t (b 16);
-      naive_put t (b 8);
-      naive_put t (b 0)
-    | Plan | Blit ->
-      ensure t 4;
-      let p = t.pos in
-      Bytes.unsafe_set t.buf p (Char.unsafe_chr (b 24));
-      Bytes.unsafe_set t.buf (p + 1) (Char.unsafe_chr (b 16));
-      Bytes.unsafe_set t.buf (p + 2) (Char.unsafe_chr (b 8));
-      Bytes.unsafe_set t.buf (p + 3) (Char.unsafe_chr (b 0));
-      t.pos <- p + 4
+    ensure t 4;
+    Bytes.set_int32_be t.buf t.pos v;
+    t.pos <- t.pos + 4
 
   let i32 = u32
 
   let f64 t v =
     charge t ~bytes:8;
-    let bits = Int64.bits_of_float v in
-    let b n = Int64.to_int (Int64.shift_right_logical bits (8 * n)) land 0xFF in
-    match t.impl with
-    | Naive ->
-      for n = 7 downto 0 do
-        naive_put t (b n)
-      done
-    | Plan | Blit ->
-      ensure t 8;
-      let p = t.pos in
-      for n = 7 downto 0 do
-        Bytes.unsafe_set t.buf (p + 7 - n) (Char.unsafe_chr (b n))
-      done;
-      t.pos <- p + 8
+    ensure t 8;
+    Bytes.set_int64_be t.buf t.pos (Int64.bits_of_float v);
+    t.pos <- t.pos + 8
 
   let bool t v = u8 t (if v then 1 else 0)
 
@@ -214,18 +174,10 @@ module Writer = struct
     let len = String.length s in
     if len > 0xFFFF then invalid_arg "Wire.Writer.str: string too long";
     charge t ~bytes:(2 + len);
-    match t.impl with
-    | Naive ->
-      naive_put t (len lsr 8);
-      naive_put t len;
-      for i = 0 to len - 1 do
-        naive_put t (Char.code (String.unsafe_get s i))
-      done
-    | Plan | Blit ->
-      raw_u16 t len;
-      ensure t len;
-      Bytes.blit_string s 0 t.buf t.pos len;
-      t.pos <- t.pos + len
+    raw_u16 t len;
+    ensure t len;
+    Bytes.blit_string s 0 t.buf t.pos len;
+    t.pos <- t.pos + len
 
   let length t = t.pos
   let contents t = Bytes.sub_string t.buf 0 t.pos
@@ -301,93 +253,33 @@ module Reader = struct
     t.pos <- p + n;
     p
 
-  (* naive-tier host path: one non-inlined call per byte (see Writer) *)
-  let[@inline never] naive_get t =
-    let p = take t 1 in
-    Char.code (Bytes.unsafe_get t.data p)
-
   let u8 t =
     charge t ~bytes:1;
-    match t.impl with
-    | Naive -> naive_get t
-    | Plan | Blit ->
-      let p = take t 1 in
-      Char.code (Bytes.unsafe_get t.data p)
+    Bytes.get_uint8 t.data (take t 1)
 
-  let raw_u16 t =
-    let p = take t 2 in
-    (Char.code (Bytes.unsafe_get t.data p) lsl 8) lor Char.code (Bytes.unsafe_get t.data (p + 1))
+  let raw_u16 t = Bytes.get_uint16_be t.data (take t 2)
 
   let u16 t =
     charge t ~bytes:2;
-    match t.impl with
-    | Naive ->
-      let hi = naive_get t in
-      let lo = naive_get t in
-      (hi lsl 8) lor lo
-    | Plan | Blit -> raw_u16 t
-
-  let read32_at data p =
-    let b i = Int32.of_int (Char.code (Bytes.unsafe_get data (p + i))) in
-    let ( ||| ) = Int32.logor in
-    Int32.shift_left (b 0) 24 ||| Int32.shift_left (b 1) 16 ||| Int32.shift_left (b 2) 8
-    ||| b 3
+    raw_u16 t
 
   let u32 t =
     charge t ~bytes:4;
-    match t.impl with
-    | Naive ->
-      let acc = ref 0l in
-      for _ = 0 to 3 do
-        acc := Int32.logor (Int32.shift_left !acc 8) (Int32.of_int (naive_get t))
-      done;
-      !acc
-    | Plan | Blit ->
-      let p = take t 4 in
-      read32_at t.data p
+    Bytes.get_int32_be t.data (take t 4)
 
   let i32 = u32
 
-  let read64_at data p =
-    let bits = ref 0L in
-    for i = 0 to 7 do
-      bits := Int64.logor (Int64.shift_left !bits 8) (Int64.of_int (Char.code (Bytes.unsafe_get data (p + i))))
-    done;
-    !bits
-
   let f64 t =
     charge t ~bytes:8;
-    match t.impl with
-    | Naive ->
-      let bits = ref 0L in
-      for _ = 0 to 7 do
-        bits := Int64.logor (Int64.shift_left !bits 8) (Int64.of_int (naive_get t))
-      done;
-      Int64.float_of_bits !bits
-    | Plan | Blit ->
-      let p = take t 8 in
-      Int64.float_of_bits (read64_at t.data p)
+    Int64.float_of_bits (Bytes.get_int64_be t.data (take t 8))
 
   let bool t = u8 t <> 0
 
   let str t =
-    match t.impl with
-    | Naive ->
-      (* length bytes come through the per-byte path too *)
-      let hi = naive_get t in
-      let lo = naive_get t in
-      let len = (hi lsl 8) lor lo in
-      charge t ~bytes:(2 + len);
-      let b = Bytes.create len in
-      for i = 0 to len - 1 do
-        Bytes.unsafe_set b i (Char.unsafe_chr (naive_get t))
-      done;
-      Bytes.unsafe_to_string b
-    | Plan | Blit ->
-      let len = raw_u16 t in
-      charge t ~bytes:(2 + len);
-      let p = take t len in
-      Bytes.sub_string t.data p len
+    let len = raw_u16 t in
+    charge t ~bytes:(2 + len);
+    let p = take t len in
+    Bytes.sub_string t.data p len
 
   let at_end t = t.pos >= t.limit
 end

@@ -4,25 +4,25 @@
     ("network byte order") integers, IEEE 754 double reals, length-prefixed
     strings.  Three implementation tiers are provided for the §4 ablation:
 
-    - [Naive] mirrors the prototype's hand-written recursive-descent
-      conversion routines, "not optimized for speed but for ease of
-      maintenance": every byte goes through conversion procedure calls
-      (counted in the {!Conversion_stats}), averaging 1-2 calls per byte.
-      The host path is honestly byte-at-a-time as well (a non-inlined
-      call per byte), so measured host time backs the modeled cost.
+    - [Naive] charges what the prototype's hand-written recursive-descent
+      conversion routines cost, "not optimized for speed but for ease of
+      maintenance": one conversion procedure call per byte plus one per
+      datum (counted in the {!Conversion_stats}), averaging 1-2 calls per
+      byte.
     - [Plan] is the bulk conversion the paper's future-work section
       hypothesises would cut the penalty by about half: one call per
-      datum, and one bounds check plus word-at-a-time stores per datum on
-      the host.
-    - [Blit] is the negotiated common-layout tier: when source and
-      destination {!Isa.Arch.fingerprint}s match, the move codec runs
+      datum.
+    - [Blit] is the common-layout tier: when source and destination
+      have the same layout ({!Isa.Arch.same_layout}), the move codec runs
       {e batched} ({!Writer.batch}): each record it marks costs one
       conversion call over its bytes instead of one per datum, and
       translate/rebuild work is skipped at both ends.  Every pair that
       does not match, and all non-move traffic, behaves as [Plan].
 
-    All tiers produce identical octets through the same primitives; only
-    the accounted work and the host-side work differ. *)
+    All tiers write and read identical octets through the same
+    primitives; they differ only in what {!Conversion_stats} records,
+    and in that the naive writer takes a fresh buffer instead of one
+    from the {!Pool}. *)
 
 type impl = Naive | Plan | Blit
 
@@ -65,7 +65,8 @@ val release_view : view -> unit
 
 (** {1 The buffer pool}
 
-    A global free list of encode buffers.  [Writer.create] takes a
+    A global free list of encode buffers for the [Plan] and [Blit]
+    tiers; a [Naive] writer never touches it.  [Writer.create] takes a
     buffer from the pool (a {e hit}) or allocates fresh (a {e miss});
     [Writer.free] and [release_view] return buffers.  [handoffs] counts
     payloads handed to the network without the copy that

@@ -55,20 +55,9 @@ val pp : Format.formatter -> t -> unit
 val cycle_time_ns : t -> float
 (** Nanoseconds per clock cycle. *)
 
-val fingerprint : t -> int
-(** The memory-layout fingerprint used by the negotiated common-layout
-    migration mode: one word packing byte order, float format, word
-    size, and the family's activation-record packing.  Two machines
-    with equal fingerprints can exchange thread state by verbatim copy
-    (the blit codec tier); computed once per descriptor and interned,
-    like conversion-plan pairs.  Always nonzero. *)
-
 val same_layout : t -> t -> bool
-(** [fingerprint a = fingerprint b]. *)
-
-val fingerprint_computes : unit -> int
-(** Fingerprints computed from scratch since program start; at most one
-    per builtin descriptor unless non-builtin descriptors are used. *)
-
-val fingerprint_hits : unit -> int
-(** Fingerprint lookups served by the intern memo. *)
+(** Whether the two machines lay out thread state identically: the same
+    family (activation-record packing), byte order and float format.
+    Every machine here has 4-byte words.  Such a pair can exchange
+    thread state by verbatim copy (the blit codec tier).  Compares the
+    fields, never [id]. *)

@@ -479,6 +479,38 @@ let test_plan_tier_ignores_empty_faults () =
   check Alcotest.int "conversion calls" plain.Core.Workloads.rt_conversion_calls
     faulted.Core.Workloads.rt_conversion_calls
 
+(* The one host behaviour left that differs by tier: a naive writer
+   takes a fresh buffer per message and never touches the pool, so the
+   default tier's event stream carries no [Ev_pool], whose hit/miss
+   split would depend on what ran earlier in the process.  Plan pools. *)
+let test_default_tier_unpooled () =
+  let run ?wire_impl () =
+    Enet.Wire.Pool.reset ();
+    let cl = Core.Cluster.create ?wire_impl ~archs:[ A.sparc; A.sparc ] () in
+    ignore (Core.Cluster.compile_and_load cl ~name:"table1" Core.Workloads.table1_src);
+    let pool_events = ref 0 in
+    Core.Cluster.subscribe_events cl (function
+      | Core.Events.Ev_pool _ -> incr pool_events
+      | _ -> ());
+    let agent = Core.Cluster.create_object cl ~node:0 ~class_name:"Agent" in
+    let tid =
+      Core.Cluster.spawn cl ~node:0 ~target:agent ~op:"trip" ~args:[ V.Vint 1l; V.Vint 3l ]
+    in
+    if Core.Cluster.run_until_result cl tid = None then Alcotest.fail "no Table 1 result";
+    let counts = Enet.Wire.Pool.[ hits (); misses (); handoffs () ] in
+    Enet.Wire.Pool.reset ();
+    (counts, !pool_events)
+  in
+  let counts, events = run () in
+  check Alcotest.(list int) "default tier: pool hits, misses, handoffs" [ 0; 0; 0 ] counts;
+  check Alcotest.int "default tier: Ev_pool events" 0 events;
+  match run ~wire_impl:Enet.Wire.Plan () with
+  | [ hits; misses; handoffs ], events when hits + misses > 0 && handoffs > 0 && events > 0 -> ()
+  | counts, events ->
+    Alcotest.failf "plan tier did not pool: hits, misses, handoffs %s; %d Ev_pool events"
+      (String.concat ", " (List.map string_of_int counts))
+      events
+
 let suites =
   [
     ( "codec",
@@ -491,5 +523,7 @@ let suites =
           test_table1_virtual_times_unchanged;
         Alcotest.test_case "empty fault plan invisible under plan tier" `Quick
           test_plan_tier_ignores_empty_faults;
+        Alcotest.test_case "default tier never touches the buffer pool" `Quick
+          test_default_tier_unpooled;
       ] );
   ]

@@ -406,29 +406,50 @@ let test_evict_during_blit () =
     (Core.Cluster.total_counter cl (fun c -> c.c_blit_fallbacks))
 
 (* ---------------------------------------------------------------- *)
-(* fingerprints are interned once per arch                            *)
+(* same_layout: a relation over layouts, not over descriptor ids       *)
 (* ---------------------------------------------------------------- *)
 
-let test_fingerprint_memo () =
-  let c0 = A.fingerprint_computes () in
-  List.iter (fun a -> ignore (A.fingerprint a : int)) A.all;
+let same_layout_pairs () =
+  List.concat_map
+    (fun a ->
+      List.filter_map
+        (fun b -> if A.same_layout a b then Some (a.A.id ^ "-" ^ b.A.id) else None)
+        A.all)
+    A.all
+
+(* VAX and SPARC each with itself, and the M68k trio among themselves:
+   11 ordered pairs, in [A.all] order *)
+let builtin_same_layout =
+  [ "vax-vax"; "sun3-sun3"; "sun3-hp433"; "sun3-hp385"; "hp433-sun3"; "hp433-hp433";
+    "hp433-hp385"; "hp385-sun3"; "hp385-hp433"; "hp385-hp385"; "sparc-sparc" ]
+
+let test_same_layout_pinned () =
+  check Alcotest.(list string) "same-layout ordered pairs" builtin_same_layout
+    (same_layout_pairs ())
+
+let test_same_layout_variants () =
+  (* a descriptor that keeps a builtin's id but changes its byte order
+     or float format lays out memory differently *)
+  let flip_endian a =
+    { a with A.endian = (match a.A.endian with Isa.Endian.Big -> Little | Little -> Big) }
+  in
+  let flip_float a =
+    { a with
+      A.float_format =
+        (match a.A.float_format with
+        | Isa.Float_format.Ieee_single -> Vax_f
+        | Vax_f -> Ieee_single) }
+  in
   List.iter
-    (fun a -> List.iter (fun b -> ignore (A.same_layout a b : bool)) A.all)
+    (fun a ->
+      List.iter
+        (fun (what, v) ->
+          if A.same_layout a v || A.same_layout v a then
+            Alcotest.failf "%s and its %s variant reported the same layout" a.A.id what)
+        [ ("byte-order", flip_endian a); ("float-format", flip_float a) ])
     A.all;
-  let computed = A.fingerprint_computes () - c0 in
-  (* every arch was fingerprinted above; past one compute per arch the
-     memo must absorb everything *)
-  if computed > List.length A.all then
-    Alcotest.failf "memo leak: %d fingerprints computed for %d archs" computed
-      (List.length A.all);
-  let h0 = A.fingerprint_hits () in
-  List.iter (fun a -> ignore (A.fingerprint a : int)) A.all;
-  check Alcotest.int "all repeat lookups hit the memo"
-    (h0 + List.length A.all)
-    (A.fingerprint_hits ());
-  check Alcotest.int "no repeat lookup recomputed"
-    (c0 + computed)
-    (A.fingerprint_computes ())
+  check Alcotest.(list string) "builtin pairs unchanged after the variants"
+    builtin_same_layout (same_layout_pairs ())
 
 let suites =
   [
@@ -440,7 +461,9 @@ let suites =
         Alcotest.test_case "every same-layout pair skips translation" `Quick
           test_all_same_layout_pairs_skip;
         Alcotest.test_case "eviction during blit" `Quick test_evict_during_blit;
-        Alcotest.test_case "layout fingerprints are interned" `Quick
-          test_fingerprint_memo;
+        Alcotest.test_case "same_layout pinned over the builtin pairs" `Quick
+          test_same_layout_pinned;
+        Alcotest.test_case "same_layout compares layouts, not ids" `Quick
+          test_same_layout_variants;
       ] );
   ]

@@ -138,7 +138,7 @@ let test_oid_spaces () =
 
 (* Conversion stats ---------------------------------------------------------------- *)
 
-let test_conversion_stats () =
+let test_conversion_tally () =
   let s = Enet.Conversion_stats.create () in
   Enet.Conversion_stats.add_calls s 10;
   Enet.Conversion_stats.add_bytes s 5;
@@ -155,6 +155,6 @@ let suites =
         Alcotest.test_case "heap block reuse" `Quick test_heap_reuse;
         Alcotest.test_case "disassembler covers all code" `Quick test_disasm_all;
         Alcotest.test_case "oid spaces" `Quick test_oid_spaces;
-        Alcotest.test_case "conversion stats" `Quick test_conversion_stats;
+        Alcotest.test_case "conversion stats" `Quick test_conversion_tally;
       ] );
   ]

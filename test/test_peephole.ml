@@ -42,7 +42,7 @@ let static_cycles arch p =
 
 let test_code_shrinks () =
   let plain = Emc.Compile.compile_exn ~name:"po" ~archs:A.all src in
-  let opt = Emc.Compile.compile_exn ~optimize:true ~name:"po" ~archs:A.all src in
+  let opt = Emc.Compile.compile_exn ~levels:[ Emc.Opt.O1 ] ~name:"po" ~archs:A.all src in
   List.iter
     (fun arch ->
       (* rewrites turn memory accesses into register moves, so the static
@@ -68,7 +68,7 @@ let test_code_shrinks () =
     [ A.vax; A.sun3 ]
 
 let test_optimized_code_validates () =
-  let opt = Emc.Compile.compile_exn ~optimize:true ~name:"po" ~archs:A.all src in
+  let opt = Emc.Compile.compile_exn ~levels:[ Emc.Opt.O1 ] ~name:"po" ~archs:A.all src in
   Array.iter
     (fun (cc : Emc.Compile.compiled_class) ->
       List.iter
@@ -78,7 +78,7 @@ let test_optimized_code_validates () =
     opt.Emc.Compile.p_classes
 
 let test_stop_tables_still_isomorphic () =
-  let opt = Emc.Compile.compile_exn ~optimize:true ~name:"po" ~archs:A.all src in
+  let opt = Emc.Compile.compile_exn ~levels:[ Emc.Opt.O1 ] ~name:"po" ~archs:A.all src in
   Array.iter
     (fun (cc : Emc.Compile.compiled_class) ->
       let counts =
@@ -91,9 +91,9 @@ let test_stop_tables_still_isomorphic () =
       | [] -> ())
     opt.Emc.Compile.p_classes
 
-let run_cluster ~optimize archs program_src =
+let run_cluster ~level archs program_src =
   let cl = Core.Cluster.create ~archs () in
-  ignore (Core.Cluster.compile_and_load ~optimize cl ~name:"po" program_src);
+  ignore (Core.Cluster.compile_and_load ~levels:[ level ] cl ~name:"po" program_src);
   let main = Core.Cluster.create_object cl ~node:0 ~class_name:"Main" in
   let tid = Core.Cluster.spawn cl ~node:0 ~target:main ~op:"start" ~args:[] in
   Core.Cluster.run_until_result cl tid
@@ -101,8 +101,8 @@ let run_cluster ~optimize archs program_src =
 let test_same_results () =
   List.iter
     (fun arch ->
-      let a = run_cluster ~optimize:false [ arch ] src in
-      let b = run_cluster ~optimize:true [ arch ] src in
+      let a = run_cluster ~level:Emc.Opt.O0 [ arch ] src in
+      let b = run_cluster ~level:Emc.Opt.O1 [ arch ] src in
       if a <> b then Alcotest.failf "%s: optimization changed the result" arch.A.id)
     A.all
 
@@ -132,10 +132,32 @@ let test_migration_under_optimization () =
      section 3): heterogeneous migration must keep working *)
   List.iter
     (fun pair ->
-      match run_cluster ~optimize:true pair migration_src with
+      match run_cluster ~level:Emc.Opt.O1 pair migration_src with
       | Some (V.Vint v) -> check Alcotest.int "result" 341 (Int32.to_int v)
       | _ -> Alcotest.fail "no result")
     [ [ A.sparc; A.vax ]; [ A.sun3; A.hp9000_433 ]; [ A.vax; A.sparc ] ]
+
+(* bench ablation's -O1 configuration: the measured node runs the O1
+   instance, and the intra-node loop's virtual time is pinned per
+   architecture (the -O0 times are 132.85, 43.15, 20.91, 27.61 and
+   14.71 ms) *)
+let test_ablation_runs_o1 () =
+  let levels = [ Emc.Opt.O1 ] in
+  List.iter
+    (fun (arch, us) ->
+      let cl = Core.Cluster.create ~archs:[ A.sparc; arch ] () in
+      let prog =
+        Core.Cluster.compile_and_load ~levels cl ~name:"intranode" Core.Workloads.intranode_src
+      in
+      let cc = Option.get (Emc.Compile.find_class prog "Agent") in
+      let lc = Ert.Kernel.loaded_class (Core.Cluster.kernel cl 1) cc.Emc.Compile.cc_index in
+      check Alcotest.int (arch.A.id ^ " loads the O1 instance") (Emc.Opt.to_int Emc.Opt.O1)
+        lc.Ert.Kernel.lc_code.Isa.Code.code_inst;
+      let r = Core.Workloads.measure_intranode ~levels ~arch ~migrated:false ~n:2000 () in
+      check (Alcotest.float 0.0) (arch.A.id ^ " -O1 virtual us") us
+        r.Core.Workloads.in_virtual_us)
+    [ (A.vax, 130451.0); (A.sun3, 42403.0); (A.hp9000_433, 20550.0);
+      (A.hp9000_385, 27131.0); (A.sparc, 14413.0) ]
 
 let suites =
   [
@@ -147,5 +169,6 @@ let suites =
           test_stop_tables_still_isomorphic;
         Alcotest.test_case "results unchanged" `Quick test_same_results;
         Alcotest.test_case "migration still works" `Quick test_migration_under_optimization;
+        Alcotest.test_case "ablation -O1 runs the O1 instance" `Quick test_ablation_runs_o1;
       ] );
   ]

@@ -130,7 +130,7 @@ let prop_random_migrations_optimized =
     (QCheck.make scenario_gen) (fun (archs, ops) ->
       let src = render_program ops in
       let cl = Core.Cluster.create ~archs () in
-      ignore (Core.Cluster.compile_and_load ~optimize:true cl ~name:"rand" src);
+      ignore (Core.Cluster.compile_and_load ~levels:[ Emc.Opt.O1 ] cl ~name:"rand" src);
       let agent = Core.Cluster.create_object cl ~node:0 ~class_name:"Agent" in
       let tid = Core.Cluster.spawn cl ~node:0 ~target:agent ~op:"go" ~args:[] in
       match Core.Cluster.run_until_result cl tid with

@@ -64,7 +64,7 @@ let rec drain r =
     drain r
 
 let send_probe r =
-  Tr.send r.tr ~src:0 ~dst:1 ~blit:false ~root:None
+  Tr.send r.tr ~src:0 ~dst:1 ~root:None
     (M.M_locate { obj = Ert.Oid.fresh_data ~node_id:0 ~serial:1 })
 
 let test_every_frame_dropped () =
