@@ -435,6 +435,71 @@ end Main
       | r :: rest -> List.for_all (Int32.equal r) rest
       | [] -> true)
 
+(* The kernel's PC-to-stop lookup, on every class of the compiler
+   suite's counter program (a monitor, and a loop that invokes) at -O0
+   and -O2 on every architecture: the canonical and alternate PC of
+   every visible stop resolve to that class and stop, the bridge
+   fragment that resumes an elided stop resolves back to it, and the
+   template finds every stop by its id. *)
+let test_stop_at_pc () =
+  let module K = Ert.Kernel in
+  let module B = Emc.Busstop in
+  let alts = ref 0 and bridged = ref 0 in
+  List.iter
+    (fun arch ->
+      List.iter
+        (fun level ->
+          let prog =
+            Emc.Compile.compile_exn ~levels:[ level ] ~name:"t" ~archs:[ arch ]
+              Test_compiler.counter_src
+          in
+          let k = K.create ~node_id:0 ~arch () in
+          K.set_opt_level k level;
+          K.load_program k prog;
+          Array.iter
+            (fun (cc : Emc.Compile.compiled_class) ->
+              let ci = cc.Emc.Compile.cc_index in
+              let lc = K.loaded_class k ci in
+              let base = lc.K.lc_image.Isa.Text.base in
+              let expect what pc (e : B.entry) =
+                let where =
+                  Printf.sprintf "%s -%s %s stop %d %s" arch.A.id
+                    (Emc.Opt.to_string level) cc.Emc.Compile.cc_name e.B.be_id what
+                in
+                match K.stop_at_pc k pc with
+                | Some (lc', e') ->
+                  check Alcotest.int (where ^ ": class") ci
+                    lc'.K.lc_class.Emc.Compile.cc_index;
+                  check Alcotest.int (where ^ ": stop") e.B.be_id e'.B.be_id
+                | None -> Alcotest.failf "%s: %#x is no stop" where pc
+              in
+              Array.iter
+                (fun (e : B.entry) ->
+                  if e.B.be_elided then begin
+                    incr bridged;
+                    expect "bridge" (K.resume_abs k ~class_index:ci e) e
+                  end
+                  else if not e.B.be_exit_only then begin
+                    expect "pc" (base + e.B.be_pc) e;
+                    match e.B.be_alt_pc with
+                    | Some alt ->
+                      incr alts;
+                      expect "alt pc" (base + alt) e
+                    | None -> ()
+                  end)
+                lc.K.lc_stops.B.bt_entries;
+              let ct = cc.Emc.Compile.cc_template in
+              for i = 0 to ct.Emc.Template.ct_nstops - 1 do
+                check Alcotest.int
+                  (Printf.sprintf "%s: stop_by_id %d" cc.Emc.Compile.cc_name i)
+                  i (Emc.Template.stop_by_id ct i).Emc.Template.st_id
+              done)
+            prog.Emc.Compile.p_classes)
+        [ Emc.Opt.O0; Emc.Opt.O2 ])
+    A.all;
+  if !alts = 0 then Alcotest.fail "no stop has an alternate PC";
+  if !bridged = 0 then Alcotest.fail "no stop was elided at -O2"
+
 let suites =
   [
     ( "runtime.exec",
@@ -458,4 +523,6 @@ let suites =
         Alcotest.test_case "stack overflow" `Quick test_deep_recursion_overflows;
         QCheck_alcotest.to_alcotest test_cross_arch_equivalence;
       ] );
+    ( "runtime.stops",
+      [ Alcotest.test_case "stop_at_pc resolves every stop" `Quick test_stop_at_pc ] );
   ]
