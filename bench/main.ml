@@ -1420,9 +1420,9 @@ let run_bridge () =
    referenced from root vectors handed to the collector as
    [extra_addrs], plus ~50k unreferenced blocks — so the measurement
    isolates collector cost from program execution.  Both tiers are
-   charged exactly as the cluster charges them (STW: 2000 + live*40
-   insns in one lump; incremental: 400 to open the cycle, then
-   120 + scanned*40 per increment), and both must report identical
+   charged exactly as the cluster charges them (the Cost_model gc
+   charges: STW in one lump; incremental, the cycle-open charge and
+   then one charge per increment), and both must report identical
    live/swept/bytes-freed accounting.
 
    Gate: the incremental tier's worst single increment must pause the
@@ -1431,6 +1431,7 @@ let run_bridge () =
 let run_gc () =
   let module K = Ert.Kernel in
   let module L = Emc.Layout in
+  let module C = Mobility.Cost_model in
   let n_live = 100_000 and n_dead = 50_000 in
   let budget = 4096 in
   pf "gc: incremental tri-color vs stop-the-world at a %d-block heap\n"
@@ -1467,7 +1468,7 @@ let run_gc () =
   let k_stw, roots_stw = build () in
   let t0 = K.time_us k_stw in
   let stw_stats = Ert.Gc.collect ~extra_addrs:roots_stw k_stw in
-  K.charge_insns k_stw (2000 + (stw_stats.Ert.Gc.gc_live * 40));
+  K.charge_insns k_stw (C.gc_collect_insns ~live:stw_stats.Ert.Gc.gc_live);
   let stw_pause = K.time_us k_stw -. t0 in
   (* incremental: same collection as bounded increments *)
   let k_inc, roots_inc = build () in
@@ -1483,16 +1484,16 @@ let run_gc () =
   (* the first increment carries the cycle-open charge, as in the
      cluster's [gc_increment] *)
   let t0 = K.time_us k_inc in
-  K.charge_insns k_inc 400;
+  K.charge_insns k_inc C.gc_cycle_open_insns;
   let rec drive t0 =
     incr increments;
     match Ert.Gc.step cy k_inc ~budget with
     | Ert.Gc.Step_more { scanned; _ } ->
-      K.charge_insns k_inc (120 + (scanned * 40));
+      K.charge_insns k_inc (C.gc_increment_insns ~scanned);
       note t0;
       drive (K.time_us k_inc)
     | Ert.Gc.Step_done { scanned; stats } ->
-      K.charge_insns k_inc (120 + (scanned * 40));
+      K.charge_insns k_inc (C.gc_increment_insns ~scanned);
       note t0;
       stats
   in

@@ -320,7 +320,7 @@ let run file nodes opt cls op args_s original codec location gc_mode_s
       | None -> ())
     | None -> ())
   in
-  let result =
+  let execute () =
     if not check_invariants then (
       try Ok (Core.Cluster.run_until_result cl tid) with
       | Core.Cluster.Thread_unavailable r -> Error ("thread unavailable: " ^ r))
@@ -351,6 +351,19 @@ let run file nodes opt cls op args_s original codec location gc_mode_s
       in
       drive 2_000_000
     end
+  in
+  (* a fault of the program itself (a nil dereference, or a move the
+     original protocol cannot make) is reported like a compile error *)
+  let program_fault msg =
+    Printf.eprintf "emrun: %s\n" msg;
+    exit 1
+  in
+  let result =
+    try execute () with
+    | Ert.Kernel.Runtime_error msg -> program_fault ("runtime error: " ^ msg)
+    | Core.Cluster.Heterogeneous_move_in_original_protocol ->
+      program_fault
+        "the original protocol cannot move a thread between unlike architectures"
   in
   (match result with
   | Ok (Some v) -> Format.printf "result: %a@." Ert.Value.pp v

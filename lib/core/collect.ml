@@ -1,5 +1,6 @@
 module K = Ert.Kernel
 module E = Events
+module CM = Mobility.Cost_model
 
 type mode =
   | Gc_stw
@@ -46,7 +47,7 @@ let collect_stw t i =
   let k = t.kernels.(i) in
   let stats = Ert.Gc.collect ~extra_roots:t.pinned k in
   t.collections <- t.collections + 1;
-  K.charge_insns k (2000 + (stats.Ert.Gc.gc_live * 40));
+  K.charge_insns k (CM.gc_collect_insns ~live:stats.Ert.Gc.gc_live);
   E.emit t.bus
     (E.Ev_gc
        { time = K.time_us k; node = i; swept = stats.Ert.Gc.gc_swept;
@@ -56,7 +57,7 @@ let collect_stw t i =
    returns the post-charge clock *)
 let charge_increment t i ~t0 ~phase ~scanned =
   let k = t.kernels.(i) in
-  K.charge_insns k (120 + (scanned * 40));
+  K.charge_insns k (CM.gc_increment_insns ~scanned);
   let t1 = K.time_us k in
   E.emit t.bus (E.Ev_gc_phase { time = t1; node = i; phase; scanned; pause_us = t1 -. t0 });
   if E.spans_on t.bus then begin
@@ -70,7 +71,7 @@ let charge_increment t i ~t0 ~phase ~scanned =
    does — the atomic root scan happens inside the first [step] and the
    templates identify pointers only at bus stops; every later increment
    interleaves with execution, protected by the write barrier and graft
-   hook, and is charged [120 + scanned*40] instructions instead of the
+   hook, and is charged [Cost_model.gc_increment_insns] instead of the
    lump pause.  The cycle drives itself to completion by self-scheduling
    [Engine.Gc] at the post-charge clock; [Engine]'s dedup makes that
    safe alongside the Step handler's threshold checks. *)
@@ -84,7 +85,7 @@ let increment t i =
       let cy = Ert.Gc.start ~extra_roots:t.pinned k in
       t.cycles.(i) <- Some cy;
       (* snapshot + barrier installation *)
-      K.charge_insns k 400;
+      K.charge_insns k CM.gc_cycle_open_insns;
       cy
   in
   let t0 = K.time_us k in

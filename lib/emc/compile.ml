@@ -4,7 +4,6 @@ type arch_artifact = {
   aa_code : Isa.Code.t;
   aa_stops : Busstop.table;
   aa_edits : Opt.edit list;
-  aa_stop_live : Template.entity_slot list array;
 }
 
 type compiled_class = {
@@ -52,10 +51,6 @@ let compile_exn ?db ?levels ~name ~archs source =
       (fun (cl : Ir.class_ir) ->
         let oid = Program_db.assign db ~program:name ~class_name:cl.Ir.cl_name in
         let template = Slot_alloc.build_class cl ~oid in
-        let stop_live =
-          Array.init template.Template.ct_nstops (fun id ->
-              (Template.stop_by_id template id).Template.st_live)
-        in
         let arts =
           List.concat_map
             (fun arch ->
@@ -71,7 +66,6 @@ let compile_exn ?db ?levels ~name ~archs source =
                       aa_code = code;
                       aa_stops = stops;
                       aa_edits = edits;
-                      aa_stop_live = stop_live;
                     } ))
                 levels)
             archs

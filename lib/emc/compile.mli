@@ -14,10 +14,6 @@ type arch_artifact = {
   aa_stops : Busstop.table;
   aa_edits : Opt.edit list;
       (** optimizer edit provenance, in application order (empty at -O0) *)
-  aa_stop_live : Template.entity_slot list array;
-      (** per bus stop, the live template slots — instance-invariant by the
-          canonical-slots-at-stops discipline, recorded here so migration
-          and disassembly need not consult the template *)
 }
 
 type compiled_class = {

@@ -1,6 +1,6 @@
 module ISet = Liveness.ISet
 
-let build_op (op : Ir.op_ir) : Template.op_t =
+let build_op (op : Ir.op_ir) : Template.op_t * Template.stop_t array =
   let info = Liveness.analyse op in
   let slot_of_key = Hashtbl.create 32 in
   let slot_classes = ref [] in
@@ -89,20 +89,27 @@ let build_op (op : Ir.op_ir) : Template.op_t =
         })
       op.Ir.oi_stops
   in
-  {
-    Template.ot_name = op.Ir.oi_name;
-    ot_index = op.Ir.oi_index;
-    ot_monitored = op.Ir.oi_monitored;
-    ot_nparams = op.Ir.oi_nparams;
-    ot_result_var = op.Ir.oi_result;
-    ot_vars = vars;
-    ot_temp_slots = temp_slots;
-    ot_nslots = !n_slots;
-    ot_slot_class = Array.of_list (List.rev !slot_classes);
-    ot_stops = stops;
-  }
+  let tmpl =
+    {
+      Template.ot_name = op.Ir.oi_name;
+      ot_index = op.Ir.oi_index;
+      ot_monitored = op.Ir.oi_monitored;
+      ot_nparams = op.Ir.oi_nparams;
+      ot_result_var = op.Ir.oi_result;
+      ot_vars = vars;
+      ot_temp_slots = temp_slots;
+      ot_nslots = !n_slots;
+      ot_slot_class = Array.of_list (List.rev !slot_classes);
+    }
+  in
+  (tmpl, stops)
 
 let build_class (cl : Ir.class_ir) ~oid : Template.class_t =
+  let ops, stops = Array.split (Array.map build_op cl.Ir.cl_ops) in
+  (* stop ids are numbered class-wide in operation order, so the
+     operations' stops concatenate dense by id *)
+  let stops = Array.concat (Array.to_list stops) in
+  Array.iteri (fun i s -> assert (s.Template.st_id = i)) stops;
   {
     Template.ct_name = cl.Ir.cl_name;
     ct_index = cl.Ir.cl_index;
@@ -112,6 +119,7 @@ let build_class (cl : Ir.class_ir) ~oid : Template.class_t =
     ct_field_inits = cl.Ir.cl_field_inits;
     ct_conditions = cl.Ir.cl_conditions;
     ct_strings = cl.Ir.cl_strings;
-    ct_ops = Array.map build_op cl.Ir.cl_ops;
+    ct_ops = ops;
+    ct_stops = stops;
     ct_nstops = cl.Ir.cl_nstops;
   }

@@ -25,7 +25,6 @@ type op_t = {
   ot_temp_slots : int option array;
   ot_nslots : int;
   ot_slot_class : slot_class array;
-  ot_stops : stop_t array;
 }
 
 type class_t = {
@@ -38,20 +37,16 @@ type class_t = {
   ct_conditions : string array;
   ct_strings : string array;
   ct_ops : op_t array;
+  ct_stops : stop_t array;
   ct_nstops : int;
 }
 
 let slot_class_of_type t = if Ir.is_pointer_type t then Pointer else Scalar
 
 let stop_by_id ct id =
-  let found = ref None in
-  Array.iter
-    (fun op ->
-      Array.iter (fun s -> if s.st_id = id then found := Some s) op.ot_stops)
-    ct.ct_ops;
-  match !found with
-  | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "Template.stop_by_id: no stop %d in %s" id ct.ct_name)
+  if id < 0 || id >= Array.length ct.ct_stops then
+    invalid_arg (Printf.sprintf "Template.stop_by_id: no stop %d in %s" id ct.ct_name);
+  ct.ct_stops.(id)
 
 let op_of_stop ct id = ct.ct_ops.((stop_by_id ct id).st_op)
 
@@ -80,12 +75,13 @@ let pp_class ppf ct =
         op.ot_vars;
       Array.iter
         (fun s ->
-          Format.fprintf ppf "    stop %d: live {%a}@." s.st_id
-            (Format.pp_print_list
-               ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-               (fun ppf e ->
-                 Format.fprintf ppf "%a@@%d:%a" pp_entity e.es_entity e.es_slot Ast.pp_typ
-                   e.es_type))
-            s.st_live)
-        op.ot_stops)
+          if s.st_op = op.ot_index then
+            Format.fprintf ppf "    stop %d: live {%a}@." s.st_id
+              (Format.pp_print_list
+                 ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
+                 (fun ppf e ->
+                   Format.fprintf ppf "%a@@%d:%a" pp_entity e.es_entity e.es_slot
+                     Ast.pp_typ e.es_type))
+              s.st_live)
+        ct.ct_stops)
     ct.ct_ops

@@ -44,7 +44,6 @@ type op_t = {
   ot_temp_slots : int option array;  (** temp id -> slot, when slotted *)
   ot_nslots : int;
   ot_slot_class : slot_class array;
-  ot_stops : stop_t array;
 }
 
 type class_t = {
@@ -57,11 +56,15 @@ type class_t = {
   ct_conditions : string array;
   ct_strings : string array;
   ct_ops : op_t array;
+  ct_stops : stop_t array;
+      (** every operation's stops, dense by class-global stop id *)
   ct_nstops : int;
 }
 
 val slot_class_of_type : Ast.typ -> slot_class
 val stop_by_id : class_t -> int -> stop_t
+(** @raise Invalid_argument if the class has no stop with this id. *)
+
 val op_of_stop : class_t -> int -> op_t
 val var_slot : op_t -> int -> int
 val pp_class : Format.formatter -> class_t -> unit

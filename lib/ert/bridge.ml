@@ -16,59 +16,34 @@
    code OIDs are positive 30-bit database keys, so the spaces can never
    collide. *)
 
-type frag = {
-  fg_oid : int32;  (* synthetic (negative) code OID of the loaded fragment *)
-  fg_class_index : int;
-  fg_stop_id : int;
-  fg_base : int;  (* absolute address of the fragment's first instruction *)
-}
-
 type t = {
-  by_stop : (int32 * int, frag) Hashtbl.t;  (* (class code OID, stop id) *)
-  by_oid : (int32, frag) Hashtbl.t;
+  by_stop : (int32 * int, int) Hashtbl.t;  (* (class code OID, stop id) -> base *)
   mutable serial : int;
   mutable hits : int;
   mutable misses : int;
 }
 
-let create () =
-  {
-    by_stop = Hashtbl.create 8;
-    by_oid = Hashtbl.create 8;
-    serial = 0;
-    hits = 0;
-    misses = 0;
-  }
+let create () = { by_stop = Hashtbl.create 8; serial = 0; hits = 0; misses = 0 }
 
 let fresh_oid t =
   t.serial <- t.serial + 1;
   Int32.of_int (-t.serial)
 
-let is_frag_oid oid = Int32.compare oid 0l < 0
-
 let find t ~code_oid ~stop_id =
   match Hashtbl.find_opt t.by_stop (code_oid, stop_id) with
-  | Some f ->
+  | Some base ->
     t.hits <- t.hits + 1;
-    Some f
+    Some base
   | None ->
     t.misses <- t.misses + 1;
     None
 
-(* keyed by the class OID for landings, by the fragment OID for PC
-   resolution *)
-let add t ~code_oid f =
-  Hashtbl.replace t.by_stop (code_oid, f.fg_stop_id) f;
-  Hashtbl.replace t.by_oid f.fg_oid f
-
-let of_frag_oid t oid = Hashtbl.find_opt t.by_oid oid
+let add t ~code_oid ~stop_id base = Hashtbl.replace t.by_stop (code_oid, stop_id) base
 
 (* drop every fragment but keep the cumulative counters and the OID
    serial: fragment base addresses die with the kernel text they were
    loaded into, so a node restart must void them *)
-let clear t =
-  Hashtbl.reset t.by_stop;
-  Hashtbl.reset t.by_oid
+let clear t = Hashtbl.reset t.by_stop
 let count t = Hashtbl.length t.by_stop
 let hits t = t.hits
 let misses t = t.misses

@@ -10,13 +10,6 @@
     loaded into text under synthetic negative code OIDs (program OIDs
     are positive, so the spaces are disjoint). *)
 
-type frag = {
-  fg_oid : int32;  (** synthetic (negative) code OID of the loaded fragment *)
-  fg_class_index : int;
-  fg_stop_id : int;
-  fg_base : int;  (** absolute address of the fragment's first instruction *)
-}
-
 type t
 
 val create : unit -> t
@@ -24,18 +17,13 @@ val create : unit -> t
 val fresh_oid : t -> int32
 (** Next synthetic fragment OID (negative, node-local). *)
 
-val is_frag_oid : int32 -> bool
-(** True for synthetic fragment OIDs (negative). *)
+val find : t -> code_oid:int32 -> stop_id:int -> int option
+(** The base address of the class's fragment for the stop, if one is
+    loaded; counts a hit or a miss. *)
 
-val find : t -> code_oid:int32 -> stop_id:int -> frag option
-(** Cache lookup; counts a hit or a miss. *)
-
-val add : t -> code_oid:int32 -> frag -> unit
-(** Register a freshly generated fragment under the class's code OID. *)
-
-val of_frag_oid : t -> int32 -> frag option
-(** Resolve a fragment by its synthetic OID (PC-to-stop resolution for
-    threads suspended inside a bridge). *)
+val add : t -> code_oid:int32 -> stop_id:int -> int -> unit
+(** Register a freshly loaded fragment's base address under the class's
+    code OID and the stop it bridges. *)
 
 val clear : t -> unit
 (** Drop every fragment (hit/miss counters and the OID serial survive):

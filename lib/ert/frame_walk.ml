@@ -16,23 +16,21 @@ let fail fmt = Format.kasprintf (fun m -> raise (Kernel.Runtime_error m)) fmt
 let sparc_i6_off = 32 + (4 * 6)
 let sparc_i7_off = 32 + (4 * 7)
 
-let op_template k ~class_index ~method_index =
-  let lc = Kernel.loaded_class k class_index in
-  lc.Kernel.lc_class.Emc.Compile.cc_template.Emc.Template.ct_ops.(method_index)
+let self_offset k ~class_index ~method_index =
+  let ct = (Kernel.loaded_class k class_index).Kernel.lc_class.Emc.Compile.cc_template in
+  let self_slot = Emc.Template.var_slot ct.Emc.Template.ct_ops.(method_index) 0 in
+  (Kernel.frame_info k ~class_index ~method_index).Emc.Busstop.fr_slot_offsets.(self_slot)
 
-let frame_of_pc k ~pc ~fp =
+let frame_of_pc k ~pc ~fp ~ret_out =
   match Kernel.stop_at_pc k pc with
   | None -> fail "walk: PC %#x of a suspended activation record is not a bus stop" pc
   | Some (lc, entry) ->
     let class_index = lc.Kernel.lc_class.Emc.Compile.cc_index in
     let method_index = entry.Emc.Busstop.be_op in
-    let tmpl = op_template k ~class_index ~method_index in
-    let fi = Kernel.frame_info k ~class_index ~method_index in
-    let self_slot = Emc.Template.var_slot tmpl 0 in
-    let self_off = fi.Emc.Busstop.fr_slot_offsets.(self_slot) in
+    let self_off = self_offset k ~class_index ~method_index in
     let fw_self = Int32.to_int (Mem.load32 (Kernel.mem k) (fp + self_off)) in
     { fw_class = class_index; fw_method = method_index; fw_entry = entry; fw_fp = fp;
-      fw_ret_out = 0; fw_self }
+      fw_ret_out = ret_out; fw_self }
 
 let walk k (seg : T.segment) =
   if seg.T.seg_spawn <> None then []
@@ -48,7 +46,7 @@ let walk k (seg : T.segment) =
       | A.Sparc -> assert false
     in
     let rec go fp pc ret_out acc =
-      let fr = { (frame_of_pc k ~pc ~fp) with fw_ret_out = ret_out } in
+      let fr = frame_of_pc k ~pc ~fp ~ret_out in
       let acc = fr :: acc in
       if ret_out = 0 then List.rev acc
       else
@@ -73,18 +71,13 @@ let walk k (seg : T.segment) =
     go top_fp ctx.M.pc top_ret []
   end
 
-let live_pointer_slots k fr =
-  let lc = Kernel.loaded_class k fr.fw_class in
-  let ct = lc.Kernel.lc_class.Emc.Compile.cc_template in
+let fold_live k fr f acc =
+  let ct = (Kernel.loaded_class k fr.fw_class).Kernel.lc_class.Emc.Compile.cc_template in
   let stop = Emc.Template.stop_by_id ct fr.fw_entry.Emc.Busstop.be_id in
   let fi = Kernel.frame_info k ~class_index:fr.fw_class ~method_index:fr.fw_method in
   let mem = Kernel.mem k in
-  List.filter_map
-    (fun (es : Emc.Template.entity_slot) ->
-      if Emc.Ir.is_pointer_type es.Emc.Template.es_type then begin
-        let off = fi.Emc.Busstop.fr_slot_offsets.(es.Emc.Template.es_slot) in
-        let addr = Int32.to_int (Mem.load32 mem (fr.fw_fp + off)) in
-        if addr = 0 then None else Some (addr, es.Emc.Template.es_type)
-      end
-      else None)
-    stop.Emc.Template.st_live
+  List.fold_right
+    (fun (es : Emc.Template.entity_slot) acc ->
+      let off = fi.Emc.Busstop.fr_slot_offsets.(es.Emc.Template.es_slot) in
+      f es (Mem.load32 mem (fr.fw_fp + off)) acc)
+    stop.Emc.Template.st_live acc

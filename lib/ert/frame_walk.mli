@@ -20,7 +20,20 @@ val walk : Kernel.t -> Thread.segment -> frame_rec list
 (** Youngest first.  Empty for a never-executed segment.
     @raise Kernel.Runtime_error if a suspension PC is not a bus stop. *)
 
-val live_pointer_slots : Kernel.t -> frame_rec -> (int * Emc.Ast.typ) list
-(** Addresses (slot contents) of the pointer-typed entities live at the
-    frame's bus stop, with their static types — the garbage collector's
-    per-frame roots.  Nil slots are omitted. *)
+val fold_live :
+  Kernel.t -> frame_rec -> (Emc.Template.entity_slot -> int32 -> 'a -> 'a) -> 'a -> 'a
+(** [fold_live k fr f acc] folds [f] over the entities live at the
+    frame's bus stop, each with the raw word its slot holds, from the
+    last entity of the template's live list to the first, so that
+    consing onto [acc] yields a list in template order.  The only walk
+    over a frame's slots: capture translates every live entity, the
+    collector keeps the non-nil pointers as roots. *)
+
+val self_offset : Kernel.t -> class_index:int -> method_index:int -> int
+(** FP-relative offset of the method's self slot on this node. *)
+
+val sparc_i6_off : int
+val sparc_i7_off : int
+(** Offsets, from a SPARC frame's stack pointer, of the saved [%i6]
+    (the caller's frame pointer) and [%i7] (the return address) in the
+    register-window spill area. *)

@@ -48,11 +48,16 @@ let segment_roots k (seg : T.segment) =
     let acc = List.fold_left (fun acc v -> value_root k v acc) acc spawn.T.si_args in
     status_roots seg.T.seg_status acc
   | None ->
-    let frames = Frame_walk.walk k seg in
+    (* every frame's non-nil live pointers, youngest frame first *)
+    let pointer es raw acc =
+      if Emc.Ir.is_pointer_type es.Emc.Template.es_type && raw <> 0l then
+        Int32.to_int raw :: acc
+      else acc
+    in
     let acc =
-      List.concat_map
-        (fun fr -> List.map fst (Frame_walk.live_pointer_slots k fr))
-        frames
+      List.fold_right
+        (fun fr acc -> Frame_walk.fold_live k fr pointer acc)
+        (Frame_walk.walk k seg) []
     in
     (match seg.T.seg_status with
     | T.Parked s -> suspension_roots k s acc

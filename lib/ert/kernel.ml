@@ -75,6 +75,9 @@ type t = {
   kheap : Heap.t;
   mutable kprogram : Emc.Compile.program option;
   loaded : (int, loaded_class) Hashtbl.t;  (* class index -> loaded *)
+  code_owner : (int32, loaded_class * Emc.Busstop.entry option) Hashtbl.t;
+      (* code OID of every loaded text image -> its class, and for a
+         bridge fragment the elided stop the fragment stands for *)
   objects : int Oid_table.t;  (* resident: OID -> descriptor address *)
   proxies : int Oid_table.t;
   segs : (int, Thread.segment) Hashtbl.t;
@@ -144,6 +147,7 @@ let create ?clock ~node_id ~arch () =
     kheap = Heap.create ~mem ~start:heap_start;
     kprogram = None;
     loaded = Hashtbl.create 8;
+    code_owner = Hashtbl.create 8;
     objects = Oid_table.create ~dummy:0 ();
     proxies = Oid_table.create ~dummy:0 ();
     segs = Hashtbl.create 16;
@@ -277,9 +281,9 @@ let default_value_of_typ = function
    method entries, string-literal addresses) in data memory so generated
    code can dispatch and fetch literals with plain loads. *)
 let loaded_class t class_index =
-  match Hashtbl.find_opt t.loaded class_index with
-  | Some lc -> lc
-  | None ->
+  match Hashtbl.find t.loaded class_index with
+  | lc -> lc
+  | exception Not_found ->
     let prog = program t in
     let cc = Emc.Compile.class_by_index prog class_index in
     let art =
@@ -322,6 +326,7 @@ let loaded_class t class_index =
       }
     in
     Hashtbl.replace t.loaded class_index lc;
+    Hashtbl.replace t.code_owner code.Isa.Code.code_oid (lc, None);
     (match t.on_code_load with
     | Some f -> f ()
     | None -> ());
@@ -548,34 +553,25 @@ let rec raw_of_value t v =
 
 (* Bus stops ------------------------------------------------------------------ *)
 
+let image_owner t (img : Isa.Text.image) =
+  Hashtbl.find_opt t.code_owner img.Isa.Text.code.Isa.Code.code_oid
+
 let stop_at_pc t pc =
   match Isa.Text.find t.ktext pc with
   | None -> None
   | Some img -> (
-    let code_oid = img.Isa.Text.code.Isa.Code.code_oid in
-    if Bridge.is_frag_oid code_oid then
+    match image_owner t img with
+    | None -> None
+    | Some (lc, Some bridged) ->
       (* suspended inside a bridge fragment: the thread is at the elided
          stop of the real class — same stop id, same frame, so capture
          (and hence re-migration from inside a bridge) needs no special
          case *)
-      match Bridge.of_frag_oid t.kbridge code_oid with
-      | None -> None
-      | Some f ->
-        let lc = loaded_class t f.Bridge.fg_class_index in
-        Some (lc, Emc.Busstop.by_id lc.lc_stops f.Bridge.fg_stop_id)
-    else
-      let lc =
-        Hashtbl.fold
-          (fun _ lc acc ->
-            if Int32.equal lc.lc_code.Isa.Code.code_oid code_oid then Some lc else acc)
-          t.loaded None
-      in
-      match lc with
-      | None -> None
-      | Some lc -> (
-        match Emc.Busstop.of_pc lc.lc_stops (pc - img.Isa.Text.base) with
-        | Some entry -> Some (lc, entry)
-        | None -> None))
+      Some (lc, bridged)
+    | Some (lc, None) -> (
+      match Emc.Busstop.of_pc lc.lc_stops (pc - img.Isa.Text.base) with
+      | Some entry -> Some (lc, entry)
+      | None -> None))
 
 let at_stop t (seg : Thread.segment) =
   match seg.Thread.seg_status with
@@ -590,8 +586,14 @@ let stop_by_id t ~class_index ~stop_id =
 let frame_info t ~class_index ~method_index =
   (loaded_class t class_index).lc_stops.Emc.Busstop.bt_frames.(method_index)
 
-let image_of_class t class_index = (loaded_class t class_index).lc_image
-let abs_pc t ~class_index off = (image_of_class t class_index).Isa.Text.base + off
+let result_type t ~class_index ~method_index =
+  let ct = (loaded_class t class_index).lc_class.Emc.Compile.cc_template in
+  let op = ct.Emc.Template.ct_ops.(method_index) in
+  Option.map
+    (fun v ->
+      let _, ty, _ = op.Emc.Template.ot_vars.(v) in
+      ty)
+    op.Emc.Template.ot_result_var
 
 (* Bridge fragments: real target-ISA code generated for a landing thread
    parked at a bus stop this node's instance elided (section 2.4).  The
@@ -605,7 +607,7 @@ let ensure_bridge t ~class_index (entry : Emc.Busstop.entry) =
   let code_oid = lc.lc_code.Isa.Code.code_oid in
   let stop_id = entry.Emc.Busstop.be_id in
   match Bridge.find t.kbridge ~code_oid ~stop_id with
-  | Some f -> f
+  | Some base -> base
   | None ->
     let cont = lc.lc_image.Isa.Text.base + entry.Emc.Busstop.be_pc in
     let insns = [| Isa.Insn.Poll stop_id; Isa.Insn.Jmp_abs cont |] in
@@ -617,24 +619,16 @@ let ensure_bridge t ~class_index (entry : Emc.Busstop.entry) =
         ~methods:[||] insns
     in
     let image = Isa.Text.load t.ktext code in
-    let f =
-      {
-        Bridge.fg_oid = frag_oid;
-        fg_class_index = class_index;
-        fg_stop_id = stop_id;
-        fg_base = image.Isa.Text.base;
-      }
-    in
-    Bridge.add t.kbridge ~code_oid f;
-    f
+    Hashtbl.replace t.code_owner frag_oid (lc, Some entry);
+    Bridge.add t.kbridge ~code_oid ~stop_id image.Isa.Text.base;
+    image.Isa.Text.base
 
 (* where a thread parked at [entry] resumes on this node: the stop's PC
    in the class image, or a bridge fragment when this node's instance
    elided the stop *)
 let resume_abs t ~class_index (entry : Emc.Busstop.entry) =
-  if entry.Emc.Busstop.be_elided then
-    (ensure_bridge t ~class_index entry).Bridge.fg_base
-  else abs_pc t ~class_index entry.Emc.Busstop.be_pc
+  if entry.Emc.Busstop.be_elided then ensure_bridge t ~class_index entry
+  else (loaded_class t class_index).lc_image.Isa.Text.base + entry.Emc.Busstop.be_pc
 
 (* Threads --------------------------------------------------------------------- *)
 
@@ -778,14 +772,7 @@ let spawn_exact t ~(spawn : Thread.spawn_info) ~link ~thread ~seg_id ~status =
   in
   let lc = loaded_class t class_index in
   let minfo = lc.lc_code.Isa.Code.methods.(method_index) in
-  let result_type =
-    let op = lc.lc_class.Emc.Compile.cc_template.Emc.Template.ct_ops.(method_index) in
-    Option.map
-      (fun v ->
-        let _, ty, _ = op.Emc.Template.ot_vars.(v) in
-        ty)
-      op.Emc.Template.ot_result_var
-  in
+  let result_type = result_type t ~class_index ~method_index in
   let stack_top = alloc_stack t in
   let ctx = M.create_ctx t.karch in
   let raw_args = List.map (raw_of_value t) args in
@@ -859,22 +846,12 @@ let deliver_result t seg value =
     (* resume at the canonical stop PC with the value in the return-value
        register (applied at dispatch) *)
     let pc = seg.Thread.seg_ctx.M.pc in
-    let class_index =
-      match Isa.Text.find t.ktext pc with
-      | Some img -> (
-        let code_oid = img.Isa.Text.code.Isa.Code.code_oid in
-        match
-          Hashtbl.fold
-            (fun idx lc acc ->
-              if Int32.equal lc.lc_code.Isa.Code.code_oid code_oid then Some idx else acc)
-            t.loaded None
-        with
-        | Some i -> i
-        | None -> error "deliver_result: code not loaded")
-      | None -> error "deliver_result: PC outside text"
+    let lc =
+      match Option.bind (Isa.Text.find t.ktext pc) (image_owner t) with
+      | Some (lc, _) -> lc
+      | None -> error "deliver_result: PC %#x is in no loaded code" pc
     in
-    let entry = stop_by_id t ~class_index ~stop_id in
-    let lc = loaded_class t class_index in
+    let entry = Emc.Busstop.by_id lc.lc_stops stop_id in
     seg.Thread.seg_ctx.M.pc <- lc.lc_image.Isa.Text.base + entry.Emc.Busstop.be_pc;
     seg.Thread.seg_status <- Thread.Parked (S.Deliver value);
     enqueue_ready t seg

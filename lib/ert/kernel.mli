@@ -183,8 +183,9 @@ val stop_at_pc : t -> int -> (loaded_class * Emc.Busstop.entry) option
 
 val stop_by_id : t -> class_index:int -> stop_id:int -> Emc.Busstop.entry
 val frame_info : t -> class_index:int -> method_index:int -> Emc.Busstop.frame_info
-val abs_pc : t -> class_index:int -> int -> int
-val image_of_class : t -> int -> Isa.Text.image
+
+val result_type : t -> class_index:int -> method_index:int -> Emc.Ast.typ option
+(** The method's result type; [None] for a resultless operation. *)
 
 val resume_abs : t -> class_index:int -> Emc.Busstop.entry -> int
 (** Absolute resume PC for a thread parked at the stop: the stop's PC in
@@ -192,10 +193,6 @@ val resume_abs : t -> class_index:int -> Emc.Busstop.entry -> int
     stop — the base of a (cached) compiled bridge fragment
     ([Poll stop; Jmp_abs resume], section 2.4) that re-enters the image
     without executing any source-level action. *)
-
-val ensure_bridge : t -> class_index:int -> Emc.Busstop.entry -> Bridge.frag
-(** The bridge fragment for an elided stop, generating and loading it on
-    first use. *)
 
 val bridge : t -> Bridge.t
 (** This node's bridge-fragment cache (statistics). *)

@@ -32,7 +32,7 @@ let to_mi k (seg : T.segment) : Mi_frame.mi_segment =
   let frames =
     match seg.T.seg_spawn with
     | Some _ -> []
-    | None -> List.map (Translate.capture_frame k) (Translate.walk_frames k seg)
+    | None -> List.map (Translate.capture_frame k) (Ert.Frame_walk.walk k seg)
   in
   {
     Mi_frame.ms_seg_id = seg.T.seg_id;
@@ -62,13 +62,13 @@ let capture k ~thread =
     (fun () ->
       W.Writer.u32 w magic;
       W.Writer.u32 w (Int32.of_int (List.length segs));
-      List.iter (fun s -> Mi_frame.write_segment w (to_mi k s)) segs;
+      let mis = List.map (to_mi k) segs in
+      List.iter (Mi_frame.write_segment w) mis;
       (* translation is charged like an outbound move, once per frame *)
       List.iter
-        (fun s ->
-          let n = List.length (Translate.walk_frames k s) in
-          K.charge_insns k (n * Cost_model.frame_translate_insns))
-        segs;
+        (fun ms ->
+          K.charge_insns k (Mi_frame.frame_count ms * Cost_model.frame_translate_insns))
+        mis;
       W.Writer.contents w)
 
 let suspend k ~thread =

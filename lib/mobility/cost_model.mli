@@ -48,3 +48,14 @@ val code_fetch_insns : int
 
 val invoke_dispatch_insns : int
 (** Setting up or completing a remote invocation at either end. *)
+
+val gc_collect_insns : live:int -> int
+(** One stop-the-world collection that left [live] blocks marked: a
+    fixed part plus a per-live-block trace charge, in one pause. *)
+
+val gc_cycle_open_insns : int
+(** Opening an incremental cycle: the heap snapshot and the barrier. *)
+
+val gc_increment_insns : scanned:int -> int
+(** One increment of an incremental cycle that scanned [scanned] pointer
+    slots (or blocks, when sweeping). *)

@@ -1,5 +1,6 @@
 module K = Ert.Kernel
 module T = Ert.Thread
+module FW = Ert.Frame_walk
 module Mem = Isa.Memory
 module L = Emc.Layout
 
@@ -95,10 +96,8 @@ let split_segment k ~dest ~moving_oid (seg : T.segment) : Mi_frame.mi_segment li
       ]
     end
   | None ->
-    let frames = Translate.walk_frames k seg in
-    let flags =
-      List.map (fun (f : Translate.frame_rec) -> moving_oid (K.oid_at k f.Translate.fw_self)) frames
-    in
+    let frames = FW.walk k seg in
+    let flags = List.map (fun (f : FW.frame_rec) -> moving_oid (K.oid_at k f.FW.fw_self)) frames in
     if not (List.mem true flags) then []
     else begin
       let runs = Array.of_list (group_runs flags frames) in
@@ -110,9 +109,8 @@ let split_segment k ~dest ~moving_oid (seg : T.segment) : Mi_frame.mi_segment li
         let _, fs = runs.(j) in
         match List.rev fs with
         | [] -> assert false
-        | (bottom : Translate.frame_rec) :: _ ->
-          Translate.result_type_of k ~class_index:bottom.Translate.fw_class
-            ~method_index:bottom.Translate.fw_method
+        | (bottom : FW.frame_rec) :: _ ->
+          K.result_type k ~class_index:bottom.FW.fw_class ~method_index:bottom.FW.fw_method
       in
       let run_link j =
         if j = n_runs - 1 then seg.T.seg_link
@@ -130,8 +128,8 @@ let split_segment k ~dest ~moving_oid (seg : T.segment) : Mi_frame.mi_segment li
           let _, fs = runs.(j) in
           match fs with
           | [] -> assert false
-          | (top : Translate.frame_rec) :: _ ->
-            Mi_frame.Ms_awaiting_reply top.Translate.fw_entry.Emc.Busstop.be_id
+          | (top : FW.frame_rec) :: _ ->
+            Mi_frame.Ms_awaiting_reply top.FW.fw_entry.Emc.Busstop.be_id
       in
       let shipped = ref [] in
       Array.iteri
@@ -157,7 +155,7 @@ let split_segment k ~dest ~moving_oid (seg : T.segment) : Mi_frame.mi_segment li
       Array.iteri
         (fun j (moves, fs) ->
           if not moves then begin
-            let top : Translate.frame_rec =
+            let top : FW.frame_rec =
               match fs with
               | t :: _ -> t
               | [] -> assert false
@@ -174,7 +172,7 @@ let split_segment k ~dest ~moving_oid (seg : T.segment) : Mi_frame.mi_segment li
             else begin
               let below_resume =
                 match fs with
-                | _ :: (_ : Translate.frame_rec) :: _ -> top.Translate.fw_ret_out
+                | _ :: (_ : FW.frame_rec) :: _ -> top.FW.fw_ret_out
                 | _ -> 0
               in
               if j < n_runs - 1 then Translate.patch_segment_bottom k seg fs;
@@ -184,7 +182,7 @@ let split_segment k ~dest ~moving_oid (seg : T.segment) : Mi_frame.mi_segment li
                   T.seg_id = ids.(j);
                   seg_thread = seg.T.seg_thread;
                   seg_status =
-                    T.Awaiting_reply { stop_id = top.Translate.fw_entry.Emc.Busstop.be_id };
+                    T.Awaiting_reply { stop_id = top.FW.fw_entry.Emc.Busstop.be_id };
                   seg_ctx = ctx;
                   seg_stack_top = seg.T.seg_stack_top;
                   seg_stack_bottom = seg.T.seg_stack_bottom;
@@ -283,8 +281,8 @@ let initiate_evict ~k ~(seg : T.segment) ~dest =
       match seg.T.seg_spawn with
       | Some spawn -> K.find_object k spawn.T.si_target
       | None -> (
-        match Translate.walk_frames k seg with
-        | top :: _ -> Some top.Translate.fw_self
+        match FW.walk k seg with
+        | top :: _ -> Some top.FW.fw_self
         | [] -> None)
     in
     match obj_addr with

@@ -3,17 +3,8 @@ module M = Isa.Machine
 module Mem = Isa.Memory
 module K = Ert.Kernel
 module T = Ert.Thread
+module FW = Ert.Frame_walk
 
-type frame_rec = Ert.Frame_walk.frame_rec = {
-  fw_class : int;
-  fw_method : int;
-  fw_entry : Emc.Busstop.entry;
-  fw_fp : int;
-  fw_ret_out : int;
-  fw_self : int;
-}
-
-let walk_frames = Ert.Frame_walk.walk
 let fail fmt = Format.kasprintf (fun m -> raise (K.Runtime_error m)) fmt
 
 (* per-family geometry of the cells a callee's presence adds between the
@@ -29,34 +20,20 @@ let top_pad = function
   | A.M68k -> 12
   | A.Sparc -> 8
 
-let sparc_i6_off = 32 + (4 * 6)
-let sparc_i7_off = 32 + (4 * 7)
-
-let op_template k ~class_index ~method_index =
-  let lc = K.loaded_class k class_index in
-  lc.K.lc_class.Emc.Compile.cc_template.Emc.Template.ct_ops.(method_index)
-
-let capture_frame k fr =
-  let lc = K.loaded_class k fr.fw_class in
-  let ct = lc.K.lc_class.Emc.Compile.cc_template in
-  let stop = Emc.Template.stop_by_id ct fr.fw_entry.Emc.Busstop.be_id in
-  let fi = K.frame_info k ~class_index:fr.fw_class ~method_index:fr.fw_method in
-  let mem = K.mem k in
+let capture_frame k (fr : FW.frame_rec) =
   let slots =
-    Array.map
-      (fun (es : Emc.Template.entity_slot) ->
-        let off = fi.Emc.Busstop.fr_slot_offsets.(es.Emc.Template.es_slot) in
-        let raw = Mem.load32 mem (fr.fw_fp + off) in
-        (es.Emc.Template.es_slot, K.value_of_raw k es.Emc.Template.es_type raw))
-      (Array.of_list stop.Emc.Template.st_live)
+    FW.fold_live k fr
+      (fun es raw acc ->
+        (es.Emc.Template.es_slot, K.value_of_raw k es.Emc.Template.es_type raw) :: acc)
+      []
   in
   {
-    Mi_frame.mf_class = fr.fw_class;
-    mf_code_oid = lc.K.lc_code.Isa.Code.code_oid;
-    mf_method = fr.fw_method;
-    mf_stop = fr.fw_entry.Emc.Busstop.be_id;
-    mf_slots = slots;
-    mf_self = K.oid_at k fr.fw_self;
+    Mi_frame.mf_class = fr.FW.fw_class;
+    mf_code_oid = (K.loaded_class k fr.FW.fw_class).K.lc_code.Isa.Code.code_oid;
+    mf_method = fr.FW.fw_method;
+    mf_stop = fr.FW.fw_entry.Emc.Busstop.be_id;
+    mf_slots = Array.of_list slots;
+    mf_self = K.oid_at k fr.FW.fw_self;
   }
 
 (* the suspension is already machine-independent: it passes through
@@ -74,14 +51,6 @@ let status_to_mi k (seg : T.segment) =
   | T.Running ->
     fail "cannot capture running segment %d (park it at its stop first)" seg.T.seg_id
   | T.Dead -> fail "cannot capture dead segment %d" seg.T.seg_id
-
-let result_type_of k ~class_index ~method_index =
-  let tmpl = op_template k ~class_index ~method_index in
-  Option.map
-    (fun v ->
-      let _, ty, _ = tmpl.Emc.Template.ot_vars.(v) in
-      ty)
-    tmpl.Emc.Template.ot_result_var
 
 let status_of_mi k = function
   | Mi_frame.Ms_parked s -> T.Parked s
@@ -149,12 +118,10 @@ let rebuild_segment k (mi : Mi_frame.mi_segment) : T.segment =
          never read self again), but the frame walk relies on it to identify
          the activation's object on a later capture — restore it first, then
          let a live capture of the same slot overwrite with the same value *)
-      let tmpl =
-        op_template k ~class_index:b.bf.Mi_frame.mf_class
+      let self_off =
+        FW.self_offset k ~class_index:b.bf.Mi_frame.mf_class
           ~method_index:b.bf.Mi_frame.mf_method
       in
-      let self_slot = Emc.Template.var_slot tmpl 0 in
-      let self_off = b.bf_fi.Emc.Busstop.fr_slot_offsets.(self_slot) in
       let self_addr = K.ensure_ref k b.bf.Mi_frame.mf_self in
       Mem.store32 mem (fp + self_off) (Int32.of_int self_addr);
       Array.iter
@@ -215,8 +182,8 @@ let rebuild_segment k (mi : Mi_frame.mi_segment) : T.segment =
           let sp = b.bf_fp - b.bf_depth in
           let parent_fp = if i = n - 1 then 0 else barr.(i + 1).bf_fp in
           let parent_ret = if i >= n - 2 then 0 else barr.(i + 2).bf_resume_abs in
-          Mem.store32 mem (sp + sparc_i6_off) (Int32.of_int parent_fp);
-          Mem.store32 mem (sp + sparc_i7_off) (Int32.of_int parent_ret))
+          Mem.store32 mem (sp + FW.sparc_i6_off) (Int32.of_int parent_fp);
+          Mem.store32 mem (sp + FW.sparc_i7_off) (Int32.of_int parent_ret))
         barr);
     (* register context for the youngest frame *)
     let ctx = M.create_ctx arch in
@@ -246,18 +213,18 @@ let rebuild_segment k (mi : Mi_frame.mi_segment) : T.segment =
     K.register_segment k seg;
     seg
 
-let patch_segment_bottom k _seg frames =
+let patch_segment_bottom k _seg (frames : FW.frame_rec list) =
   match List.rev frames with
   | [] -> ()
   | bottom :: rest_above_rev ->
     let mem = K.mem k in
     (match (K.arch k).A.family with
     | A.Vax ->
-      Mem.store32 mem bottom.fw_fp 0l;
-      Mem.store32 mem (bottom.fw_fp + 8) 0l
+      Mem.store32 mem bottom.FW.fw_fp 0l;
+      Mem.store32 mem (bottom.FW.fw_fp + 8) 0l
     | A.M68k ->
-      Mem.store32 mem bottom.fw_fp 0l;
-      Mem.store32 mem (bottom.fw_fp + 4) 0l
+      Mem.store32 mem bottom.FW.fw_fp 0l;
+      Mem.store32 mem (bottom.FW.fw_fp + 4) 0l
     | A.Sparc -> (
       (* the bottom frame's window is spilled in its child's spill area
          (the next frame up in this run); a single-frame run keeps its
@@ -265,17 +232,19 @@ let patch_segment_bottom k _seg frames =
       match rest_above_rev with
       | [] -> ()
       | child :: _ ->
-        let fi = K.frame_info k ~class_index:child.fw_class ~method_index:child.fw_method in
-        let sp = child.fw_fp - fi.Emc.Busstop.fr_fixed_sp_depth in
-        Mem.store32 mem (sp + sparc_i7_off) 0l))
+        let fi =
+          K.frame_info k ~class_index:child.FW.fw_class ~method_index:child.FW.fw_method
+        in
+        let sp = child.FW.fw_fp - fi.Emc.Busstop.fr_fixed_sp_depth in
+        Mem.store32 mem (sp + FW.sparc_i7_off) 0l))
 
-let make_ctx_for_top k ~top ~below_resume =
+let make_ctx_for_top k ~(top : FW.frame_rec) ~below_resume =
   let arch = K.arch k in
   let ctx = M.create_ctx arch in
-  M.set_fp ctx top.fw_fp;
-  M.set_sp ctx (top.fw_fp - top.fw_entry.Emc.Busstop.be_sp_depth);
+  M.set_fp ctx top.FW.fw_fp;
+  M.set_sp ctx (top.FW.fw_fp - top.FW.fw_entry.Emc.Busstop.be_sp_depth);
   (match arch.A.family with
   | A.Sparc -> M.set_reg_int ctx 31 below_resume
   | A.Vax | A.M68k -> ());
-  ctx.M.pc <- K.resume_abs k ~class_index:top.fw_class top.fw_entry;
+  ctx.M.pc <- K.resume_abs k ~class_index:top.FW.fw_class top.FW.fw_entry;
   ctx

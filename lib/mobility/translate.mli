@@ -1,7 +1,7 @@
 (** Translation of thread state between machine-dependent and
     machine-independent formats — the core mechanism of the paper.
 
-    Outbound ({!walk_frames} + {!capture_frame}): walk a suspended
+    Outbound ({!Ert.Frame_walk.walk} + {!capture_frame}): walk a suspended
     segment's activation records from the youngest down, using the frame
     pointers, the per-architecture frame geometry, and the bus-stop tables
     to name each suspension point machine-independently; extract the live
@@ -17,27 +17,12 @@
     linkage (saved frame pointers, return addresses, SPARC register-window
     spill areas) from the bus-stop geometry. *)
 
-type frame_rec = Ert.Frame_walk.frame_rec = {
-  fw_class : int;
-  fw_method : int;
-  fw_entry : Emc.Busstop.entry;  (** the bus stop where this record is suspended *)
-  fw_fp : int;
-  fw_ret_out : int;  (** absolute return address out of this frame; 0 at bottom *)
-  fw_self : int;  (** local address of the object this record executes in *)
-}
-
-val walk_frames : Ert.Kernel.t -> Ert.Thread.segment -> frame_rec list
-(** {!Ert.Frame_walk.walk}: youngest first; empty for a never-executed
-    segment (spawn pending). *)
-
-val capture_frame : Ert.Kernel.t -> frame_rec -> Mi_frame.mi_frame
+val capture_frame : Ert.Kernel.t -> Ert.Frame_walk.frame_rec -> Mi_frame.mi_frame
 
 val status_to_mi : Ert.Kernel.t -> Ert.Thread.segment -> Mi_frame.mi_status
 (** Fails on a running or dead segment, and on a CPU-only suspension (the
     unified {!Isa.Suspend.t} passes through otherwise — there is no
     conversion step any more). *)
-
-val result_type_of : Ert.Kernel.t -> class_index:int -> method_index:int -> Emc.Ast.typ option
 
 val rebuild_segment : Ert.Kernel.t -> Mi_frame.mi_segment -> Ert.Thread.segment
 (** Builds the native stack, registers the segment with the kernel and
@@ -45,13 +30,14 @@ val rebuild_segment : Ert.Kernel.t -> Mi_frame.mi_segment -> Ert.Thread.segment
     an empty queue linkage; the caller re-enqueues them in the marshalled
     queue order. *)
 
-val patch_segment_bottom : Ert.Kernel.t -> Ert.Thread.segment -> frame_rec list -> unit
+val patch_segment_bottom :
+  Ert.Kernel.t -> Ert.Thread.segment -> Ert.Frame_walk.frame_rec list -> unit
 (** Make the given (in-place, staying) frames a well-formed segment whose
     bottom returns to the kernel: writes the sentinel return address into
     the bottom frame's linkage cells. *)
 
 val make_ctx_for_top :
-  Ert.Kernel.t -> top:frame_rec -> below_resume:int -> Isa.Machine.ctx
+  Ert.Kernel.t -> top:Ert.Frame_walk.frame_rec -> below_resume:int -> Isa.Machine.ctx
 (** Fresh register context for a segment whose (staying, in-place) top
     frame is [top]; [below_resume] is the absolute resume PC of the frame
     below it in the same segment, or 0 when [top] is also the bottom. *)

@@ -49,8 +49,8 @@ let table1_stops =
   let ct = agent.Emc.Compile.cc_template in
   let live =
     List.filter
-      (fun st -> st.T.st_live <> [])
-      (Array.to_list ct.T.ct_ops.(0).T.ot_stops)
+      (fun st -> st.T.st_op = 0 && st.T.st_live <> [])
+      (Array.to_list ct.T.ct_stops)
   in
   match live with
   | a :: b :: _ -> (a.T.st_id, b.T.st_id)

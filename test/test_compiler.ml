@@ -185,32 +185,32 @@ let test_template_slots () =
   (* every stop's live slots are within range and class-consistent *)
   Array.iter
     (fun (st : Emc.Template.stop_t) ->
-      List.iter
-        (fun (es : Emc.Template.entity_slot) ->
-          if es.Emc.Template.es_slot < 0 || es.es_slot >= start.Emc.Template.ot_nslots
-          then Alcotest.fail "slot out of range";
-          let cls = start.Emc.Template.ot_slot_class.(es.es_slot) in
-          let expect = Emc.Template.slot_class_of_type es.es_type in
-          if cls <> expect then Alcotest.fail "slot class mismatch")
-        st.Emc.Template.st_live)
-    start.Emc.Template.ot_stops
+      if st.Emc.Template.st_op = start.Emc.Template.ot_index then
+        List.iter
+          (fun (es : Emc.Template.entity_slot) ->
+            if es.Emc.Template.es_slot < 0 || es.es_slot >= start.Emc.Template.ot_nslots
+            then Alcotest.fail "slot out of range";
+            let cls = start.Emc.Template.ot_slot_class.(es.es_slot) in
+            let expect = Emc.Template.slot_class_of_type es.es_type in
+            if cls <> expect then Alcotest.fail "slot class mismatch")
+          st.Emc.Template.st_live)
+    main.Emc.Compile.cc_template.Emc.Template.ct_stops
 
 let test_template_no_slot_conflicts () =
   (* at any single stop, each slot is owned by at most one entity *)
   let p = compile_all counter_src in
   Array.iter
     (fun (cc : Emc.Compile.compiled_class) ->
+      let ct = cc.Emc.Compile.cc_template in
       Array.iter
-        (fun (op : Emc.Template.op_t) ->
-          Array.iter
-            (fun (st : Emc.Template.stop_t) ->
-              let slots = List.map (fun es -> es.Emc.Template.es_slot) st.Emc.Template.st_live in
-              let sorted = List.sort_uniq compare slots in
-              if List.length sorted <> List.length slots then
-                Alcotest.failf "stop %d of %s.%s: slot owned twice"
-                  st.Emc.Template.st_id cc.Emc.Compile.cc_name op.Emc.Template.ot_name)
-            op.Emc.Template.ot_stops)
-        cc.Emc.Compile.cc_template.Emc.Template.ct_ops)
+        (fun (st : Emc.Template.stop_t) ->
+          let slots = List.map (fun es -> es.Emc.Template.es_slot) st.Emc.Template.st_live in
+          let sorted = List.sort_uniq compare slots in
+          if List.length sorted <> List.length slots then
+            Alcotest.failf "stop %d of %s.%s: slot owned twice" st.Emc.Template.st_id
+              cc.Emc.Compile.cc_name
+              ct.Emc.Template.ct_ops.(st.Emc.Template.st_op).Emc.Template.ot_name)
+        ct.Emc.Template.ct_stops)
     p.Emc.Compile.p_classes
 
 (* Code generation ------------------------------------------------------------ *)

@@ -455,7 +455,7 @@ let test_crash_discards_cycle () =
    per-increment pause list are pinned to the values the sharded
    engine's last release recorded (identical there at 1, 2 and 4
    shards), and every pause obeys the budget bound: an increment is
-   charged 120 + scanned*40 instructions. *)
+   charged [Cost_model.gc_increment_insns] for the slots it scanned. *)
 let test_incremental_pauses_pinned () =
   let budget = 64 in
   let pauses = ref [] in
@@ -483,7 +483,10 @@ let test_incremental_pauses_pinned () =
           (String.concat " " (List.map (Printf.sprintf "%.17g") pauses))));
   (* the atomic root scan may overrun the slot budget, so give it
      headroom; mark and sweep increments sit well inside it *)
-  let bound = float_of_int (120 + ((budget + 2048) * 40)) /. A.sparc.A.mips in
+  let bound =
+    float_of_int (Mobility.Cost_model.gc_increment_insns ~scanned:(budget + 2048))
+    /. A.sparc.A.mips
+  in
   List.iter
     (fun p ->
       if p > bound then
