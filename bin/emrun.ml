@@ -131,14 +131,32 @@ let run file nodes opt cls op args_s original codec location gc_mode_s
       Core.Cluster.load_program cl prog;
       prog
   in
+  (* a --class, --op or --args the program cannot take is an error of
+     the input, like an unknown --codec *)
+  let bad_input msg =
+    Printf.eprintf "emrun: %s\n" msg;
+    exit 2
+  in
+  if Emc.Compile.find_class prog cls = None then
+    bad_input
+      (Printf.sprintf "unknown class %s (have: %s)" cls
+         (String.concat ", "
+            (Array.to_list
+               (Array.map (fun cc -> cc.Emc.Compile.cc_name) prog.Emc.Compile.p_classes))));
   let target = Core.Cluster.create_object cl ~node:0 ~class_name:cls in
   let args =
     if args_s = "" then []
     else
       String.split_on_char ',' args_s
-      |> List.map (fun s -> Ert.Value.Vint (Int32.of_string (String.trim s)))
+      |> List.map (fun s ->
+             match Int32.of_string_opt (String.trim s) with
+             | Some v -> Ert.Value.Vint v
+             | None -> bad_input (Printf.sprintf "bad --args value %S (want integers)" s))
   in
-  let tid = Core.Cluster.spawn cl ~node:0 ~target ~op ~args in
+  let tid =
+    try Core.Cluster.spawn cl ~node:0 ~target ~op ~args
+    with Ert.Kernel.Runtime_error msg -> bad_input msg
+  in
   let finish () =
     for i = 0 to Core.Cluster.n_nodes cl - 1 do
       let out = Core.Cluster.output cl ~node:i in
@@ -184,11 +202,14 @@ let run file nodes opt cls op args_s original codec location gc_mode_s
       let gc_freed =
         Core.Cluster.total_counter cl (fun c -> c.Core.Events.c_gc_bytes_freed)
       in
+      let collections =
+        Core.Cluster.total_counter cl (fun c -> c.Core.Events.c_collections)
+      in
       (match Core.Cluster.gc_mode cl with
       | Core.Cluster.Gc_stw ->
-        if Core.Cluster.collections cl > 0 then
+        if collections > 0 then
           Printf.printf "gc: %d stop-the-world collections, %d bytes freed\n"
-            (Core.Cluster.collections cl) gc_freed
+            collections gc_freed
       | Core.Cluster.Gc_incremental ->
         let incs =
           Core.Cluster.total_counter cl (fun c ->
@@ -197,8 +218,7 @@ let run file nodes opt cls op args_s original codec location gc_mode_s
         Printf.printf
           "gc: %d incremental collections (%d increments), %d bytes freed, \
            max increment pause %.1f us\n"
-          (Core.Cluster.collections cl)
-          incs gc_freed !gc_max_pause_us);
+          collections incs gc_freed !gc_max_pause_us);
       for i = 0 to Core.Cluster.n_nodes cl - 1 do
         let c = Core.Cluster.node_counters cl i in
         let open Core.Events in
@@ -402,7 +422,8 @@ let op_t =
 
 let args_t =
   Arg.(value & opt string ""
-       & info [ "args" ] ~docv:"LIST" ~doc:"Comma-separated integer arguments.")
+       & info [ "args" ] ~docv:"LIST"
+           ~doc:"Comma-separated integer arguments, one per parameter of the operation.")
 
 let original_t =
   Arg.(value & flag

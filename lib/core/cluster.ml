@@ -191,6 +191,12 @@ and handle_outcall t ~src (oc : K.outcall) =
       (Mobility.Rpc.initiate_invoke ~k ~target_oid ~hint_node ~callee_class ~callee_method
          ~args ~caller_seg:seg.T.seg_id ~thread:seg.T.seg_thread)
   | K.Oc_move { seg; obj_addr; dest_node } ->
+    let n = Array.length t.kernels in
+    if dest_node < 0 || dest_node >= n then
+      raise
+        (K.Runtime_error
+           (Printf.sprintf "node %d, thread %d: move to node %d, outside the %d-node cluster"
+              src seg.T.seg_thread dest_node n));
     E.emit t.bus
       (E.Ev_move_start
          { time = K.time_us k; node = src; obj = K.oid_at k obj_addr; dest = dest_node });
@@ -656,7 +662,6 @@ let global_time_us t = Array.fold_left (fun acc k -> Float.max acc (K.time_us k)
 let output t ~node = K.output t.kernels.(node)
 let outputs t = String.concat "" (Array.to_list (Array.map K.output t.kernels))
 let events_processed t = Loop.events t.loop
-let collections t = Collect.collections t.gc
 
 (* between events every segment is parked at a bus stop, so global
    properties are well defined; [inv_last_times] carries the previous

@@ -30,9 +30,8 @@ type location = Locate.mode =
 
 type gc_mode = Collect.mode =
   | Gc_stw
-      (** one-shot stop-the-world mark-sweep when the heap crosses the
-          threshold — the default; traces are byte-identical to clusters
-          built before the incremental tier existed *)
+      (** stop-the-world: the whole collection cycle in one call when the
+          heap crosses the threshold, charged as one pause — the default *)
   | Gc_incremental
       (** the tri-color incremental tier (DESIGN.md §17): the same
           collection split into bounded increments interleaved with the
@@ -146,6 +145,8 @@ val bus : t -> Events.bus
 
 val node_counters : t -> int -> Events.counters
 val total_counter : t -> (Events.counters -> int) -> int
+(** A bus counter summed over every node, e.g. finished collections
+    ([c_collections]). *)
 
 val enable_spans : t -> unit
 (** Turn on migration span tracing (DESIGN.md §12): every move emits a
@@ -285,6 +286,3 @@ val outputs : t -> string
 (** All nodes' console output concatenated in node order. *)
 
 val events_processed : t -> int
-
-val collections : t -> int
-(** Automatic collections performed (with [gc_threshold]). *)

@@ -19,17 +19,15 @@ type t = {
          the location directory: a crash discards it (Gc.abort) and the
          next threshold crossing starts a fresh cycle from scratch. *)
   mutable pinned : Ert.Oid.t list;  (* harness-held references: GC roots *)
-  mutable collections : int;
 }
 
 let create ~mode ~threshold ~budget ~kernels ~engine ~bus ~quiesce =
   { mode; budget; kernels; engine; bus; quiesce;
     threshold = Option.value threshold ~default:max_int;
     cycles = Array.make (Array.length kernels) None;
-    pinned = []; collections = 0 }
+    pinned = [] }
 
 let mode t = t.mode
-let collections t = t.collections
 let in_progress t i = t.cycles.(i) <> None
 let pin t oid = t.pinned <- oid :: t.pinned
 let over_threshold t i = Ert.Heap.live_bytes (K.heap t.kernels.(i)) > t.threshold
@@ -37,6 +35,13 @@ let over_threshold t i = Ert.Heap.live_bytes (K.heap t.kernels.(i)) > t.threshol
 (* an increment already queued its successor; only the threshold starts
    a brand-new cycle (matching the stop-the-world cadence) *)
 let due t i = in_progress t i || over_threshold t i
+
+(* a finished collection, either tier: the bus counts it *)
+let finished t i ~time (stats : Ert.Gc.stats) =
+  E.emit t.bus
+    (E.Ev_gc
+       { time; node = i; swept = stats.Ert.Gc.gc_swept; live = stats.Ert.Gc.gc_live;
+         bytes_freed = stats.Ert.Gc.gc_bytes_freed })
 
 (* automatic collection: the templates identify pointers only at bus
    stops, so under preemptive scheduling the node is quiesced first —
@@ -46,12 +51,8 @@ let collect_stw t i =
   t.quiesce i;
   let k = t.kernels.(i) in
   let stats = Ert.Gc.collect ~extra_roots:t.pinned k in
-  t.collections <- t.collections + 1;
   K.charge_insns k (CM.gc_collect_insns ~live:stats.Ert.Gc.gc_live);
-  E.emit t.bus
-    (E.Ev_gc
-       { time = K.time_us k; node = i; swept = stats.Ert.Gc.gc_swept;
-         live = stats.Ert.Gc.gc_live; bytes_freed = stats.Ert.Gc.gc_bytes_freed })
+  finished t i ~time:(K.time_us k) stats
 
 (* charge one increment that began at [t0] and publish its phase;
    returns the post-charge clock *)
@@ -95,12 +96,7 @@ let increment t i =
     Engine.schedule t.engine ~at:t1 (Engine.Gc i)
   | Ert.Gc.Step_done { scanned; stats } ->
     t.cycles.(i) <- None;
-    let t1 = charge_increment t i ~t0 ~phase:"gc_sweep" ~scanned in
-    t.collections <- t.collections + 1;
-    E.emit t.bus
-      (E.Ev_gc
-         { time = t1; node = i; swept = stats.Ert.Gc.gc_swept;
-           live = stats.Ert.Gc.gc_live; bytes_freed = stats.Ert.Gc.gc_bytes_freed })
+    finished t i ~time:(charge_increment t i ~t0 ~phase:"gc_sweep" ~scanned) stats
 
 let collect t i =
   match t.mode with

@@ -1,14 +1,17 @@
 (** When and how a node's heap is collected (DESIGN.md §17).
 
     Automatic collection runs when a node's live heap bytes exceed the
-    threshold, in one of two tiers: a stop-the-world mark-sweep, or the
-    same collection as a tri-color cycle of bounded increments
-    interleaved with the event loop.  The harness-held objects are extra
-    roots; objects and segments leaving a node under an open cycle are
-    greyed at send-off; a crash discards the node's cycle. *)
+    threshold, in one of two tiers that run the same {!Ert.Gc} cycle:
+    stop-the-world runs it to completion in one call, the incremental
+    tier in bounded increments interleaved with the event loop.  The
+    tiers differ only in their charges.  A finished collection emits
+    one [Ev_gc], counted by the bus counter [c_collections].  The
+    harness-held objects are extra roots; objects and segments leaving
+    a node under an open cycle are greyed at send-off; a crash discards
+    the node's cycle. *)
 
 type mode =
-  | Gc_stw  (** one stop-the-world mark-sweep per threshold crossing *)
+  | Gc_stw  (** one whole cycle per threshold crossing, charged in one lump *)
   | Gc_incremental
       (** a tri-color cycle of increments of at most [budget] pointer
           slots each, self-scheduled as [Engine.Gc] events *)
@@ -30,8 +33,6 @@ val create :
     cycle opens with it. *)
 
 val mode : t -> mode
-val collections : t -> int
-(** Completed collections, over every node. *)
 
 val in_progress : t -> int -> bool
 (** The node has an open incremental cycle. *)

@@ -8,15 +8,17 @@ type stats = {
   gc_bytes_freed : int;
 }
 
+let oid_root k oid acc =
+  match Kernel.find_object k oid with
+  | Some addr -> addr :: acc
+  | None -> (
+    match Kernel.proxy_of k oid with
+    | Some addr -> addr :: acc
+    | None -> acc)
+
 let rec value_root k v acc =
   match (v : Value.t) with
-  | Value.Vref oid -> (
-    match Kernel.find_object k oid with
-    | Some addr -> addr :: acc
-    | None -> (
-      match Kernel.proxy_of k oid with
-      | Some addr -> addr :: acc
-      | None -> acc))
+  | Value.Vref oid -> oid_root k oid acc
   | Value.Vvec (_, xs) -> Array.fold_left (fun acc x -> value_root k x acc) acc xs
   | Value.Vint _ | Value.Vreal _ | Value.Vbool _ | Value.Vstr _ | Value.Vnil -> acc
 
@@ -44,7 +46,7 @@ let status_roots (st : T.status) acc =
 let segment_roots k (seg : T.segment) =
   match seg.T.seg_spawn with
   | Some spawn ->
-    let acc = value_root k (Value.Vref spawn.T.si_target) [] in
+    let acc = oid_root k spawn.T.si_target [] in
     let acc = List.fold_left (fun acc v -> value_root k v acc) acc spawn.T.si_args in
     status_roots seg.T.seg_status acc
   | None ->
@@ -75,85 +77,14 @@ let harness_result_roots k acc =
       | None -> ());
   !acc
 
-let field_pointers k addr =
-  if Kernel.is_vector_block k addr then Kernel.vector_pointer_elements k addr
-  else if not (Kernel.is_resident k addr) then []
-  else begin
-    let class_index = Kernel.class_of_object k addr in
-    let lc = Kernel.loaded_class k class_index in
-    let fields = lc.Kernel.lc_class.Emc.Compile.cc_template.Emc.Template.ct_fields in
-    let mem = Kernel.mem k in
-    Array.to_list fields
-    |> List.mapi (fun i (_, ty) -> (i, ty))
-    |> List.filter_map (fun (i, ty) ->
-           if Emc.Ir.is_pointer_type ty then
-             (* unsigned read: a signed fold of a high-bit address would
-                never match a block and the mark would be missed *)
-             let a = Mem.load32_bits mem (addr + L.field_offset i) in
-             if a = 0 then None else Some a
-           else None)
-  end
-
-let extra_root_addrs k ~extra_roots ~extra_addrs =
-  List.fold_left
-    (fun acc oid ->
-      match Kernel.find_object k oid with
-      | Some addr -> addr :: acc
-      | None -> (
-        match Kernel.proxy_of k oid with
-        | Some addr -> addr :: acc
-        | None -> acc))
-    extra_addrs extra_roots
-
-let collect ?(extra_roots = []) ?(extra_addrs = []) k =
-  let marked = Hashtbl.create 64 in
-  let known = Hashtbl.create 64 in
-  Kernel.iter_blocks k (fun ~addr ~size:_ ~kind:_ -> Hashtbl.replace known addr ());
-  let worklist = ref [] in
-  let mark addr =
-    if Hashtbl.mem known addr && not (Hashtbl.mem marked addr) then begin
-      Hashtbl.replace marked addr ();
-      worklist := addr :: !worklist
-    end
-  in
-  (* roots: suspended thread state (via the bus-stop templates) and the
-     code objects' string literals *)
-  List.iter (fun seg -> List.iter mark (segment_roots k seg)) (Kernel.segments k);
-  List.iter mark (Kernel.string_literal_addrs k);
-  List.iter mark (extra_root_addrs k ~extra_roots ~extra_addrs);
-  List.iter mark (harness_result_roots k []);
-  (* trace *)
-  let rec drain () =
-    match !worklist with
-    | [] -> ()
-    | addr :: rest ->
-      worklist := rest;
-      List.iter mark (field_pointers k addr);
-      drain ()
-  in
-  drain ();
-  (* sweep *)
-  let to_free = ref [] in
-  let freed_bytes = ref 0 in
-  Kernel.iter_blocks k (fun ~addr ~size ~kind:_ ->
-      if not (Hashtbl.mem marked addr) then begin
-        to_free := addr :: !to_free;
-        freed_bytes := !freed_bytes + size
-      end);
-  List.iter (Kernel.free_block k) !to_free;
-  {
-    gc_live = Hashtbl.length marked;
-    gc_swept = List.length !to_free;
-    gc_bytes_freed = !freed_bytes;
-  }
-
-(* Incremental tri-color collection ----------------------------------------
+(* The collection cycle ----------------------------------------------------
 
    Snapshot-at-beginning over an array-backed color map: [start] freezes
    the block population (sorted address array + color byte per block) and
    scans every root in the first increment; after that, [step ~budget]
    marks a bounded number of pointer slots per call, and finally sweeps
-   the snapshot a bounded number of blocks per call.  Soundness between
+   the snapshot a bounded number of blocks per call.  [collect] is the
+   same cycle run to completion in one unbounded step.  Soundness between
    increments rests on three rules:
 
    - a combined write barrier on every 32-bit store greys both the
@@ -204,22 +135,18 @@ let white = 0
 let grey_c = 1
 let black = 2
 
-(* resurrect a white block touched during the sweep: blacken it and its
-   not-yet-swept white descendants (transitively) so no block the
-   mutator can now reach is freed this cycle *)
+(* resurrect a white block touched during the sweep: blacken it and,
+   through [scan_block]'s touches, its not-yet-swept white descendants
+   (transitively) so no block the mutator can now reach is freed this
+   cycle *)
 let rec resurrect cy k i =
   if Bytes.get_uint8 cy.color i = white && i >= cy.sweep_cursor then begin
     Bytes.set_uint8 cy.color i black;
     cy.live <- cy.live + 1;
-    List.iter
-      (fun a ->
-        match Hashtbl.find_opt cy.index a with
-        | Some j -> resurrect cy k j
-        | None -> ())
-      (field_pointers k cy.snap.(i))
+    ignore (scan_block cy k i ~cursor:0 ~fuel:max_int : int * int option)
   end
 
-let touch cy k addr =
+and touch cy k addr =
   match Hashtbl.find_opt cy.index addr with
   | None -> ()  (* allocated after the snapshot: allocate-black *)
   | Some i -> (
@@ -232,14 +159,47 @@ let touch cy k addr =
       end
     | Psweep -> resurrect cy k i)
 
-let detach cy k =
-  ignore cy;
-  Mem.clear_store_barrier (Kernel.mem k);
-  Kernel.set_on_ref_graft k None
+(* the one walk over a block's pointer fields: touch up to [fuel] pointer
+   slots of snapshot block [i] starting at field [cursor]; returns (slots
+   scanned, remaining cursor if the block is not finished).  Reads are
+   unsigned ([load32_bits]): a signed fold of a high-bit address would
+   never match a block and the mark would be missed. *)
+and scan_block cy k i ~cursor ~fuel =
+  let addr = cy.snap.(i) in
+  let mem = Kernel.mem k in
+  if Kernel.is_vector_block k addr then begin
+    let kind = Mem.load32_bits mem (addr + L.vec_kind) in
+    if kind = L.kind_string || kind = L.kind_ref || kind = L.kind_vec then begin
+      let len = Mem.load32_bits mem (addr + L.vec_len) in
+      let stop = cursor + min fuel (len - cursor) in
+      for j = cursor to stop - 1 do
+        let a = Mem.load32_bits mem (addr + L.vec_elems + (4 * j)) in
+        if a <> 0 then touch cy k a
+      done;
+      (max 1 (stop - cursor), if stop >= len then None else Some stop)
+    end
+    else (1, None)
+  end
+  else if not (Kernel.is_resident k addr) then (1, None)
+  else begin
+    let class_index = Kernel.class_of_object k addr in
+    let lc = Kernel.loaded_class k class_index in
+    let fields = lc.Kernel.lc_class.Emc.Compile.cc_template.Emc.Template.ct_fields in
+    let nf = Array.length fields in
+    let stop = cursor + min fuel (nf - cursor) in
+    for j = cursor to stop - 1 do
+      let _, ty = fields.(j) in
+      if Emc.Ir.is_pointer_type ty then begin
+        let a = Mem.load32_bits mem (addr + L.field_offset j) in
+        if a <> 0 then touch cy k a
+      end
+    done;
+    (max 1 (stop - cursor), if stop >= nf then None else Some stop)
+  end
 
 let start ?(extra_roots = []) ?(extra_addrs = []) k =
   let blocks = ref [] in
-  Kernel.iter_blocks k (fun ~addr ~size ~kind:_ -> blocks := (addr, size) :: !blocks);
+  Kernel.iter_blocks k (fun ~addr ~size -> blocks := (addr, size) :: !blocks);
   let blocks = List.sort (fun (a, _) (b, _) -> compare a b) !blocks in
   let n = List.length blocks in
   let snap = Array.make n 0 and snap_sizes = Array.make n 0 in
@@ -272,7 +232,9 @@ let start ?(extra_roots = []) ?(extra_addrs = []) k =
   Kernel.set_on_ref_graft k (Some (fun addr -> touch cy k addr));
   cy
 
-let abort cy k = detach cy k
+let abort (_ : cycle) k =
+  Mem.clear_store_barrier (Kernel.mem k);
+  Kernel.set_on_ref_graft k None
 
 (* migration send-off: the departing segment's roots may differ from
    their snapshot-time values (frames mutate through barriered stores,
@@ -285,42 +247,6 @@ let grey_segment cy k seg =
   | _ -> List.iter (fun a -> touch cy k a) (segment_roots k seg)
 
 let grey_addr cy k addr = touch cy k addr
-
-(* scan up to [fuel] pointer slots of snapshot block [i] starting at
-   field [cursor]; returns (slots scanned, remaining cursor if the block
-   is not finished) *)
-let scan_block cy k i ~cursor ~fuel =
-  let addr = cy.snap.(i) in
-  let mem = Kernel.mem k in
-  if Kernel.is_vector_block k addr then begin
-    let kind = Mem.load32_bits mem (addr + L.vec_kind) in
-    if kind = L.kind_string || kind = L.kind_ref || kind = L.kind_vec then begin
-      let len = Mem.load32_bits mem (addr + L.vec_len) in
-      let stop = min len (cursor + fuel) in
-      for j = cursor to stop - 1 do
-        let a = Mem.load32_bits mem (addr + L.vec_elems + (4 * j)) in
-        if a <> 0 then touch cy k a
-      done;
-      (max 1 (stop - cursor), if stop >= len then None else Some stop)
-    end
-    else (1, None)
-  end
-  else if not (Kernel.is_resident k addr) then (1, None)
-  else begin
-    let class_index = Kernel.class_of_object k addr in
-    let lc = Kernel.loaded_class k class_index in
-    let fields = lc.Kernel.lc_class.Emc.Compile.cc_template.Emc.Template.ct_fields in
-    let nf = Array.length fields in
-    let stop = min nf (cursor + fuel) in
-    for j = cursor to stop - 1 do
-      let _, ty = fields.(j) in
-      if Emc.Ir.is_pointer_type ty then begin
-        let a = Mem.load32_bits mem (addr + L.field_offset j) in
-        if a <> 0 then touch cy k a
-      end
-    done;
-    (max 1 (stop - cursor), if stop >= nf then None else Some stop)
-  end
 
 (* the whole root set is scanned in one increment: root volume is
    proportional to suspended segments and pinned handles, not heap size,
@@ -335,14 +261,14 @@ let scan_roots cy k =
   let roots =
     List.concat_map (fun seg -> segment_roots k seg) segs
     @ Kernel.string_literal_addrs k
-    @ extra_root_addrs k ~extra_roots:cy.cextra_roots ~extra_addrs:cy.cextra_addrs
+    @ List.fold_left (fun acc oid -> oid_root k oid acc) cy.cextra_addrs cy.cextra_roots
     @ harness_result_roots k []
   in
   List.iter (fun a -> touch cy k a) roots;
   List.length roots
 
 let finish cy k ~scanned =
-  detach cy k;
+  abort cy k;
   Step_done
     {
       scanned;
@@ -388,3 +314,12 @@ let step cy k ~budget =
         end
   done;
   Option.get !result
+
+let collect ?extra_roots ?extra_addrs k =
+  let cy = start ?extra_roots ?extra_addrs k in
+  match step cy k ~budget:max_int with
+  | Step_done { stats; _ } -> stats
+  | Step_more _ -> assert false  (* an unbounded step ends the cycle *)
+  | exception e ->
+    abort cy k;
+    raise e

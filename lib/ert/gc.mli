@@ -15,20 +15,21 @@
     Kernel-owned structures (descriptor tables, monitor queue nodes,
     stacks) are not subject to collection.
 
-    Two tiers share the root scan and field tracing:
+    One collection cycle serves both tiers, so they share the root
+    scan, the mark loop, the walk over a block's pointer fields and the
+    sweep (DESIGN.md §17):
 
-    - {!collect} is the stop-the-world tier: one call marks and sweeps
-      the whole heap.
-    - {!start}/{!step} run the same collection as an incremental
-      tri-color cycle (DESIGN.md §17): snapshot-at-beginning with an
-      array-backed color map, a combined Yuasa+Dijkstra write barrier on
-      the node's 32-bit stores, allocate-black for blocks created
-      mid-cycle, and a kernel graft hook for addresses that reach
-      registers without a store.  Each {!step} call scans at most
-      [budget] pointer slots (after the first, which scans the whole
-      root set — proportional to suspended segments, not heap size), so
-      the caller can interleave increments with execution and charge
-      virtual time per increment. *)
+    - {!start}/{!step} run the cycle incrementally: snapshot-at-beginning
+      tri-color marking with an array-backed color map, a combined
+      Yuasa+Dijkstra write barrier on the node's 32-bit stores,
+      allocate-black for blocks created mid-cycle, and a kernel graft
+      hook for addresses that reach registers without a store.  Each
+      {!step} call scans at most [budget] pointer slots (after the
+      first, which scans the whole root set — proportional to suspended
+      segments, not heap size), so the caller can interleave increments
+      with execution and charge virtual time per increment.
+    - {!collect} is the stop-the-world tier: the same cycle run to
+      completion in one call. *)
 
 type stats = {
   gc_live : int;  (** blocks marked reachable *)
@@ -37,9 +38,12 @@ type stats = {
 }
 
 val collect : ?extra_roots:Oid.t list -> ?extra_addrs:int list -> Kernel.t -> stats
-(** [extra_roots] pins objects held by the embedding harness (objects are
-    otherwise reachable only through thread state and other objects);
-    [extra_addrs] pins raw block addresses the same way.
+(** {!start} followed by one unbounded {!step}.  [extra_roots] pins
+    objects held by the embedding harness (objects are otherwise
+    reachable only through thread state and other objects);
+    [extra_addrs] pins raw block addresses the same way.  Must not run
+    on a kernel with an open cycle: it would replace that cycle's
+    barrier and graft hook, and remove them when it finishes.
     @raise Kernel.Runtime_error if a segment is running (collect only
     between scheduling slices). *)
 

@@ -245,22 +245,6 @@ let is_vector_block t addr =
   Int32.logand (Mem.load32 t.kmem (addr + L.vec_flags)) (Int32.of_int L.flag_vector)
   <> 0l
 
-(* element addresses the garbage collector must trace.  Unsigned
-   ([load32_bits]) reads throughout: a signed [Int32.to_int] would fold
-   a high-bit element address into a negative int the collector could
-   never match against a block. *)
-let vector_pointer_elements t addr =
-  let kind = Mem.load32_bits t.kmem (addr + L.vec_kind) in
-  if kind = L.kind_string || kind = L.kind_ref || kind = L.kind_vec then begin
-    let len = Mem.load32_bits t.kmem (addr + L.vec_len) in
-    List.filter_map
-      (fun i ->
-        let a = Mem.load32_bits t.kmem (addr + L.vec_elems + (4 * i)) in
-        if a = 0 then None else Some a)
-      (List.init len Fun.id)
-  end
-  else []
-
 (* the representative element type of a kind code, for machine-independent
    fresh-vector completion values; [kind_of_typ] is its left inverse *)
 let typ_of_kind kind =
@@ -476,7 +460,7 @@ let evict_object t ~addr ~forward_to =
 let objects t = Oid_table.fold (fun oid addr acc -> (oid, addr) :: acc) t.objects []
 let iter_objects t f = Oid_table.iter f t.objects
 
-let iter_blocks t f = Hashtbl.iter (fun addr (size, kind) -> f ~addr ~size ~kind) t.blocks
+let iter_blocks t f = Hashtbl.iter (fun addr (size, _) -> f ~addr ~size) t.blocks
 
 let free_block t addr =
   match Hashtbl.find_opt t.blocks addr with
@@ -812,13 +796,17 @@ let spawn_segment t ~target_addr ~class_index ~method_index ~args ~link ~thread 
 let spawn_root t ~target_addr ~method_name ~args =
   let class_index = class_of_object t target_addr in
   let lc = loaded_class t class_index in
+  let cname = lc.lc_class.Emc.Compile.cc_name in
   let method_index =
     match Isa.Code.method_by_name lc.lc_code method_name with
     | Some m -> m.Isa.Code.method_index
-    | None ->
-      error "object %s has no operation %s"
-        lc.lc_class.Emc.Compile.cc_name method_name
+    | None -> error "object %s has no operation %s" cname method_name
   in
+  let op = lc.lc_class.Emc.Compile.cc_template.Emc.Template.ct_ops.(method_index) in
+  let nparams = op.Emc.Template.ot_nparams - 1 in
+  if List.length args <> nparams then
+    error "operation %s.%s takes %d argument(s), given %d" cname method_name nparams
+      (List.length args);
   let tid = fresh_tid t in
   ignore (spawn_segment t ~target_addr ~class_index ~method_index ~args ~link:None ~thread:tid);
   tid

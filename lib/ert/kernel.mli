@@ -16,12 +16,6 @@
 
 exception Runtime_error of string
 
-type block_kind =
-  | Bobject
-  | Bproxy
-  | Bstring
-  | Bvector
-
 type t
 
 type loaded_class = {
@@ -151,7 +145,7 @@ val iter_objects : t -> (Oid.t -> int -> unit) -> unit
 (** Iterate the resident objects without building the assoc list; dense
     slot order (deterministic in the operation sequence). *)
 
-val iter_blocks : t -> (addr:int -> size:int -> kind:block_kind -> unit) -> unit
+val iter_blocks : t -> (addr:int -> size:int -> unit) -> unit
 
 val free_block : t -> int -> unit
 (** Return a swept block to the allocator and drop its table entries. *)
@@ -163,9 +157,6 @@ val make_string : t -> string -> int
 val read_string_block : t -> int -> string
 val make_vector : t -> kind:int -> len:int -> int
 val is_vector_block : t -> int -> bool
-
-val vector_pointer_elements : t -> int -> int list
-(** Element addresses of a pointer-kind vector (GC tracing). *)
 
 val attached_refs : t -> addr:int -> int list
 (** Addresses held in attached fields of a resident object. *)
@@ -241,6 +232,8 @@ val enqueue_ready : t -> Thread.segment -> unit
 
 val spawn_root :
   t -> target_addr:int -> method_name:string -> args:Value.t list -> Thread.tid
+(** @raise Runtime_error if the object has no such operation, or [args]
+    does not match the operation's parameter count. *)
 
 val spawn_exact :
   t ->

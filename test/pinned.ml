@@ -82,7 +82,9 @@ let ring_tour ?gc_threshold ?gc_mode ?gc_budget ?on_event ~subscribe ~n_nodes
   in
   ( cl,
     Printf.sprintf "result %d, events %d, collections %d, time %.17g%s" result
-      (C.events_processed cl) (C.collections cl) (C.global_time_us cl)
+      (C.events_processed cl)
+      (C.total_counter cl (fun c -> c.Core.Events.c_collections))
+      (C.global_time_us cl)
       (if subscribe then ", trace " ^ digest (Buffer.contents log) else "") )
 
 let verdict_string = function

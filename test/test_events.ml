@@ -277,7 +277,8 @@ let test_gc_emission () =
     (C.node_counters cl 0).E.c_collections;
   check Alcotest.int "freed-bytes counter" !freed
     (C.node_counters cl 0).E.c_gc_bytes_freed;
-  check Alcotest.int "cluster collections agree" !gcs (C.collections cl)
+  check Alcotest.int "cluster collections agree" !gcs
+    (C.total_counter cl (fun c -> c.E.c_collections))
 
 let suites =
   [

@@ -156,7 +156,7 @@ let test_automatic_collection () =
   (match Core.Cluster.run_until_result cl tid with
   | Some (V.Vint 42l) -> ()
   | _ -> Alcotest.fail "wrong result under automatic GC");
-  if Core.Cluster.collections cl = 0 then
+  if Core.Cluster.total_counter cl (fun c -> c.Core.Events.c_collections) = 0 then
     Alcotest.fail "expected at least one automatic collection"
 
 (* ----------------------------------------------------------------------- *)
@@ -204,34 +204,25 @@ let test_parked_monitor_waiter_keeps_monitor () =
     Alcotest.failf "waiter not runnable after wake: %s"
       (Format.asprintf "%a" Ert.Thread.pp_status st)
 
-(* field and element reads in the collector are unsigned: a stored
-   address with bit 31 set must come back as the same positive value,
-   never folded negative by a signed Int32 conversion *)
+(* the collector reads every field and element through
+   [Memory.load32_bits]: a stored address with bit 31 set must come back
+   as the same positive value in either byte order, never folded
+   negative by a signed Int32 conversion *)
 let vector_elements_unsigned_prop =
   QCheck.Test.make ~count:100
     ~name:"vector element tracing is unsigned over 32-bit patterns"
     QCheck.(list_of_size Gen.(1 -- 40) (map Int32.of_int int))
     (fun raw ->
-      let cl, _ = setup [ A.vax ] in
-      let k = Core.Cluster.kernel cl 0 in
-      let vec =
-        Ert.Kernel.make_vector k ~kind:Emc.Layout.kind_ref
-          ~len:(List.length raw)
-      in
-      let mem = Ert.Kernel.mem k in
-      List.iteri
-        (fun i v ->
-          Isa.Memory.store32 mem (vec + Emc.Layout.vec_elems + (4 * i)) v)
-        raw;
-      let expect =
-        List.filter_map
-          (fun v ->
-            let bits = Int32.to_int v land 0xFFFF_FFFF in
-            if bits = 0 then None else Some bits)
-          raw
-      in
-      Ert.Kernel.vector_pointer_elements k vec = expect
-      && List.for_all (fun a -> a >= 0) expect)
+      let base = Isa.Memory.low_bound in
+      List.for_all
+        (fun endian ->
+          let mem =
+            Isa.Memory.create ~endian ~size:(base + (4 * List.length raw))
+          in
+          List.iteri (fun i v -> Isa.Memory.store32 mem (base + (4 * i)) v) raw;
+          List.mapi (fun i _ -> Isa.Memory.load32_bits mem (base + (4 * i))) raw
+          = List.map (fun v -> Int32.to_int v land 0xFFFF_FFFF) raw)
+        [ Isa.Endian.Big; Isa.Endian.Little ])
 
 (* ----------------------------------------------------------------------- *)
 (* the incremental tier *)
@@ -277,6 +268,66 @@ let incremental_equivalence_prop =
       let cy2 = Ert.Gc.start ~extra_roots:[ main_inc ] k_inc in
       let i2, _ = drive_cycle ~budget cy2 k_inc in
       i2.Ert.Gc.gc_swept = 0)
+
+(* An address conjured mid-sweep for a block the snapshot proved dead
+   resurrects it and the blocks it points to: a Holder and its string,
+   unreachable, with the sweep cursor still below both, come back
+   through [ensure_ref]'s graft hook; the next cycle frees them. *)
+let holder_src =
+  {|
+object Holder
+  var s : string <- "held"
+end Holder
+|}
+
+let test_sweep_resurrects () =
+  let run ~conjure =
+    let cl = Core.Cluster.create ~archs:[ A.sparc ] () in
+    ignore (Core.Cluster.compile_and_load cl ~name:"resurrect" holder_src);
+    let k = Core.Cluster.kernel cl 0 in
+    (* garbage below the holder, so the sweep has work before it *)
+    ignore (Ert.Kernel.make_string k "swept first" : int);
+    let class_index =
+      match Emc.Compile.find_class (Ert.Kernel.program k) "Holder" with
+      | Some cc -> cc.Emc.Compile.cc_index
+      | None -> Alcotest.fail "no Holder class"
+    in
+    let holder = Ert.Kernel.create_object k ~class_index in
+    let oid = Ert.Kernel.oid_at k holder in
+    let str =
+      Isa.Memory.load32_bits (Ert.Kernel.mem k) (holder + Emc.Layout.field_offset 0)
+    in
+    if str <= holder then Alcotest.fail "the string should sit above its holder";
+    let cy = Ert.Gc.start k in
+    let rec to_sweep () =
+      match Ert.Gc.step cy k ~budget:1 with
+      | Ert.Gc.Step_more { phase = Ert.Gc.Psweep; _ } -> ()
+      | Ert.Gc.Step_more _ -> to_sweep ()
+      | Ert.Gc.Step_done _ -> Alcotest.fail "the cycle ended before its sweep"
+    in
+    to_sweep ();
+    (* a white block the sweep reached is already freed *)
+    if Ert.Kernel.find_object k oid = None then
+      Alcotest.fail "the sweep reached the holder before the test could";
+    if conjure then ignore (Ert.Kernel.ensure_ref k oid : int);
+    let first, _ = drive_cycle ~budget:1 cy k in
+    (k, oid, first)
+  in
+  let _, _, plain = run ~conjure:false in
+  let k, oid, first = run ~conjure:true in
+  check Alcotest.int "holder and string counted live" (plain.Ert.Gc.gc_live + 2)
+    first.Ert.Gc.gc_live;
+  check Alcotest.int "neither swept this cycle" (plain.Ert.Gc.gc_swept - 2)
+    first.Ert.Gc.gc_swept;
+  if Ert.Kernel.find_object k oid = None then
+    Alcotest.fail "the resurrected holder was freed";
+  let next, _ = drive_cycle (Ert.Gc.start k) k in
+  check Alcotest.int "the next cycle frees both" 2 next.Ert.Gc.gc_swept;
+  check Alcotest.int "their bytes"
+    (plain.Ert.Gc.gc_bytes_freed - first.Ert.Gc.gc_bytes_freed)
+    next.Ert.Gc.gc_bytes_freed;
+  if Ert.Kernel.find_object k oid <> None then
+    Alcotest.fail "the holder survived the next cycle"
 
 let test_incremental_mid_run_soundness () =
   (* interleave bounded increments with execution on a single node: the
@@ -340,8 +391,9 @@ let test_cluster_modes_agree () =
       | Some (V.Vint v) -> Int32.to_int v
       | _ -> -1
     in
-    (r, Core.Cluster.collections cl,
-     Core.Cluster.total_counter cl (fun c -> c.Core.Events.c_gc_increments))
+    let total f = Core.Cluster.total_counter cl f in
+    (r, total (fun c -> c.Core.Events.c_collections),
+     total (fun c -> c.Core.Events.c_gc_increments))
   in
   let r_stw, coll_stw, inc_stw = run Core.Cluster.Gc_stw in
   let r_inc, coll_inc, inc_inc = run Core.Cluster.Gc_incremental in
@@ -508,6 +560,8 @@ let suites =
           test_parked_monitor_waiter_keeps_monitor;
         QCheck_alcotest.to_alcotest vector_elements_unsigned_prop;
         QCheck_alcotest.to_alcotest incremental_equivalence_prop;
+        Alcotest.test_case "a block touched mid-sweep is resurrected" `Quick
+          test_sweep_resurrects;
         Alcotest.test_case "incremental increments interleave with execution"
           `Quick test_incremental_mid_run_soundness;
         Alcotest.test_case "cluster tiers agree on results" `Quick
