@@ -21,7 +21,8 @@ let run file nodes opt cls op args_s original codec location gc_mode_s
     |> List.map (fun id ->
            try Isa.Arch.by_id id
            with Not_found ->
-             Printf.eprintf "unknown architecture %s\n" id;
+             Printf.eprintf "emrun: unknown architecture %s (have: %s)\n" id
+               (String.concat ", " (List.map (fun a -> a.Isa.Arch.id) Isa.Arch.all));
              exit 2)
   in
   let node_levels =

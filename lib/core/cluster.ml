@@ -623,7 +623,15 @@ let restore_thread t ~node image =
    and its outcalls route through the normal move machinery, otherwise
    the kernel captures it at the segment's next bus stop during a later
    scheduling slice. *)
+(* a harness move to a node outside the cluster is refused before anything
+   is captured *)
+let check_dest t fn dest =
+  let n = Array.length t.kernels in
+  if dest < 0 || dest >= n then
+    invalid_arg (Printf.sprintf "Cluster.%s: node %d is outside the %d-node cluster" fn dest n)
+
 let evict_thread t ~node ~seg_id ~dest =
+  check_dest t "evict_thread" dest;
   K.evict_thread t.kernels.(node) ~seg_id ~dest_node:dest
   |> List.iter (handle_outcall t ~src:node);
   Loop.ensure_step t.loop node
@@ -636,6 +644,7 @@ let evict_thread t ~node ~seg_id ~dest =
    "group_unpack".  Roots not resident on [node] are skipped; a batch
    that captures nothing sends nothing. *)
 let group_move t ~node ~dest oids =
+  check_dest t "group_move" dest;
   if dest <> node && oids <> [] then begin
     let k = t.kernels.(node) in
     quiesce_node t node;

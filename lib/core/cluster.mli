@@ -229,7 +229,8 @@ val evict_thread : t -> node:int -> seg_id:int -> dest:int -> unit
     stop — no cooperative [move] in the program is needed.  The shipped
     closure is the object the segment is executing inside, so monitor
     queues and split stacks travel exactly as for a programmed move.
-    Unknown, dead, or non-resident segments are ignored. *)
+    Unknown, dead, or non-resident segments are ignored.
+    @raise Invalid_argument if [dest] is not a node of the cluster. *)
 
 val group_move : t -> node:int -> dest:int -> Ert.Oid.t list -> unit
 (** Batched migration: capture the union closure of the given co-located
@@ -241,7 +242,9 @@ val group_move : t -> node:int -> dest:int -> Ert.Oid.t list -> unit
     not resident on [node] are skipped, and a batch that captures
     nothing sends nothing.  With the directory on, the landing publishes
     every moved object's new location in one batched update per home
-    shard. *)
+    shard.
+    @raise Invalid_argument if [dest] is not a node of the cluster;
+    nothing is captured. *)
 
 val chain_walk : t -> from:int -> Ert.Oid.t -> int option * int
 (** Follow forwarding-proxy hints from [from] toward the object:

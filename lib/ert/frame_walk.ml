@@ -79,5 +79,5 @@ let fold_live k fr f acc =
   List.fold_right
     (fun (es : Emc.Template.entity_slot) acc ->
       let off = fi.Emc.Busstop.fr_slot_offsets.(es.Emc.Template.es_slot) in
-      f es (Mem.load32 mem (fr.fw_fp + off)) acc)
+      f es (Mem.load32_bits mem (fr.fw_fp + off)) acc)
     stop.Emc.Template.st_live acc

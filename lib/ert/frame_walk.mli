@@ -21,9 +21,10 @@ val walk : Kernel.t -> Thread.segment -> frame_rec list
     @raise Kernel.Runtime_error if a suspension PC is not a bus stop. *)
 
 val fold_live :
-  Kernel.t -> frame_rec -> (Emc.Template.entity_slot -> int32 -> 'a -> 'a) -> 'a -> 'a
+  Kernel.t -> frame_rec -> (Emc.Template.entity_slot -> int -> 'a -> 'a) -> 'a -> 'a
 (** [fold_live k fr f acc] folds [f] over the entities live at the
-    frame's bus stop, each with the raw word its slot holds, from the
+    frame's bus stop, each with the word its slot holds as unsigned
+    32-bit bits in an [int] ({!Isa.Memory.load32_bits}), from the
     last entity of the template's live list to the first, so that
     consing onto [acc] yields a list in template order.  The only walk
     over a frame's slots: capture translates every live entity, the

@@ -8,25 +8,28 @@ type stats = {
   gc_bytes_freed : int;
 }
 
-let oid_root k oid acc =
+(* Each root function folds [f] over the block addresses it finds, so
+   the cycle touches each root as it is found, with no list of them. *)
+
+let oid_root k f oid acc =
   match Kernel.find_object k oid with
-  | Some addr -> addr :: acc
+  | Some addr -> f addr acc
   | None -> (
     match Kernel.proxy_of k oid with
-    | Some addr -> addr :: acc
+    | Some addr -> f addr acc
     | None -> acc)
 
-let rec value_root k v acc =
+let rec value_root k f v acc =
   match (v : Value.t) with
-  | Value.Vref oid -> oid_root k oid acc
-  | Value.Vvec (_, xs) -> Array.fold_left (fun acc x -> value_root k x acc) acc xs
+  | Value.Vref oid -> oid_root k f oid acc
+  | Value.Vvec (_, xs) -> Array.fold_left (fun acc x -> value_root k f x acc) acc xs
   | Value.Vint _ | Value.Vreal _ | Value.Vbool _ | Value.Vstr _ | Value.Vnil -> acc
 
-let suspension_roots k (s : T.suspension) acc =
+let suspension_roots k f (s : T.suspension) acc =
   match s with
-  | Isa.Suspend.Deliver v -> value_root k v acc
+  | Isa.Suspend.Deliver v -> value_root k f v acc
   | Isa.Suspend.Complete v ->
-    Option.fold ~none:acc ~some:(fun v -> value_root k v acc) v
+    Option.fold ~none:acc ~some:(fun v -> value_root k f v acc) v
   | Isa.Suspend.Run | Isa.Suspend.Complete_dequeue _ | Isa.Suspend.Poll
   | Isa.Suspend.Syscall _ | Isa.Suspend.Bottom_return | Isa.Suspend.Halt
   | Isa.Suspend.Trap _ | Isa.Suspend.Fuel -> acc
@@ -38,54 +41,56 @@ let suspension_roots k (s : T.suspension) acc =
    memory.  [Awaiting_reply] carries only the machine-independent stop
    id — the pending value lives on the replying node until
    [deliver_result] lands it. *)
-let status_roots (st : T.status) acc =
+let status_roots f (st : T.status) acc =
   match st with
-  | T.Blocked_monitor { mon_addr; _ } -> mon_addr :: acc
+  | T.Blocked_monitor { mon_addr; _ } -> f mon_addr acc
   | T.Parked _ | T.Running | T.Awaiting_reply _ | T.Dead -> acc
 
-let segment_roots k (seg : T.segment) =
+(* the block addresses a suspended segment keeps live: frame slots via
+   the bus-stop templates, suspension values and monitor-waiter state,
+   or, for a never-dispatched segment, its spawn target and arguments *)
+let fold_segment_roots k f (seg : T.segment) acc =
   match seg.T.seg_spawn with
   | Some spawn ->
-    let acc = oid_root k spawn.T.si_target [] in
-    let acc = List.fold_left (fun acc v -> value_root k v acc) acc spawn.T.si_args in
-    status_roots seg.T.seg_status acc
+    let acc = oid_root k f spawn.T.si_target acc in
+    let acc = List.fold_left (fun acc v -> value_root k f v acc) acc spawn.T.si_args in
+    status_roots f seg.T.seg_status acc
   | None ->
     (* every frame's non-nil live pointers, youngest frame first *)
-    let pointer es raw acc =
-      if Emc.Ir.is_pointer_type es.Emc.Template.es_type && raw <> 0l then
-        Int32.to_int raw :: acc
+    let pointer es bits acc =
+      if Emc.Ir.is_pointer_type es.Emc.Template.es_type && bits <> 0 then f bits acc
       else acc
     in
     let acc =
       List.fold_right
         (fun fr acc -> Frame_walk.fold_live k fr pointer acc)
-        (Frame_walk.walk k seg) []
+        (Frame_walk.walk k seg) acc
     in
     (match seg.T.seg_status with
-    | T.Parked s -> suspension_roots k s acc
+    | T.Parked s -> suspension_roots k f s acc
     | T.Running -> raise (Kernel.Runtime_error "gc: segment is running")
     | T.Blocked_monitor _ | T.Awaiting_reply _ | T.Dead ->
-      status_roots seg.T.seg_status acc)
+      status_roots f seg.T.seg_status acc)
 
 (* root-thread results already delivered but not yet read by the
    embedding harness: the value may still name local blocks *)
-let harness_result_roots k acc =
+let harness_result_roots k f acc =
   let acc = ref acc in
   Kernel.iter_root_results k (fun _tid v ->
       match v with
-      | Some v -> acc := value_root k v !acc
+      | Some v -> acc := value_root k f v !acc
       | None -> ());
   !acc
 
 (* The collection cycle ----------------------------------------------------
 
-   Snapshot-at-beginning over an array-backed color map: [start] freezes
-   the block population (sorted address array + color byte per block) and
-   scans every root in the first increment; after that, [step ~budget]
-   marks a bounded number of pointer slots per call, and finally sweeps
-   the snapshot a bounded number of blocks per call.  [collect] is the
-   same cycle run to completion in one unbounded step.  Soundness between
-   increments rests on three rules:
+   Snapshot-at-beginning over an array-backed color map: [start] copies
+   the kernel's address-ordered block table (address array + color byte
+   per block), the first increment scans every root, and after that
+   [step ~budget] marks a bounded number of pointer slots per call, and
+   finally sweeps the snapshot a bounded number of blocks per call.
+   [collect] is the same cycle run to completion in one unbounded step.
+   Soundness between increments rests on three rules:
 
    - a combined write barrier on every 32-bit store greys both the
      overwritten word (Yuasa: a snapshot-reachable pointer cannot be
@@ -115,9 +120,11 @@ let phase_name = function
 type cycle = {
   snap : int array;  (* block addresses at cycle start, ascending *)
   snap_sizes : int array;
-  index : (int, int) Hashtbl.t;  (* address -> snapshot position *)
   color : Bytes.t;  (* 0 white, 1 grey, 2 black *)
-  mutable grey : (int * int) list;  (* (snapshot position, field cursor) *)
+  grey : int array;  (* stack of snapshot positions: a block greys once *)
+  mutable ngrey : int;
+  mutable scanning : int;  (* the snapshot position [cursor] walks *)
+  mutable cursor : int;  (* its next field; -1 when no block is partly scanned *)
   mutable cphase : phase;
   mutable sweep_cursor : int;
   mutable live : int;
@@ -135,6 +142,25 @@ let white = 0
 let grey_c = 1
 let black = 2
 
+(* the snapshot position of [addr], or -1 for an address that was not a
+   block at cycle start (allocated since: allocate-black) *)
+let position cy addr =
+  let snap = cy.snap in
+  let lo = ref 0 and hi = ref (Array.length snap) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if snap.(mid) < addr then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length snap && snap.(!lo) = addr then !lo else -1
+
+(* [scan_block]'s result for a walk of fields [cursor, stop) of a block
+   with [len] of them (none for a block without pointer slots): the
+   slots scanned, at least 1, with the field to resume from (-1: none)
+   left in [cy.cursor] *)
+let scanned cy ~cursor ~stop ~len =
+  cy.cursor <- (if stop >= len then -1 else stop);
+  max 1 (stop - cursor)
+
 (* resurrect a white block touched during the sweep: blacken it and,
    through [scan_block]'s touches, its not-yet-swept white descendants
    (transitively) so no block the mutator can now reach is freed this
@@ -143,27 +169,28 @@ let rec resurrect cy k i =
   if Bytes.get_uint8 cy.color i = white && i >= cy.sweep_cursor then begin
     Bytes.set_uint8 cy.color i black;
     cy.live <- cy.live + 1;
-    ignore (scan_block cy k i ~cursor:0 ~fuel:max_int : int * int option)
+    ignore (scan_block cy k i ~cursor:0 ~fuel:max_int : int)
   end
 
 and touch cy k addr =
-  match Hashtbl.find_opt cy.index addr with
-  | None -> ()  (* allocated after the snapshot: allocate-black *)
-  | Some i -> (
+  let i = position cy addr in
+  if i >= 0 then
     match cy.cphase with
     | Proots | Pmark ->
       if Bytes.get_uint8 cy.color i = white then begin
         Bytes.set_uint8 cy.color i grey_c;
         cy.live <- cy.live + 1;
-        cy.grey <- (i, 0) :: cy.grey
+        cy.grey.(cy.ngrey) <- i;
+        cy.ngrey <- cy.ngrey + 1
       end
-    | Psweep -> resurrect cy k i)
+    | Psweep -> resurrect cy k i
 
 (* the one walk over a block's pointer fields: touch up to [fuel] pointer
-   slots of snapshot block [i] starting at field [cursor]; returns (slots
-   scanned, remaining cursor if the block is not finished).  Reads are
-   unsigned ([load32_bits]): a signed fold of a high-bit address would
-   never match a block and the mark would be missed. *)
+   slots of snapshot block [i] starting at field [cursor]; returns the
+   slots scanned and leaves in [cy.cursor] the field to resume from, or
+   -1 once the block is finished.  Reads are unsigned ([load32_bits]): a
+   signed fold of a high-bit address would never match a block and the
+   mark would be missed. *)
 and scan_block cy k i ~cursor ~fuel =
   let addr = cy.snap.(i) in
   let mem = Kernel.mem k in
@@ -176,11 +203,11 @@ and scan_block cy k i ~cursor ~fuel =
         let a = Mem.load32_bits mem (addr + L.vec_elems + (4 * j)) in
         if a <> 0 then touch cy k a
       done;
-      (max 1 (stop - cursor), if stop >= len then None else Some stop)
+      scanned cy ~cursor ~stop ~len
     end
-    else (1, None)
+    else scanned cy ~cursor ~stop:0 ~len:0
   end
-  else if not (Kernel.is_resident k addr) then (1, None)
+  else if not (Kernel.is_resident k addr) then scanned cy ~cursor ~stop:0 ~len:0
   else begin
     let class_index = Kernel.class_of_object k addr in
     let lc = Kernel.loaded_class k class_index in
@@ -194,29 +221,26 @@ and scan_block cy k i ~cursor ~fuel =
         if a <> 0 then touch cy k a
       end
     done;
-    (max 1 (stop - cursor), if stop >= nf then None else Some stop)
+    scanned cy ~cursor ~stop ~len:nf
   end
 
 let start ?(extra_roots = []) ?(extra_addrs = []) k =
-  let blocks = ref [] in
-  Kernel.iter_blocks k (fun ~addr ~size -> blocks := (addr, size) :: !blocks);
-  let blocks = List.sort (fun (a, _) (b, _) -> compare a b) !blocks in
-  let n = List.length blocks in
+  let n = Kernel.block_count k in
   let snap = Array.make n 0 and snap_sizes = Array.make n 0 in
-  List.iteri
-    (fun i (addr, size) ->
-      snap.(i) <- addr;
-      snap_sizes.(i) <- size)
-    blocks;
-  let index = Hashtbl.create (max 16 n) in
-  Array.iteri (fun i addr -> Hashtbl.replace index addr i) snap;
+  let next = ref 0 in
+  Kernel.iter_blocks k (fun ~addr ~size ->
+      snap.(!next) <- addr;
+      snap_sizes.(!next) <- size;
+      incr next);
   let cy =
     {
       snap;
       snap_sizes;
-      index;
       color = Bytes.make n (Char.chr white);
-      grey = [];
+      grey = Array.make n 0;
+      ngrey = 0;
+      scanning = 0;
+      cursor = -1;
       cphase = Proots;
       sweep_cursor = 0;
       live = 0;
@@ -244,28 +268,30 @@ let abort (_ : cycle) k =
 let grey_segment cy k seg =
   match seg.T.seg_status with
   | T.Running -> ()
-  | _ -> List.iter (fun a -> touch cy k a) (segment_roots k seg)
+  | _ -> fold_segment_roots k (fun addr () -> touch cy k addr) seg ()
 
 let grey_addr cy k addr = touch cy k addr
 
 (* the whole root set is scanned in one increment: root volume is
    proportional to suspended segments and pinned handles, not heap size,
    and an atomic root snapshot is what makes snapshot-at-beginning
-   marking sound without a register barrier *)
+   marking sound without a register barrier.  Returns the roots found,
+   each touched as it is found. *)
 let scan_roots cy k =
+  let root addr n =
+    touch cy k addr;
+    n + 1
+  in
   let segs =
     List.sort
       (fun a b -> compare a.T.seg_id b.T.seg_id)
       (Kernel.segments k)
   in
-  let roots =
-    List.concat_map (fun seg -> segment_roots k seg) segs
-    @ Kernel.string_literal_addrs k
-    @ List.fold_left (fun acc oid -> oid_root k oid acc) cy.cextra_addrs cy.cextra_roots
-    @ harness_result_roots k []
-  in
-  List.iter (fun a -> touch cy k a) roots;
-  List.length roots
+  let n = List.fold_left (fun n seg -> fold_segment_roots k root seg n) 0 segs in
+  let n = Array.fold_left (fun n addr -> root addr n) n (Kernel.string_literal_addrs k) in
+  let n = List.fold_left (fun n oid -> oid_root k root oid n) n cy.cextra_roots in
+  let n = List.fold_left (fun n addr -> root addr n) n cy.cextra_addrs in
+  harness_result_roots k root n
 
 let finish cy k ~scanned =
   abort cy k;
@@ -279,41 +305,43 @@ let finish cy k ~scanned =
 let step cy k ~budget =
   let budget = max 1 budget in
   let scanned = ref 0 in
-  let result = ref None in
-  while !result = None do
-    if !scanned >= budget then result := Some (Step_more { scanned = !scanned; phase = cy.cphase })
-    else
-      match cy.cphase with
-      | Proots ->
-        scanned := !scanned + max 1 (scan_roots cy k);
-        cy.cphase <- Pmark
-      | Pmark -> (
-        match cy.grey with
-        | [] ->
-          cy.cphase <- Psweep;
-          cy.sweep_cursor <- 0
-        | (i, cursor) :: rest ->
-          cy.grey <- rest;
-          let used, remaining = scan_block cy k i ~cursor ~fuel:(budget - !scanned) in
-          (match remaining with
-          | None -> Bytes.set_uint8 cy.color i black
-          | Some c -> cy.grey <- (i, c) :: cy.grey);
-          scanned := !scanned + used)
-      | Psweep ->
-        if cy.sweep_cursor >= Array.length cy.snap then
-          result := Some (finish cy k ~scanned:!scanned)
-        else begin
-          let i = cy.sweep_cursor in
-          cy.sweep_cursor <- i + 1;
-          if Bytes.get_uint8 cy.color i = white then begin
-            Kernel.free_block k cy.snap.(i);
-            cy.swept <- cy.swept + 1;
-            cy.bytes_freed <- cy.bytes_freed + cy.snap_sizes.(i)
-          end;
-          incr scanned
-        end
+  let finished = ref false in
+  while (not !finished) && !scanned < budget do
+    match cy.cphase with
+    | Proots ->
+      scanned := !scanned + max 1 (scan_roots cy k);
+      cy.cphase <- Pmark
+    | Pmark ->
+      if cy.cursor < 0 && cy.ngrey = 0 then begin
+        cy.cphase <- Psweep;
+        cy.sweep_cursor <- 0
+      end
+      else begin
+        if cy.cursor < 0 then begin
+          cy.ngrey <- cy.ngrey - 1;
+          cy.scanning <- cy.grey.(cy.ngrey);
+          cy.cursor <- 0
+        end;
+        let i = cy.scanning in
+        let fuel = budget - !scanned in
+        scanned := !scanned + scan_block cy k i ~cursor:cy.cursor ~fuel;
+        if cy.cursor < 0 then Bytes.set_uint8 cy.color i black
+      end
+    | Psweep ->
+      if cy.sweep_cursor >= Array.length cy.snap then finished := true
+      else begin
+        let i = cy.sweep_cursor in
+        cy.sweep_cursor <- i + 1;
+        if Bytes.get_uint8 cy.color i = white then begin
+          Kernel.free_block k cy.snap.(i);
+          cy.swept <- cy.swept + 1;
+          cy.bytes_freed <- cy.bytes_freed + cy.snap_sizes.(i)
+        end;
+        incr scanned
+      end
   done;
-  Option.get !result
+  if !finished then finish cy k ~scanned:!scanned
+  else Step_more { scanned = !scanned; phase = cy.cphase }
 
 let collect ?extra_roots ?extra_addrs k =
   let cy = start ?extra_roots ?extra_addrs k in

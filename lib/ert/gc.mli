@@ -70,7 +70,8 @@ type progress =
           hooks are detached *)
 
 val start : ?extra_roots:Oid.t list -> ?extra_addrs:int list -> Kernel.t -> cycle
-(** Snapshot the block population, whiten it, and install the write
+(** Snapshot the block population (a copy of the kernel's
+    address-ordered block table), whiten it, and install the write
     barrier and graft hook.  No scanning happens yet; the first {!step}
     scans the roots (the node must be quiesced for that call, exactly as
     for {!collect}). *)
@@ -91,9 +92,3 @@ val grey_segment : cycle -> Kernel.t -> Thread.segment -> unit
 val grey_addr : cycle -> Kernel.t -> int -> unit
 (** Grey one block address (no-op for addresses outside the snapshot or
     already marked). *)
-
-val segment_roots : Kernel.t -> Thread.segment -> int list
-(** The block addresses a suspended segment keeps live (frame slots via
-    the bus-stop templates, suspension values, monitor-waiter state, or
-    — for a never-dispatched segment — its spawn target and
-    arguments). *)

@@ -28,7 +28,6 @@ type loaded_class = {
   lc_stops : Emc.Busstop.table;
   lc_image : Isa.Text.image;
   lc_desc_addr : int;
-  lc_string_addrs : int array;
 }
 
 type outcall =
@@ -74,7 +73,9 @@ type t = {
   ktext : Isa.Text.t;
   kheap : Heap.t;
   mutable kprogram : Emc.Compile.program option;
-  loaded : (int, loaded_class) Hashtbl.t;  (* class index -> loaded *)
+  mutable loaded : loaded_class option array;  (* by class index *)
+  mutable literals : int array;
+      (* string-literal blocks of the loaded classes, in load order *)
   code_owner : (int32, loaded_class * Emc.Busstop.entry option) Hashtbl.t;
       (* code OID of every loaded text image -> its class, and for a
          bridge fragment the elided stop the fragment stands for *)
@@ -87,7 +88,14 @@ type t = {
   mutable stack_pool : int list;  (* free stack regions, last released first *)
   run_queue : Thread.segment Queue.t;
   root_results : (Thread.tid, Value.t option) Hashtbl.t;
-  blocks : (int, int * block_kind) Hashtbl.t;  (* heap blocks the GC may sweep *)
+  (* the heap blocks the GC may sweep, in ascending address order over
+     [nslots] slots of three parallel arrays; a freed block keeps its
+     slot, with size 0, until its address is allocated again *)
+  mutable blk_addr : int array;
+  mutable blk_size : int array;
+  mutable blk_kind : block_kind array;
+  mutable nslots : int;
+  mutable nblocks : int;  (* slots holding a block *)
   out : Buffer.t;
   kclock : Sim.Clock.t;  (* node-local virtual time *)
   mutable oid_serial : int;
@@ -146,7 +154,8 @@ let create ?clock ~node_id ~arch () =
     ktext = Isa.Text.create ();
     kheap = Heap.create ~mem ~start:heap_start;
     kprogram = None;
-    loaded = Hashtbl.create 8;
+    loaded = [||];
+    literals = [||];
     code_owner = Hashtbl.create 8;
     objects = Oid_table.create ~dummy:0 ();
     proxies = Oid_table.create ~dummy:0 ();
@@ -156,7 +165,11 @@ let create ?clock ~node_id ~arch () =
     stack_pool = [];
     run_queue = Queue.create ();
     root_results = Hashtbl.create 8;
-    blocks = Hashtbl.create 64;
+    blk_addr = Array.make 16 0;
+    blk_size = Array.make 16 0;
+    blk_kind = Array.make 16 Bobject;
+    nslots = 0;
+    nblocks = 0;
     out = Buffer.create 256;
     kclock;
     oid_serial = 0;
@@ -209,20 +222,61 @@ let print_string_out t s = Buffer.add_string t.out s
 (* Program and code management ------------------------------------------- *)
 
 let load_program t prog =
-  (match t.kprogram with
+  match t.kprogram with
   | Some p when p != prog -> error "node %d: a program is already loaded" t.knode_id
-  | Some _ | None -> ());
-  t.kprogram <- Some prog
+  | Some _ -> ()
+  | None ->
+    t.kprogram <- Some prog;
+    t.loaded <- Array.make (Array.length prog.Emc.Compile.p_classes) None
 
 let program t =
   match t.kprogram with
   | Some p -> p
   | None -> error "node %d: no program loaded" t.knode_id
 
+(* Sweepable blocks --------------------------------------------------------- *)
+
+(* the first slot whose address is at least [addr] *)
+let block_slot t addr =
+  let lo = ref 0 and hi = ref t.nslots in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if t.blk_addr.(mid) < addr then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Bump allocation appends.  Reuse from a size class finds the freed
+   block's slot and revives it with the new size; the one insertion is
+   an address whose first use was a kernel-owned block (a monitor queue
+   node), which has no slot. *)
+let add_block t addr size kind =
+  let n = t.nslots in
+  let i = if n = 0 || t.blk_addr.(n - 1) < addr then n else block_slot t addr in
+  if i = n || t.blk_addr.(i) <> addr then begin
+    if n = Array.length t.blk_addr then begin
+      let grow a fill =
+        let b = Array.make (2 * n) fill in
+        Array.blit a 0 b 0 n;
+        b
+      in
+      t.blk_addr <- grow t.blk_addr 0;
+      t.blk_size <- grow t.blk_size 0;
+      t.blk_kind <- grow t.blk_kind Bobject
+    end;
+    Array.blit t.blk_addr i t.blk_addr (i + 1) (n - i);
+    Array.blit t.blk_size i t.blk_size (i + 1) (n - i);
+    Array.blit t.blk_kind i t.blk_kind (i + 1) (n - i);
+    t.blk_addr.(i) <- addr;
+    t.nslots <- n + 1
+  end;
+  t.blk_size.(i) <- size;
+  t.blk_kind.(i) <- kind;
+  t.nblocks <- t.nblocks + 1
+
 let make_string t s =
   let size = L.str_bytes + String.length s in
   let addr = Heap.alloc t.kheap size in
-  Hashtbl.replace t.blocks addr (size, Bstring);
+  add_block t addr size Bstring;
   Mem.store32 t.kmem (addr + L.str_flags) (Int32.of_int L.flag_string);
   Mem.store32 t.kmem (addr + L.str_len) (Int32.of_int (String.length s));
   Mem.blit_string t.kmem (addr + L.str_bytes) s;
@@ -235,15 +289,13 @@ let read_string_block t addr =
 let make_vector t ~kind ~len =
   let size = L.vec_elems + (4 * len) in
   let addr = Heap.alloc t.kheap size in
-  Hashtbl.replace t.blocks addr (size, Bvector);
+  add_block t addr size Bvector;
   Mem.store32 t.kmem (addr + L.vec_flags) (Int32.of_int L.flag_vector);
   Mem.store32 t.kmem (addr + L.vec_len) (Int32.of_int len);
   Mem.store32 t.kmem (addr + L.vec_kind) (Int32.of_int kind);
   addr
 
-let is_vector_block t addr =
-  Int32.logand (Mem.load32 t.kmem (addr + L.vec_flags)) (Int32.of_int L.flag_vector)
-  <> 0l
+let is_vector_block t addr = Mem.load32_bits t.kmem (addr + L.vec_flags) land L.flag_vector <> 0
 
 (* the representative element type of a kind code, for machine-independent
    fresh-vector completion values; [kind_of_typ] is its left inverse *)
@@ -265,9 +317,9 @@ let default_value_of_typ = function
    method entries, string-literal addresses) in data memory so generated
    code can dispatch and fetch literals with plain loads. *)
 let loaded_class t class_index =
-  match Hashtbl.find t.loaded class_index with
-  | lc -> lc
-  | exception Not_found ->
+  match if class_index < Array.length t.loaded then t.loaded.(class_index) else None with
+  | Some lc -> lc
+  | None ->
     let prog = program t in
     let cc = Emc.Compile.class_by_index prog class_index in
     let art =
@@ -306,10 +358,10 @@ let loaded_class t class_index =
         lc_stops = art.Emc.Compile.aa_stops;
         lc_image = image;
         lc_desc_addr = desc;
-        lc_string_addrs = string_addrs;
       }
     in
-    Hashtbl.replace t.loaded class_index lc;
+    t.loaded.(class_index) <- Some lc;
+    t.literals <- Array.append t.literals string_addrs;
     Hashtbl.replace t.code_owner code.Isa.Code.code_oid (lc, None);
     (match t.on_code_load with
     | Some f -> f ()
@@ -326,7 +378,7 @@ let set_threaded t b = t.kthreaded <- b
 let threaded t = t.kthreaded
 
 let set_opt_level t l =
-  if Hashtbl.length t.loaded > 0 && not (Emc.Opt.equal l t.kopt) then
+  if Array.exists Option.is_some t.loaded && not (Emc.Opt.equal l t.kopt) then
     error "node %d: cannot change optimization level after code is loaded" t.knode_id;
   t.kopt <- l
 
@@ -338,9 +390,7 @@ let set_bridge_cache t c = t.kbridge <- c
 
 let oid_at t addr = Mem.load32 t.kmem (addr + L.obj_oid)
 
-let is_resident t addr =
-  Int32.logand (Mem.load32 t.kmem (addr + L.obj_flags)) (Int32.of_int L.flag_resident)
-  <> 0l
+let is_resident t addr = Mem.load32_bits t.kmem (addr + L.obj_flags) land L.flag_resident <> 0
 
 let proxy_hint t addr =
   if is_resident t addr then t.knode_id
@@ -349,7 +399,7 @@ let proxy_hint t addr =
 let alloc_descriptor t ~oid ~nconds ~nfields =
   let size = L.object_size ~nconds ~nfields in
   let addr = Heap.alloc t.kheap size in
-  Hashtbl.replace t.blocks addr (size, Bobject);
+  add_block t addr size Bobject;
   Mem.store32 t.kmem (addr + L.obj_oid) oid;
   (* empty circular monitor entry queue and condition queues *)
   let init_sentinel sent =
@@ -413,7 +463,7 @@ let proxy_of t oid = Oid_table.find_opt t.proxies oid
 
 let make_proxy t oid ~hint =
   let addr = Heap.alloc t.kheap L.obj_header_size in
-  Hashtbl.replace t.blocks addr (L.obj_header_size, Bproxy);
+  add_block t addr L.obj_header_size Bproxy;
   Mem.store32 t.kmem (addr + L.obj_oid) oid;
   Mem.store32 t.kmem (addr + L.obj_flags) 0l;
   Mem.store32 t.kmem (addr + L.obj_desc) (Int32.of_int hint);
@@ -447,8 +497,7 @@ let set_proxy_hint t ~addr ~node =
 
 let class_of_object t addr =
   if not (is_resident t addr) then error "class_of_object: %s is not resident" (Oid.to_string (oid_at t addr));
-  let desc = Int32.to_int (Mem.load32 t.kmem (addr + L.obj_desc)) in
-  Int32.to_int (Mem.load32 t.kmem (desc + L.desc_class))
+  Mem.load32_bits t.kmem (Mem.load32_bits t.kmem (addr + L.obj_desc) + L.desc_class)
 
 let evict_object t ~addr ~forward_to =
   let oid = oid_at t addr in
@@ -460,14 +509,21 @@ let evict_object t ~addr ~forward_to =
 let objects t = Oid_table.fold (fun oid addr acc -> (oid, addr) :: acc) t.objects []
 let iter_objects t f = Oid_table.iter f t.objects
 
-let iter_blocks t f = Hashtbl.iter (fun addr (size, _) -> f ~addr ~size) t.blocks
+let iter_blocks t f =
+  for i = 0 to t.nslots - 1 do
+    let size = t.blk_size.(i) in
+    if size > 0 then f ~addr:t.blk_addr.(i) ~size
+  done
+
+let block_count t = t.nblocks
 
 let free_block t addr =
-  match Hashtbl.find_opt t.blocks addr with
-  | None -> ()
-  | Some (size, kind) ->
-    Hashtbl.remove t.blocks addr;
-    (match kind with
+  let i = block_slot t addr in
+  if i < t.nslots && t.blk_addr.(i) = addr && t.blk_size.(i) > 0 then begin
+    let size = t.blk_size.(i) in
+    t.blk_size.(i) <- 0;
+    t.nblocks <- t.nblocks - 1;
+    (match t.blk_kind.(i) with
     | Bobject | Bproxy ->
       let oid = oid_at t addr in
       (match Oid_table.find_opt t.objects oid with
@@ -478,9 +534,9 @@ let free_block t addr =
       | Some _ | None -> ())
     | Bstring | Bvector -> ());
     Heap.free t.kheap ~addr ~size
+  end
 
-let string_literal_addrs t =
-  Hashtbl.fold (fun _ lc acc -> Array.to_list lc.lc_string_addrs @ acc) t.loaded []
+let string_literal_addrs t = t.literals
 
 let attached_refs t ~addr =
   let class_index = class_of_object t addr in

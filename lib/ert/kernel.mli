@@ -24,7 +24,6 @@ type loaded_class = {
   lc_stops : Emc.Busstop.table;
   lc_image : Isa.Text.image;
   lc_desc_addr : int;  (** descriptor table in data memory *)
-  lc_string_addrs : int array;  (** string-literal blocks *)
 }
 
 type outcall =
@@ -115,7 +114,7 @@ val load_program : t -> Emc.Compile.program -> unit
 val program : t -> Emc.Compile.program
 val loaded_class : t -> int -> loaded_class
 (** Loads (code object fetch, descriptor table and string-literal
-    construction) on first use. *)
+    construction) on first use; after that, an array index. *)
 
 (* objects *)
 val create_object : t -> class_index:int -> int
@@ -146,12 +145,19 @@ val iter_objects : t -> (Oid.t -> int -> unit) -> unit
     slot order (deterministic in the operation sequence). *)
 
 val iter_blocks : t -> (addr:int -> size:int -> unit) -> unit
+(** The blocks the collector may sweep (objects, proxies, strings and
+    vectors), in ascending address order. *)
+
+val block_count : t -> int
+(** How many blocks {!iter_blocks} visits. *)
 
 val free_block : t -> int -> unit
-(** Return a swept block to the allocator and drop its table entries. *)
+(** Return a swept block to the allocator and drop its table entries;
+    does nothing for an address that is not a block. *)
 
-val string_literal_addrs : t -> int list
-(** String blocks owned by loaded code objects (GC roots). *)
+val string_literal_addrs : t -> int array
+(** String blocks owned by loaded code objects (GC roots), in the order
+    their classes loaded.  The kernel's own array: do not mutate it. *)
 
 val make_string : t -> string -> int
 val read_string_block : t -> int -> string

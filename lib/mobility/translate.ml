@@ -23,8 +23,9 @@ let top_pad = function
 let capture_frame k (fr : FW.frame_rec) =
   let slots =
     FW.fold_live k fr
-      (fun es raw acc ->
-        (es.Emc.Template.es_slot, K.value_of_raw k es.Emc.Template.es_type raw) :: acc)
+      (fun es bits acc ->
+        (es.Emc.Template.es_slot, K.value_of_raw k es.Emc.Template.es_type (Int32.of_int bits))
+        :: acc)
       []
   in
   {

@@ -184,6 +184,57 @@ end Main
   | None -> ()
   | Some _ -> Alcotest.fail "noval should have no result"
 
+let bump_src =
+  {|
+object Cell
+  var v : int <- 0
+  operation bump[n : int] -> [r : int]
+    var i : int <- 0
+    loop
+      exit when i >= n
+      i <- i + 1
+      v <- v + 1
+    end loop
+    r <- v
+  end bump
+end Cell
+|}
+
+(* [group_move] and [evict_thread] check the destination before they
+   capture anything: each refused call names itself, leaves the object
+   on node 0 and emits no event, and the thread inside the object then
+   runs to completion there *)
+let test_dest_outside_cluster_refused () =
+  let cl = Core.Cluster.create ~archs:[ A.sparc; A.vax ] () in
+  ignore (Core.Cluster.compile_and_load cl ~name:"dest" bump_src);
+  let cell = Core.Cluster.create_object cl ~node:0 ~class_name:"Cell" in
+  let tid = Core.Cluster.spawn cl ~node:0 ~target:cell ~op:"bump" ~args:[ V.Vint 100l ] in
+  let seg_id =
+    match Ert.Kernel.segments (Core.Cluster.kernel cl 0) with
+    | [ seg ] -> seg.Ert.Thread.seg_id
+    | _ -> Alcotest.fail "expected one segment on node 0"
+  in
+  let events = ref 0 in
+  Core.Cluster.subscribe_events cl (fun _ -> incr events);
+  let refused fn dest call =
+    match call () with
+    | () -> Alcotest.failf "%s accepted destination %d" fn dest
+    | exception Invalid_argument msg ->
+      check Alcotest.string (fn ^ " names itself")
+        (Printf.sprintf "Cluster.%s: node %d is outside the 2-node cluster" fn dest) msg
+  in
+  refused "group_move" (-1) (fun () -> Core.Cluster.group_move cl ~node:0 ~dest:(-1) [ cell ]);
+  refused "group_move" 5 (fun () -> Core.Cluster.group_move cl ~node:0 ~dest:5 [ cell ]);
+  refused "evict_thread" 5 (fun () -> Core.Cluster.evict_thread cl ~node:0 ~seg_id ~dest:5);
+  check Alcotest.int "no event" 0 !events;
+  check (Alcotest.option Alcotest.int) "still resident on node 0" (Some 0)
+    (Core.Cluster.where_is cl cell);
+  (match Core.Cluster.run_until_result cl tid with
+  | Some (V.Vint 100l) -> ()
+  | _ -> Alcotest.fail "the thread did not run to completion");
+  check (Alcotest.option Alcotest.int) "resident on node 0 after the run" (Some 0)
+    (Core.Cluster.where_is cl cell)
+
 let suites =
   [
     ( "cluster",
@@ -201,5 +252,7 @@ let suites =
         Alcotest.test_case "code repository fetch accounting" `Quick
           test_code_repository_fetches;
         Alcotest.test_case "root result types" `Quick test_root_result_types;
+        Alcotest.test_case "a destination outside the cluster is refused" `Quick
+          test_dest_outside_cluster_refused;
       ] );
   ]

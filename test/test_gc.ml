@@ -225,6 +225,135 @@ let vector_elements_unsigned_prop =
         [ Isa.Endian.Big; Isa.Endian.Little ])
 
 (* ----------------------------------------------------------------------- *)
+(* the kernel's block table: address order, slot reuse and insertion *)
+
+let bare_kernel () = Ert.Kernel.create ~node_id:0 ~arch:A.sparc ()
+
+let table k =
+  let acc = ref [] in
+  Ert.Kernel.iter_blocks k (fun ~addr ~size -> acc := (addr, size) :: !acc);
+  List.rev !acc
+
+let string_size s = Emc.Layout.str_bytes + String.length s
+
+(* a 4-character string is monitor-queue-node sized: it reuses an address
+   whose first use was a kernel block, which lies between two table
+   entries, so the table inserts it in order *)
+let test_block_inserted_in_order () =
+  let k = bare_kernel () in
+  let heap = Ert.Kernel.heap k in
+  let first = Ert.Kernel.make_string k "first string" in
+  let qnode = Ert.Heap.alloc heap Emc.Layout.qnode_size in
+  Ert.Heap.free heap ~addr:qnode ~size:Emc.Layout.qnode_size;
+  let second = Ert.Kernel.make_string k "second string" in
+  let middle = Ert.Kernel.make_string k "four" in
+  check Alcotest.int "the string reuses the kernel block's address" qnode middle;
+  if not (first < middle && middle < second) then
+    Alcotest.fail "the reused address should lie between the first two blocks";
+  check
+    Alcotest.(list (pair int int))
+    "ascending"
+    [ (first, string_size "first string"); (middle, string_size "four");
+      (second, string_size "second string") ]
+    (table k);
+  let s = Ert.Gc.collect k in
+  check Alcotest.int "all three swept" 3 s.Ert.Gc.gc_swept;
+  check Alcotest.int "bytes freed"
+    (string_size "first string" + string_size "four" + string_size "second string")
+    s.Ert.Gc.gc_bytes_freed;
+  check Alcotest.int "table empty" 0 (Ert.Kernel.block_count k)
+
+(* a freed block keeps its slot; reuse from the size class revives it
+   with the new block's size *)
+let test_block_revived_with_new_size () =
+  let k = bare_kernel () in
+  let three = Ert.Kernel.make_string k "abc" in
+  check Alcotest.int "3 characters" 11 (Ert.Gc.collect k).Ert.Gc.gc_bytes_freed;
+  let four = Ert.Kernel.make_string k "abcd" in
+  check Alcotest.int "same address" three four;
+  check Alcotest.int "4 characters" 12 (Ert.Gc.collect k).Ert.Gc.gc_bytes_freed
+
+type block_op =
+  | Make_string of int  (* characters *)
+  | Take_qnode  (* a kernel-owned block from the heap *)
+  | Give_qnode of int
+  | Free_block of int
+  | Free_other of int  (* [free_block] of an address that is not a block *)
+
+let pp_block_op = function
+  | Make_string n -> Printf.sprintf "string %d" n
+  | Take_qnode -> "take qnode"
+  | Give_qnode i -> Printf.sprintf "give qnode %d" i
+  | Free_block i -> Printf.sprintf "free block %d" i
+  | Free_other i -> Printf.sprintf "free other %d" i
+
+let block_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_block_op ops))
+    QCheck.Gen.(
+      list_size (1 -- 80)
+        (frequency
+           [
+             (4, map (fun n -> Make_string n) (0 -- 16));
+             (1, return Take_qnode);
+             (1, map (fun i -> Give_qnode i) nat);
+             (2, map (fun i -> Free_block i) nat);
+             (1, map (fun i -> Free_other i) nat);
+           ]))
+
+(* random allocation and freeing, with kernel blocks of the monitor
+   queue node's size interleaved, against a reference map: the table
+   lists exactly the map's blocks in strictly ascending address order,
+   and freeing an address that is not a block (a freed one, a kernel
+   block, the inside of a block) changes nothing *)
+let block_table_prop =
+  QCheck.Test.make ~count:300
+    ~name:"block table == a reference map under random alloc and free" block_ops
+    (fun ops ->
+      let module M = Map.Make (Int) in
+      let k = bare_kernel () in
+      let heap = Ert.Kernel.heap k in
+      let model = ref M.empty and qnodes = ref [] and freed = ref [] in
+      let nth l i = List.nth l (i mod List.length l) in
+      let qsize = Emc.Layout.qnode_size in
+      let rec ascending = function
+        | (a, _) :: ((b, _) :: _ as rest) -> a < b && ascending rest
+        | [ _ ] | [] -> true
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Make_string n ->
+            let addr = Ert.Kernel.make_string k (String.make n 'x') in
+            model := M.add addr (Emc.Layout.str_bytes + n) !model
+          | Take_qnode -> qnodes := Ert.Heap.alloc heap qsize :: !qnodes
+          | Give_qnode i when !qnodes <> [] ->
+            let addr = nth !qnodes i in
+            Ert.Heap.free heap ~addr ~size:qsize;
+            qnodes := List.filter (( <> ) addr) !qnodes
+          | Free_block i when not (M.is_empty !model) ->
+            let addr, _ = nth (M.bindings !model) i in
+            Ert.Kernel.free_block k addr;
+            model := M.remove addr !model;
+            freed := addr :: !freed
+          | Free_other i ->
+            let inside = List.map (fun (a, _) -> a + 4) (M.bindings !model) in
+            let candidates =
+              List.filter
+                (fun a -> not (M.mem a !model))
+                (!freed @ !qnodes @ inside @ [ Ert.Heap.brk heap ])
+            in
+            let live = Ert.Heap.live_bytes heap in
+            Ert.Kernel.free_block k (nth candidates i);
+            if Ert.Heap.live_bytes heap <> live then
+              QCheck.Test.fail_report "free_block of a non-block freed memory"
+          | Give_qnode _ | Free_block _ -> ());
+          let t = table k in
+          ascending t && t = M.bindings !model
+          && Ert.Kernel.block_count k = M.cardinal !model)
+        ops)
+
+(* ----------------------------------------------------------------------- *)
 (* the incremental tier *)
 
 (* run [churn] to completion and leave the heap quiescent, garbage and
@@ -572,5 +701,10 @@ let suites =
           test_crash_discards_cycle;
         Alcotest.test_case "incremental pauses pinned, within the budget bound"
           `Quick test_incremental_pauses_pinned;
+        Alcotest.test_case "block table: a kernel block's address is inserted in order"
+          `Quick test_block_inserted_in_order;
+        Alcotest.test_case "block table: a reused slot takes the new size" `Quick
+          test_block_revived_with_new_size;
+        QCheck_alcotest.to_alcotest block_table_prop;
       ] );
   ]
