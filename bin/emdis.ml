@@ -8,7 +8,7 @@ open Cmdliner
 let arch_by_id id =
   try Isa.Arch.by_id id
   with Not_found ->
-    Printf.eprintf "unknown architecture %s (have: %s)\n" id
+    Printf.eprintf "emdis: unknown architecture %s (have: %s)\n" id
       (String.concat ", " (List.map (fun a -> a.Isa.Arch.id) Isa.Arch.all));
     exit 2
 
@@ -191,10 +191,10 @@ let dis file arch_id cls blocks opt_diff =
         | Some a, Some b when a >= 0 && a <= 2 && b >= 0 && b <= 2 && a <> b ->
           Some (Emc.Opt.of_int a, Emc.Opt.of_int b)
         | _ ->
-          Printf.eprintf "--opt-diff wants two distinct levels 0..2, got %s\n" s;
+          Printf.eprintf "emdis: --opt-diff wants two distinct levels 0..2, got %s\n" s;
           exit 2)
       | _ ->
-        Printf.eprintf "--opt-diff wants LEVEL,LEVEL (for instance 0,2)\n";
+        Printf.eprintf "emdis: --opt-diff wants LEVEL,LEVEL (for instance 0,2)\n";
         exit 2)
   in
   let levels =

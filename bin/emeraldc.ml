@@ -10,7 +10,7 @@ open Cmdliner
 let level_of_int n =
   try Emc.Opt.of_int n
   with Invalid_argument _ ->
-    Printf.eprintf "invalid optimization level -O%d (have: 0, 1, 2)\n" n;
+    Printf.eprintf "emeraldc: invalid optimization level -O%d (have: 0, 1, 2)\n" n;
     exit 2
 
 let compile file opt arch_id dump_ir dump_code dump_stops dump_template =
@@ -22,7 +22,7 @@ let compile file opt arch_id dump_ir dump_code dump_stops dump_template =
     | Some id -> (
       try [ Isa.Arch.by_id id ]
       with Not_found ->
-        Printf.eprintf "unknown architecture %s (have: %s)\n" id
+        Printf.eprintf "emeraldc: unknown architecture %s (have: %s)\n" id
           (String.concat ", " (List.map (fun a -> a.Isa.Arch.id) Isa.Arch.all));
         exit 2)
   in

@@ -14,6 +14,7 @@ let run file nodes opt cls op args_s original codec location gc_mode_s
     gc_threshold trace stats profile trace_out evict_hot seed faults
     check_invariants =
   let source = In_channel.with_open_text file In_channel.input_all in
+  let known = String.concat ", " (List.map (fun a -> a.Isa.Arch.id) Isa.Arch.all) in
   let archs =
     String.split_on_char ',' nodes
     |> List.map String.trim
@@ -21,10 +22,13 @@ let run file nodes opt cls op args_s original codec location gc_mode_s
     |> List.map (fun id ->
            try Isa.Arch.by_id id
            with Not_found ->
-             Printf.eprintf "emrun: unknown architecture %s (have: %s)\n" id
-               (String.concat ", " (List.map (fun a -> a.Isa.Arch.id) Isa.Arch.all));
+             Printf.eprintf "emrun: unknown architecture %s (have: %s)\n" id known;
              exit 2)
   in
+  if archs = [] then begin
+    Printf.eprintf "emrun: --nodes names no architecture (have: %s)\n" known;
+    exit 2
+  end;
   let node_levels =
     let parse s =
       match int_of_string_opt (String.trim s) with

@@ -457,6 +457,7 @@ let create ?(protocol = Enhanced) ?(wire_impl = Enet.Wire.Naive) ?quantum ?gc_th
     ?(gc_mode = Gc_stw) ?(gc_budget = 4096) ?(faults = Fault.Plan.empty)
     ?(async_migration = false) ?(location = Loc_off) ~archs () =
   let n = List.length archs in
+  if n = 0 then invalid_arg "Cluster.create: archs is empty";
   if gc_budget < 1 then invalid_arg "Cluster.create: gc_budget must be positive";
   if List.exists (fun (c : Fault.Plan.chaos) -> c.ch_node < 0 || c.ch_node >= n) faults.pl_chaos
   then invalid_arg "Cluster.create: fault plan crashes a node out of range";

@@ -95,8 +95,8 @@ val create :
     is bit-identical to clusters that predate it).  All directory and
     chain-collapse traffic uses dedicated message tags and is produced
     in deterministic (ascending node) order.
-    @raise Invalid_argument on a non-positive [gc_budget] or a crash
-    window on a node out of range. *)
+    @raise Invalid_argument on an empty [archs], a non-positive
+    [gc_budget] or a crash window on a node out of range. *)
 
 val protocol : t -> protocol
 

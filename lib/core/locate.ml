@@ -22,21 +22,23 @@ type t = {
   searches : (Ert.Oid.t, search) Hashtbl.t;  (* open searches, by object *)
   partition : Loc.Partition.t;  (* OID -> home-shard map (stateless) *)
   dirs : Loc.Directory.t array;
-      (* node i's directory shard: entries for OIDs whose home is i *)
+      (* node i's directory shard: entries for OIDs whose home is i
+         (empty unless the directory is on) *)
   dir_waits : (Ert.Oid.t, M.message list) Hashtbl.t array;
       (* per asker node: messages parked awaiting that node's in-flight
-         M_dir_lookup, newest first *)
+         M_dir_lookup, newest first (empty unless the directory is on) *)
   send : src:int -> Mobility.Move.send -> unit;
   drop : M.message -> reason:string -> unit;
 }
 
 let create ~mode ~kernels ~down ~bus ~transport ~send ~drop =
   let n = Array.length kernels in
+  let shards = match mode with Loc_off -> 0 | Loc_directory -> n in
   { mode; kernels; down; bus; tr = transport;
     searches = Hashtbl.create 4;
     partition = Loc.Partition.create ~n_nodes:n;
-    dirs = Array.init n (fun _ -> Loc.Directory.create ());
-    dir_waits = Array.init n (fun _ -> Hashtbl.create 4);
+    dirs = Array.init shards (fun _ -> Loc.Directory.create ());
+    dir_waits = Array.init shards (fun _ -> Hashtbl.create 4);
     send; drop }
 
 let mode t = t.mode
@@ -44,7 +46,12 @@ let home t oid = Loc.Partition.home t.partition oid
 
 (* host-side directory inspection (no hit/miss accounting) *)
 let entry t oid =
-  Option.map (fun e -> e.Loc.Directory.le_node) (Loc.Directory.peek t.dirs.(home t oid) oid)
+  match t.mode with
+  | Loc_off -> None
+  | Loc_directory -> (
+    match Loc.Directory.peek t.dirs.(home t oid) oid with
+    | -1 -> None
+    | node -> Some node)
 
 let stats t =
   Array.fold_left
@@ -138,13 +145,12 @@ let fallback t ~asker obj msg =
     if home = asker then begin
       (* the asker owns the home shard: consult it locally *)
       let hit = Loc.Directory.lookup t.dirs.(asker) obj in
-      E.emit t.bus (E.Ev_dir_lookup { node = asker; obj; found = hit <> None });
-      match hit with
-      | Some e
-        when e.Loc.Directory.le_node <> asker && not t.down.(e.Loc.Directory.le_node) ->
-        hint t ~at:asker obj ~node:e.Loc.Directory.le_node;
-        post t ~src:asker e.Loc.Directory.le_node msg
-      | Some _ | None -> start_search t ~asker obj msg
+      E.emit t.bus (E.Ev_dir_lookup { node = asker; obj; found = hit >= 0 });
+      if hit >= 0 && hit <> asker && not t.down.(hit) then begin
+        hint t ~at:asker obj ~node:hit;
+        post t ~src:asker hit msg
+      end
+      else start_search t ~asker obj msg
     end
     else if not (Transport.reachable t.tr home) then
       (* a known-dead home shard cannot answer *)
@@ -260,11 +266,10 @@ let deliver t ~dst ~src (msg : M.message) =
       objs
   | M.M_dir_lookup { obj } ->
     let hit = Loc.Directory.lookup t.dirs.(dst) obj in
-    E.emit t.bus (E.Ev_dir_lookup { node = dst; obj; found = hit <> None });
+    E.emit t.bus (E.Ev_dir_lookup { node = dst; obj; found = hit >= 0 });
     post t ~src:dst src
-      (match hit with
-      | Some e -> M.M_dir_reply { obj; node = e.Loc.Directory.le_node; known = true }
-      | None -> M.M_dir_reply { obj; node = 0; known = false })
+      (if hit >= 0 then M.M_dir_reply { obj; node = hit; known = true }
+       else M.M_dir_reply { obj; node = 0; known = false })
   | M.M_dir_reply { obj; node; known } -> (
     let waits = t.dir_waits.(dst) in
     match Hashtbl.find_opt waits obj with

@@ -12,12 +12,9 @@ type stats = {
    the cycle touches each root as it is found, with no list of them. *)
 
 let oid_root k f oid acc =
-  match Kernel.find_object k oid with
-  | Some addr -> f addr acc
-  | None -> (
-    match Kernel.proxy_of k oid with
-    | Some addr -> f addr acc
-    | None -> acc)
+  match Kernel.ref_addr k oid with
+  | 0 -> acc
+  | addr -> f addr acc
 
 let rec value_root k f v acc =
   match (v : Value.t) with

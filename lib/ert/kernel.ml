@@ -28,6 +28,7 @@ type loaded_class = {
   lc_stops : Emc.Busstop.table;
   lc_image : Isa.Text.image;
   lc_desc_addr : int;
+  lc_process : int;  (* method index of [$process], or -1 *)
 }
 
 type outcall =
@@ -76,7 +77,7 @@ type t = {
   mutable loaded : loaded_class option array;  (* by class index *)
   mutable literals : int array;
       (* string-literal blocks of the loaded classes, in load order *)
-  code_owner : (int32, loaded_class * Emc.Busstop.entry option) Hashtbl.t;
+  code_owner : (loaded_class * Emc.Busstop.entry option) option Oid_table.t;
       (* code OID of every loaded text image -> its class, and for a
          bridge fragment the elided stop the fragment stands for *)
   objects : int Oid_table.t;  (* resident: OID -> descriptor address *)
@@ -156,7 +157,7 @@ let create ?clock ~node_id ~arch () =
     kprogram = None;
     loaded = [||];
     literals = [||];
-    code_owner = Hashtbl.create 8;
+    code_owner = Oid_table.create ~dummy:None ();
     objects = Oid_table.create ~dummy:0 ();
     proxies = Oid_table.create ~dummy:0 ();
     segs = Hashtbl.create 16;
@@ -277,8 +278,8 @@ let make_string t s =
   let size = L.str_bytes + String.length s in
   let addr = Heap.alloc t.kheap size in
   add_block t addr size Bstring;
-  Mem.store32 t.kmem (addr + L.str_flags) (Int32.of_int L.flag_string);
-  Mem.store32 t.kmem (addr + L.str_len) (Int32.of_int (String.length s));
+  Mem.store32_bits t.kmem (addr + L.str_flags) L.flag_string;
+  Mem.store32_bits t.kmem (addr + L.str_len) (String.length s);
   Mem.blit_string t.kmem (addr + L.str_bytes) s;
   addr
 
@@ -290,9 +291,9 @@ let make_vector t ~kind ~len =
   let size = L.vec_elems + (4 * len) in
   let addr = Heap.alloc t.kheap size in
   add_block t addr size Bvector;
-  Mem.store32 t.kmem (addr + L.vec_flags) (Int32.of_int L.flag_vector);
-  Mem.store32 t.kmem (addr + L.vec_len) (Int32.of_int len);
-  Mem.store32 t.kmem (addr + L.vec_kind) (Int32.of_int kind);
+  Mem.store32_bits t.kmem (addr + L.vec_flags) L.flag_vector;
+  Mem.store32_bits t.kmem (addr + L.vec_len) len;
+  Mem.store32_bits t.kmem (addr + L.vec_kind) kind;
   addr
 
 let is_vector_block t addr = Mem.load32_bits t.kmem (addr + L.vec_flags) land L.flag_vector <> 0
@@ -336,18 +337,18 @@ let loaded_class t class_index =
     let strings = cc.Emc.Compile.cc_template.Emc.Template.ct_strings in
     let nstrings = Array.length strings in
     let desc = Heap.alloc t.kheap (L.desc_size ~nmethods ~nstrings) in
-    Mem.store32 t.kmem (desc + L.desc_class) (Int32.of_int class_index);
+    Mem.store32_bits t.kmem (desc + L.desc_class) class_index;
     Array.iter
       (fun (m : Isa.Code.method_info) ->
-        Mem.store32 t.kmem
+        Mem.store32_bits t.kmem
           (desc + L.desc_method m.Isa.Code.method_index)
-          (Int32.of_int (image.Isa.Text.base + m.Isa.Code.entry_offset)))
+          (image.Isa.Text.base + m.Isa.Code.entry_offset))
       code.Isa.Code.methods;
     let string_addrs =
       Array.mapi
         (fun i s ->
           let addr = make_string t s in
-          Mem.store32 t.kmem (desc + L.desc_string ~nmethods i) (Int32.of_int addr);
+          Mem.store32_bits t.kmem (desc + L.desc_string ~nmethods i) addr;
           addr)
         strings
     in
@@ -358,11 +359,15 @@ let loaded_class t class_index =
         lc_stops = art.Emc.Compile.aa_stops;
         lc_image = image;
         lc_desc_addr = desc;
+        lc_process =
+          (match Isa.Code.method_by_name code "$process" with
+          | Some m -> m.Isa.Code.method_index
+          | None -> -1);
       }
     in
     t.loaded.(class_index) <- Some lc;
     t.literals <- Array.append t.literals string_addrs;
-    Hashtbl.replace t.code_owner code.Isa.Code.code_oid (lc, None);
+    Oid_table.replace t.code_owner code.Isa.Code.code_oid (Some (lc, None));
     (match t.on_code_load with
     | Some f -> f ()
     | None -> ());
@@ -402,13 +407,10 @@ let alloc_descriptor t ~oid ~nconds ~nfields =
   add_block t addr size Bobject;
   Mem.store32 t.kmem (addr + L.obj_oid) oid;
   (* empty circular monitor entry queue and condition queues *)
-  let init_sentinel sent =
-    Mem.store32 t.kmem sent (Int32.of_int sent);
-    Mem.store32 t.kmem (sent + 4) (Int32.of_int sent)
-  in
-  init_sentinel (addr + L.obj_qflink);
-  for c = 0 to nconds - 1 do
-    init_sentinel (addr + L.cond_sentinel ~nfields c)
+  for c = -1 to nconds - 1 do
+    let sent = if c < 0 then addr + L.obj_qflink else addr + L.cond_sentinel ~nfields c in
+    Mem.store32_bits t.kmem sent sent;
+    Mem.store32_bits t.kmem (sent + 4) sent
   done;
   addr
 
@@ -423,9 +425,8 @@ let install_object t ~oid ~class_index =
        the object table, and the stale proxy is collected by the GC *)
     alloc_descriptor t ~oid ~nconds ~nfields
   in
-  Mem.store32 t.kmem (addr + L.obj_flags)
-    (Int32.of_int (L.flag_resident lor L.flag_code_loaded));
-  Mem.store32 t.kmem (addr + L.obj_desc) (Int32.of_int (loaded_class t class_index).lc_desc_addr);
+  Mem.store32_bits t.kmem (addr + L.obj_flags) (L.flag_resident lor L.flag_code_loaded);
+  Mem.store32_bits t.kmem (addr + L.obj_desc) lc.lc_desc_addr;
   Oid_table.replace t.objects oid addr;
   Oid_table.remove t.proxies oid;
   addr
@@ -444,22 +445,26 @@ let create_object t ~class_index =
   let tmpl = lc.lc_class.Emc.Compile.cc_template in
   let addr = install_object t ~oid ~class_index in
   (* literal field initialisers *)
-  Array.iteri
-    (fun i init ->
-      let raw =
-        match (init : Emc.Ir.field_init) with
-        | Emc.Ir.Fint v -> v
-        | Emc.Ir.Fbool b -> if b then 1l else 0l
-        | Emc.Ir.Freal x -> Isa.Float_format.encode t.karch.A.float_format x
-        | Emc.Ir.Fstr s -> Int32.of_int (make_string t s)
-        | Emc.Ir.Fnil -> 0l
-      in
-      Mem.store32 t.kmem (addr + L.field_offset i) raw)
-    tmpl.Emc.Template.ct_field_inits;
+  let inits = tmpl.Emc.Template.ct_field_inits in
+  for i = 0 to Array.length inits - 1 do
+    let raw =
+      match (inits.(i) : Emc.Ir.field_init) with
+      | Emc.Ir.Fint v -> Int32.to_int v
+      | Emc.Ir.Fbool b -> Bool.to_int b
+      | Emc.Ir.Freal x -> Int32.to_int (Isa.Float_format.encode t.karch.A.float_format x)
+      | Emc.Ir.Fstr s -> make_string t s
+      | Emc.Ir.Fnil -> 0
+    in
+    Mem.store32_bits t.kmem (addr + L.field_offset i) raw
+  done;
   addr
 
 let find_object t oid = Oid_table.find_opt t.objects oid
 let proxy_of t oid = Oid_table.find_opt t.proxies oid
+
+let ref_addr t oid =
+  let addr = Oid_table.find t.objects oid in
+  if addr <> 0 then addr else Oid_table.find t.proxies oid
 
 let make_proxy t oid ~hint =
   let addr = Heap.alloc t.kheap L.obj_header_size in
@@ -479,14 +484,9 @@ let graft_addr t addr =
 
 let ensure_ref t oid =
   let addr =
-    match Oid_table.find_opt t.objects oid with
-    | Some addr -> addr
-    | None -> (
-      match Oid_table.find_opt t.proxies oid with
-      | Some addr -> addr
-      | None ->
-        let hint = Option.value (Oid.creator_node oid) ~default:0 in
-        make_proxy t oid ~hint)
+    match ref_addr t oid with
+    | 0 -> make_proxy t oid ~hint:(Option.value (Oid.creator_node oid) ~default:0)
+    | addr -> addr
   in
   graft_addr t addr;
   addr
@@ -526,12 +526,8 @@ let free_block t addr =
     (match t.blk_kind.(i) with
     | Bobject | Bproxy ->
       let oid = oid_at t addr in
-      (match Oid_table.find_opt t.objects oid with
-      | Some a when a = addr -> Oid_table.remove t.objects oid
-      | Some _ | None -> ());
-      (match Oid_table.find_opt t.proxies oid with
-      | Some a when a = addr -> Oid_table.remove t.proxies oid
-      | Some _ | None -> ())
+      if Oid_table.find t.objects oid = addr then Oid_table.remove t.objects oid;
+      if Oid_table.find t.proxies oid = addr then Oid_table.remove t.proxies oid
     | Bstring | Bvector -> ());
     Heap.free t.kheap ~addr ~size
   end
@@ -594,7 +590,7 @@ let rec raw_of_value t v =
 (* Bus stops ------------------------------------------------------------------ *)
 
 let image_owner t (img : Isa.Text.image) =
-  Hashtbl.find_opt t.code_owner img.Isa.Text.code.Isa.Code.code_oid
+  Oid_table.find t.code_owner img.Isa.Text.code.Isa.Code.code_oid
 
 let stop_at_pc t pc =
   match Isa.Text.find t.ktext pc with
@@ -659,7 +655,7 @@ let ensure_bridge t ~class_index (entry : Emc.Busstop.entry) =
         ~methods:[||] insns
     in
     let image = Isa.Text.load t.ktext code in
-    Hashtbl.replace t.code_owner frag_oid (lc, Some entry);
+    Oid_table.replace t.code_owner frag_oid (Some (lc, Some entry));
     Bridge.add t.kbridge ~code_oid ~stop_id image.Isa.Text.base;
     image.Isa.Text.base
 
@@ -874,15 +870,14 @@ let spawn_rpc t ~target_addr ~callee_class ~callee_method ~args ~link ~thread =
 (* start an object's process section as an independent thread *)
 let start_process_if_any t ~target_addr =
   let class_index = class_of_object t target_addr in
-  let lc = loaded_class t class_index in
-  match Isa.Code.method_by_name lc.lc_code "$process" with
-  | None -> None
-  | Some m ->
+  let method_index = (loaded_class t class_index).lc_process in
+  if method_index < 0 then None
+  else begin
     let tid = fresh_tid t in
     ignore
-      (spawn_segment t ~target_addr ~class_index ~method_index:m.Isa.Code.method_index
-         ~args:[] ~link:None ~thread:tid);
+      (spawn_segment t ~target_addr ~class_index ~method_index ~args:[] ~link:None ~thread:tid);
     Some tid
+  end
 
 let deliver_result t seg value =
   match seg.Thread.seg_status with

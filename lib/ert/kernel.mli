@@ -24,6 +24,7 @@ type loaded_class = {
   lc_stops : Emc.Busstop.table;
   lc_image : Isa.Text.image;
   lc_desc_addr : int;  (** descriptor table in data memory *)
+  lc_process : int;  (** method index of the process section, or -1 *)
 }
 
 type outcall =
@@ -122,6 +123,12 @@ val find_object : t -> Oid.t -> int option
 (** Resident objects only. *)
 
 val proxy_of : t -> Oid.t -> int option
+
+val ref_addr : t -> Oid.t -> int
+(** The resident descriptor for an OID, else its proxy, else 0: the
+    lookup of {!ensure_ref} without the proxy creation, allocating
+    nothing. *)
+
 val ensure_ref : t -> Oid.t -> int
 (** Local address for an OID: the resident descriptor, an existing proxy,
     or a fresh proxy whose forwarding hint is the OID's creator node. *)

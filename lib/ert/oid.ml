@@ -28,20 +28,13 @@ let creator_node oid =
 let serial oid = Int32.to_int oid land (max_serial - 1)
 let equal = Int32.equal
 let compare = Int32.compare
-let hash oid = Int32.to_int oid land max_int
 
-(* bit 31 is never set (code OIDs are 30-bit, the data tag is bit 30),
-   so the plain-int image is non-negative and preserves the Int32
-   order; comparisons on it are immediate-int compares, free of both
-   boxing and polymorphic dispatch *)
+(* the plain-int image preserves the Int32 order.  Bit 31 is never set
+   in a data or code OID (code OIDs are 30-bit, the data tag is bit 30),
+   so their images are non-negative; a bridge fragment's code OID is
+   negative.  Comparisons on it are immediate-int compares, free of
+   both boxing and polymorphic dispatch *)
 let intern = Int32.to_int
-
-module Tbl = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = equal
-  let hash = hash
-end)
 
 let to_string oid =
   if Int32.equal oid nil then "nil"

@@ -32,16 +32,14 @@ val serial : t -> int
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 
 val intern : t -> int
-(** Order-preserving non-negative plain-int image: [compare a b] and
-    [Int.compare (intern a) (intern b)] always agree.  Hot-path tables
-    and the location directory key on this to avoid polymorphic
-    compares and [Int32] boxing. *)
-
-module Tbl : Hashtbl.S with type key = t
-(** Hashtable keyed by OID with monomorphic hash/equal. *)
+(** Order-preserving plain-int image: [compare a b] and
+    [Int.compare (intern a) (intern b)] always agree.  It is
+    non-negative for data and code OIDs; a bridge fragment's code OID
+    ({!Bridge.fresh_oid}) is negative.  {!Oid_table} and the location
+    directory key on this to avoid polymorphic compares and [Int32]
+    boxing. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

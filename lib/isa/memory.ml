@@ -37,11 +37,6 @@ let load8 t addr =
   check t addr 1;
   Char.code (Bytes.unsafe_get t.data addr)
 
-let load32 t addr =
-  check t addr 4;
-  let b i = Char.code (Bytes.unsafe_get t.data (addr + i)) in
-  Endian.int32_of_bytes t.endian (b 0) (b 1) (b 2) (b 3)
-
 (* unchecked int-domain access for callers that have already done
    [check t addr 4] themselves (the threaded dispatcher inlines the
    bounds test so a fault can be attributed to the exact micro-op) *)
@@ -82,6 +77,9 @@ let store32 t addr v =
 let load32_bits t addr =
   check t addr 4;
   unsafe_load32_bits t addr
+
+(* the one boxing of a load: [Int32.of_int] keeps the low 32 bits *)
+let load32 t addr = Int32.of_int (load32_bits t addr)
 
 let store32_bits t addr v =
   check t addr 4;

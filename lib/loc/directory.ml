@@ -9,61 +9,72 @@
    retransmitted) update always carries an older stamp and is dropped.
    Stale entries are harmless in any case: a lookup answer is a hint,
    and the invoke it routes falls back to the forwarding-proxy walk at
-   the hinted node. *)
+   the hinted node.
 
-type entry = {
-  le_node : int;  (* last known location *)
-  le_at : float;  (* virtual time of the migration that put it there *)
-}
+   An entry is a row: its node is the value in the OID table's slot, and
+   its stamp sits at the same index of [stamps].  Rows are never removed
+   one by one (only all together, by [clear]), so a slot keeps its row. *)
 
 type t = {
-  entries : entry Ert.Oid_table.t;
+  nodes : int Ert.Oid_table.t;  (* OID -> last known location, or -1 *)
+  mutable stamps : float array;  (* by slot: virtual time of that move *)
   mutable d_updates : int;  (* updates applied *)
   mutable d_stale : int;  (* updates dropped as older than the entry *)
   mutable d_hits : int;  (* lookups answered from an entry *)
   mutable d_misses : int;  (* lookups with no entry *)
 }
 
+(* room for 128 entries before the first growth.  Every birth registers
+   at its home shard, so the shards fill while a cluster is populated:
+   from 8 rows, each shard of a 64-node cluster of 5,000 objects grew
+   four times during the build, and the discarded arrays cost 4% more
+   OCaml allocation per event on bench/perf's locate (DESIGN.md §14) *)
+let initial_rows = 128
+
 let create () =
   {
-    entries = Ert.Oid_table.create ~dummy:{ le_node = 0; le_at = 0.0 } ();
+    nodes = Ert.Oid_table.create ~capacity:initial_rows ~dummy:(-1) ();
+    stamps = Array.make initial_rows 0.0;
     d_updates = 0;
     d_stale = 0;
     d_hits = 0;
     d_misses = 0;
   }
 
-let length t = Ert.Oid_table.length t.entries
+let length t = Ert.Oid_table.length t.nodes
 
 let update t oid ~node ~at =
-  match Ert.Oid_table.find_opt t.entries oid with
-  | Some e when e.le_at > at ->
+  let row = Ert.Oid_table.slot t.nodes oid in
+  if row >= 0 && t.stamps.(row) > at then begin
     t.d_stale <- t.d_stale + 1;
     false
-  | Some _ | None ->
-    Ert.Oid_table.replace t.entries oid { le_node = node; le_at = at };
+  end
+  else begin
+    (* a new OID takes the next slot *)
+    let row = if row >= 0 then row else Ert.Oid_table.length t.nodes in
+    Ert.Oid_table.replace t.nodes oid node;
+    let n = Array.length t.stamps in
+    if row = n then begin
+      let stamps = Array.make (2 * n) 0.0 in
+      Array.blit t.stamps 0 stamps 0 n;
+      t.stamps <- stamps
+    end;
+    t.stamps.(row) <- at;
     t.d_updates <- t.d_updates + 1;
     true
+  end
 
 let lookup t oid =
-  match Ert.Oid_table.find_opt t.entries oid with
-  | Some e ->
-    t.d_hits <- t.d_hits + 1;
-    Some e
-  | None ->
-    t.d_misses <- t.d_misses + 1;
-    None
+  let node = Ert.Oid_table.find t.nodes oid in
+  if node >= 0 then t.d_hits <- t.d_hits + 1 else t.d_misses <- t.d_misses + 1;
+  node
 
-let peek t oid = Ert.Oid_table.find_opt t.entries oid
-let remove t oid = Ert.Oid_table.remove t.entries oid
+let peek t oid = Ert.Oid_table.find t.nodes oid
 
-let clear t =
-  (* rebuild support: drop every entry (a restarted node lost its shard)
-     without resetting the counters, which survive as node statistics *)
-  let oids = Ert.Oid_table.fold (fun oid _ acc -> oid :: acc) t.entries [] in
-  List.iter (Ert.Oid_table.remove t.entries) oids
+(* rebuild support: drop every entry (a restarted node lost its shard)
+   without resetting the counters, which survive as node statistics *)
+let clear t = Ert.Oid_table.clear t.nodes
 
-let iter f t = Ert.Oid_table.iter (fun oid e -> f oid e) t.entries
 let updates t = t.d_updates
 let stale_dropped t = t.d_stale
 let hits t = t.d_hits

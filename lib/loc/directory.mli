@@ -7,11 +7,6 @@
     sequential, so genuine updates carry strictly increasing stamps and
     anything older is a reordered duplicate. *)
 
-type entry = {
-  le_node : int;  (** last known location *)
-  le_at : float;  (** virtual time of the migration that put it there *)
-}
-
 type t
 
 val create : unit -> t
@@ -21,19 +16,17 @@ val update : t -> Ert.Oid.t -> node:int -> at:float -> bool
 (** Apply a location update; [false] means it was older than the
     current entry and was dropped. *)
 
-val lookup : t -> Ert.Oid.t -> entry option
-(** Authoritative-shard lookup (counts a hit or miss). *)
+val lookup : t -> Ert.Oid.t -> int
+(** Authoritative-shard lookup: the last known node, or -1 when the
+    shard has no entry (counts a hit or miss). *)
 
-val peek : t -> Ert.Oid.t -> entry option
+val peek : t -> Ert.Oid.t -> int
 (** [lookup] without touching the hit/miss counters (host-side
     inspection, invariant checks). *)
-
-val remove : t -> Ert.Oid.t -> unit
 
 val clear : t -> unit
 (** Drop every entry (crash rebuild); statistics survive. *)
 
-val iter : (Ert.Oid.t -> entry -> unit) -> t -> unit
 val updates : t -> int
 val stale_dropped : t -> int
 val hits : t -> int

@@ -205,9 +205,9 @@ let split_segment k ~dest ~moving_oid (seg : T.segment) : Mi_frame.mi_segment li
 (* the move protocol body, shared by the single-root and group paths:
    capture, split, then evict behind forwarding proxies *)
 let perform_move_of_addrs k ~addrs ~dest : Marshal.move_payload =
-  let oids = Ert.Oid.Tbl.create (List.length addrs) in
-  List.iter (fun addr -> Ert.Oid.Tbl.replace oids (K.oid_at k addr) ()) addrs;
-  let moving_oid oid = Ert.Oid.Tbl.mem oids oid in
+  let oids = Ert.Oid_table.create ~capacity:(List.length addrs) ~dummy:() () in
+  List.iter (fun addr -> Ert.Oid_table.replace oids (K.oid_at k addr) ()) addrs;
+  let moving_oid oid = Ert.Oid_table.mem oids oid in
   (* capture objects before any state changes *)
   let objects = List.map (capture_object k) addrs in
   (* split every local segment whose stack touches a moving object *)

@@ -235,6 +235,14 @@ let test_dest_outside_cluster_refused () =
   check (Alcotest.option Alcotest.int) "resident on node 0 after the run" (Some 0)
     (Core.Cluster.where_is cl cell)
 
+(* a cluster of no nodes is refused by [create] itself, not by a layer
+   it builds *)
+let test_no_nodes_refused () =
+  match Core.Cluster.create ~archs:[] () with
+  | _ -> Alcotest.fail "an empty architecture list was accepted"
+  | exception Invalid_argument msg ->
+    check Alcotest.string "create names itself" "Cluster.create: archs is empty" msg
+
 let suites =
   [
     ( "cluster",
@@ -254,5 +262,7 @@ let suites =
         Alcotest.test_case "root result types" `Quick test_root_result_types;
         Alcotest.test_case "a destination outside the cluster is refused" `Quick
           test_dest_outside_cluster_refused;
+        Alcotest.test_case "an empty architecture list is refused" `Quick
+          test_no_nodes_refused;
       ] );
   ]

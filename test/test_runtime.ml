@@ -500,6 +500,87 @@ let test_stop_at_pc () =
   if !alts = 0 then Alcotest.fail "no stop has an alternate PC";
   if !bridged = 0 then Alcotest.fail "no stop was elided at -O2"
 
+(* ----------------------------------------------------------------------- *)
+(* the OID table *)
+
+(* a narrow key range: six serials of three creators (the first and the
+   last node id), two code OIDs and two bridge-fragment OIDs, which are
+   negative.  Tables start at four keys (eight index cells), so probes
+   collide, runs wrap past the last cell, and every table grows *)
+let oid_keys =
+  Array.of_list
+    (List.concat_map
+       (fun node_id -> List.init 6 (fun serial -> Ert.Oid.fresh_data ~node_id ~serial))
+       [ 0; 1; Ert.Oid.max_nodes - 1 ]
+    @ [ 1l; 2l; -1l; -2l ])
+
+type oid_op =
+  | Put of int * int  (* key index, value *)
+  | Drop of int
+
+let oid_ops =
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat "; "
+        (List.map
+           (function
+             | Put (i, v) -> Printf.sprintf "replace %s %d" (Ert.Oid.to_string oid_keys.(i)) v
+             | Drop i -> Printf.sprintf "remove %s" (Ert.Oid.to_string oid_keys.(i)))
+           ops))
+    QCheck.Gen.(
+      let key = 0 -- (Array.length oid_keys - 1) in
+      list_size (1 -- 120)
+        (frequency [ (3, map2 (fun i v -> Put (i, v)) key (0 -- 999)); (2, map (fun i -> Drop i) key) ]))
+
+(* after every operation, each key's [find_opt], [mem], [find] and [slot]
+   agree with a Hashtbl reference map, and [iter] and [fold] list the
+   bindings in the order of a list model: a new key appends, and a
+   removal moves the last binding into the removed one's place *)
+let oid_table_prop =
+  QCheck.Test.make ~count:500 ~name:"OID table == a reference map and a slot-order model"
+    oid_ops (fun ops ->
+      let t = Ert.Oid_table.create ~capacity:4 ~dummy:(-1) () in
+      let reference = Hashtbl.create 16 in
+      let order = ref [||] in
+      let position k =
+        let rec go s = if s = Array.length !order then -1 else if fst !order.(s) = k then s else go (s + 1) in
+        go 0
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Put (i, v) ->
+            let k = oid_keys.(i) in
+            Ert.Oid_table.replace t k v;
+            Hashtbl.replace reference k v;
+            let s = position k in
+            if s >= 0 then !order.(s) <- (k, v) else order := Array.append !order [| (k, v) |]
+          | Drop i ->
+            let k = oid_keys.(i) in
+            Ert.Oid_table.remove t k;
+            Hashtbl.remove reference k;
+            let s = position k in
+            if s >= 0 then begin
+              let last = Array.length !order - 1 in
+              !order.(s) <- !order.(last);
+              order := Array.sub !order 0 last
+            end);
+          let listed = ref [] in
+          Ert.Oid_table.iter (fun k v -> listed := (k, v) :: !listed) t;
+          Array.for_all
+            (fun k ->
+              let expected = Hashtbl.find_opt reference k in
+              Ert.Oid_table.find_opt t k = expected
+              && Ert.Oid_table.mem t k = Option.is_some expected
+              && Ert.Oid_table.find t k = Option.value expected ~default:(-1)
+              && Ert.Oid_table.slot t k = position k)
+            oid_keys
+          && Ert.Oid_table.length t = Hashtbl.length reference
+          && List.rev !listed = Array.to_list !order
+          && List.rev (Ert.Oid_table.fold (fun k v acc -> (k, v) :: acc) t [])
+             = Array.to_list !order)
+        ops)
+
 let suites =
   [
     ( "runtime.exec",
@@ -525,4 +606,5 @@ let suites =
       ] );
     ( "runtime.stops",
       [ Alcotest.test_case "stop_at_pc resolves every stop" `Quick test_stop_at_pc ] );
+    ("runtime.oid_table", [ QCheck_alcotest.to_alcotest oid_table_prop ]);
   ]
