@@ -63,17 +63,33 @@ let report_failure ~drop ~evict ~groups ~gc ~check_every ~max_events
     (if gc then " --gc" else "")
     check_every max_events
 
+let bad_input fmt =
+  Printf.ksprintf
+    (fun m ->
+      Printf.eprintf "emfuzz: %s\n" m;
+      exit 2)
+    fmt
+
+let at_least_one flag n = if n < 1 then bad_input "%s must be at least 1, got %d" flag n
+
 let run seeds start one_seed faults drop evict groups gc check_every
     max_events no_shrink verbose =
+  at_least_one "--seeds" seeds;
+  at_least_one "--check-every" check_every;
+  at_least_one "--max-events" max_events;
+  Option.iter
+    (fun p ->
+      match Fault.Plan.check_probability "--drop" p with
+      | Ok _ -> ()
+      | Error e -> bad_input "%s" e)
+    drop;
   let plan =
     match faults with
     | None -> None
     | Some spec -> (
       match Fault.Plan.of_string spec with
       | Ok p -> Some p
-      | Error e ->
-        Printf.eprintf "emfuzz: bad --faults spec: %s\n" e;
-        exit 2)
+      | Error e -> bad_input "bad --faults spec: %s" e)
   in
   let do_shrink = not no_shrink in
   match one_seed with

@@ -162,6 +162,15 @@ module Writer = struct
 
   let i32 = u32
 
+  (* [i32] for a word held in an [int]: the low 32 bits, with the same
+     bytes and charge, and no [int32] box at the call *)
+  let i32_bits t v =
+    charge t ~bytes:4;
+    ensure t 4;
+    Bytes.set_uint16_be t.buf t.pos ((v lsr 16) land 0xFFFF);
+    Bytes.set_uint16_be t.buf (t.pos + 2) (v land 0xFFFF);
+    t.pos <- t.pos + 4
+
   let f64 t v =
     charge t ~bytes:8;
     ensure t 8;
@@ -268,6 +277,13 @@ module Reader = struct
     Bytes.get_int32_be t.data (take t 4)
 
   let i32 = u32
+
+  (* [i32] sign-extended into an [int] *)
+  let i32_bits t =
+    charge t ~bytes:4;
+    let p = take t 4 in
+    let v = (Bytes.get_uint16_be t.data p lsl 16) lor Bytes.get_uint16_be t.data (p + 2) in
+    (v lxor 0x8000_0000) - 0x8000_0000
 
   let f64 t =
     charge t ~bytes:8;

@@ -119,6 +119,13 @@ module Writer : sig
 
   val u32 : t -> int32 -> unit
   val i32 : t -> int32 -> unit
+
+  val i32_bits : t -> int -> unit
+  (** [i32] of the low 32 bits of an [int]: the same bytes and charge.
+      A caller in another module passes an [int32] boxed (the dev
+      profile compiles with [-opaque]); this form passes a word in a
+      plain [int]. *)
+
   val f64 : t -> float -> unit
   val bool : t -> bool -> unit
 
@@ -156,6 +163,10 @@ module Reader : sig
   val u16 : t -> int
   val u32 : t -> int32
   val i32 : t -> int32
+
+  val i32_bits : t -> int
+  (** [i32] sign-extended into an [int]: the same bytes and charge. *)
+
   val f64 : t -> float
   val bool : t -> bool
   val str : t -> string

@@ -28,7 +28,7 @@ let frame_of_pc k ~pc ~fp ~ret_out =
     let class_index = lc.Kernel.lc_class.Emc.Compile.cc_index in
     let method_index = entry.Emc.Busstop.be_op in
     let self_off = self_offset k ~class_index ~method_index in
-    let fw_self = Int32.to_int (Mem.load32 (Kernel.mem k) (fp + self_off)) in
+    let fw_self = Mem.load32_bits (Kernel.mem k) (fp + self_off) in
     { fw_class = class_index; fw_method = method_index; fw_entry = entry; fw_fp = fp;
       fw_ret_out = ret_out; fw_self }
 
@@ -41,8 +41,8 @@ let walk k (seg : T.segment) =
     let ctx = seg.T.seg_ctx in
     let ret_out_vax_m68k fp =
       match family with
-      | A.Vax -> Int32.to_int (Mem.load32 mem (fp + 8))
-      | A.M68k -> Int32.to_int (Mem.load32 mem (fp + 4))
+      | A.Vax -> Mem.load32_bits mem (fp + 8)
+      | A.M68k -> Mem.load32_bits mem (fp + 4)
       | A.Sparc -> assert false
     in
     let rec go fp pc ret_out acc =
@@ -52,14 +52,14 @@ let walk k (seg : T.segment) =
       else
         match family with
         | A.Vax | A.M68k ->
-          let parent_fp = Int32.to_int (Mem.load32 mem fp) in
+          let parent_fp = Mem.load32_bits mem fp in
           let parent_ret = ret_out_vax_m68k parent_fp in
           go parent_fp ret_out parent_ret acc
         | A.Sparc ->
           let fi = Kernel.frame_info k ~class_index:fr.fw_class ~method_index:fr.fw_method in
           let sp = fp - fi.Emc.Busstop.fr_fixed_sp_depth in
-          let parent_fp = Int32.to_int (Mem.load32 mem (sp + sparc_i6_off)) in
-          let parent_ret = Int32.to_int (Mem.load32 mem (sp + sparc_i7_off)) in
+          let parent_fp = Mem.load32_bits mem (sp + sparc_i6_off) in
+          let parent_ret = Mem.load32_bits mem (sp + sparc_i7_off) in
           go parent_fp ret_out parent_ret acc
     in
     let top_fp = M.fp ctx in
@@ -71,13 +71,17 @@ let walk k (seg : T.segment) =
     go top_fp ctx.M.pc top_ret []
   end
 
-let fold_live k fr f acc =
+let live_at k fr =
   let ct = (Kernel.loaded_class k fr.fw_class).Kernel.lc_class.Emc.Compile.cc_template in
-  let stop = Emc.Template.stop_by_id ct fr.fw_entry.Emc.Busstop.be_id in
+  (Emc.Template.stop_by_id ct fr.fw_entry.Emc.Busstop.be_id).Emc.Template.st_live
+
+let live_count k fr = List.length (live_at k fr)
+
+let fold_live k fr f acc =
   let fi = Kernel.frame_info k ~class_index:fr.fw_class ~method_index:fr.fw_method in
   let mem = Kernel.mem k in
   List.fold_right
     (fun (es : Emc.Template.entity_slot) acc ->
       let off = fi.Emc.Busstop.fr_slot_offsets.(es.Emc.Template.es_slot) in
       f es (Mem.load32_bits mem (fr.fw_fp + off)) acc)
-    stop.Emc.Template.st_live acc
+    (live_at k fr) acc

@@ -30,6 +30,9 @@ val fold_live :
     over a frame's slots: capture translates every live entity, the
     collector keeps the non-nil pointers as roots. *)
 
+val live_count : Kernel.t -> frame_rec -> int
+(** The number of entities {!fold_live} visits. *)
+
 val self_offset : Kernel.t -> class_index:int -> method_index:int -> int
 (** FP-relative offset of the method's self slot on this node. *)
 

@@ -96,8 +96,9 @@ let rec write w v =
     Array.iter (write w) xs
   | Vnil -> Enet.Wire.Writer.u8 w tag_nil
 
-let rec read r =
-  let tag = Enet.Wire.Reader.u8 r in
+let rec read r = read_tagged r (Enet.Wire.Reader.u8 r)
+
+and read_tagged r tag =
   if tag = tag_int then Vint (Enet.Wire.Reader.i32 r)
   else if tag = tag_real then Vreal (Enet.Wire.Reader.f64 r)
   else if tag = tag_bool then Vbool (Enet.Wire.Reader.bool r)

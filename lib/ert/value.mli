@@ -24,5 +24,19 @@ val write : Enet.Wire.Writer.t -> t -> unit
 val read : Enet.Wire.Reader.t -> t
 (** @raise Failure on a corrupt tag. *)
 
+val read_tagged : Enet.Wire.Reader.t -> int -> t
+(** [read_tagged r tag] reads the rest of a value whose leading tag byte
+    was [tag]: [read r] is [read_tagged r (Enet.Wire.Reader.u8 r)].
+    @raise Failure on a corrupt tag. *)
+
+val tag_int : int
+val tag_real : int
+val tag_bool : int
+val tag_str : int
+val tag_ref : int
+val tag_nil : int
+val tag_vec : int
+(** The tag byte that leads each constructor's encoding. *)
+
 val write_typ : Enet.Wire.Writer.t -> Emc.Ast.typ -> unit
 val read_typ : Enet.Wire.Reader.t -> Emc.Ast.typ

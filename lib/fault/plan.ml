@@ -95,6 +95,20 @@ let parse_int what s =
 
 let ( let* ) r f = Result.bind r f
 
+(* [nan] fails both comparisons *)
+let check_probability what p =
+  if p >= 0.0 && p <= 1.0 then Ok p
+  else Error (Printf.sprintf "%s: probability %g is outside [0, 1]" what p)
+
+let parse_probability what s =
+  let* p = parse_float what s in
+  check_probability what p
+
+let parse_bound what s =
+  let* v = parse_float what s in
+  if v >= 0.0 && Float.is_finite v then Ok v
+  else Error (Printf.sprintf "%s: %g is not a finite non-negative bound" what v)
+
 let parse_group what s =
   let parts = String.split_on_char '+' s in
   let rec go acc = function
@@ -172,16 +186,16 @@ let of_string spec =
           let* v = parse_int "seed" value in
           go { acc with pl_seed = v } rest
         | "drop" ->
-          let* v = parse_float "drop" value in
+          let* v = parse_probability "drop" value in
           go { acc with pl_drop = v } rest
         | "dup" ->
-          let* v = parse_float "dup" value in
+          let* v = parse_probability "dup" value in
           go { acc with pl_dup = v } rest
         | "delay" -> (
           match String.split_on_char ':' value with
           | [ p; us ] ->
-            let* p = parse_float "delay probability" p in
-            let* us = parse_float "delay max us" us in
+            let* p = parse_probability "delay probability" p in
+            let* us = parse_bound "delay max us" us in
             go { acc with pl_delay_p = p; pl_delay_us = us } rest
           | _ -> Error "delay: expected P:MAXUS")
         | "part" ->

@@ -71,10 +71,16 @@ val of_string : string -> (t, string) result
     v}
 
     [delay=P:MAXUS] delays a message with probability P by up to MAXUS
-    virtual microseconds.  [part=A|B@FROM:UNTIL] cuts every link between
+    virtual microseconds.  Every probability (drop, dup, P) must lie in
+    [0, 1] and MAXUS must be finite and non-negative: [Error] otherwise,
+    [nan] included.  [part=A|B@FROM:UNTIL] cuts every link between
     node groups A and B (nodes joined by [+]) during the window.
     [crash=N@T] fail-stops node N at virtual time T;
     [crash=N@T:R] restarts it (empty, amnesiac) at time R. *)
+
+val check_probability : string -> float -> (float, string) result
+(** [check_probability what p] is [Ok p] for [p] in [0, 1], else an
+    [Error] naming [what]: the range check {!of_string} applies. *)
 
 val to_string : t -> string
 (** Round-trips through {!of_string}. *)

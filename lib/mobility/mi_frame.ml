@@ -1,12 +1,16 @@
 module W = Enet.Wire.Writer
 module R = Enet.Wire.Reader
+module V = Ert.Value
 
 type mi_frame = {
   mf_class : int;
   mf_code_oid : int32;
   mf_method : int;
   mf_stop : int;
-  mf_slots : (int * Ert.Value.t) array;
+  mf_slots : int array;
+  mf_tags : Bytes.t;
+  mf_words : int array;
+  mf_boxed : Ert.Value.t array;
   mf_self : Ert.Oid.t;
 }
 
@@ -46,9 +50,12 @@ let read_opt r f =
   | 1 -> Some (f r)
   | n -> failwith (Printf.sprintf "Mi_frame.read_opt: corrupt tag %d" n)
 
+let is_boxed_tag tag = tag = V.tag_real || tag = V.tag_str || tag = V.tag_vec
+
 (* Each frame is one record of the batched accounting (the §4 fast path
    for layout-matched pairs): one conversion call over its bytes instead
-   of one per datum. *)
+   of one per datum.  A live value goes out exactly as [Value.write]
+   would write it, the unboxed ones straight from their words. *)
 let write_frame w f =
   let p = W.open_record w in
   W.u16 w f.mf_class;
@@ -56,12 +63,18 @@ let write_frame w f =
   W.u16 w f.mf_method;
   W.u16 w f.mf_stop;
   W.u32 w f.mf_self;
-  W.u16 w (Array.length f.mf_slots);
-  Array.iter
-    (fun (slot, v) ->
-      W.u16 w slot;
-      Ert.Value.write w v)
-    f.mf_slots;
+  let n = Array.length f.mf_slots in
+  W.u16 w n;
+  for i = 0 to n - 1 do
+    W.u16 w f.mf_slots.(i);
+    let tag = Bytes.get_uint8 f.mf_tags i and word = f.mf_words.(i) in
+    if is_boxed_tag tag then V.write w f.mf_boxed.(word)
+    else begin
+      W.u8 w tag;
+      if tag = V.tag_int || tag = V.tag_ref then W.i32_bits w word
+      else if tag = V.tag_bool then W.u8 w word
+    end
+  done;
   W.close_record w p
 
 let read_frame r =
@@ -72,14 +85,23 @@ let read_frame r =
   let mf_stop = R.u16 r in
   let mf_self = R.u32 r in
   let n = R.u16 r in
-  let mf_slots = Array.make n (0, Ert.Value.Vnil) in
+  let mf_slots = Array.make n 0 and mf_tags = Bytes.make n '\000' and mf_words = Array.make n 0 in
+  let boxed = ref [] and nboxed = ref 0 in
   for i = 0 to n - 1 do
-    let slot = R.u16 r in
-    let v = Ert.Value.read r in
-    mf_slots.(i) <- (slot, v)
+    mf_slots.(i) <- R.u16 r;
+    let tag = R.u8 r in
+    Bytes.set_uint8 mf_tags i tag;
+    if tag = V.tag_int || tag = V.tag_ref then mf_words.(i) <- R.i32_bits r
+    else if tag = V.tag_bool then mf_words.(i) <- Bool.to_int (R.bool r)
+    else if tag <> V.tag_nil then begin
+      boxed := V.read_tagged r tag :: !boxed;
+      mf_words.(i) <- !nboxed;
+      incr nboxed
+    end
   done;
   R.close_record r p;
-  { mf_class; mf_code_oid; mf_method; mf_stop; mf_slots; mf_self }
+  let mf_boxed = Array.of_list (List.rev !boxed) in
+  { mf_class; mf_code_oid; mf_method; mf_stop; mf_slots; mf_tags; mf_words; mf_boxed; mf_self }
 
 (* the four wire-encodable suspensions keep the v2 resume tags 1-4; the
    CPU-only constructors never travel (capture happens at bus stops) *)

@@ -26,7 +26,10 @@ let closure_of_roots k roots =
   in
   List.rev (List.fold_left (fun acc root -> go root acc) [] roots)
 
-let moving_closure k obj_addr = closure_of_roots k [ obj_addr ]
+(* an object with no attached references is its own closure *)
+let moving_closure k obj_addr =
+  if K.is_resident k obj_addr && K.attached_refs k ~addr:obj_addr = [] then [ obj_addr ]
+  else closure_of_roots k [ obj_addr ]
 
 let field_types k ~class_index =
   let lc = K.loaded_class k class_index in
@@ -61,16 +64,17 @@ let capture_object k addr : Marshal.move_object =
   }
 
 (* group a top-first frame list into maximal runs of equal moving-flag *)
-let group_runs flags frames =
+let group_runs moves frames =
   let rec go acc cur cur_flag = function
     | [] -> List.rev ((cur_flag, List.rev cur) :: acc)
-    | (flag, frame) :: rest ->
+    | frame :: rest ->
+      let flag = moves frame in
       if flag = cur_flag then go acc (frame :: cur) cur_flag rest
       else go ((cur_flag, List.rev cur) :: acc) [ frame ] flag rest
   in
-  match List.combine flags frames with
+  match frames with
   | [] -> []
-  | (flag, frame) :: rest -> go [] [ frame ] flag rest
+  | frame :: rest -> go [] [ frame ] (moves frame) rest
 
 (* split one segment's stack by the moving predicate; returns the
    machine-independent segments to ship *)
@@ -97,10 +101,15 @@ let split_segment k ~dest ~moving_oid (seg : T.segment) : Mi_frame.mi_segment li
     end
   | None ->
     let frames = FW.walk k seg in
-    let flags = List.map (fun (f : FW.frame_rec) -> moving_oid (K.oid_at k f.FW.fw_self)) frames in
-    if not (List.mem true flags) then []
+    let moves (f : FW.frame_rec) = moving_oid (K.oid_at k f.FW.fw_self) in
+    let n_moving = List.fold_left (fun n f -> if moves f then n + 1 else n) 0 frames in
+    if n_moving = 0 then []
     else begin
-      let runs = Array.of_list (group_runs flags frames) in
+      (* a segment that moves whole is one run: no grouping *)
+      let runs =
+        if n_moving = List.length frames then [| (true, frames) |]
+        else Array.of_list (group_runs moves frames)
+      in
       let n_runs = Array.length runs in
       (* segment ids: the top run inherits the original id (incoming links
          reply to the top frame); lower runs get fresh ids *)
@@ -205,9 +214,14 @@ let split_segment k ~dest ~moving_oid (seg : T.segment) : Mi_frame.mi_segment li
 (* the move protocol body, shared by the single-root and group paths:
    capture, split, then evict behind forwarding proxies *)
 let perform_move_of_addrs k ~addrs ~dest : Marshal.move_payload =
-  let oids = Ert.Oid_table.create ~capacity:(List.length addrs) ~dummy:() () in
-  List.iter (fun addr -> Ert.Oid_table.replace oids (K.oid_at k addr) ()) addrs;
-  let moving_oid oid = Ert.Oid_table.mem oids oid in
+  let moving_oid =
+    match addrs with
+    | [ addr ] -> Ert.Oid.equal (K.oid_at k addr)
+    | _ ->
+      let oids = Ert.Oid_table.create ~capacity:(List.length addrs) ~dummy:() () in
+      List.iter (fun addr -> Ert.Oid_table.replace oids (K.oid_at k addr) ()) addrs;
+      Ert.Oid_table.mem oids
+  in
   (* capture objects before any state changes *)
   let objects = List.map (capture_object k) addrs in
   (* split every local segment whose stack touches a moving object *)

@@ -4,6 +4,7 @@ module Mem = Isa.Memory
 module K = Ert.Kernel
 module T = Ert.Thread
 module FW = Ert.Frame_walk
+module V = Ert.Value
 
 let fail fmt = Format.kasprintf (fun m -> raise (K.Runtime_error m)) fmt
 
@@ -20,20 +21,63 @@ let top_pad = function
   | A.M68k -> 12
   | A.Sparc -> 8
 
+let boxed_tag : Emc.Ast.typ -> int = function
+  | Emc.Ast.Treal -> V.tag_real
+  | Emc.Ast.Tstring -> V.tag_str
+  | _ -> V.tag_vec
+
+(* A live value becomes a tag and a word ({!Mi_frame.mi_frame}): only a
+   real, string or vector is converted to a boxed [Value.t]. *)
 let capture_frame k (fr : FW.frame_rec) =
-  let slots =
+  let n = FW.live_count k fr in
+  let slots = Array.make n 0 and tags = Bytes.make n '\000' and words = Array.make n 0 in
+  let boxed = ref [] in
+  let (_ : int) =
     FW.fold_live k fr
-      (fun es bits acc ->
-        (es.Emc.Template.es_slot, K.value_of_raw k es.Emc.Template.es_type (Int32.of_int bits))
-        :: acc)
-      []
+      (fun es bits i ->
+        slots.(i) <- es.Emc.Template.es_slot;
+        let tag =
+          match es.Emc.Template.es_type with
+          | Emc.Ast.Tint ->
+            words.(i) <- M.sx bits;
+            V.tag_int
+          | Emc.Ast.Tbool ->
+            words.(i) <- Bool.to_int (bits <> 0);
+            V.tag_bool
+          | Emc.Ast.Tobj _ | Emc.Ast.Tnil | Emc.Ast.Tstring | Emc.Ast.Tvec _ when bits = 0 ->
+            V.tag_nil
+          | Emc.Ast.Tobj _ | Emc.Ast.Tnil ->
+            (* [Oid.intern (K.oid_at k bits)], read without the int32 *)
+            words.(i) <- M.sx (Mem.load32_bits (K.mem k) (bits + Emc.Layout.obj_oid));
+            V.tag_ref
+          | (Emc.Ast.Treal | Emc.Ast.Tstring | Emc.Ast.Tvec _) as ty ->
+            boxed := K.value_of_raw k ty (Int32.of_int bits) :: !boxed;
+            boxed_tag ty
+        in
+        Bytes.set_uint8 tags i tag;
+        i - 1)
+      (n - 1)
   in
+  (* the fold ran from the last live value to the first, so [!boxed] is
+     in wire order: number the boxed words along it *)
+  if !boxed <> [] then begin
+    let j = ref 0 in
+    for i = 0 to n - 1 do
+      if Mi_frame.is_boxed_tag (Bytes.get_uint8 tags i) then begin
+        words.(i) <- !j;
+        incr j
+      end
+    done
+  end;
   {
     Mi_frame.mf_class = fr.FW.fw_class;
     mf_code_oid = (K.loaded_class k fr.FW.fw_class).K.lc_code.Isa.Code.code_oid;
     mf_method = fr.FW.fw_method;
     mf_stop = fr.FW.fw_entry.Emc.Busstop.be_id;
-    mf_slots = Array.of_list slots;
+    mf_slots = slots;
+    mf_tags = tags;
+    mf_words = words;
+    mf_boxed = Array.of_list !boxed;
     mf_self = K.oid_at k fr.FW.fw_self;
   }
 
@@ -123,13 +167,17 @@ let rebuild_segment k (mi : Mi_frame.mi_segment) : T.segment =
         FW.self_offset k ~class_index:b.bf.Mi_frame.mf_class
           ~method_index:b.bf.Mi_frame.mf_method
       in
-      let self_addr = K.ensure_ref k b.bf.Mi_frame.mf_self in
-      Mem.store32 mem (fp + self_off) (Int32.of_int self_addr);
-      Array.iter
-        (fun (slot, v) ->
-          let off = b.bf_fi.Emc.Busstop.fr_slot_offsets.(slot) in
-          Mem.store32 mem (fp + off) (K.raw_of_value k v))
-        b.bf.Mi_frame.mf_slots
+      let f = b.bf in
+      Mem.store32_bits mem (fp + self_off) (K.ensure_ref k f.Mi_frame.mf_self);
+      let offsets = b.bf_fi.Emc.Busstop.fr_slot_offsets in
+      for i = 0 to Array.length f.Mi_frame.mf_slots - 1 do
+        let addr = fp + offsets.(f.Mi_frame.mf_slots.(i)) in
+        let tag = Bytes.get_uint8 f.Mi_frame.mf_tags i and word = f.Mi_frame.mf_words.(i) in
+        if tag = V.tag_ref then Mem.store32_bits mem addr (K.ensure_ref k (Int32.of_int word))
+        else if Mi_frame.is_boxed_tag tag then
+          Mem.store32 mem addr (K.raw_of_value k f.Mi_frame.mf_boxed.(word))
+        else Mem.store32_bits mem addr word
+      done
     in
     Array.iteri (fun i b -> write_slots prov_fp.(i) b) barr;
     (* phase 2: compute final placement (oldest frame near the stack top)

@@ -31,18 +31,9 @@ let value_of_type i : Emc.Ast.typ -> V.t = function
 let table1_frame stop =
   let ct = agent.Emc.Compile.cc_template in
   let st = T.stop_by_id ct stop in
-  {
-    MF.mf_class = agent.Emc.Compile.cc_index;
-    mf_code_oid = agent.Emc.Compile.cc_oid;
-    mf_method = (T.op_of_stop ct stop).T.ot_index;
-    mf_stop = stop;
-    mf_slots =
-      Array.of_list
-        (List.map
-           (fun es -> (es.T.es_slot, value_of_type es.T.es_slot es.T.es_type))
-           st.T.st_live);
-    mf_self = oid 1 9;
-  }
+  Frames.make ~cls:agent.Emc.Compile.cc_index ~code_oid:agent.Emc.Compile.cc_oid
+    ~meth:(T.op_of_stop ct stop).T.ot_index ~stop ~self:(oid 1 9)
+    (List.map (fun es -> (es.T.es_slot, value_of_type es.T.es_slot es.T.es_type)) st.T.st_live)
 
 (* the first two stops of Agent.trip that carry live slots *)
 let table1_stops =
@@ -68,30 +59,26 @@ let obj_vec = V.Vvec (Emc.Ast.Tobj "Agent", [| V.Vref (oid 3 1); V.Vnil |])
 (* nil-able slots (strings, references, vectors) holding both values and
    nil *)
 let generic_frame =
-  {
-    MF.mf_class = 3;
-    mf_code_oid = 77l;
-    mf_method = 1;
-    mf_stop = 4;
-    mf_slots =
-      [|
-        (0, V.Vstr "s");
-        (1, V.Vnil);
-        (2, V.Vref (oid 2 5));
-        (3, str_vec);
-        (5, V.Vreal 0.25);
-        (6, V.Vbool false);
-        (7, obj_vec);
-      |];
-    mf_self = oid 2 3;
-  }
+  Frames.make ~cls:3 ~code_oid:77l ~meth:1 ~stop:4 ~self:(oid 2 3)
+    [
+      (0, V.Vstr "s");
+      (1, V.Vnil);
+      (2, V.Vref (oid 2 5));
+      (3, str_vec);
+      (5, V.Vreal 0.25);
+      (6, V.Vbool false);
+      (7, obj_vec);
+    ]
 
 (* a Table 1 frame whose int slot holds nil *)
 let mismatched_frame =
   let f = table1_frame (snd table1_stops) in
-  let slots = Array.copy f.MF.mf_slots in
-  slots.(0) <- (fst slots.(0), V.Vnil);
-  { f with MF.mf_slots = slots }
+  match Frames.values f with
+  | [] -> assert false
+  | (slot, _) :: rest ->
+    Frames.make ~cls:f.MF.mf_class ~code_oid:f.MF.mf_code_oid ~meth:f.MF.mf_method
+      ~stop:f.MF.mf_stop ~self:f.MF.mf_self
+      ((slot, V.Vnil) :: rest)
 
 let segment ?(frames = [ generic_frame ]) ?link ?result ?spawn status =
   {
@@ -428,6 +415,74 @@ let test_u16_overflow_rejected () =
 
 let check = Alcotest.check
 
+(* The frame writer against the loop it replaced, a [u16] slot and a
+   [Value.write] per live value, kept here as the reference: on random
+   frames over the word domain's edges, under each configuration, the
+   same bytes and charges out, and back in the same frame for the same
+   charges as the reference reader's. *)
+let reference_write_frame w (f : MF.mi_frame) =
+  let module W = Enet.Wire.Writer in
+  let p = W.open_record w in
+  W.u16 w f.MF.mf_class;
+  W.u32 w f.MF.mf_code_oid;
+  W.u16 w f.MF.mf_method;
+  W.u16 w f.MF.mf_stop;
+  W.u32 w f.MF.mf_self;
+  let live = Frames.values f in
+  W.u16 w (List.length live);
+  List.iter
+    (fun (slot, v) ->
+      W.u16 w slot;
+      V.write w v)
+    live;
+  W.close_record w p
+
+let reference_read_frame r =
+  let module R = Enet.Wire.Reader in
+  let p = R.open_record r in
+  let cls = R.u16 r in
+  let code_oid = R.u32 r in
+  let meth = R.u16 r in
+  let stop = R.u16 r in
+  let self = R.u32 r in
+  let n = R.u16 r in
+  let live =
+    List.init n (fun _ ->
+        let slot = R.u16 r in
+        (slot, V.read r))
+  in
+  R.close_record r p;
+  Frames.make ~cls ~code_oid ~meth ~stop ~self live
+
+let frame_codec_matches_reference =
+  QCheck.Test.make ~name:"frame codec matches the per-value reference" ~count:300
+    (QCheck.make Test_translate.frame_gen) (fun f ->
+      List.for_all
+        (fun (impl, blit) ->
+          let encode write =
+            let stats = CS.create () in
+            let w = Enet.Wire.Writer.create ~impl ~stats in
+            if blit then Enet.Wire.Writer.batch w;
+            write w f;
+            let bytes = Enet.Wire.Writer.contents w in
+            Enet.Wire.Writer.free w;
+            (bytes, (CS.calls stats, CS.bytes stats))
+          in
+          let decode read bytes =
+            let stats = CS.create () in
+            let r = Enet.Wire.Reader.create ~impl ~stats bytes in
+            if blit then Enet.Wire.Reader.batch r;
+            let back = read r in
+            (back, Enet.Wire.Reader.at_end r, (CS.calls stats, CS.bytes stats))
+          in
+          let bytes, charges = encode MF.write_frame in
+          let ref_bytes, ref_charges = encode reference_write_frame in
+          let back, at_end, dcharges = decode MF.read_frame bytes in
+          let ref_back, _, ref_dcharges = decode reference_read_frame bytes in
+          String.equal bytes ref_bytes && charges = ref_charges && back = f && at_end
+          && ref_back = f && dcharges = ref_dcharges)
+        tiers)
+
 (* Golden Table 1 numbers -------------------------------------------------- *)
 
 (* The virtual-clock results of the reproduced Table 1 workload, three
@@ -525,5 +580,6 @@ let suites =
           test_plan_tier_ignores_empty_faults;
         Alcotest.test_case "default tier never touches the buffer pool" `Quick
           test_default_tier_unpooled;
+        QCheck_alcotest.to_alcotest frame_codec_matches_reference;
       ] );
   ]

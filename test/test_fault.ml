@@ -344,6 +344,28 @@ let test_shrunk_plan_reproduces () =
     false
     (ok ~plan:minimal ())
 
+(* A plan spec naming what no plan can mean is refused: a probability
+   (drop, dup, delay P) outside [0, 1] or not a number, and a negative
+   or non-finite delay bound.  The bounds themselves are plans. *)
+let test_plan_spec_ranges () =
+  List.iter
+    (fun spec ->
+      match P.of_string spec with
+      | Ok p -> Alcotest.failf "%S accepted as %S" spec (P.to_string p)
+      | Error _ -> ())
+    [
+      "drop=2"; "dup=1.5"; "drop=-1"; "drop=nan"; "dup=inf"; "drop=-0.000001";
+      "delay=1.5:100"; "delay=-0.1:100"; "delay=nan:100"; "delay=0.5:-3";
+      "delay=0.5:inf"; "delay=0.5:nan"; "seed=3,drop=0.3,dup=2";
+    ];
+  match P.of_string "drop=0,dup=1,delay=1:0" with
+  | Error e -> Alcotest.failf "the bounds were refused: %s" e
+  | Ok p ->
+    check (Alcotest.float 0.0) "drop" 0.0 p.P.pl_drop;
+    check (Alcotest.float 0.0) "dup" 1.0 p.P.pl_dup;
+    check (Alcotest.float 0.0) "delay probability" 1.0 p.P.pl_delay_p;
+    check (Alcotest.float 0.0) "delay bound" 0.0 p.P.pl_delay_us
+
 let suites =
   [
     ( "fault",
@@ -373,5 +395,7 @@ let suites =
           (test_gc_search_seed 27931);
         Alcotest.test_case "shrunk plan reproduces on its own" `Quick
           test_shrunk_plan_reproduces;
+        Alcotest.test_case "plan spec refuses impossible probabilities" `Quick
+          test_plan_spec_ranges;
       ] );
   ]

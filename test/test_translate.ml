@@ -10,36 +10,44 @@ let qcheck = QCheck_alcotest.to_alcotest
 
 (* Wire round trips ------------------------------------------------------ *)
 
+(* the edges of the word domain: the int32 extremes and -1 (sign
+   extension), and OIDs at the top of the node and serial fields, the
+   largest being 0x7fffffff *)
 let value_gen =
   let open QCheck.Gen in
+  let edge_oid =
+    map2
+      (fun dn ds ->
+        Ert.Oid.fresh_data ~node_id:(Ert.Oid.max_nodes - 1 - dn)
+          ~serial:(Ert.Oid.max_serial - 1 - ds))
+      (int_range 0 1) (int_range 0 1)
+  in
   oneof
     [
       map (fun i -> V.Vint i) (map Int32.of_int (int_range (-1000000) 1000000));
+      map (fun i -> V.Vint i) (oneofl [ Int32.min_int; Int32.max_int; -1l ]);
       map (fun f -> V.Vreal f) (map (fun i -> float_of_int i /. 16.0) (int_range (-1000) 1000));
       map (fun b -> V.Vbool b) bool;
       map (fun s -> V.Vstr s) (string_size ~gen:printable (int_range 0 30));
       map (fun i -> V.Vref (Ert.Oid.fresh_data ~node_id:(i mod 8) ~serial:(i mod 1000 + 1))) nat;
+      map (fun o -> V.Vref o) edge_oid;
       return V.Vnil;
     ]
 
+let frame_gen =
+  let open QCheck.Gen in
+  int_range 0 6 >>= fun n_slots ->
+  list_size (return n_slots) value_gen >>= fun vals ->
+  int_range 0 3 >>= fun cls ->
+  int_range 0 4 >>= fun mth ->
+  int_range 0 20 >>= fun stop ->
+  return
+    (Frames.make ~cls ~code_oid:(Int32.of_int (1000 + cls)) ~meth:mth ~stop
+       ~self:(Ert.Oid.fresh_data ~node_id:1 ~serial:(cls + 1))
+       (List.mapi (fun i v -> (i, v)) vals))
+
 let segment_gen =
   let open QCheck.Gen in
-  let frame_gen =
-    int_range 0 6 >>= fun n_slots ->
-    list_size (return n_slots) value_gen >>= fun vals ->
-    int_range 0 3 >>= fun cls ->
-    int_range 0 4 >>= fun mth ->
-    int_range 0 20 >>= fun stop ->
-    return
-      {
-        MF.mf_class = cls;
-        mf_code_oid = Int32.of_int (1000 + cls);
-        mf_method = mth;
-        mf_stop = stop;
-        mf_slots = Array.of_list (List.mapi (fun i v -> (i, v)) vals);
-        mf_self = Ert.Oid.fresh_data ~node_id:1 ~serial:(cls + 1);
-      }
-  in
   let suspension_gen =
     let module S = Isa.Suspend in
     oneof
@@ -165,8 +173,8 @@ object Agent
 end Agent
 |}
 
-let capture_payload arch =
-  let prog = Emc.Compile.compile_exn ~name:"cap" ~archs:[ arch ] capture_src in
+let capture_payload ?(src = capture_src) arch =
+  let prog = Emc.Compile.compile_exn ~name:"cap" ~archs:[ arch ] src in
   let k = Ert.Kernel.create ~node_id:0 ~arch () in
   Ert.Kernel.load_program k prog;
   let cc = Option.get (Emc.Compile.find_class prog "Agent") in
@@ -185,7 +193,7 @@ let capture_payload arch =
 let strip_frame (f : MF.mi_frame) =
   (* self OIDs embed the creating node and serial; identical here, but
      compare them anyway along with everything else *)
-  (f.MF.mf_class, f.MF.mf_method, f.MF.mf_stop, f.MF.mf_slots, f.MF.mf_self)
+  (f.MF.mf_class, f.MF.mf_method, f.MF.mf_stop, Frames.values f, f.MF.mf_self)
 
 let test_cross_arch_capture_equivalence () =
   let payloads = List.map (fun a -> (a, capture_payload a)) A.all in
@@ -227,7 +235,7 @@ let test_capture_slot_values () =
     List.concat_map
       (fun s ->
         List.concat_map
-          (fun f -> List.map snd (Array.to_list f.MF.mf_slots))
+          (fun f -> List.map snd (Frames.values f))
           s.MF.ms_frames)
       payload.Mobility.Marshal.mp_segments
   in
@@ -236,6 +244,111 @@ let test_capture_slot_values () =
   if not (has (V.Vreal 6.5)) then Alcotest.fail "real local not captured (VAX F!)";
   if not (has (V.Vstr "carried")) then Alcotest.fail "string local not captured";
   if not (has (V.Vbool true)) then Alcotest.fail "bool local not captured"
+
+(* The word domain's edges live across a move: an int at each int32
+   extreme, a false, a nil reference and a reference to an object that
+   stays behind (the landed thread invokes it remotely, so its OID must
+   arrive intact).  The result sums one flag per value that arrived. *)
+let edge_src =
+  {|
+object Cell
+  operation get[] -> [r : int]
+    r <- 16
+  end get
+end Cell
+
+object Agent
+  operation go[] -> [r : int]
+    var hi : int <- 2147483647
+    var lo : int <- 0 - 2147483647 - 1
+    var f : bool <- false
+    var none : Cell <- nil
+    var c : Cell <- new Cell
+    move self to 1
+    r <- 0
+    if hi == 2147483647 and hi > 0 then
+      r <- r + 1
+    end if
+    if lo == 0 - 2147483647 - 1 and lo < 0 then
+      r <- r + 2
+    end if
+    if f then
+      r <- r + 100
+    else
+      r <- r + 4
+    end if
+    if none == nil then
+      r <- r + 8
+    end if
+    if c != nil then
+      r <- r + c.get[]
+    end if
+  end go
+end Agent
+|}
+
+(* Per source architecture: the captured frames hold the edge values
+   canonically, as the words a decoder would build from the same values
+   (an int sign-extended, so the minimum is negative), and a wire round
+   trip under each configuration gives the same frames.  Then the move
+   lands on every destination architecture and the program checks what
+   arrived. *)
+let check_edge_capture arch =
+  let payload = capture_payload ~src:edge_src arch in
+  let segs = payload.Mobility.Marshal.mp_segments in
+  let frames = List.concat_map (fun s -> s.MF.ms_frames) segs in
+  let values = List.concat_map (fun f -> List.map snd (Frames.values f)) frames in
+  let has what v =
+    if not (List.exists (V.equal v) values) then
+      Alcotest.failf "%s: %s not captured" arch.A.id what
+  in
+  has "int32 max" (V.Vint Int32.max_int);
+  has "int32 min" (V.Vint Int32.min_int);
+  has "false" (V.Vbool false);
+  has "nil" V.Vnil;
+  if not (List.exists (function V.Vref _ -> true | _ -> false) values) then
+    Alcotest.failf "%s: reference not captured" arch.A.id;
+  List.iter
+    (fun (f : MF.mi_frame) ->
+      let canonical =
+        Frames.make ~cls:f.MF.mf_class ~code_oid:f.MF.mf_code_oid ~meth:f.MF.mf_method
+          ~stop:f.MF.mf_stop ~self:f.MF.mf_self (Frames.values f)
+      in
+      if canonical <> f then Alcotest.failf "%s: captured words not canonical" arch.A.id)
+    frames;
+  List.iter
+    (fun (impl, batch) ->
+      let stats = Enet.Conversion_stats.create () in
+      let w = Enet.Wire.Writer.create ~impl ~stats in
+      if batch then Enet.Wire.Writer.batch w;
+      List.iter (MF.write_segment w) segs;
+      let r = Enet.Wire.Reader.create ~impl ~stats (Enet.Wire.Writer.contents w) in
+      Enet.Wire.Writer.free w;
+      if batch then Enet.Wire.Reader.batch r;
+      let back = List.map (fun _ -> MF.read_segment r) segs in
+      if back <> segs then
+        Alcotest.failf "%s: capture differs after a %s round trip" arch.A.id
+          (Enet.Wire.impl_name impl))
+    [ (Enet.Wire.Naive, false); (Enet.Wire.Plan, false); (Enet.Wire.Blit, true) ]
+
+let test_edge_values_every_pair () =
+  List.iter
+    (fun src ->
+      check_edge_capture src;
+      List.iter
+        (fun dst ->
+          let cl = Core.Cluster.create ~archs:[ src; dst ] () in
+          ignore (Core.Cluster.compile_and_load cl ~name:"edge" edge_src);
+          let agent = Core.Cluster.create_object cl ~node:0 ~class_name:"Agent" in
+          let tid = Core.Cluster.spawn cl ~node:0 ~target:agent ~op:"go" ~args:[] in
+          let got =
+            match Core.Cluster.run_until_result cl tid with
+            | Some v -> Format.asprintf "%a" V.pp v
+            | None -> "no result"
+          in
+          check Alcotest.string (src.A.id ^ " -> " ^ dst.A.id) "31" got)
+        A.all)
+    A.all
 
 let suites =
   [
@@ -248,5 +361,7 @@ let suites =
         Alcotest.test_case "MI capture identical across architectures" `Quick
           test_cross_arch_capture_equivalence;
         Alcotest.test_case "captured slot values" `Quick test_capture_slot_values;
+        Alcotest.test_case "edge values cross every architecture pair" `Quick
+          test_edge_values_every_pair;
       ] );
   ]
