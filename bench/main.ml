@@ -360,10 +360,8 @@ let run_marshal () =
   hr ();
   let msg = Mobility.Marshal.M_move (marshal_payload A.sparc) in
   let stats = Enet.Conversion_stats.create () in
-  (* every tier is timed on the transport's bare-wire path: encode hands
-     a length-delimited view to the network (pooled under plan and blit,
-     a fresh buffer under naive), and the receiver releases it after
-     decoding *)
+  (* every tier is timed on the transport's path: encode hands a fresh
+     buffer to the network as a view, and the receiver decodes the view *)
   let tiers =
     [
       ("naive", Enet.Wire.Naive, false);
@@ -372,12 +370,12 @@ let run_marshal () =
     ]
   in
   let image = Mobility.Marshal.encode ~impl:Enet.Wire.Naive ~stats msg in
-  let image_view = Enet.Wire.view_of_string image in
+  let image_bytes = Enet.Wire.view_to_string image in
   (* byte identity and decode fidelity across tiers, before any timing *)
   List.iter
     (fun (name, impl, blit) ->
       let enc = Mobility.Marshal.encode ~blit ~impl ~stats msg in
-      if not (String.equal enc image) then
+      if not (String.equal (Enet.Wire.view_to_string enc) image_bytes) then
         failwith (Printf.sprintf "marshal bench: %s tier wire image differs" name);
       if Mobility.Marshal.decode ~blit ~impl ~stats enc <> msg then
         failwith (Printf.sprintf "marshal bench: %s tier does not round trip" name))
@@ -387,10 +385,8 @@ let run_marshal () =
     List.map
       (fun (name, impl, blit) ->
         ( name,
-          (fun () ->
-            let v = Mobility.Marshal.encode_view ~blit ~impl ~stats msg in
-            Enet.Wire.release_view v),
-          fun () -> ignore (Mobility.Marshal.decode_view ~blit ~impl ~stats image_view) ))
+          (fun () -> ignore (Mobility.Marshal.encode ~blit ~impl ~stats msg)),
+          fun () -> ignore (Mobility.Marshal.decode ~blit ~impl ~stats image) ))
       tiers
   in
   (* interleave the tiers round-robin so transient host load hits them
@@ -438,10 +434,10 @@ let run_marshal () =
           ("tier", jstr name);
           ("encode_ns", jnum e);
           ("decode_ns", jnum d);
-          ("bytes", jint (String.length image));
+          ("bytes", jint (Enet.Wire.view_length image));
           ("speedup_vs_naive", jnum speedup);
         ];
-      pf "%-8s %9.0f ns %9.0f ns %10d %11.2fx\n" name e d (String.length image)
+      pf "%-8s %9.0f ns %9.0f ns %10d %11.2fx\n" name e d (Enet.Wire.view_length image)
         speedup)
     results;
   hr ();

@@ -94,6 +94,12 @@ let run seeds start one_seed faults drop evict groups gc check_every
   let do_shrink = not no_shrink in
   match one_seed with
   | Some seed ->
+    Option.iter
+      (fun p ->
+        match Fault.Plan.check_nodes p ~n_nodes:(Core.Fuzz.scenario_nodes seed) with
+        | Ok () -> ()
+        | Error e -> bad_input "bad --faults spec for seed %d: %s" seed e)
+      plan;
     let o =
       Core.Fuzz.run_seed ?plan ?drop ~evict ~groups ~gc ~check_every
         ~max_events ~seed ()

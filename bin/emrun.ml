@@ -50,7 +50,10 @@ let run file nodes opt cls op args_s original codec location gc_mode_s
     match faults with
     | None -> Fault.Plan.empty
     | Some spec -> (
-      match Fault.Plan.of_string spec with
+      let in_cluster p =
+        Result.map (fun () -> p) (Fault.Plan.check_nodes p ~n_nodes:(List.length archs))
+      in
+      match Result.bind (Fault.Plan.of_string spec) in_cluster with
       | Ok p -> p
       | Error e ->
         Printf.eprintf "emrun: bad --faults spec: %s\n" e;
@@ -83,6 +86,23 @@ let run file nodes opt cls op args_s original codec location gc_mode_s
     | Some s ->
       Printf.eprintf "emrun: unknown gc mode %s (have: stw, incremental)\n" s;
       exit 2
+  in
+  (match evict_hot with
+  | Some n when n < 2 ->
+    Printf.eprintf
+      "emrun: --evict-hot %d is below 2 (one eviction moves the depth difference by two)\n" n;
+    exit 2
+  | _ -> ());
+  (* the trace file is opened before anything runs, so an unwritable
+     path is refused up front *)
+  let trace_file =
+    Option.map
+      (fun path ->
+        try (path, open_out_bin path)
+        with Sys_error e ->
+          Printf.eprintf "emrun: cannot write --trace-out: %s\n" e;
+          exit 2)
+      trace_out
   in
   let cl =
     Core.Cluster.create ~protocol ?wire_impl ?gc_threshold ~gc_mode
@@ -224,13 +244,6 @@ let run file nodes opt cls op args_s original codec location gc_mode_s
           "gc: %d incremental collections (%d increments), %d bytes freed, \
            max increment pause %.1f us\n"
           collections incs gc_freed !gc_max_pause_us);
-      for i = 0 to Core.Cluster.n_nodes cl - 1 do
-        let c = Core.Cluster.node_counters cl i in
-        let open Core.Events in
-        if c.c_pool_hits > 0 || c.c_pool_misses > 0 || c.c_copies_saved > 0 then
-          Printf.printf "node %d fastpath: pool %d/%d (hits/misses), %d copies saved\n" i
-            c.c_pool_hits c.c_pool_misses c.c_copies_saved
-      done;
       let open Core.Events in
       let blit_skips = Core.Cluster.total_counter cl (fun c -> c.c_blit_skips) in
       let blit_falls =
@@ -337,10 +350,10 @@ let run file nodes opt cls op args_s original codec location gc_mode_s
         Printf.printf "migration phases (%d spans):\n" (Obs.Profile.count p);
         print_string (Obs.Profile.table p)
       end;
-      (match trace_out with
-      | Some path ->
-        Out_channel.with_open_bin path (fun oc ->
-            Out_channel.output_string oc (Obs.Trace.to_json (Obs.Profile.spans p)));
+      (match trace_file with
+      | Some (path, oc) ->
+        Out_channel.output_string oc (Obs.Trace.to_json (Obs.Profile.spans p));
+        close_out oc;
         Printf.eprintf "trace written to %s (%d spans)\n" path (Obs.Profile.count p)
       | None -> ())
     | None -> ())

@@ -459,8 +459,9 @@ let create ?(protocol = Enhanced) ?(wire_impl = Enet.Wire.Naive) ?quantum ?gc_th
   let n = List.length archs in
   if n = 0 then invalid_arg "Cluster.create: archs is empty";
   if gc_budget < 1 then invalid_arg "Cluster.create: gc_budget must be positive";
-  if List.exists (fun (c : Fault.Plan.chaos) -> c.ch_node < 0 || c.ch_node >= n) faults.pl_chaos
-  then invalid_arg "Cluster.create: fault plan crashes a node out of range";
+  Result.iter_error
+    (fun e -> invalid_arg ("Cluster.create: fault plan: " ^ e))
+    (Fault.Plan.check_nodes faults ~n_nodes:n);
   let net = Enet.Netsim.create ~n_nodes:n () in
   let repo = Mobility.Code_repository.create ~n_nodes:n () in
   let results = Hashtbl.create 4 and failures = Hashtbl.create 4 in
@@ -640,7 +641,7 @@ let evict_thread t ~node ~seg_id ~dest =
 (* Batched migration: capture the union closure of several co-located
    roots — the objects, their attached closures, and every thread
    segment executing inside any of them — and ship it as a single
-   [M_group_move] over the pooled wire path, under one root "move" span
+   [M_group_move] over the wire, under one root "move" span
    whose capture leg is named "group_pack" and landing leg
    "group_unpack".  Roots not resident on [node] are skipped; a batch
    that captures nothing sends nothing. *)

@@ -96,7 +96,8 @@ val create :
     chain-collapse traffic uses dedicated message tags and is produced
     in deterministic (ascending node) order.
     @raise Invalid_argument on an empty [archs], a non-positive
-    [gc_budget] or a crash window on a node out of range. *)
+    [gc_budget] or a fault plan that crashes or partitions a node out of
+    range ({!Fault.Plan.check_nodes}). *)
 
 val protocol : t -> protocol
 
@@ -236,7 +237,7 @@ val group_move : t -> node:int -> dest:int -> Ert.Oid.t list -> unit
 (** Batched migration: capture the union closure of the given co-located
     roots — the objects, their attached closures, and every thread
     segment executing inside any of them — and ship it as a single
-    {!Marshal.M_group_move} transfer over the pooled wire path.  One
+    {!Marshal.M_group_move} transfer over the wire.  One
     root ["move"] span covers the batch; its capture leg is the
     ["group_pack"] phase and the landing leg ["group_unpack"].  Roots
     not resident on [node] are skipped, and a batch that captures

@@ -39,7 +39,6 @@ type t =
   | Ev_msg_dup of { node : int; src : int; seq : int }
   | Ev_retransmit of { node : int; dst : int; seq : int; attempt : int }
   | Ev_ack of { node : int; seq : int }
-  | Ev_pool of { node : int; hits : int; misses : int; copies_saved : int }
   | Ev_span of Obs.Span.t
   (* location-subsystem events: none of these fire in the directory-off
      configuration, so the legacy trace stays byte-identical *)
@@ -80,7 +79,7 @@ type t =
    without a fault plan, so giving them lines keeps the no-fault trace
    byte-identical while making [--trace] useful under injection. *)
 let legacy_string = function
-  | Ev_step _ | Ev_move_finish _ | Ev_conversion _ | Ev_pool _ | Ev_span _ | Ev_blit _
+  | Ev_step _ | Ev_move_finish _ | Ev_conversion _ | Ev_span _ | Ev_blit _
   | Ev_bridge _ | Ev_gc_phase _ -> None
   | Ev_msg_send { time; src; dst; desc; bytes; arrives } ->
     Some
@@ -161,9 +160,6 @@ let to_string ev =
       objects segments frames
   | Ev_conversion { node; calls; bytes } ->
     Printf.sprintf "conversion node=%d calls=%d bytes=%d" node calls bytes
-  | Ev_pool { node; hits; misses; copies_saved } ->
-    Printf.sprintf "pool node=%d hits=%d misses=%d copies-saved=%d" node hits misses
-      copies_saved
   | Ev_span s -> Obs.Span.to_string s
   | Ev_blit { node; dest; skipped } ->
     Printf.sprintf "blit node=%d dest=%d %s" node dest
@@ -196,9 +192,9 @@ type counters = {
   mutable c_acks : int;
   mutable c_plan_compiles : int;  (* no longer incremented *)
   mutable c_plan_hits : int;  (* no longer incremented *)
-  mutable c_pool_hits : int;
-  mutable c_pool_misses : int;
-  mutable c_copies_saved : int;
+  mutable c_pool_hits : int;  (* no longer incremented *)
+  mutable c_pool_misses : int;  (* no longer incremented *)
+  mutable c_copies_saved : int;  (* no longer incremented *)
   mutable c_dir_updates : int;
   mutable c_dir_lookups : int;
   mutable c_locates : int;  (* invokes that found their target *)
@@ -300,10 +296,6 @@ let count bus ev =
     (c node).c_dups_suppressed <- (c node).c_dups_suppressed + 1
   | Ev_retransmit { node; _ } -> (c node).c_retransmits <- (c node).c_retransmits + 1
   | Ev_ack { node; _ } -> (c node).c_acks <- (c node).c_acks + 1
-  | Ev_pool { node; hits; misses; copies_saved } ->
-    (c node).c_pool_hits <- (c node).c_pool_hits + hits;
-    (c node).c_pool_misses <- (c node).c_pool_misses + misses;
-    (c node).c_copies_saved <- (c node).c_copies_saved + copies_saved
   | Ev_dir_update { node; _ } -> (c node).c_dir_updates <- (c node).c_dir_updates + 1
   | Ev_dir_lookup { node; _ } -> (c node).c_dir_lookups <- (c node).c_dir_lookups + 1
   | Ev_locate { node; hops; _ } ->

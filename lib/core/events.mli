@@ -64,9 +64,6 @@ type t =
       (** an unacknowledged message was retransmitted *)
   | Ev_ack of { node : int; seq : int }
       (** an acknowledgement was processed at the original sender *)
-  | Ev_pool of { node : int; hits : int; misses : int; copies_saved : int }
-      (** encode-buffer pool activity during one en/decode; [copies_saved]
-          counts pooled handoffs that avoided a payload copy *)
   | Ev_span of Obs.Span.t
       (** a closed migration/RPC phase span (virtual-time interval); only
           emitted when span tracing is enabled on the cluster *)
@@ -141,9 +138,11 @@ type counters = {
       (** no longer incremented: the compiled conversion plans it counted
           are deleted (DESIGN.md §8); kept because [bench/perf] reads it *)
   mutable c_plan_hits : int;  (** no longer incremented, as [c_plan_compiles] *)
-  mutable c_pool_hits : int;  (** encode buffers reused from the pool *)
-  mutable c_pool_misses : int;  (** encode buffers freshly allocated *)
-  mutable c_copies_saved : int;  (** payload copies avoided by pooled handoff *)
+  mutable c_pool_hits : int;
+      (** no longer incremented: the encode-buffer pool it counted is
+          deleted (DESIGN.md §8); kept because [bench/perf] reads it *)
+  mutable c_pool_misses : int;  (** no longer incremented, as [c_pool_hits] *)
+  mutable c_copies_saved : int;  (** no longer incremented, as [c_pool_hits] *)
   mutable c_dir_updates : int;  (** location updates processed by this shard *)
   mutable c_dir_lookups : int;  (** directory lookups answered by this shard *)
   mutable c_locates : int;  (** invokes that found their target on this node *)

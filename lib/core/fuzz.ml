@@ -159,6 +159,8 @@ let scenario_of_seed seed =
 (* ----------------------------------------------------------------------- *)
 (* the invariant-checked driver *)
 
+let scenario_nodes seed = (scenario_of_seed seed).sc_n_nodes
+
 let value_string = function
   | None -> "(no value)"
   | Some v -> Format.asprintf "%a" Ert.Value.pp v

@@ -42,6 +42,9 @@ val plan_of_seed : rng:Fault.Rng.t -> n_nodes:int -> Fault.Plan.t
 (** Draw a randomized fault plan (the distribution [emfuzz] sweeps);
     [pl_seed] is left 0 — callers install the scenario seed. *)
 
+val scenario_nodes : int -> int
+(** The number of nodes the seed's scenario runs on. *)
+
 val run_seed :
   ?plan:Fault.Plan.t ->
   ?drop:float ->

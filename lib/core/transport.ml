@@ -29,7 +29,7 @@ type protocol =
 type pending = {
   p_seq : int;
   p_dst : int;
-  p_frame : string;  (* the enveloped frame, cached for retransmission *)
+  p_frame : W.view;  (* the enveloped frame, cached for retransmission *)
   p_msg : M.message;  (* for loss reporting on give-up *)
   p_span : (int * int * float) option;  (* move-span tag, kept across retries *)
   mutable p_attempts : int;  (* transmissions so far *)
@@ -47,7 +47,7 @@ let frame ~tag ~seq (payload : W.view) =
   Bytes.set b 0 tag;
   Bytes.set_int32_be b 1 (Int32.of_int seq);
   Bytes.blit payload.W.vw_bytes payload.W.vw_off b header_bytes payload.W.vw_len;
-  Bytes.unsafe_to_string b
+  W.view_of_string (Bytes.unsafe_to_string b)
 
 let seq_of (v : W.view) =
   Int32.to_int (Bytes.get_int32_be v.W.vw_bytes (v.W.vw_off + 1)) land 0xffff_ffff
@@ -69,11 +69,6 @@ type t = {
   seen : (int * int, unit) Hashtbl.t array;  (* (src, seq) delivered, per receiver *)
   lost : M.message -> reason:string -> unit;
   deliver : dst:int -> Enet.Netsim.message -> W.view -> unit;
-  (* the global pool counters as they stood before the en/decode in
-     progress *)
-  mutable m_pool_hits : int;
-  mutable m_pool_misses : int;
-  mutable m_handoffs : int;
 }
 
 let create ~protocol ~wire_impl ~faults ~net ~engine ~bus ~kernels ~down ~lost ~deliver =
@@ -98,8 +93,7 @@ let create ~protocol ~wire_impl ~faults ~net ~engine ~bus ~kernels ~down ~lost ~
     conv = CS.create ();
     next_seq = Array.make n 0;
     outstanding = Array.init n (fun _ -> Hashtbl.create 8);
-    seen = Array.init n (fun _ -> Hashtbl.create 64);
-    m_pool_hits = 0; m_pool_misses = 0; m_handoffs = 0 }
+    seen = Array.init n (fun _ -> Hashtbl.create 64) }
 
 let protocol tr = tr.proto
 let enveloped tr = tr.enveloped
@@ -179,22 +173,12 @@ let charge_translation tr ~node ~blit (msg : M.message) =
 let translate tr ~src ~dst msg =
   charge_translation tr ~node:dst ~blit:(blit_pair tr ~src ~dst) msg
 
-(* An en/decode at [node] runs between [mark] and [settle].  [settle]
-   publishes the buffer-pool activity in between (diffs of the global
-   counters), then charges the node the conversion (or raw copy) work
-   the scratch counters recorded. *)
-let mark tr =
-  CS.reset tr.conv;
-  tr.m_pool_hits <- W.Pool.hits ();
-  tr.m_pool_misses <- W.Pool.misses ();
-  tr.m_handoffs <- W.Pool.handoffs ()
+(* An en/decode at [node] runs between [mark] and [settle]: [settle]
+   charges the node the conversion (or raw copy) work the scratch
+   counters recorded in between. *)
+let mark tr = CS.reset tr.conv
 
 let settle tr ~node =
-  let dph = W.Pool.hits () - tr.m_pool_hits in
-  let dpm = W.Pool.misses () - tr.m_pool_misses in
-  let dhf = W.Pool.handoffs () - tr.m_handoffs in
-  if dph > 0 || dpm > 0 || dhf > 0 then
-    E.emit tr.bus (E.Ev_pool { node; hits = dph; misses = dpm; copies_saved = dhf });
   let calls = CS.calls tr.conv and bytes = CS.bytes tr.conv in
   let k = tr.kernels.(node) in
   (match tr.proto with
@@ -202,21 +186,12 @@ let settle tr ~node =
   | Original -> K.charge_insns k (bytes * CM.original_copy_insns_per_byte));
   if calls > 0 || bytes > 0 then E.emit tr.bus (E.Ev_conversion { node; calls; bytes })
 
-(* Decoding is a payload's last read: its pooled buffer goes back to the
-   free list (sub-views and string-backed views are no-ops), also on a
-   decode failure, or it would leak from the pool. *)
-let decode_view tr ~src ~dst payload =
-  match M.decode_view ~blit:(blit_pair tr ~src ~dst) ~impl:tr.codec ~stats:tr.conv payload with
-  | msg ->
-    W.release_view payload;
-    msg
-  | exception e ->
-    W.release_view payload;
-    raise e
+let decode_payload tr ~src ~dst payload =
+  M.decode ~blit:(blit_pair tr ~src ~dst) ~impl:tr.codec ~stats:tr.conv payload
 
 let decode tr ~src ~dst payload =
   mark tr;
-  let msg = decode_view tr ~src ~dst payload in
+  let msg = decode_payload tr ~src ~dst payload in
   settle tr ~node:dst;
   msg
 
@@ -236,14 +211,7 @@ let send tr ~src ~dst ~root msg =
   let t0 = match root with Some _ -> K.time_us k | None -> 0.0 in
   E.span_leg tr.bus root ~node:src ~bytes:0 ~name:"translate" ~t0:t_tr0 ~t1:t0;
   mark tr;
-  (* the envelope retransmits a cached frame, so its payload must outlive
-     this send: it keeps the copying encode.  The bare wire hands the
-     pooled encode buffer to the network without a copy; the receiver
-     recycles it after decoding. *)
-  let payload =
-    if tr.enveloped then W.view_of_string (M.encode ~blit ~impl:tr.codec ~stats:tr.conv msg)
-    else M.encode_view ~blit ~impl:tr.codec ~stats:tr.conv msg
-  in
+  let payload = M.encode ~blit ~impl:tr.codec ~stats:tr.conv msg in
   settle tr ~node:src;
   let now = K.time_us k in
   E.span_leg tr.bus root ~node:src ~bytes:(W.view_length payload) ~name:"marshal" ~t0 ~t1:now;
@@ -271,7 +239,7 @@ let send tr ~src ~dst ~root msg =
       Engine.schedule tr.engine ~at:p.p_next_at (Engine.Timer src);
       arrival
     end
-    else Enet.Netsim.send_view ?span tr.net ~now_us:now ~src ~dst ~payload
+    else Enet.Netsim.send ?span tr.net ~now_us:now ~src ~dst ~payload
   in
   let bytes = W.view_length payload + if tr.enveloped then header_bytes else 0 in
   note tr Sent ~src ~dst ~bytes ~arrives:arrival msg;
@@ -322,7 +290,7 @@ let receive tr ~dst ~now =
        decode's tallies sit in the scratch until the next [mark]), and
        whatever rode on it is lost *)
     let src = m.Enet.Netsim.msg_src in
-    let msg = decode_view tr ~src ~dst m.Enet.Netsim.msg_payload in
+    let msg = decode_payload tr ~src ~dst m.Enet.Netsim.msg_payload in
     note tr Drained ~src ~dst ~bytes:0 ~arrives:0.0 msg;
     tr.lost msg ~reason:(Printf.sprintf "node %d is down" dst)
   | Some m -> tr.deliver ~dst m m.Enet.Netsim.msg_payload

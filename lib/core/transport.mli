@@ -63,10 +63,9 @@ val refuse : t -> src:int -> dst:int -> Mobility.Marshal.message -> unit
 (** Report a message to an unreachable node lost without sending it. *)
 
 val decode : t -> src:int -> dst:int -> Enet.Wire.view -> Mobility.Marshal.message
-(** Decode a payload from [src] delivered at [dst], charge the
-    conversion and recycle the payload's buffer.  The receiver evaluates
-    the sender's blit predicate itself, so no capability bit rides on
-    the wire. *)
+(** Decode a payload from [src] delivered at [dst] and charge the
+    conversion.  The receiver evaluates the sender's blit predicate
+    itself, so no capability bit rides on the wire. *)
 
 val translate : t -> src:int -> dst:int -> Mobility.Marshal.message -> unit
 (** Charge [dst] the per-object and per-frame translation pass of a

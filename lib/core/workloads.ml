@@ -286,6 +286,9 @@ end Worker
 |}
 
 let hot_spot_balancer ?(threshold = 2) cl =
+  if threshold < 2 then
+    invalid_arg
+      (Printf.sprintf "Workloads.hot_spot_balancer: threshold %d is below 2" threshold);
   let module T = Ert.Thread in
   let n = Cluster.n_nodes cl in
   (* hysteresis: the balancer is blind to evictions still in flight (the

@@ -104,10 +104,11 @@ val hot_spot_balancer : ?threshold:int -> Cluster.t -> unit -> unit
     reading.  A function of kernel state and virtual time only, so its
     decisions are deterministic.
 
-    Thresholds below 2 can live-lock: moving a segment from a depth-1
-    node to an empty one merely swaps the imbalance, so a lone thread
-    ping-pongs forever without ever executing.  With [threshold >= 2]
-    every eviction strictly narrows the depth spread. *)
+    Moving one segment changes the depth difference by two, so a
+    threshold below 2 live-locks: a lone thread ping-pongs forever
+    without ever executing.  With [threshold >= 2] every eviction
+    strictly narrows the depth spread.
+    @raise Invalid_argument for a [threshold] below 2. *)
 
 val cluster_src : string
 (** The location-directory workload: chasers repeatedly invoke cells

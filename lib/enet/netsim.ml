@@ -99,7 +99,7 @@ let insert_delayed t msg =
    implementation walked a sorted list.  An injected delay or duplicate
    copy is the one thing that can arrive out of order; those are filed
    in the sorted [delayed] side list instead. *)
-let send_view ?span t ~now_us ~src ~dst ~payload =
+let send ?span t ~now_us ~src ~dst ~payload =
   if dst < 0 || dst >= t.n_nodes then invalid_arg "Netsim.send: bad destination";
   let wire_bytes = Wire.view_length payload + t.cfg.frame_overhead_bytes in
   let transmit_us = float_of_int (wire_bytes * 8) /. t.cfg.bandwidth_mbit_s in
@@ -156,9 +156,6 @@ let send_view ?span t ~now_us ~src ~dst ~payload =
     notify_fault t ~src ~dst (Fault_dup extra);
     notify_arrival t ~dst ~at:late;
     arrives
-
-let send ?span t ~now_us ~src ~dst ~payload =
-  send_view ?span t ~now_us ~src ~dst ~payload:(Wire.view_of_string payload)
 
 let earlier (a : message option) (b : message option) =
   match a, b with

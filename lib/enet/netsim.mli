@@ -27,8 +27,8 @@ type message = {
   msg_src : int;
   msg_dst : int;
   msg_payload : Wire.view;
-      (** a length-delimited window, possibly onto a pooled buffer the
-          receiver must {!Wire.release_view} after decoding *)
+      (** a length-delimited window onto the sender's encode buffer,
+          shared by a duplicate copy; only ever read *)
   msg_sent_at : float;
   msg_arrives_at : float;
   msg_seq : int;
@@ -71,25 +71,13 @@ val send :
   now_us:float ->
   src:int ->
   dst:int ->
-  payload:string ->
+  payload:Wire.view ->
   float
 (** Queue a message; returns its (possibly fault-delayed) arrival time.
     A dropped message still consumes medium time — the frame was on the
     wire — and the returned time is when it would have arrived.
-    Zero-copy: the payload string's bytes are aliased, not copied. *)
-
-val send_view :
-  ?span:int * int * float ->
-  t ->
-  now_us:float ->
-  src:int ->
-  dst:int ->
-  payload:Wire.view ->
-  float
-(** Like {!send}, but hands off a buffer view directly (pooled views let
-    the receiver recycle the encode buffer after decoding).  Do not send
-    pooled views while a fault injector is installed — a duplicated
-    delivery would alias a buffer the first delivery already released. *)
+    Zero-copy: the view is delivered as handed in (a duplicate copy
+    shares it), so its buffer must not be written afterwards. *)
 
 val next_arrival_at : t -> dst:int -> float option
 (** Earliest pending arrival time for a node, if any. *)

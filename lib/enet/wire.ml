@@ -25,12 +25,11 @@ type view = {
   vw_bytes : Bytes.t;
   vw_off : int;
   vw_len : int;
-  vw_pooled : bool;
 }
 
 let view_of_string s =
   (* read-only aliasing of the string's storage: no copy on send *)
-  { vw_bytes = Bytes.unsafe_of_string s; vw_off = 0; vw_len = String.length s; vw_pooled = false }
+  { vw_bytes = Bytes.unsafe_of_string s; vw_off = 0; vw_len = String.length s }
 
 let view_to_string v = Bytes.sub_string v.vw_bytes v.vw_off v.vw_len
 let view_length v = v.vw_len
@@ -41,53 +40,7 @@ let view_get v i =
 
 let sub_view v ~pos ~len =
   if pos < 0 || len < 0 || pos + len > v.vw_len then invalid_arg "Wire.sub_view";
-  { vw_bytes = v.vw_bytes; vw_off = v.vw_off + pos; vw_len = len; vw_pooled = false }
-
-module Pool = struct
-  let free_list : Bytes.t list ref = ref []
-  let max_kept = 64
-  let n_kept = ref 0
-  let hits_c = ref 0
-  let misses_c = ref 0
-  let handoffs_c = ref 0
-  let returned_c = ref 0
-
-  let take () =
-    match !free_list with
-    | b :: rest ->
-      free_list := rest;
-      decr n_kept;
-      incr hits_c;
-      b
-    | [] ->
-      incr misses_c;
-      Bytes.create 256
-
-  let recycle b =
-    (* counted even when the free list is full and the buffer is dropped:
-       [returned] tracks ownership given back, not buffers kept *)
-    incr returned_c;
-    if !n_kept < max_kept then begin
-      free_list := b :: !free_list;
-      incr n_kept
-    end
-
-  let hits () = !hits_c
-  let misses () = !misses_c
-  let handoffs () = !handoffs_c
-  let returned () = !returned_c
-  let in_flight () = !hits_c + !misses_c - !returned_c
-
-  let reset () =
-    free_list := [];
-    n_kept := 0;
-    hits_c := 0;
-    misses_c := 0;
-    handoffs_c := 0;
-    returned_c := 0
-end
-
-let release_view v = if v.vw_pooled then Pool.recycle v.vw_bytes
+  { vw_bytes = v.vw_bytes; vw_off = v.vw_off + pos; vw_len = len }
 
 module Writer = struct
   type t = {
@@ -100,14 +53,11 @@ module Writer = struct
     mutable in_record : bool;  (* datum charges suspended until [close_record] *)
   }
 
-  (* The naive tier takes a fresh buffer per message, grown by doubling;
-     the pool belongs to the other tiers.  Pooling it would put [Ev_pool]
-     events into the default tier's event stream, and their hit/miss
-     split depends on what ran earlier in the process.  The bytes and
-     the accounting are the same either way. *)
+  (* every writer takes a fresh buffer, grown by doubling; [handoff]
+     gives it away, so no two messages ever share one *)
   let create ~impl ~stats =
-    let buf = match impl with Naive -> Bytes.create 16 | Plan | Blit -> Pool.take () in
-    { buf; pos = 0; live = true; impl; stats; batched = false; in_record = false }
+    { buf = Bytes.create 256; pos = 0; live = true; impl; stats; batched = false;
+      in_record = false }
 
   let batch t = t.batched <- true
   let charge t ~bytes = if not t.in_record then charge t.impl t.stats ~bytes
@@ -125,7 +75,7 @@ module Writer = struct
     end
 
   let ensure t n =
-    if not t.live then invalid_arg "Wire.Writer: use after free/handoff";
+    if not t.live then invalid_arg "Wire.Writer: use after handoff";
     let need = t.pos + n in
     let cap = Bytes.length t.buf in
     if need > cap then begin
@@ -191,18 +141,10 @@ module Writer = struct
   let length t = t.pos
   let contents t = Bytes.sub_string t.buf 0 t.pos
 
-  let free t =
-    if t.live then begin
-      t.live <- false;
-      match t.impl with Naive -> () | Plan | Blit -> Pool.recycle t.buf
-    end
-
   let handoff t =
-    if not t.live then invalid_arg "Wire.Writer.handoff: writer already dead";
+    if not t.live then invalid_arg "Wire.Writer.handoff: writer already handed off";
     t.live <- false;
-    let pooled = match t.impl with Naive -> false | Plan | Blit -> true in
-    if pooled then incr Pool.handoffs_c;
-    { vw_bytes = t.buf; vw_off = 0; vw_len = t.pos; vw_pooled = pooled }
+    { vw_bytes = t.buf; vw_off = 0; vw_len = t.pos }
 end
 
 module Reader = struct

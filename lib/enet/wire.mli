@@ -20,9 +20,8 @@
       does not match, and all non-move traffic, behaves as [Plan].
 
     All tiers write and read identical octets through the same
-    primitives; they differ only in what {!Conversion_stats} records,
-    and in that the naive writer takes a fresh buffer instead of one
-    from the {!Pool}. *)
+    primitives and the same buffers; they differ only in what
+    {!Conversion_stats} records. *)
 
 type impl = Naive | Plan | Blit
 
@@ -33,17 +32,15 @@ val impl_of_string : string -> impl option
 
 (** {1 Buffer views}
 
-    A [view] is a length-delimited window onto a byte buffer.  Encoders
-    can hand a pooled buffer off as a view instead of copying it into a
-    fresh string ({!Writer.handoff}); the network delivers the view and
-    the receiver returns the buffer to the pool after decoding
-    ({!release_view}). *)
+    A [view] is a length-delimited window onto a byte buffer.  Every
+    message takes a fresh encode buffer, which {!Writer.handoff} gives
+    to the network as a view without a copy; the receiver decodes the
+    view and drops it. *)
 
 type view = private {
   vw_bytes : Bytes.t;
   vw_off : int;
   vw_len : int;
-  vw_pooled : bool;  (** buffer came from the pool; release after use *)
 }
 
 val view_of_string : string -> view
@@ -56,40 +53,7 @@ val view_length : view -> int
 val view_get : view -> int -> char
 
 val sub_view : view -> pos:int -> len:int -> view
-(** A sub-window sharing the same buffer.  The result is never pooled:
-    releasing a sub-view must not recycle the parent's buffer. *)
-
-val release_view : view -> unit
-(** Returns a pooled view's buffer to the free list; no-op otherwise.
-    Call at most once, after the last read. *)
-
-(** {1 The buffer pool}
-
-    A global free list of encode buffers for the [Plan] and [Blit]
-    tiers; a [Naive] writer never touches it.  [Writer.create] takes a
-    buffer from the pool (a {e hit}) or allocates fresh (a {e miss});
-    [Writer.free] and [release_view] return buffers.  [handoffs] counts
-    payloads handed to the network without the copy that
-    [Writer.contents] would have made. *)
-module Pool : sig
-  val hits : unit -> int
-  val misses : unit -> int
-  val handoffs : unit -> int
-
-  val returned : unit -> int
-  (** Buffers given back ([Writer.free] of a pooled writer, or
-      {!release_view} of a pooled view) — counted even when the free
-      list is full and the buffer is dropped. *)
-
-  val in_flight : unit -> int
-  (** [hits + misses - returned]: pool-acquired buffers not yet given
-      back.  Zero at quiescence; a persistent positive value is a leak
-      (a buffer lost on an exception path between acquisition and
-      free/handoff-release). *)
-
-  val reset : unit -> unit
-  (** Clears counters {e and} the free list (for test isolation). *)
-end
+(** A sub-window sharing the same buffer. *)
 
 (** {1 Record accounting}
 
@@ -138,12 +102,10 @@ module Writer : sig
   val contents : t -> string
   (** Copies the accumulated bytes out; the writer stays usable. *)
 
-  val free : t -> unit
-  (** Recycles the buffer into the pool.  The writer is dead afterwards. *)
-
   val handoff : t -> view
-  (** Transfers the buffer to a pooled view without copying.  The writer
-      is dead afterwards. *)
+  (** Gives the buffer away as a view, without copying.  The writer is
+      dead afterwards: writing to it again, or a second handoff, raises
+      [Invalid_argument]. *)
 end
 
 module Reader : sig

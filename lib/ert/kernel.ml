@@ -1030,6 +1030,27 @@ let cond_wait t seg ~obj ~cond ~deadline =
   block_on_queue t ~obj_addr:obj ~cond ?deadline seg;
   D_blocked
 
+(* Mesa semantics: a signalled or timed-out condition waiter lines up for
+   monitor entry and runs once the holder (or a later one) leaves.  Its
+   queue node goes to the tail of the entry queue, and its segment
+   becomes an entry waiter with no deadline. *)
+let requeue_for_entry t ~obj_addr ~qnode =
+  queue_insert_tail t ~sent:(obj_addr + L.obj_qflink) ~qnode;
+  let waiter = Int32.to_int (Mem.load32 t.kmem (qnode + L.qnode_thread)) in
+  match find_segment t waiter with
+  | Some ({ Thread.seg_status = Thread.Blocked_monitor b; _ } as w) ->
+    w.Thread.seg_status <- Thread.Blocked_monitor { b with cond = -1; deadline = None }
+  | _ -> ()
+
+(* move the condition's first waiter to the entry queue; [false] when
+   the condition has none *)
+let cond_signal t ~obj ~cond =
+  match queue_unlink_head t ~sent:(cond_sentinel_addr t ~obj_addr:obj ~cond) with
+  | None -> false
+  | Some qnode ->
+    requeue_for_entry t ~obj_addr:obj ~qnode;
+    true
+
 let format_real t raw =
   let x = Isa.Float_format.decode t.karch.A.float_format raw in
   Printf.sprintf "%g" x
@@ -1137,23 +1158,7 @@ let dispatch_syscall t seg (lc : loaded_class) (entry : Emc.Busstop.entry) nr =
     let raws = syscall_raw_args t ctx ~argc:2 in
     match raws with
     | [ obj; cond ] ->
-      let obj = Int32.to_int obj and cond = Int32.to_int cond in
-      (* Mesa semantics: the signalled waiter re-queues for monitor entry
-         and runs once the signaller (or a later holder) leaves *)
-      (match queue_unlink_head t ~sent:(cond_sentinel_addr t ~obj_addr:obj ~cond) with
-      | None -> ()
-      | Some qnode ->
-        queue_insert_tail t ~sent:(obj + L.obj_qflink) ~qnode;
-        let waiter = Int32.to_int (Mem.load32 t.kmem (qnode + L.qnode_thread)) in
-        (match find_segment t waiter with
-        | Some w -> (
-          match w.Thread.seg_status with
-          | Thread.Blocked_monitor { mon_addr; qnode = q; cond = _; deadline = _ } ->
-            w.Thread.seg_status <-
-              Thread.Blocked_monitor
-                { mon_addr; qnode = q; cond = -1; deadline = None }
-          | _ -> ())
-        | None -> ()));
+      ignore (cond_signal t ~obj:(Int32.to_int obj) ~cond:(Int32.to_int cond) : bool);
       D_done None
     | _ -> assert false
   end
@@ -1162,27 +1167,11 @@ let dispatch_syscall t seg (lc : loaded_class) (entry : Emc.Busstop.entry) nr =
     match raws with
     | [ obj; cond ] ->
       let obj = Int32.to_int obj and cond = Int32.to_int cond in
-      (* move every condition waiter to the entry queue, preserving queue
-         order (Mesa notify-all: each re-acquires the monitor in turn) *)
-      let sent = cond_sentinel_addr t ~obj_addr:obj ~cond in
-      let rec drain () =
-        match queue_unlink_head t ~sent with
-        | None -> ()
-        | Some qnode ->
-          queue_insert_tail t ~sent:(obj + L.obj_qflink) ~qnode;
-          let waiter = Int32.to_int (Mem.load32 t.kmem (qnode + L.qnode_thread)) in
-          (match find_segment t waiter with
-          | Some w -> (
-            match w.Thread.seg_status with
-            | Thread.Blocked_monitor { mon_addr; qnode = q; cond = _; deadline = _ } ->
-              w.Thread.seg_status <-
-                Thread.Blocked_monitor
-                  { mon_addr; qnode = q; cond = -1; deadline = None }
-            | _ -> ())
-          | None -> ());
-          drain ()
-      in
-      drain ();
+      (* signal until no waiter is left, preserving queue order (Mesa
+         notify-all: each re-acquires the monitor in turn) *)
+      while cond_signal t ~obj ~cond do
+        ()
+      done;
       D_done None
     | _ -> assert false
   end
@@ -1469,15 +1458,11 @@ let expire_timeouts t ~now =
         (* a deadline survives only while the waiter sits on a condition
            queue (signal/dequeue clear it), so the qnode is live *)
         queue_unlink t ~qnode;
-        if monitor_locked t ~obj_addr:mon_addr then begin
+        if monitor_locked t ~obj_addr:mon_addr then
           (* someone holds the monitor: line up for entry exactly like a
              signalled waiter; the wait completes when the lock is handed
              over *)
-          queue_insert_tail t ~sent:(mon_addr + L.obj_qflink) ~qnode;
-          seg.Thread.seg_status <-
-            Thread.Blocked_monitor
-              { mon_addr; qnode; cond = -1; deadline = None }
-        end
+          requeue_for_entry t ~obj_addr:mon_addr ~qnode
         else begin
           (* monitor free: nobody will ever hand the lock over, so take it
              here and complete the wait directly *)

@@ -109,6 +109,11 @@ let parse_bound what s =
   if v >= 0.0 && Float.is_finite v then Ok v
   else Error (Printf.sprintf "%s: %g is not a finite non-negative bound" what v)
 
+(* a fault's virtual time: [nan] fails the comparison too *)
+let parse_time what s =
+  let* v = parse_float what s in
+  if v >= 0.0 then Ok v else Error (Printf.sprintf "%s: %g is not a non-negative time" what v)
+
 let parse_group what s =
   let parts = String.split_on_char '+' s in
   let rec go acc = function
@@ -135,12 +140,13 @@ let parse_partition s =
       let* from_us, until_us =
         match String.split_on_char ':' window with
         | [ f ] ->
-          let* f = parse_float "part from" f in
+          let* f = parse_time "part from" f in
           Ok (f, infinity)
         | [ f; u ] ->
-          let* f = parse_float "part from" f in
-          let* u = parse_float "part until" u in
-          Ok (f, u)
+          let* f = parse_time "part from" f in
+          let* u = parse_time "part until" u in
+          if u > f then Ok (f, u)
+          else Error (Printf.sprintf "part: the window %g:%g is empty" f u)
         | _ -> Error "part: expected FROM or FROM:UNTIL"
       in
       Ok { pt_a = a; pt_b = b; pt_from_us = from_us; pt_until_us = until_us })
@@ -154,12 +160,13 @@ let parse_chaos s =
     let* crash_at, restart =
       match String.split_on_char ':' window with
       | [ c ] ->
-        let* c = parse_float "crash time" c in
+        let* c = parse_time "crash time" c in
         Ok (c, None)
       | [ c; r ] ->
-        let* c = parse_float "crash time" c in
-        let* r = parse_float "restart time" r in
-        Ok (c, Some r)
+        let* c = parse_time "crash time" c in
+        let* r = parse_time "restart time" r in
+        if r > c then Ok (c, Some r)
+        else Error (Printf.sprintf "crash: restart at %g is not after the crash at %g" r c)
       | _ -> Error "crash: expected T or T:RESTART"
     in
     Ok { ch_node = node; ch_crash_at_us = crash_at; ch_restart_at_us = restart }
@@ -207,6 +214,18 @@ let of_string spec =
         | _ -> Error (Printf.sprintf "plan: unknown key %S" key)))
   in
   go empty fields
+
+let check_nodes t ~n_nodes =
+  let outside what node =
+    Error (Printf.sprintf "%s node %d is outside the %d-node cluster" what node n_nodes)
+  in
+  let bad node = node < 0 || node >= n_nodes in
+  match List.find_opt (fun c -> bad c.ch_node) t.pl_chaos with
+  | Some c -> outside "crash" c.ch_node
+  | None -> (
+    match List.find_opt bad (List.concat_map (fun p -> p.pt_a @ p.pt_b) t.pl_partitions) with
+    | Some node -> outside "part" node
+    | None -> Ok ())
 
 let group_to_string g = String.concat "+" (List.map string_of_int g)
 

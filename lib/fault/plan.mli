@@ -74,13 +74,20 @@ val of_string : string -> (t, string) result
     virtual microseconds.  Every probability (drop, dup, P) must lie in
     [0, 1] and MAXUS must be finite and non-negative: [Error] otherwise,
     [nan] included.  [part=A|B@FROM:UNTIL] cuts every link between
-    node groups A and B (nodes joined by [+]) during the window.
-    [crash=N@T] fail-stops node N at virtual time T;
-    [crash=N@T:R] restarts it (empty, amnesiac) at time R. *)
+    node groups A and B (nodes joined by [+]) during the window; with
+    no [:UNTIL] the partition never heals.  [crash=N@T] fail-stops node
+    N at virtual time T; [crash=N@T:R] restarts it (empty, amnesiac) at
+    time R.  Every time must be non-negative (not [nan]), UNTIL after
+    FROM and R after T: [Error] otherwise.  Node numbers are checked
+    against a cluster by {!check_nodes}. *)
 
 val check_probability : string -> float -> (float, string) result
 (** [check_probability what p] is [Ok p] for [p] in [0, 1], else an
     [Error] naming [what]: the range check {!of_string} applies. *)
+
+val check_nodes : t -> n_nodes:int -> (unit, string) result
+(** [Error] naming the first crash or partition node outside
+    [0, n_nodes - 1]: the check [Core.Cluster.create] applies. *)
 
 val to_string : t -> string
 (** Round-trips through {!of_string}. *)

@@ -55,21 +55,15 @@ let capture k ~thread =
     segs;
   let stats = Enet.Conversion_stats.create () in
   let w = W.Writer.create ~impl:W.Plan ~stats in
-  (* the writer's buffer may be pooled: a capture failure part-way
-     through (an uncapturable frame, say) must still return it *)
-  Fun.protect
-    ~finally:(fun () -> W.Writer.free w)
-    (fun () ->
-      W.Writer.u32 w magic;
-      W.Writer.u32 w (Int32.of_int (List.length segs));
-      let mis = List.map (to_mi k) segs in
-      List.iter (Mi_frame.write_segment w) mis;
-      (* translation is charged like an outbound move, once per frame *)
-      List.iter
-        (fun ms ->
-          K.charge_insns k (Mi_frame.frame_count ms * Cost_model.frame_translate_insns))
-        mis;
-      W.Writer.contents w)
+  W.Writer.u32 w magic;
+  W.Writer.u32 w (Int32.of_int (List.length segs));
+  let mis = List.map (to_mi k) segs in
+  List.iter (Mi_frame.write_segment w) mis;
+  (* translation is charged like an outbound move, once per frame *)
+  List.iter
+    (fun ms -> K.charge_insns k (Mi_frame.frame_count ms * Cost_model.frame_translate_insns))
+    mis;
+  W.Writer.contents w
 
 let suspend k ~thread =
   let image = capture k ~thread in

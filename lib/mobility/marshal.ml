@@ -213,30 +213,10 @@ let rec encode_to w msg =
       ~tag:(if p.mp_opt_level = 0 then tag_group_move else tag_group_move_at)
       p
 
-(* A failed encode (an unmarshalable value, say) must still return the
-   pooled buffer, or the pool leaks one buffer per failure.  [encode]
-   can free unconditionally — [contents] copies.  [encode_view] frees
-   only on the exception path: a successful handoff transfers buffer
-   ownership to the view, and the receiver recycles it. *)
-let writer ~blit ~impl ~stats =
+let encode ?(blit = false) ~impl ~stats msg =
   let w = W.create ~impl ~stats in
   if blit then W.batch w;
-  w
-
-let encode ?(blit = false) ~impl ~stats msg =
-  let w = writer ~blit ~impl ~stats in
-  Fun.protect
-    ~finally:(fun () -> W.free w)
-    (fun () ->
-      encode_to w msg;
-      W.contents w)
-
-let encode_view ?(blit = false) ~impl ~stats msg =
-  let w = writer ~blit ~impl ~stats in
-  (try encode_to w msg
-   with e ->
-     W.free w;
-     raise e);
+  encode_to w msg;
   W.handoff w
 
 let rec decode_from r =
@@ -313,12 +293,7 @@ let rec decode_from r =
     M_group_move (read_move ~leveled:(tag = tag_group_move_at) r)
   else failwith (Printf.sprintf "Marshal.decode: corrupt message tag %d" tag)
 
-let decode ?(blit = false) ~impl ~stats data =
-  let r = R.create ~impl ~stats data in
-  if blit then R.batch r;
-  decode_from r
-
-let decode_view ?(blit = false) ~impl ~stats v =
+let decode ?(blit = false) ~impl ~stats v =
   let r = R.of_view ~impl ~stats v in
   if blit then R.batch r;
   decode_from r

@@ -2,7 +2,10 @@
 
     Everything that crosses the simulated Ethernet goes through here, via
     the {!Enet.Wire} codecs, so conversion procedure calls and byte counts
-    are accounted exactly as the prototype's hand-written routines were. *)
+    are accounted exactly as the prototype's hand-written routines were.
+    {!encode} writes each message into a fresh buffer and hands it to the
+    network as a view; {!decode} reads the view the receiver is given.
+    One path serves every tier, and no buffer is reused. *)
 
 type move_object = {
   mo_oid : Ert.Oid.t;
@@ -89,35 +92,20 @@ val encode :
   impl:Enet.Wire.impl ->
   stats:Enet.Conversion_stats.t ->
   message ->
-  string
-(** Every tier writes the same bytes through the same record writers;
-    [impl] only changes how their datums are charged.  The encode buffer
-    is recycled into the pool.  With [?blit] (valid only between
-    layout-matched architectures, see {!Isa.Arch.same_layout}) the
-    writer is batched
-    ({!Enet.Wire.Writer.batch}): the same bytes, accounted as one
-    conversion call per move-payload record — the move header, each
-    object, each frame, and each segment's scaffold and trailing
-    options. *)
-
-val encode_view :
-  ?blit:bool ->
-  impl:Enet.Wire.impl ->
-  stats:Enet.Conversion_stats.t ->
-  message ->
   Enet.Wire.view
-(** Like {!encode} but hands the pooled buffer off as a view instead of
-    copying it into a string; pass to {!Enet.Netsim.send_view} and
-    {!Enet.Wire.release_view} after decoding. *)
+(** Writes the message into a fresh buffer and hands it off as a view
+    ({!Enet.Wire.Writer.handoff}), ready for {!Enet.Netsim.send}.  Every
+    tier writes the same bytes through the same record writers; [impl]
+    only changes how their datums are charged.  With [?blit] (valid only
+    between layout-matched architectures, see {!Isa.Arch.same_layout})
+    the writer is batched ({!Enet.Wire.Writer.batch}): the same bytes,
+    accounted as one conversion call per move-payload record — the move
+    header, each object, each frame, and each segment's scaffold and
+    trailing options.
+    @raise Invalid_argument for a count, index or string too long for
+    its u16 prefix. *)
 
 val decode :
-  ?blit:bool ->
-  impl:Enet.Wire.impl ->
-  stats:Enet.Conversion_stats.t ->
-  string ->
-  message
-
-val decode_view :
   ?blit:bool ->
   impl:Enet.Wire.impl ->
   stats:Enet.Conversion_stats.t ->

@@ -218,11 +218,11 @@ let tiers = [ (Enet.Wire.Naive, false); (Enet.Wire.Plan, false); (Enet.Wire.Blit
 
 let run_config (impl, blit) msg =
   let es = CS.create () in
-  let bytes = M.encode ~blit ~impl ~stats:es msg in
+  let payload = M.encode ~blit ~impl ~stats:es msg in
   let ds = CS.create () in
-  let back = M.decode ~blit ~impl ~stats:ds bytes in
+  let back = M.decode ~blit ~impl ~stats:ds payload in
   if back <> msg then Alcotest.failf "%s: decode differs from the message" (M.describe msg);
-  (bytes, (CS.calls es, CS.bytes es, CS.calls ds, CS.bytes ds))
+  (Enet.Wire.view_to_string payload, (CS.calls es, CS.bytes es, CS.calls ds, CS.bytes ds))
 
 let hex s =
   String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
@@ -378,9 +378,6 @@ let oversized n =
       M.M_dir_update { objs = List.init n (fun i -> oid 1 (i + 1)); node = 1; at = 0.0 } );
   ]
 
-let check_in_flight name =
-  Alcotest.(check int) (name ^ ": pool balanced") 0 (Enet.Wire.Pool.in_flight ())
-
 let test_u16_counts_in_range () =
   List.iter
     (fun (what, msg) ->
@@ -395,23 +392,18 @@ let test_u16_counts_in_range () =
     (oversized 0xFFFF)
 
 let test_u16_overflow_rejected () =
-  Enet.Wire.Pool.reset ();
   List.iter
     (fun (what, msg) ->
       List.iter
         (fun (impl, blit) ->
           let stats = CS.create () in
-          let name = Printf.sprintf "%s of 65536 under %s" what (Enet.Wire.impl_name impl) in
-          (match M.encode ~blit ~impl ~stats msg with
-          | _ -> Alcotest.failf "%s: encode must refuse" name
-          | exception Invalid_argument _ -> ());
-          (match M.encode_view ~blit ~impl ~stats msg with
-          | _ -> Alcotest.failf "%s: encode_view must refuse" name
-          | exception Invalid_argument _ -> ());
-          check_in_flight name)
+          match M.encode ~blit ~impl ~stats msg with
+          | _ ->
+            Alcotest.failf "%s of 65536 under %s: encode must refuse" what
+              (Enet.Wire.impl_name impl)
+          | exception Invalid_argument _ -> ())
         tiers)
-    (oversized 0x10000);
-  Enet.Wire.Pool.reset ()
+    (oversized 0x10000)
 
 let check = Alcotest.check
 
@@ -465,7 +457,6 @@ let frame_codec_matches_reference =
             if blit then Enet.Wire.Writer.batch w;
             write w f;
             let bytes = Enet.Wire.Writer.contents w in
-            Enet.Wire.Writer.free w;
             (bytes, (CS.calls stats, CS.bytes stats))
           in
           let decode read bytes =
@@ -534,37 +525,32 @@ let test_plan_tier_ignores_empty_faults () =
   check Alcotest.int "conversion calls" plain.Core.Workloads.rt_conversion_calls
     faulted.Core.Workloads.rt_conversion_calls
 
-(* The one host behaviour left that differs by tier: a naive writer
-   takes a fresh buffer per message and never touches the pool, so the
-   default tier's event stream carries no [Ev_pool], whose hit/miss
-   split would depend on what ran earlier in the process.  Plan pools. *)
-let test_default_tier_unpooled () =
-  let run ?wire_impl () =
-    Enet.Wire.Pool.reset ();
-    let cl = Core.Cluster.create ?wire_impl ~archs:[ A.sparc; A.sparc ] () in
+(* A run owes nothing to the runs before it in the process: the same
+   Table 1 trip, run twice under each tier, publishes the same event
+   stream and ends with the same counters. *)
+let test_runs_independent () =
+  let run wire_impl =
+    let cl = Core.Cluster.create ~wire_impl ~archs:[ A.sparc; A.sparc ] () in
     ignore (Core.Cluster.compile_and_load cl ~name:"table1" Core.Workloads.table1_src);
-    let pool_events = ref 0 in
-    Core.Cluster.subscribe_events cl (function
-      | Core.Events.Ev_pool _ -> incr pool_events
-      | _ -> ());
+    let events = Buffer.create 4096 in
+    Core.Cluster.subscribe_events cl (fun ev ->
+        Buffer.add_string events (Core.Events.to_string ev);
+        Buffer.add_char events '\n');
     let agent = Core.Cluster.create_object cl ~node:0 ~class_name:"Agent" in
     let tid =
       Core.Cluster.spawn cl ~node:0 ~target:agent ~op:"trip" ~args:[ V.Vint 1l; V.Vint 3l ]
     in
     if Core.Cluster.run_until_result cl tid = None then Alcotest.fail "no Table 1 result";
-    let counts = Enet.Wire.Pool.[ hits (); misses (); handoffs () ] in
-    Enet.Wire.Pool.reset ();
-    (counts, !pool_events)
+    (Buffer.contents events, List.init 2 (Core.Cluster.node_counters cl))
   in
-  let counts, events = run () in
-  check Alcotest.(list int) "default tier: pool hits, misses, handoffs" [ 0; 0; 0 ] counts;
-  check Alcotest.int "default tier: Ev_pool events" 0 events;
-  match run ~wire_impl:Enet.Wire.Plan () with
-  | [ hits; misses; handoffs ], events when hits + misses > 0 && handoffs > 0 && events > 0 -> ()
-  | counts, events ->
-    Alcotest.failf "plan tier did not pool: hits, misses, handoffs %s; %d Ev_pool events"
-      (String.concat ", " (List.map string_of_int counts))
-      events
+  List.iter
+    (fun (impl, _) ->
+      let name = Enet.Wire.impl_name impl in
+      let events1, counters1 = run impl in
+      let events2, counters2 = run impl in
+      check Alcotest.string (name ^ ": event stream") events1 events2;
+      if counters1 <> counters2 then Alcotest.failf "%s: the second run's counters differ" name)
+    tiers
 
 let suites =
   [
@@ -578,8 +564,8 @@ let suites =
           test_table1_virtual_times_unchanged;
         Alcotest.test_case "empty fault plan invisible under plan tier" `Quick
           test_plan_tier_ignores_empty_faults;
-        Alcotest.test_case "default tier never touches the buffer pool" `Quick
-          test_default_tier_unpooled;
+        Alcotest.test_case "a run does not depend on earlier runs" `Quick
+          test_runs_independent;
         QCheck_alcotest.to_alcotest frame_codec_matches_reference;
       ] );
   ]

@@ -48,9 +48,7 @@ let roundtrip impl =
       Enet.Wire.Reader.close_record r p;
       let same_octets other =
         let w', _ = write_case other case in
-        let bytes' = Enet.Wire.Writer.contents w' in
-        Enet.Wire.Writer.free w';
-        String.equal bytes' bytes
+        String.equal (Enet.Wire.Writer.contents w') bytes
       in
       let calls = Enet.Conversion_stats.calls in
       ok
@@ -114,93 +112,46 @@ let test_view_roundtrip () =
   check Alcotest.string "sub view" "world" (Enet.Wire.view_to_string sub);
   check (Alcotest.char) "indexing" 'w' (Enet.Wire.view_get sub 0)
 
-let test_pool_reuse () =
-  Enet.Wire.Pool.reset ();
-  let stats = Enet.Conversion_stats.create () in
-  let w = Enet.Wire.Writer.create ~impl:Enet.Wire.Plan ~stats in
-  Enet.Wire.Writer.str w "pooled payload";
-  let v = Enet.Wire.Writer.handoff w in
-  check Alcotest.int "first buffer is a miss" 1 (Enet.Wire.Pool.misses ());
-  check Alcotest.int "handoff counted" 1 (Enet.Wire.Pool.handoffs ());
-  Enet.Wire.release_view v;
-  let w2 = Enet.Wire.Writer.create ~impl:Enet.Wire.Plan ~stats in
-  check Alcotest.int "released buffer is reused" 1 (Enet.Wire.Pool.hits ());
-  Enet.Wire.Writer.str w2 "second";
-  Enet.Wire.Writer.free w2;
-  (* sub-views never recycle their parent's buffer *)
-  let w3 = Enet.Wire.Writer.create ~impl:Enet.Wire.Plan ~stats in
-  Enet.Wire.Writer.str w3 "third";
-  let v3 = Enet.Wire.Writer.handoff w3 in
-  let inner = Enet.Wire.sub_view v3 ~pos:2 ~len:3 in
-  let before = Enet.Wire.Pool.hits () in
-  Enet.Wire.release_view inner;
-  let w4 = Enet.Wire.Writer.create ~impl:Enet.Wire.Plan ~stats in
-  Enet.Wire.Writer.free w4;
-  if Enet.Wire.Pool.hits () > before + 1 then
-    Alcotest.fail "sub view release must not recycle the parent buffer";
-  Enet.Wire.release_view v3;
-  Enet.Wire.Pool.reset ()
-
-let test_pool_balance () =
-  (* in_flight = hits + misses - returned must drain to zero on both the
-     success and the exception paths of the marshaller *)
-  Enet.Wire.Pool.reset ();
+let test_encode_roundtrip_and_refusal () =
   let stats = Enet.Conversion_stats.create () in
   let msg = Mobility.Marshal.M_reply { to_seg = 4; value = Ert.Value.Vint 7l; thread = 1 } in
-  let bytes = Mobility.Marshal.encode ~impl:Enet.Wire.Plan ~stats msg in
-  check Alcotest.int "encode returns its buffer" 0 (Enet.Wire.Pool.in_flight ());
-  (match Mobility.Marshal.decode ~impl:Enet.Wire.Plan ~stats bytes with
+  (match
+     Mobility.Marshal.decode ~impl:Enet.Wire.Plan ~stats
+       (Mobility.Marshal.encode ~impl:Enet.Wire.Plan ~stats msg)
+   with
   | Mobility.Marshal.M_reply { to_seg = 4; _ } -> ()
   | _ -> Alcotest.fail "reply did not survive the round trip");
-  let v = Mobility.Marshal.encode_view ~impl:Enet.Wire.Plan ~stats msg in
-  check Alcotest.int "handoff keeps the buffer in flight" 1
-    (Enet.Wire.Pool.in_flight ());
-  Enet.Wire.release_view v;
-  check Alcotest.int "release returns it" 0 (Enet.Wire.Pool.in_flight ());
-  (* a string too long for the u16 length prefix aborts the encode
-     part-way; the pooled buffer must still come back *)
+  (* a string too long for the u16 length prefix aborts the encode *)
   let huge =
     Mobility.Marshal.M_reply
       { to_seg = 4; value = Ert.Value.Vstr (String.make 70_000 'x'); thread = 1 }
   in
-  (match Mobility.Marshal.encode ~impl:Enet.Wire.Plan ~stats huge with
+  match Mobility.Marshal.encode ~impl:Enet.Wire.Plan ~stats huge with
   | _ -> Alcotest.fail "oversized string must be rejected"
-  | exception Invalid_argument _ -> ());
-  check Alcotest.int "no leak from a failed encode" 0 (Enet.Wire.Pool.in_flight ());
-  (match Mobility.Marshal.encode_view ~impl:Enet.Wire.Plan ~stats huge with
-  | _ -> Alcotest.fail "oversized string must be rejected"
-  | exception Invalid_argument _ -> ());
-  check Alcotest.int "no leak from a failed encode_view" 0
-    (Enet.Wire.Pool.in_flight ());
-  Enet.Wire.Pool.reset ()
+  | exception Invalid_argument _ -> ()
 
-let test_pool_balance_end_to_end () =
-  (* a whole simulated workload, migrations and all, acquires and returns
-     in matched pairs: nothing left in flight once the cluster drains *)
-  Enet.Wire.Pool.reset ();
-  let cl = Core.Cluster.create ~archs:[ Isa.Arch.sparc; Isa.Arch.sun3 ] () in
-  ignore (Core.Cluster.compile_and_load cl ~name:"table1" Core.Workloads.table1_src);
-  let agent = Core.Cluster.create_object cl ~node:0 ~class_name:"Agent" in
-  let tid =
-    Core.Cluster.spawn cl ~node:0 ~target:agent ~op:"trip"
-      ~args:[ Ert.Value.Vint 1l; Ert.Value.Vint 4l ]
-  in
-  (match Core.Cluster.run_until_result cl tid with
-  | Some _ -> ()
-  | None -> Alcotest.fail "workload produced no result");
-  check Alcotest.int "pool balanced after the run" 0 (Enet.Wire.Pool.in_flight ());
-  Enet.Wire.Pool.reset ()
-
-let test_writer_free_rejects_use () =
+(* a handed-off view owns its buffer: the writer is dead, and no later
+   writer writes over the bytes the network holds *)
+let test_handed_off_writer_rejects_use () =
   let stats = Enet.Conversion_stats.create () in
   let w = Enet.Wire.Writer.create ~impl:Enet.Wire.Plan ~stats in
   Enet.Wire.Writer.u16 w 1;
-  Enet.Wire.Writer.free w;
-  match Enet.Wire.Writer.u16 w 2 with
-  | () -> Alcotest.fail "writing to a freed writer should fail"
-  | exception _ -> ()
+  let v = Enet.Wire.Writer.handoff w in
+  (match Enet.Wire.Writer.u16 w 2 with
+  | () -> Alcotest.fail "writing to a handed-off writer should fail"
+  | exception Invalid_argument _ -> ());
+  (match Enet.Wire.Writer.handoff w with
+  | _ -> Alcotest.fail "a second handoff should fail"
+  | exception Invalid_argument _ -> ());
+  let w2 = Enet.Wire.Writer.create ~impl:Enet.Wire.Plan ~stats in
+  Enet.Wire.Writer.u16 w2 0xFFFF;
+  ignore (Enet.Wire.Writer.handoff w2 : Enet.Wire.view);
+  check Alcotest.string "the view keeps its bytes" "\x00\x01" (Enet.Wire.view_to_string v)
 
 (* Netsim ------------------------------------------------------------------ *)
+
+let send net ~now_us ~src ~dst ~payload =
+  Enet.Netsim.send net ~now_us ~src ~dst ~payload:(Enet.Wire.view_of_string payload)
 
 let test_netsim_latency () =
   (* the default Ethernet, and a much slower 1 Mbit/s link with 5 ms of
@@ -212,7 +163,7 @@ let test_netsim_latency () =
     (fun (name, config) ->
       let net = Enet.Netsim.create ?config ~n_nodes:3 () in
       let cfg = Enet.Netsim.config net in
-      let arrival = Enet.Netsim.send net ~now_us:1000.0 ~src:0 ~dst:1 ~payload:"hello" in
+      let arrival = send net ~now_us:1000.0 ~src:0 ~dst:1 ~payload:"hello" in
       let wire_bytes = 5 + cfg.Enet.Netsim.frame_overhead_bytes in
       let expect =
         1000.0
@@ -224,9 +175,9 @@ let test_netsim_latency () =
 
 let test_netsim_fifo () =
   let net = Enet.Netsim.create ~n_nodes:2 () in
-  ignore (Enet.Netsim.send net ~now_us:0.0 ~src:0 ~dst:1 ~payload:"first");
-  ignore (Enet.Netsim.send net ~now_us:0.0 ~src:0 ~dst:1 ~payload:"second");
-  ignore (Enet.Netsim.send net ~now_us:0.0 ~src:0 ~dst:1 ~payload:"third");
+  ignore (send net ~now_us:0.0 ~src:0 ~dst:1 ~payload:"first");
+  ignore (send net ~now_us:0.0 ~src:0 ~dst:1 ~payload:"second");
+  ignore (send net ~now_us:0.0 ~src:0 ~dst:1 ~payload:"third");
   let recv () =
     match Enet.Netsim.receive net ~dst:1 ~now_us:1e9 with
     | Some m -> Enet.Wire.view_to_string m.Enet.Netsim.msg_payload
@@ -239,7 +190,7 @@ let test_netsim_fifo () =
 
 let test_netsim_not_before_arrival () =
   let net = Enet.Netsim.create ~n_nodes:2 () in
-  let arrival = Enet.Netsim.send net ~now_us:0.0 ~src:0 ~dst:1 ~payload:"x" in
+  let arrival = send net ~now_us:0.0 ~src:0 ~dst:1 ~payload:"x" in
   (match Enet.Netsim.receive net ~dst:1 ~now_us:(arrival -. 1.0) with
   | Some _ -> Alcotest.fail "message delivered before its arrival time"
   | None -> ());
@@ -251,8 +202,8 @@ let test_netsim_medium_serialises () =
   (* two messages sent at the same instant share the 10 Mbit/s segment, so
      the second arrives strictly later *)
   let net = Enet.Netsim.create ~n_nodes:3 () in
-  let a1 = Enet.Netsim.send net ~now_us:0.0 ~src:0 ~dst:1 ~payload:(String.make 1000 'a') in
-  let a2 = Enet.Netsim.send net ~now_us:0.0 ~src:2 ~dst:1 ~payload:(String.make 1000 'b') in
+  let a1 = send net ~now_us:0.0 ~src:0 ~dst:1 ~payload:(String.make 1000 'a') in
+  let a2 = send net ~now_us:0.0 ~src:2 ~dst:1 ~payload:(String.make 1000 'b') in
   if a2 <= a1 then Alcotest.fail "shared medium must serialise transmissions"
 
 let suites =
@@ -267,12 +218,10 @@ let suites =
         Alcotest.test_case "naive costs 1-2 calls/byte" `Quick test_calls_per_byte;
         Alcotest.test_case "reader underflow" `Quick test_reader_underflow;
         Alcotest.test_case "views" `Quick test_view_roundtrip;
-        Alcotest.test_case "buffer pool reuse" `Quick test_pool_reuse;
-        Alcotest.test_case "pool balance on success and failure" `Quick
-          test_pool_balance;
-        Alcotest.test_case "pool balance across a workload" `Quick
-          test_pool_balance_end_to_end;
-        Alcotest.test_case "freed writer rejects use" `Quick test_writer_free_rejects_use;
+        Alcotest.test_case "encode round trip and refusal" `Quick
+          test_encode_roundtrip_and_refusal;
+        Alcotest.test_case "a handed-off writer rejects use" `Quick
+          test_handed_off_writer_rejects_use;
       ] );
     ( "enet.netsim",
       [

@@ -42,6 +42,17 @@ let test_hotspot_pinned () =
        (Pinned.digest r.W.er_trace)
        (Pinned.digest r.W.er_phase_table))
 
+(* one eviction changes the depth difference by two, so a threshold
+   below 2 could never settle: a lone thread would ping-pong forever *)
+let test_hotspot_threshold_floor () =
+  let cl = Core.Cluster.create ~archs:[ A.sparc; A.vax ] () in
+  List.iter
+    (fun threshold ->
+      match W.hot_spot_balancer ~threshold cl with
+      | (_ : unit -> unit) -> Alcotest.failf "threshold %d accepted" threshold
+      | exception Invalid_argument _ -> ())
+    [ 1; 0; -1 ]
+
 (* ---------------------------------------------------------------- *)
 (* eviction + wait/notify together, pinned                            *)
 (* ---------------------------------------------------------------- *)
@@ -481,8 +492,8 @@ let build_spin_kernel ~n_vars ~spins =
 
 let payload_bytes payload =
   let stats = Enet.Conversion_stats.create () in
-  Mobility.Marshal.encode ~impl:Enet.Wire.Naive ~stats
-    (Mobility.Marshal.M_move payload)
+  Enet.Wire.view_to_string
+    (Mobility.Marshal.encode ~impl:Enet.Wire.Naive ~stats (Mobility.Marshal.M_move payload))
 
 let qcheck_evict_equals_cooperative =
   QCheck.Test.make ~name:"evict-then-migrate == park-then-migrate (bytes)"
@@ -526,6 +537,8 @@ let suites =
       [
         Alcotest.test_case "hot-spot balancer pinned" `Quick
           test_hotspot_pinned;
+        Alcotest.test_case "balancer refuses a threshold below 2" `Quick
+          test_hotspot_threshold_floor;
         Alcotest.test_case "eviction + wait/notify pinned" `Quick
           test_gate_and_spin_pinned;
         Alcotest.test_case "eviction mid-bridge (awaiting reply)" `Quick

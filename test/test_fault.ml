@@ -191,7 +191,7 @@ let test_netsim_injection_hooks () =
       | [] -> None);
   let observed = ref 0 in
   Enet.Netsim.set_on_fault net (fun ~src:_ ~dst:_ _ -> incr observed);
-  let send p = ignore (Enet.Netsim.send net ~now_us:0.0 ~src:0 ~dst:1 ~payload:p : float) in
+  let send p = ignore (Enet.Netsim.send net ~now_us:0.0 ~src:0 ~dst:1 ~payload:(Enet.Wire.view_of_string p) : float) in
   send "dropped";
   send "duplicated";
   send "delayed";
@@ -366,6 +366,43 @@ let test_plan_spec_ranges () =
     check (Alcotest.float 0.0) "delay probability" 1.0 p.P.pl_delay_p;
     check (Alcotest.float 0.0) "delay bound" 0.0 p.P.pl_delay_us
 
+(* windows that cannot happen are refused, an open partition end still
+   means no heal, and a node the cluster lacks is refused at creation *)
+let test_plan_spec_windows () =
+  List.iter
+    (fun spec ->
+      match P.of_string spec with
+      | Ok p -> Alcotest.failf "%S accepted as %S" spec (P.to_string p)
+      | Error _ -> ())
+    [
+      "crash=1@nan"; "crash=1@-5"; "crash=1@100:nan"; "crash=1@1000:500";
+      "crash=1@1000:1000"; "part=0|1@nan"; "part=0|1@-1"; "part=0|1@100:nan";
+      "part=0|1@200:100"; "part=0|1@100:100";
+    ];
+  let plan spec =
+    match P.of_string spec with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "%S refused: %s" spec e
+  in
+  let p = plan "part=0|1@100,crash=1@0:1" in
+  check (Alcotest.float 0.0) "an omitted end never heals" infinity
+    (List.hd p.P.pl_partitions).P.pt_until_us;
+  let nodes spec n = P.check_nodes (plan spec) ~n_nodes:n in
+  let verdict = Alcotest.(result unit string) in
+  check verdict "nodes in range" (Ok ()) (nodes "part=0|1@100,crash=1@5" 2);
+  check verdict "a crash outside"
+    (Error "crash node 5 is outside the 2-node cluster")
+    (nodes "crash=5@1000:2000" 2);
+  check verdict "a partition outside"
+    (Error "part node 9 is outside the 2-node cluster")
+    (nodes "part=0|9@100:200" 2);
+  match
+    Core.Cluster.create ~faults:(plan "part=0|9@100:200")
+      ~archs:[ Isa.Arch.sparc; Isa.Arch.vax ] ()
+  with
+  | _ -> Alcotest.fail "a partition outside the cluster was accepted"
+  | exception Invalid_argument _ -> ()
+
 let suites =
   [
     ( "fault",
@@ -397,5 +434,7 @@ let suites =
           test_shrunk_plan_reproduces;
         Alcotest.test_case "plan spec refuses impossible probabilities" `Quick
           test_plan_spec_ranges;
+        Alcotest.test_case "plan spec refuses impossible windows" `Quick
+          test_plan_spec_windows;
       ] );
   ]

@@ -322,8 +322,7 @@ let check_edge_capture arch =
       let w = Enet.Wire.Writer.create ~impl ~stats in
       if batch then Enet.Wire.Writer.batch w;
       List.iter (MF.write_segment w) segs;
-      let r = Enet.Wire.Reader.create ~impl ~stats (Enet.Wire.Writer.contents w) in
-      Enet.Wire.Writer.free w;
+      let r = Enet.Wire.Reader.of_view ~impl ~stats (Enet.Wire.Writer.handoff w) in
       if batch then Enet.Wire.Reader.batch r;
       let back = List.map (fun _ -> MF.read_segment r) segs in
       if back <> segs then
