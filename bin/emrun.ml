@@ -509,7 +509,8 @@ let evict_hot_t =
                  when the deepest run queue exceeds the shallowest by at \
                  least $(docv), force-evict the lowest-id runnable segment \
                  from the hot node to the cool one (trapped at its next \
-                 bus stop, no cooperative polling).")
+                 bus stop, no cooperative polling).  $(docv) must be at \
+                 least 2: one eviction moves the depth difference by two.")
 
 let seed_t =
   Arg.(value & opt (some int) None

@@ -12,7 +12,12 @@
     broken — a delayed message or a duplicate copy can overtake or trail
     other traffic — and delivery is ordered by [(arrival time, seq)]
     instead.  (Earlier revisions documented FIFO unconditionally; that
-    was only true because nothing ever perturbed the wire.) *)
+    was only true because nothing ever perturbed the wire.)
+
+    {b Payloads.}  A message carries a {!Wire.view} of the sender's
+    encode buffer ({!Wire.Writer.handoff}), delivered without a copy; a
+    duplicate copy shares it.  Nothing writes to the buffer after the
+    send, and nothing recycles it. *)
 
 type config = {
   latency_us : float;  (** per-message fixed delay *)
