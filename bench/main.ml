@@ -1462,13 +1462,15 @@ let run_gc () =
   in
   (* stop-the-world: one lump pause, cluster-style charge *)
   let k_stw, roots_stw = build () in
+  let stw = Ert.Gc.create k_stw in
   let t0 = K.time_us k_stw in
-  let stw_stats = Ert.Gc.collect ~extra_addrs:roots_stw k_stw in
-  K.charge_insns k_stw (C.gc_collect_insns ~live:stw_stats.Ert.Gc.gc_live);
+  Ert.Gc.collect stw ~extra_roots:[] ~extra_addrs:roots_stw;
+  K.charge_insns k_stw (C.gc_collect_insns ~live:(Ert.Gc.live stw));
   let stw_pause = K.time_us k_stw -. t0 in
   (* incremental: same collection as bounded increments *)
   let k_inc, roots_inc = build () in
-  let cy = Ert.Gc.start ~extra_addrs:roots_inc k_inc in
+  let inc = Ert.Gc.create k_inc in
+  Ert.Gc.start inc ~extra_roots:[] ~extra_addrs:roots_inc;
   let increments = ref 0 in
   let max_pause = ref 0.0 in
   let total_us = ref 0.0 in
@@ -1483,25 +1485,20 @@ let run_gc () =
   K.charge_insns k_inc C.gc_cycle_open_insns;
   let rec drive t0 =
     incr increments;
-    match Ert.Gc.step cy k_inc ~budget with
-    | Ert.Gc.Step_more { scanned; _ } ->
-      K.charge_insns k_inc (C.gc_increment_insns ~scanned);
-      note t0;
-      drive (K.time_us k_inc)
-    | Ert.Gc.Step_done { scanned; stats } ->
-      K.charge_insns k_inc (C.gc_increment_insns ~scanned);
-      note t0;
-      stats
+    let scanned = Ert.Gc.step inc ~budget in
+    K.charge_insns k_inc (C.gc_increment_insns ~scanned);
+    note t0;
+    if Ert.Gc.is_open inc then drive (K.time_us k_inc)
   in
-  let inc_stats = drive t0 in
+  drive t0;
   let ratio = !max_pause /. stw_pause in
   pf "%-14s %10s %10s %12s %12s\n" "tier" "live" "swept" "pause(us)"
     "total(us)";
   hr ();
   pf "%-14s %10d %10d %12.1f %12.1f\n" "stop-the-world"
-    stw_stats.Ert.Gc.gc_live stw_stats.Ert.Gc.gc_swept stw_pause stw_pause;
+    (Ert.Gc.live stw) (Ert.Gc.swept stw) stw_pause stw_pause;
   pf "%-14s %10d %10d %12.1f %12.1f  (%d increments)\n" "incremental"
-    inc_stats.Ert.Gc.gc_live inc_stats.Ert.Gc.gc_swept !max_pause !total_us
+    (Ert.Gc.live inc) (Ert.Gc.swept inc) !max_pause !total_us
     !increments;
   pf "max increment pause / stw pause: %.3f (gate: < 0.2); gc work \
      overhead: %+.1f%%\n"
@@ -1511,9 +1508,9 @@ let run_gc () =
     [
       ("heap_blocks", jint (n_live + n_dead));
       ("budget_slots", jint budget);
-      ("live", jint inc_stats.Ert.Gc.gc_live);
-      ("swept", jint inc_stats.Ert.Gc.gc_swept);
-      ("bytes_freed", jint inc_stats.Ert.Gc.gc_bytes_freed);
+      ("live", jint (Ert.Gc.live inc));
+      ("swept", jint (Ert.Gc.swept inc));
+      ("bytes_freed", jint (Ert.Gc.bytes_freed inc));
       ("stw_pause_us", jnum stw_pause);
       ("inc_max_pause_us", jnum !max_pause);
       ("inc_total_us", jnum !total_us);
@@ -1521,19 +1518,19 @@ let run_gc () =
       ("pause_ratio", jnum ratio);
     ];
   if
-    stw_stats.Ert.Gc.gc_live <> inc_stats.Ert.Gc.gc_live
-    || stw_stats.Ert.Gc.gc_swept <> inc_stats.Ert.Gc.gc_swept
-    || stw_stats.Ert.Gc.gc_bytes_freed <> inc_stats.Ert.Gc.gc_bytes_freed
+    (Ert.Gc.live stw) <> (Ert.Gc.live inc)
+    || (Ert.Gc.swept stw) <> (Ert.Gc.swept inc)
+    || (Ert.Gc.bytes_freed stw) <> (Ert.Gc.bytes_freed inc)
   then begin
     pf "FAIL: tiers disagree on accounting (stw %d/%d/%d, inc %d/%d/%d)\n"
-      stw_stats.Ert.Gc.gc_live stw_stats.Ert.Gc.gc_swept
-      stw_stats.Ert.Gc.gc_bytes_freed inc_stats.Ert.Gc.gc_live
-      inc_stats.Ert.Gc.gc_swept inc_stats.Ert.Gc.gc_bytes_freed;
+      (Ert.Gc.live stw) (Ert.Gc.swept stw)
+      (Ert.Gc.bytes_freed stw) (Ert.Gc.live inc)
+      (Ert.Gc.swept inc) (Ert.Gc.bytes_freed inc);
     exit 1
   end;
-  if inc_stats.Ert.Gc.gc_swept < n_dead then begin
+  if (Ert.Gc.swept inc) < n_dead then begin
     pf "FAIL: expected >= %d swept, got %d\n" n_dead
-      inc_stats.Ert.Gc.gc_swept;
+      (Ert.Gc.swept inc);
     exit 1
   end;
   if ratio >= 0.2 then begin

@@ -83,6 +83,8 @@ let run seeds start one_seed faults drop evict groups gc check_every
       | Ok _ -> ()
       | Error e -> bad_input "%s" e)
     drop;
+  if Option.is_some faults && Option.is_none one_seed then
+    bad_input "--faults needs --seed: a sweep draws its own plan for each seed";
   let plan =
     match faults with
     | None -> None
@@ -166,8 +168,9 @@ let seed_t =
 let faults_t =
   Arg.(value & opt (some string) None
        & info [ "faults" ] ~docv:"SPEC"
-           ~doc:"Override the seed-derived fault plan with this plan spec \
-                 (same syntax as emrun --faults).")
+           ~doc:"Override the seed-derived fault plan of $(b,--seed) with \
+                 this plan spec (same syntax as emrun --faults).  Refused in \
+                 a sweep, which draws one plan per seed.")
 
 let drop_t =
   Arg.(value & opt (some float) None

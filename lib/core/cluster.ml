@@ -447,6 +447,7 @@ let restart_node t i =
     t.down.(i) <- false;
     Transport.restart t.tr i;
     Locate.restart t.loc i;
+    Collect.restart t.gc i;
     E.emit t.bus (E.Ev_restart { node = i })
   end
 

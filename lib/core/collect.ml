@@ -14,21 +14,25 @@ type t = {
   engine : Engine.t;
   bus : E.bus;
   quiesce : int -> unit;
-  cycles : Ert.Gc.cycle option array;
-      (* per-node in-progress incremental mark cycle.  Soft state, like
-         the location directory: a crash discards it (Gc.abort) and the
-         next threshold crossing starts a fresh cycle from scratch. *)
+  cycles : Ert.Gc.t array;
+      (* per-node cycle state, reused by every cycle of the node's
+         kernel; an open one is the node's in-progress incremental
+         cycle.  Soft state, like the location directory: a crash
+         discards it (Gc.abort) and the next threshold crossing starts
+         a fresh cycle from scratch. *)
+  t0 : Sim.Clock.t;  (* the node clock when the running increment began *)
   mutable pinned : Ert.Oid.t list;  (* harness-held references: GC roots *)
 }
 
 let create ~mode ~threshold ~budget ~kernels ~engine ~bus ~quiesce =
   { mode; budget; kernels; engine; bus; quiesce;
     threshold = Option.value threshold ~default:max_int;
-    cycles = Array.make (Array.length kernels) None;
+    cycles = Array.map Ert.Gc.create kernels;
+    t0 = Sim.Clock.create ();
     pinned = [] }
 
 let mode t = t.mode
-let in_progress t i = t.cycles.(i) <> None
+let in_progress t i = Ert.Gc.is_open t.cycles.(i)
 let pin t oid = t.pinned <- oid :: t.pinned
 let over_threshold t i = Ert.Heap.live_bytes (K.heap t.kernels.(i)) > t.threshold
 
@@ -37,11 +41,9 @@ let over_threshold t i = Ert.Heap.live_bytes (K.heap t.kernels.(i)) > t.threshol
 let due t i = in_progress t i || over_threshold t i
 
 (* a finished collection, either tier: the bus counts it *)
-let finished t i ~time (stats : Ert.Gc.stats) =
-  E.emit t.bus
-    (E.Ev_gc
-       { time; node = i; swept = stats.Ert.Gc.gc_swept; live = stats.Ert.Gc.gc_live;
-         bytes_freed = stats.Ert.Gc.gc_bytes_freed })
+let finished t i cy =
+  E.emit_gc t.bus ~node:i ~clock:(K.clock t.kernels.(i)) ~swept:(Ert.Gc.swept cy)
+    ~live:(Ert.Gc.live cy) ~bytes_freed:(Ert.Gc.bytes_freed cy)
 
 (* automatic collection: the templates identify pointers only at bus
    stops, so under preemptive scheduling the node is quiesced first —
@@ -49,23 +51,10 @@ let finished t i ~time (stats : Ert.Gc.stats) =
    a quantum every segment is already parked between events *)
 let collect_stw t i =
   t.quiesce i;
-  let k = t.kernels.(i) in
-  let stats = Ert.Gc.collect ~extra_roots:t.pinned k in
-  K.charge_insns k (CM.gc_collect_insns ~live:stats.Ert.Gc.gc_live);
-  finished t i ~time:(K.time_us k) stats
-
-(* charge one increment that began at [t0] and publish its phase;
-   returns the post-charge clock *)
-let charge_increment t i ~t0 ~phase ~scanned =
-  let k = t.kernels.(i) in
-  K.charge_insns k (CM.gc_increment_insns ~scanned);
-  let t1 = K.time_us k in
-  E.emit t.bus (E.Ev_gc_phase { time = t1; node = i; phase; scanned; pause_us = t1 -. t0 });
-  if E.spans_on t.bus then begin
-    let a = K.arch k in
-    E.emit_span t.bus ~node:i ~pair:(E.arch_pair a a) ~name:phase ~t0 ~t1 ()
-  end;
-  t1
+  let k = t.kernels.(i) and cy = t.cycles.(i) in
+  Ert.Gc.collect cy ~extra_roots:t.pinned ~extra_addrs:[];
+  K.charge_insns k (CM.gc_collect_insns ~live:(Ert.Gc.live cy));
+  finished t i cy
 
 (* one bounded increment of the incremental tier (DESIGN.md §17).
    Opening a cycle quiesces the node exactly as the stop-the-world tier
@@ -73,30 +62,26 @@ let charge_increment t i ~t0 ~phase ~scanned =
    templates identify pointers only at bus stops; every later increment
    interleaves with execution, protected by the write barrier and graft
    hook, and is charged [Cost_model.gc_increment_insns] instead of the
-   lump pause.  The cycle drives itself to completion by self-scheduling
-   [Engine.Gc] at the post-charge clock; [Engine]'s dedup makes that
-   safe alongside the Step handler's threshold checks. *)
+   lump pause, and published with its phase.  The cycle drives itself
+   to completion by self-scheduling [Engine.Gc] at the post-charge
+   clock; [Engine]'s dedup makes that safe alongside the Step handler's
+   threshold checks. *)
 let increment t i =
-  let k = t.kernels.(i) in
-  let cy =
-    match t.cycles.(i) with
-    | Some cy -> cy
-    | None ->
-      t.quiesce i;
-      let cy = Ert.Gc.start ~extra_roots:t.pinned k in
-      t.cycles.(i) <- Some cy;
-      (* snapshot + barrier installation *)
-      K.charge_insns k CM.gc_cycle_open_insns;
-      cy
-  in
-  let t0 = K.time_us k in
-  match Ert.Gc.step cy k ~budget:t.budget with
-  | Ert.Gc.Step_more { scanned; phase } ->
-    let t1 = charge_increment t i ~t0 ~phase:(Ert.Gc.phase_name phase) ~scanned in
-    Engine.schedule t.engine ~at:t1 (Engine.Gc i)
-  | Ert.Gc.Step_done { scanned; stats } ->
-    t.cycles.(i) <- None;
-    finished t i ~time:(charge_increment t i ~t0 ~phase:"gc_sweep" ~scanned) stats
+  let k = t.kernels.(i) and cy = t.cycles.(i) in
+  if not (Ert.Gc.is_open cy) then begin
+    t.quiesce i;
+    Ert.Gc.start cy ~extra_roots:t.pinned ~extra_addrs:[];
+    (* snapshot + barrier installation *)
+    K.charge_insns k CM.gc_cycle_open_insns
+  end;
+  let clock = K.clock k in
+  t.t0.Sim.Clock.now <- clock.Sim.Clock.now;
+  let scanned = Ert.Gc.step cy ~budget:t.budget in
+  K.charge_insns k (CM.gc_increment_insns ~scanned);
+  E.emit_gc_phase t.bus ~node:i ~arch:(K.arch k)
+    ~phase:(Ert.Gc.phase_name (Ert.Gc.phase cy)) ~scanned ~t0:t.t0 ~t1:clock;
+  if Ert.Gc.is_open cy then Engine.schedule t.engine ~at:clock.Sim.Clock.now (Engine.Gc i)
+  else finished t i cy
 
 let collect t i =
   match t.mode with
@@ -106,21 +91,19 @@ let collect t i =
 (* send-off under an active mark cycle: grey what is leaving before the
    capture removes it from the node's root set *)
 let grey_segment t i seg =
-  match t.cycles.(i) with
-  | Some cy -> Ert.Gc.grey_segment cy t.kernels.(i) seg
-  | None -> ()
+  let cy = t.cycles.(i) in
+  if Ert.Gc.is_open cy then Ert.Gc.grey_segment cy seg
 
 let grey_addr t i addr =
-  match t.cycles.(i) with
-  | Some cy -> Ert.Gc.grey_addr cy t.kernels.(i) addr
-  | None -> ()
+  let cy = t.cycles.(i) in
+  if Ert.Gc.is_open cy then Ert.Gc.grey_addr cy addr
 
 (* an in-progress mark cycle is soft state: discard it with the
    incarnation (the directory rule); a post-restart threshold crossing
    starts a fresh cycle from scratch *)
 let discard t i =
-  match t.cycles.(i) with
-  | Some cy ->
-    Ert.Gc.abort cy t.kernels.(i);
-    t.cycles.(i) <- None
-  | None -> ()
+  let cy = t.cycles.(i) in
+  if Ert.Gc.is_open cy then Ert.Gc.abort cy
+
+(* the restarted node's kernel is new: so is its cycle state *)
+let restart t i = t.cycles.(i) <- Ert.Gc.create t.kernels.(i)

@@ -55,3 +55,6 @@ val grey_addr : t -> int -> int -> unit
 
 val discard : t -> int -> unit
 (** Abort the node's open cycle: it died with the node. *)
+
+val restart : t -> int -> unit
+(** Give the node's new kernel (a restart) its own cycle state. *)

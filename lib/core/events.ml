@@ -349,6 +349,35 @@ let emit_span bus ~node ?parent ?(bytes = 0) ~pair ~name ~t0 ~t1 () =
 
 let arch_pair a b = a.Isa.Arch.id ^ "->" ^ b.Isa.Arch.id
 
+(* a collection increment, and a finished collection, come once per
+   step under a low threshold: on [emit_step]'s pattern they bump the
+   counter and build the event only for a listener.  Times are read
+   from clock records, so no float is boxed to pass them. *)
+let emit_gc_phase bus ~node ~arch ~phase ~scanned ~(t0 : Sim.Clock.t) ~(t1 : Sim.Clock.t) =
+  let c = bus.node_counters.(node) in
+  c.c_gc_increments <- c.c_gc_increments + 1;
+  (match bus.subscribers with
+  | [] -> ()
+  | subs ->
+    let now = t1.Sim.Clock.now in
+    let ev =
+      Ev_gc_phase { time = now; node; phase; scanned; pause_us = now -. t0.Sim.Clock.now }
+    in
+    List.iter (fun f -> f ev) subs);
+  if bus.spans_on then
+    emit_span bus ~node ~pair:(arch_pair arch arch) ~name:phase ~t0:t0.Sim.Clock.now
+      ~t1:t1.Sim.Clock.now ()
+
+let emit_gc bus ~node ~(clock : Sim.Clock.t) ~swept ~live ~bytes_freed =
+  let c = bus.node_counters.(node) in
+  c.c_collections <- c.c_collections + 1;
+  c.c_gc_bytes_freed <- c.c_gc_bytes_freed + bytes_freed;
+  match bus.subscribers with
+  | [] -> ()
+  | subs ->
+    let ev = Ev_gc { time = clock.Sim.Clock.now; node; swept; live; bytes_freed } in
+    List.iter (fun f -> f ev) subs
+
 type root = { root_id : Obs.Span.id; root_t0 : float; root_pair : string }
 
 let span_leg bus root ~node ~bytes ~name ~t0 ~t1 =

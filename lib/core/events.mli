@@ -199,6 +199,22 @@ val emit_span :
 
 val arch_pair : Isa.Arch.t -> Isa.Arch.t -> string
 
+(** {1 Collections} *)
+
+val emit_gc_phase :
+  bus -> node:int -> arch:Isa.Arch.t -> phase:string -> scanned:int -> t0:Sim.Clock.t ->
+  t1:Sim.Clock.t -> unit
+(** One collection increment on [node] that ran from [t0]'s time to
+    [t1]'s: [emit bus (Ev_gc_phase ...)] followed, with spans on, by the
+    increment's span named [phase].  With no subscriber and spans off it
+    only bumps [c_gc_increments], allocating nothing.  The times come as
+    clock records so that passing them boxes no float. *)
+
+val emit_gc :
+  bus -> node:int -> clock:Sim.Clock.t -> swept:int -> live:int -> bytes_freed:int -> unit
+(** A finished collection at [clock]'s time: [emit bus (Ev_gc ...)], but
+    allocation-free when there are no subscribers. *)
+
 (** A move's root span while it is open at the source. *)
 type root = { root_id : Obs.Span.id; root_t0 : float; root_pair : string }
 

@@ -155,8 +155,15 @@ let rec step_below t ~horizon =
         true)
     | Some (Engine.Gc i) ->
       (* an in-progress incremental cycle must run to completion even if
-         sweeping has already pushed the heap back under the threshold *)
-      if t.down.(i) || not (Collect.due t.gc i) then step_below t ~horizon
+         sweeping has already pushed the heap back under the threshold.
+         The collection stands in for the node's next step, so it queues
+         that step at the post-collection clock — and so does a pop that
+         finds nothing due (a harness collected behind the loop's back) *)
+      if t.down.(i) then step_below t ~horizon
+      else if not (Collect.due t.gc i) then begin
+        ensure_step t i;
+        step_below t ~horizon
+      end
       else begin
         Collect.collect t.gc i;
         ensure_step t i;
@@ -176,11 +183,13 @@ let rec step_below t ~horizon =
           t.events <- t.events + 1;
           E.emit_step t.bus ~node:i ~time:tm;
           run_outcalls t ~src:i (K.step t.kernels.(i));
-          (* the slice advanced the node clock; read it once for both the
-             collection check and the follow-on step *)
+          (* the slice advanced the node clock.  A node left over the
+             threshold queues its collection, which queues the follow-on
+             step once it has charged its pause; a step queued here too
+             would only pop stale *)
           let at = clock.Sim.Clock.now in
-          if Collect.over_threshold t.gc i then Engine.schedule e ~at (Engine.Gc i);
-          if (not t.down.(i)) && K.has_ready t.kernels.(i) then
+          if Collect.over_threshold t.gc i then Engine.schedule e ~at (Engine.Gc i)
+          else if (not t.down.(i)) && K.has_ready t.kernels.(i) then
             Engine.schedule e ~at (Engine.Step i);
           ensure_wake t i;
           true

@@ -20,7 +20,8 @@ type frame_info = {
 type table = {
   bt_arch_id : string;
   bt_entries : entry array;
-  bt_by_pc : (int, int) Hashtbl.t;
+  bt_pcs : int array;
+  bt_pc_stops : int array;
   bt_frames : frame_info array;
 }
 
@@ -31,22 +32,40 @@ let make ~arch_id ~entries ~frames =
         invalid_arg
           (Printf.sprintf "Busstop.make: entry %d has id %d (must be dense)" i e.be_id))
     entries;
-  let by_pc = Hashtbl.create (Array.length entries * 2) in
-  Array.iter
-    (fun e ->
-      if not (e.be_exit_only || e.be_elided) then begin
-        Hashtbl.replace by_pc e.be_pc e.be_id;
-        match e.be_alt_pc with
-        | Some pc -> Hashtbl.replace by_pc pc e.be_id
-        | None -> ()
-      end)
-    entries;
-  { bt_arch_id = arch_id; bt_entries = entries; bt_by_pc = by_pc; bt_frames = frames }
+  let bindings =
+    Array.fold_left
+      (fun acc e ->
+        if e.be_exit_only || e.be_elided then acc
+        else
+          let acc = (e.be_pc, e.be_id) :: acc in
+          match e.be_alt_pc with
+          | Some pc -> (pc, e.be_id) :: acc
+          | None -> acc)
+      [] entries
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> Array.of_list
+  in
+  let pcs = Array.map fst bindings in
+  for i = 1 to Array.length pcs - 1 do
+    if pcs.(i) = pcs.(i - 1) then
+      invalid_arg (Printf.sprintf "Busstop.make: two stops at PC %#x" pcs.(i))
+  done;
+  { bt_arch_id = arch_id; bt_entries = entries; bt_pcs = pcs;
+    bt_pc_stops = Array.map snd bindings; bt_frames = frames }
+
+let id_of_pc t pc =
+  let pcs = t.bt_pcs in
+  let lo = ref 0 and hi = ref (Array.length pcs) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if pcs.(mid) < pc then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length pcs && pcs.(!lo) = pc then t.bt_pc_stops.(!lo) else -1
 
 let of_pc t pc =
-  match Hashtbl.find_opt t.bt_by_pc pc with
-  | Some id -> Some t.bt_entries.(id)
-  | None -> None
+  match id_of_pc t pc with
+  | -1 -> None
+  | id -> Some t.bt_entries.(id)
 
 let by_id t id =
   if id < 0 || id >= Array.length t.bt_entries then

@@ -43,16 +43,25 @@ type frame_info = {
 type table = {
   bt_arch_id : string;
   bt_entries : entry array;  (** dense, indexed by stop id *)
-  bt_by_pc : (int, int) Hashtbl.t;  (** visible PC -> stop id *)
+  bt_pcs : int array;  (** the visible PCs, ascending *)
+  bt_pc_stops : int array;  (** the stop id of each of [bt_pcs] *)
   bt_frames : frame_info array;  (** indexed by method index *)
 }
 
 val make : arch_id:string -> entries:entry array -> frames:frame_info array -> table
 (** Builds the PC index (excluding exit-only and elided stops, including
-    alternate PCs).  @raise Invalid_argument if entries are not dense by
-    id. *)
+    alternate PCs), sized by stops: one sorted array of PCs searched by
+    bisection.
+    @raise Invalid_argument if entries are not dense by id, or if two
+    visible PCs coincide. *)
+
+val id_of_pc : table -> int -> int
+(** The id of the stop whose visible PC (a byte offset) is [pc], or -1;
+    allocates nothing. *)
 
 val of_pc : table -> int -> entry option
+(** {!id_of_pc}'s stop. *)
+
 val by_id : table -> int -> entry
 val count : table -> int
 val pp : Format.formatter -> table -> unit

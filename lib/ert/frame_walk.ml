@@ -21,67 +21,77 @@ let self_offset k ~class_index ~method_index =
   let self_slot = Emc.Template.var_slot ct.Emc.Template.ct_ops.(method_index) 0 in
   (Kernel.frame_info k ~class_index ~method_index).Emc.Busstop.fr_slot_offsets.(self_slot)
 
-let frame_of_pc k ~pc ~fp ~ret_out =
+(* the return address out of a VAX or M68k frame *)
+let ret_out_cisc mem family fp =
+  match family with
+  | A.Vax -> Mem.load32_bits mem (fp + 8)
+  | A.M68k -> Mem.load32_bits mem (fp + 4)
+  | A.Sparc -> assert false
+
+(* the one walk over the frame chain; every argument is passed down, so
+   a walk builds no closure *)
+let rec fold_chain k mem family f ~fp ~pc ~ret_out acc =
   match Kernel.stop_at_pc k pc with
   | None -> fail "walk: PC %#x of a suspended activation record is not a bus stop" pc
   | Some (lc, entry) ->
     let class_index = lc.Kernel.lc_class.Emc.Compile.cc_index in
     let method_index = entry.Emc.Busstop.be_op in
-    let self_off = self_offset k ~class_index ~method_index in
-    let fw_self = Mem.load32_bits (Kernel.mem k) (fp + self_off) in
-    { fw_class = class_index; fw_method = method_index; fw_entry = entry; fw_fp = fp;
-      fw_ret_out = ret_out; fw_self }
+    let acc = f ~class_index ~method_index entry ~fp ~ret_out acc in
+    if ret_out = 0 then acc
+    else
+      match family with
+      | A.Vax | A.M68k ->
+        let parent_fp = Mem.load32_bits mem fp in
+        fold_chain k mem family f ~fp:parent_fp ~pc:ret_out
+          ~ret_out:(ret_out_cisc mem family parent_fp) acc
+      | A.Sparc ->
+        let fi = Kernel.frame_info k ~class_index ~method_index in
+        let sp = fp - fi.Emc.Busstop.fr_fixed_sp_depth in
+        fold_chain k mem family f
+          ~fp:(Mem.load32_bits mem (sp + sparc_i6_off))
+          ~pc:ret_out
+          ~ret_out:(Mem.load32_bits mem (sp + sparc_i7_off))
+          acc
 
-let walk k (seg : T.segment) =
-  if seg.T.seg_spawn <> None then []
-  else begin
-    let arch = Kernel.arch k in
-    let family = arch.A.family in
+let fold k (seg : T.segment) f acc =
+  match seg.T.seg_spawn with
+  | Some _ -> acc
+  | None ->
+    let family = (Kernel.arch k).A.family in
     let mem = Kernel.mem k in
     let ctx = seg.T.seg_ctx in
-    let ret_out_vax_m68k fp =
+    let fp = M.fp ctx in
+    let ret_out =
       match family with
-      | A.Vax -> Mem.load32_bits mem (fp + 8)
-      | A.M68k -> Mem.load32_bits mem (fp + 4)
-      | A.Sparc -> assert false
-    in
-    let rec go fp pc ret_out acc =
-      let fr = frame_of_pc k ~pc ~fp ~ret_out in
-      let acc = fr :: acc in
-      if ret_out = 0 then List.rev acc
-      else
-        match family with
-        | A.Vax | A.M68k ->
-          let parent_fp = Mem.load32_bits mem fp in
-          let parent_ret = ret_out_vax_m68k parent_fp in
-          go parent_fp ret_out parent_ret acc
-        | A.Sparc ->
-          let fi = Kernel.frame_info k ~class_index:fr.fw_class ~method_index:fr.fw_method in
-          let sp = fp - fi.Emc.Busstop.fr_fixed_sp_depth in
-          let parent_fp = Mem.load32_bits mem (sp + sparc_i6_off) in
-          let parent_ret = Mem.load32_bits mem (sp + sparc_i7_off) in
-          go parent_fp ret_out parent_ret acc
-    in
-    let top_fp = M.fp ctx in
-    let top_ret =
-      match family with
-      | A.Vax | A.M68k -> ret_out_vax_m68k top_fp
+      | A.Vax | A.M68k -> ret_out_cisc mem family fp
       | A.Sparc -> M.reg_int ctx 31
     in
-    go top_fp ctx.M.pc top_ret []
-  end
+    fold_chain k mem family f ~fp ~pc:ctx.M.pc ~ret_out acc
 
-let live_at k fr =
-  let ct = (Kernel.loaded_class k fr.fw_class).Kernel.lc_class.Emc.Compile.cc_template in
-  (Emc.Template.stop_by_id ct fr.fw_entry.Emc.Busstop.be_id).Emc.Template.st_live
+let cons_frame k ~class_index ~method_index fw_entry ~fp ~ret_out acc =
+  let self_off = self_offset k ~class_index ~method_index in
+  { fw_class = class_index; fw_method = method_index; fw_entry; fw_fp = fp;
+    fw_ret_out = ret_out; fw_self = Mem.load32_bits (Kernel.mem k) (fp + self_off) }
+  :: acc
 
-let live_count k fr = List.length (live_at k fr)
+let walk k seg = List.rev (fold k seg (cons_frame k) [])
 
-let fold_live k fr f acc =
-  let fi = Kernel.frame_info k ~class_index:fr.fw_class ~method_index:fr.fw_method in
-  let mem = Kernel.mem k in
-  List.fold_right
-    (fun (es : Emc.Template.entity_slot) acc ->
-      let off = fi.Emc.Busstop.fr_slot_offsets.(es.Emc.Template.es_slot) in
-      f es (Mem.load32_bits mem (fr.fw_fp + off)) acc)
-    (live_at k fr) acc
+let live_at k ~class_index (entry : Emc.Busstop.entry) =
+  let ct = (Kernel.loaded_class k class_index).Kernel.lc_class.Emc.Compile.cc_template in
+  (Emc.Template.stop_by_id ct entry.Emc.Busstop.be_id).Emc.Template.st_live
+
+let live_count k fr = List.length (live_at k ~class_index:fr.fw_class fr.fw_entry)
+
+(* [List.fold_right]'s order, with the frame passed down instead of
+   captured *)
+let rec fold_slots mem offsets fp f live acc =
+  match live with
+  | [] -> acc
+  | (es : Emc.Template.entity_slot) :: rest ->
+    let acc = fold_slots mem offsets fp f rest acc in
+    f es (Mem.load32_bits mem (fp + offsets.(es.Emc.Template.es_slot))) acc
+
+let fold_live k ~class_index ~method_index entry ~fp f acc =
+  let fi = Kernel.frame_info k ~class_index ~method_index in
+  fold_slots (Kernel.mem k) fi.Emc.Busstop.fr_slot_offsets fp f
+    (live_at k ~class_index entry) acc

@@ -5,7 +5,20 @@
     frame pointers plus the per-architecture bus-stop geometry is enough
     to enumerate the records.  Both migration (translation to the
     machine-independent format) and the garbage collector (pointer
-    identification, section 3.2/[JJ92]) are built on this walk. *)
+    identification, section 3.2/[JJ92]) are built on {!fold}, the one
+    walk over the chain. *)
+
+val fold :
+  Kernel.t -> Thread.segment ->
+  (class_index:int -> method_index:int -> Emc.Busstop.entry -> fp:int -> ret_out:int -> 'a -> 'a) ->
+  'a -> 'a
+(** [fold k seg f acc] passes each activation record, youngest first,
+    to [f]: its class index, method index, the bus stop where it is
+    suspended, its frame pointer and its absolute return address (0 at
+    the bottom).  No record or list is built, so a callback without free
+    variables makes a walk that allocates nothing (the collector's root
+    scan).  A never-executed segment has no records.
+    @raise Kernel.Runtime_error if a suspension PC is not a bus stop. *)
 
 type frame_rec = {
   fw_class : int;  (** class index of the frame's code object *)
@@ -17,18 +30,20 @@ type frame_rec = {
 }
 
 val walk : Kernel.t -> Thread.segment -> frame_rec list
-(** Youngest first.  Empty for a never-executed segment.
-    @raise Kernel.Runtime_error if a suspension PC is not a bus stop. *)
+(** {!fold}'s records as a list, youngest first: what capture and
+    migration split on. *)
 
 val fold_live :
-  Kernel.t -> frame_rec -> (Emc.Template.entity_slot -> int -> 'a -> 'a) -> 'a -> 'a
-(** [fold_live k fr f acc] folds [f] over the entities live at the
-    frame's bus stop, each with the word its slot holds as unsigned
-    32-bit bits in an [int] ({!Isa.Memory.load32_bits}), from the
-    last entity of the template's live list to the first, so that
-    consing onto [acc] yields a list in template order.  The only walk
-    over a frame's slots: capture translates every live entity, the
-    collector keeps the non-nil pointers as roots. *)
+  Kernel.t -> class_index:int -> method_index:int -> Emc.Busstop.entry -> fp:int ->
+  (Emc.Template.entity_slot -> int -> 'a -> 'a) -> 'a -> 'a
+(** [fold_live k ~class_index ~method_index entry ~fp f acc] folds [f]
+    over the entities live at the frame's bus stop, each with the word
+    its slot holds as unsigned 32-bit bits in an [int]
+    ({!Isa.Memory.load32_bits}), from the last entity of the template's
+    live list to the first, so that consing onto [acc] yields a list in
+    template order.  The only walk over a frame's slots: capture
+    translates every live entity, the collector keeps the non-nil
+    pointers as roots. *)
 
 val live_count : Kernel.t -> frame_rec -> int
 (** The number of entities {!fold_live} visits. *)

@@ -29,29 +29,21 @@
       segments, not heap size), so the caller can interleave increments
       with execution and charge virtual time per increment.
     - {!collect} is the stop-the-world tier: the same cycle run to
-      completion in one call. *)
+      completion in one call.
 
-type stats = {
-  gc_live : int;  (** blocks marked reachable *)
-  gc_swept : int;  (** blocks reclaimed *)
-  gc_bytes_freed : int;
-}
+    A node keeps one cycle state ({!t}) for all its cycles: its arrays
+    grow and are reused, and its barrier and graft hook are made once,
+    so no cycle allocates. *)
 
-val collect : ?extra_roots:Oid.t list -> ?extra_addrs:int list -> Kernel.t -> stats
-(** {!start} followed by one unbounded {!step}.  [extra_roots] pins
-    objects held by the embedding harness (objects are otherwise
-    reachable only through thread state and other objects);
-    [extra_addrs] pins raw block addresses the same way.  Must not run
-    on a kernel with an open cycle: it would replace that cycle's
-    barrier and graft hook, and remove them when it finishes.
-    @raise Kernel.Runtime_error if a segment is running (collect only
-    between scheduling slices). *)
+type t
+(** A node's collection cycle state, reused from one cycle to the next.
+    While a cycle is open the kernel's memory carries the write barrier
+    and its graft hook is installed; {!step} to completion, or {!abort}
+    (e.g. on node crash), detaches both. *)
 
-type cycle
-(** An in-progress incremental collection on one kernel.  While a cycle
-    is live the kernel's memory carries the write barrier and its graft
-    hook is installed; {!step} to completion, or {!abort} (e.g. on node
-    crash), detaches both. *)
+val create : Kernel.t -> t
+(** A closed state for the kernel's cycles.  A restarted node has a new
+    kernel, and so needs a new state. *)
 
 type phase =
   | Proots  (** about to scan the root set (first increment) *)
@@ -61,34 +53,51 @@ type phase =
 val phase_name : phase -> string
 (** ["gc_roots"], ["gc_mark"], ["gc_sweep"] — span/histogram keys. *)
 
-type progress =
-  | Step_more of { scanned : int; phase : phase }
-      (** the increment scanned [scanned] slots and the cycle continues
-          in [phase] *)
-  | Step_done of { scanned : int; stats : stats }
-      (** the sweep finished (after scanning [scanned] more slots);
-          hooks are detached *)
-
-val start : ?extra_roots:Oid.t list -> ?extra_addrs:int list -> Kernel.t -> cycle
-(** Snapshot the block population (a copy of the kernel's
+val start : t -> extra_roots:Oid.t list -> extra_addrs:int list -> unit
+(** Open a cycle: snapshot the block population (a copy of the kernel's
     address-ordered block table), whiten it, and install the write
     barrier and graft hook.  No scanning happens yet; the first {!step}
     scans the roots (the node must be quiesced for that call, exactly as
-    for {!collect}). *)
+    for {!collect}).  [extra_roots] pins objects held by the embedding
+    harness (objects are otherwise reachable only through thread state
+    and other objects); [extra_addrs] pins raw block addresses the same
+    way.
+    @raise Invalid_argument if the state's cycle is already open. *)
 
-val step : cycle -> Kernel.t -> budget:int -> progress
-(** Run one bounded increment ([budget] is clamped to at least 1 slot).
-    After [Step_done] the cycle must not be stepped again. *)
+val step : t -> budget:int -> int
+(** Run one bounded increment ([budget] is clamped to at least 1 slot)
+    and return the slots it scanned.  The increment that finishes the
+    sweep closes the cycle ({!is_open} turns false) and detaches the
+    hooks; a closed state's step scans nothing. *)
 
-val abort : cycle -> Kernel.t -> unit
+val collect : t -> extra_roots:Oid.t list -> extra_addrs:int list -> unit
+(** {!start} followed by one unbounded {!step}; read the outcome with
+    {!live}, {!swept} and {!bytes_freed}.
+    @raise Kernel.Runtime_error if a segment is running (collect only
+    between scheduling slices); the cycle is closed again. *)
+
+val is_open : t -> bool
+
+val phase : t -> phase
+(** The phase the open cycle continues in; [Psweep] once it finished. *)
+
+val live : t -> int
+(** Blocks marked reachable by the current (or last) cycle. *)
+
+val swept : t -> int
+(** Blocks it reclaimed. *)
+
+val bytes_freed : t -> int
+
+val abort : t -> unit
 (** Discard the cycle's mark state and detach the barrier and graft
     hook — the crash-mid-cycle path; the next cycle starts from
     scratch, exactly like the location directory's soft-state rule. *)
 
-val grey_segment : cycle -> Kernel.t -> Thread.segment -> unit
+val grey_segment : t -> Thread.segment -> unit
 (** Migration send-off: grey the departing segment's current roots
     before it is captured out of the root set. *)
 
-val grey_addr : cycle -> Kernel.t -> int -> unit
+val grey_addr : t -> int -> unit
 (** Grey one block address (no-op for addresses outside the snapshot or
     already marked). *)

@@ -1,7 +1,7 @@
 (** Node-local heap allocator.
 
-    A bump allocator with size-segregated free lists (refilled by the
-    garbage collector).  Everything the generated code touches — object
+    A bump allocator with size-segregated stacks of free addresses,
+    last freed first (refilled by the garbage collector).  Everything the generated code touches — object
     descriptors, string blocks, monitor queue nodes, descriptor tables,
     thread stacks — comes from here, inside the node's byte-addressable
     memory and below the text segment. *)

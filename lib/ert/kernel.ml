@@ -29,6 +29,8 @@ type loaded_class = {
   lc_image : Isa.Text.image;
   lc_desc_addr : int;
   lc_process : int;  (* method index of [$process], or -1 *)
+  lc_at_stop : (loaded_class * Emc.Busstop.entry) option array;
+      (* [stop_at_pc]'s answer for each stop id, built at load *)
 }
 
 type outcall =
@@ -77,12 +79,18 @@ type t = {
   mutable loaded : loaded_class option array;  (* by class index *)
   mutable literals : int array;
       (* string-literal blocks of the loaded classes, in load order *)
-  code_owner : (loaded_class * Emc.Busstop.entry option) option Oid_table.t;
+  code_owner : (loaded_class * int) option Oid_table.t;
       (* code OID of every loaded text image -> its class, and for a
-         bridge fragment the elided stop the fragment stands for *)
+         bridge fragment the id of the elided stop the fragment stands
+         for (-1 for the class's own image) *)
   objects : int Oid_table.t;  (* resident: OID -> descriptor address *)
   proxies : int Oid_table.t;
   segs : (int, Thread.segment) Hashtbl.t;
+  mutable seg_order : Thread.segment array;
+  mutable nsegs : int;
+      (* the first [nsegs] slots: [segs]'s segments in ascending id, the
+         collector's scan order ([segs] stays a Hashtbl because its fold
+         order reaches virtual numbers) *)
   seg_forwards : (int, int) Hashtbl.t;  (* migrated segment -> node *)
   stack_users : (int, int) Hashtbl.t;
       (* held stack region (top address) -> registered segments on it *)
@@ -161,6 +169,8 @@ let create ?clock ~node_id ~arch () =
     objects = Oid_table.create ~dummy:0 ();
     proxies = Oid_table.create ~dummy:0 ();
     segs = Hashtbl.create 16;
+    seg_order = [||];
+    nsegs = 0;
     seg_forwards = Hashtbl.create 16;
     stack_users = Hashtbl.create 16;
     stack_pool = [];
@@ -199,7 +209,9 @@ let heap t = t.kheap
 let clock t = t.kclock
 let time_us t = t.kclock.Sim.Clock.now
 let set_time_us t v = Sim.Clock.advance_to t.kclock v
-let charge_insns t n = Sim.Clock.add t.kclock (float_of_int n /. t.karch.A.mips)
+let charge_insns t n =
+  let clk = t.kclock in
+  clk.Sim.Clock.now <- clk.Sim.Clock.now +. (float_of_int n /. t.karch.A.mips)
 let charge_us t us = Sim.Clock.add t.kclock us
 
 (* roll virtual time back by [us]: async migration credits the portion of
@@ -352,22 +364,27 @@ let loaded_class t class_index =
           addr)
         strings
     in
+    let stops = art.Emc.Compile.aa_stops in
     let lc =
       {
         lc_class = cc;
         lc_code = code;
-        lc_stops = art.Emc.Compile.aa_stops;
+        lc_stops = stops;
         lc_image = image;
         lc_desc_addr = desc;
         lc_process =
           (match Isa.Code.method_by_name code "$process" with
           | Some m -> m.Isa.Code.method_index
           | None -> -1);
+        lc_at_stop = Array.make (Emc.Busstop.count stops) None;
       }
     in
+    Array.iteri
+      (fun id entry -> lc.lc_at_stop.(id) <- Some (lc, entry))
+      stops.Emc.Busstop.bt_entries;
     t.loaded.(class_index) <- Some lc;
     t.literals <- Array.append t.literals string_addrs;
-    Oid_table.replace t.code_owner code.Isa.Code.code_oid (Some (lc, None));
+    Oid_table.replace t.code_owner code.Isa.Code.code_oid (Some (lc, -1));
     (match t.on_code_load with
     | Some f -> f ()
     | None -> ());
@@ -509,11 +526,13 @@ let evict_object t ~addr ~forward_to =
 let objects t = Oid_table.fold (fun oid addr acc -> (oid, addr) :: acc) t.objects []
 let iter_objects t f = Oid_table.iter f t.objects
 
-let iter_blocks t f =
+let fold_blocks t f acc =
+  let acc = ref acc in
   for i = 0 to t.nslots - 1 do
     let size = t.blk_size.(i) in
-    if size > 0 then f ~addr:t.blk_addr.(i) ~size
-  done
+    if size > 0 then acc := f ~addr:t.blk_addr.(i) ~size !acc
+  done;
+  !acc
 
 let block_count t = t.nblocks
 
@@ -525,9 +544,10 @@ let free_block t addr =
     t.nblocks <- t.nblocks - 1;
     (match t.blk_kind.(i) with
     | Bobject | Bproxy ->
-      let oid = oid_at t addr in
-      if Oid_table.find t.objects oid = addr then Oid_table.remove t.objects oid;
-      if Oid_table.find t.proxies oid = addr then Oid_table.remove t.proxies oid
+      (* [Oid.intern (oid_at t addr)], read without the int32 *)
+      let key = M.sx (Mem.load32_bits t.kmem (addr + L.obj_oid)) in
+      if Oid_table.find_key t.objects key = addr then Oid_table.remove_key t.objects key;
+      if Oid_table.find_key t.proxies key = addr then Oid_table.remove_key t.proxies key
     | Bstring | Bvector -> ());
     Heap.free t.kheap ~addr ~size
   end
@@ -590,24 +610,25 @@ let rec raw_of_value t v =
 (* Bus stops ------------------------------------------------------------------ *)
 
 let image_owner t (img : Isa.Text.image) =
-  Oid_table.find t.code_owner img.Isa.Text.code.Isa.Code.code_oid
+  if img == Isa.Text.none then None
+  else Oid_table.find t.code_owner img.Isa.Text.code.Isa.Code.code_oid
 
+(* every answer is one the class built at load, so a lookup allocates
+   nothing *)
 let stop_at_pc t pc =
-  match Isa.Text.find t.ktext pc with
+  let img = Isa.Text.find t.ktext pc in
+  match image_owner t img with
   | None -> None
-  | Some img -> (
-    match image_owner t img with
-    | None -> None
-    | Some (lc, Some bridged) ->
-      (* suspended inside a bridge fragment: the thread is at the elided
-         stop of the real class — same stop id, same frame, so capture
-         (and hence re-migration from inside a bridge) needs no special
-         case *)
-      Some (lc, bridged)
-    | Some (lc, None) -> (
-      match Emc.Busstop.of_pc lc.lc_stops (pc - img.Isa.Text.base) with
-      | Some entry -> Some (lc, entry)
-      | None -> None))
+  | Some (lc, bridged) ->
+    (* suspended inside a bridge fragment, the thread is at the elided
+       stop of the real class — same stop id, same frame, so capture
+       (and hence re-migration from inside a bridge) needs no special
+       case *)
+    let id =
+      if bridged >= 0 then bridged
+      else Emc.Busstop.id_of_pc lc.lc_stops (pc - img.Isa.Text.base)
+    in
+    if id < 0 then None else lc.lc_at_stop.(id)
 
 let at_stop t (seg : Thread.segment) =
   match seg.Thread.seg_status with
@@ -655,7 +676,7 @@ let ensure_bridge t ~class_index (entry : Emc.Busstop.entry) =
         ~methods:[||] insns
     in
     let image = Isa.Text.load t.ktext code in
-    Oid_table.replace t.code_owner frag_oid (Some (lc, Some entry));
+    Oid_table.replace t.code_owner frag_oid (Some (lc, stop_id));
     Bridge.add t.kbridge ~code_oid ~stop_id image.Isa.Text.base;
     image.Isa.Text.base
 
@@ -670,6 +691,38 @@ let resume_abs t ~class_index (entry : Emc.Busstop.entry) =
 
 let segments t = Hashtbl.fold (fun _ s acc -> s :: acc) t.segs []
 let find_segment t id = Hashtbl.find_opt t.segs id
+let segment_by_rank t i = t.seg_order.(i)
+
+(* the first ordered slot whose segment id is at least [id] *)
+let seg_rank t id =
+  let lo = ref 0 and hi = ref t.nsegs in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if t.seg_order.(mid).Thread.seg_id < id then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let order_segment t seg =
+  let id = seg.Thread.seg_id and n = t.nsegs in
+  let i = seg_rank t id in
+  if i < n && t.seg_order.(i).Thread.seg_id = id then t.seg_order.(i) <- seg
+  else begin
+    if n = Array.length t.seg_order then begin
+      let bigger = Array.make (max 8 (2 * n)) seg in
+      Array.blit t.seg_order 0 bigger 0 n;
+      t.seg_order <- bigger
+    end;
+    Array.blit t.seg_order i t.seg_order (i + 1) (n - i);
+    t.seg_order.(i) <- seg;
+    t.nsegs <- n + 1
+  end
+
+let unorder_segment t id =
+  let i = seg_rank t id in
+  if i < t.nsegs && t.seg_order.(i).Thread.seg_id = id then begin
+    Array.blit t.seg_order (i + 1) t.seg_order i (t.nsegs - i - 1);
+    t.nsegs <- t.nsegs - 1
+  end
 
 let fresh_tid t =
   t.tid_serial <- t.tid_serial + 1;
@@ -741,6 +794,7 @@ let register_segment t seg =
     | None -> ()));
   seg.Thread.seg_live <- true;
   Hashtbl.replace t.segs seg.Thread.seg_id seg;
+  order_segment t seg;
   Hashtbl.remove t.seg_forwards seg.Thread.seg_id;
   match seg.Thread.seg_status with
   | Thread.Parked _ -> enqueue_ready t seg
@@ -755,6 +809,7 @@ let unregister_segment t seg =
   | None -> ());
   seg.Thread.seg_live <- false;
   Hashtbl.remove t.segs seg.Thread.seg_id;
+  unorder_segment t seg.Thread.seg_id;
   Hashtbl.remove t.evict_arms seg.Thread.seg_id
 
 let retire_segment t seg =
@@ -886,7 +941,7 @@ let deliver_result t seg value =
        register (applied at dispatch) *)
     let pc = seg.Thread.seg_ctx.M.pc in
     let lc =
-      match Option.bind (Isa.Text.find t.ktext pc) (image_owner t) with
+      match image_owner t (Isa.Text.find t.ktext pc) with
       | Some (lc, _) -> lc
       | None -> error "deliver_result: PC %#x is in no loaded code" pc
     in
@@ -898,7 +953,8 @@ let deliver_result t seg value =
     error "deliver_result: segment %d is not awaiting a reply" seg.Thread.seg_id
 
 let root_result t tid = Hashtbl.find_opt t.root_results tid
-let iter_root_results t f = Hashtbl.iter f t.root_results
+let fold_root_results t f acc =
+  if Hashtbl.length t.root_results = 0 then acc else Hashtbl.fold f t.root_results acc
 
 (* Monitors ------------------------------------------------------------------- *)
 
@@ -1314,7 +1370,7 @@ let dispatch_syscall t seg (lc : loaded_class) (entry : Emc.Busstop.entry) nr =
 (* Scheduling ---------------------------------------------------------------- *)
 
 let has_ready t = not (Queue.is_empty t.run_queue)
-let live_segment_count t = Hashtbl.length t.segs
+let live_segment_count t = t.nsegs
 
 let apply_resume t seg =
   let ctx = seg.Thread.seg_ctx in

@@ -25,6 +25,9 @@ type loaded_class = {
   lc_image : Isa.Text.image;
   lc_desc_addr : int;  (** descriptor table in data memory *)
   lc_process : int;  (** method index of the process section, or -1 *)
+  lc_at_stop : (loaded_class * Emc.Busstop.entry) option array;
+      (** {!stop_at_pc}'s answer for each stop id of the class, built
+          when the class loads *)
 }
 
 type outcall =
@@ -151,12 +154,12 @@ val iter_objects : t -> (Oid.t -> int -> unit) -> unit
 (** Iterate the resident objects without building the assoc list; dense
     slot order (deterministic in the operation sequence). *)
 
-val iter_blocks : t -> (addr:int -> size:int -> unit) -> unit
-(** The blocks the collector may sweep (objects, proxies, strings and
-    vectors), in ascending address order. *)
+val fold_blocks : t -> (addr:int -> size:int -> 'a -> 'a) -> 'a -> 'a
+(** Fold over the blocks the collector may sweep (objects, proxies,
+    strings and vectors), in ascending address order. *)
 
 val block_count : t -> int
-(** How many blocks {!iter_blocks} visits. *)
+(** How many blocks {!fold_blocks} visits. *)
 
 val free_block : t -> int -> unit
 (** Return a swept block to the allocator and drop its table entries;
@@ -183,7 +186,9 @@ val stop_at_pc : t -> int -> (loaded_class * Emc.Busstop.entry) option
 (** Resolve an absolute PC to the loaded class and bus stop it parks at.
     A PC inside a bridge fragment resolves to the real class and the
     elided stop the fragment bridges — capture inside a bridge looks
-    identical to capture at the stop itself. *)
+    identical to capture at the stop itself.  The answer is one of the
+    class's [lc_at_stop], found through {!Isa.Text.find}, the code-OID
+    table and {!Emc.Busstop.id_of_pc}: a lookup allocates nothing. *)
 
 val stop_by_id : t -> class_index:int -> stop_id:int -> Emc.Busstop.entry
 val frame_info : t -> class_index:int -> method_index:int -> Emc.Busstop.frame_info
@@ -278,9 +283,10 @@ val root_result : t -> Thread.tid -> Value.t option option
 (** [Some r] once the root thread has finished ([r = None] for a
     resultless operation). *)
 
-val iter_root_results : t -> (Thread.tid -> Value.t option -> unit) -> unit
-(** Iterate delivered-but-unread root results — the collector treats
-    their values as roots until the harness reads them. *)
+val fold_root_results : t -> (Thread.tid -> Value.t option -> 'a -> 'a) -> 'a -> 'a
+(** Fold over delivered-but-unread root results — the collector treats
+    their values as roots until the harness reads them.  An empty table
+    returns the accumulator without a traversal. *)
 
 (* monitors *)
 val monitor_locked : t -> obj_addr:int -> bool
@@ -407,3 +413,8 @@ val step : t -> outcall list
 
 val has_ready : t -> bool
 val live_segment_count : t -> int
+
+val segment_by_rank : t -> int -> Thread.segment
+(** [segment_by_rank k i], for [0 <= i < live_segment_count k]: the
+    registered segments in ascending id, without a list — the
+    collector's scan order. *)

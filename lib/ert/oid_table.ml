@@ -59,15 +59,18 @@ let create ?(capacity = 8) ~dummy () =
 
 let length t = t.n
 
-let slot t oid =
-  let i = cell_of t (Oid.intern oid) in
+let slot_of_key t key =
+  let i = cell_of t key in
   if t.cell_key.(i) = empty then -1 else t.cell_slot.(i)
 
+let slot t oid = slot_of_key t (Oid.intern oid)
 let mem t oid = slot t oid >= 0
 
-let find t oid =
-  let s = slot t oid in
+let find_key t key =
+  let s = slot_of_key t key in
   if s < 0 then t.dummy else t.vals.(s)
+
+let find t oid = find_key t (Oid.intern oid)
 
 let find_opt t oid =
   let s = slot t oid in
@@ -129,8 +132,8 @@ let close_hole t hole =
   done;
   cell_key.(!hole) <- empty
 
-let remove t oid =
-  let i = cell_of t (Oid.intern oid) in
+let remove_key t key =
+  let i = cell_of t key in
   if t.cell_key.(i) <> empty then begin
     let s = t.cell_slot.(i) in
     close_hole t i;
@@ -145,6 +148,8 @@ let remove t oid =
     t.vals.(last) <- t.dummy;
     t.n <- last
   end
+
+let remove t oid = remove_key t (Oid.intern oid)
 
 let clear t =
   Array.fill t.cell_key 0 (Array.length t.cell_key) empty;

@@ -32,6 +32,11 @@ val slot : 'a t -> Oid.t -> int
 val replace : 'a t -> Oid.t -> 'a -> unit
 val remove : 'a t -> Oid.t -> unit
 
+val find_key : 'a t -> int -> 'a
+val remove_key : 'a t -> int -> unit
+(** {!find} and {!remove} by the OID's {!Oid.intern} image, for a caller
+    that read it as an int and so boxes no [int32]. *)
+
 val clear : 'a t -> unit
 (** Remove every binding; the table keeps its size. *)
 

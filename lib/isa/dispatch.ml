@@ -1054,18 +1054,16 @@ let table_for cache ~mem (img : Text.image) =
    only re-entry: a dynamic transfer whose target needs the text map. *)
 let run cache ctx ~mem ~text ~fuel =
   cache.stats.st_slices <- cache.stats.st_slices + 1;
-  let img_memo = ref None in
+  let img_memo = ref Text.none in
   let image_for pc =
-    match !img_memo with
-    | Some img
-      when pc >= img.Text.base && pc < img.Text.base + img.Text.code.Code.byte_size
-      -> img
-    | Some _ | None -> (
-      match Text.find text pc with
-      | Some img ->
-        img_memo := Some img;
-        img
-      | None -> raise (M.Trapped (Suspend.Bad_pc pc)))
+    let img = !img_memo in
+    if pc >= img.Text.base && pc < img.Text.base + img.Text.code.Code.byte_size then img
+    else begin
+      let img = Text.find text pc in
+      if img == Text.none then raise (M.Trapped (Suspend.Bad_pc pc));
+      img_memo := img;
+      img
+    end
   in
   let rec drive fuel =
     if fuel <= 0 then Suspend.Fuel

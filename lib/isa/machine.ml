@@ -183,24 +183,23 @@ let sparc_restore ctx mem =
   done
 
 type exec_state = {
-  mutable img : Text.image option;
+  mutable img : Text.image;  (* the image of the last fetch; [Text.none] at first *)
 }
 
 let image_for text state pc =
-  match state.img with
-  | Some img when pc >= img.Text.base && pc < img.Text.base + img.Text.code.Code.byte_size
-    -> img
-  | Some _ | None -> (
-    match Text.find text pc with
-    | Some img ->
-      state.img <- Some img;
-      img
-    | None -> raise (Trapped (Suspend.Bad_pc pc)))
+  let img = state.img in
+  if pc >= img.Text.base && pc < img.Text.base + img.Text.code.Code.byte_size then img
+  else begin
+    let img = Text.find text pc in
+    if img == Text.none then raise (Trapped (Suspend.Bad_pc pc));
+    state.img <- img;
+    img
+  end
 
 let run ctx ~mem ~text ~fuel =
   let family = ctx.arch.Arch.family in
   let fmt = ctx.arch.Arch.float_format in
-  let state = { img = None } in
+  let state = { img = Text.none } in
   (* direct-style hot loop: each arm tail-calls [exec] with the fuel it
      has left or returns its stop reason outright, so a slice costs no
      result/fuel refs, no closures, and no per-instruction stop check *)
@@ -381,12 +380,11 @@ let run ctx ~mem ~text ~fuel =
   try exec fuel with Trapped t -> Suspend.Trap t
 
 let syscall_resume ctx ~text =
-  match Text.find text ctx.pc with
-  | None -> invalid_arg "Machine.syscall_resume: PC outside text"
-  | Some img ->
-    let idx = Code.index_at img.Text.code (ctx.pc - img.Text.base) in
-    let insn = img.Text.code.Code.insns.(idx) in
-    ctx.pc <- ctx.pc + Insn.size_bytes ctx.arch.Arch.family insn
+  let img = Text.find text ctx.pc in
+  if img == Text.none then invalid_arg "Machine.syscall_resume: PC outside text";
+  let idx = Code.index_at img.Text.code (ctx.pc - img.Text.base) in
+  let insn = img.Text.code.Code.insns.(idx) in
+  ctx.pc <- ctx.pc + Insn.size_bytes ctx.arch.Arch.family insn
 
 let pp_trap = Suspend.pp_trap
 let pp_stop ppf s = Suspend.pp ppf s

@@ -19,8 +19,7 @@ let create ~endian ~size =
 let endian t = t.endian
 let size t = Bytes.length t.data
 
-let set_store_barrier t f = t.barrier <- Some f
-let clear_store_barrier t = t.barrier <- None
+let set_store_barrier t f = t.barrier <- f
 
 let grow_to t wanted =
   if wanted > Bytes.length t.data then begin

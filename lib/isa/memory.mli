@@ -19,16 +19,15 @@ val endian : t -> Endian.t
 val size : t -> int
 val grow_to : t -> int -> unit
 
-(** Install the incremental collector's write barrier: [f old_bits
-    new_bits] is called on every 32-bit store (checked or unsafe) with
-    the overwritten and the stored word as unsigned bits, before the
-    store lands.  At most one barrier is installed at a time; installing
-    replaces.  With no barrier installed a store costs one extra
-    branch. *)
-val set_store_barrier : t -> (int -> int -> unit) -> unit
-
-(** Remove the installed barrier, restoring plain stores. *)
-val clear_store_barrier : t -> unit
+(** Install the incremental collector's write barrier: with [Some f],
+    [f old_bits new_bits] is called on every 32-bit store (checked or
+    unsafe) with the overwritten and the stored word as unsigned bits,
+    before the store lands; [None] removes it, restoring plain stores.
+    At most one barrier is installed at a time; installing replaces.
+    With no barrier installed a store costs one extra branch.  The
+    option is stored as given, so a caller that keeps its [Some f]
+    installs without allocating. *)
+val set_store_barrier : t -> (int -> int -> unit) option -> unit
 val load32 : t -> int -> int32
 val store32 : t -> int -> int32 -> unit
 

@@ -22,8 +22,12 @@ val load : t -> Code.t -> image
 (** Load a code object, assigning it a fresh base.  Loading the same code
     object twice returns the existing image. *)
 
-val find : t -> int -> image option
-(** Image containing the given absolute address. *)
+val none : image
+(** What {!find} returns for an address in no image: based at -1 with
+    empty code, so no address falls inside it.  Compare with [==]. *)
+
+val find : t -> int -> image
+(** The image containing the given absolute address, or {!none}: one
+    bisection over the images in base order, allocating nothing. *)
 
 val find_by_oid : t -> int32 -> image option
-val images : t -> image list

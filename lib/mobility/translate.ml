@@ -33,7 +33,8 @@ let capture_frame k (fr : FW.frame_rec) =
   let slots = Array.make n 0 and tags = Bytes.make n '\000' and words = Array.make n 0 in
   let boxed = ref [] in
   let (_ : int) =
-    FW.fold_live k fr
+    FW.fold_live k ~class_index:fr.FW.fw_class ~method_index:fr.FW.fw_method fr.FW.fw_entry
+      ~fp:fr.FW.fw_fp
       (fun es bits i ->
         slots.(i) <- es.Emc.Template.es_slot;
         let tag =

@@ -256,29 +256,64 @@ object Main
 end Main
 |}
 
+(* both tiers, each run twice: once heard by a subscriber, whose events
+   must match the bus counters, and once with no listener at all, where
+   the bus builds no gc event and only counts.  The two runs must agree
+   on every collection counter, the result and the final node clock. *)
 let test_gc_emission () =
-  let cl = C.create ~gc_threshold:(8 * 1024) ~archs:[ A.sparc ] () in
-  ignore (C.compile_and_load cl ~name:"churn" churn_src);
-  let gcs = ref 0 and freed = ref 0 in
-  C.subscribe_events cl (fun ev ->
-      match ev with
-      | E.Ev_gc { bytes_freed; _ } ->
-        incr gcs;
-        freed := !freed + bytes_freed
-      | _ -> ());
-  let main = C.create_object cl ~node:0 ~class_name:"Main" in
-  let tid = C.spawn cl ~node:0 ~target:main ~op:"churn" ~args:[ V.Vint 200l ] in
-  (match C.run_until_result cl tid with
-  | Some (V.Vint 42l) -> ()
-  | _ -> Alcotest.fail "wrong result under automatic GC");
-  if !gcs = 0 then Alcotest.fail "no Ev_gc events under a tight threshold";
-  if !freed = 0 then Alcotest.fail "the collections freed nothing";
-  check Alcotest.int "collection counter" !gcs
-    (C.node_counters cl 0).E.c_collections;
-  check Alcotest.int "freed-bytes counter" !freed
-    (C.node_counters cl 0).E.c_gc_bytes_freed;
-  check Alcotest.int "cluster collections agree" !gcs
-    (C.total_counter cl (fun c -> c.E.c_collections))
+  let run ~gc_mode ~heard =
+    let cl =
+      C.create ~gc_threshold:(8 * 1024) ~gc_mode ~gc_budget:8 ~archs:[ A.sparc ] ()
+    in
+    ignore (C.compile_and_load cl ~name:"churn" churn_src);
+    let gcs = ref 0 and freed = ref 0 and phases = ref 0 in
+    if heard then
+      C.subscribe_events cl (fun ev ->
+          match ev with
+          | E.Ev_gc { bytes_freed; _ } ->
+            incr gcs;
+            freed := !freed + bytes_freed
+          | E.Ev_gc_phase _ -> incr phases
+          | _ -> ());
+    let main = C.create_object cl ~node:0 ~class_name:"Main" in
+    let tid = C.spawn cl ~node:0 ~target:main ~op:"churn" ~args:[ V.Vint 200l ] in
+    let result =
+      match C.run_until_result cl tid with
+      | Some (V.Vint r) -> Int32.to_int r
+      | _ -> Alcotest.fail "wrong result under automatic GC"
+    in
+    let c = C.node_counters cl 0 in
+    if heard then begin
+      if !gcs = 0 then Alcotest.fail "no Ev_gc events under a tight threshold";
+      if !freed = 0 then Alcotest.fail "the collections freed nothing";
+      check Alcotest.int "collection counter" !gcs c.E.c_collections;
+      check Alcotest.int "freed-bytes counter" !freed c.E.c_gc_bytes_freed;
+      check Alcotest.int "increment counter" !phases c.E.c_gc_increments;
+      check Alcotest.int "cluster collections agree" !gcs
+        (C.total_counter cl (fun c -> c.E.c_collections))
+    end;
+    ( (result, c.E.c_collections, c.E.c_gc_increments, c.E.c_gc_bytes_freed),
+      Ert.Kernel.time_us (C.kernel cl 0) )
+  in
+  let counts = Alcotest.(pair int (pair int (pair int int))) in
+  let flat (r, a, b, c) = (r, (a, (b, c))) in
+  List.iter
+    (fun (name, gc_mode) ->
+      let ((result, collections, increments, _) as heard), heard_us =
+        run ~gc_mode ~heard:true
+      in
+      let alone, alone_us = run ~gc_mode ~heard:false in
+      check Alcotest.int (name ^ ": result") 42 result;
+      check counts (name ^ ": counters without a listener") (flat heard) (flat alone);
+      check (Alcotest.float 0.0) (name ^ ": final clock without a listener") heard_us
+        alone_us;
+      match gc_mode with
+      | C.Gc_stw -> check Alcotest.int "stop-the-world emits no phases" 0 increments
+      | C.Gc_incremental ->
+        if increments <= collections then
+          Alcotest.failf "%d increments for %d collections: no cycle ran in steps"
+            increments collections)
+    [ ("stop-the-world", C.Gc_stw); ("incremental", C.Gc_incremental) ]
 
 let suites =
   [

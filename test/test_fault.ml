@@ -141,7 +141,8 @@ let test_partition_heal_search_recovery () =
   in
   Core.Cluster.run cl;
   ignore (Core.Cluster.result cl mt);
-  ignore (Ert.Gc.collect ~extra_roots:[ mover ] (Core.Cluster.kernel cl 1));
+  Ert.Gc.collect (Ert.Gc.create (Core.Cluster.kernel cl 1)) ~extra_roots:[ mover ]
+    ~extra_addrs:[];
   (* node 0 — the partitioned minority — invokes through the creator
      hint; the invoke cannot cross the cut until it heals at 40ms *)
   let caller = Core.Cluster.create_object cl ~node:0 ~class_name:"Caller" in

@@ -6,6 +6,22 @@ module V = Ert.Value
 
 let check = Alcotest.check
 
+(* a finished cycle's outcome *)
+type stats = {
+  live : int;
+  swept : int;
+  bytes_freed : int;
+}
+
+let stats_of cy =
+  { live = Ert.Gc.live cy; swept = Ert.Gc.swept cy; bytes_freed = Ert.Gc.bytes_freed cy }
+
+(* one stop-the-world cycle on a newly made state *)
+let collect ?(roots = []) k =
+  let cy = Ert.Gc.create k in
+  Ert.Gc.collect cy ~extra_roots:roots ~extra_addrs:[];
+  stats_of cy
+
 let garbage_src =
   {|
 object Cell
@@ -60,12 +76,12 @@ let test_collects_garbage () =
         | Some (V.Vint v) -> Int32.to_int v
         | _ -> -1);
       let k = Core.Cluster.kernel cl 0 in
-      let stats = Ert.Gc.collect ~extra_roots:[ main ] k in
+      let stats = collect ~roots:[ main ] k in
       (* 50 dead cells and 100+ dead strings must go *)
-      if stats.Ert.Gc.gc_swept < 50 then
+      if stats.swept < 50 then
         Alcotest.failf "%s: expected >= 50 swept blocks, got %d" arch.A.id
-          stats.Ert.Gc.gc_swept;
-      if stats.Ert.Gc.gc_bytes_freed <= 0 then Alcotest.fail "no bytes freed")
+          stats.swept;
+      if stats.bytes_freed <= 0 then Alcotest.fail "no bytes freed")
     A.all
 
 let test_preserves_reachable_mid_run () =
@@ -86,7 +102,7 @@ let test_preserves_reachable_mid_run () =
         | None ->
           if not (Core.Cluster.step_once cl) then Alcotest.fail "quiescent without result";
           incr steps;
-          if !steps mod 7 = 0 then ignore (Ert.Gc.collect ~extra_roots:[ main ] k);
+          if !steps mod 7 = 0 then ignore (collect ~roots:[ main ] k);
           go ()
       in
       let r = go () in
@@ -101,9 +117,9 @@ let test_gc_idempotent () =
   let tid = Core.Cluster.spawn cl ~node:0 ~target:main ~op:"churn" ~args:[ V.Vint 10l ] in
   ignore (Core.Cluster.run_until_result cl tid);
   let k = Core.Cluster.kernel cl 0 in
-  ignore (Ert.Gc.collect ~extra_roots:[ main ] k);
-  let second = Ert.Gc.collect ~extra_roots:[ main ] k in
-  check Alcotest.int "second collection sweeps nothing" 0 second.Ert.Gc.gc_swept
+  ignore (collect ~roots:[ main ] k);
+  let second = collect ~roots:[ main ] k in
+  check Alcotest.int "second collection sweeps nothing" 0 second.swept
 
 let test_gc_after_migration () =
   (* after an object moves away, its stale blocks on the source are garbage
@@ -139,9 +155,9 @@ end Main
     (match r with
     | Some (V.Vint v) -> Int32.to_int v
     | _ -> -1);
-  let s0 = Ert.Gc.collect ~extra_roots:[ main ] (Core.Cluster.kernel cl 0) in
-  let s1 = Ert.Gc.collect (Core.Cluster.kernel cl 1) in
-  if s0.Ert.Gc.gc_swept = 0 then Alcotest.fail "source node should have garbage";
+  let s0 = collect ~roots:[ main ] (Core.Cluster.kernel cl 0) in
+  let s1 = collect (Core.Cluster.kernel cl 1) in
+  if s0.swept = 0 then Alcotest.fail "source node should have garbage";
   ignore s1
 
 let test_automatic_collection () =
@@ -192,7 +208,7 @@ let test_parked_monitor_waiter_keeps_monitor () =
   in
   Ert.Kernel.monitor_enqueue_blocked k ~obj_addr:mon_addr ~deadline:10_000.0
     seg;
-  ignore (Ert.Gc.collect ~extra_roots:[ main ] k : Ert.Gc.stats);
+  ignore (collect ~roots:[ main ] k : stats);
   (match Ert.Kernel.find_object k mon with
   | Some _ -> ()
   | None -> Alcotest.fail "monitor object swept while a waiter was queued");
@@ -229,10 +245,7 @@ let vector_elements_unsigned_prop =
 
 let bare_kernel () = Ert.Kernel.create ~node_id:0 ~arch:A.sparc ()
 
-let table k =
-  let acc = ref [] in
-  Ert.Kernel.iter_blocks k (fun ~addr ~size -> acc := (addr, size) :: !acc);
-  List.rev !acc
+let table k = List.rev (Ert.Kernel.fold_blocks k (fun ~addr ~size acc -> (addr, size) :: acc) [])
 
 let string_size s = Emc.Layout.str_bytes + String.length s
 
@@ -256,11 +269,11 @@ let test_block_inserted_in_order () =
     [ (first, string_size "first string"); (middle, string_size "four");
       (second, string_size "second string") ]
     (table k);
-  let s = Ert.Gc.collect k in
-  check Alcotest.int "all three swept" 3 s.Ert.Gc.gc_swept;
+  let s = collect k in
+  check Alcotest.int "all three swept" 3 s.swept;
   check Alcotest.int "bytes freed"
     (string_size "first string" + string_size "four" + string_size "second string")
-    s.Ert.Gc.gc_bytes_freed;
+    s.bytes_freed;
   check Alcotest.int "table empty" 0 (Ert.Kernel.block_count k)
 
 (* a freed block keeps its slot; reuse from the size class revives it
@@ -268,10 +281,10 @@ let test_block_inserted_in_order () =
 let test_block_revived_with_new_size () =
   let k = bare_kernel () in
   let three = Ert.Kernel.make_string k "abc" in
-  check Alcotest.int "3 characters" 11 (Ert.Gc.collect k).Ert.Gc.gc_bytes_freed;
+  check Alcotest.int "3 characters" 11 (collect k).bytes_freed;
   let four = Ert.Kernel.make_string k "abcd" in
   check Alcotest.int "same address" three four;
-  check Alcotest.int "4 characters" 12 (Ert.Gc.collect k).Ert.Gc.gc_bytes_freed
+  check Alcotest.int "4 characters" 12 (collect k).bytes_freed
 
 type block_op =
   | Make_string of int  (* characters *)
@@ -354,6 +367,81 @@ let block_table_prop =
         ops)
 
 (* ----------------------------------------------------------------------- *)
+(* a node's cycle state is reused from cycle to cycle *)
+
+(* one round: strings of these lengths, then a vector holding the first
+   [vec_len] of them, then a cycle with the roots a [pick]-seeded coin
+   chooses from the whole table, stepped [budget] slots at a time *)
+type round = {
+  strings : int list;
+  vec_len : int;
+  pick : int;
+  budget : int;
+}
+
+let rounds =
+  QCheck.make
+    ~print:(fun rs ->
+      String.concat "; "
+        (List.map
+           (fun r ->
+             Printf.sprintf "{%d strings, vec %d, pick %d, budget %d}"
+               (List.length r.strings) r.vec_len r.pick r.budget)
+           rs))
+    QCheck.Gen.(
+      list_size (1 -- 8)
+        (map
+           (fun (strings, vec_len, pick, budget) -> { strings; vec_len; pick; budget })
+           (quad (list_size (0 -- 30) (0 -- 12)) (0 -- 8) nat (1 -- 40))))
+
+(* rounds of allocation on two identical kernels, with the block count
+   growing by allocation and shrinking by sweeps between cycles: every
+   cycle through the one state kept across the rounds collects exactly
+   as a newly made state does on the other kernel — the same live,
+   swept and freed bytes, and the same blocks freed *)
+let reused_state_prop =
+  QCheck.Test.make ~count:200 ~name:"a reused cycle state collects like a new one" rounds
+    (fun rounds ->
+      let ka = bare_kernel () and kb = bare_kernel () in
+      let reused = Ert.Gc.create ka in
+      List.for_all
+        (fun r ->
+          let fill k =
+            let strs =
+              List.map (fun n -> Ert.Kernel.make_string k (String.make n 's')) r.strings
+            in
+            if r.vec_len > 0 then begin
+              let v = Ert.Kernel.make_vector k ~kind:Emc.Layout.kind_string ~len:r.vec_len in
+              List.iteri
+                (fun i s ->
+                  if i < r.vec_len then
+                    Isa.Memory.store32_bits (Ert.Kernel.mem k)
+                      (v + Emc.Layout.vec_elems + (4 * i)) s)
+                strs
+            end
+          in
+          fill ka;
+          fill kb;
+          let before = table ka in
+          let rng = Random.State.make [| r.pick |] in
+          let roots =
+            List.filter_map
+              (fun (a, _) -> if Random.State.bool rng then Some a else None)
+              before
+          in
+          let cycle cy =
+            Ert.Gc.start cy ~extra_roots:[] ~extra_addrs:roots;
+            while Ert.Gc.is_open cy do
+              ignore (Ert.Gc.step cy ~budget:r.budget : int)
+            done;
+            stats_of cy
+          in
+          let freed k = List.filter (fun b -> not (List.mem b (table k))) before in
+          let sa = cycle reused and sb = cycle (Ert.Gc.create kb) in
+          sa = sb && freed ka = freed kb && table ka = table kb)
+        rounds)
+
+(* ----------------------------------------------------------------------- *)
 (* the incremental tier *)
 
 (* run [churn] to completion and leave the heap quiescent, garbage and
@@ -367,11 +455,10 @@ let churned_kernel () =
   ignore (Core.Cluster.run_until_result cl tid);
   (Core.Cluster.kernel cl 0, main)
 
-let drive_cycle ?(budget = 64) cy k =
+let drive_cycle ?(budget = 64) cy =
   let rec go n =
-    match Ert.Gc.step cy k ~budget with
-    | Ert.Gc.Step_more _ -> go (n + 1)
-    | Ert.Gc.Step_done { stats; _ } -> (stats, n + 1)
+    ignore (Ert.Gc.step cy ~budget : int);
+    if Ert.Gc.is_open cy then go (n + 1) else (stats_of cy, n + 1)
   in
   go 0
 
@@ -384,19 +471,20 @@ let incremental_equivalence_prop =
     (fun budget ->
       let k_stw, main_stw = churned_kernel () in
       let k_inc, main_inc = churned_kernel () in
-      let s = Ert.Gc.collect ~extra_roots:[ main_stw ] k_stw in
-      let cy = Ert.Gc.start ~extra_roots:[ main_inc ] k_inc in
-      let i, increments = drive_cycle ~budget cy k_inc in
+      let s = collect ~roots:[ main_stw ] k_stw in
+      let cy = Ert.Gc.create k_inc in
+      Ert.Gc.start cy ~extra_roots:[ main_inc ] ~extra_addrs:[];
+      let i, increments = drive_cycle ~budget cy in
       (* a tiny budget must still make progress every increment *)
       increments >= 1
-      && s.Ert.Gc.gc_live = i.Ert.Gc.gc_live
-      && s.Ert.Gc.gc_swept = i.Ert.Gc.gc_swept
-      && s.Ert.Gc.gc_bytes_freed = i.Ert.Gc.gc_bytes_freed
+      && s.live = i.live
+      && s.swept = i.swept
+      && s.bytes_freed = i.bytes_freed
       &&
-      (* and a second cycle finds nothing left to sweep *)
-      let cy2 = Ert.Gc.start ~extra_roots:[ main_inc ] k_inc in
-      let i2, _ = drive_cycle ~budget cy2 k_inc in
-      i2.Ert.Gc.gc_swept = 0)
+      (* and a second cycle on the same state finds nothing left to sweep *)
+      (Ert.Gc.start cy ~extra_roots:[ main_inc ] ~extra_addrs:[];
+       let i2, _ = drive_cycle ~budget cy in
+       i2.swept = 0))
 
 (* An address conjured mid-sweep for a block the snapshot proved dead
    resurrects it and the blocks it points to: a Holder and its string,
@@ -427,34 +515,35 @@ let test_sweep_resurrects () =
       Isa.Memory.load32_bits (Ert.Kernel.mem k) (holder + Emc.Layout.field_offset 0)
     in
     if str <= holder then Alcotest.fail "the string should sit above its holder";
-    let cy = Ert.Gc.start k in
+    let cy = Ert.Gc.create k in
+    Ert.Gc.start cy ~extra_roots:[] ~extra_addrs:[];
     let rec to_sweep () =
-      match Ert.Gc.step cy k ~budget:1 with
-      | Ert.Gc.Step_more { phase = Ert.Gc.Psweep; _ } -> ()
-      | Ert.Gc.Step_more _ -> to_sweep ()
-      | Ert.Gc.Step_done _ -> Alcotest.fail "the cycle ended before its sweep"
+      ignore (Ert.Gc.step cy ~budget:1 : int);
+      if not (Ert.Gc.is_open cy) then Alcotest.fail "the cycle ended before its sweep"
+      else if Ert.Gc.phase cy <> Ert.Gc.Psweep then to_sweep ()
     in
     to_sweep ();
     (* a white block the sweep reached is already freed *)
     if Ert.Kernel.find_object k oid = None then
       Alcotest.fail "the sweep reached the holder before the test could";
     if conjure then ignore (Ert.Kernel.ensure_ref k oid : int);
-    let first, _ = drive_cycle ~budget:1 cy k in
-    (k, oid, first)
+    let first, _ = drive_cycle ~budget:1 cy in
+    (cy, k, oid, first)
   in
-  let _, _, plain = run ~conjure:false in
-  let k, oid, first = run ~conjure:true in
-  check Alcotest.int "holder and string counted live" (plain.Ert.Gc.gc_live + 2)
-    first.Ert.Gc.gc_live;
-  check Alcotest.int "neither swept this cycle" (plain.Ert.Gc.gc_swept - 2)
-    first.Ert.Gc.gc_swept;
+  let _, _, _, plain = run ~conjure:false in
+  let cy, k, oid, first = run ~conjure:true in
+  check Alcotest.int "holder and string counted live" (plain.live + 2)
+    first.live;
+  check Alcotest.int "neither swept this cycle" (plain.swept - 2)
+    first.swept;
   if Ert.Kernel.find_object k oid = None then
     Alcotest.fail "the resurrected holder was freed";
-  let next, _ = drive_cycle (Ert.Gc.start k) k in
-  check Alcotest.int "the next cycle frees both" 2 next.Ert.Gc.gc_swept;
+  Ert.Gc.start cy ~extra_roots:[] ~extra_addrs:[];
+  let next, _ = drive_cycle cy in
+  check Alcotest.int "the next cycle frees both" 2 next.swept;
   check Alcotest.int "their bytes"
-    (plain.Ert.Gc.gc_bytes_freed - first.Ert.Gc.gc_bytes_freed)
-    next.Ert.Gc.gc_bytes_freed;
+    (plain.bytes_freed - first.bytes_freed)
+    next.bytes_freed;
   if Ert.Kernel.find_object k oid <> None then
     Alcotest.fail "the holder survived the next cycle"
 
@@ -468,7 +557,7 @@ let test_incremental_mid_run_soundness () =
       ~args:[ V.Vint 40l ]
   in
   let k = Core.Cluster.kernel cl 0 in
-  let cycle = ref None in
+  let cy = Ert.Gc.create k in
   let steps = ref 0 in
   let rec go () =
     match Core.Cluster.result cl tid with
@@ -477,24 +566,15 @@ let test_incremental_mid_run_soundness () =
       if not (Core.Cluster.step_once cl) then
         Alcotest.fail "quiescent without result";
       incr steps;
-      (if !steps mod 5 = 0 then
-         let cy =
-           match !cycle with
-           | Some cy -> cy
-           | None ->
-             let cy = Ert.Gc.start ~extra_roots:[ main ] k in
-             cycle := Some cy;
-             cy
-         in
-         match Ert.Gc.step cy k ~budget:48 with
-         | Ert.Gc.Step_more _ -> ()
-         | Ert.Gc.Step_done _ -> cycle := None);
+      if !steps mod 5 = 0 then begin
+        if not (Ert.Gc.is_open cy) then
+          Ert.Gc.start cy ~extra_roots:[ main ] ~extra_addrs:[];
+        ignore (Ert.Gc.step cy ~budget:48 : int)
+      end;
       go ()
   in
   let r = go () in
-  (match !cycle with
-  | Some cy -> Ert.Gc.abort cy k
-  | None -> ());
+  Ert.Gc.abort cy;
   check Alcotest.int "result survives interleaved increments" 42
     (match r with
     | Some (V.Vint v) -> Int32.to_int v
@@ -629,7 +709,13 @@ let test_crash_discards_cycle () =
   check Alcotest.int "post-restart churn result" 42
     (match Core.Cluster.run_until_result cl tid2 with
     | Some (V.Vint v) -> Int32.to_int v
-    | _ -> -1)
+    | _ -> -1);
+  (* and its cycles collect the new kernel: each of the 120 iterations
+     leaves a cell and strings behind, so a collector still bound to the
+     dead kernel would leave hundreds of blocks *)
+  let blocks = Ert.Kernel.block_count (Core.Cluster.kernel cl 0) in
+  if blocks >= 120 then
+    Alcotest.failf "%d blocks on the restarted node: its garbage was not collected" blocks
 
 (* The incremental collector's increments are ordinary engine events.
    On the multi-agent ring tour the trace, the increment count and the
@@ -706,5 +792,6 @@ let suites =
         Alcotest.test_case "block table: a reused slot takes the new size" `Quick
           test_block_revived_with_new_size;
         QCheck_alcotest.to_alcotest block_table_prop;
+        QCheck_alcotest.to_alcotest reused_state_prop;
       ] );
   ]

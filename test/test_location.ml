@@ -46,7 +46,8 @@ let test_search_after_collected_proxy () =
   check (Alcotest.option Alcotest.int) "target on node 2" (Some 2)
     (Core.Cluster.where_is cl target);
   (* collect node 1: nothing references the forwarding proxy any more *)
-  ignore (Ert.Gc.collect ~extra_roots:[ mover ] (Core.Cluster.kernel cl 1));
+  Ert.Gc.collect (Ert.Gc.create (Core.Cluster.kernel cl 1)) ~extra_roots:[ mover ]
+    ~extra_addrs:[];
   check (Alcotest.option Alcotest.int) "proxy collected" None
     (Option.map (fun _ -> 1) (Ert.Kernel.proxy_of (Core.Cluster.kernel cl 1) target));
   (* node 0 knows only the creator hint (node 1), which now knows nothing:
@@ -76,7 +77,8 @@ let test_search_object_truly_lost () =
   in
   Core.Cluster.run cl;
   ignore (Core.Cluster.result cl mt);
-  ignore (Ert.Gc.collect ~extra_roots:[ mover ] (Core.Cluster.kernel cl 1));
+  Ert.Gc.collect (Ert.Gc.create (Core.Cluster.kernel cl 1)) ~extra_roots:[ mover ]
+    ~extra_addrs:[];
   (* the object's host dies: every probe comes back negative *)
   Core.Cluster.crash_node cl 2;
   let caller = Core.Cluster.create_object cl ~node:0 ~class_name:"Caller" in

@@ -440,11 +440,13 @@ end Main
    and -O2 on every architecture: the canonical and alternate PC of
    every visible stop resolve to that class and stop, the bridge
    fragment that resumes an elided stop resolves back to it, and the
-   template finds every stop by its id. *)
+   template finds every stop by its id.  Every other instruction
+   boundary (exit-only and elided stop PCs among them) and the first PC
+   past each image resolve to none. *)
 let test_stop_at_pc () =
   let module K = Ert.Kernel in
   let module B = Emc.Busstop in
-  let alts = ref 0 and bridged = ref 0 in
+  let alts = ref 0 and bridged = ref 0 and misses = ref 0 and unindexed = ref 0 in
   List.iter
     (fun arch ->
       List.iter
@@ -473,6 +475,13 @@ let test_stop_at_pc () =
                   check Alcotest.int (where ^ ": stop") e.B.be_id e'.B.be_id
                 | None -> Alcotest.failf "%s: %#x is no stop" where pc
               in
+              let miss what pc =
+                match K.stop_at_pc k pc with
+                | None -> incr misses
+                | Some (_, e') ->
+                  Alcotest.failf "%s -%s %s: %s %#x resolves to stop %d" arch.A.id
+                    (Emc.Opt.to_string level) cc.Emc.Compile.cc_name what pc e'.B.be_id
+              in
               Array.iter
                 (fun (e : B.entry) ->
                   if e.B.be_elided then begin
@@ -488,6 +497,31 @@ let test_stop_at_pc () =
                     | None -> ()
                   end)
                 lc.K.lc_stops.B.bt_entries;
+              (* every instruction boundary that no visible stop names
+                 (an exit-only or elided stop's PC among them), and the
+                 first PC past the image, resolve to no stop: a bisection
+                 off by one would answer a neighbouring stop *)
+              let visible = Hashtbl.create 16 in
+              Array.iter
+                (fun (e : B.entry) ->
+                  if not (e.B.be_elided || e.B.be_exit_only) then begin
+                    Hashtbl.replace visible e.B.be_pc ();
+                    Option.iter (fun alt -> Hashtbl.replace visible alt ()) e.B.be_alt_pc
+                  end)
+                lc.K.lc_stops.B.bt_entries;
+              Array.iter
+                (fun (e : B.entry) ->
+                  if (e.B.be_elided || e.B.be_exit_only) && not (Hashtbl.mem visible e.B.be_pc)
+                  then begin
+                    incr unindexed;
+                    miss "unindexed stop pc" (base + e.B.be_pc)
+                  end)
+                lc.K.lc_stops.B.bt_entries;
+              let code = lc.K.lc_code in
+              Array.iter
+                (fun off -> if not (Hashtbl.mem visible off) then miss "boundary" (base + off))
+                code.Isa.Code.offsets;
+              miss "past the image" (base + code.Isa.Code.byte_size);
               let ct = cc.Emc.Compile.cc_template in
               for i = 0 to ct.Emc.Template.ct_nstops - 1 do
                 check Alcotest.int
@@ -498,7 +532,9 @@ let test_stop_at_pc () =
         [ Emc.Opt.O0; Emc.Opt.O2 ])
     A.all;
   if !alts = 0 then Alcotest.fail "no stop has an alternate PC";
-  if !bridged = 0 then Alcotest.fail "no stop was elided at -O2"
+  if !bridged = 0 then Alcotest.fail "no stop was elided at -O2";
+  if !unindexed = 0 then Alcotest.fail "no exit-only or elided stop PC was checked";
+  if !misses = 0 then Alcotest.fail "no miss was checked"
 
 (* ----------------------------------------------------------------------- *)
 (* the OID table *)

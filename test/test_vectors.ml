@@ -271,8 +271,9 @@ end Keep
   let t1 = Core.Cluster.spawn cl ~node:0 ~target:keep ~op:"fill" ~args:[] in
   Core.Cluster.run cl;
   ignore (Core.Cluster.result cl t1);
-  let stats = Ert.Gc.collect ~extra_roots:[ keep ] (Core.Cluster.kernel cl 0) in
-  if stats.Ert.Gc.gc_swept = 0 then Alcotest.fail "the junk vector should be swept";
+  let cy = Ert.Gc.create (Core.Cluster.kernel cl 0) in
+  Ert.Gc.collect cy ~extra_roots:[ keep ] ~extra_addrs:[];
+  if Ert.Gc.swept cy = 0 then Alcotest.fail "the junk vector should be swept";
   (* the kept vector's strings must have survived the collection *)
   let t2 = Core.Cluster.spawn cl ~node:0 ~target:keep ~op:"peek" ~args:[] in
   match Core.Cluster.run_until_result cl t2 with
