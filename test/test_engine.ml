@@ -141,6 +141,131 @@ let test_colliding_timestamps () =
   check Alcotest.string "time before rank" "timer3 step0"
     (String.concat " " (List.map ev_label (drain e)))
 
+(* Random traffic against a reference model: a sorted list of pending
+   entries that keeps at most one per (kind, node), ordered by time and
+   then node-major rank (per node Chaos < Gc < Deliver < Wake < Step <
+   Timer).  Times come from a four-value set, so they collide, or from a
+   wide range; [Fill] queues every (kind, node) at once in a random
+   order, the most the engine can ever hold. *)
+type engine_op =
+  | Schedule of Core.Engine.event * float
+  | Reschedule of Core.Engine.event * float
+  | Take
+  | Fill of (Core.Engine.event * float) list
+
+let event_of ~kind ~node =
+  let module Eng = Core.Engine in
+  match kind with
+  | 0 -> Eng.Chaos node
+  | 1 -> Eng.Gc node
+  | 2 -> Eng.Deliver node
+  | 3 -> Eng.Wake node
+  | 4 -> Eng.Step node
+  | _ -> Eng.Timer node
+
+let model_rank = function
+  | Core.Engine.Chaos i -> i * 6
+  | Core.Engine.Gc i -> (i * 6) + 1
+  | Core.Engine.Deliver i -> (i * 6) + 2
+  | Core.Engine.Wake i -> (i * 6) + 3
+  | Core.Engine.Step i -> (i * 6) + 4
+  | Core.Engine.Timer i -> (i * 6) + 5
+
+let pp_engine_op = function
+  | Schedule (ev, at) -> Printf.sprintf "schedule %s %g" (ev_label ev) at
+  | Reschedule (ev, at) -> Printf.sprintf "reschedule %s %g" (ev_label ev) at
+  | Take -> "take"
+  | Fill evs ->
+    "fill ["
+    ^ String.concat ", "
+        (List.map (fun (ev, at) -> Printf.sprintf "%s %g" (ev_label ev) at) evs)
+    ^ "]"
+
+let engine_traffic =
+  let open QCheck.Gen in
+  let time =
+    frequency
+      [ (3, map float_of_int (0 -- 3)); (1, map Float.round (float_range 0.0 1000.0)) ]
+  in
+  let op n =
+    let event = map2 (fun kind node -> event_of ~kind ~node) (0 -- 5) (0 -- (n - 1)) in
+    frequency
+      [
+        (4, map2 (fun ev at -> Schedule (ev, at)) event time);
+        (1, map2 (fun ev at -> Reschedule (ev, at)) event time);
+        (4, return Take);
+        ( 1,
+          shuffle_l (List.init (n * 6) (fun r -> event_of ~kind:(r mod 6) ~node:(r / 6)))
+          >>= fun evs ->
+          map (fun ts -> Fill (List.combine evs ts)) (list_repeat (n * 6) time) );
+      ]
+  in
+  QCheck.make
+    ~shrink:QCheck.Shrink.(pair nil (fun ops -> list ops))
+    ~print:(fun (n, ops) ->
+      Printf.sprintf "%d nodes: %s" n (String.concat "; " (List.map pp_engine_op ops)))
+    (1 -- 8 >>= fun n -> map (fun ops -> (n, ops)) (list_size (1 -- 120) (op n)))
+
+let engine_model_prop =
+  QCheck.Test.make ~count:500 ~name:"engine == a sorted one-per-rank model" engine_traffic
+    (fun (n, ops) ->
+      let module Eng = Core.Engine in
+      let e = Eng.create ~n_nodes:n () in
+      let pending = ref [] and now = ref 0.0 in
+      let pushes = ref 0 and pops = ref 0 and stale = ref 0 in
+      let key (at, ev) = (at, model_rank ev) in
+      (* a second entry for a queued (kind, node) is dropped *)
+      let model_schedule ev at =
+        if not (List.exists (fun (_, ev') -> ev' = ev) !pending) then begin
+          incr pushes;
+          pending := List.merge (fun a b -> compare (key a) (key b)) [ (at, ev) ] !pending
+        end
+      in
+      let take () =
+        let want =
+          match !pending with
+          | [] -> None
+          | (at, ev) :: rest ->
+            pending := rest;
+            incr pops;
+            now := Float.max !now at;
+            Some ev
+        in
+        Eng.take e = want
+      in
+      let agree () =
+        Eng.now e = !now
+        && Eng.pending e = List.length !pending
+        && Eng.peek e = Option.map fst (List.nth_opt !pending 0)
+        && Eng.pushes e = !pushes && Eng.pops e = !pops
+        && Eng.stale_pops e = !stale
+      in
+      let apply = function
+        | Schedule (ev, at) ->
+          model_schedule ev at;
+          Eng.schedule e ~at ev;
+          true
+        | Reschedule (ev, at) ->
+          incr stale;
+          model_schedule ev at;
+          Eng.reschedule e ~at ev;
+          true
+        | Take -> take ()
+        | Fill evs ->
+          List.iter
+            (fun (ev, at) ->
+              model_schedule ev at;
+              Eng.schedule e ~at ev)
+            evs;
+          true
+      in
+      List.for_all (fun op -> apply op && agree ()) ops
+      (* then the rest drains in the model's order, and one more take
+         finds the engine empty *)
+      && List.for_all
+           (fun _ -> take () && agree ())
+           (List.init (List.length !pending + 1) Fun.id))
+
 (* The one-heap loop against values pinned from the sharded engine's
    last release, where 1, 2 and 4 shards agreed on them: the
    multi-agent ring tour traced and untraced, the single-agent tour
@@ -245,6 +370,7 @@ let suites =
       [
         Alcotest.test_case "engine total order on colliding timestamps" `Quick
           test_colliding_timestamps;
+        QCheck_alcotest.to_alcotest engine_model_prop;
         Alcotest.test_case "ring tour trace pinned" `Quick
           test_pinned_ring_tour_trace;
         Alcotest.test_case "ring tour counters pinned" `Quick
