@@ -56,15 +56,6 @@ let print_blocks (code : Isa.Code.t) =
    identical by construction; only the instruction sequences between them
    differ.  Each chunk starts at a stop's canonical PC. *)
 
-let kind_name = function
-  | Emc.Ir.Sk_invoke _ -> "invoke"
-  | Emc.Ir.Sk_new _ -> "new"
-  | Emc.Ir.Sk_builtin { bi; _ } -> Emc.Ir.builtin_name bi
-  | Emc.Ir.Sk_loop -> "loop"
-  | Emc.Ir.Sk_mon_enter -> "mon-enter"
-  | Emc.Ir.Sk_mon_dequeue -> "mon-dequeue"
-  | Emc.Ir.Sk_mon_wake -> "mon-wake"
-
 (* the instance's code split into chunks, each headed by the bus stop
    whose canonical PC opens it (the prologue chunk has none) *)
 let chunk_instance (art : Emc.Compile.arch_artifact) =
@@ -156,7 +147,7 @@ let print_opt_diff ~arch (cc : Emc.Compile.compiled_class) la lb =
           Printf.printf "  ! stop order diverges (%d vs %d)\n" ea.Emc.Busstop.be_id
             eb.Emc.Busstop.be_id;
         Printf.printf "  -- stop %d %-10s %s | %s\n" ea.Emc.Busstop.be_id
-          (kind_name ea.Emc.Busstop.be_kind) (stop_tag ea) (stop_tag eb)
+          (Emc.Busstop.kind_name ea.Emc.Busstop.be_kind) (stop_tag ea) (stop_tag eb)
       | _ -> Printf.printf "  ! instances disagree on the prologue\n");
       let rec cols l r =
         match (l, r) with

@@ -13,9 +13,9 @@ type event =
    collection runs inline before the node does other work, a message
    delivery beats a scheduling step, a wait-timeout expiry (Wake) makes
    its waiter ready before the instant's scheduling step runs, and
-   retransmission deadlines fire after regular work.  The insertion
-   sequence number inside the heap breaks any remaining tie FIFO, so
-   the order is total and the heap deterministic. *)
+   retransmission deadlines fire after regular work.  At most one entry
+   per rank is ever queued, so [(time, rank)] is a total order on the
+   heap's entries. *)
 let n_kinds = 6
 
 let rank = function
@@ -26,26 +26,56 @@ let rank = function
   | Step i -> (i * n_kinds) + 4
   | Timer i -> (i * n_kinds) + 5
 
+let event_of_rank r =
+  let i = r / n_kinds in
+  match r mod n_kinds with
+  | 0 -> Chaos i
+  | 1 -> Gc i
+  | 2 -> Deliver i
+  | 3 -> Wake i
+  | 4 -> Step i
+  | _ -> Timer i
+
+(* A binary min-heap of ranks over [size] entries of two parallel arrays
+   ([times] is an unboxed float array), sized for every rank at once, so
+   a push neither allocates nor grows. *)
 type t = {
-  pq : event Sim.Pqueue.t;
+  times : float array;
+  ranks : int array;
+  mutable size : int;
   clock : Sim.Clock.t;  (* frontier: time of the last event popped *)
-  queued : bool array;  (* by [rank]: whether that (kind, node) is in [pq] *)
+  queued : bool array;  (* by [rank]: whether that (kind, node) is in the heap *)
   mutable pushes : int;
   mutable pops : int;
   mutable stale : int;
 }
 
 let create ~n_nodes () =
+  let capacity = n_nodes * n_kinds in
   {
-    pq = Sim.Pqueue.create ();
+    times = Array.make capacity 0.0;
+    ranks = Array.make capacity 0;
+    size = 0;
     clock = Sim.Clock.create ();
-    queued = Array.make (n_nodes * n_kinds) false;
+    queued = Array.make capacity false;
     pushes = 0;
     pops = 0;
     stale = 0;
   }
 
 let now t = Sim.Clock.now t.clock
+
+(* entry i orders before entry j: time, then rank *)
+let lt t i j =
+  t.times.(i) < t.times.(j) || (t.times.(i) = t.times.(j) && t.ranks.(i) < t.ranks.(j))
+
+let swap t i j =
+  let tm = t.times.(i) in
+  t.times.(i) <- t.times.(j);
+  t.times.(j) <- tm;
+  let rk = t.ranks.(i) in
+  t.ranks.(i) <- t.ranks.(j);
+  t.ranks.(j) <- rk
 
 (* At most one queued entry per (event kind, node): a second schedule is
    a no-op.  The existing entry is never later than the wanted time —
@@ -56,31 +86,58 @@ let schedule t ~at ev =
   if not t.queued.(r) then begin
     t.queued.(r) <- true;
     t.pushes <- t.pushes + 1;
-    Sim.Pqueue.push t.pq ~time:at ~rank:r ev
+    let n = t.size in
+    t.times.(n) <- at;
+    t.ranks.(n) <- r;
+    t.size <- n + 1;
+    let i = ref n in
+    while !i > 0 && lt t !i ((!i - 1) / 2) do
+      swap t !i ((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done
   end
 
 let reschedule t ~at ev =
   t.stale <- t.stale + 1;
   schedule t ~at ev
 
-let peek t =
-  if Sim.Pqueue.is_empty t.pq then None else Some (Sim.Pqueue.min_time t.pq)
+let peek t = if t.size = 0 then None else Some t.times.(0)
+
+let sift_down t =
+  let i = ref 0 in
+  let sifting = ref true in
+  while !sifting do
+    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+    let m = ref !i in
+    if l < t.size && lt t l !m then m := l;
+    if r < t.size && lt t r !m then m := r;
+    if !m = !i then sifting := false
+    else begin
+      swap t !i !m;
+      i := !m
+    end
+  done
 
 (* The popped time is readable as [now t] (the pop advanced the clock
    to it), so no [(time * event)] pair is built.  The hot loop runs this
    once per event. *)
 let take t =
-  if Sim.Pqueue.is_empty t.pq then None
+  if t.size = 0 then None
   else begin
-    let time = Sim.Pqueue.min_time t.pq in
-    let ev = Sim.Pqueue.take_min t.pq in
-    t.queued.(rank ev) <- false;
+    let time = t.times.(0) and r = t.ranks.(0) in
+    t.size <- t.size - 1;
+    if t.size > 0 then begin
+      t.times.(0) <- t.times.(t.size);
+      t.ranks.(0) <- t.ranks.(t.size);
+      sift_down t
+    end;
+    t.queued.(r) <- false;
     t.pops <- t.pops + 1;
     Sim.Clock.advance_to t.clock time;
-    Some ev
+    Some (event_of_rank r)
   end
 
-let pending t = Sim.Pqueue.length t.pq
+let pending t = t.size
 let pushes t = t.pushes
 let pops t = t.pops
 let stale_pops t = t.stale

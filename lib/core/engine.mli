@@ -2,17 +2,18 @@
     events keyed on virtual time, O(log pending) per event.
 
     Simultaneous events have a *total* order: time, then node-major
-    {!rank} (per node the kinds order Chaos < Gc < Deliver < Wake <
-    Step < Timer), then insertion sequence, so the order cannot depend
-    on heap insertion order.
+    rank (per node the kinds order Chaos < Gc < Deliver < Wake < Step <
+    Timer).  The engine keeps at most one pending entry per (kind,
+    node), which is one rank, so no two entries share a key and the
+    order cannot depend on heap insertion order.  The heap holds ranks
+    alone, at most [n_nodes * 6] of them, and decodes the popped rank
+    back to its event.
 
     Scheduled times are allowed to go stale — a node's clock advances
     after its step was queued, or a message queue's head changes.  The
-    engine keeps at most one pending entry per (kind, node), which is
-    one rank; the executor re-validates each popped entry and
-    {!reschedule}s it at the corrected time, which is always later, so
-    no event can run early.  The heap, flags and counters here are
-    deliberately not exposed. *)
+    executor re-validates each popped entry and {!reschedule}s it at the
+    corrected time, which is always later, so no event can run early.
+    The heap, flags and counters here are deliberately not exposed. *)
 
 type event =
   | Step of int  (** run one kernel scheduling slice on the node *)

@@ -62,6 +62,9 @@ val id_of_pc : table -> int -> int
 val of_pc : table -> int -> entry option
 (** {!id_of_pc}'s stop. *)
 
+val kind_name : Ir.stop_kind -> string
+(** The stop kind as {!pp} and the listings print it. *)
+
 val by_id : table -> int -> entry
 val count : table -> int
 val pp : Format.formatter -> table -> unit

@@ -400,6 +400,12 @@ module Make (F : FAMILY) = struct
 
   let stop_kind ctx id = (Ir.find_stop ctx.ir id).Ir.sr_kind
 
+  (* the system call a stop makes, numbered by the stop's kind *)
+  let syscall_stop ctx ~stop ~args ~scratch =
+    let kind = stop_kind ctx stop in
+    let idx = F.syscall ctx.em ~nr:(Sysno.of_stop kind) ~args ~scratch in
+    record_stop ctx ~id:stop ~pc_idx:idx ~pushed:(List.length args) ~kind ()
+
   let self_loc ctx =
     match Hashtbl.find_opt ctx.var_cache 0 with
     | Some r ->
@@ -432,8 +438,7 @@ module Make (F : FAMILY) = struct
     F.cmp em ~ty:Ir.Aint ~a:(Lreg ri) ~b:(Lreg rl) ~scratch;
     Emitter.branch em (Some I.Lt) l_ok;
     Emitter.place em l_err;
-    let idx = F.syscall em ~nr:Sysno.sys_bounds ~args:[ Lreg ri ] ~scratch in
-    record_stop ctx ~id:stop ~pc_idx:idx ~pushed:1 ~kind:(stop_kind ctx stop) ();
+    syscall_stop ctx ~stop ~args:[ Lreg ri ] ~scratch;
     Emitter.place em l_ok
 
   let gen_instr ctx (instr : Ir.instr) =
@@ -542,19 +547,13 @@ module Make (F : FAMILY) = struct
         finish_def ctx d rd
       | None -> ())
     | Ir.Inew { dst; class_index; stop } ->
-      let idx =
-        F.syscall em ~nr:Sysno.sys_new ~args:[ Limm (Int32.of_int class_index) ] ~scratch
-      in
-      record_stop ctx ~id:stop ~pc_idx:idx ~pushed:1 ~kind:(stop_kind ctx stop) ();
+      syscall_stop ctx ~stop ~args:[ Limm (Int32.of_int class_index) ] ~scratch;
       free_all ctx;
       let rd = def_reg ctx dst in
       F.load em ~dst:rd ~src:(Lreg F.retval_reg);
       finish_def ctx dst rd
-    | Ir.Ibuiltin { dst; bi; args; stop } ->
-      let alocs = List.map (use_loc ctx) args in
-      let idx = F.syscall em ~nr:(Sysno.of_builtin bi) ~args:alocs ~scratch in
-      record_stop ctx ~id:stop ~pc_idx:idx ~pushed:(List.length args)
-        ~kind:(stop_kind ctx stop) ();
+    | Ir.Ibuiltin { dst; args; stop; _ } ->
+      syscall_stop ctx ~stop ~args:(List.map (use_loc ctx) args) ~scratch;
       free_all ctx;
       (match dst with
       | Some d ->
@@ -588,10 +587,7 @@ module Make (F : FAMILY) = struct
       finish_def ctx dst rd
     | Ir.Imon_enter { stop } ->
       free_all ctx;
-      let idx =
-        F.syscall em ~nr:Sysno.sys_mon_enter ~args:[ Lslot (self_off ctx) ] ~scratch
-      in
-      record_stop ctx ~id:stop ~pc_idx:idx ~pushed:1 ~kind:(stop_kind ctx stop) ();
+      syscall_stop ctx ~stop ~args:[ Lslot (self_off ctx) ] ~scratch;
       free_all ctx
     | Ir.Imon_exit { dequeue_stop; wake_stop } ->
       free_all ctx;

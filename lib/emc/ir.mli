@@ -44,11 +44,10 @@ type builtin =
       (** start the object's process section as a new thread (emitted by
           [new] after [initially] completes) *)
   | Bcond_wait  (** block on a monitor condition (releases the monitor) *)
-  | Bcond_signal
+  | Bcond_signal  (** move one condition waiter to the monitor entry queue (Mesa) *)
   | Bcond_wait_timed
       (** as [Bcond_wait] plus a timeout argument in virtual microseconds *)
   | Bcond_notify_all  (** move every condition waiter to the entry queue *)
-      (** move one condition waiter to the monitor entry queue (Mesa) *)
 
 type stop_kind =
   | Sk_invoke of {

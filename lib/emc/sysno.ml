@@ -1,72 +1,32 @@
 let sys_invoke = 1
-let sys_new = 2
-let sys_mon_enter = 3
 let sys_mon_exit_dequeue = 4
 let sys_mon_wake = 5
-let sys_print_int = 6
-let sys_print_real = 7
-let sys_print_bool = 8
-let sys_print_str = 9
-let sys_print_ref = 10
-let sys_print_nl = 11
-let sys_locate = 12
-let sys_thisnode = 13
-let sys_timenow = 14
-let sys_move = 15
-let sys_sconcat = 16
-let sys_seq = 17
-let sys_vec_new = 18
-let sys_bounds = 19
-let sys_start_process = 20
-let sys_cond_wait = 21
-let sys_cond_signal = 22
-let sys_cond_wait_timed = 23
-let sys_cond_notify_all = 24
 
-let of_builtin = function
-  | Ir.Bprint_int -> sys_print_int
-  | Ir.Bprint_real -> sys_print_real
-  | Ir.Bprint_bool -> sys_print_bool
-  | Ir.Bprint_str -> sys_print_str
-  | Ir.Bprint_ref -> sys_print_ref
-  | Ir.Bprint_nl -> sys_print_nl
-  | Ir.Blocate -> sys_locate
-  | Ir.Bthisnode -> sys_thisnode
-  | Ir.Btimenow -> sys_timenow
-  | Ir.Bmove -> sys_move
-  | Ir.Bsconcat -> sys_sconcat
-  | Ir.Bseq -> sys_seq
-  | Ir.Bvec_new -> sys_vec_new
-  | Ir.Bbounds -> sys_bounds
-  | Ir.Bstart_process -> sys_start_process
-  | Ir.Bcond_wait -> sys_cond_wait
-  | Ir.Bcond_signal -> sys_cond_signal
-  | Ir.Bcond_wait_timed -> sys_cond_wait_timed
-  | Ir.Bcond_notify_all -> sys_cond_notify_all
-
-let name = function
-  | 1 -> "invoke"
-  | 2 -> "new"
-  | 3 -> "mon_enter"
-  | 4 -> "mon_exit_dequeue"
-  | 5 -> "mon_wake"
-  | 6 -> "print_int"
-  | 7 -> "print_real"
-  | 8 -> "print_bool"
-  | 9 -> "print_str"
-  | 10 -> "print_ref"
-  | 11 -> "print_nl"
-  | 12 -> "locate"
-  | 13 -> "thisnode"
-  | 14 -> "timenow"
-  | 15 -> "move"
-  | 16 -> "sconcat"
-  | 17 -> "seq"
-  | 18 -> "vec_new"
-  | 19 -> "bounds"
-  | 20 -> "start_process"
-  | 21 -> "cond_wait"
-  | 22 -> "cond_signal"
-  | 23 -> "cond_wait_timed"
-  | 24 -> "cond_notify_all"
-  | n -> Printf.sprintf "sys%d" n
+let of_stop = function
+  | Ir.Sk_loop -> 0
+  | Ir.Sk_invoke _ -> sys_invoke
+  | Ir.Sk_new _ -> 2
+  | Ir.Sk_mon_enter -> 3
+  | Ir.Sk_mon_dequeue -> sys_mon_exit_dequeue
+  | Ir.Sk_mon_wake -> sys_mon_wake
+  | Ir.Sk_builtin { bi; _ } -> (
+    match bi with
+    | Ir.Bprint_int -> 6
+    | Ir.Bprint_real -> 7
+    | Ir.Bprint_bool -> 8
+    | Ir.Bprint_str -> 9
+    | Ir.Bprint_ref -> 10
+    | Ir.Bprint_nl -> 11
+    | Ir.Blocate -> 12
+    | Ir.Bthisnode -> 13
+    | Ir.Btimenow -> 14
+    | Ir.Bmove -> 15
+    | Ir.Bsconcat -> 16
+    | Ir.Bseq -> 17
+    | Ir.Bvec_new -> 18
+    | Ir.Bbounds -> 19
+    | Ir.Bstart_process -> 20
+    | Ir.Bcond_wait -> 21
+    | Ir.Bcond_signal -> 22
+    | Ir.Bcond_wait_timed -> 23
+    | Ir.Bcond_notify_all -> 24)

@@ -1033,21 +1033,27 @@ let queue_unlink t ~qnode =
 
 (* System-call dispatch --------------------------------------------------------- *)
 
-let syscall_raw_args t ctx ~argc =
-  match t.karch.A.family with
-  | A.Vax | A.M68k ->
-    let sp = M.sp ctx in
-    List.init argc (fun i -> Mem.load32 t.kmem (sp + (4 * i)))
-  | A.Sparc -> List.init argc (fun i -> M.reg ctx (8 + i))
-
 let retval_reg t =
   match t.karch.A.family with
   | A.Vax -> 0
   | A.M68k -> 0
   | A.Sparc -> 8 (* %o0 *)
 
-let complete_syscall t seg ~(entry : Emc.Busstop.entry) ~retval =
+(* argument [i] of the system call a segment stopped at, as an int: a
+   stack slot on the CISCs, an out register on SPARC *)
+let arg t ctx i =
+  match t.karch.A.family with
+  | A.Vax | A.M68k -> M.sx (Mem.load32_bits t.kmem (M.sp ctx + (4 * i)))
+  | A.Sparc -> M.reg_int ctx (8 + i)
+
+(* set the result, pop the arguments and step past the call *)
+let complete_syscall t seg retval =
   let ctx = seg.Thread.seg_ctx in
+  let entry =
+    match stop_at_pc t ctx.M.pc with
+    | Some (_, entry) -> entry
+    | None -> error "segment %d: completion PC is not a bus stop" seg.Thread.seg_id
+  in
   (match retval with
   | Some v -> M.set_reg ctx (retval_reg t) v
   | None -> ());
@@ -1057,14 +1063,16 @@ let complete_syscall t seg ~(entry : Emc.Busstop.entry) ~retval =
   M.syscall_resume ctx ~text:t.ktext
 
 type dispatch =
-  | D_done of Value.t option
-      (** service complete: park the segment at the stop with the result
-          pending (applied at its next dispatch, so the segment remains
-          capturable at a bus stop in the meantime) *)
-  | D_done_dequeue of int option  (** monitor-exit dequeue: waiter segment id *)
-  | D_blocked  (** the segment blocked; do not complete *)
-  | D_local of Thread.segment  (** a locally spawned callee segment *)
+  | D_park of Value.t S.t
+      (** service complete: park the segment at the stop with this
+          [Complete] or [Complete_dequeue], applied at its next dispatch,
+          so the segment remains capturable at a bus stop in the
+          meantime *)
+  | D_wait  (** the segment blocked, or awaits a local callee *)
   | D_out of outcall  (** cluster-level action; do not complete here *)
+
+let d_done = D_park (S.Complete None)
+let d_result v = D_park (S.Complete (Some v))
 
 (* release the monitor (hand the lock to the next entry-queue waiter or
    clear it — the kernel-side equivalent of the exit sequence), then
@@ -1084,7 +1092,7 @@ let cond_wait t seg ~obj ~cond ~deadline =
     | None -> error "condition wait: unknown entry waiter %d" waiter)
   | None -> set_monitor_locked t ~obj_addr:obj false);
   block_on_queue t ~obj_addr:obj ~cond ?deadline seg;
-  D_blocked
+  D_wait
 
 (* Mesa semantics: a signalled or timed-out condition waiter lines up for
    monitor entry and runs once the holder (or a later one) leaves.  Its
@@ -1108,152 +1116,106 @@ let cond_signal t ~obj ~cond =
     true
 
 let format_real t raw =
-  let x = Isa.Float_format.decode t.karch.A.float_format raw in
+  let x = Isa.Float_format.decode t.karch.A.float_format (Int32.of_int raw) in
   Printf.sprintf "%g" x
 
-let param_types_of t ~callee_class ~callee_method =
-  let prog = program t in
-  let cc = Emc.Compile.class_by_index prog callee_class in
-  let op = cc.Emc.Compile.cc_template.Emc.Template.ct_ops.(callee_method) in
-  (* parameters occupy var ids 1 .. nparams-1 (0 is self) *)
-  List.init
-    (op.Emc.Template.ot_nparams - 1)
-    (fun i ->
-      let _, ty, _ = op.Emc.Template.ot_vars.(i + 1) in
-      ty)
+let wrong_call (entry : Emc.Busstop.entry) nr =
+  error "system call %d at stop %d, a %s stop" nr entry.Emc.Busstop.be_id
+    (Emc.Busstop.kind_name entry.Emc.Busstop.be_kind)
 
-let dispatch_syscall t seg (lc : loaded_class) (entry : Emc.Busstop.entry) nr =
+(* A system call is a bus stop, so the stop's kind says which service
+   runs and how many arguments it takes; the call number in the code
+   only has to agree with it. *)
+let dispatch_syscall t seg (entry : Emc.Busstop.entry) nr =
   let ctx = seg.Thread.seg_ctx in
   t.syscalls <- t.syscalls + 1;
   charge_insns t 60;
   (* trap + kernel entry/exit *)
-  if nr = Emc.Sysno.sys_invoke then begin
-    match entry.Emc.Busstop.be_kind with
-    | Emc.Ir.Sk_invoke { argc; callee_class; callee_method; _ } ->
-      let raws = syscall_raw_args t ctx ~argc:(argc + 1) in
-      let target_addr, arg_raws =
-        match raws with
-        | target :: rest -> (Int32.to_int target, rest)
-        | [] -> assert false
-      in
-      if target_addr = 0 then error "invocation of nil";
-      let local_addr =
-        if is_resident t target_addr then Some target_addr
-        else
-          (* a stale proxy for an object that is actually here (it came
-             home after the proxy was created): call locally, fixing the
-             self argument to the resident descriptor *)
-          find_object t (oid_at t target_addr)
-      in
-      let types = param_types_of t ~callee_class ~callee_method in
-      let args = List.map2 (fun ty raw -> value_of_raw t ty raw) types arg_raws in
-      let stop_id = entry.Emc.Busstop.be_id in
-      (match local_addr with
-      | Some real_addr ->
-        (* the object is here after all (a stale proxy, or code loaded
-           behind the fast path's back): run the invocation as a local
-           child segment so the caller stays parked at its bus stop *)
-        ignore lc;
-        seg.Thread.seg_status <- Thread.Awaiting_reply { stop_id };
-        let callee =
-          spawn_rpc t ~target_addr:real_addr ~callee_class ~callee_method ~args
-            ~link:{ Thread.ln_node = t.knode_id; ln_seg = seg.Thread.seg_id }
-            ~thread:seg.Thread.seg_thread
-        in
-        D_local callee
-      | None ->
-        let target_oid = oid_at t target_addr in
-        let hint_node = proxy_hint t target_addr in
-        seg.Thread.seg_status <- Thread.Awaiting_reply { stop_id };
-        D_out
-          (Oc_invoke
-             { seg; target_oid; hint_node; callee_class; callee_method; args; stop_id }))
-    | Emc.Ir.Sk_new _ | Emc.Ir.Sk_builtin _ | Emc.Ir.Sk_loop | Emc.Ir.Sk_mon_enter
-    | Emc.Ir.Sk_mon_dequeue | Emc.Ir.Sk_mon_wake ->
-      error "invoke system call at a non-invoke stop"
-  end
-  else if nr = Emc.Sysno.sys_new then begin
-    let raws = syscall_raw_args t ctx ~argc:1 in
-    let class_index = Int32.to_int (List.hd raws) in
+  if nr <> Emc.Sysno.of_stop entry.Emc.Busstop.be_kind then wrong_call entry nr;
+  match entry.Emc.Busstop.be_kind with
+  | Emc.Ir.Sk_loop -> wrong_call entry nr
+  | Emc.Ir.Sk_invoke { argc; callee_class; callee_method; _ } ->
+    let target_addr = arg t ctx 0 in
+    if target_addr = 0 then error "invocation of nil";
+    let local_addr =
+      if is_resident t target_addr then Some target_addr
+      else
+        (* a stale proxy for an object that is actually here (it came
+           home after the proxy was created): call locally, fixing the
+           self argument to the resident descriptor *)
+        find_object t (oid_at t target_addr)
+    in
+    let op =
+      (Emc.Compile.class_by_index (program t) callee_class).Emc.Compile.cc_template
+        .Emc.Template.ct_ops.(callee_method)
+    in
+    (* parameters occupy var ids 1 .. argc (0 is self) *)
+    let args =
+      List.init argc (fun i ->
+          let _, ty, _ = op.Emc.Template.ot_vars.(i + 1) in
+          value_of_raw t ty (Int32.of_int (arg t ctx (i + 1))))
+    in
+    let stop_id = entry.Emc.Busstop.be_id in
+    seg.Thread.seg_status <- Thread.Awaiting_reply { stop_id };
+    (match local_addr with
+    | Some real_addr ->
+      (* the object is here after all (a stale proxy, or code loaded
+         behind the fast path's back): run the invocation as a local
+         child segment so the caller stays parked at its bus stop *)
+      ignore
+        (spawn_rpc t ~target_addr:real_addr ~callee_class ~callee_method ~args
+           ~link:{ Thread.ln_node = t.knode_id; ln_seg = seg.Thread.seg_id }
+           ~thread:seg.Thread.seg_thread
+          : Thread.segment);
+      D_wait
+    | None ->
+      D_out
+        (Oc_invoke
+           {
+             seg;
+             target_oid = oid_at t target_addr;
+             hint_node = proxy_hint t target_addr;
+             callee_class;
+             callee_method;
+             args;
+             stop_id;
+           }))
+  | Emc.Ir.Sk_new { class_index } ->
     charge_insns t 120;
-    let addr = create_object t ~class_index in
-    D_done (Some (Value.Vref (oid_at t addr)))
-  end
-  else if nr = Emc.Sysno.sys_mon_enter then begin
-    let raws = syscall_raw_args t ctx ~argc:1 in
-    let obj = Int32.to_int (List.hd raws) in
+    d_result (Value.Vref (oid_at t (create_object t ~class_index)))
+  | Emc.Ir.Sk_mon_enter ->
+    let obj = arg t ctx 0 in
     if obj = 0 then error "monitor entry on nil";
     if monitor_locked t ~obj_addr:obj then begin
       block_on_monitor t ~obj_addr:obj seg;
-      D_blocked
+      D_wait
     end
     else begin
       set_monitor_locked t ~obj_addr:obj true;
-      D_done None
+      d_done
     end
-  end
-  else if nr = Emc.Sysno.sys_cond_wait then begin
-    let raws = syscall_raw_args t ctx ~argc:2 in
-    match raws with
-    | [ obj; cond ] ->
-      cond_wait t seg ~obj:(Int32.to_int obj) ~cond:(Int32.to_int cond)
-        ~deadline:None
-    | _ -> assert false
-  end
-  else if nr = Emc.Sysno.sys_cond_wait_timed then begin
-    let raws = syscall_raw_args t ctx ~argc:3 in
-    match raws with
-    | [ obj; cond; timeout ] ->
-      let deadline =
-        Some (time_us t +. Float.max 0.0 (Int32.to_float timeout))
-      in
-      cond_wait t seg ~obj:(Int32.to_int obj) ~cond:(Int32.to_int cond) ~deadline
-    | _ -> assert false
-  end
-  else if nr = Emc.Sysno.sys_cond_signal then begin
-    let raws = syscall_raw_args t ctx ~argc:2 in
-    match raws with
-    | [ obj; cond ] ->
-      ignore (cond_signal t ~obj:(Int32.to_int obj) ~cond:(Int32.to_int cond) : bool);
-      D_done None
-    | _ -> assert false
-  end
-  else if nr = Emc.Sysno.sys_cond_notify_all then begin
-    let raws = syscall_raw_args t ctx ~argc:2 in
-    match raws with
-    | [ obj; cond ] ->
-      let obj = Int32.to_int obj and cond = Int32.to_int cond in
-      (* signal until no waiter is left, preserving queue order (Mesa
-         notify-all: each re-acquires the monitor in turn) *)
-      while cond_signal t ~obj ~cond do
-        ()
-      done;
-      D_done None
-    | _ -> assert false
-  end
-  else if nr = Emc.Sysno.sys_mon_exit_dequeue then begin
-    let raws = syscall_raw_args t ctx ~argc:1 in
-    let obj = Int32.to_int (List.hd raws) in
-    match queue_unlink_head t ~sent:(obj + L.obj_qflink) with
-    | Some qnode ->
-      let waiter = Int32.to_int (Mem.load32 t.kmem (qnode + L.qnode_thread)) in
-      Heap.free t.kheap ~addr:qnode ~size:L.qnode_size;
-      (* mark the waiter as dequeued-but-not-woken *)
-      (match find_segment t waiter with
-      | Some w -> (
-        match w.Thread.seg_status with
-        | Thread.Blocked_monitor { mon_addr; _ } ->
-          w.Thread.seg_status <-
-            Thread.Blocked_monitor
-              { mon_addr; qnode = 0; cond = -1; deadline = None }
-        | _ -> ())
-      | None -> ());
-      D_done_dequeue (Some waiter)
-    | None -> D_done_dequeue None
-  end
-  else if nr = Emc.Sysno.sys_mon_wake then begin
-    let raws = syscall_raw_args t ctx ~argc:1 in
-    let qnode = Int32.to_int (List.hd raws) in
+  | Emc.Ir.Sk_mon_dequeue ->
+    let obj = arg t ctx 0 in
+    let waiter =
+      match queue_unlink_head t ~sent:(obj + L.obj_qflink) with
+      | None -> None
+      | Some qnode ->
+        let waiter = Int32.to_int (Mem.load32 t.kmem (qnode + L.qnode_thread)) in
+        Heap.free t.kheap ~addr:qnode ~size:L.qnode_size;
+        (* mark the waiter as dequeued-but-not-woken *)
+        (match find_segment t waiter with
+        | Some w -> (
+          match w.Thread.seg_status with
+          | Thread.Blocked_monitor { mon_addr; _ } ->
+            w.Thread.seg_status <-
+              Thread.Blocked_monitor { mon_addr; qnode = 0; cond = -1; deadline = None }
+          | _ -> ())
+        | None -> ());
+        Some waiter
+    in
+    D_park (S.Complete_dequeue waiter)
+  | Emc.Ir.Sk_mon_wake ->
+    let qnode = arg t ctx 0 in
     let seg_id = Int32.to_int (Mem.load32 t.kmem (qnode + L.qnode_thread)) in
     (match find_segment t seg_id with
     | Some waiter ->
@@ -1261,111 +1223,94 @@ let dispatch_syscall t seg (lc : loaded_class) (entry : Emc.Busstop.entry) nr =
       enqueue_ready t waiter
     | None -> error "monitor wake: unknown segment %d" seg_id);
     Heap.free t.kheap ~addr:qnode ~size:L.qnode_size;
-    D_done None
-  end
-  else if nr = Emc.Sysno.sys_print_int then begin
-    let v = List.hd (syscall_raw_args t ctx ~argc:1) in
-    print_string_out t (Int32.to_string v);
-    D_done None
-  end
-  else if nr = Emc.Sysno.sys_print_real then begin
-    let v = List.hd (syscall_raw_args t ctx ~argc:1) in
-    print_string_out t (format_real t v);
-    D_done None
-  end
-  else if nr = Emc.Sysno.sys_print_bool then begin
-    let v = List.hd (syscall_raw_args t ctx ~argc:1) in
-    print_string_out t (if Int32.equal v 0l then "false" else "true");
-    D_done None
-  end
-  else if nr = Emc.Sysno.sys_print_str then begin
-    let v = Int32.to_int (List.hd (syscall_raw_args t ctx ~argc:1)) in
-    print_string_out t (if v = 0 then "nil" else read_string_block t v);
-    D_done None
-  end
-  else if nr = Emc.Sysno.sys_print_ref then begin
-    let v = Int32.to_int (List.hd (syscall_raw_args t ctx ~argc:1)) in
-    print_string_out t
-      (if v = 0 then "nil"
-       else if is_vector_block t v then
-         Printf.sprintf "vector[%ld]" (Mem.load32 t.kmem (v + L.vec_len))
-       else Oid.to_string (oid_at t v));
-    D_done None
-  end
-  else if nr = Emc.Sysno.sys_print_nl then begin
-    print_string_out t "\n";
-    D_done None
-  end
-  else if nr = Emc.Sysno.sys_locate then begin
-    let v = Int32.to_int (List.hd (syscall_raw_args t ctx ~argc:1)) in
-    if v = 0 then error "locate of nil";
-    let node = if is_resident t v then t.knode_id else proxy_hint t v in
-    D_done (Some (Value.Vint (Int32.of_int node)))
-  end
-  else if nr = Emc.Sysno.sys_thisnode then
-    D_done (Some (Value.Vint (Int32.of_int t.knode_id)))
-  else if nr = Emc.Sysno.sys_timenow then
-    D_done (Some (Value.Vint (Int32.of_float (Sim.Clock.now t.kclock))))
-  else if nr = Emc.Sysno.sys_move then begin
-    let raws = syscall_raw_args t ctx ~argc:2 in
-    match raws with
-    | [ obj; node ] ->
-      let obj_addr = Int32.to_int obj in
+    d_done
+  | Emc.Ir.Sk_builtin { bi; _ } -> (
+    match bi with
+    | Emc.Ir.Bprint_int ->
+      print_string_out t (string_of_int (arg t ctx 0));
+      d_done
+    | Emc.Ir.Bprint_real ->
+      print_string_out t (format_real t (arg t ctx 0));
+      d_done
+    | Emc.Ir.Bprint_bool ->
+      print_string_out t (if arg t ctx 0 = 0 then "false" else "true");
+      d_done
+    | Emc.Ir.Bprint_str ->
+      let s = arg t ctx 0 in
+      print_string_out t (if s = 0 then "nil" else read_string_block t s);
+      d_done
+    | Emc.Ir.Bprint_ref ->
+      let r = arg t ctx 0 in
+      print_string_out t
+        (if r = 0 then "nil"
+         else if is_vector_block t r then
+           Printf.sprintf "vector[%ld]" (Mem.load32 t.kmem (r + L.vec_len))
+         else Oid.to_string (oid_at t r));
+      d_done
+    | Emc.Ir.Bprint_nl ->
+      print_string_out t "\n";
+      d_done
+    | Emc.Ir.Blocate ->
+      let r = arg t ctx 0 in
+      if r = 0 then error "locate of nil";
+      let node = if is_resident t r then t.knode_id else proxy_hint t r in
+      d_result (Value.Vint (Int32.of_int node))
+    | Emc.Ir.Bthisnode -> d_result (Value.Vint (Int32.of_int t.knode_id))
+    | Emc.Ir.Btimenow -> d_result (Value.Vint (Int32.of_float (Sim.Clock.now t.kclock)))
+    | Emc.Ir.Bmove ->
+      let obj_addr = arg t ctx 0 and dest_node = arg t ctx 1 in
       if obj_addr = 0 then error "move of nil";
-      D_out (Oc_move { seg; obj_addr; dest_node = Int32.to_int node })
-    | _ -> assert false
-  end
-  else if nr = Emc.Sysno.sys_sconcat then begin
-    let raws = syscall_raw_args t ctx ~argc:2 in
-    match raws with
-    | [ a; b ] ->
-      let sa = read_string_block t (Int32.to_int a) in
-      let sb = read_string_block t (Int32.to_int b) in
+      D_out (Oc_move { seg; obj_addr; dest_node })
+    | Emc.Ir.Bsconcat ->
+      let sa = read_string_block t (arg t ctx 0) in
+      let sb = read_string_block t (arg t ctx 1) in
       charge_insns t (10 * (String.length sa + String.length sb));
-      D_done (Some (Value.Vstr (sa ^ sb)))
-    | _ -> assert false
-  end
-  else if nr = Emc.Sysno.sys_seq then begin
-    let raws = syscall_raw_args t ctx ~argc:2 in
-    match raws with
-    | [ a; b ] ->
-      let sa = read_string_block t (Int32.to_int a) in
-      let sb = read_string_block t (Int32.to_int b) in
-      D_done (Some (Value.Vbool (String.equal sa sb)))
-    | _ -> assert false
-  end
-  else if nr = Emc.Sysno.sys_vec_new then begin
-    let raws = syscall_raw_args t ctx ~argc:2 in
-    match raws with
-    | [ kind; len ] ->
-      let len = Int32.to_int len in
+      d_result (Value.Vstr (sa ^ sb))
+    | Emc.Ir.Bseq ->
+      let sa = read_string_block t (arg t ctx 0) in
+      let sb = read_string_block t (arg t ctx 1) in
+      d_result (Value.Vbool (String.equal sa sb))
+    | Emc.Ir.Bvec_new ->
+      let kind = arg t ctx 0 and len = arg t ctx 1 in
       if len < 0 then error "vector length %d is negative" len;
       charge_insns t (60 + len);
-      let elem = typ_of_kind (Int32.to_int kind) in
-      D_done (Some (Value.Vvec (elem, Array.make len (default_value_of_typ elem))))
-    | _ -> assert false
-  end
-  else if nr = Emc.Sysno.sys_bounds then begin
-    let idx = List.hd (syscall_raw_args t ctx ~argc:1) in
-    error "vector index %ld out of bounds" idx
-  end
-  else if nr = Emc.Sysno.sys_start_process then begin
-    let obj = Int32.to_int (List.hd (syscall_raw_args t ctx ~argc:1)) in
-    charge_insns t 150;
-    if is_resident t obj then begin
-      ignore (start_process_if_any t ~target_addr:obj);
-      D_done None
-    end
-    else begin
-      (* the object moved away while its initially ran: the process must
-         start where the object now lives; the creator continues *)
-      seg.Thread.seg_status <- Thread.Parked (S.Complete None);
-      enqueue_ready t seg;
-      D_out
-        (Oc_start_process { target_oid = oid_at t obj; hint_node = proxy_hint t obj })
-    end
-  end
-  else error "unknown system call %d" nr
+      let elem = typ_of_kind kind in
+      d_result (Value.Vvec (elem, Array.make len (default_value_of_typ elem)))
+    | Emc.Ir.Bbounds -> error "vector index %d out of bounds" (arg t ctx 0)
+    | Emc.Ir.Bstart_process ->
+      let obj = arg t ctx 0 in
+      charge_insns t 150;
+      if is_resident t obj then begin
+        ignore (start_process_if_any t ~target_addr:obj);
+        d_done
+      end
+      else begin
+        (* the object moved away while its initially ran: the process must
+           start where the object now lives; the creator continues *)
+        seg.Thread.seg_status <- Thread.Parked (S.Complete None);
+        enqueue_ready t seg;
+        D_out
+          (Oc_start_process { target_oid = oid_at t obj; hint_node = proxy_hint t obj })
+      end
+    | Emc.Ir.Bcond_wait ->
+      let obj = arg t ctx 0 and cond = arg t ctx 1 in
+      cond_wait t seg ~obj ~cond ~deadline:None
+    | Emc.Ir.Bcond_wait_timed ->
+      let obj = arg t ctx 0 and cond = arg t ctx 1 and timeout = arg t ctx 2 in
+      let deadline = time_us t +. Float.max 0.0 (float_of_int timeout) in
+      cond_wait t seg ~obj ~cond ~deadline:(Some deadline)
+    | Emc.Ir.Bcond_signal ->
+      let obj = arg t ctx 0 and cond = arg t ctx 1 in
+      ignore (cond_signal t ~obj ~cond : bool);
+      d_done
+    | Emc.Ir.Bcond_notify_all ->
+      let obj = arg t ctx 0 and cond = arg t ctx 1 in
+      (* signal until no waiter is left, preserving queue order (Mesa
+         notify-all: each re-acquires the monitor in turn) *)
+      while cond_signal t ~obj ~cond do
+        ()
+      done;
+      d_done)
 
 (* Scheduling ---------------------------------------------------------------- *)
 
@@ -1378,26 +1323,19 @@ let apply_resume t seg =
   | Thread.Parked S.Run -> ()
   | Thread.Parked (S.Deliver v) ->
     M.set_reg ctx (retval_reg t) (raw_of_value t v)
-  | Thread.Parked (S.Complete v) -> (
-    match stop_at_pc t ctx.M.pc with
-    | Some (_, entry) ->
-      complete_syscall t seg ~entry ~retval:(Option.map (raw_of_value t) v)
-    | None -> error "segment %d: completion PC is not a bus stop" seg.Thread.seg_id)
-  | Thread.Parked (S.Complete_dequeue waiter) -> (
-    match stop_at_pc t ctx.M.pc with
-    | Some (_, entry) ->
-      let retval =
-        match waiter with
-        | None -> 0l
-        | Some seg_id ->
-          (* fabricate the queue node the generated code hands to the wake
-             system call *)
-          let qnode = Heap.alloc t.kheap L.qnode_size in
-          Mem.store32 t.kmem (qnode + L.qnode_thread) (Int32.of_int seg_id);
-          Int32.of_int qnode
-      in
-      complete_syscall t seg ~entry ~retval:(Some retval)
-    | None -> error "segment %d: completion PC is not a bus stop" seg.Thread.seg_id)
+  | Thread.Parked (S.Complete v) -> complete_syscall t seg (Option.map (raw_of_value t) v)
+  | Thread.Parked (S.Complete_dequeue waiter) ->
+    let qnode =
+      match waiter with
+      | None -> 0
+      | Some seg_id ->
+        (* fabricate the queue node the generated code hands to the wake
+           system call *)
+        let qnode = Heap.alloc t.kheap L.qnode_size in
+        Mem.store32 t.kmem (qnode + L.qnode_thread) (Int32.of_int seg_id);
+        qnode
+    in
+    complete_syscall t seg (Some (Int32.of_int qnode))
   | Thread.Parked _ | Thread.Running | Thread.Blocked_monitor _
   | Thread.Awaiting_reply _ | Thread.Dead ->
     error "apply_resume: segment %d is not resumable" seg.Thread.seg_id
@@ -1555,6 +1493,12 @@ let finish_bottom_return t seg =
     | None -> ());
     None
 
+(* execute the segment's native code for at most [fuel] instructions, on
+   the threaded engine or the reference interpreter *)
+let run_code t ctx ~fuel =
+  if t.kthreaded then Isa.Dispatch.run t.kdispatch ctx ~mem:t.kmem ~text:t.ktext ~fuel
+  else M.run ctx ~mem:t.kmem ~text:t.ktext ~fuel
+
 let step t =
   if Queue.is_empty t.run_queue then []
   else
@@ -1577,18 +1521,13 @@ let step t =
       | None -> 50_000_000
     in
     let cycles_before = ctx.M.cycles and insns_before = ctx.M.insns in
-    let run () =
-      if t.kthreaded then
-        Isa.Dispatch.run t.kdispatch ctx ~mem:t.kmem ~text:t.ktext ~fuel
-      else M.run ctx ~mem:t.kmem ~text:t.ktext ~fuel
-    in
     let stop =
-      match run () with
+      match run_code t ctx ~fuel with
       | S.Fuel when Option.is_none t.quantum ->
         (* a thread alone on its node is never asked to poll: ask now and
            run on to the next bus stop, where it parks as at any poll *)
         ctx.M.poll_requested <- true;
-        run ()
+        run_code t ctx ~fuel
       | stop -> stop
     in
     seg.Thread.seg_spawn <- None;
@@ -1612,20 +1551,15 @@ let step t =
       | S.Syscall nr -> (
         match stop_at_pc t ctx.M.pc with
         | None -> error "system call %d at PC %#x: no bus stop" nr ctx.M.pc
-        | Some (lc, entry) -> (
-          match dispatch_syscall t seg lc entry nr with
-          | D_done retval ->
+        | Some (_, entry) -> (
+          match dispatch_syscall t seg entry nr with
+          | D_park s ->
             (* completion is applied at the segment's next dispatch, so the
                segment stays parked at the bus stop (capturable) meanwhile *)
-            seg.Thread.seg_status <- Thread.Parked (S.Complete retval);
+            seg.Thread.seg_status <- Thread.Parked s;
             enqueue_ready t seg;
             []
-          | D_done_dequeue waiter ->
-            seg.Thread.seg_status <- Thread.Parked (S.Complete_dequeue waiter);
-            enqueue_ready t seg;
-            []
-          | D_blocked -> []
-          | D_local _callee -> []
+          | D_wait -> []
           | D_out out -> [ out ]))
       | S.Trap trap ->
         error "node %d, thread %d: %s" t.knode_id seg.Thread.seg_thread
@@ -1661,12 +1595,7 @@ let advance_to_stop t (seg : Thread.segment) =
     let ctx = seg.Thread.seg_ctx in
     ctx.M.poll_requested <- true;
     let cycles_before = ctx.M.cycles and insns_before = ctx.M.insns in
-    let stop =
-      if t.kthreaded then
-        Isa.Dispatch.run t.kdispatch ctx ~mem:t.kmem ~text:t.ktext
-          ~fuel:50_000_000
-      else M.run ctx ~mem:t.kmem ~text:t.ktext ~fuel:50_000_000
-    in
+    let stop = run_code t ctx ~fuel:50_000_000 in
     t.insns <- t.insns + (ctx.M.insns - insns_before);
     charge_cycles t (ctx.M.cycles - cycles_before);
     match stop with

@@ -338,6 +338,89 @@ let test_vax_exit_only_stops () =
         Alcotest.fail "non-VAX dequeue stops are ordinary system calls")
     sparc_deq
 
+(* The programs the system-call check compiles: every golden program
+   (test/golden, found from the test directory under dune and from the
+   repository root under [dune exec]) and every workload source. *)
+let golden_and_workload_sources () =
+  let dir = if Sys.file_exists "golden" then "golden" else Filename.concat "test" "golden" in
+  let golden =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".em")
+    |> List.sort String.compare
+    |> List.map (fun f ->
+           (f, In_channel.with_open_text (Filename.concat dir f) In_channel.input_all))
+  in
+  if golden = [] then Alcotest.failf "no golden program in %s" dir;
+  golden
+  @ Core.Workloads.
+      [
+        ("table1_src", table1_src);
+        ("intranode_src", intranode_src);
+        ("fig2_src", fig2_src);
+        ("scaling_src", scaling_src);
+        ("hotspot_src", hotspot_src);
+        ("cluster_src", cluster_src);
+      ]
+
+(* The kernel dispatches a system call on the kind of the stop it sits
+   at and refuses a number that disagrees, so a wrong number would show
+   only when that call runs.  Checked statically here, on every
+   architecture at every level: each [Syscall n] sits at a visible PC
+   (canonical or alternate) of a stop whose kind makes call [n], and each
+   stop of a kind that makes a call, unless exit-only (VAX REMQUE) or
+   elided, has exactly one. *)
+let test_syscalls_at_their_stops () =
+  let module B = Emc.Busstop in
+  let calls_checked = ref 0 in
+  List.iter
+    (fun (name, src) ->
+      let prog =
+        Emc.Compile.compile_exn ~levels:Emc.Opt.[ O0; O1; O2 ] ~name ~archs:A.all src
+      in
+      Array.iter
+        (fun (cc : Emc.Compile.compiled_class) ->
+          List.iter
+            (fun (_, (art : Emc.Compile.arch_artifact)) ->
+              let where =
+                Printf.sprintf "%s: class %s on %s at -%s" name cc.Emc.Compile.cc_name
+                  art.Emc.Compile.aa_arch.A.id
+                  (Emc.Opt.to_string art.Emc.Compile.aa_level)
+              in
+              let code = art.Emc.Compile.aa_code and stops = art.Emc.Compile.aa_stops in
+              let calls = Array.make (B.count stops) 0 in
+              Array.iteri
+                (fun i insn ->
+                  match insn with
+                  | Isa.Insn.Syscall n -> (
+                    let pc = code.Isa.Code.offsets.(i) in
+                    match B.id_of_pc stops pc with
+                    | -1 -> Alcotest.failf "%s: system call %d at %#x is at no stop" where n pc
+                    | id ->
+                      let kind = (B.by_id stops id).B.be_kind in
+                      if Emc.Sysno.of_stop kind <> n then
+                        Alcotest.failf "%s: system call %d at stop %d (%s), which makes call %d"
+                          where n id (B.kind_name kind) (Emc.Sysno.of_stop kind);
+                      calls.(id) <- calls.(id) + 1;
+                      incr calls_checked)
+                  | _ -> ())
+                code.Isa.Code.insns;
+              Array.iter
+                (fun (e : B.entry) ->
+                  let makes_call =
+                    match e.B.be_kind with
+                    | Emc.Ir.Sk_loop -> false
+                    | _ -> not (e.B.be_exit_only || e.B.be_elided)
+                  in
+                  let want = if makes_call then 1 else 0 in
+                  if calls.(e.B.be_id) <> want then
+                    Alcotest.failf "%s: stop %d (%s) has %d system calls, not %d" where
+                      e.B.be_id (B.kind_name e.B.be_kind) calls.(e.B.be_id) want)
+                stops.B.bt_entries)
+            cc.Emc.Compile.cc_arts)
+        prog.Emc.Compile.p_classes)
+    (golden_and_workload_sources ());
+  if !calls_checked = 0 then Alcotest.fail "no system call was checked"
+
 let test_program_db_stable () =
   let db = Emc.Program_db.create () in
   let o1 = Emc.Program_db.assign db ~program:"p" ~class_name:"A" in
@@ -388,6 +471,8 @@ let suites =
         Alcotest.test_case "pc mapping is bijective" `Quick test_busstops_bijective_pcs;
         Alcotest.test_case "VAX REMQUE stops are exit-only" `Quick
           test_vax_exit_only_stops;
+        Alcotest.test_case "every system call sits at its stop" `Quick
+          test_syscalls_at_their_stops;
         Alcotest.test_case "program database" `Quick test_program_db_stable;
       ] );
   ]
