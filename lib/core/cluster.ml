@@ -672,7 +672,6 @@ let chain_walk t ~from oid = Locate.chain_walk t.loc ~from oid
 
 let global_time_us t = Array.fold_left (fun acc k -> Float.max acc (K.time_us k)) 0.0 t.kernels
 let output t ~node = K.output t.kernels.(node)
-let outputs t = String.concat "" (Array.to_list (Array.map K.output t.kernels))
 let events_processed t = Loop.events t.loop
 
 (* between events every segment is parked at a bus stop, so global

@@ -286,7 +286,4 @@ val global_time_us : t -> float
 (** Maximum virtual time across nodes. *)
 
 val output : t -> node:int -> string
-val outputs : t -> string
-(** All nodes' console output concatenated in node order. *)
-
 val events_processed : t -> int

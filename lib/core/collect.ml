@@ -80,7 +80,7 @@ let increment t i =
   K.charge_insns k (CM.gc_increment_insns ~scanned);
   E.emit_gc_phase t.bus ~node:i ~arch:(K.arch k)
     ~phase:(Ert.Gc.phase_name (Ert.Gc.phase cy)) ~scanned ~t0:t.t0 ~t1:clock;
-  if Ert.Gc.is_open cy then Engine.schedule t.engine ~at:clock.Sim.Clock.now (Engine.Gc i)
+  if Ert.Gc.is_open cy then Engine.schedule t.engine ~at:clock.Sim.Clock.now Engine.Gc i
   else finished t i cy
 
 let collect t i =

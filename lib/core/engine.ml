@@ -1,10 +1,10 @@
-type event =
-  | Step of int
-  | Deliver of int
-  | Wake of int
-  | Gc of int
-  | Timer of int
-  | Chaos of int
+type kind =
+  | Chaos
+  | Gc
+  | Deliver
+  | Wake
+  | Step
+  | Timer
 
 (* Priority encoding.  Simultaneous events are ordered node-major: the
    lower node index wins, and within one node the kinds order as
@@ -18,23 +18,13 @@ type event =
    heap's entries. *)
 let n_kinds = 6
 
-let rank = function
-  | Chaos i -> i * n_kinds
-  | Gc i -> (i * n_kinds) + 1
-  | Deliver i -> (i * n_kinds) + 2
-  | Wake i -> (i * n_kinds) + 3
-  | Step i -> (i * n_kinds) + 4
-  | Timer i -> (i * n_kinds) + 5
+let rank kind i =
+  (i * n_kinds)
+  + (match kind with Chaos -> 0 | Gc -> 1 | Deliver -> 2 | Wake -> 3 | Step -> 4 | Timer -> 5)
 
-let event_of_rank r =
-  let i = r / n_kinds in
-  match r mod n_kinds with
-  | 0 -> Chaos i
-  | 1 -> Gc i
-  | 2 -> Deliver i
-  | 3 -> Wake i
-  | 4 -> Step i
-  | _ -> Timer i
+let kinds = [| Chaos; Gc; Deliver; Wake; Step; Timer |]
+let kind r = kinds.(r mod n_kinds)
+let node r = r / n_kinds
 
 (* A binary min-heap of ranks over [size] entries of two parallel arrays
    ([times] is an unboxed float array), sized for every rank at once, so
@@ -81,8 +71,8 @@ let swap t i j =
    a no-op.  The existing entry is never later than the wanted time —
    validity is re-checked at pop, and a stale entry is rescheduled at
    its corrected time — so dropping the duplicate is safe. *)
-let schedule t ~at ev =
-  let r = rank ev in
+let schedule t ~at kind i =
+  let r = rank kind i in
   if not t.queued.(r) then begin
     t.queued.(r) <- true;
     t.pushes <- t.pushes + 1;
@@ -97,11 +87,12 @@ let schedule t ~at ev =
     done
   end
 
-let reschedule t ~at ev =
+let reschedule t ~at kind i =
   t.stale <- t.stale + 1;
-  schedule t ~at ev
+  schedule t ~at kind i
 
-let peek t = if t.size = 0 then None else Some t.times.(0)
+let is_empty t = t.size = 0
+let before t horizon = t.size > 0 && t.times.(0) < horizon
 
 let sift_down t =
   let i = ref 0 in
@@ -119,23 +110,22 @@ let sift_down t =
   done
 
 (* The popped time is readable as [now t] (the pop advanced the clock
-   to it), so no [(time * event)] pair is built.  The hot loop runs this
-   once per event. *)
+   to it), and the popped entry is its rank, so a take builds nothing.
+   The hot loop runs this once per event. *)
 let take t =
-  if t.size = 0 then None
-  else begin
-    let time = t.times.(0) and r = t.ranks.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.times.(0) <- t.times.(t.size);
-      t.ranks.(0) <- t.ranks.(t.size);
-      sift_down t
-    end;
-    t.queued.(r) <- false;
-    t.pops <- t.pops + 1;
-    Sim.Clock.advance_to t.clock time;
-    Some (event_of_rank r)
-  end
+  if t.size = 0 then invalid_arg "Engine.take: no pending event";
+  let time = t.times.(0) and r = t.ranks.(0) in
+  t.size <- t.size - 1;
+  if t.size > 0 then begin
+    t.times.(0) <- t.times.(t.size);
+    t.ranks.(0) <- t.ranks.(t.size);
+    sift_down t
+  end;
+  t.queued.(r) <- false;
+  t.pops <- t.pops + 1;
+  let clk = t.clock in
+  if time > clk.Sim.Clock.now then clk.Sim.Clock.now <- time;
+  r
 
 let pending t = t.size
 let pushes t = t.pushes

@@ -6,8 +6,9 @@
     Timer).  The engine keeps at most one pending entry per (kind,
     node), which is one rank, so no two entries share a key and the
     order cannot depend on heap insertion order.  The heap holds ranks
-    alone, at most [n_nodes * 6] of them, and decodes the popped rank
-    back to its event.
+    alone, at most [n_nodes * 6] of them, and a take hands back the
+    popped rank: {!kind} and {!node} read it, so taking and scheduling
+    build nothing.
 
     Scheduled times are allowed to go stale — a node's clock advances
     after its step was queued, or a message queue's head changes.  The
@@ -15,14 +16,13 @@
     corrected time, which is always later, so no event can run early.
     The heap, flags and counters here are deliberately not exposed. *)
 
-type event =
-  | Step of int  (** run one kernel scheduling slice on the node *)
-  | Deliver of int  (** deliver the node's next arrived message *)
-  | Wake of int
-      (** the node's earliest monitor wait-timeout deadline is due *)
-  | Gc of int  (** automatic collection on the node *)
-  | Timer of int  (** the node's earliest retransmission deadline is due *)
-  | Chaos of int  (** the node's next scheduled crash/restart window opens *)
+type kind =
+  | Chaos  (** the node's next scheduled crash/restart window opens *)
+  | Gc  (** automatic collection on the node *)
+  | Deliver  (** deliver the node's next arrived message *)
+  | Wake  (** the node's earliest monitor wait-timeout deadline is due *)
+  | Step  (** run one kernel scheduling slice on the node *)
+  | Timer  (** the node's earliest retransmission deadline is due *)
 
 type t
 
@@ -31,22 +31,30 @@ val create : n_nodes:int -> unit -> t
 val now : t -> float
 (** Virtual time of the most recently popped event (the frontier). *)
 
-val schedule : t -> at:float -> event -> unit
-(** Queue an event; a duplicate of an already-queued (kind, node) pair
-    is dropped. *)
+val schedule : t -> at:float -> kind -> int -> unit
+(** [schedule t ~at kind node] queues an entry; a duplicate of an
+    already-queued (kind, node) pair is dropped. *)
 
-val reschedule : t -> at:float -> event -> unit
-(** Re-queue a popped-but-stale event at its corrected time; counted
+val reschedule : t -> at:float -> kind -> int -> unit
+(** Re-queue a popped-but-stale entry at its corrected time; counted
     separately in {!stale_pops}. *)
 
-val peek : t -> float option
-(** Time of the earliest pending event, without removing it: the loop
-    stops at a load-balancing point without disturbing the heap. *)
+val is_empty : t -> bool
 
-val take : t -> event option
-(** Remove and return the earliest event, advancing the frontier clock;
-    the popped entry's time is readable as [now t] afterwards.  For the
-    per-event hot loop. *)
+val before : t -> float -> bool
+(** [before t horizon]: the earliest pending entry is due before
+    [horizon] (false when none is pending).  The loop stops at a
+    load-balancing point without disturbing the heap. *)
+
+val take : t -> int
+(** Remove the earliest entry and return its rank, advancing the
+    frontier clock; the popped entry's time is readable as [now t]
+    afterwards.  For the per-event hot loop.
+    @raise Invalid_argument when nothing is pending. *)
+
+val kind : int -> kind
+val node : int -> int
+(** The kind and the node of a rank {!take} returned. *)
 
 val pending : t -> int
 

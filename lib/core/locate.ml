@@ -342,18 +342,20 @@ let crash_shard t i =
 
 (* rebuild the node's directory shard from the forwarding ground truth:
    every surviving resident whose home partition is this node is
-   re-registered at its current host, stamped now — so an update that
-   was in flight across the crash arrives stale and is dropped *)
+   re-registered at its current host, stamped with that host's clock
+   (node clocks are not comparable) — so an update that was in flight
+   across the crash arrives stale, and the host's next publish wins *)
 let restart t i =
   if t.mode = Loc_directory then begin
     let d = t.dirs.(i) in
     Loc.Directory.clear d;
-    let now = K.time_us t.kernels.(i) in
     Array.iteri
       (fun j k ->
-        if not t.down.(j) then
+        if not t.down.(j) then begin
+          let at = K.time_us k in
           K.iter_objects k (fun oid _ ->
-              if home t oid = i then ignore (Loc.Directory.update d oid ~node:j ~at:now : bool)))
+              if home t oid = i then ignore (Loc.Directory.update d oid ~node:j ~at : bool))
+        end)
       t.kernels
   end
 

@@ -42,7 +42,7 @@ let create ~engine ~net ~bus ~kernels ~down ~transport ~collect ~faults ~results
       balancer = None; balance_every = infinity; balance_at = infinity }
   in
   Enet.Netsim.set_on_arrival net (fun ~dst ~at ->
-      Engine.schedule engine ~at (Engine.Deliver dst));
+      Engine.schedule engine ~at Engine.Deliver dst);
   (* compile the plan's crash/restart windows into per-node schedules and
      seed the engine with each node's first window *)
   List.iter
@@ -57,7 +57,7 @@ let create ~engine ~net ~bus ~kernels ~down ~transport ~collect ~faults ~results
   Array.iteri
     (fun i acts ->
       match acts with
-      | (at, _) :: _ -> Engine.schedule engine ~at (Engine.Chaos i)
+      | (at, _) :: _ -> Engine.schedule engine ~at Engine.Chaos i
       | [] -> ())
     t.chaos;
   t
@@ -69,9 +69,8 @@ let events t = t.events
    time; the engine dedups, so this is cheap to call after anything
    that might have woken a segment *)
 let ensure_step t i =
-  let k = t.kernels.(i) in
-  if (not t.down.(i)) && K.has_ready k then
-    Engine.schedule t.engine ~at:(K.time_us k) (Engine.Step i)
+  if (not t.down.(i)) && K.has_ready t.kernels.(i) then
+    Engine.schedule t.engine ~at:t.clocks.(i).Sim.Clock.now Engine.Step i
 
 (* (re)queue a wake at the node's earliest timed-wait deadline; the
    engine dedups, and the pop handler revalidates against the kernel, so
@@ -79,7 +78,7 @@ let ensure_step t i =
 let ensure_wake t i =
   if not t.down.(i) then
     match K.next_timeout t.kernels.(i) with
-    | Some d -> Engine.schedule t.engine ~at:d (Engine.Wake i)
+    | Some d -> Engine.schedule t.engine ~at:d Engine.Wake i
     | None -> ()
 
 let rec run_outcalls t ~src = function
@@ -101,45 +100,34 @@ let rec run_outcalls t ~src = function
    once and reseed anything runnable.  This is the loop's only O(nodes)
    scan, and it runs once per drain, not per event. *)
 let reseed t =
-  let any = ref false in
   Array.iteri
     (fun i k ->
-      let down = t.down.(i) in
-      if (not down) && K.has_ready k then begin
-        Engine.schedule t.engine ~at:(K.time_us k) (Engine.Step i);
-        any := true
-      end;
+      ensure_step t i;
       (* a node whose segments all sit in timed waits has no ready work,
          so only its wake keeps the simulation from quiescing early *)
-      (match K.next_timeout k with
-      | Some d when not down ->
-        Engine.schedule t.engine ~at:d (Engine.Wake i);
-        any := true
-      | _ -> ());
+      ensure_wake t i;
       match Enet.Netsim.next_arrival_at t.net ~dst:i with
-      | Some a ->
-        Engine.schedule t.engine ~at:(Float.max a (K.time_us k)) (Engine.Deliver i);
-        any := true
+      | Some a -> Engine.schedule t.engine ~at:(Float.max a (K.time_us k)) Engine.Deliver i
       | None -> ())
     t.kernels;
-  !any
+  not (Engine.is_empty t.engine)
 
 let rec step_below t ~horizon =
   let e = t.engine in
-  match Engine.peek e with
-  | None -> if reseed t then step_below t ~horizon else false
-  | Some tm when tm >= horizon ->
+  if Engine.is_empty e then reseed t && step_below t ~horizon
+  else if not (Engine.before e horizon) then
     false (* a pending load-balancing point gates further execution *)
-  | Some _ -> (
-    match Engine.take e with
-    | None -> if reseed t then step_below t ~horizon else false
-    | Some (Engine.Timer i) ->
+  else begin
+    let r = Engine.take e in
+    let i = Engine.node r in
+    match Engine.kind r with
+    | Engine.Timer ->
       if Transport.on_timer t.tr i then begin
         t.events <- t.events + 1;
         true
       end
       else step_below t ~horizon
-    | Some (Engine.Chaos i) -> (
+    | Engine.Chaos -> (
       match t.chaos.(i) with
       | [] -> step_below t ~horizon
       | (_, act) :: rest ->
@@ -149,11 +137,11 @@ let rec step_below t ~horizon =
         | Chaos_crash -> t.crash i
         | Chaos_restart -> t.restart i);
         (match rest with
-        | (at, _) :: _ -> Engine.schedule e ~at (Engine.Chaos i)
+        | (at, _) :: _ -> Engine.schedule e ~at Engine.Chaos i
         | [] -> ());
         ensure_step t i;
         true)
-    | Some (Engine.Gc i) ->
+    | Engine.Gc ->
       (* an in-progress incremental cycle must run to completion even if
          sweeping has already pushed the heap back under the threshold.
          The collection stands in for the node's next step, so it queues
@@ -169,14 +157,14 @@ let rec step_below t ~horizon =
         ensure_step t i;
         true
       end
-    | Some (Engine.Step i) ->
+    | Engine.Step ->
       if t.down.(i) || not (K.has_ready t.kernels.(i)) then step_below t ~horizon
       else begin
         let tm = Engine.now e in
         let clock = t.clocks.(i) in
         let now = clock.Sim.Clock.now in
         if now > tm then begin
-          Engine.reschedule e ~at:now (Engine.Step i);
+          Engine.reschedule e ~at:now Engine.Step i;
           step_below t ~horizon
         end
         else begin
@@ -188,14 +176,14 @@ let rec step_below t ~horizon =
              step once it has charged its pause; a step queued here too
              would only pop stale *)
           let at = clock.Sim.Clock.now in
-          if Collect.over_threshold t.gc i then Engine.schedule e ~at (Engine.Gc i)
+          if Collect.over_threshold t.gc i then Engine.schedule e ~at Engine.Gc i
           else if (not t.down.(i)) && K.has_ready t.kernels.(i) then
-            Engine.schedule e ~at (Engine.Step i);
+            Engine.schedule e ~at Engine.Step i;
           ensure_wake t i;
           true
         end
       end
-    | Some (Engine.Wake i) -> (
+    | Engine.Wake -> (
       (* revalidate against the kernel, exactly as Step does against the
          clock: the deadline may have been consumed (signalled, migrated
          away) or superseded by an earlier one since this entry was
@@ -209,7 +197,7 @@ let rec step_below t ~horizon =
           let tm = Engine.now e in
           let eff = Float.max d t.clocks.(i).Sim.Clock.now in
           if eff > tm then begin
-            Engine.reschedule e ~at:eff (Engine.Wake i);
+            Engine.reschedule e ~at:eff Engine.Wake i;
             step_below t ~horizon
           end
           else begin
@@ -220,14 +208,14 @@ let rec step_below t ~horizon =
             ensure_step t i;
             true
           end)
-    | Some (Engine.Deliver i) -> (
+    | Engine.Deliver -> (
       match Enet.Netsim.next_arrival_at t.net ~dst:i with
       | None -> step_below t ~horizon
       | Some arrival ->
         let tm = Engine.now e in
         let eff = Float.max arrival t.clocks.(i).Sim.Clock.now in
         if eff > tm then begin
-          Engine.reschedule e ~at:eff (Engine.Deliver i);
+          Engine.reschedule e ~at:eff Engine.Deliver i;
           step_below t ~horizon
         end
         else begin
@@ -235,12 +223,13 @@ let rec step_below t ~horizon =
           Transport.receive t.tr ~dst:i ~now:eff;
           (match Enet.Netsim.next_arrival_at t.net ~dst:i with
           | Some a ->
-            Engine.schedule e ~at:(Float.max a (K.time_us t.kernels.(i))) (Engine.Deliver i)
+            Engine.schedule e ~at:(Float.max a (K.time_us t.kernels.(i))) Engine.Deliver i
           | None -> ());
           ensure_step t i;
           ensure_wake t i;
           true
-        end))
+        end)
+  end
 
 (* Fire the installed balancer and advance its schedule: an event
    executes before the balancer iff its (revalidated) time is below
@@ -259,7 +248,7 @@ let set_balancer t ~every_us f =
 
 let rec step_once t =
   if step_below t ~horizon:t.balance_at then true
-  else if t.balancer <> None && Engine.peek t.engine <> None then begin
+  else if t.balancer <> None && not (Engine.is_empty t.engine) then begin
     (* not quiescent — execution is gated at a pending balancing
        point.  Fire it here so [false] means quiescent for every
        caller, including external drivers stepping the cluster

@@ -236,7 +236,7 @@ let send tr ~src ~dst ~root msg =
          already queued later than this deadline, the pop will process
          this entry past due and reschedule at the then-earliest — a late
          retransmit, never a lost one *)
-      Engine.schedule tr.engine ~at:p.p_next_at (Engine.Timer src);
+      Engine.schedule tr.engine ~at:p.p_next_at Engine.Timer src;
       arrival
     end
     else Enet.Netsim.send ?span tr.net ~now_us:now ~src ~dst ~payload
@@ -336,14 +336,14 @@ let on_timer tr i =
     in
     match due with
     | [] ->
-      if later < infinity then Engine.reschedule e ~at:later (Engine.Timer i);
+      if later < infinity then Engine.reschedule e ~at:later Engine.Timer i;
       false
     | due ->
       (* hashtable fold order is unspecified; sequence numbers restore a
          deterministic processing order *)
       List.iter (retransmit_due tr i ~now) (List.sort by_seq due);
       let next = Hashtbl.fold (fun _ p acc -> Float.min acc p.p_next_at) tbl infinity in
-      if next < infinity then Engine.schedule e ~at:next (Engine.Timer i);
+      if next < infinity then Engine.schedule e ~at:next Engine.Timer i;
       true
   end
 

@@ -179,20 +179,23 @@ let root cy addr =
   touch cy addr;
   cy
 
-let oid_root cy oid =
-  match Kernel.ref_addr cy.k oid with
+(* the object an OID's interned image names here, if any *)
+let key_root cy key =
+  match Kernel.ref_addr cy.k key with
   | 0 -> cy
   | addr -> root cy addr
 
 let rec value_root cy (v : Value.t) =
   match v with
-  | Value.Vref oid -> oid_root cy oid
+  | Value.Vref oid -> key_root cy (Oid.intern oid)
   | Value.Vvec (_, xs) -> Array.fold_left value_root cy xs
   | Value.Vint _ | Value.Vreal _ | Value.Vbool _ | Value.Vstr _ | Value.Vnil -> cy
 
 let suspension_roots cy (s : T.suspension) =
   match s with
   | Isa.Suspend.Deliver v | Isa.Suspend.Complete (Some v) -> value_root cy v
+  | Isa.Suspend.Complete_word (Isa.Suspend.Wref, key) -> key_root cy key
+  | Isa.Suspend.Complete_word ((Isa.Suspend.Wint | Isa.Suspend.Wbool), _)
   | Isa.Suspend.Complete None | Isa.Suspend.Run | Isa.Suspend.Complete_dequeue _
   | Isa.Suspend.Poll | Isa.Suspend.Syscall _ | Isa.Suspend.Bottom_return
   | Isa.Suspend.Halt | Isa.Suspend.Trap _ | Isa.Suspend.Fuel -> cy
@@ -224,7 +227,7 @@ let frame_roots ~class_index ~method_index entry ~fp ~ret_out:_ cy =
 let segment_roots cy (seg : T.segment) =
   match seg.T.seg_spawn with
   | Some spawn ->
-    let cy = List.fold_left value_root (oid_root cy spawn.T.si_target) spawn.T.si_args in
+    let cy = List.fold_left value_root (key_root cy (Oid.intern spawn.T.si_target)) spawn.T.si_args in
     status_roots cy seg.T.seg_status
   | None -> (
     let cy = Frame_walk.fold cy.k seg frame_roots cy in
@@ -253,7 +256,7 @@ let scan_roots cy =
     ignore (segment_roots cy (Kernel.segment_by_rank k i) : t)
   done;
   let cy = Array.fold_left root cy (Kernel.string_literal_addrs k) in
-  let cy = List.fold_left oid_root cy cy.extra_roots in
+  let cy = List.fold_left (fun cy oid -> key_root cy (Oid.intern oid)) cy cy.extra_roots in
   let cy = List.fold_left root cy cy.extra_addrs in
   (Kernel.fold_root_results k result_root cy).roots
 

@@ -87,7 +87,6 @@ val inherit_serials : t -> int * int * int -> unit
 val node_id : t -> int
 val arch : t -> Isa.Arch.t
 val mem : t -> Isa.Memory.t
-val text : t -> Isa.Text.t
 val heap : t -> Heap.t
 
 (* virtual time and cost accounting *)
@@ -127,10 +126,10 @@ val find_object : t -> Oid.t -> int option
 
 val proxy_of : t -> Oid.t -> int option
 
-val ref_addr : t -> Oid.t -> int
-(** The resident descriptor for an OID, else its proxy, else 0: the
-    lookup of {!ensure_ref} without the proxy creation, allocating
-    nothing. *)
+val ref_addr : t -> int -> int
+(** The resident descriptor for the OID whose {!Oid.intern} image is
+    the key, else its proxy, else 0: the lookup of {!ensure_ref} without
+    the proxy creation, allocating nothing. *)
 
 val ensure_ref : t -> Oid.t -> int
 (** Local address for an OID: the resident descriptor, an existing proxy,
@@ -170,7 +169,6 @@ val string_literal_addrs : t -> int array
     their classes loaded.  The kernel's own array: do not mutate it. *)
 
 val make_string : t -> string -> int
-val read_string_block : t -> int -> string
 val make_vector : t -> kind:int -> len:int -> int
 val is_vector_block : t -> int -> bool
 
@@ -356,8 +354,6 @@ val set_threaded : t -> bool -> unit
     threaded-dispatch engine ({!Isa.Dispatch.run}).  The two are
     observationally identical; the switch exists for differential tests
     and the interpreter benchmark. *)
-
-val threaded : t -> bool
 
 val set_opt_level : t -> Emc.Opt.level -> unit
 (** Select which code instance this node runs: the program's

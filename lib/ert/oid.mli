@@ -27,9 +27,6 @@ val fresh_data : node_id:int -> serial:int -> t
 val creator_node : t -> int option
 (** Creating node of a data OID. *)
 
-val serial : t -> int
-(** Per-node serial of a data OID. *)
-
 val equal : t -> t -> bool
 val compare : t -> t -> int
 

@@ -42,8 +42,10 @@ type segment = {
 let fresh_tid ~node_id ~serial = (node_id lsl 20) lor serial
 let fresh_seg_id ~node_id ~serial = (node_id lsl 20) lor serial
 
-let pp_status ppf = function
+let rec pp_status ppf = function
   | Parked Isa.Suspend.Run -> Format.pp_print_string ppf "ready"
+  | Parked (Isa.Suspend.Complete_word (w, bits)) ->
+    pp_status ppf (Parked (Isa.Suspend.Complete (Some (Value.of_word w bits))))
   | Parked s -> Format.fprintf ppf "parked (%a)" (Isa.Suspend.pp ~value:Value.pp) s
   | Running -> Format.pp_print_string ppf "running"
   | Blocked_monitor { deadline = Some d; _ } ->

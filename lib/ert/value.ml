@@ -21,6 +21,12 @@ let rec equal a b =
   | Vnil, Vnil -> true
   | (Vint _ | Vreal _ | Vbool _ | Vstr _ | Vref _ | Vvec _ | Vnil), _ -> false
 
+let of_word (w : Isa.Suspend.word) bits =
+  match w with
+  | Isa.Suspend.Wint -> Vint (Int32.of_int bits)
+  | Isa.Suspend.Wbool -> Vbool (bits <> 0)
+  | Isa.Suspend.Wref -> Vref (Int32.of_int bits)
+
 let rec pp ppf = function
   | Vint v -> Format.fprintf ppf "%ld" v
   | Vreal v -> Format.fprintf ppf "%g" v

@@ -16,6 +16,10 @@ type t =
   | Vnil
 
 val equal : t -> t -> bool
+val of_word : Isa.Suspend.word -> int -> t
+(** The value a result held as a word stands for (a reference's word is
+    its OID's {!Oid.intern} image). *)
+
 val pp : Format.formatter -> t -> unit
 
 val write : Enet.Wire.Writer.t -> t -> unit

@@ -15,16 +15,22 @@
 
 module M = Machine
 
+(* a system-call stop, built when the call is translated: valid at every
+   value type, since [Syscall] carries none *)
+type sys_stop = { sys : 'v. 'v Suspend.t } [@@unboxed]
+
 (* why a step returned to the driver; [S_jump] is a dynamic control
    transfer (indirect call, return) whose target must be re-resolved
-   through the text map, carrying the fuel it has left *)
+   through the text map.  No stop carries the fuel left: every step
+   spends one unit of fuel per instruction it counts, so the driver
+   reads the fuel left off [ctx.insns] *)
 type stop =
   | S_fuel
   | S_poll
-  | S_syscall of int
+  | S_syscall of sys_stop
   | S_bottom
   | S_halt
-  | S_jump of int
+  | S_jump
 
 type step = M.ctx -> int -> stop
 
@@ -167,7 +173,15 @@ let float_decode fmt v =
 (* a step that hands control back to the driver (fall-through off the
    end of an image, or a branch target outside it): the driver redoes
    the text-map lookup exactly as the interpreter's fetch would *)
-let escape : step = fun _ fuel -> if fuel <= 0 then S_fuel else S_jump fuel
+let escape : step = fun _ fuel -> if fuel <= 0 then S_fuel else S_jump
+
+(* a return pops the sentinel return address 0 at a segment's bottom *)
+let[@inline] return_to ctx target =
+  if target = 0 then S_bottom
+  else begin
+    ctx.M.pc <- target;
+    S_jump
+  end
 
 (* instructions that end a straight-line translation run *)
 let is_terminator = function
@@ -702,7 +716,7 @@ and compile_step tbl j ~next : step =
         ctx.M.insns <- ctx.M.insns + 1;
         if target = 0 then raise (M.Trapped (Suspend.Bad_pc 0));
         ctx.M.pc <- target;
-        S_jump (fuel - 1)
+        S_jump
       end
   | Insn.Jsr_ind r ->
     fun ctx fuel ->
@@ -716,7 +730,7 @@ and compile_step tbl j ~next : step =
         | Arch.Vax | Arch.M68k -> M.push_int ctx mem next_pc
         | Arch.Sparc -> M.set_reg_int ctx 15 next_pc);
         ctx.M.pc <- target;
-        S_jump (fuel - 1)
+        S_jump
       end
   | Insn.Push a ->
     let ga = get_c code mem a in
@@ -754,11 +768,7 @@ and compile_step tbl j ~next : step =
         M.set_fp ctx (M.pop_int ctx mem);
         let _mask = M.pop_int ctx mem in
         let target = M.pop_int ctx mem in
-        if target = 0 then S_bottom
-        else begin
-          ctx.M.pc <- target;
-          S_jump (fuel - 1)
-        end
+        return_to ctx target
       end
   | Insn.Link size ->
     fun ctx fuel ->
@@ -791,11 +801,7 @@ and compile_step tbl j ~next : step =
         ctx.M.cycles <- ctx.M.cycles + cyc;
         ctx.M.insns <- ctx.M.insns + 1;
         let target = M.pop_int ctx mem in
-        if target = 0 then S_bottom
-        else begin
-          ctx.M.pc <- target;
-          S_jump (fuel - 1)
-        end
+        return_to ctx target
       end
   | Insn.Save size ->
     fun ctx fuel ->
@@ -824,11 +830,7 @@ and compile_step tbl j ~next : step =
         ctx.M.cycles <- ctx.M.cycles + cyc;
         ctx.M.insns <- ctx.M.insns + 1;
         let target = M.reg_int ctx 15 in
-        if target = 0 then S_bottom
-        else begin
-          ctx.M.pc <- target;
-          S_jump (fuel - 1)
-        end
+        return_to ctx target
       end
   | Insn.Sethi (i, r) ->
     let v = Int32.to_int (Int32.shift_left i 10) in
@@ -842,12 +844,13 @@ and compile_step tbl j ~next : step =
         next ctx (fuel - 1)
       end
   | Insn.Syscall n ->
+    let stop = S_syscall { sys = Suspend.Syscall n } in
     fun ctx fuel ->
       if fuel <= 0 then S_fuel
       else begin
         ctx.M.cycles <- ctx.M.cycles + cyc;
         ctx.M.insns <- ctx.M.insns + 1;
-        S_syscall n
+        stop
       end
   | Insn.Poll _ ->
     fun ctx fuel ->
@@ -1013,22 +1016,22 @@ and compile_fused tbl j : step =
    and load address it was translated against (a node restart brings a
    fresh memory, voiding every table through the physical-equality
    check) *)
+let rec cached_table (code : Code.t) mem base = function
+  | [] -> raise_notrace Not_found
+  | ((oid, i), tbl) :: rest ->
+    if
+      Int32.equal oid code.Code.code_oid && i = code.Code.code_inst
+      && tbl.t_mem == mem && tbl.t_base = base && tbl.t_code == code
+    then tbl
+    else cached_table code mem base rest
+
 let table_for cache ~mem (img : Text.image) =
   let code = img.Text.code in
   let base = img.Text.base in
-  let inst = code.Code.code_inst in
-  let rec find = function
-    | [] -> None
-    | ((oid, i), tbl) :: rest ->
-      if
-        Int32.equal oid code.Code.code_oid && i = inst
-        && tbl.t_mem == mem && tbl.t_base = base && tbl.t_code == code
-      then Some tbl
-      else find rest
-  in
-  match find cache.tables with
-  | Some tbl -> tbl
-  | None ->
+  match cached_table code mem base cache.tables with
+  | tbl -> tbl
+  | exception Not_found ->
+    let inst = code.Code.code_inst in
     let n = Array.length code.Code.insns in
     let tbl =
       {
@@ -1049,38 +1052,31 @@ let table_for cache ~mem (img : Text.image) =
     tbl
 
 (* the drive loop replaces the interpreter's fetch: resolve the PC to a
-   translated step (one-image memo, as the interpreter keeps) and let
-   the closure chain run until it hands back a stop.  [S_jump] is the
-   only re-entry: a dynamic transfer whose target needs the text map. *)
+   translated step (through [img], the image the last one ran in) and
+   let the closure chain run until it hands back a stop.  [S_jump] is
+   the only re-entry: a dynamic transfer whose target needs the text
+   map.  The slice started with [fuel] at instruction count [insns0];
+   closure-free, so a warm slice allocates nothing. *)
+let rec drive cache ctx mem text (img : Text.image) fuel insns0 =
+  let left = fuel - (ctx.M.insns - insns0) in
+  if left <= 0 then Suspend.Fuel
+  else begin
+    let pc = ctx.M.pc in
+    let img = M.image_at text img pc in
+    let tbl = table_for cache ~mem img in
+    let idx = Code.index_at img.Text.code (pc - img.Text.base) in
+    match (step_at tbl idx) ctx left with
+    | S_fuel -> Suspend.Fuel
+    | S_poll -> Suspend.Poll
+    | S_syscall s -> s.sys
+    | S_bottom -> Suspend.Bottom_return
+    | S_halt -> Suspend.Halt
+    | S_jump -> drive cache ctx mem text img fuel insns0
+  end
+
 let run cache ctx ~mem ~text ~fuel =
   cache.stats.st_slices <- cache.stats.st_slices + 1;
-  let img_memo = ref Text.none in
-  let image_for pc =
-    let img = !img_memo in
-    if pc >= img.Text.base && pc < img.Text.base + img.Text.code.Code.byte_size then img
-    else begin
-      let img = Text.find text pc in
-      if img == Text.none then raise (M.Trapped (Suspend.Bad_pc pc));
-      img_memo := img;
-      img
-    end
-  in
-  let rec drive fuel =
-    if fuel <= 0 then Suspend.Fuel
-    else begin
-      let img = image_for ctx.M.pc in
-      let tbl = table_for cache ~mem img in
-      let idx = Code.index_at img.Text.code (ctx.M.pc - img.Text.base) in
-      match (step_at tbl idx) ctx fuel with
-      | S_fuel -> Suspend.Fuel
-      | S_poll -> Suspend.Poll
-      | S_syscall n -> Suspend.Syscall n
-      | S_bottom -> Suspend.Bottom_return
-      | S_halt -> Suspend.Halt
-      | S_jump fuel' -> drive fuel'
-    end
-  in
-  try drive fuel with
+  try drive cache ctx mem text Text.none fuel ctx.M.insns with
   | M.Trapped t -> Suspend.Trap t
   (* micro-ops go to [Memory] raw; the interpreter wraps at the access
      site, we wrap here — same [Suspend.Trap] either way *)

@@ -96,5 +96,4 @@ val cycles : Arch.family -> t -> int
 
 val binop_name : binop -> string
 val cmp_name : cmp -> string
-val mnemonic : Arch.family -> t -> string
 val pp : Arch.family -> Format.formatter -> t -> unit

@@ -182,31 +182,26 @@ let sparc_restore ctx mem =
     regs.(i_base + k) <- load_int mem (cur_sp + 32 + (4 * k))
   done
 
-type exec_state = {
-  mutable img : Text.image;  (* the image of the last fetch; [Text.none] at first *)
-}
-
-let image_for text state pc =
-  let img = state.img in
+let image_at text (img : Text.image) pc =
   if pc >= img.Text.base && pc < img.Text.base + img.Text.code.Code.byte_size then img
   else begin
     let img = Text.find text pc in
     if img == Text.none then raise (Trapped (Suspend.Bad_pc pc));
-    state.img <- img;
     img
   end
 
 let run ctx ~mem ~text ~fuel =
   let family = ctx.arch.Arch.family in
   let fmt = ctx.arch.Arch.float_format in
-  let state = { img = Text.none } in
+  let last = ref Text.none in
   (* direct-style hot loop: each arm tail-calls [exec] with the fuel it
      has left or returns its stop reason outright, so a slice costs no
      result/fuel refs, no closures, and no per-instruction stop check *)
   let rec exec fuel =
     if fuel <= 0 then Suspend.Fuel
     else begin
-      let img = image_for text state ctx.pc in
+      let img = image_at text !last ctx.pc in
+      last := img;
       let base = img.Text.base in
       let code = img.Text.code in
       let idx = Code.index_at code (ctx.pc - base) in

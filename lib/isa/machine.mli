@@ -69,8 +69,6 @@ val addr_of : int -> int
 
 val load_int : Memory.t -> int -> int
 val store_int : Memory.t -> int -> int -> unit
-val get_operand : ctx -> Memory.t -> Operand.t -> int32
-val set_operand : ctx -> Memory.t -> Operand.t -> int32 -> unit
 val int_binop : Insn.binop -> int32 -> int32 -> int32
 val float_binop : Float_format.t -> Insn.binop -> int32 -> int32 -> int32
 val eval_cc : Insn.cmp -> int -> bool
@@ -87,6 +85,10 @@ val run : ctx -> mem:Memory.t -> text:Text.t -> fuel:int -> 'v Suspend.t
     runs dry (a preemptive quantum makes [Fuel] ordinary).  Only the
     machine-producible constructors of {!Suspend.t} are returned — see
     the invariant table in suspend.mli. *)
+
+val image_at : Text.t -> Text.image -> int -> Text.image
+(** The image holding a PC: the given one (the last fetch's) when it
+    does, else the text map's.  @raise Trapped [Bad_pc] when none does. *)
 
 val syscall_resume : ctx -> text:Text.t -> unit
 (** Advance the PC past the [Syscall] instruction it is stopped at, for

@@ -92,6 +92,14 @@ let read_string t addr len =
   check t addr len;
   Bytes.sub_string t.data addr len
 
+let rec bytes_equal d a b n =
+  n <= 0 || (Bytes.unsafe_get d a = Bytes.unsafe_get d b && bytes_equal d (a + 1) (b + 1) (n - 1))
+
+let equal_sub t a la b lb =
+  check t a la;
+  check t b lb;
+  la = lb && bytes_equal t.data a b la
+
 let blit_within t ~src ~dst ~len =
   check t src len;
   check t dst len;

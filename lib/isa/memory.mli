@@ -47,6 +47,10 @@ val unsafe_store32_bits : t -> int -> int -> unit
 val load8 : t -> int -> int
 val blit_string : t -> int -> string -> unit
 val read_string : t -> int -> int -> string
+val equal_sub : t -> int -> int -> int -> int -> bool
+(** [equal_sub t a la b lb] is [read_string t a la = read_string t b lb]
+    (ranges checked alike), compared in place. *)
+
 val blit_within : t -> src:int -> dst:int -> len:int -> unit
 (** Overlapping-safe copy, used by the activation-record relocation pass. *)
 

@@ -17,4 +17,3 @@ type t =
   | Mem of mem
 
 val pp : Arch.family -> Format.formatter -> t -> unit
-val pp_mem : Arch.family -> Format.formatter -> mem -> unit

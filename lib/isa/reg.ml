@@ -15,11 +15,6 @@ let fp = function
   | Arch.M68k -> 14 (* A6 *)
   | Arch.Sparc -> 30 (* %i6 *)
 
-let retval = function
-  | Arch.Vax -> 0
-  | Arch.M68k -> 0 (* D0 *)
-  | Arch.Sparc -> 24 (* %i0 *)
-
 let scratch = function
   | Arch.Vax -> [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11 ]
   | Arch.M68k -> [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12; 13 ]

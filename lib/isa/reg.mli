@@ -25,10 +25,6 @@ val sp : Arch.family -> t
 val fp : Arch.family -> t
 (** Frame pointer (VAX FP, M68k A6, SPARC %i6). *)
 
-val retval : Arch.family -> t
-(** Register carrying an operation result back to the caller (VAX R0,
-    M68k D0, SPARC %i0 seen as %o0 after RESTORE). *)
-
 val scratch : Arch.family -> t list
 (** Registers the code generator may use for expression temporaries
     between bus stops, in allocation order. *)

@@ -11,6 +11,11 @@ type trap =
   | Bad_pc of int
   | Bad_insn of string
 
+type word =
+  | Wint
+  | Wbool
+  | Wref
+
 type 'v t =
   | Run
   | Poll
@@ -22,12 +27,7 @@ type 'v t =
   | Deliver of 'v
   | Complete of 'v option
   | Complete_dequeue of int option
-
-let resumable = function
-  | Run | Deliver _ | Complete _ | Complete_dequeue _ -> true
-  | Poll | Syscall _ | Bottom_return | Halt | Trap _ | Fuel -> false
-
-let wire_encodable = resumable
+  | Complete_word of word * int
 
 let pp_trap ppf = function
   | Div_zero -> Format.pp_print_string ppf "division by zero"
@@ -57,3 +57,4 @@ let pp ?value ppf s =
   | Complete (Some v) -> Format.fprintf ppf "complete syscall (%a)" pv v
   | Complete_dequeue None -> Format.pp_print_string ppf "complete dequeue (empty)"
   | Complete_dequeue (Some s) -> Format.fprintf ppf "complete dequeue (waiter %d)" s
+  | Complete_word (_, w) -> Format.fprintf ppf "complete syscall (word %d)" w

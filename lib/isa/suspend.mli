@@ -20,6 +20,7 @@
     Deliver v           kernel           yes        2
     Complete v          kernel           yes        3
     Complete_dequeue s  kernel           yes        4
+    Complete_word w n   kernel           yes        — (as 3)
     Poll                CPU              no         —
     Syscall n           CPU              no         —
     Bottom_return       CPU              no         —
@@ -39,7 +40,8 @@
     - {e wire tag}: the byte tag {!Mobility.Mi_frame} writes; only
       resumable suspensions travel, because capture happens at bus
       stops.  The tags are fixed by the v2 wire format and must not be
-      renumbered. *)
+      renumbered.  [Complete_word] never travels: capture converts it
+      to the [Complete (Some v)] it stands for, which writes tag 3. *)
 
 type trap =
   | Div_zero
@@ -49,6 +51,12 @@ type trap =
   | Stack_overflow
   | Bad_pc of int
   | Bad_insn of string  (** instruction invalid for this family *)
+
+(** The type of a system-call result held as a word. *)
+type word =
+  | Wint  (** a 32-bit integer, sign-extended *)
+  | Wbool  (** 0 or 1 *)
+  | Wref  (** a reference, as the runtime's name for its object *)
 
 type 'v t =
   | Run  (** context is valid; just execute *)
@@ -75,13 +83,9 @@ type 'v t =
           name, so this state survives migration) or found the queue
           empty; on dispatch, fabricate a fresh queue node for the
           waiter and hand its address to the generated code *)
-
-val resumable : 'v t -> bool
-(** May this suspension appear inside [Thread.Parked]? *)
-
-val wire_encodable : 'v t -> bool
-(** May this suspension be marshalled?  Same set as {!resumable}: only
-    parked segments are captured. *)
+  | Complete_word of word * int
+      (** [Complete (Some v)] for an int, bool or reference [v], held as
+          a word: parking and completing the call build no value *)
 
 val pp_trap : Format.formatter -> trap -> unit
 

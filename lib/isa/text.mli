@@ -30,4 +30,3 @@ val find : t -> int -> image
 (** The image containing the given absolute address, or {!none}: one
     bisection over the images in base order, allocating nothing. *)
 
-val find_by_oid : t -> int32 -> image option

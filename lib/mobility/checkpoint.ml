@@ -19,8 +19,7 @@ let segments_of_thread k ~thread =
 
 let check_capturable (seg : T.segment) =
   match seg.T.seg_status with
-  | T.Parked s when Isa.Suspend.wire_encodable s -> ()
-  | T.Parked _ -> raise (Not_checkpointable "segment carries a CPU-only suspension")
+  | T.Parked _ -> ()
   | T.Running -> raise (Not_checkpointable "segment is running")
   | T.Blocked_monitor _ ->
     raise (Not_checkpointable "segment is queued on a monitor; move the object instead")

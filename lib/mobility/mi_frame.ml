@@ -104,7 +104,9 @@ let read_frame r =
   { mf_class; mf_code_oid; mf_method; mf_stop; mf_slots; mf_tags; mf_words; mf_boxed; mf_self }
 
 (* the four wire-encodable suspensions keep the v2 resume tags 1-4; the
-   CPU-only constructors never travel (capture happens at bus stops) *)
+   CPU-only constructors never travel (capture happens at bus stops),
+   and capture converts a [Complete_word] to the [Complete] it stands
+   for *)
 let write_suspension w (s : Ert.Value.t Isa.Suspend.t) =
   match s with
   | Isa.Suspend.Run -> W.u8 w 1
@@ -118,8 +120,8 @@ let write_suspension w (s : Ert.Value.t Isa.Suspend.t) =
     W.u8 w 4;
     write_opt w (fun w s -> W.i32 w (Int32.of_int s)) sid
   | Isa.Suspend.Poll | Isa.Suspend.Syscall _ | Isa.Suspend.Bottom_return
-  | Isa.Suspend.Halt | Isa.Suspend.Trap _ | Isa.Suspend.Fuel ->
-    failwith "Mi_frame.write_suspension: CPU-only suspension is not wire-encodable"
+  | Isa.Suspend.Halt | Isa.Suspend.Trap _ | Isa.Suspend.Fuel | Isa.Suspend.Complete_word _ ->
+    failwith "Mi_frame.write_suspension: suspension is not wire-encodable"
 
 let read_suspension r : Ert.Value.t Isa.Suspend.t =
   match R.u8 r with

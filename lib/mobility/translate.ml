@@ -83,13 +83,13 @@ let capture_frame k (fr : FW.frame_rec) =
   }
 
 (* the suspension is already machine-independent: it passes through
-   unconverted (the old resume_to_mi/resume_of_mi pair is gone) *)
+   unconverted (the old resume_to_mi/resume_of_mi pair is gone), but for
+   a result held as a word, which travels as the value it stands for *)
 let status_to_mi k (seg : T.segment) =
   match seg.T.seg_status with
-  | T.Parked s ->
-    if not (Isa.Suspend.wire_encodable s) then
-      fail "cannot capture segment %d: CPU-only suspension" seg.T.seg_id;
-    Mi_frame.Ms_parked s
+  | T.Parked (Isa.Suspend.Complete_word (w, bits)) ->
+    Mi_frame.Ms_parked (Isa.Suspend.Complete (Some (Ert.Value.of_word w bits)))
+  | T.Parked s -> Mi_frame.Ms_parked s
   | T.Awaiting_reply { stop_id } -> Mi_frame.Ms_awaiting_reply stop_id
   | T.Blocked_monitor { mon_addr; qnode; cond; deadline } ->
     Mi_frame.Ms_blocked_monitor

@@ -209,6 +209,16 @@ let prop_churn =
     (QCheck.make QCheck.Gen.(int_bound 10_000))
     churn_agrees
 
+(* two inputs the property once drew and failed: a shard rebuilt on a
+   restarted node stamped its entries with that node's clock, which a
+   later publish from a host whose clock lagged could not beat *)
+let test_churn_rebuild_stamps () =
+  List.iter
+    (fun seed ->
+      if not (churn_agrees seed) then
+        Alcotest.failf "input %d: directory and chain walks disagree" seed)
+    [ 1766; 6486 ]
+
 (* ------------------------------------------------------------------ *)
 (* the new traffic, pinned *)
 
@@ -299,6 +309,8 @@ let suites =
           test_ping_pong_collapse;
         QCheck_alcotest.to_alcotest prop_intern_order;
         QCheck_alcotest.to_alcotest prop_churn;
+        Alcotest.test_case "rebuilt shards stamp each entry with its host's clock"
+          `Quick test_churn_rebuild_stamps;
         Alcotest.test_case "new traffic pinned" `Slow test_traffic_pinned;
         Alcotest.test_case "group fuzz outcomes pinned" `Slow
           test_group_fuzz_pinned;

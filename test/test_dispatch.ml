@@ -384,6 +384,82 @@ let test_edge_programs () =
     edge_programs
 
 (* ---------------------------------------------------------------- *)
+(* a warm slice allocates nothing                                      *)
+(* ---------------------------------------------------------------- *)
+
+(* the words the minor heap grew by while [f] ran *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* a jump over a halt (so the driver re-enters through the text map
+   mid-slice), a register batch, then [last] *)
+let warm_program arch last =
+  let data, _, _ = layout arch.A.family in
+  let r i = O.Reg (List.nth data (i + 1)) in
+  let make target =
+    Isa.Code.make ~arch ~code_oid:78l ~class_name:"warm" ~methods:[| ("run", 0) |]
+      I.
+        [|
+          Jmp_abs target;
+          Halt;
+          Mov (O.Imm 3l, r 0);
+          Mov (O.Imm 4l, r 1);
+          Mov (r 0, r 2);
+          Mov (r 1, r 0);
+          last;
+        |]
+  in
+  (* a fresh text map loads its first image at the same base *)
+  let probe = make 0 in
+  let base = (Isa.Text.load (Isa.Text.create ()) probe).Isa.Text.base in
+  make (base + probe.Isa.Code.offsets.(2))
+
+(* a bottom return pops the sentinel return address 0: from the frame
+   on the VAX, the stack on the 68k, %o7 on the SPARC *)
+let bottom_return (arch : A.t) =
+  match arch.A.family with A.Vax -> I.Vax_ret | A.M68k -> I.Rts | A.Sparc -> I.Retl
+
+let test_warm_slice_allocates_nothing () =
+  List.iter
+    (fun (arch : A.t) ->
+      List.iter
+        (fun (what, last, want) ->
+          let code = warm_program arch last in
+          let mem = Mem.create ~endian:arch.A.endian ~size:mem_size in
+          let text = Isa.Text.create () in
+          let img = Isa.Text.load text code in
+          let ctx = M.create_ctx arch in
+          let cache = Isa.Dispatch.create_cache () in
+          let reset () =
+            ctx.M.pc <- img.Isa.Text.base;
+            ctx.M.poll_requested <- true;
+            ctx.M.skip_poll <- false;
+            M.set_sp ctx frame;
+            M.set_fp ctx frame;
+            if arch.A.family = A.Sparc then M.set_reg_int ctx 15 0
+          in
+          let slice () =
+            ignore (Isa.Dispatch.run cache ctx ~mem ~text ~fuel:1000 : unit Isa.Suspend.t)
+          in
+          reset ();
+          slice ();
+          reset ();
+          let words = minor_words slice in
+          reset ();
+          let stop = Isa.Dispatch.run cache ctx ~mem ~text ~fuel:1000 in
+          let name = Printf.sprintf "%s slice ending at %s" arch.A.id what in
+          check Alcotest.string (name ^ ": stop") want (Format.asprintf "%a" M.pp_stop stop);
+          check (Alcotest.float 0.0) (name ^ ": words") 0.0 words)
+        [
+          ("a system call", I.Syscall 7, "syscall 7");
+          ("a poll", I.Poll 0, "poll");
+          ("a bottom return", bottom_return arch, "segment-bottom return");
+        ])
+    [ A.vax; A.sun3; A.sparc ]
+
+(* ---------------------------------------------------------------- *)
 (* a lone thread past the 50M-instruction slice                      *)
 (* ---------------------------------------------------------------- *)
 
@@ -455,6 +531,8 @@ let suites =
       [
         qcheck dispatch_matches_interpreter;
         Alcotest.test_case "pinned edge programs" `Quick test_edge_programs;
+        Alcotest.test_case "a warm slice allocates nothing" `Quick
+          test_warm_slice_allocates_nothing;
         Alcotest.test_case "a lone thread outruns a 50M slice" `Slow
           test_lone_thread_outruns_slice;
       ] );

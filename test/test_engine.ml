@@ -100,19 +100,23 @@ let test_large_cluster_smoke () =
 
 let drain e =
   let rec go acc =
-    match Core.Engine.take e with
-    | None -> List.rev acc
-    | Some ev -> go (ev :: acc)
+    if Core.Engine.is_empty e then List.rev acc
+    else
+      let r = Core.Engine.take e in
+      go ((Core.Engine.kind r, Core.Engine.node r) :: acc)
   in
   go []
 
-let ev_label = function
-  | Core.Engine.Chaos i -> Printf.sprintf "chaos%d" i
-  | Core.Engine.Gc i -> Printf.sprintf "gc%d" i
-  | Core.Engine.Deliver i -> Printf.sprintf "deliver%d" i
-  | Core.Engine.Step i -> Printf.sprintf "step%d" i
-  | Core.Engine.Timer i -> Printf.sprintf "timer%d" i
-  | Core.Engine.Wake i -> Printf.sprintf "wake%d" i
+let ev_label (kind, i) =
+  Printf.sprintf "%s%d"
+    (match (kind : Core.Engine.kind) with
+    | Chaos -> "chaos"
+    | Gc -> "gc"
+    | Deliver -> "deliver"
+    | Step -> "step"
+    | Timer -> "timer"
+    | Wake -> "wake")
+    i
 
 let test_colliding_timestamps () =
   (* every entry at the same virtual time: the pop order must be the
@@ -120,15 +124,15 @@ let test_colliding_timestamps () =
      regardless of insertion order *)
   let module Eng = Core.Engine in
   let entries =
-    [ Eng.Step 2; Eng.Timer 0; Eng.Gc 3; Eng.Deliver 1; Eng.Chaos 2;
-      Eng.Deliver 0; Eng.Step 0; Eng.Gc 1; Eng.Timer 3; Eng.Chaos 1 ]
+    Eng.[ (Step, 2); (Timer, 0); (Gc, 3); (Deliver, 1); (Chaos, 2);
+          (Deliver, 0); (Step, 0); (Gc, 1); (Timer, 3); (Chaos, 1) ]
   in
   let expected =
     "deliver0 step0 timer0 chaos1 gc1 deliver1 chaos2 step2 gc3 timer3"
   in
   let run order =
     let e = Eng.create ~n_nodes:4 () in
-    List.iter (fun ev -> Eng.schedule e ~at:100.0 ev) order;
+    List.iter (fun (kind, i) -> Eng.schedule e ~at:100.0 kind i) order;
     String.concat " " (List.map ev_label (drain e))
   in
   check Alcotest.string "node-major rank order" expected (run entries);
@@ -136,8 +140,8 @@ let test_colliding_timestamps () =
     (run (List.rev entries));
   (* ties against earlier times never jump the queue *)
   let e = Eng.create ~n_nodes:4 () in
-  Eng.schedule e ~at:100.0 (Eng.Step 0);
-  Eng.schedule e ~at:99.0 (Eng.Timer 3);
+  Eng.schedule e ~at:100.0 Eng.Step 0;
+  Eng.schedule e ~at:99.0 Eng.Timer 3;
   check Alcotest.string "time before rank" "timer3 step0"
     (String.concat " " (List.map ev_label (drain e)))
 
@@ -148,28 +152,24 @@ let test_colliding_timestamps () =
    wide range; [Fill] queues every (kind, node) at once in a random
    order, the most the engine can ever hold. *)
 type engine_op =
-  | Schedule of Core.Engine.event * float
-  | Reschedule of Core.Engine.event * float
+  | Schedule of (Core.Engine.kind * int) * float
+  | Reschedule of (Core.Engine.kind * int) * float
   | Take
-  | Fill of (Core.Engine.event * float) list
+  | Fill of ((Core.Engine.kind * int) * float) list
 
 let event_of ~kind ~node =
   let module Eng = Core.Engine in
-  match kind with
-  | 0 -> Eng.Chaos node
-  | 1 -> Eng.Gc node
-  | 2 -> Eng.Deliver node
-  | 3 -> Eng.Wake node
-  | 4 -> Eng.Step node
-  | _ -> Eng.Timer node
+  ( (match kind with
+    | 0 -> Eng.Chaos
+    | 1 -> Eng.Gc
+    | 2 -> Eng.Deliver
+    | 3 -> Eng.Wake
+    | 4 -> Eng.Step
+    | _ -> Eng.Timer),
+    node )
 
-let model_rank = function
-  | Core.Engine.Chaos i -> i * 6
-  | Core.Engine.Gc i -> (i * 6) + 1
-  | Core.Engine.Deliver i -> (i * 6) + 2
-  | Core.Engine.Wake i -> (i * 6) + 3
-  | Core.Engine.Step i -> (i * 6) + 4
-  | Core.Engine.Timer i -> (i * 6) + 5
+let model_rank ((kind : Core.Engine.kind), i) =
+  (i * 6) + match kind with Chaos -> 0 | Gc -> 1 | Deliver -> 2 | Wake -> 3 | Step -> 4 | Timer -> 5
 
 let pp_engine_op = function
   | Schedule (ev, at) -> Printf.sprintf "schedule %s %g" (ev_label ev) at
@@ -231,40 +231,100 @@ let engine_model_prop =
             now := Float.max !now at;
             Some ev
         in
-        Eng.take e = want
+        let got =
+          if Eng.is_empty e then None
+          else
+            let r = Eng.take e in
+            Some (Eng.kind r, Eng.node r)
+        in
+        got = want
       in
+      (* the head's time, read through [before]: nothing is due before
+         it, and it is due before the next float up *)
+      let head_is at = (not (Eng.before e at)) && Eng.before e (Float.succ at) in
       let agree () =
         Eng.now e = !now
         && Eng.pending e = List.length !pending
-        && Eng.peek e = Option.map fst (List.nth_opt !pending 0)
+        && Eng.is_empty e = (!pending = [])
+        && (match !pending with
+           | [] -> not (Eng.before e infinity)
+           | (at, _) :: _ -> head_is at)
         && Eng.pushes e = !pushes && Eng.pops e = !pops
         && Eng.stale_pops e = !stale
       in
       let apply = function
-        | Schedule (ev, at) ->
-          model_schedule ev at;
-          Eng.schedule e ~at ev;
+        | Schedule ((kind, i), at) ->
+          model_schedule (kind, i) at;
+          Eng.schedule e ~at kind i;
           true
-        | Reschedule (ev, at) ->
+        | Reschedule ((kind, i), at) ->
           incr stale;
-          model_schedule ev at;
-          Eng.reschedule e ~at ev;
+          model_schedule (kind, i) at;
+          Eng.reschedule e ~at kind i;
           true
         | Take -> take ()
         | Fill evs ->
           List.iter
-            (fun (ev, at) ->
-              model_schedule ev at;
-              Eng.schedule e ~at ev)
+            (fun ((kind, i), at) ->
+              model_schedule (kind, i) at;
+              Eng.schedule e ~at kind i)
             evs;
           true
       in
       List.for_all (fun op -> apply op && agree ()) ops
       (* then the rest drains in the model's order, and one more take
-         finds the engine empty *)
+         finds the engine empty and refuses *)
       && List.for_all
            (fun _ -> take () && agree ())
-           (List.init (List.length !pending + 1) Fun.id))
+           (List.init (List.length !pending + 1) Fun.id)
+      && match Eng.take e with
+         | _ -> false
+         | exception Invalid_argument _ -> true)
+
+(* Scheduling and taking build nothing: a round fills every rank by
+   [schedule], drains it, fills it again by [reschedule] and drains it,
+   under [Gc.minor_words].  The times are boxed once, in the entries, so
+   passing one allocates nothing either. *)
+let rec schedule_all e ~stale = function
+  | [] -> ()
+  | (kind, node, at) :: rest ->
+    if stale then Core.Engine.reschedule e ~at kind node
+    else Core.Engine.schedule e ~at kind node;
+    schedule_all e ~stale rest
+
+let rec take_all e sum =
+  if Core.Engine.is_empty e then sum else take_all e (sum + Core.Engine.take e)
+
+let test_engine_allocates_nothing () =
+  let n = 4 in
+  let e = Core.Engine.create ~n_nodes:n () in
+  let entries =
+    List.init (n * 6) (fun r ->
+        let kind, node = event_of ~kind:(r mod 6) ~node:(r / 6) in
+        (kind, node, float_of_int (r * 7 mod 5)))
+  in
+  let sums = ref [] in
+  let round () =
+    schedule_all e ~stale:false entries;
+    let full = Core.Engine.pending e in
+    let a = take_all e 0 in
+    schedule_all e ~stale:true entries;
+    let b = take_all e 0 in
+    sums := (full, a, b) :: !sums
+  in
+  round ();
+  let before = Gc.minor_words () in
+  schedule_all e ~stale:false entries;
+  let a = take_all e 0 in
+  schedule_all e ~stale:true entries;
+  let b = take_all e 0 in
+  let words = Gc.minor_words () -. before in
+  let every = n * 6 * ((n * 6) - 1) / 2 in
+  check Alcotest.(list (triple int int int)) "the warm-up round filled every rank"
+    [ (n * 6, every, every) ] !sums;
+  check Alcotest.(pair int int) "each drain took every rank" (every, every) (a, b);
+  check Alcotest.int "reschedules counted" (2 * n * 6) (Core.Engine.stale_pops e);
+  check (Alcotest.float 0.0) "words" 0.0 words
 
 (* The one-heap loop against values pinned from the sharded engine's
    last release, where 1, 2 and 4 shards agreed on them: the
@@ -346,8 +406,8 @@ let test_balancer_installed_mid_run () =
   if t0 < 10.0 *. every then Alcotest.failf "install at %.1f us is not mid-run" t0;
   let firings = ref [] in
   C.set_balancer cl ~every_us:every (fun () ->
-      let next = Option.value (Core.Engine.peek e) ~default:infinity in
-      firings := (Core.Engine.now e, next) :: !firings);
+      let point = t0 +. (float_of_int (List.length !firings + 1) *. every) in
+      firings := (Core.Engine.now e, Core.Engine.before e point) :: !firings);
   ignore (C.step_once cl);
   check Alcotest.int "no firing on the step after the install" 0 (List.length !firings);
   (match C.run_until_result cl tid with
@@ -357,11 +417,13 @@ let test_balancer_installed_mid_run () =
   let firings = List.rev !firings in
   if List.length firings < 2 then Alcotest.fail "the balancer did not fire after the install";
   List.iteri
-    (fun i (frontier, next) ->
+    (fun i (frontier, pending_before) ->
       let point = t0 +. (float_of_int (i + 1) *. every) in
-      if not (frontier < point && point <= next) then
-        Alcotest.failf "firing %d: point %.3f us outside (%.3f, %.3f]" (i + 1) point
-          frontier next)
+      if not (frontier < point) then
+        Alcotest.failf "firing %d: point %.3f us not past the frontier %.3f" (i + 1) point
+          frontier;
+      if pending_before then
+        Alcotest.failf "firing %d: an event pending before the point %.3f us" (i + 1) point)
     firings
 
 let suites =
@@ -371,6 +433,8 @@ let suites =
         Alcotest.test_case "engine total order on colliding timestamps" `Quick
           test_colliding_timestamps;
         QCheck_alcotest.to_alcotest engine_model_prop;
+        Alcotest.test_case "scheduling and taking allocate nothing" `Quick
+          test_engine_allocates_nothing;
         Alcotest.test_case "ring tour trace pinned" `Quick
           test_pinned_ring_tour_trace;
         Alcotest.test_case "ring tour counters pinned" `Quick

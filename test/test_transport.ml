@@ -38,7 +38,7 @@ let make_rig ~inject =
       ~deliver:(fun ~dst:_ _ _ -> incr deliveries)
   in
   Enet.Netsim.set_injector net inject;
-  Enet.Netsim.set_on_arrival net (fun ~dst ~at -> Eng.schedule engine ~at (Eng.Deliver dst));
+  Enet.Netsim.set_on_arrival net (fun ~dst ~at -> Eng.schedule engine ~at Eng.Deliver dst);
   let sends = ref [] and acks = ref 0 and dups = ref 0 in
   E.subscribe bus (function
     | E.Ev_msg_send { time; _ } -> sends := time :: !sends
@@ -50,18 +50,19 @@ let make_rig ~inject =
 
 (* the engine loop, reduced to the two event kinds a transport raises *)
 let rec drain r =
-  match Eng.take r.engine with
-  | None -> ()
-  | Some ev ->
-    (match ev with
-    | Eng.Timer i -> ignore (Tr.on_timer r.tr i : bool)
-    | Eng.Deliver i -> (
+  if not (Eng.is_empty r.engine) then begin
+    let rk = Eng.take r.engine in
+    let i = Eng.node rk in
+    (match Eng.kind rk with
+    | Eng.Timer -> ignore (Tr.on_timer r.tr i : bool)
+    | Eng.Deliver -> (
       Tr.receive r.tr ~dst:i ~now:(Eng.now r.engine);
       match Enet.Netsim.next_arrival_at r.net ~dst:i with
-      | Some at -> Eng.schedule r.engine ~at:(Float.max at (Eng.now r.engine)) (Eng.Deliver i)
+      | Some at -> Eng.schedule r.engine ~at:(Float.max at (Eng.now r.engine)) Eng.Deliver i
       | None -> ())
-    | Eng.Step _ | Eng.Wake _ | Eng.Gc _ | Eng.Chaos _ -> ());
+    | Eng.Step | Eng.Wake | Eng.Gc | Eng.Chaos -> ());
     drain r
+  end
 
 let send_probe r =
   Tr.send r.tr ~src:0 ~dst:1 ~root:None
