@@ -162,13 +162,22 @@ let run file nodes opt cls op args_s original codec location gc_mode_s
     Printf.eprintf "emrun: %s\n" msg;
     exit 2
   in
+  (* a fault of the program itself (a nil dereference, or a move the
+     original protocol cannot make) is reported like a compile error *)
+  let program_fault msg =
+    Printf.eprintf "emrun: %s\n" msg;
+    exit 1
+  in
   if Emc.Compile.find_class prog cls = None then
     bad_input
       (Printf.sprintf "unknown class %s (have: %s)" cls
          (String.concat ", "
             (Array.to_list
                (Array.map (fun cc -> cc.Emc.Compile.cc_name) prog.Emc.Compile.p_classes))));
-  let target = Core.Cluster.create_object cl ~node:0 ~class_name:cls in
+  let target =
+    try Core.Cluster.create_object cl ~node:0 ~class_name:cls
+    with Ert.Kernel.Runtime_error msg -> program_fault ("runtime error: " ^ msg)
+  in
   let args =
     if args_s = "" then []
     else
@@ -389,12 +398,6 @@ let run file nodes opt cls op args_s original codec location gc_mode_s
       in
       drive 2_000_000
     end
-  in
-  (* a fault of the program itself (a nil dereference, or a move the
-     original protocol cannot make) is reported like a compile error *)
-  let program_fault msg =
-    Printf.eprintf "emrun: %s\n" msg;
-    exit 1
   in
   let result =
     try execute () with

@@ -198,22 +198,10 @@ let decode tr ~src ~dst payload =
 (* ----------------------------------------------------------------------- *)
 (* sending *)
 
-let send tr ~src ~dst ~root msg =
-  let k = tr.kernels.(src) in
-  let blit = blit_pair tr ~src ~dst in
-  (* counted once per outgoing move payload under the blit tier *)
-  (match tr.codec, msg with
-  | W.Blit, (M.M_move _ | M.M_group_move _) ->
-    E.emit tr.bus (E.Ev_blit { node = src; dest = dst; skipped = blit })
-  | _ -> ());
-  let t_tr0 = match root with Some _ -> K.time_us k | None -> 0.0 in
-  charge_translation tr ~node:src ~blit msg;
-  let t0 = match root with Some _ -> K.time_us k | None -> 0.0 in
-  E.span_leg tr.bus root ~node:src ~bytes:0 ~name:"translate" ~t0:t_tr0 ~t1:t0;
-  mark tr;
-  let payload = M.encode ~blit ~impl:tr.codec ~stats:tr.conv msg in
+(* frame and transmit an encoded payload; the marshal phase began at [t0] *)
+let transmit tr ~src ~dst ~root ~t0 msg payload =
   settle tr ~node:src;
-  let now = K.time_us k in
+  let now = K.time_us tr.kernels.(src) in
   E.span_leg tr.bus root ~node:src ~bytes:(W.view_length payload) ~name:"marshal" ~t0 ~t1:now;
   let span =
     match root with
@@ -244,6 +232,29 @@ let send tr ~src ~dst ~root msg =
   let bytes = W.view_length payload + if tr.enveloped then header_bytes else 0 in
   note tr Sent ~src ~dst ~bytes ~arrives:arrival msg;
   E.span_leg tr.bus root ~node:src ~bytes ~name:"transfer" ~t0:now ~t1:arrival
+
+let send tr ~src ~dst ~root msg =
+  let k = tr.kernels.(src) in
+  let blit = blit_pair tr ~src ~dst in
+  (* counted once per outgoing move payload under the blit tier *)
+  (match tr.codec, msg with
+  | W.Blit, (M.M_move _ | M.M_group_move _) ->
+    E.emit tr.bus (E.Ev_blit { node = src; dest = dst; skipped = blit })
+  | _ -> ());
+  let t_tr0 = match root with Some _ -> K.time_us k | None -> 0.0 in
+  charge_translation tr ~node:src ~blit msg;
+  let t0 = match root with Some _ -> K.time_us k | None -> 0.0 in
+  E.span_leg tr.bus root ~node:src ~bytes:0 ~name:"translate" ~t0:t_tr0 ~t1:t0;
+  mark tr;
+  match M.encode ~blit ~impl:tr.codec ~stats:tr.conv msg with
+  | payload -> transmit tr ~src ~dst ~root ~t0 msg payload
+  | exception W.Writer.Oversize what ->
+    (* a value the wire format cannot carry: whatever rode on the message
+       is lost, and the rest of the cluster runs on *)
+    give_up tr ~src ~dst msg
+      ~reason:
+        (Printf.sprintf "%s does not fit the wire (65535 at most); not sent to node %d" what
+           dst)
 
 (* ----------------------------------------------------------------------- *)
 (* receiving *)

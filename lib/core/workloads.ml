@@ -317,7 +317,7 @@ let hot_spot_balancer ?(threshold = 2) cl =
                  s.T.seg_live
                  &&
                  match s.T.seg_status with
-                 | T.Parked Isa.Suspend.Run -> true
+                 | T.Parked T.Run -> true
                  | _ -> false)
           |> List.sort (fun a b -> compare a.T.seg_id b.T.seg_id)
         in

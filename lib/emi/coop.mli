@@ -1,7 +1,7 @@
 (** Cooperative threads for the machine-independent interpreters.
 
-    The effect-based analogue of the native kernel's resumable
-    suspensions ({!Isa.Suspend}): a thread that executes [wait] is
+    The effect-based analogue of the native kernel's parked segments
+    ([Ert.Thread.resume]): a thread that executes [wait] is
     captured as a first-class continuation and parked on a
     per-(object, condition) FIFO queue; [notify]/[notify_all] move
     waiters to a ready queue, where they resume — Mesa-style, after

@@ -96,11 +96,12 @@ module Writer = struct
     Bytes.set_uint16_be t.buf t.pos v;
     t.pos <- t.pos + 2
 
+  exception Oversize of string
+
   (* every count and index on the wire is a u16: one that does not fit
      must fail here, not reach the receiver masked to 16 bits *)
   let u16 t v =
-    if v < 0 || v > 0xFFFF then
-      invalid_arg (Printf.sprintf "Wire.Writer.u16: %d out of range" v);
+    if v < 0 || v > 0xFFFF then raise (Oversize (Printf.sprintf "a count of %d" v));
     charge t ~bytes:2;
     raw_u16 t v
 
@@ -131,7 +132,7 @@ module Writer = struct
 
   let str t s =
     let len = String.length s in
-    if len > 0xFFFF then invalid_arg "Wire.Writer.str: string too long";
+    if len > 0xFFFF then raise (Oversize (Printf.sprintf "a string of %d bytes" len));
     charge t ~bytes:(2 + len);
     raw_u16 t len;
     ensure t len;

@@ -75,11 +75,15 @@ module Writer : sig
   val open_record : t -> int
   val close_record : t -> int -> unit
 
+  exception Oversize of string
+  (** A count, index or string length past the wire's 16 bits, named
+      (["a string of 70000 bytes"]): the message cannot be written. *)
+
   val u8 : t -> int -> unit
 
   val u16 : t -> int -> unit
-  (** @raise Invalid_argument outside 0..65535: counts and indices are
-      never truncated on the wire. *)
+  (** @raise Oversize outside 0..65535: counts and indices are never
+      truncated on the wire. *)
 
   val u32 : t -> int32 -> unit
   val i32 : t -> int32 -> unit
@@ -95,7 +99,7 @@ module Writer : sig
 
   val str : t -> string -> unit
   (** u16 length prefix followed by the bytes.
-      @raise Invalid_argument beyond 65535 bytes. *)
+      @raise Oversize beyond 65535 bytes. *)
 
   val length : t -> int
 

@@ -191,14 +191,12 @@ let rec value_root cy (v : Value.t) =
   | Value.Vvec (_, xs) -> Array.fold_left value_root cy xs
   | Value.Vint _ | Value.Vreal _ | Value.Vbool _ | Value.Vstr _ | Value.Vnil -> cy
 
-let suspension_roots cy (s : T.suspension) =
-  match s with
-  | Isa.Suspend.Deliver v | Isa.Suspend.Complete (Some v) -> value_root cy v
-  | Isa.Suspend.Complete_word (Isa.Suspend.Wref, key) -> key_root cy key
-  | Isa.Suspend.Complete_word ((Isa.Suspend.Wint | Isa.Suspend.Wbool), _)
-  | Isa.Suspend.Complete None | Isa.Suspend.Run | Isa.Suspend.Complete_dequeue _
-  | Isa.Suspend.Poll | Isa.Suspend.Syscall _ | Isa.Suspend.Bottom_return
-  | Isa.Suspend.Halt | Isa.Suspend.Trap _ | Isa.Suspend.Fuel -> cy
+let resume_roots cy (r : T.resume) =
+  match r with
+  | T.Deliver v | T.Complete (Some v) -> value_root cy v
+  | T.Complete_word (Value.Wref, key) -> key_root cy key
+  | T.Complete_word ((Value.Wint | Value.Wbool), _) | T.Complete None | T.Run
+  | T.Complete_dequeue _ -> cy
 
 (* roots carried by the waiting state itself, beyond any frame slot: a
    waiter queued on a monitor keeps the monitor's object alive even when
@@ -232,7 +230,7 @@ let segment_roots cy (seg : T.segment) =
   | None -> (
     let cy = Frame_walk.fold cy.k seg frame_roots cy in
     match seg.T.seg_status with
-    | T.Parked s -> suspension_roots cy s
+    | T.Parked r -> resume_roots cy r
     | T.Running -> raise (Kernel.Runtime_error "gc: segment is running")
     | T.Blocked_monitor _ | T.Awaiting_reply _ | T.Dead -> status_roots cy seg.T.seg_status)
 

@@ -1,6 +1,5 @@
 module A = Isa.Arch
 module M = Isa.Machine
-module S = Isa.Suspend
 module Mem = Isa.Memory
 module L = Emc.Layout
 
@@ -466,6 +465,13 @@ let inherit_serials t (oid_s, tid_s, seg_s) =
   t.tid_serial <- max t.tid_serial tid_s;
   t.seg_serial <- max t.seg_serial seg_s
 
+(* a real this node's float format cannot hold is the program's fault,
+   reported as the same overflow computed here would trap *)
+let encode_real t x =
+  try Isa.Float_format.encode t.karch.A.float_format x
+  with Isa.Float_format.Reserved_operand m ->
+    error "node %d: %a" t.knode_id M.pp_trap (M.Float_reserved m)
+
 let create_object t ~class_index =
   t.oid_serial <- t.oid_serial + 1;
   let oid = Oid.fresh_data ~node_id:t.knode_id ~serial:t.oid_serial in
@@ -479,7 +485,7 @@ let create_object t ~class_index =
       match (inits.(i) : Emc.Ir.field_init) with
       | Emc.Ir.Fint v -> Int32.to_int v
       | Emc.Ir.Fbool b -> Bool.to_int b
-      | Emc.Ir.Freal x -> Int32.to_int (Isa.Float_format.encode t.karch.A.float_format x)
+      | Emc.Ir.Freal x -> Int32.to_int (encode_real t x)
       | Emc.Ir.Fstr s -> make_string t s
       | Emc.Ir.Fnil -> 0
     in
@@ -611,7 +617,7 @@ let rec raw_of_value t v =
   match (v : Value.t) with
   | Value.Vint x -> x
   | Value.Vbool b -> if b then 1l else 0l
-  | Value.Vreal x -> Isa.Float_format.encode t.karch.A.float_format x
+  | Value.Vreal x -> encode_real t x
   | Value.Vstr s -> Int32.of_int (make_string t s)
   | Value.Vref oid -> Int32.of_int (ensure_ref t oid)
   | Value.Vvec (elem, xs) ->
@@ -647,7 +653,7 @@ let stop_at_pc t pc =
 
 let at_stop t (seg : Thread.segment) =
   match seg.Thread.seg_status with
-  | Thread.Parked S.Run ->
+  | Thread.Parked Thread.Run ->
     seg.Thread.seg_spawn <> None || stop_at_pc t seg.Thread.seg_ctx.M.pc <> None
   | Thread.Parked _ | Thread.Running | Thread.Blocked_monitor _ | Thread.Awaiting_reply _
   | Thread.Dead -> true
@@ -921,7 +927,7 @@ let spawn_segment t ~target_addr ~class_index ~method_index ~args ~link ~thread 
     }
   in
   spawn_exact t ~spawn ~link ~thread ~seg_id:(fresh_seg_id t)
-    ~status:(Thread.Parked S.Run)
+    ~status:(Thread.Parked Thread.Run)
 
 let spawn_root t ~target_addr ~method_name ~args =
   let class_index = class_of_object t target_addr in
@@ -970,7 +976,7 @@ let deliver_result t seg value =
     in
     let entry = Emc.Busstop.by_id lc.lc_stops stop_id in
     seg.Thread.seg_ctx.M.pc <- lc.lc_image.Isa.Text.base + entry.Emc.Busstop.be_pc;
-    seg.Thread.seg_status <- Thread.Parked (S.Deliver value);
+    seg.Thread.seg_status <- Thread.Parked (Thread.Deliver value);
     enqueue_ready t seg
   | Thread.Parked _ | Thread.Running | Thread.Blocked_monitor _ | Thread.Dead ->
     error "deliver_result: segment %d is not awaiting a reply" seg.Thread.seg_id
@@ -1092,9 +1098,9 @@ let park t seg status =
   enqueue_ready t seg;
   []
 
-let park_done t seg = park t seg (Thread.Parked (S.Complete None))
-let park_value t seg v = park t seg (Thread.Parked (S.Complete (Some v)))
-let park_word t seg w bits = park t seg (Thread.Parked (S.Complete_word (w, bits)))
+let park_done t seg = park t seg (Thread.Parked (Thread.Complete None))
+let park_value t seg v = park t seg (Thread.Parked (Thread.Complete (Some v)))
+let park_word t seg w bits = park t seg (Thread.Parked (Thread.Complete_word (w, bits)))
 
 (* release the monitor (hand the lock to the next entry-queue waiter or
    clear it — the kernel-side equivalent of the exit sequence), then
@@ -1109,7 +1115,7 @@ let cond_wait t seg ~obj ~cond ~deadline =
     Heap.free t.kheap ~addr:qnode ~size:L.qnode_size;
     (match find_segment t waiter with
     | Some w ->
-      w.Thread.seg_status <- Thread.Parked (S.Complete None);
+      w.Thread.seg_status <- Thread.Parked (Thread.Complete None);
       enqueue_ready t w
     | None -> error "condition wait: unknown entry waiter %d" waiter)
   | None -> set_monitor_locked t ~obj_addr:obj false);
@@ -1199,7 +1205,7 @@ let dispatch_syscall t seg (entry : Emc.Busstop.entry) nr =
     charge_insns t 120;
     let addr = create_object t ~class_index in
     (* [Oid.intern (oid_at t addr)], read without the int32 *)
-    park_word t seg S.Wref (M.sx (Mem.load32_bits t.kmem (addr + L.obj_oid)))
+    park_word t seg Value.Wref (M.sx (Mem.load32_bits t.kmem (addr + L.obj_oid)))
   | Emc.Ir.Sk_mon_enter ->
     let obj = arg t ctx 0 in
     if obj = 0 then error "monitor entry on nil";
@@ -1230,13 +1236,13 @@ let dispatch_syscall t seg (entry : Emc.Busstop.entry) nr =
         | None -> ());
         Some waiter
     in
-    park t seg (Thread.Parked (S.Complete_dequeue waiter))
+    park t seg (Thread.Parked (Thread.Complete_dequeue waiter))
   | Emc.Ir.Sk_mon_wake ->
     let qnode = arg t ctx 0 in
     let seg_id = Int32.to_int (Mem.load32 t.kmem (qnode + L.qnode_thread)) in
     (match find_segment t seg_id with
     | Some waiter ->
-      waiter.Thread.seg_status <- Thread.Parked (S.Complete None);
+      waiter.Thread.seg_status <- Thread.Parked (Thread.Complete None);
       enqueue_ready t waiter
     | None -> error "monitor wake: unknown segment %d" seg_id);
     Heap.free t.kheap ~addr:qnode ~size:L.qnode_size;
@@ -1271,10 +1277,10 @@ let dispatch_syscall t seg (entry : Emc.Busstop.entry) nr =
       let r = arg t ctx 0 in
       if r = 0 then error "locate of nil";
       let node = if is_resident t r then t.knode_id else proxy_hint t r in
-      park_word t seg S.Wint node
-    | Emc.Ir.Bthisnode -> park_word t seg S.Wint t.knode_id
+      park_word t seg Value.Wint node
+    | Emc.Ir.Bthisnode -> park_word t seg Value.Wint t.knode_id
     | Emc.Ir.Btimenow ->
-      park_word t seg S.Wint (Int32.to_int (Int32.of_float t.kclock.Sim.Clock.now))
+      park_word t seg Value.Wint (Int32.to_int (Int32.of_float t.kclock.Sim.Clock.now))
     | Emc.Ir.Bmove ->
       let obj_addr = arg t ctx 0 and dest_node = arg t ctx 1 in
       if obj_addr = 0 then error "move of nil";
@@ -1286,7 +1292,7 @@ let dispatch_syscall t seg (entry : Emc.Busstop.entry) nr =
       park_value t seg (Value.Vstr (sa ^ sb))
     | Emc.Ir.Bseq ->
       let equal = string_blocks_equal t (arg t ctx 0) (arg t ctx 1) in
-      park_word t seg S.Wbool (Bool.to_int equal)
+      park_word t seg Value.Wbool (Bool.to_int equal)
     | Emc.Ir.Bvec_new ->
       let kind = arg t ctx 0 and len = arg t ctx 1 in
       if len < 0 then error "vector length %d is negative" len;
@@ -1335,19 +1341,19 @@ let live_segment_count t = t.nsegs
 let apply_resume t seg =
   let ctx = seg.Thread.seg_ctx in
   match seg.Thread.seg_status with
-  | Thread.Parked S.Run -> ()
-  | Thread.Parked (S.Deliver v) ->
+  | Thread.Parked Thread.Run -> ()
+  | Thread.Parked (Thread.Deliver v) ->
     M.set_reg ctx (retval_reg t) (raw_of_value t v)
-  | Thread.Parked (S.Complete None) -> complete_syscall t seg
-  | Thread.Parked (S.Complete (Some v)) ->
+  | Thread.Parked (Thread.Complete None) -> complete_syscall t seg
+  | Thread.Parked (Thread.Complete (Some v)) ->
     M.set_reg ctx (retval_reg t) (raw_of_value t v);
     complete_syscall t seg
-  | Thread.Parked (S.Complete_word (w, bits)) ->
+  | Thread.Parked (Thread.Complete_word (w, bits)) ->
     (* a reference resolves here, as [raw_of_value] resolves a [Vref] *)
-    let raw = match w with S.Wint | S.Wbool -> bits | S.Wref -> ensure_ref_key t bits in
+    let raw = match w with Value.Wint | Value.Wbool -> bits | Value.Wref -> ensure_ref_key t bits in
     M.set_reg_int ctx (retval_reg t) raw;
     complete_syscall t seg
-  | Thread.Parked (S.Complete_dequeue waiter) ->
+  | Thread.Parked (Thread.Complete_dequeue waiter) ->
     let qnode =
       match waiter with
       | None -> 0
@@ -1360,8 +1366,7 @@ let apply_resume t seg =
     in
     M.set_reg_int ctx (retval_reg t) qnode;
     complete_syscall t seg
-  | Thread.Parked _ | Thread.Running | Thread.Blocked_monitor _
-  | Thread.Awaiting_reply _ | Thread.Dead ->
+  | Thread.Running | Thread.Blocked_monitor _ | Thread.Awaiting_reply _ | Thread.Dead ->
     error "apply_resume: segment %d is not resumable" seg.Thread.seg_id
 
 (* Forced eviction.  [evict_thread] arms a trap: the segment's id maps to
@@ -1376,7 +1381,7 @@ let capturable t (seg : Thread.segment) =
   seg.Thread.seg_live
   && (match seg.Thread.seg_status with
      | Thread.Running | Thread.Dead -> false
-     | Thread.Parked S.Run ->
+     | Thread.Parked Thread.Run ->
        (* A segment parked at a system-call stop PRE-execution (only
           reachable via [advance_to_stop] after preemption) still holds
           its call arguments in machine-dependent form — pushed on the
@@ -1491,7 +1496,7 @@ let expire_timeouts t ~now =
              here and complete the wait directly *)
           Heap.free t.kheap ~addr:qnode ~size:L.qnode_size;
           set_monitor_locked t ~obj_addr:mon_addr true;
-          seg.Thread.seg_status <- Thread.Parked (S.Complete None);
+          seg.Thread.seg_status <- Thread.Parked (Thread.Complete None);
           enqueue_ready t seg
         end
       | _ -> ())
@@ -1521,20 +1526,8 @@ let finish_bottom_return t seg =
     | None -> ());
     []
 
-(* the slice outcomes [step] and [advance_to_stop] share: the segment
-   halted, returned off its bottom, or trapped *)
-let slice_ended t seg (stop : Value.t S.t) =
-  match stop with
-  | S.Halt ->
-    retire_segment t seg;
-    []
-  | S.Bottom_return -> finish_bottom_return t seg
-  | S.Trap trap ->
-    error "node %d, thread %d: %s" t.knode_id seg.Thread.seg_thread
-      (Format.asprintf "%a" M.pp_trap trap)
-  | S.Poll | S.Syscall _ | S.Fuel | S.Run | S.Deliver _ | S.Complete _
-  | S.Complete_dequeue _ | S.Complete_word _ ->
-    error "segment %d: the CPU returned %a" seg.Thread.seg_id (S.pp ?value:None) stop
+let trapped t seg trap =
+  error "node %d, thread %d: %a" t.knode_id seg.Thread.seg_thread M.pp_trap trap
 
 (* execute the segment's native code for at most [fuel] instructions, on
    the threaded engine or the reference interpreter *)
@@ -1564,7 +1557,7 @@ let step t =
     let cycles_before = ctx.M.cycles and insns_before = ctx.M.insns in
     let stop =
       match run_code t ctx ~fuel with
-      | S.Fuel when Option.is_none t.quantum ->
+      | M.Fuel when Option.is_none t.quantum ->
         (* a thread alone on its node is never asked to poll: ask now and
            run on to the next bus stop, where it parks as at any poll *)
         ctx.M.poll_requested <- true;
@@ -1576,26 +1569,29 @@ let step t =
     charge_cycles t (ctx.M.cycles - cycles_before);
     let outs =
       match stop with
-      | S.Poll ->
+      | M.Poll ->
         ctx.M.poll_requested <- false;
         ctx.M.skip_poll <- true;
-        park t seg (Thread.Parked S.Run)
-      | S.Syscall nr -> (
+        park t seg (Thread.Parked Thread.Run)
+      | M.Syscall nr -> (
         match stop_at_pc t ctx.M.pc with
         | None -> error "system call %d at PC %#x: no bus stop" nr ctx.M.pc
         | Some (_, entry) -> dispatch_syscall t seg entry nr)
-      | S.Fuel -> (
+      | M.Fuel -> (
         match t.quantum with
         | Some _ ->
           (* preempted mid-computation, Trellis/Owl style: the PC may not be
              a bus stop; anyone needing a well-defined state must call
              [advance_to_stop] first *)
-          park t seg (Thread.Parked S.Run)
+          park t seg (Thread.Parked Thread.Run)
         | None ->
           error "node %d, thread %d: ran out of fuel between bus stops (codegen bug)"
             t.knode_id seg.Thread.seg_thread)
-      | S.Halt | S.Bottom_return | S.Trap _ | S.Run | S.Deliver _ | S.Complete _
-      | S.Complete_dequeue _ | S.Complete_word _ -> slice_ended t seg stop
+      | M.Halt ->
+        retire_segment t seg;
+        []
+      | M.Bottom_return -> finish_bottom_return t seg
+      | M.Trap trap -> trapped t seg trap
     in
     (* an armed eviction fires the moment the segment is capturable *)
     fire_due_evictions t seg outs)
@@ -1616,17 +1612,20 @@ let advance_to_stop t (seg : Thread.segment) =
     t.insns <- t.insns + (ctx.M.insns - insns_before);
     charge_cycles t (ctx.M.cycles - cycles_before);
     match stop with
-    | S.Poll ->
+    | M.Poll ->
       ctx.M.poll_requested <- false;
       ctx.M.skip_poll <- true;
       []
-    | S.Syscall _ ->
+    | M.Syscall _ ->
       (* parked at the system-call instruction; it runs at next dispatch *)
       ctx.M.poll_requested <- false;
       []
-    | S.Fuel ->
+    | M.Fuel ->
       error "node %d, thread %d: no bus stop reachable (codegen bug)" t.knode_id
         seg.Thread.seg_thread
-    | S.Halt | S.Bottom_return | S.Trap _ | S.Run | S.Deliver _ | S.Complete _
-    | S.Complete_dequeue _ | S.Complete_word _ -> slice_ended t seg stop
+    | M.Halt ->
+      retire_segment t seg;
+      []
+    | M.Bottom_return -> finish_bottom_return t seg
+    | M.Trap trap -> trapped t seg trap
   end

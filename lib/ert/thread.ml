@@ -5,10 +5,15 @@ type link = {
   ln_seg : int;
 }
 
-type suspension = Value.t Isa.Suspend.t
+type resume =
+  | Run
+  | Deliver of Value.t
+  | Complete of Value.t option
+  | Complete_dequeue of int option
+  | Complete_word of Value.word * int
 
 type status =
-  | Parked of suspension
+  | Parked of resume
   | Running
   | Blocked_monitor of {
       mon_addr : int;
@@ -43,10 +48,17 @@ let fresh_tid ~node_id ~serial = (node_id lsl 20) lor serial
 let fresh_seg_id ~node_id ~serial = (node_id lsl 20) lor serial
 
 let rec pp_status ppf = function
-  | Parked Isa.Suspend.Run -> Format.pp_print_string ppf "ready"
-  | Parked (Isa.Suspend.Complete_word (w, bits)) ->
-    pp_status ppf (Parked (Isa.Suspend.Complete (Some (Value.of_word w bits))))
-  | Parked s -> Format.fprintf ppf "parked (%a)" (Isa.Suspend.pp ~value:Value.pp) s
+  | Parked Run -> Format.pp_print_string ppf "ready"
+  | Parked (Deliver v) -> Format.fprintf ppf "parked (deliver %a)" Value.pp v
+  | Parked (Complete None) -> Format.pp_print_string ppf "parked (complete syscall)"
+  | Parked (Complete (Some v)) ->
+    Format.fprintf ppf "parked (complete syscall (%a))" Value.pp v
+  | Parked (Complete_word (w, bits)) ->
+    pp_status ppf (Parked (Complete (Some (Value.of_word w bits))))
+  | Parked (Complete_dequeue None) ->
+    Format.pp_print_string ppf "parked (complete dequeue (empty))"
+  | Parked (Complete_dequeue (Some s)) ->
+    Format.fprintf ppf "parked (complete dequeue (waiter %d))" s
   | Running -> Format.pp_print_string ppf "running"
   | Blocked_monitor { deadline = Some d; _ } ->
     Format.fprintf ppf "blocked on monitor (timeout at %.1fus)" d

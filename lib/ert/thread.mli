@@ -16,13 +16,33 @@ type link = {
   ln_seg : int;  (** segment id to deliver the return value to *)
 }
 
-type suspension = Value.t Isa.Suspend.t
-(** How a parked segment resumes: the shared {!Isa.Suspend.t}
-    instantiated at the runtime value type.  Only the resumable subset
-    (see the invariant table in suspend.mli) is ever stored here. *)
+(** How a parked segment resumes: what the kernel does to it at its next
+    dispatch.  It is the segment's whole machine-independent scheduling
+    state at a bus stop, and what a captured segment carries:
+    {!Mobility.Mi_frame} writes it under the wire format's resume tags
+    1-4. *)
+type resume =
+  | Run  (** context is valid; just execute *)
+  | Deliver of Value.t
+      (** an invocation result arrived: put it in the return-value
+          register, then execute (PC already at the stop) *)
+  | Complete of Value.t option
+      (** parked at a [Syscall] instruction whose kernel service has
+          completed (or completes trivially, like a migration arrival):
+          set the result if any, pop the arguments, advance the PC *)
+  | Complete_dequeue of int option
+      (** parked at a monitor-exit dequeue stop: the kernel has unlinked
+          a waiter (identified by segment id — a machine-independent
+          name, so this state survives migration) or found the queue
+          empty; on dispatch, fabricate a fresh queue node for the
+          waiter and hand its address to the generated code *)
+  | Complete_word of Value.word * int
+      (** [Complete (Some v)] for an int, bool or reference [v], held as
+          a word: parking and completing the call build no value.  It
+          travels as the [Complete] it stands for. *)
 
 type status =
-  | Parked of suspension
+  | Parked of resume
       (** the segment is a first-class resumable value owned by the
           kernel: at a bus stop (or between stops only for [Run] under a
           preemptive quantum), with the pending resume action recorded *)

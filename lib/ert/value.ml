@@ -7,6 +7,11 @@ type t =
   | Vvec of Emc.Ast.typ * t array
   | Vnil
 
+type word =
+  | Wint
+  | Wbool
+  | Wref
+
 let rec equal a b =
   match a, b with
   | Vint x, Vint y -> Int32.equal x y
@@ -21,11 +26,11 @@ let rec equal a b =
   | Vnil, Vnil -> true
   | (Vint _ | Vreal _ | Vbool _ | Vstr _ | Vref _ | Vvec _ | Vnil), _ -> false
 
-let of_word (w : Isa.Suspend.word) bits =
+let of_word w bits =
   match w with
-  | Isa.Suspend.Wint -> Vint (Int32.of_int bits)
-  | Isa.Suspend.Wbool -> Vbool (bits <> 0)
-  | Isa.Suspend.Wref -> Vref (Int32.of_int bits)
+  | Wint -> Vint (Int32.of_int bits)
+  | Wbool -> Vbool (bits <> 0)
+  | Wref -> Vref (Int32.of_int bits)
 
 let rec pp ppf = function
   | Vint v -> Format.fprintf ppf "%ld" v
@@ -96,9 +101,12 @@ let rec write w v =
     Enet.Wire.Writer.u8 w tag_ref;
     Enet.Wire.Writer.u32 w oid
   | Vvec (ty, xs) ->
+    let n = Array.length xs in
+    if n > 0xFFFF then
+      raise (Enet.Wire.Writer.Oversize (Printf.sprintf "a vector of %d elements" n));
     Enet.Wire.Writer.u8 w tag_vec;
     write_typ w ty;
-    Enet.Wire.Writer.u16 w (Array.length xs);
+    Enet.Wire.Writer.u16 w n;
     Array.iter (write w) xs
   | Vnil -> Enet.Wire.Writer.u8 w tag_nil
 

@@ -15,10 +15,16 @@ type t =
       (** vectors marshal by value: element type and elements *)
   | Vnil
 
+(** The type of a system-call result held as a word. *)
+type word =
+  | Wint  (** a 32-bit integer, sign-extended *)
+  | Wbool  (** 0 or 1 *)
+  | Wref  (** a reference, as its OID's {!Oid.intern} image *)
+
 val equal : t -> t -> bool
-val of_word : Isa.Suspend.word -> int -> t
-(** The value a result held as a word stands for (a reference's word is
-    its OID's {!Oid.intern} image). *)
+
+val of_word : word -> int -> t
+(** The value a result held as a word stands for. *)
 
 val pp : Format.formatter -> t -> unit
 

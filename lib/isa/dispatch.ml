@@ -15,10 +15,6 @@
 
 module M = Machine
 
-(* a system-call stop, built when the call is translated: valid at every
-   value type, since [Syscall] carries none *)
-type sys_stop = { sys : 'v. 'v Suspend.t } [@@unboxed]
-
 (* why a step returned to the driver; [S_jump] is a dynamic control
    transfer (indirect call, return) whose target must be re-resolved
    through the text map.  No stop carries the fuel left: every step
@@ -27,7 +23,7 @@ type sys_stop = { sys : 'v. 'v Suspend.t } [@@unboxed]
 type stop =
   | S_fuel
   | S_poll
-  | S_syscall of sys_stop
+  | S_syscall of M.stop  (* the [Syscall] stop, built at translation *)
   | S_bottom
   | S_halt
   | S_jump
@@ -102,7 +98,7 @@ let[@inline] alu_nz (op : Insn.binop) a b =
 let traps_on_zero (op : Insn.binop) = match op with Insn.Div | Insn.Mod -> true | _ -> false
 
 let int_binop op a b =
-  if b = 0 && traps_on_zero op then raise (M.Trapped Suspend.Div_zero) else alu_nz op a b
+  if b = 0 && traps_on_zero op then raise (M.Trapped M.Div_zero) else alu_nz op a b
 
 (* specialise an operand read: the match on the addressing mode happens
    here, once, instead of on every execution *)
@@ -143,7 +139,7 @@ let set_c code mem (op : Operand.t) : M.ctx -> int -> unit =
     fun ctx v -> Array.unsafe_set ctx.M.regs r v
   | Operand.Reg r -> fun ctx v -> M.set_reg_int ctx r v
   | Operand.Imm _ ->
-    fun _ _ -> raise (M.Trapped (Suspend.Bad_insn "immediate destination"))
+    fun _ _ -> raise (M.Trapped (M.Bad_insn "immediate destination"))
   | Operand.Mem (Operand.Abs a) ->
     let a = Int32.to_int a in
     fun _ v -> M.store_int mem (M.addr_of a) v
@@ -168,7 +164,7 @@ let float_binop fmt op a b =
 
 let float_decode fmt v =
   try Float_format.decode fmt (Int32.of_int v)
-  with Float_format.Reserved_operand m -> raise (M.Trapped (Suspend.Float_reserved m))
+  with Float_format.Reserved_operand m -> raise (M.Trapped (M.Float_reserved m))
 
 (* a step that hands control back to the driver (fall-through off the
    end of an image, or a branch target outside it): the driver redoes
@@ -335,14 +331,14 @@ let batch_fault bt (ctx : M.ctx) m t =
    own bounds test, inlined so a fault is attributed to its micro-op *)
 let[@inline] slot bt ctx (regs : int array) i b d =
   let a = Array.unsafe_get regs b land 0xFFFF_FFFF in
-  if a = 0 then batch_fault bt ctx i Suspend.Nil_deref;
+  if a = 0 then batch_fault bt ctx i M.Nil_deref;
   let a = a + d in
   if a < Memory.low_bound || a + 4 > Memory.size bt.bt_mem then
-    batch_fault bt ctx i (Suspend.Mem_fault a);
+    batch_fault bt ctx i (M.Mem_fault a);
   a
 
 let[@inline] alu bt ctx i op a b =
-  if b = 0 && traps_on_zero op then batch_fault bt ctx i Suspend.Div_zero
+  if b = 0 && traps_on_zero op then batch_fault bt ctx i M.Div_zero
   else alu_nz op a b
 
 (* one pass of the batch's tight loop, straight on the register file *)
@@ -714,7 +710,7 @@ and compile_step tbl j ~next : step =
       else begin
         ctx.M.cycles <- ctx.M.cycles + cyc;
         ctx.M.insns <- ctx.M.insns + 1;
-        if target = 0 then raise (M.Trapped (Suspend.Bad_pc 0));
+        if target = 0 then raise (M.Trapped (M.Bad_pc 0));
         ctx.M.pc <- target;
         S_jump
       end
@@ -725,7 +721,7 @@ and compile_step tbl j ~next : step =
         ctx.M.cycles <- ctx.M.cycles + cyc;
         ctx.M.insns <- ctx.M.insns + 1;
         let target = M.reg_int ctx r in
-        if target = 0 then raise (M.Trapped (Suspend.Bad_pc 0));
+        if target = 0 then raise (M.Trapped (M.Bad_pc 0));
         (match ctx.M.arch.Arch.family with
         | Arch.Vax | Arch.M68k -> M.push_int ctx mem next_pc
         | Arch.Sparc -> M.set_reg_int ctx 15 next_pc);
@@ -844,7 +840,7 @@ and compile_step tbl j ~next : step =
         next ctx (fuel - 1)
       end
   | Insn.Syscall n ->
-    let stop = S_syscall { sys = Suspend.Syscall n } in
+    let stop = S_syscall (M.Syscall n) in
     fun ctx fuel ->
       if fuel <= 0 then S_fuel
       else begin
@@ -1059,28 +1055,28 @@ let table_for cache ~mem (img : Text.image) =
    closure-free, so a warm slice allocates nothing. *)
 let rec drive cache ctx mem text (img : Text.image) fuel insns0 =
   let left = fuel - (ctx.M.insns - insns0) in
-  if left <= 0 then Suspend.Fuel
+  if left <= 0 then M.Fuel
   else begin
     let pc = ctx.M.pc in
     let img = M.image_at text img pc in
     let tbl = table_for cache ~mem img in
     let idx = Code.index_at img.Text.code (pc - img.Text.base) in
     match (step_at tbl idx) ctx left with
-    | S_fuel -> Suspend.Fuel
-    | S_poll -> Suspend.Poll
-    | S_syscall s -> s.sys
-    | S_bottom -> Suspend.Bottom_return
-    | S_halt -> Suspend.Halt
+    | S_fuel -> M.Fuel
+    | S_poll -> M.Poll
+    | S_syscall s -> s
+    | S_bottom -> M.Bottom_return
+    | S_halt -> M.Halt
     | S_jump -> drive cache ctx mem text img fuel insns0
   end
 
 let run cache ctx ~mem ~text ~fuel =
   cache.stats.st_slices <- cache.stats.st_slices + 1;
   try drive cache ctx mem text Text.none fuel ctx.M.insns with
-  | M.Trapped t -> Suspend.Trap t
+  | M.Trapped t -> M.Trap t
   (* micro-ops go to [Memory] raw; the interpreter wraps at the access
-     site, we wrap here — same [Suspend.Trap] either way *)
-  | Memory.Fault x -> Suspend.Trap (Suspend.Mem_fault x)
+     site, we wrap here — same [Trap] either way *)
+  | Memory.Fault x -> M.Trap (M.Mem_fault x)
 
 (* --- static block partition (for [emdis --blocks] and the tests): the
    leaders are method entries, branch targets, and terminator

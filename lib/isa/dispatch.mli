@@ -13,7 +13,7 @@
     The engine is observationally identical to {!Machine.run}: same
     stops, same traps (including mid-instruction PC placement), same
     cycle and instruction counters, same fuel accounting, same
-    [Suspend.t] and eviction-trap semantics.  The tier-1 trace tests
+    {!Machine.stop} and eviction-trap semantics.  The tier-1 trace tests
     hold it to that bit for bit. *)
 
 type stats = {
@@ -29,7 +29,7 @@ val create_cache : unit -> cache
 val stats : cache -> stats
 
 val run :
-  cache -> Machine.ctx -> mem:Memory.t -> text:Text.t -> fuel:int -> 'v Suspend.t
+  cache -> Machine.ctx -> mem:Memory.t -> text:Text.t -> fuel:int -> Machine.stop
 (** Drop-in replacement for {!Machine.run}, translating lazily through
     [cache]. *)
 

@@ -1,5 +1,3 @@
-(* the trap and suspension types live in [Suspend]; [run] returns the
-   machine-producible subset of the unified suspension type *)
 type ctx = {
   arch : Arch.t;
   regs : int array;
@@ -12,7 +10,24 @@ type ctx = {
   mutable insns : int;
 }
 
-exception Trapped of Suspend.trap
+type trap =
+  | Div_zero
+  | Nil_deref
+  | Mem_fault of int
+  | Float_reserved of string
+  | Stack_overflow
+  | Bad_pc of int
+  | Bad_insn of string
+
+type stop =
+  | Poll
+  | Syscall of int
+  | Bottom_return
+  | Halt
+  | Trap of trap
+  | Fuel
+
+exception Trapped of trap
 
 let create_ctx arch =
   {
@@ -50,22 +65,22 @@ let set_fp ctx v = ctx.regs.(Reg.fp ctx.arch.Arch.family) <- sx v
 
 let addr_of v =
   let a = v land 0xFFFF_FFFF in
-  if a = 0 then raise (Trapped Suspend.Nil_deref) else a
+  if a = 0 then raise (Trapped Nil_deref) else a
 
 (* the [int32] forms serve the fetch/decode loop's operand access *)
 let load mem a =
-  try Memory.load32 mem a with Memory.Fault x -> raise (Trapped (Suspend.Mem_fault x))
+  try Memory.load32 mem a with Memory.Fault x -> raise (Trapped (Mem_fault x))
 
 let store mem a v =
-  try Memory.store32 mem a v with Memory.Fault x -> raise (Trapped (Suspend.Mem_fault x))
+  try Memory.store32 mem a v with Memory.Fault x -> raise (Trapped (Mem_fault x))
 
 let load_int mem a =
   try sx (Memory.load32_bits mem a)
-  with Memory.Fault x -> raise (Trapped (Suspend.Mem_fault x))
+  with Memory.Fault x -> raise (Trapped (Mem_fault x))
 
 let store_int mem a v =
   try Memory.store32_bits mem a v
-  with Memory.Fault x -> raise (Trapped (Suspend.Mem_fault x))
+  with Memory.Fault x -> raise (Trapped (Mem_fault x))
 
 let get_operand ctx mem op =
   match op with
@@ -86,7 +101,7 @@ let get_operand ctx mem op =
 let set_operand ctx mem op v =
   match op with
   | Operand.Reg r -> set_reg ctx r v
-  | Operand.Imm _ -> raise (Trapped (Suspend.Bad_insn "immediate destination"))
+  | Operand.Imm _ -> raise (Trapped (Bad_insn "immediate destination"))
   | Operand.Mem (Operand.Abs a) -> store mem (addr_of (Int32.to_int a)) v
   | Operand.Mem (Operand.Disp (r, d)) -> store mem (addr_of (reg_int ctx r) + d) v
   | Operand.Mem (Operand.Autoinc r) ->
@@ -103,8 +118,8 @@ let int_binop op a b =
   | Insn.Add -> Int32.add a b
   | Insn.Sub -> Int32.sub a b
   | Insn.Mul -> Int32.mul a b
-  | Insn.Div -> if Int32.equal b 0l then raise (Trapped Suspend.Div_zero) else Int32.div a b
-  | Insn.Mod -> if Int32.equal b 0l then raise (Trapped Suspend.Div_zero) else Int32.rem a b
+  | Insn.Div -> if Int32.equal b 0l then raise (Trapped Div_zero) else Int32.div a b
+  | Insn.Mod -> if Int32.equal b 0l then raise (Trapped Div_zero) else Int32.rem a b
   | Insn.And -> Int32.logand a b
   | Insn.Or -> Int32.logor a b
   | Insn.Xor -> Int32.logxor a b
@@ -112,7 +127,7 @@ let int_binop op a b =
 let float_binop fmt op a b =
   let decode v =
     try Float_format.decode fmt v
-    with Float_format.Reserved_operand m -> raise (Trapped (Suspend.Float_reserved m))
+    with Float_format.Reserved_operand m -> raise (Trapped (Float_reserved m))
   in
   let x = decode a and y = decode b in
   let r =
@@ -120,12 +135,12 @@ let float_binop fmt op a b =
     | Insn.Add -> x +. y
     | Insn.Sub -> x -. y
     | Insn.Mul -> x *. y
-    | Insn.Div -> if y = 0.0 then raise (Trapped Suspend.Div_zero) else x /. y
+    | Insn.Div -> if y = 0.0 then raise (Trapped Div_zero) else x /. y
     | Insn.Mod | Insn.And | Insn.Or | Insn.Xor ->
-      raise (Trapped (Suspend.Bad_insn "non-arithmetic float op"))
+      raise (Trapped (Bad_insn "non-arithmetic float op"))
   in
   try Float_format.encode fmt r
-  with Float_format.Reserved_operand m -> raise (Trapped (Suspend.Float_reserved m))
+  with Float_format.Reserved_operand m -> raise (Trapped (Float_reserved m))
 
 let eval_cc cmp cc =
   match cmp with
@@ -140,7 +155,7 @@ let push_int ctx mem v =
   let a = sp ctx - 4 in
   set_sp ctx a;
   store_int mem a v;
-  if a < ctx.stack_limit then raise (Trapped Suspend.Stack_overflow)
+  if a < ctx.stack_limit then raise (Trapped Stack_overflow)
 
 let pop_int ctx mem =
   let a = sp ctx in
@@ -149,7 +164,7 @@ let pop_int ctx mem =
   v
 
 let check_stack ctx =
-  if sp ctx < ctx.stack_limit then raise (Trapped Suspend.Stack_overflow)
+  if sp ctx < ctx.stack_limit then raise (Trapped Stack_overflow)
 
 (* SPARC window registers *)
 let l_base = 16
@@ -186,7 +201,7 @@ let image_at text (img : Text.image) pc =
   if pc >= img.Text.base && pc < img.Text.base + img.Text.code.Code.byte_size then img
   else begin
     let img = Text.find text pc in
-    if img == Text.none then raise (Trapped (Suspend.Bad_pc pc));
+    if img == Text.none then raise (Trapped (Bad_pc pc));
     img
   end
 
@@ -198,7 +213,7 @@ let run ctx ~mem ~text ~fuel =
      has left or returns its stop reason outright, so a slice costs no
      result/fuel refs, no closures, and no per-instruction stop check *)
   let rec exec fuel =
-    if fuel <= 0 then Suspend.Fuel
+    if fuel <= 0 then Fuel
     else begin
       let img = image_at text !last ctx.pc in
       last := img;
@@ -254,7 +269,7 @@ let run ctx ~mem ~text ~fuel =
       | Insn.Cvt_fi (a, b) ->
         let f =
           try Float_format.decode fmt (get_operand ctx mem a)
-          with Float_format.Reserved_operand m -> raise (Trapped (Suspend.Float_reserved m))
+          with Float_format.Reserved_operand m -> raise (Trapped (Float_reserved m))
         in
         set_operand ctx mem b (Int32.of_float f);
         ctx.pc <- next_pc;
@@ -266,7 +281,7 @@ let run ctx ~mem ~text ~fuel =
       | Insn.Fcmp (a, b) ->
         let decode v =
           try Float_format.decode fmt v
-          with Float_format.Reserved_operand m -> raise (Trapped (Suspend.Float_reserved m))
+          with Float_format.Reserved_operand m -> raise (Trapped (Float_reserved m))
         in
         ctx.cc <-
           Float.compare
@@ -281,12 +296,12 @@ let run ctx ~mem ~text ~fuel =
         ctx.pc <- base + target;
         exec (fuel - 1)
       | Insn.Jmp_abs target ->
-        if target = 0 then raise (Trapped (Suspend.Bad_pc 0));
+        if target = 0 then raise (Trapped (Bad_pc 0));
         ctx.pc <- target;
         exec (fuel - 1)
       | Insn.Jsr_ind r ->
         let target = reg_int ctx r in
-        if target = 0 then raise (Trapped (Suspend.Bad_pc 0));
+        if target = 0 then raise (Trapped (Bad_pc 0));
         (match family with
         | Arch.Vax | Arch.M68k -> push_int ctx mem next_pc
         | Arch.Sparc -> set_reg_int ctx 15 next_pc);
@@ -336,14 +351,14 @@ let run ctx ~mem ~text ~fuel =
         set_reg ctx r (Int32.shift_left i 10);
         ctx.pc <- next_pc;
         exec (fuel - 1)
-      | Insn.Syscall n -> Suspend.Syscall n
+      | Insn.Syscall n -> Syscall n
       | Insn.Poll _ ->
         if ctx.skip_poll then begin
           ctx.skip_poll <- false;
           ctx.pc <- next_pc;
           exec (fuel - 1)
         end
-        else if ctx.poll_requested then Suspend.Poll
+        else if ctx.poll_requested then Poll
         else begin
           ctx.pc <- next_pc;
           exec (fuel - 1)
@@ -363,16 +378,16 @@ let run ctx ~mem ~text ~fuel =
       | Insn.Nop ->
         ctx.pc <- next_pc;
         exec (fuel - 1)
-      | Insn.Halt -> Suspend.Halt
+      | Insn.Halt -> Halt
     end
   and ret_to target fuel =
-    if target = 0 then Suspend.Bottom_return
+    if target = 0 then Bottom_return
     else begin
       ctx.pc <- target;
       exec (fuel - 1)
     end
   in
-  try exec fuel with Trapped t -> Suspend.Trap t
+  try exec fuel with Trapped t -> Trap t
 
 let syscall_resume ctx ~text =
   let img = Text.find text ctx.pc in
@@ -381,5 +396,19 @@ let syscall_resume ctx ~text =
   let insn = img.Text.code.Code.insns.(idx) in
   ctx.pc <- ctx.pc + Insn.size_bytes ctx.arch.Arch.family insn
 
-let pp_trap = Suspend.pp_trap
-let pp_stop ppf s = Suspend.pp ppf s
+let pp_trap ppf = function
+  | Div_zero -> Format.pp_print_string ppf "division by zero"
+  | Nil_deref -> Format.pp_print_string ppf "nil dereference"
+  | Mem_fault a -> Format.fprintf ppf "memory fault at %#x" a
+  | Float_reserved m -> Format.fprintf ppf "reserved float operand (%s)" m
+  | Stack_overflow -> Format.pp_print_string ppf "stack overflow"
+  | Bad_pc a -> Format.fprintf ppf "bad PC %#x" a
+  | Bad_insn m -> Format.fprintf ppf "illegal instruction (%s)" m
+
+let pp_stop ppf = function
+  | Poll -> Format.pp_print_string ppf "poll"
+  | Syscall n -> Format.fprintf ppf "syscall %d" n
+  | Bottom_return -> Format.pp_print_string ppf "segment-bottom return"
+  | Halt -> Format.pp_print_string ppf "halt"
+  | Trap t -> Format.fprintf ppf "trap: %a" pp_trap t
+  | Fuel -> Format.pp_print_string ppf "out of fuel"

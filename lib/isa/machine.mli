@@ -27,12 +27,38 @@ type ctx = {
   mutable insns : int;  (** accumulated instruction count *)
 }
 
-exception Trapped of Suspend.trap
+type trap =
+  | Div_zero
+  | Nil_deref
+  | Mem_fault of int
+  | Float_reserved of string
+  | Stack_overflow
+  | Bad_pc of int
+  | Bad_insn of string  (** instruction invalid for this family *)
+
+(** Why native code handed control back to the kernel.  The kernel
+    consumes a stop at once (it dispatches the call, finishes the bottom
+    return or reports the trap); how a parked segment later resumes is
+    the runtime's own record ({!Ert.Thread.resume}), and only that
+    travels. *)
+type stop =
+  | Poll  (** at a [Poll] with a pending kernel request; PC at the poll *)
+  | Syscall of int
+      (** at a [Syscall n]; the context PC is left at the instruction *)
+  | Bottom_return
+      (** a return popped the sentinel return address 0: the caller's
+          activation record lives in another stack segment, possibly on
+          another node *)
+  | Halt
+  | Trap of trap
+  | Fuel  (** fuel exhausted; under a quantum this is plain preemption *)
+
+exception Trapped of trap
 (** Raised by the execution primitives below on a machine trap; [run]
     (and {!Dispatch.run}) catch it at the slice boundary and return
-    [Suspend.Trap].  Exposed so the threaded-dispatch engine can reuse
-    the exact primitives — and therefore the exact trap behaviour — of
-    the fetch/decode interpreter. *)
+    [Trap].  Exposed so the threaded-dispatch engine can reuse the exact
+    primitives — and therefore the exact trap behaviour — of the
+    fetch/decode interpreter. *)
 
 val create_ctx : Arch.t -> ctx
 
@@ -78,13 +104,11 @@ val check_stack : ctx -> unit
 val sparc_save : ctx -> Memory.t -> int -> unit
 val sparc_restore : ctx -> Memory.t -> unit
 
-val run : ctx -> mem:Memory.t -> text:Text.t -> fuel:int -> 'v Suspend.t
+val run : ctx -> mem:Memory.t -> text:Text.t -> fuel:int -> stop
 (** Execute instructions until a stop.  [fuel] bounds the number of
     instructions as a safety net; generated code reaches a bus stop on
     every loop iteration, so under the cooperative discipline it never
-    runs dry (a preemptive quantum makes [Fuel] ordinary).  Only the
-    machine-producible constructors of {!Suspend.t} are returned — see
-    the invariant table in suspend.mli. *)
+    runs dry (a preemptive quantum makes [Fuel] ordinary). *)
 
 val image_at : Text.t -> Text.image -> int -> Text.image
 (** The image holding a PC: the given one (the last fetch's) when it
@@ -94,5 +118,5 @@ val syscall_resume : ctx -> text:Text.t -> unit
 (** Advance the PC past the [Syscall] instruction it is stopped at, for
     kernel services that complete immediately. *)
 
-val pp_trap : Format.formatter -> Suspend.trap -> unit
-val pp_stop : Format.formatter -> 'v Suspend.t -> unit
+val pp_trap : Format.formatter -> trap -> unit
+val pp_stop : Format.formatter -> stop -> unit

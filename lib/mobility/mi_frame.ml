@@ -15,7 +15,7 @@ type mi_frame = {
 }
 
 type mi_status =
-  | Ms_parked of Ert.Value.t Isa.Suspend.t
+  | Ms_parked of Ert.Thread.resume
   | Ms_awaiting_reply of int
   | Ms_blocked_monitor of {
       mon : Ert.Oid.t;
@@ -103,32 +103,30 @@ let read_frame r =
   let mf_boxed = Array.of_list (List.rev !boxed) in
   { mf_class; mf_code_oid; mf_method; mf_stop; mf_slots; mf_tags; mf_words; mf_boxed; mf_self }
 
-(* the four wire-encodable suspensions keep the v2 resume tags 1-4; the
-   CPU-only constructors never travel (capture happens at bus stops),
-   and capture converts a [Complete_word] to the [Complete] it stands
-   for *)
-let write_suspension w (s : Ert.Value.t Isa.Suspend.t) =
+(* a resume keeps its v2 tag 1-4; a result held as a word writes the
+   [Complete (Some v)] it stands for *)
+let write_suspension w (s : Ert.Thread.resume) =
   match s with
-  | Isa.Suspend.Run -> W.u8 w 1
-  | Isa.Suspend.Deliver v ->
+  | Ert.Thread.Run -> W.u8 w 1
+  | Ert.Thread.Deliver v ->
     W.u8 w 2;
-    Ert.Value.write w v
-  | Isa.Suspend.Complete v ->
+    V.write w v
+  | Ert.Thread.Complete v ->
     W.u8 w 3;
-    write_opt w Ert.Value.write v
-  | Isa.Suspend.Complete_dequeue sid ->
+    write_opt w V.write v
+  | Ert.Thread.Complete_word (wd, bits) ->
+    W.u8 w 3;
+    write_opt w V.write (Some (V.of_word wd bits))
+  | Ert.Thread.Complete_dequeue sid ->
     W.u8 w 4;
     write_opt w (fun w s -> W.i32 w (Int32.of_int s)) sid
-  | Isa.Suspend.Poll | Isa.Suspend.Syscall _ | Isa.Suspend.Bottom_return
-  | Isa.Suspend.Halt | Isa.Suspend.Trap _ | Isa.Suspend.Fuel | Isa.Suspend.Complete_word _ ->
-    failwith "Mi_frame.write_suspension: suspension is not wire-encodable"
 
-let read_suspension r : Ert.Value.t Isa.Suspend.t =
+let read_suspension r : Ert.Thread.resume =
   match R.u8 r with
-  | 1 -> Isa.Suspend.Run
-  | 2 -> Isa.Suspend.Deliver (Ert.Value.read r)
-  | 3 -> Isa.Suspend.Complete (read_opt r Ert.Value.read)
-  | 4 -> Isa.Suspend.Complete_dequeue (read_opt r (fun r -> Int32.to_int (R.i32 r)))
+  | 1 -> Ert.Thread.Run
+  | 2 -> Ert.Thread.Deliver (V.read r)
+  | 3 -> Ert.Thread.Complete (read_opt r V.read)
+  | 4 -> Ert.Thread.Complete_dequeue (read_opt r (fun r -> Int32.to_int (R.i32 r)))
   | n -> failwith (Printf.sprintf "Mi_frame.read_suspension: corrupt tag %d" n)
 
 let write_status w = function

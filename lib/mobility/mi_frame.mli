@@ -47,9 +47,9 @@ val is_boxed_tag : int -> bool
 (** A real's, string's or vector's tag: the word indexes [mf_boxed]. *)
 
 type mi_status =
-  | Ms_parked of Ert.Value.t Isa.Suspend.t
-      (** only wire-encodable suspensions (see the {!Isa.Suspend} invariant
-          table) appear here; writing a CPU-only one fails *)
+  | Ms_parked of Ert.Thread.resume
+      (** written under its resume tag; a [Complete_word] writes, and so
+          reads back as, the [Complete (Some v)] it stands for *)
   | Ms_awaiting_reply of int  (** stop id *)
   | Ms_blocked_monitor of {
       mon : Ert.Oid.t;

@@ -249,7 +249,7 @@ let perform_group_move k ~roots ~dest : Marshal.move_payload =
   perform_move_of_addrs k ~addrs ~dest
 
 let park_mover (mover : T.segment) =
-  mover.T.seg_status <- T.Parked (Isa.Suspend.Complete None)
+  mover.T.seg_status <- T.Parked (T.Complete None)
 
 let park_mover_for_test = park_mover
 

@@ -82,14 +82,10 @@ let capture_frame k (fr : FW.frame_rec) =
     mf_self = K.oid_at k fr.FW.fw_self;
   }
 
-(* the suspension is already machine-independent: it passes through
-   unconverted (the old resume_to_mi/resume_of_mi pair is gone), but for
-   a result held as a word, which travels as the value it stands for *)
+(* a resume is already machine-independent: it passes through *)
 let status_to_mi k (seg : T.segment) =
   match seg.T.seg_status with
-  | T.Parked (Isa.Suspend.Complete_word (w, bits)) ->
-    Mi_frame.Ms_parked (Isa.Suspend.Complete (Some (Ert.Value.of_word w bits)))
-  | T.Parked s -> Mi_frame.Ms_parked s
+  | T.Parked r -> Mi_frame.Ms_parked r
   | T.Awaiting_reply { stop_id } -> Mi_frame.Ms_awaiting_reply stop_id
   | T.Blocked_monitor { mon_addr; qnode; cond; deadline } ->
     Mi_frame.Ms_blocked_monitor
@@ -99,7 +95,7 @@ let status_to_mi k (seg : T.segment) =
   | T.Dead -> fail "cannot capture dead segment %d" seg.T.seg_id
 
 let status_of_mi k = function
-  | Mi_frame.Ms_parked s -> T.Parked s
+  | Mi_frame.Ms_parked r -> T.Parked r
   | Mi_frame.Ms_awaiting_reply stop_id -> T.Awaiting_reply { stop_id }
   | Mi_frame.Ms_blocked_monitor { mon; in_queue; cond; deadline } ->
     let mon_addr = K.ensure_ref k mon in

@@ -20,9 +20,8 @@
 val capture_frame : Ert.Kernel.t -> Ert.Frame_walk.frame_rec -> Mi_frame.mi_frame
 
 val status_to_mi : Ert.Kernel.t -> Ert.Thread.segment -> Mi_frame.mi_status
-(** Fails on a running or dead segment, and on a CPU-only suspension (the
-    unified {!Isa.Suspend.t} passes through otherwise — there is no
-    conversion step any more). *)
+(** Fails on a running or dead segment.  A parked segment's
+    {!Ert.Thread.resume} passes through unconverted. *)
 
 val rebuild_segment : Ert.Kernel.t -> Mi_frame.mi_segment -> Ert.Thread.segment
 (** Builds the native stack, registers the segment with the kernel and

@@ -96,10 +96,10 @@ let link = { Ert.Thread.ln_node = 2; ln_seg = 41 }
 let table1_segment =
   segment ~result:Emc.Ast.Tint
     ~frames:[ table1_frame (fst table1_stops); table1_frame (snd table1_stops) ]
-    (MF.Ms_parked Isa.Suspend.Run)
+    (MF.Ms_parked Ert.Thread.Run)
 
 let status_segments =
-  let module S = Isa.Suspend in
+  let module S = Ert.Thread in
   [
     ("deliver", segment ~link (MF.Ms_parked (S.Deliver (V.Vstr "x"))));
     ("complete value", segment (MF.Ms_parked (S.Complete (Some (V.Vint 3l)))));
@@ -116,7 +116,7 @@ let status_segments =
         (MF.Ms_blocked_monitor
            { mon = oid 1 2; in_queue = false; cond = 2; deadline = Some 12500.5 }) );
     ( "mixed frames",
-      segment ~frames:[ mismatched_frame; generic_frame ] (MF.Ms_parked Isa.Suspend.Run) );
+      segment ~frames:[ mismatched_frame; generic_frame ] (MF.Ms_parked Ert.Thread.Run) );
   ]
 
 let spawn_segment =
@@ -128,7 +128,7 @@ let spawn_segment =
         si_method = 0;
         si_args = [ V.Vint 1l; V.Vint 4l ];
       }
-    (MF.Ms_parked Isa.Suspend.Run)
+    (MF.Ms_parked Ert.Thread.Run)
 
 let agent_object =
   {
@@ -401,9 +401,41 @@ let test_u16_overflow_rejected () =
           | _ ->
             Alcotest.failf "%s of 65536 under %s: encode must refuse" what
               (Enet.Wire.impl_name impl)
-          | exception Invalid_argument _ -> ())
+          | exception Enet.Wire.Writer.Oversize _ -> ())
         tiers)
     (oversized 0x10000)
+
+(* A result parked as a word travels as the [Complete (Some v)] it
+   stands for: the same bytes and charges under every tier, and it reads
+   back as that [Complete]. *)
+let test_word_writes_its_complete () =
+  let encode (impl, blit) msg =
+    let stats = CS.create () in
+    let v = M.encode ~blit ~impl ~stats msg in
+    (Enet.Wire.view_to_string v, CS.calls stats, CS.bytes stats)
+  in
+  List.iter
+    (fun (what, w, bits) ->
+      let move r = M.M_move (payload ~segments:[ segment (MF.Ms_parked r) ] 0) in
+      let word = move (Ert.Thread.Complete_word (w, bits)) in
+      let complete = move (Ert.Thread.Complete (Some (V.of_word w bits))) in
+      List.iter
+        (fun ((impl, blit) as tier) ->
+          let name = Printf.sprintf "%s under %s" what (Enet.Wire.impl_name impl) in
+          let ((bytes, _, _) as got) = encode tier word in
+          if got <> encode tier complete then
+            Alcotest.failf "%s: a word writes other bytes or charges than its Complete" name;
+          let stats = CS.create () in
+          if M.decode ~blit ~impl ~stats (Enet.Wire.view_of_string bytes) <> complete then
+            Alcotest.failf "%s: a word does not read back as its Complete" name)
+        tiers)
+    [
+      ("int", V.Wint, -5);
+      ("int32 min", V.Wint, Int32.to_int Int32.min_int);
+      ("false", V.Wbool, 0);
+      ("true", V.Wbool, 1);
+      ("reference", V.Wref, Ert.Oid.intern (oid 3 1));
+    ]
 
 let check = Alcotest.check
 
@@ -567,5 +599,7 @@ let suites =
         Alcotest.test_case "a run does not depend on earlier runs" `Quick
           test_runs_independent;
         QCheck_alcotest.to_alcotest frame_codec_matches_reference;
+        Alcotest.test_case "a parked word writes the Complete it stands for" `Quick
+          test_word_writes_its_complete;
       ] );
   ]

@@ -199,7 +199,7 @@ let setup (p : prog) =
 
 (* everything a run can change, architectural registers included *)
 type snap = {
-  stop : string;
+  stop : M.stop;
   pc : int;
   cc : int;
   cycles : int;
@@ -211,7 +211,7 @@ type snap = {
 
 let snap ctx mem stop =
   {
-    stop = Format.asprintf "%a" M.pp_stop stop;
+    stop;
     pc = ctx.M.pc;
     cc = ctx.M.cc;
     cycles = ctx.M.cycles;
@@ -222,7 +222,8 @@ let snap ctx mem stop =
   }
 
 let diff_snaps (a : snap) (b : snap) =
-  if a.stop <> b.stop then Some (Printf.sprintf "stop %s vs %s" a.stop b.stop)
+  if a.stop <> b.stop then
+    Some (Format.asprintf "stop %a vs %a" M.pp_stop a.stop M.pp_stop b.stop)
   else if a.pc <> b.pc then Some (Printf.sprintf "pc %#x vs %#x" a.pc b.pc)
   else if a.cc <> b.cc then Some (Printf.sprintf "cc %d vs %d" a.cc b.cc)
   else if a.cycles <> b.cycles then
@@ -241,7 +242,7 @@ let diff_snaps (a : snap) (b : snap) =
     Some (Printf.sprintf "memory byte %#x differs" (Mem.low_bound + !i))
   else None
 
-let is_fuel = function Isa.Suspend.Fuel -> true | _ -> false
+let is_fuel = function M.Fuel -> true | _ -> false
 
 (* the reference, then the threaded engine, in slices of [fuel] until a
    non-fuel stop or [total] instructions; [None] when every slice
@@ -421,6 +422,8 @@ let warm_program arch last =
 let bottom_return (arch : A.t) =
   match arch.A.family with A.Vax -> I.Vax_ret | A.M68k -> I.Rts | A.Sparc -> I.Retl
 
+let stop_t = Alcotest.testable M.pp_stop ( = )
+
 let test_warm_slice_allocates_nothing () =
   List.iter
     (fun (arch : A.t) ->
@@ -441,7 +444,7 @@ let test_warm_slice_allocates_nothing () =
             if arch.A.family = A.Sparc then M.set_reg_int ctx 15 0
           in
           let slice () =
-            ignore (Isa.Dispatch.run cache ctx ~mem ~text ~fuel:1000 : unit Isa.Suspend.t)
+            ignore (Isa.Dispatch.run cache ctx ~mem ~text ~fuel:1000 : M.stop)
           in
           reset ();
           slice ();
@@ -450,12 +453,12 @@ let test_warm_slice_allocates_nothing () =
           reset ();
           let stop = Isa.Dispatch.run cache ctx ~mem ~text ~fuel:1000 in
           let name = Printf.sprintf "%s slice ending at %s" arch.A.id what in
-          check Alcotest.string (name ^ ": stop") want (Format.asprintf "%a" M.pp_stop stop);
+          check stop_t (name ^ ": stop") want stop;
           check (Alcotest.float 0.0) (name ^ ": words") 0.0 words)
         [
-          ("a system call", I.Syscall 7, "syscall 7");
-          ("a poll", I.Poll 0, "poll");
-          ("a bottom return", bottom_return arch, "segment-bottom return");
+          ("a system call", I.Syscall 7, M.Syscall 7);
+          ("a poll", I.Poll 0, M.Poll);
+          ("a bottom return", bottom_return arch, M.Bottom_return);
         ])
     [ A.vax; A.sun3; A.sparc ]
 

@@ -128,7 +128,7 @@ let test_encode_roundtrip_and_refusal () =
   in
   match Mobility.Marshal.encode ~impl:Enet.Wire.Plan ~stats huge with
   | _ -> Alcotest.fail "oversized string must be rejected"
-  | exception Invalid_argument _ -> ()
+  | exception Enet.Wire.Writer.Oversize _ -> ()
 
 (* a handed-off view owns its buffer: the writer is dead, and no later
    writer writes over the bytes the network holds *)

@@ -204,7 +204,7 @@ let test_parked_monitor_waiter_keeps_monitor () =
           si_args = [];
         }
       ~link:None ~thread:4242 ~seg_id:4242
-      ~status:(Ert.Thread.Parked Isa.Suspend.Run)
+      ~status:(Ert.Thread.Parked Ert.Thread.Run)
   in
   Ert.Kernel.monitor_enqueue_blocked k ~obj_addr:mon_addr ~deadline:10_000.0
     seg;

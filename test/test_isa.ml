@@ -188,7 +188,7 @@ let test_machine_arith () =
       Isa.Machine.set_reg ctx 2 1l;
       let stop = Isa.Machine.run ctx ~mem ~text ~fuel:100 in
       (match stop with
-      | Isa.Suspend.Halt -> ()
+      | Isa.Machine.Halt -> ()
       | other -> Alcotest.failf "%s: unexpected stop %a" arch.A.id Isa.Machine.pp_stop other);
       check Alcotest.int
         (arch.A.id ^ " result")
@@ -207,7 +207,7 @@ let test_machine_div_zero () =
   ctx.Isa.Machine.pc <- img.Isa.Text.base;
   Isa.Machine.set_reg ctx 1 7l;
   match Isa.Machine.run ctx ~mem ~text ~fuel:10 with
-  | Isa.Suspend.Trap Isa.Suspend.Div_zero -> ()
+  | Isa.Machine.Trap Isa.Machine.Div_zero -> ()
   | other -> Alcotest.failf "expected div-zero trap, got %a" Isa.Machine.pp_stop other
 
 let test_machine_remque () =
@@ -230,7 +230,7 @@ let test_machine_remque () =
   ctx.Isa.Machine.pc <- img.Isa.Text.base;
   Isa.Machine.set_reg ctx 1 (Int32.of_int sent);
   (match Isa.Machine.run ctx ~mem ~text ~fuel:10 with
-  | Isa.Suspend.Halt -> ()
+  | Isa.Machine.Halt -> ()
   | other -> Alcotest.failf "unexpected stop %a" Isa.Machine.pp_stop other);
   check Alcotest.int "first dequeue" n1 (Int32.to_int (Isa.Machine.reg ctx 2));
   check Alcotest.int "second dequeue" n2 (Int32.to_int (Isa.Machine.reg ctx 3));
@@ -247,11 +247,11 @@ let test_machine_poll () =
   ctx.Isa.Machine.pc <- img.Isa.Text.base;
   (* without a request the loop spins until fuel runs out *)
   (match Isa.Machine.run ctx ~mem ~text ~fuel:50 with
-  | Isa.Suspend.Fuel -> ()
+  | Isa.Machine.Fuel -> ()
   | other -> Alcotest.failf "expected fuel stop, got %a" Isa.Machine.pp_stop other);
   ctx.Isa.Machine.poll_requested <- true;
   (match Isa.Machine.run ctx ~mem ~text ~fuel:50 with
-  | Isa.Suspend.Poll -> ()
+  | Isa.Machine.Poll -> ()
   | other -> Alcotest.failf "expected poll stop, got %a" Isa.Machine.pp_stop other);
   check Alcotest.int "pc parked at the poll" img.Isa.Text.base ctx.Isa.Machine.pc
 

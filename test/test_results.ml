@@ -71,7 +71,7 @@ let stop_after_call cl ~node tid wanted =
       (fun (seg : T.segment) ->
         seg.T.seg_thread = tid
         && (match seg.T.seg_status with
-           | T.Parked Isa.Suspend.Run -> false
+           | T.Parked T.Run -> false
            | T.Parked _ -> true
            | T.Running | T.Blocked_monitor _ | T.Awaiting_reply _ | T.Dead -> false)
         &&
@@ -215,8 +215,8 @@ let test_word_completion_allocates_nothing () =
           (fun ((seg : T.segment), status, insns) ->
             if seg.T.seg_ctx.Isa.Machine.insns <> insns && n > 20 then
               match status with
-              | T.Parked (Isa.Suspend.Complete_word (w, _)) ->
-                let i = if w = Isa.Suspend.Wint then 0 else 1 in
+              | T.Parked (T.Complete_word (w, _)) ->
+                let i = if w = Ert.Value.Wint then 0 else 1 in
                 checked.(i) <- checked.(i) + 1;
                 check (Alcotest.float 0.0)
                   (Printf.sprintf "%s step %d completing a word" arch.A.id n)

@@ -48,8 +48,8 @@ let frame_gen =
 
 let segment_gen =
   let open QCheck.Gen in
-  let suspension_gen =
-    let module S = Isa.Suspend in
+  let resume_gen =
+    let module S = Ert.Thread in
     oneof
       [
         return S.Run;
@@ -63,7 +63,7 @@ let segment_gen =
   let status_gen =
     oneof
       [
-        map (fun s -> MF.Ms_parked s) suspension_gen;
+        map (fun s -> MF.Ms_parked s) resume_gen;
         map (fun s -> MF.Ms_awaiting_reply s) (int_range 0 30);
         map
           (fun (q, dl) ->
