@@ -480,7 +480,7 @@ let run_fig2 () =
   let n = 16 in
   let ast = Emc.Parser.parse_program src in
   let tprog = Emc.Typecheck.check ast in
-  let ir = Emc.Lower.lower_program ~name:"fig2" tprog in
+  let ir = Emc.Lower.lower_program ~formats:[] ~name:"fig2" tprog in
   let args_mv = [ Emi.Mvalue.Int (Int32.of_int n) ] in
   let source_run () =
     (Emi.Ast_interp.run tprog ~class_name:"Main" ~op:"start" ~args:args_mv)
@@ -682,7 +682,7 @@ let bechamel_tests () =
   let src = W.fig2_src in
   let ast = Emc.Parser.parse_program src in
   let tprog = Emc.Typecheck.check ast in
-  let ir = Emc.Lower.lower_program ~name:"fig2" tprog in
+  let ir = Emc.Lower.lower_program ~formats:[] ~name:"fig2" tprog in
   let fig2_source =
     Test.make ~name:"fig2_source_level"
       (Staged.stage (fun () ->

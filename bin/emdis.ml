@@ -12,43 +12,49 @@ let arch_by_id id =
       (String.concat ", " (List.map (fun a -> a.Isa.Arch.id) Isa.Arch.all));
     exit 2
 
-(* the basic-block partition the threaded-dispatch translator will use,
-   with the micro-op batch heading each block and the superinstruction
-   fusions it would apply *)
+(* the paths the translator builds: each path's instructions in the
+   order it runs them (as runs of consecutive instructions, by offset),
+   the offsets its conditional branches leave for, and where it runs off
+   to or the offset of the transfer, call or halt it ends at *)
 let print_blocks (code : Isa.Code.t) =
-  Printf.printf "blocks %s/%s:\n" code.Isa.Code.class_name
+  Printf.printf "paths %s/%s:\n" code.Isa.Code.class_name
     code.Isa.Code.arch.Isa.Arch.id;
+  let runs idxs =
+    let rec go acc = function
+      | [] -> List.rev acc
+      | j :: rest -> (
+        match acc with
+        | (a, b) :: acc' when j = b + 1 -> go ((a, j) :: acc') rest
+        | _ -> go ((j, j) :: acc) rest)
+    in
+    let off i = code.Isa.Code.offsets.(i) in
+    String.concat ", "
+      (List.map
+         (fun (a, b) ->
+           if a = b then Printf.sprintf "0x%04x" (off a)
+           else Printf.sprintf "0x%04x..0x%04x" (off a) (off b))
+         (go [] idxs))
+  in
   List.iter
-    (fun (b : Isa.Dispatch.block) ->
-      let fused =
-        match b.Isa.Dispatch.b_fused with
+    (fun (p : Isa.Dispatch.path_info) ->
+      let idxs = p.Isa.Dispatch.pi_insns in
+      let head = List.hd idxs in
+      let exits =
+        match p.Isa.Dispatch.pi_exits with
         | [] -> ""
-        | l ->
-          "  fused "
-          ^ String.concat ", "
-              (List.map
-                 (fun i ->
-                   let kind =
-                     match code.Isa.Code.insns.(i) with
-                     | Isa.Insn.Cmp _ -> "cmp+bcc"
-                     | Isa.Insn.Poll _ -> "poll+br"
-                     | _ -> "?"
-                   in
-                   Printf.sprintf "@%d (%s)" i kind)
-                 l)
+        | l -> "; side exits " ^ String.concat " " (List.map (Printf.sprintf "0x%04x") l)
       in
-      let batch =
-        match b.Isa.Dispatch.b_batch with
-        | 0 -> ""
-        | n -> Printf.sprintf "  batch %d" n
+      let ends =
+        if p.Isa.Dispatch.pi_next >= 0 then Printf.sprintf "; then 0x%04x" p.Isa.Dispatch.pi_next
+        else
+          Printf.sprintf "; ends at 0x%04x"
+            code.Isa.Code.offsets.(List.nth idxs (List.length idxs - 1))
       in
-      Printf.printf "  [%4d..%4d]  0x%04x..0x%04x  %d insns%s%s\n"
-        b.Isa.Dispatch.b_first b.Isa.Dispatch.b_last
-        code.Isa.Code.offsets.(b.Isa.Dispatch.b_first)
-        code.Isa.Code.offsets.(b.Isa.Dispatch.b_last)
-        (b.Isa.Dispatch.b_last - b.Isa.Dispatch.b_first + 1)
-        batch fused)
-    (Isa.Dispatch.describe_blocks code)
+      let n = List.length idxs in
+      Printf.printf "  0x%04x  %d insn%s: %s%s%s\n" code.Isa.Code.offsets.(head) n
+        (if n = 1 then "" else "s")
+        (runs idxs) exits ends)
+    (Isa.Dispatch.describe_paths code)
 
 (* --opt-diff: the same class compiled at two optimization levels, the
    instances printed in two columns.  Bus stops are the alignment anchors:
@@ -233,10 +239,10 @@ let class_t =
 let blocks_t =
   Arg.(value & flag
        & info [ "blocks" ]
-           ~doc:"Print the basic-block partition the threaded-dispatch \
-                 translator uses, with the length of the micro-op batch \
-                 heading each block and the blocks that get \
-                 superinstruction fusion (compare-branch, poll-branch).")
+           ~doc:"Print the paths the dispatch engine's translator builds \
+                 from each method entry and resume point: each path's \
+                 instructions in the order it runs them, the offsets its \
+                 conditional branches leave for, and where it runs off to.")
 
 let opt_diff_t =
   Arg.(value & opt (some string) None

@@ -264,20 +264,16 @@ let run file nodes opt cls op args_s original codec location gc_mode_s
            per-datum conversion (skip ratio %.2f)\n"
           blit_skips blit_falls
           (float_of_int blit_skips /. float_of_int (blit_skips + blit_falls));
-      let d_blocks = ref 0 and d_insns = ref 0 and d_fused = ref 0 in
-      let d_slices = ref 0 in
+      let d_paths = ref 0 and d_insns = ref 0 and d_slices = ref 0 in
       for i = 0 to Core.Cluster.n_nodes cl - 1 do
         let s = Ert.Kernel.dispatch_stats (Core.Cluster.kernel cl i) in
-        d_blocks := !d_blocks + s.Isa.Dispatch.st_blocks;
+        d_paths := !d_paths + s.Isa.Dispatch.st_paths;
         d_insns := !d_insns + s.Isa.Dispatch.st_insns;
-        d_fused := !d_fused + s.Isa.Dispatch.st_fused;
         d_slices := !d_slices + s.Isa.Dispatch.st_slices
       done;
       if !d_slices > 0 then
-        Printf.printf
-          "dispatch: %d blocks translated (%d insns, %d fused pairs), %d \
-           run slices\n"
-          !d_blocks !d_insns !d_fused !d_slices;
+        Printf.printf "dispatch: %d paths translated (%d insns), %d run slices\n"
+          !d_paths !d_insns !d_slices;
       (if levels <> None then begin
          Printf.printf "optimizer: node levels [%s]\n"
            (String.concat ","

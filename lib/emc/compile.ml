@@ -45,7 +45,11 @@ let compile_exn ?db ?levels ~name ~archs source =
   in
   let ast = Parser.parse_program source in
   let tprog = Typecheck.check ast in
-  let ir = Lower.lower_program ~name tprog in
+  let ir =
+    Lower.lower_program ~name
+      ~formats:(List.map (fun (a : Isa.Arch.t) -> a.Isa.Arch.float_format) archs)
+      tprog
+  in
   let classes =
     Array.map
       (fun (cl : Ir.class_ir) ->

@@ -18,6 +18,7 @@ type builder = {
   var_of_result : int option;
   monitored : bool;
   mutable loop_exits : Ir.label list;
+  formats : Isa.Float_format.t list;  (* the targets' float formats *)
 }
 
 let fresh_label b =
@@ -102,6 +103,16 @@ let rec lower_expr b (e : T.texpr) : Ir.temp =
     emit b (Ir.Iconst_int (t, v));
     t
   | T.TEreal v ->
+    (* the code generator encodes the literal into an instruction, so a
+       value a target's format cannot hold is the program's fault *)
+    List.iter
+      (fun fmt ->
+        match Isa.Float_format.encode fmt v with
+        | _ -> ()
+        | exception Isa.Float_format.Reserved_operand m ->
+          Diag.error e.T.te_pos "real literal %g has no %a representation (%s)" v
+            Isa.Float_format.pp fmt m)
+      b.formats;
     let t = fresh_temp b Ast.Treal in
     emit b (Ir.Iconst_real (t, v));
     t
@@ -462,7 +473,8 @@ let rec lower_stmt b (s : T.tstmt) =
       args;
     ignore (lower_builtin b Ir.Bprint_nl [] None)
 
-let lower_op ~stop_counter ~strings ~string_list op_index (top : T.top) : Ir.op_ir =
+let lower_op ~formats ~stop_counter ~strings ~string_list op_index (top : T.top) :
+    Ir.op_ir =
   let msig = top.T.t_sig in
   (* variable table: self, params, result, locals *)
   let vars = ref [] in
@@ -502,6 +514,7 @@ let lower_op ~stop_counter ~strings ~string_list op_index (top : T.top) : Ir.op_
       var_of_result = result_var;
       monitored = msig.T.m_monitored;
       loop_exits = [];
+      formats;
     }
   in
   let entry = fresh_label b in
@@ -535,13 +548,15 @@ let lower_op ~stop_counter ~strings ~string_list op_index (top : T.top) : Ir.op_
     oi_stops = Array.of_list (List.rev b.stops);
   }
 
-let lower_class (tc : T.tclass) : Ir.class_ir =
+let lower_class ~formats (tc : T.tclass) : Ir.class_ir =
   let ci = tc.T.tc_info in
   let stop_counter = ref 0 in
   let strings = Hashtbl.create 16 in
   let string_list = ref [] in
   let ops =
-    Array.mapi (fun i top -> lower_op ~stop_counter ~strings ~string_list i top) tc.T.tc_ops
+    Array.mapi
+      (fun i top -> lower_op ~formats ~stop_counter ~strings ~string_list i top)
+      tc.T.tc_ops
   in
   let field_init (e : T.texpr) =
     match e.T.te_d with
@@ -566,5 +581,5 @@ let lower_class (tc : T.tclass) : Ir.class_ir =
     cl_has_initially = ci.T.ci_has_initially;
   }
 
-let lower_program ~name (tp : T.tprog) : Ir.program_ir =
-  { Ir.pr_name = name; pr_classes = Array.map lower_class tp.T.tp_classes }
+let lower_program ~name ~formats (tp : T.tprog) : Ir.program_ir =
+  { Ir.pr_name = name; pr_classes = Array.map (lower_class ~formats) tp.T.tp_classes }

@@ -134,7 +134,7 @@ type t = {
   mutable evictions : int;  (* eviction traps fired *)
   mutable peak_ready : int;  (* high-water mark of the run queue *)
   mutable kdispatch : Isa.Dispatch.cache;
-      (* per-node translated-code cache for the threaded-dispatch engine;
+      (* per-node translated-code cache for the dispatch engine;
          the cluster points it at the code repository's per-node cache *)
   mutable kthreaded : bool;
       (* execute through Isa.Dispatch (default) or the baseline
@@ -1530,7 +1530,7 @@ let trapped t seg trap =
   error "node %d, thread %d: %a" t.knode_id seg.Thread.seg_thread M.pp_trap trap
 
 (* execute the segment's native code for at most [fuel] instructions, on
-   the threaded engine or the reference interpreter *)
+   the dispatch engine or the reference interpreter *)
 let run_code t ctx ~fuel =
   if t.kthreaded then Isa.Dispatch.run t.kdispatch ctx ~mem:t.kmem ~text:t.ktext ~fuel
   else M.run ctx ~mem:t.kmem ~text:t.ktext ~fuel

@@ -351,7 +351,7 @@ val dispatch_stats : t -> Isa.Dispatch.stats
 val set_threaded : t -> bool -> unit
 (** [false] forces the baseline fetch/decode interpreter
     ({!Isa.Machine.run}); [true] (the default) executes through the
-    threaded-dispatch engine ({!Isa.Dispatch.run}).  The two are
+    pre-decoded dispatch engine ({!Isa.Dispatch.run}).  The two are
     observationally identical; the switch exists for differential tests
     and the interpreter benchmark. *)
 

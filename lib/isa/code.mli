@@ -18,8 +18,8 @@ type t = private {
   code_oid : int32;
   code_inst : int;
       (** instance tag distinguishing differently-optimized bodies of the
-          same code OID (the optimization level); threaded-dispatch step
-          tables are keyed by [(code_oid, code_inst)] *)
+          same code OID (the optimization level); the dispatch engine's
+          path tables are keyed by [(code_oid, code_inst)] *)
   class_name : string;
   arch : Arch.t;
   insns : Insn.t array;

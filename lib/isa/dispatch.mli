@@ -1,14 +1,18 @@
-(** Threaded-dispatch execution: the fetch/decode interpreter's fast
+(** Pre-decoded execution: the fetch/decode interpreter's fast
     replacement.
 
-    Each straight-line run of instructions is translated once, on first
-    execution, into a chain of per-instruction closures — operand
-    addressing modes, cycle charges and fall-through targets resolved at
-    translation time — and the compiler's two hot adjacent pairs
-    (compare-then-branch, loop-bottom poll-then-branch) are fused into
-    superinstructions.  Translations are cached per code object in a
-    {!cache} (one per kernel, handed out by the code repository) and are
-    valid only for the memory and load address they were built against.
+    Each path through a code image is translated once, on first
+    execution, into an array of int-domain micro-ops — operand
+    addressing modes, the SPARC [%g0] rule and register bounds resolved
+    at translation — that one loop runs straight on the register file.
+    A path runs on through each conditional branch (a side exit when
+    taken) and into each unconditional branch's target, until a dynamic
+    transfer, a system call, a halt, an instruction it already holds or
+    another path's head; a static branch chains into its target's path.
+    Cycles and instructions settle from the path's prefix sums at each
+    exit.  Translations are cached per code object in a {!cache} (one
+    per kernel, handed out by the code repository) and are valid only
+    for the memory and load address they were built against.
 
     The engine is observationally identical to {!Machine.run}: same
     stops, same traps (including mid-instruction PC placement), same
@@ -17,9 +21,9 @@
     hold it to that bit for bit. *)
 
 type stats = {
-  mutable st_blocks : int;  (** straight-line runs translated *)
-  mutable st_insns : int;  (** instructions translated *)
-  mutable st_fused : int;  (** superinstruction pairs fused *)
+  mutable st_paths : int;  (** paths translated *)
+  mutable st_insns : int;
+      (** instructions translated, once per path holding them *)
   mutable st_slices : int;  (** run slices driven *)
 }
 
@@ -33,19 +37,23 @@ val run :
 (** Drop-in replacement for {!Machine.run}, translating lazily through
     [cache]. *)
 
-(** {1 Static block partition}
+(** {1 Static paths}
 
-    The partition the translator would produce, computed without
-    executing — for [emdis --blocks] and the tests. *)
+    The paths the translator builds, found by its own walk without
+    executing — for [emdis --blocks]. *)
 
-type block = {
-  b_first : int;  (** instruction index of the leader *)
-  b_last : int;  (** inclusive *)
-  b_fused : int list;  (** indices heading a fused superinstruction *)
-  b_batch : int;
-      (** length of the micro-op batch heading the block: the register,
-          immediate and frame-slot prefix the translator runs as one
-          superblock; 0 when the prefix is too short to batch *)
+type path_info = {
+  pi_insns : int list;
+      (** instruction indices in the order the path runs them; the
+          first is its head *)
+  pi_exits : int list;  (** byte offsets its conditional branches leave for *)
+  pi_next : int;
+      (** byte offset it runs off to, or -1 when it ends in a dynamic
+          transfer, a system call or a halt *)
 }
 
-val describe_blocks : Code.t -> block list
+val describe_paths : Code.t -> path_info list
+(** The paths headed at every method entry and every point a thread
+    resumes at (after a call or a system call, at a parked poll), each
+    followed at once by the paths headed at its fall-through and then
+    at its side exits. *)

@@ -56,7 +56,7 @@ type stop =
 exception Trapped of trap
 (** Raised by the execution primitives below on a machine trap; [run]
     (and {!Dispatch.run}) catch it at the slice boundary and return
-    [Trap].  Exposed so the threaded-dispatch engine can reuse the exact
+    [Trap].  Exposed so the dispatch engine can reuse the exact
     primitives — and therefore the exact trap behaviour — of the
     fetch/decode interpreter. *)
 
@@ -86,7 +86,7 @@ val set_fp : ctx -> int -> unit
 (** {1 Execution primitives}
 
     The building blocks of the interpreter loop, shared with the
-    threaded-dispatch engine ({!Dispatch}) so both execution paths have
+    dispatch engine ({!Dispatch}) so both execution paths have
     identical operand, arithmetic, trap and stack semantics by
     construction.  Memory words travel as sign-extended [int]s. *)
 

@@ -37,8 +37,8 @@ let load8 t addr =
   Char.code (Bytes.unsafe_get t.data addr)
 
 (* unchecked int-domain access for callers that have already done
-   [check t addr 4] themselves (the threaded dispatcher inlines the
-   bounds test so a fault can be attributed to the exact micro-op) *)
+   [check t addr 4] themselves (the dispatch engine inlines the bounds
+   test so a fault can be attributed to the exact micro-op) *)
 let unsafe_load32_bits t addr =
   let d = t.data in
   let b0 = Char.code (Bytes.unsafe_get d addr)

@@ -17,7 +17,7 @@ val record_fetch : t -> node:int -> unit
 val fetches_by_node : t -> int -> int
 
 val dispatch_cache : t -> node:int -> Isa.Dispatch.cache
-(** The node's translated-code cache for the threaded-dispatch engine,
+(** The node's translated-code cache for the dispatch engine,
     kept with the code it translates: per node, and surviving node
     restarts (the engine's memory identity check voids tables of a dead
     kernel). *)

@@ -50,7 +50,7 @@ let run_source n =
 let run_ir n =
   let ast = Emc.Parser.parse_program src in
   let tprog = Emc.Typecheck.check ast in
-  let ir = Emc.Lower.lower_program ~name:"emi" tprog in
+  let ir = Emc.Lower.lower_program ~formats:[] ~name:"emi" tprog in
   Emi.Ir_interp.run ir ~class_name:"Main" ~op:"start" ~args:[ MV.Int (Int32.of_int n) ]
 
 let run_native arch n =
@@ -104,7 +104,7 @@ let test_fib_levels () =
   let fib_src = Core.Workloads.fig2_src in
   let ast = Emc.Parser.parse_program fib_src in
   let tprog = Emc.Typecheck.check ast in
-  let ir = Emc.Lower.lower_program ~name:"fib" tprog in
+  let ir = Emc.Lower.lower_program ~formats:[] ~name:"fib" tprog in
   let n = 12 in
   let a =
     Emi.Ast_interp.run tprog ~class_name:"Main" ~op:"start"

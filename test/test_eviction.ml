@@ -410,7 +410,7 @@ let test_wait_notify_levels_agree () =
   let r_src =
     Emi.Ast_interp.run tprog ~class_name:"Main" ~op:"start" ~args:[]
   in
-  let ir = Emc.Lower.lower_program ~name:"levels" tprog in
+  let ir = Emc.Lower.lower_program ~formats:[] ~name:"levels" tprog in
   let r_ir = Emi.Ir_interp.run ir ~class_name:"Main" ~op:"start" ~args:[] in
   check (Alcotest.option Alcotest.int) "source level" (Some 42)
     (Option.map (fun v -> Int32.to_int (MV.as_int v)) r_src.Emi.Ast_interp.value);

@@ -156,7 +156,7 @@ let test_dispatch_identical_to_interpreter () =
   (* the baseline path must not touch the translation cache *)
   List.iter
     (fun (s : Isa.Dispatch.stats) ->
-      check Alcotest.int "baseline translated nothing" 0 s.Isa.Dispatch.st_blocks)
+      check Alcotest.int "baseline translated nothing" 0 s.Isa.Dispatch.st_paths)
     base_stats;
   check Alcotest.string "pinned baseline"
     "results 0 26 6001 6002 6003, insns 2029 3130 3748 3709, \
@@ -170,10 +170,10 @@ let test_dispatch_identical_to_interpreter () =
   check (Alcotest.list Alcotest.int) "threaded insns per node" insns0 insns;
   check (Alcotest.float 0.0) "threaded virtual time" t0 t;
   check Alcotest.string "threaded trace" trace0 trace;
-  let blocks = List.fold_left (fun a s -> a + s.Isa.Dispatch.st_blocks) 0 dstats in
-  let fused = List.fold_left (fun a s -> a + s.Isa.Dispatch.st_fused) 0 dstats in
-  if blocks = 0 then Alcotest.fail "no blocks were translated";
-  if fused = 0 then Alcotest.fail "no superinstructions were fused"
+  let paths = List.fold_left (fun a s -> a + s.Isa.Dispatch.st_paths) 0 dstats in
+  let insns = List.fold_left (fun a s -> a + s.Isa.Dispatch.st_insns) 0 dstats in
+  if paths = 0 then Alcotest.fail "no paths were translated";
+  if insns <= paths then Alcotest.fail "no path ran past its head"
 
 (* ---------------------------------------------------------------- *)
 (* blit tier == plan tier for every arch pair (qcheck property)       *)
